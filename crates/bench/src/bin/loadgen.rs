@@ -10,10 +10,7 @@
 //! through the streaming SCAN_STREAM opcode (chunked multi-frame
 //! responses), and F issues read-modify-writes as a pipelined GET→PUT
 //! pair per key — both frames in one batch, in order, so the write
-//! always follows its read on the same connection. The plain run
-//! drives the whole matrix twice — `coalesce_puts` off, then on — and
-//! reports the bit-flip delta the PUT-run coalescing buys per
-//! workload.
+//! always follows its read on the same connection.
 //!
 //! By default it boots its own 4-shard server on an ephemeral loopback
 //! port (the in-process [`e2nvm_server::Server`], so one binary is a
@@ -28,12 +25,6 @@
 //! read-through cache — and records the side-by-side comparison (with
 //! per-workload hit rates when built with `--features telemetry`) in
 //! `results/cache_throughput.md` instead.
-//!
-//! With `--compare-servers` it runs the suite across both serving
-//! engines (the epoll reactor and the thread-per-connection baseline)
-//! at a small and a large connection count, and records the grid in
-//! `results/reactor_throughput.md` — the reactor's high-fan-in case
-//! against the model it replaced.
 //!
 //! With `--recovery` it runs the kill-and-restart experiment instead:
 //! boot a *separate* `e2nvm-server` process with `--data-dir`, drive
@@ -60,11 +51,11 @@
 //! Flags: `--connections N` (default 4), `--pipeline D` (default 16),
 //! `--ops N` per connection per workload, `--shards`, `--segments`,
 //! `--seg-bytes`, `--workloads A,B,C,D,E,F` (the plain default; the
-//! `--cache` and `--compare-servers` experiments default to their
-//! established A,B,C scope), `--addr`, `--cache`, `--cache-mb N`
-//! (default 64), `--threaded` (serve with the thread-per-connection
-//! baseline), `--workers N` (reactor pool size, 0 = auto),
-//! `--compare-servers`, `--cluster`, `--quick`.
+//! `--cache` experiment defaults to its established A,B,C scope),
+//! `--addr`, `--cache`, `--cache-mb N` (default 64), `--workers N`
+//! (reactor pool size, 0 = auto), `--recovery`, `--cluster`,
+//! `--quick`. An unknown flag, a missing value or a value that does
+//! not parse exits 2 with a usage line.
 //!
 //! After the run the binary prints `server error frames: N` (summed
 //! across wire statuses from the final METRICS frame) so CI can assert
@@ -73,9 +64,7 @@
 use e2nvm_cluster::{ClusterClient, ClusterConfig, NodeState};
 use e2nvm_kvstore::NvmKvStore as _;
 use e2nvm_server::frame::{encode_request, Request, Status};
-use e2nvm_server::{
-    demo::demo_store, CacheConfig, Client, Server, ServerConfig, ServerHandle, ThreadedServer,
-};
+use e2nvm_server::{demo::demo_store, CacheConfig, Client, Server, ServerConfig, ServerHandle};
 use e2nvm_telemetry::TelemetryRegistry;
 use e2nvm_workloads::ycsb::{Operation, Ycsb};
 use e2nvm_workloads::zipf::scramble;
@@ -83,109 +72,109 @@ use std::io::Write as _;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-#[derive(Clone)]
 struct Args {
     addr: Option<String>,
     connections: usize,
-    connections_set: bool,
     pipeline: usize,
     ops: usize,
-    ops_set: bool,
     shards: usize,
     segments: usize,
     seg_bytes: usize,
     workloads: Vec<char>,
-    workloads_set: bool,
     cache: bool,
     cache_mb: usize,
-    threaded: bool,
     workers: usize,
-    compare: bool,
     recovery: bool,
     cluster: bool,
     quick: bool,
+}
+
+const USAGE: &str = "usage: e2nvm-loadgen [--addr HOST:PORT] [--connections N] [--pipeline D] \
+[--ops N] [--shards N] [--segments N] [--seg-bytes N] [--workloads A,B,C,D,E,F] [--workers N] \
+[--cache] [--cache-mb N] [--recovery] [--cluster] [--quick]";
+
+/// Reject the command line: say why, print the usage line, exit 2.
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("e2nvm-loadgen: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// `raw` as the numeric value of `flag`, or a usage exit.
+fn number(flag: &str, raw: String) -> usize {
+    raw.parse()
+        .unwrap_or_else(|_| usage_exit(&format!("invalid value {raw:?} for {flag}")))
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         addr: None,
         connections: 4,
-        connections_set: false,
         pipeline: 16,
         ops: 0, // resolved after --quick is known
-        ops_set: false,
         shards: 4,
         segments: 0,
         seg_bytes: 64,
         workloads: vec!['A', 'B', 'C', 'D', 'E', 'F'],
-        workloads_set: false,
         cache: false,
         cache_mb: 64,
-        threaded: false,
         workers: 0,
-        compare: false,
         recovery: false,
         cluster: false,
         quick: false,
     };
     let mut ops_set = false;
     let mut segments_set = false;
+    let mut workloads_set = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
+        let flag = flag.as_str();
+        let mut value = || {
             it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
+                .unwrap_or_else(|| usage_exit(&format!("{flag} requires a value")))
         };
-        match flag.as_str() {
-            "--addr" => args.addr = Some(value("--addr")),
-            "--connections" => {
-                args.connections = value("--connections").parse().unwrap();
-                args.connections_set = true;
-            }
-            "--pipeline" => args.pipeline = value("--pipeline").parse().unwrap(),
+        match flag {
+            "--addr" => args.addr = Some(value()),
+            "--connections" => args.connections = number(flag, value()),
+            "--pipeline" => args.pipeline = number(flag, value()),
             "--ops" => {
-                args.ops = value("--ops").parse().unwrap();
+                args.ops = number(flag, value());
                 ops_set = true;
-                args.ops_set = true;
             }
-            "--shards" => args.shards = value("--shards").parse().unwrap(),
+            "--shards" => args.shards = number(flag, value()),
             "--segments" => {
-                args.segments = value("--segments").parse().unwrap();
+                args.segments = number(flag, value());
                 segments_set = true;
             }
-            "--seg-bytes" => args.seg_bytes = value("--seg-bytes").parse().unwrap(),
+            "--seg-bytes" => args.seg_bytes = number(flag, value()),
             "--workloads" => {
-                args.workloads = value("--workloads")
+                args.workloads = value()
                     .split(',')
                     .map(|w| {
                         let c = w.trim().to_ascii_uppercase();
-                        assert!(
-                            matches!(c.as_str(), "A" | "B" | "C" | "D" | "E" | "F"),
-                            "supported workloads: A, B, C, D, E, F (got {w:?})"
-                        );
+                        if !matches!(c.as_str(), "A" | "B" | "C" | "D" | "E" | "F") {
+                            usage_exit(&format!(
+                                "supported workloads: A, B, C, D, E, F (got {w:?})"
+                            ));
+                        }
                         c.chars().next().unwrap()
                     })
                     .collect();
-                args.workloads_set = true;
+                workloads_set = true;
             }
             "--cache" => args.cache = true,
-            "--cache-mb" => args.cache_mb = value("--cache-mb").parse().unwrap(),
-            "--threaded" => args.threaded = true,
-            "--workers" => args.workers = value("--workers").parse().unwrap(),
-            "--compare-servers" => args.compare = true,
+            "--cache-mb" => args.cache_mb = number(flag, value()),
+            "--workers" => args.workers = number(flag, value()),
             "--recovery" => args.recovery = true,
             "--cluster" => args.cluster = true,
             "--quick" => args.quick = true,
-            other => panic!("unknown flag {other:?}"),
+            other => usage_exit(&format!("unknown flag {other:?}")),
         }
     }
     if !ops_set {
-        // The compare grid multiplies engines x connection counts, so
-        // its per-connection default is smaller to keep total wall
-        // clock comparable to a plain run. The recovery and cluster
-        // experiments' ops are a *total* burst size, not per
-        // connection (cluster puts are synchronous R-way fan-outs, so
-        // their burst is smaller than the single-server one).
+        // The recovery and cluster experiments' ops are a *total*
+        // burst size, not per connection (cluster puts are synchronous
+        // R-way fan-outs, so their burst is smaller than the
+        // single-server one).
         args.ops = if args.recovery {
             if args.quick {
                 800
@@ -200,8 +189,6 @@ fn parse_args() -> Args {
             }
         } else if args.quick {
             150
-        } else if args.compare {
-            1_000
         } else {
             25_000
         };
@@ -209,16 +196,16 @@ fn parse_args() -> Args {
     if !segments_set {
         args.segments = if args.quick { 256 } else { 2048 };
     }
-    if !args.workloads_set && (args.cache || args.compare) {
-        // The cache and engine-comparison experiments keep their
-        // established A/B/C scope (their reports are GET/PUT-shaped
-        // comparisons); the plain run covers the full matrix. An
-        // explicit --workloads overrides either default.
+    if !workloads_set && args.cache {
+        // The cache experiment keeps its established A/B/C scope (its
+        // report is a GET/PUT-shaped comparison); the plain run covers
+        // the full matrix. An explicit --workloads overrides either
+        // default.
         args.workloads = vec!['A', 'B', 'C'];
     }
-    assert!(args.connections > 0, "--connections must be > 0");
-    assert!(args.pipeline > 0, "--pipeline must be > 0");
-    assert!(args.cache_mb > 0, "--cache-mb must be > 0");
+    if args.connections == 0 || args.pipeline == 0 || args.cache_mb == 0 {
+        usage_exit("--connections, --pipeline and --cache-mb must be > 0");
+    }
     args
 }
 
@@ -456,33 +443,16 @@ fn print_error_frames(metrics: &str) {
     }
 }
 
-/// [`print_error_frames`] summed over several suites' final METRICS
-/// expositions (the plain run drives two).
-fn print_summed_error_frames(all_metrics: &[&str]) {
-    let sums: Vec<u64> = all_metrics
-        .iter()
-        .filter_map(|m| metric_sum(m, "e2nvm_server_error_frames_total"))
-        .collect();
-    if sums.is_empty() {
-        println!("server error frames: unavailable (build with --features telemetry)");
-    } else {
-        println!("server error frames: {}", sums.iter().sum::<u64>());
-    }
-}
-
 /// Print the CI-checkable multi-chunk streaming-SCAN count: how many
 /// SCAN_STREAM responses spanned more than one chunk frame, straight
 /// from the server's telemetry. Non-zero proves workload E exercised
 /// the chunked path, not just single-frame streams.
-fn print_multi_chunk_scans(all_metrics: &[&str]) {
-    let sums: Vec<u64> = all_metrics
-        .iter()
-        .filter_map(|m| metric_value(m, "e2nvm_server_scan_stream_multi_chunk_total"))
-        .collect();
-    if sums.is_empty() {
-        println!("multi-chunk scan responses: unavailable (build with --features telemetry)");
-    } else {
-        println!("multi-chunk scan responses: {}", sums.iter().sum::<u64>());
+fn print_multi_chunk_scans(metrics: &str) {
+    match metric_value(metrics, "e2nvm_server_scan_stream_multi_chunk_total") {
+        Some(n) => println!("multi-chunk scan responses: {n}"),
+        None => {
+            println!("multi-chunk scan responses: unavailable (build with --features telemetry)")
+        }
     }
 }
 
@@ -504,10 +474,8 @@ const LOADGEN_SCAN_CHUNK: usize = 1024;
 /// Boot a server (unless `--addr` points at one), load every record,
 /// then drive each requested workload with `connections` pipelined
 /// connections. `cache_cfg` shapes the server-side read-through cache
-/// (`None` serves every GET from the store); `coalesce` turns on the
-/// server's PUT-run coalescing, the knob whose bit-flip saving the
-/// plain report measures.
-fn run_suite(args: &Args, cache_cfg: Option<CacheConfig>, coalesce: bool) -> SuiteOutcome {
+/// (`None` serves every GET from the store).
+fn run_suite(args: &Args, cache_cfg: Option<CacheConfig>) -> SuiteOutcome {
     let records = (args.segments / 4) as u64;
     let value_len = args.seg_bytes * 3 / 4;
 
@@ -518,9 +486,8 @@ fn run_suite(args: &Args, cache_cfg: Option<CacheConfig>, coalesce: bool) -> Sui
         Some(addr) => (addr.parse().expect("--addr must be HOST:PORT"), None),
         None => {
             eprintln!(
-                "booting {}-shard {} server ({} segments x {} B{}) ...",
+                "booting {}-shard server ({} segments x {} B{}) ...",
                 args.shards,
-                if args.threaded { "threaded" } else { "reactor" },
                 args.segments,
                 args.seg_bytes,
                 match &cache_cfg {
@@ -537,20 +504,15 @@ fn run_suite(args: &Args, cache_cfg: Option<CacheConfig>, coalesce: bool) -> Sui
             let mut config = ServerConfig::builder()
                 .max_connections(args.connections + 16)
                 .workers(args.workers)
-                .coalesce_puts(coalesce)
                 .scan_chunk_bytes(LOADGEN_SCAN_CHUNK);
             if let Some(cache) = cache_cfg.clone() {
                 config = config.cache(cache);
             }
             let config = config.build().expect("loadgen server config");
-            let handle = if args.threaded {
-                ThreadedServer::new(store, config)
-                    .with_telemetry(&registry)
-                    .start()
-            } else {
-                Server::new(store, config).with_telemetry(&registry).start()
-            }
-            .expect("server binds an ephemeral port");
+            let handle = Server::new(store, config)
+                .with_telemetry(&registry)
+                .start()
+                .expect("server binds an ephemeral port");
             (handle.local_addr(), Some(handle))
         }
     };
@@ -775,9 +737,8 @@ fn write_report(path: &str, md: &str) {
 }
 
 /// The plain (no `--cache`) report: the full YCSB A–F matrix with
-/// per-workload device energy, from the twin suites the plain run
-/// drives (`coalesce_puts` off, then on).
-fn report_plain(args: &Args, baseline: &SuiteOutcome, coalesced: &SuiteOutcome) {
+/// per-workload device energy.
+fn report_plain(args: &Args, suite: &SuiteOutcome) {
     let records = (args.segments / 4) as u64;
     let value_len = args.seg_bytes * 3 / 4;
     let mut md = String::from(
@@ -805,14 +766,14 @@ fn report_plain(args: &Args, baseline: &SuiteOutcome, coalesced: &SuiteOutcome) 
         LOADGEN_SCAN_CHUNK,
     ));
     md.push_str(METHODOLOGY);
-    md.push_str("## Throughput and device energy (coalesce_puts off)\n\n");
+    md.push_str("## Throughput and device energy\n\n");
     md.push_str(
         "| workload | mix | ops | elapsed s | ops/s | bit flips/op | pJ/op | error frames |\n",
     );
     md.push_str(
         "|---------:|----:|----:|----------:|------:|-------------:|------:|-------------:|\n",
     );
-    for r in &baseline.results {
+    for r in &suite.results {
         md.push_str(&format!(
             "| YCSB-{} | {} | {} | {:.2} | {:.0} | {:.1} | {:.0} | {} |\n",
             r.name,
@@ -825,59 +786,16 @@ fn report_plain(args: &Args, baseline: &SuiteOutcome, coalesced: &SuiteOutcome) 
             r.errors
         ));
     }
-    md.push_str(
-        "\n## PUT-run coalescing: bit-flip and energy effect per workload\n\n\
-         The same matrix against a server with `coalesce_puts` on (consecutive pipelined \
-         PUTs are batched into one `put_many`, giving the placement pipeline whole runs \
-         to lay out). Write-heavy mixes are where the batch-aware placement can save \
-         device work; read-only C is the no-op control.\n\n",
-    );
-    md.push_str(
-        "| workload | mix | coalesced ops/s | bit flips/op off | bit flips/op on | \
-         flips saved | pJ/op off | pJ/op on |\n",
-    );
-    md.push_str(
-        "|---------:|----:|----------------:|-----------------:|----------------:|\
-         ------------:|----------:|---------:|\n",
-    );
-    for (b, c) in baseline.results.iter().zip(&coalesced.results) {
-        assert_eq!(b.name, c.name, "suites ran the same workloads in order");
-        let saved = if b.bits_per_op() > 0.0 {
-            format!(
-                "{:+.1}%",
-                (c.bits_per_op() - b.bits_per_op()) / b.bits_per_op() * 100.0
-            )
-        } else {
-            "n/a".to_string()
-        };
-        md.push_str(&format!(
-            "| YCSB-{} | {} | {:.0} | {:.1} | {:.1} | {} | {:.0} | {:.0} |\n",
-            b.name,
-            mix_label(b.name),
-            c.ops_per_s(),
-            b.bits_per_op(),
-            c.bits_per_op(),
-            saved,
-            b.pj_per_op(),
-            c.pj_per_op(),
-        ));
-    }
-    let degraded: u64 = baseline
-        .results
-        .iter()
-        .chain(&coalesced.results)
-        .map(|r| r.degraded_inserts)
-        .sum();
+    let degraded: u64 = suite.results.iter().map(|r| r.degraded_inserts).sum();
     if degraded > 0 {
         md.push_str(&format!(
-            "\n{degraded} inserts (across both suites) exceeded the capacity budget and were \
-             degraded to updates of already-admitted insert keys.\n"
+            "\n{degraded} inserts exceeded the capacity budget and were degraded to updates of \
+             already-admitted insert keys.\n"
         ));
     }
     md.push_str(&format!(
-        "\nServer stats after the coalesce-off run: `{}`\n\nServer stats after the \
-         coalesce-on run: `{}`\n",
-        baseline.stats, coalesced.stats
+        "\nServer stats after the run: `{}`\n",
+        suite.stats
     ));
     let path = if args.quick {
         "results/net_throughput_quick.md"
@@ -939,77 +857,6 @@ fn report_cache(args: &Args, baseline: &SuiteOutcome, cached: &SuiteOutcome) {
         "results/cache_throughput_quick.md"
     } else {
         "results/cache_throughput.md"
-    };
-    write_report(path, &md);
-}
-
-/// The `--compare-servers` report: both serving engines across the
-/// connection-count grid, one table row per (connections, workload).
-fn report_compare(args: &Args, rows: &[(usize, SuiteOutcome, SuiteOutcome)]) {
-    let records = (args.segments / 4) as u64;
-    let value_len = args.seg_bytes * 3 / 4;
-    let workers = match args.workers {
-        0 => "auto".to_string(),
-        n => n.to_string(),
-    };
-    let mut md = String::from(
-        "# Serving engines: epoll reactor vs thread-per-connection under connection fan-in\n\n",
-    );
-    md.push_str(&format!(
-        "`e2nvm-loadgen --compare-servers` drives the same pipelined YCSB suite against both \
-         serving engines of a {}-shard `e2nvm-server` ({} segments x {} B, {} records, {}-byte \
-         values; reactor workers: {}): the thread-per-connection baseline (one OS thread per \
-         socket) and the epoll reactor (one event loop + a fixed worker pool). Pipeline depth \
-         {}, {} ops per workload. The wire protocol and responses are \
-         byte-identical between engines (PROTOCOL.md); only the serving model differs. The \
-         interesting column is the large-connection-count row: per-thread stacks and context \
-         switches are what the reactor removes. At low fan-in the reactor runs batches inline \
-         on its event-loop thread (DESIGN.md \u{a7}13, dual-regime dispatch), so the small-count \
-         rows measure parity, not pool-handoff overhead.\n\n",
-        args.shards,
-        args.segments,
-        args.seg_bytes,
-        records,
-        value_len,
-        workers,
-        args.pipeline,
-        if args.ops_set {
-            format!("{} per connection", args.ops)
-        } else {
-            let total = if args.quick { 8_000 } else { 100_000 };
-            format!(
-                "the same total per suite at every connection count (>= {total}, \
-                 floored at {} per connection)",
-                args.ops
-            )
-        },
-    ));
-    md.push_str(METHODOLOGY);
-    md.push_str(
-        "| connections | workload | mix | threaded ops/s | reactor ops/s | reactor/threaded |\n",
-    );
-    md.push_str(
-        "|------------:|---------:|----:|---------------:|--------------:|-----------------:|\n",
-    );
-    for (conns, threaded, reactor) in rows {
-        for (t, r) in threaded.results.iter().zip(&reactor.results) {
-            assert_eq!(t.name, r.name, "suites ran the same workloads in order");
-            md.push_str(&format!(
-                "| {} | YCSB-{} | {} | {:.0} | {:.0} | {:.2}x |\n",
-                conns,
-                t.name,
-                mix_label(t.name),
-                t.ops_per_s(),
-                r.ops_per_s(),
-                r.ops_per_s() / t.ops_per_s(),
-            ));
-        }
-    }
-    md.push('\n');
-    let path = if args.quick {
-        "results/reactor_throughput_quick.md"
-    } else {
-        "results/reactor_throughput.md"
     };
     write_report(path, &md);
 }
@@ -1162,13 +1009,10 @@ impl BurstRig {
                 .with_persistence(pcfg, None)
                 .expect("enable persistence");
         }
-        // Both twins coalesce pipelined PUTs into put_many — the
-        // batch-shaped serving configuration group commit is built
-        // around (one WAL lock + one append run per shard per batch).
-        // Identical on both sides, so the delta isolates the WAL.
+        // The default serving route on both sides, so the delta
+        // isolates the WAL.
         let config = ServerConfig::builder()
             .max_connections(16)
-            .coalesce_puts(true)
             .build()
             .expect("config");
         let handle = Server::new(store, config).start().expect("bind");
@@ -1410,7 +1254,12 @@ fn run_recovery(args: &Args) {
          reporting its best round, so host-load drift hits both columns alike. The \
          WAL-on twin runs the default flush policy: appends buffer in memory, one \
          `write(2)` per shard hands the batch to the kernel before its acks reach \
-         the socket, and the periodic `fdatasync` runs on a background syncer thread.\n",
+         the socket, and the periodic `fdatasync` runs on a background syncer thread. \
+         Both twins serve on the default route, each pipelined PUT its own store call. \
+         Versions of this report from before the server's PUT-run batching mode was \
+         removed (DESIGN.md \u{a7}12) measured a pair with that mode switched on, so \
+         the WAL rows changed meaning, not just value: they are now the overhead on \
+         the route every client gets.\n",
     );
     let path = if args.quick {
         "results/recovery_quick.md"
@@ -1719,113 +1568,43 @@ fn main() {
     let args = parse_args();
 
     if args.cluster {
-        assert!(
-            args.addr.is_none() && !args.cache && !args.compare && !args.threaded && !args.recovery,
-            "--cluster boots its own servers; drop \
-             --addr/--cache/--compare-servers/--threaded/--recovery"
-        );
+        if args.addr.is_some() || args.cache || args.recovery {
+            usage_exit("--cluster boots its own servers; drop --addr/--cache/--recovery");
+        }
         run_cluster(&args);
         return;
     }
 
     if args.recovery {
-        assert!(
-            args.addr.is_none() && !args.cache && !args.compare && !args.threaded,
-            "--recovery boots its own servers; drop --addr/--cache/--compare-servers/--threaded"
-        );
+        if args.addr.is_some() || args.cache {
+            usage_exit("--recovery boots its own servers; drop --addr/--cache");
+        }
         run_recovery(&args);
         return;
     }
 
-    if args.compare {
-        assert!(
-            args.addr.is_none(),
-            "--compare-servers boots its own servers; drop --addr"
-        );
-        assert!(
-            !args.cache,
-            "--compare-servers measures serving engines; drop --cache"
-        );
-        // Small count = per-connection parity check; large count = the
-        // fan-in case the reactor exists for. An explicit --connections
-        // pins the grid to that single point.
-        let grid: Vec<usize> = if args.connections_set {
-            vec![args.connections]
-        } else if args.quick {
-            vec![4, 64]
-        } else {
-            vec![4, 512]
-        };
-        let mut rows: Vec<(usize, SuiteOutcome, SuiteOutcome)> = Vec::new();
-        let mut error_frames = 0u64;
-        for &conns in &grid {
-            let mut sub = args.clone();
-            sub.connections = conns;
-            if !args.ops_set {
-                // Equalize measurement duration across grid points: at
-                // a flat per-connection count the small-fan-in suites
-                // finish in milliseconds and measure scheduler noise,
-                // not the engine. Target the same total ops per suite
-                // at every count (floored at the per-connection
-                // default).
-                let total = if args.quick { 8_000 } else { 100_000 };
-                sub.ops = (total / conns).max(args.ops);
-            }
-            eprintln!("== threaded engine, {conns} connections ==");
-            sub.threaded = true;
-            let threaded = run_suite(&sub, None, false);
-            eprintln!("== reactor engine, {conns} connections ==");
-            sub.threaded = false;
-            let reactor = run_suite(&sub, None, false);
-            for out in [&threaded, &reactor] {
-                error_frames +=
-                    metric_sum(&out.metrics, "e2nvm_server_error_frames_total").unwrap_or(0);
-            }
-            rows.push((conns, threaded, reactor));
-        }
-        report_compare(&args, &rows);
-        let total_ops: u64 = rows
-            .iter()
-            .flat_map(|(_, t, r)| t.results.iter().chain(&r.results))
-            .map(|r| r.ops)
-            .sum();
-        println!("completed {total_ops} ops");
-        println!("server error frames: {error_frames}");
-        assert!(total_ops > 0, "load generator completed zero operations");
-        return;
-    }
-
     if !args.cache {
-        // Twin suites: the same matrix with PUT-run coalescing off and
-        // on — the off suite is the headline table, the pair is the
-        // coalescing bit-flip measurement.
-        eprintln!("== suite 1/2: coalesce_puts off ==");
-        let baseline = run_suite(&args, None, false);
-        eprintln!("== suite 2/2: coalesce_puts on ==");
-        let coalesced = run_suite(&args, None, true);
-        report_plain(&args, &baseline, &coalesced);
-        let total_ops: u64 = (baseline.results.iter().chain(&coalesced.results))
-            .map(|r| r.ops)
-            .sum();
+        let suite = run_suite(&args, None);
+        report_plain(&args, &suite);
+        let total_ops: u64 = suite.results.iter().map(|r| r.ops).sum();
         println!("completed {total_ops} ops");
-        print_summed_error_frames(&[&baseline.metrics, &coalesced.metrics]);
-        print_multi_chunk_scans(&[&baseline.metrics, &coalesced.metrics]);
+        print_error_frames(&suite.metrics);
+        print_multi_chunk_scans(&suite.metrics);
         assert!(total_ops > 0, "load generator completed zero operations");
         return;
     }
 
-    assert!(
-        args.addr.is_none(),
-        "--cache boots its own baseline and cached servers; drop --addr"
-    );
+    if args.addr.is_some() {
+        usage_exit("--cache boots its own baseline and cached servers; drop --addr");
+    }
     eprintln!("== baseline suite (no cache) ==");
-    let baseline = run_suite(&args, None, false);
+    let baseline = run_suite(&args, None);
     eprintln!("== cached suite ({} MiB) ==", args.cache_mb);
     let cache_cfg = CacheConfig::builder()
         .capacity_bytes(args.cache_mb << 20)
         .build()
         .expect("loadgen cache config");
-    let cached = run_suite(&args, Some(cache_cfg), false);
+    let cached = run_suite(&args, Some(cache_cfg));
 
     // Accounting cross-check, when the build exposes the cache series:
     // every run-phase GET was either a hit or a miss — the cache never

@@ -56,16 +56,6 @@ impl BatchAccumulator {
         self.buf.is_empty()
     }
 
-    /// The `(key, offset, len)` items buffered so far.
-    pub fn items(&self) -> &[(u64, usize, usize)] {
-        &self.items
-    }
-
-    /// The buffered bytes (for reads of not-yet-flushed items).
-    pub fn peek(&self) -> &[u8] {
-        &self.buf
-    }
-
     /// Push one key/value. Returns a completed [`Batch`] when the value
     /// does not fit in the remaining space (the full buffer is emitted
     /// and the value starts the next batch).

@@ -53,7 +53,6 @@ pub mod padding;
 pub mod retrain;
 pub mod sharded;
 pub mod telemetry;
-pub mod writer;
 
 pub use batch::{Batch, BatchAccumulator};
 pub use concurrent::SharedEngine;
@@ -68,4 +67,3 @@ pub use padding::{Padder, PaddingLocation, PaddingType};
 pub use retrain::BackgroundRetrainer;
 pub use sharded::ShardedEngine;
 pub use telemetry::EngineTelemetry;
-pub use writer::BatchedWriter;

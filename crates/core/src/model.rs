@@ -7,7 +7,6 @@ use e2nvm_ml::data::{segments_to_matrix, subsample_rows, train_val_split};
 use e2nvm_ml::persist::{Persist, PersistError, Reader, Writer};
 use e2nvm_ml::{ClusterModel, Matrix, TrainingHistory};
 use rand::Rng;
-use std::path::Path;
 
 /// A trained placement model.
 #[derive(Debug, Clone)]
@@ -120,26 +119,6 @@ impl E2Model {
             history: TrainingHistory::default(),
         })
     }
-
-    /// Save to a file.
-    #[deprecated(
-        note = "use the unified persistence facade: `e2nvm_persist::save_model` \
-                (re-exported as `e2nvm::persist::save_model`)"
-    )]
-    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
-
-    /// Load from a file.
-    #[deprecated(
-        note = "use the unified persistence facade: `e2nvm_persist::load_model` \
-                (re-exported as `e2nvm::persist::load_model`)"
-    )]
-    pub fn load(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
 }
 
 #[cfg(test)]
@@ -240,22 +219,6 @@ mod tests {
             loaded.classify_segments(&contents),
             model.classify_segments(&contents)
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn save_load_file_roundtrip() {
-        let mut rng = seeded(10);
-        let contents = clustered_segments(20, 16, &mut rng);
-        let model = E2Model::train(&quick_cfg(), &contents, &mut rng);
-        let path = std::env::temp_dir().join("e2nvm_model_test.bin");
-        model.save(&path).unwrap();
-        let loaded = E2Model::load(&path).unwrap();
-        assert_eq!(
-            loaded.classify_segments(&contents),
-            model.classify_segments(&contents)
-        );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,290 +1,26 @@
 //! The paper's Figure 3 system: a persistent key-value store on hybrid
-//! DRAM-NVM built on E2-NVM — a DRAM **red-black tree** index (the
-//! "RB-Tree.put(D, A)" of Algorithm 1) over values placed by the
-//! [`E2Engine`].
+//! DRAM-NVM built on E2-NVM — [`ShardedE2KvStore`], the
+//! [`NvmKvStore`] face of a [`ShardedEngine`]. Each shard's
+//! [`E2Engine`] owns its ordered DRAM key index (the
+//! "RB-Tree.put(D, A)" of Algorithm 1) and the live-entry counts of
+//! packed segments; this layer adds the WAL + snapshot persistence
+//! and the KV-op telemetry. A single-engine store is one shard:
+//! `ShardedE2KvStore::new(ShardedEngine::new(vec![engine]))`.
 
-use crate::rbtree::RbTree;
 use crate::store::{Result, StoreError};
 use crate::telemetry::StoreTelemetry;
 use crate::traits::NvmKvStore;
-use e2nvm_core::{Batch, BatchAccumulator, E2Config, E2Engine, E2Error, ShardedEngine};
+use e2nvm_core::{E2Config, E2Engine, E2Error, ShardedEngine};
 use e2nvm_persist::{
     replay_and_truncate, FlushPolicy, PersistTelemetry, PersistenceConfig, ShardState,
     StoreSnapshot, Wal, WalOp, WalSyncer,
 };
-use e2nvm_sim::{LogicalSegment, MemoryController};
+use e2nvm_sim::MemoryController;
 use e2nvm_telemetry::TelemetryRegistry;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Loc {
-    seg: LogicalSegment,
-    off: usize,
-    len: usize,
-}
-
-impl Default for Loc {
-    fn default() -> Self {
-        Self {
-            seg: LogicalSegment(usize::MAX),
-            off: 0,
-            len: 0,
-        }
-    }
-}
-
-/// The E2-NVM-backed key-value store.
-pub struct E2KvStore {
-    engine: E2Engine,
-    index: RbTree<Loc>,
-    /// Live-entry counts for segments shared by a packed
-    /// [`NvmKvStore::put_many`] batch; absent segments hold exactly one
-    /// entry. A shared segment is recycled only when its count hits 0.
-    live: HashMap<LogicalSegment, usize>,
-    telemetry: StoreTelemetry,
-}
-
-impl E2KvStore {
-    /// Build over a *trained* engine.
-    ///
-    /// # Panics
-    /// Panics if the engine has not been trained.
-    pub fn new(engine: E2Engine) -> Self {
-        assert!(engine.is_trained(), "E2KvStore: engine must be trained");
-        Self {
-            engine,
-            index: RbTree::new(),
-            live: HashMap::new(),
-            telemetry: StoreTelemetry::disconnected(),
-        }
-    }
-
-    /// Drop one live reference to the segment behind a displaced index
-    /// entry; recycle it once no entry points there any more.
-    fn release_loc(&mut self, loc: Loc) -> Result<()> {
-        match self.live.get_mut(&loc.seg) {
-            Some(count) => {
-                *count -= 1;
-                if *count == 0 {
-                    self.live.remove(&loc.seg);
-                    self.engine.recycle_segment(loc.seg)?;
-                }
-            }
-            None => self.engine.recycle_segment(loc.seg)?,
-        }
-        Ok(())
-    }
-
-    /// Commit one emitted batch; on placement failure, fail every
-    /// pending pair's result slot. Clears `pending` either way.
-    fn commit_pending(
-        &mut self,
-        batch: &Batch,
-        pending: &mut Vec<usize>,
-        results: &mut [Result<()>],
-    ) {
-        if let Err(e) = self.commit_batch(batch) {
-            for &i in pending.iter() {
-                results[i] = Err(e.clone());
-            }
-        }
-        pending.clear();
-    }
-
-    /// Place one emitted batch on a segment and index every item.
-    fn commit_batch(&mut self, batch: &Batch) -> Result<()> {
-        let (seg, _report) = self.engine.place_value(&batch.data)?;
-        // Count the whole batch up front so an intra-batch duplicate
-        // release cannot recycle the segment under later items.
-        self.live.insert(seg, batch.items.len());
-        for &(key, off, len) in &batch.items {
-            if let Some(old) = self.index.insert(key, Loc { seg, off, len }) {
-                self.release_loc(old)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Register this store's KV-op metrics — and the wrapped engine's
-    /// and device's — on `registry`.
-    pub fn attach_telemetry(&mut self, registry: &TelemetryRegistry) {
-        self.engine.attach_telemetry(registry, 0);
-        self.telemetry = StoreTelemetry::register(registry, "e2");
-    }
-
-    /// Borrow the engine (retraining, stats, wear inspection).
-    pub fn engine_mut(&mut self) -> &mut E2Engine {
-        &mut self.engine
-    }
-
-    /// Segments permanently retired by wear-out (degraded mode).
-    pub fn retired_count(&self) -> usize {
-        self.engine.retired_count()
-    }
-
-    /// Number of keys stored.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-}
-
-impl NvmKvStore for E2KvStore {
-    fn name(&self) -> &'static str {
-        "E2-NVM KV"
-    }
-
-    fn put(&mut self, key: u64, value: &[u8]) -> Result<()> {
-        // Timed explicitly (not via the drop-guard timer) because
-        // release_loc needs `&mut self` while a guard would hold the
-        // telemetry borrow.
-        let t0 = crate::telemetry::now_if_enabled();
-        self.telemetry.puts.inc();
-        // Algorithm 1: predict -> pop address -> differential write ->
-        // index update.
-        let (seg, _report) = self.engine.place_value(value)?;
-        if let Some(old) = self.index.insert(
-            key,
-            Loc {
-                seg,
-                off: 0,
-                len: value.len(),
-            },
-        ) {
-            self.release_loc(old)?;
-        }
-        if let Some(t0) = t0 {
-            self.telemetry
-                .put_latency_ns
-                .observe(t0.elapsed().as_nanos() as u64);
-        }
-        Ok(())
-    }
-
-    fn put_many(&mut self, pairs: &[(u64, &[u8])]) -> Vec<Result<()>> {
-        self.telemetry.puts.add(pairs.len() as u64);
-        let seg_bytes = self.engine.config().segment_bytes;
-        let mut results: Vec<Result<()>> = (0..pairs.len()).map(|_| Ok(())).collect();
-        let mut acc = BatchAccumulator::new(seg_bytes);
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, &(key, value)) in pairs.iter().enumerate() {
-            if value.len() > seg_bytes {
-                results[i] = Err(StoreError::from(E2Error::ValueTooLarge {
-                    len: value.len(),
-                    segment_bytes: seg_bytes,
-                }));
-                continue;
-            }
-            if value.is_empty() {
-                // The accumulator cannot carry zero-length payloads;
-                // flush first (order matters for duplicate keys), then
-                // place the empty value on its own segment.
-                if let Some(batch) = acc.flush() {
-                    self.commit_pending(&batch, &mut pending, &mut results);
-                }
-                results[i] = match self.engine.place_value(value) {
-                    Ok((seg, _report)) => match self.index.insert(
-                        key,
-                        Loc {
-                            seg,
-                            off: 0,
-                            len: 0,
-                        },
-                    ) {
-                        Some(old) => self.release_loc(old),
-                        None => Ok(()),
-                    },
-                    Err(e) => Err(e.into()),
-                };
-                continue;
-            }
-            if let Some(batch) = acc.push(key, value) {
-                self.commit_pending(&batch, &mut pending, &mut results);
-            }
-            pending.push(i);
-        }
-        if let Some(batch) = acc.flush() {
-            self.commit_pending(&batch, &mut pending, &mut results);
-        }
-        results
-    }
-
-    fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>> {
-        let _timer = self.telemetry.get_latency_ns.start_timer();
-        self.telemetry.gets.inc();
-        let Some(loc) = self.index.get(key).copied() else {
-            return Ok(None);
-        };
-        let data = self.engine.controller_mut().read(loc.seg)?;
-        Ok(Some(data[loc.off..loc.off + loc.len].to_vec()))
-    }
-
-    fn delete(&mut self, key: u64) -> Result<bool> {
-        self.telemetry.deletes.inc();
-        // Algorithm 2: index lookup -> flag reset (DRAM) -> recycle the
-        // address through the encoder back into the DAP.
-        let Some(loc) = self.index.remove(key) else {
-            return Ok(false);
-        };
-        self.release_loc(loc)?;
-        Ok(true)
-    }
-
-    fn scan(&mut self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>> {
-        self.telemetry.scans.inc();
-        let locs: Vec<(u64, Loc)> = self
-            .index
-            .range(lo, hi)
-            .into_iter()
-            .map(|(k, loc)| (k, *loc))
-            .collect();
-        locs.into_iter()
-            .map(|(k, loc)| {
-                let data = self.engine.controller_mut().read(loc.seg)?;
-                Ok((k, data[loc.off..loc.off + loc.len].to_vec()))
-            })
-            .collect()
-    }
-
-    fn scan_limit(&mut self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
-        self.telemetry.scans.inc();
-        // Early-stopped index walk: a small page over a huge range
-        // costs O(limit + log n), which keeps the server's paged
-        // streaming SCAN from re-materializing the whole range per page.
-        let locs: Vec<(u64, Loc)> = self
-            .index
-            .range_limit(lo, hi, limit)
-            .into_iter()
-            .map(|(k, loc)| (k, *loc))
-            .collect();
-        locs.into_iter()
-            .map(|(k, loc)| {
-                let data = self.engine.controller_mut().read(loc.seg)?;
-                Ok((k, data[loc.off..loc.off + loc.len].to_vec()))
-            })
-            .collect()
-    }
-
-    fn stats(&self) -> e2nvm_sim::DeviceStats {
-        self.engine.device_stats().clone()
-    }
-
-    fn reset_stats(&mut self) {
-        self.engine.reset_device_stats();
-    }
-
-    fn telemetry(&self) -> Option<&TelemetryRegistry> {
-        self.telemetry.registry()
-    }
-}
 
 /// The attached persistence layer of a [`ShardedE2KvStore`]: one WAL
 /// per shard plus snapshot-trigger state. Shared by clones.
@@ -400,11 +136,11 @@ pub struct RecoveryReport {
     pub duration_ms: u64,
 }
 
-/// The sharded variant: the same KV interface over a [`ShardedEngine`],
-/// whose per-shard engines each keep their own key index, so no extra
-/// DRAM index is needed here. Unlike [`E2KvStore`] this store is also
-/// `Clone` — clones share the shards — which is what the multi-threaded
-/// serving benchmarks hand out to worker threads.
+/// The E2-NVM-backed key-value store: the KV interface over a
+/// [`ShardedEngine`], whose per-shard engines each keep their own key
+/// index, so no extra DRAM index is needed here. The store is
+/// `Clone` — clones share the shards — which is what the serving
+/// layer hands out to worker threads.
 ///
 /// Optionally crash-consistent: [`ShardedE2KvStore::with_persistence`]
 /// attaches a per-shard WAL plus snapshot layer, and
@@ -881,11 +617,12 @@ mod tests {
     use super::*;
     use crate::traits::check_against_shadow;
     use e2nvm_core::E2Config;
-    use e2nvm_sim::{DeviceConfig, MemoryController, NvmDevice};
+    use e2nvm_sim::{DeviceConfig, LogicalSegment, MemoryController, NvmDevice};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn store(segments: usize, seg_bytes: usize) -> E2KvStore {
+    /// A one-shard store over a hand-built engine.
+    fn store(segments: usize, seg_bytes: usize) -> ShardedE2KvStore {
         let dev = NvmDevice::new(
             DeviceConfig::builder()
                 .segment_bytes(seg_bytes)
@@ -913,25 +650,7 @@ mod tests {
                 .unwrap();
         }
         engine.train().unwrap();
-        E2KvStore::new(engine)
-    }
-
-    #[test]
-    fn basic_crud() {
-        let mut s = store(32, 64);
-        s.put(10, b"ten").unwrap();
-        assert_eq!(s.get(10).unwrap().unwrap(), b"ten");
-        s.put(10, b"TEN").unwrap();
-        assert_eq!(s.get(10).unwrap().unwrap(), b"TEN");
-        assert!(s.delete(10).unwrap());
-        assert!(!s.delete(10).unwrap());
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn shadow_stress() {
-        let mut s = store(128, 64);
-        check_against_shadow(&mut s, 400, 12, 29).unwrap();
+        ShardedE2KvStore::new(ShardedEngine::new(vec![engine]))
     }
 
     #[test]

@@ -404,47 +404,6 @@ impl<V> RbTree<V> {
         }
     }
 
-    /// Like [`RbTree::range`], but stop after `limit` entries — the
-    /// in-order walk short-circuits instead of visiting the rest of
-    /// the range, which is what makes paged scans over huge ranges
-    /// O(limit + log n) per page instead of O(range).
-    pub fn range_limit(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, &V)> {
-        let mut out = Vec::new();
-        if limit > 0 {
-            self.range_limit_rec(self.root, lo, hi, limit, &mut out);
-        }
-        out
-    }
-
-    fn range_limit_rec<'a>(
-        &'a self,
-        x: usize,
-        lo: u64,
-        hi: u64,
-        limit: usize,
-        out: &mut Vec<(u64, &'a V)>,
-    ) {
-        if x == NIL || out.len() >= limit {
-            return;
-        }
-        let node = &self.nodes[x];
-        if node.key > lo {
-            self.range_limit_rec(node.left, lo, hi, limit, out);
-        }
-        if out.len() >= limit {
-            return;
-        }
-        if node.key >= lo && node.key <= hi {
-            out.push((node.key, &node.value));
-            if out.len() >= limit {
-                return;
-            }
-        }
-        if node.key < hi {
-            self.range_limit_rec(node.right, lo, hi, limit, out);
-        }
-    }
-
     /// All keys in order (diagnostics/tests).
     pub fn keys(&self) -> Vec<u64> {
         self.range(0, u64::MAX)
@@ -564,21 +523,6 @@ mod tests {
         let got: Vec<u64> = t.range(15, 45).into_iter().map(|(k, _)| k).collect();
         assert_eq!(got, vec![20, 30, 40]);
         assert!(t.range(60, 70).is_empty());
-        // range_limit agrees with range, truncated, at every limit.
-        for limit in 0..=4 {
-            let limited: Vec<u64> = t
-                .range_limit(15, 45, limit)
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect();
-            let full: Vec<u64> = t
-                .range(15, 45)
-                .into_iter()
-                .map(|(k, _)| k)
-                .take(limit)
-                .collect();
-            assert_eq!(limited, full, "limit {limit}");
-        }
         let all: Vec<u64> = t.range(0, u64::MAX).into_iter().map(|(k, _)| k).collect();
         assert_eq!(all, vec![10, 20, 30, 40, 50]);
     }

@@ -89,7 +89,7 @@ pub trait NvmKvStore {
     }
 
     /// The telemetry registry this store publishes to, if one has been
-    /// attached (e.g. [`crate::E2KvStore::attach_telemetry`]). Stores
+    /// attached (e.g. [`crate::ShardedE2KvStore::attach_telemetry`]). Stores
     /// without instrumentation keep the default `None`.
     fn telemetry(&self) -> Option<&TelemetryRegistry> {
         None

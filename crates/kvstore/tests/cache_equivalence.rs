@@ -1,5 +1,5 @@
 //! Observational-equivalence property test for the read-through cache:
-//! a [`CachedKvStore`] wrapping an [`E2KvStore`] must be
+//! a [`CachedKvStore`] wrapping a one-shard [`ShardedE2KvStore`] must be
 //! indistinguishable from the bare store under any interleaving of
 //! puts, gets, deletes, batch ops, and scans — including when the
 //! cache budget is tiny enough that the CLOCK hand evicts constantly.
@@ -8,8 +8,8 @@
 //! behaviour (e.g. out-of-space under an overfilled pool) must match
 //! exactly, not just their happy paths.
 
-use e2nvm_core::{E2Config, E2Engine};
-use e2nvm_kvstore::{CacheConfig, CachedKvStore, E2KvStore, NvmKvStore};
+use e2nvm_core::{E2Config, E2Engine, ShardedEngine};
+use e2nvm_kvstore::{CacheConfig, CachedKvStore, NvmKvStore, ShardedE2KvStore};
 use e2nvm_sim::{DeviceConfig, LogicalSegment, MemoryController, NvmDevice};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -49,7 +49,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 /// A small trained E2 store; every call with the same arguments builds
 /// an identical twin (seeded device content, seeded engine).
-fn twin_store(segments: usize, seg_bytes: usize) -> E2KvStore {
+fn twin_store(segments: usize, seg_bytes: usize) -> ShardedE2KvStore {
     let dev = NvmDevice::new(
         DeviceConfig::builder()
             .segment_bytes(seg_bytes)
@@ -77,7 +77,7 @@ fn twin_store(segments: usize, seg_bytes: usize) -> E2KvStore {
             .unwrap();
     }
     engine.train().unwrap();
-    E2KvStore::new(engine)
+    ShardedE2KvStore::new(ShardedEngine::new(vec![engine]))
 }
 
 /// Errors compared by display text: the twins run identical engines,

@@ -22,8 +22,6 @@ use crate::energy::EnergyParams;
 use crate::error::{Result, SimError};
 use crate::fault::FaultConfig;
 use crate::latency::LatencyParams;
-use std::io::{Read, Write};
-use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"E2DV";
 const VERSION: u16 = 2;
@@ -256,27 +254,6 @@ pub fn from_image(image: &[u8]) -> Result<NvmDevice> {
     Ok(device)
 }
 
-/// Save a device image to a file.
-#[deprecated(
-    note = "use the unified persistence facade: `e2nvm_persist::save_device` \
-            (re-exported as `e2nvm::persist::save_device`)"
-)]
-pub fn save(device: &NvmDevice, path: impl AsRef<Path>) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(&to_image(device))
-}
-
-/// Load a device image from a file.
-#[deprecated(
-    note = "use the unified persistence facade: `e2nvm_persist::load_device` \
-            (re-exported as `e2nvm::persist::load_device`)"
-)]
-pub fn load(path: impl AsRef<Path>) -> std::io::Result<NvmDevice> {
-    let mut buf = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut buf)?;
-    from_image(&buf).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,20 +299,6 @@ mod tests {
         assert_eq!(restored.config(), dev.config());
         // Stats are measurement state: reset on restore.
         assert_eq!(restored.stats().writes, 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn file_roundtrip() {
-        let dev = worn_device();
-        let path = std::env::temp_dir().join("e2nvm_device_image_test.bin");
-        save(&dev, &path).unwrap();
-        let restored = load(&path).unwrap();
-        assert_eq!(
-            restored.peek(PhysicalSegment(3)),
-            dev.peek(PhysicalSegment(3))
-        );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! cargo run --release -p e2nvm-server --bin e2nvm-server -- \
 //!     [--addr 127.0.0.1:4242] [--shards 4] [--segments 2048] \
 //!     [--seg-bytes 64] [--max-conns 1024] [--workers 0] \
-//!     [--scan-chunk 65536] [--threaded] [--cache] [--cache-mb 64] \
+//!     [--scan-chunk 65536] [--cache] [--cache-mb 64] \
 //!     [--data-dir PATH] [--flush-policy every|batch:N|os] \
 //!     [--snapshot-every OPS] \
 //!     [--fault-endurance BITS] [--fault-seed SEED]
@@ -15,10 +15,11 @@
 //! embedder would build its own store (own device geometry, own
 //! training corpus) and hand it to [`Server`] the same way.
 //!
-//! `--workers N` sizes the reactor's worker pool (0 = auto);
-//! `--threaded` serves with the thread-per-connection baseline engine
-//! instead of the epoll reactor. `--scan-chunk BYTES` sets the target
-//! payload per streamed SCAN chunk frame (default 64 KiB).
+//! `--workers N` sizes the reactor's worker pool (0 = auto).
+//! `--scan-chunk BYTES` sets the target payload per streamed SCAN
+//! chunk frame (default 64 KiB). An unknown flag, a missing value or a
+//! value that does not parse is rejected with a usage line on stderr
+//! and exit code 2 — the server never boots on a guess.
 //!
 //! `--fault-endurance BITS` attaches the simulator's deterministic
 //! fault model with a Weibull(3.0, BITS) per-segment endurance budget
@@ -38,56 +39,82 @@
 //! harnesses can tell which path booted.
 
 use e2nvm_persist::{FlushPolicy, PersistenceConfig};
-use e2nvm_server::{demo, CacheConfig, Server, ServerConfig, ThreadedServer};
+use e2nvm_server::{demo, CacheConfig, Server, ServerConfig};
 use e2nvm_telemetry::TelemetryRegistry;
 
-fn arg_after(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const USAGE: &str = "usage: e2nvm-server [--addr HOST:PORT] [--shards N] [--segments N] \
+[--seg-bytes N] [--max-conns N] [--workers N] [--scan-chunk BYTES] [--cache] [--cache-mb N] \
+[--data-dir PATH] [--flush-policy every|batch:N|os] [--snapshot-every OPS] \
+[--fault-endurance BITS] [--fault-seed SEED]";
+
+/// Reject the command line: say why, print the usage line, exit 2.
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("e2nvm-server: {msg}\n{USAGE}");
+    std::process::exit(2);
 }
 
-fn parse_or<T: std::str::FromStr>(v: Option<String>, default: T) -> T {
-    v.and_then(|s| s.parse().ok()).unwrap_or(default)
+/// The value after `flag`, parsed — or a usage exit naming what was
+/// wrong with it.
+fn value<T: std::str::FromStr>(flag: &str, it: &mut impl Iterator<Item = String>) -> T {
+    let raw = it
+        .next()
+        .unwrap_or_else(|| usage_exit(&format!("{flag} requires a value")));
+    raw.parse()
+        .unwrap_or_else(|_| usage_exit(&format!("invalid value {raw:?} for {flag}")))
 }
 
 /// `every` | `batch:N` | `os` (see `FlushPolicy` docs for the
 /// durability each buys; process kill loses nothing under any of
 /// them).
-fn parse_flush_policy(v: Option<String>) -> FlushPolicy {
-    match v.as_deref() {
-        Some("every") => FlushPolicy::EveryAppend,
-        Some("os") => FlushPolicy::OsOnly,
-        Some(s) => match s.strip_prefix("batch:").and_then(|n| n.parse().ok()) {
+fn parse_flush_policy(raw: &str) -> FlushPolicy {
+    match raw {
+        "every" => FlushPolicy::EveryAppend,
+        "os" => FlushPolicy::OsOnly,
+        s => match s.strip_prefix("batch:").and_then(|n| n.parse().ok()) {
             Some(n) => FlushPolicy::EveryN(n),
-            None => {
-                eprintln!("unknown --flush-policy {s:?}; using the default");
-                FlushPolicy::default()
-            }
+            None => usage_exit(&format!(
+                "invalid value {s:?} for --flush-policy (every|batch:N|os)"
+            )),
         },
-        None => FlushPolicy::default(),
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let addr = arg_after(&args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let shards: usize = parse_or(arg_after(&args, "--shards"), 4);
-    let segments: usize = parse_or(arg_after(&args, "--segments"), 2048);
-    let seg_bytes: usize = parse_or(arg_after(&args, "--seg-bytes"), 64);
-    let max_conns: usize = parse_or(arg_after(&args, "--max-conns"), 1024);
-    let workers: usize = parse_or(arg_after(&args, "--workers"), 0);
-    let scan_chunk: usize = parse_or(arg_after(&args, "--scan-chunk"), 64 * 1024);
-    let threaded = args.iter().any(|a| a == "--threaded");
-    let cache = args.iter().any(|a| a == "--cache");
-    let cache_mb: usize = parse_or(arg_after(&args, "--cache-mb"), 64);
-    let data_dir = arg_after(&args, "--data-dir");
-    let flush_policy = parse_flush_policy(arg_after(&args, "--flush-policy"));
-    let snapshot_every: u64 = parse_or(arg_after(&args, "--snapshot-every"), 0);
-    let fault_endurance: Option<u64> =
-        arg_after(&args, "--fault-endurance").and_then(|s| s.parse().ok());
-    let fault_seed: u64 = parse_or(arg_after(&args, "--fault-seed"), 0xE2);
+    let mut addr = "127.0.0.1:0".to_string();
+    let mut shards: usize = 4;
+    let mut segments: usize = 2048;
+    let mut seg_bytes: usize = 64;
+    let mut max_conns: usize = 1024;
+    let mut workers: usize = 0;
+    let mut scan_chunk: usize = 64 * 1024;
+    let mut cache = false;
+    let mut cache_mb: usize = 64;
+    let mut data_dir: Option<String> = None;
+    let mut flush_policy = FlushPolicy::default();
+    let mut snapshot_every: u64 = 0;
+    let mut fault_endurance: Option<u64> = None;
+    let mut fault_seed: u64 = 0xE2;
+    let mut it = std::env::args().skip(1);
+    while let Some(flag) = it.next() {
+        let f = flag.as_str();
+        match f {
+            "--addr" => addr = value(f, &mut it),
+            "--shards" => shards = value(f, &mut it),
+            "--segments" => segments = value(f, &mut it),
+            "--seg-bytes" => seg_bytes = value(f, &mut it),
+            "--max-conns" => max_conns = value(f, &mut it),
+            "--workers" => workers = value(f, &mut it),
+            "--scan-chunk" => scan_chunk = value(f, &mut it),
+            "--cache" => cache = true,
+            "--cache-mb" => cache_mb = value(f, &mut it),
+            "--data-dir" => data_dir = Some(value(f, &mut it)),
+            "--flush-policy" => flush_policy = parse_flush_policy(&value::<String>(f, &mut it)),
+            "--snapshot-every" => snapshot_every = value(f, &mut it),
+            "--fault-endurance" => fault_endurance = Some(value(f, &mut it)),
+            "--fault-seed" => fault_seed = value(f, &mut it),
+            _ => usage_exit(&format!("unknown flag {flag:?}")),
+        }
+    }
 
     let registry = TelemetryRegistry::new();
     let pcfg = data_dir.map(|dir| {
@@ -164,15 +191,10 @@ fn main() {
         builder = builder.cache(cache_cfg);
     }
     let config = builder.build().expect("valid server config");
-    let handle = if threaded {
-        eprintln!("serving with the thread-per-connection baseline engine");
-        ThreadedServer::new(store, config)
-            .with_telemetry(&registry)
-            .start()
-    } else {
-        Server::new(store, config).with_telemetry(&registry).start()
-    }
-    .expect("bind");
+    let handle = Server::new(store, config)
+        .with_telemetry(&registry)
+        .start()
+        .expect("bind");
     println!("listening on {}", handle.local_addr());
     let served = handle.join();
     if pcfg.is_some() {

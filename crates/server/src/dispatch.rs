@@ -1,8 +1,5 @@
-//! Request execution shared by the reactor's worker pool and the
-//! thread-per-connection baseline.
-//!
-//! Both serving models funnel through the same two steps so their
-//! observable behavior is identical byte for byte:
+//! Request execution: the two steps every request batch goes through
+//! between the socket and the store.
 //!
 //! 1. [`collect_work`] — drain every complete frame out of a
 //!    [`FrameDecoder`] into an ordered list of [`Work`] items
@@ -10,13 +7,12 @@
 //!    violation is an item so its error frame stays in request order).
 //! 2. [`ExecCtx::exec_batch`] — execute the items against the store in
 //!    order, appending one response frame per item to an output
-//!    buffer, with the same PUT-coalescing, GET fast path, typed error
-//!    mapping, and telemetry the threaded server always had.
+//!    buffer: GET fast path, typed error mapping, telemetry, and the
+//!    commit barriers that keep an ack from leaving the process ahead
+//!    of its WAL record.
 //!
-//! The only thing the serving models differ in is *where* these run:
-//! the threaded server runs both on the connection's own thread; the
-//! reactor runs step 1 on the event loop and ships the items to a
-//! worker.
+//! The reactor runs step 1 on the event loop and step 2 either inline
+//! (low fan-in) or on a worker.
 
 use crate::frame::{
     encode_response, encode_scan_chunk, encode_value_frame, parse_request, FrameDecoder,
@@ -30,7 +26,7 @@ use e2nvm_telemetry::TelemetryRegistry;
 /// What the connection handlers serve from: the bare sharded store, or
 /// the same store behind a read-through cache. Clones share both the
 /// store shards and the cache shards, so coherence is cross-connection
-/// (and, under the reactor, cross-worker).
+/// and cross-worker.
 #[derive(Clone)]
 pub(crate) enum Front {
     Plain(ShardedE2KvStore),
@@ -149,23 +145,14 @@ pub(crate) struct BatchOutcome {
 /// early at the page bound).
 const SCAN_PAGE: usize = 256;
 
-/// A hook the serving engine may hand [`ExecCtx::exec_batch_flushing`]
-/// to push `outbuf` to the socket (and clear it) between streamed scan
-/// chunks, bounding peak response memory. Only invoked at points where
-/// every byte in `outbuf` is ack-safe (a commit barrier ran after the
-/// last mutation it acknowledges). An `Err` means the connection is
-/// dead and the batch should stop.
-pub(crate) type FlushHook<'a> = &'a mut dyn FnMut(&mut Vec<u8>) -> std::io::Result<()>;
-
 /// Everything needed to execute requests against the store: a [`Front`]
 /// clone (shards shared), the registry for METRICS frames, the
-/// telemetry sink, and the coalescing/bounding knobs. One per
-/// connection thread (threaded server) or one per worker (reactor).
+/// telemetry sink, and the response-size bounds. One per reactor
+/// worker, plus one for the reactor thread's inline batches.
 pub(crate) struct ExecCtx {
     pub store: Front,
     pub registry: Option<TelemetryRegistry>,
     pub telemetry: ServerTelemetry,
-    pub coalesce_puts: bool,
     /// The server's `body_len` cap: a legacy single-frame SCAN whose
     /// encoded body would exceed it is answered with
     /// [`Status::ScanTooLarge`] instead of a frame the peer's decoder
@@ -180,42 +167,18 @@ impl ExecCtx {
     /// Execute `items` in order, appending one response frame per item
     /// to `outbuf`. Items after a SHUTDOWN or a fatal violation are
     /// dropped unanswered (the connection is closing; the peer's
-    /// pipeline is void past that point — same contract the threaded
-    /// server always had).
-    ///
-    /// With [`coalesce_puts`](Self::coalesce_puts) set, runs of
-    /// consecutive PUT items are buffered and served by one `put_many`
-    /// call; the run flushes before any other item kind (and at the
-    /// end of the batch), so responses still come back in request
-    /// order.
+    /// pipeline is void past that point).
     pub fn exec_batch(
         &mut self,
         items: impl IntoIterator<Item = Work>,
         outbuf: &mut Vec<u8>,
     ) -> BatchOutcome {
-        self.exec_batch_flushing(items, outbuf, None)
-    }
-
-    /// [`ExecCtx::exec_batch`] with an optional mid-stream flush hook.
-    /// The threaded engine passes a hook that writes `outbuf` to the
-    /// socket and clears it between streamed scan chunks, so a scan of
-    /// any size is served in bounded memory; the reactor passes `None`
-    /// (its responses travel through completion buffers) and relies on
-    /// its write-backlog backpressure instead.
-    pub fn exec_batch_flushing(
-        &mut self,
-        items: impl IntoIterator<Item = Work>,
-        outbuf: &mut Vec<u8>,
-        mut flush: Option<FlushHook<'_>>,
-    ) -> BatchOutcome {
         let mut outcome = BatchOutcome::default();
-        let outbuf_start = outbuf.len();
         // Responses at or past this index acknowledge work not yet
         // covered by a commit barrier; a failed commit drops exactly
         // them. Streamed scans move it forward (they run their own
-        // barrier first, and the flush hook may then empty `outbuf`).
-        let mut barrier = outbuf_start;
-        let mut pending_puts: Vec<(u64, Vec<u8>)> = Vec::new();
+        // barrier first).
+        let mut barrier = outbuf.len();
         for item in items {
             match item {
                 Work::Req(req) => {
@@ -226,23 +189,6 @@ impl ExecCtx {
                     let t0 = crate::telemetry::now_if_enabled();
                     let op = req.opcode();
                     self.telemetry.count_frame(op);
-                    let req = if self.coalesce_puts {
-                        match req {
-                            Request::Put { key, value } => {
-                                // Answered when the run flushes; its
-                                // latency is folded into the flush
-                                // observation.
-                                pending_puts.push((key, value));
-                                continue;
-                            }
-                            other => {
-                                self.flush_puts(&mut pending_puts, outbuf);
-                                other
-                            }
-                        }
-                    } else {
-                        req
-                    };
                     match req {
                         // GETs are the hot path: serve them straight
                         // into the output buffer (a cache hit encodes
@@ -256,11 +202,10 @@ impl ExecCtx {
                         Request::ScanStream { lo, hi, limit } => {
                             // Commit barrier *before* streaming: it
                             // makes every response already in `outbuf`
-                            // (including the coalesced PUT run flushed
-                            // just above) ack-safe, so the flush hook
-                            // may push bytes to the socket between
-                            // chunks without risking an acked-but-
-                            // uncommitted write escaping.
+                            // ack-safe, so a stream of any size never
+                            // sits between a write's ack and its WAL
+                            // record, and a commit failure after the
+                            // stream drops only what follows it.
                             if let Err(e) = self.store.kv().commit() {
                                 outbuf.truncate(barrier);
                                 let resp = store_error_frame(&e);
@@ -269,14 +214,8 @@ impl ExecCtx {
                                 }
                                 encode_response(&resp, None, outbuf);
                                 outcome.close = true;
-                            } else if self
-                                .serve_scan_stream(lo, hi, limit, outbuf, &mut flush)
-                                .is_err()
-                            {
-                                // The socket died mid-stream; nothing
-                                // left to answer, just close.
-                                outcome.close = true;
                             } else {
+                                self.serve_scan_stream(lo, hi, limit, outbuf);
                                 // Everything emitted so far is either
                                 // committed or read-only.
                                 barrier = outbuf.len();
@@ -300,10 +239,8 @@ impl ExecCtx {
                     }
                 }
                 Work::Bad(e) => {
-                    // Flush first so the error frame stays in request
-                    // order; answer with a typed error frame (never
-                    // panic, never drop silently).
-                    self.flush_puts(&mut pending_puts, outbuf);
+                    // Answer with a typed error frame (never panic,
+                    // never drop silently).
                     self.telemetry.count_error(e.status());
                     encode_response(&error_frame(&e), None, outbuf);
                     if e.is_fatal() {
@@ -313,7 +250,6 @@ impl ExecCtx {
                 }
             }
         }
-        self.flush_puts(&mut pending_puts, outbuf);
         // Group-commit barrier: hand the batch's WAL records to the
         // kernel *before* the caller flushes the batch's responses to
         // the socket. That ordering — not per-mutation syscalls — is
@@ -334,36 +270,6 @@ impl ExecCtx {
             outcome.close = true;
         }
         outcome
-    }
-
-    /// Serve a buffered run of PUTs through one `put_many`, appending
-    /// one Stored/error response per PUT in request order. No-op when
-    /// the run is empty (which is always the case without coalescing).
-    fn flush_puts(&mut self, pending: &mut Vec<(u64, Vec<u8>)>, outbuf: &mut Vec<u8>) {
-        if pending.is_empty() {
-            return;
-        }
-        let t0 = crate::telemetry::now_if_enabled();
-        let pairs: Vec<(u64, &[u8])> = pending.iter().map(|(k, v)| (*k, v.as_slice())).collect();
-        let results = self.store.kv().put_many(&pairs);
-        for result in results {
-            let resp = match result {
-                Ok(()) => Response::Stored,
-                Err(e) => store_error_frame(&e),
-            };
-            if let Response::Error { status, .. } = &resp {
-                self.telemetry.count_error(*status);
-            }
-            encode_response(&resp, Some(Opcode::Put), outbuf);
-        }
-        // One observation for the whole run: the run was served as one
-        // store operation, and that is the latency that existed.
-        if let Some(t0) = t0 {
-            self.telemetry
-                .frame_latency_ns
-                .observe(t0.elapsed().as_nanos() as u64);
-        }
-        pending.clear();
     }
 
     /// Serve one GET, appending its response frame to `outbuf`. Split
@@ -404,25 +310,16 @@ impl ExecCtx {
     }
 
     /// Produce the chunked response stream for one SCAN_STREAM
-    /// request, appending chunk frames to `outbuf` and invoking the
-    /// flush hook (when present) after every non-terminal chunk.
+    /// request, appending chunk frames to `outbuf`.
     ///
     /// The result is paged out of the store [`SCAN_PAGE`] entries at a
-    /// time and re-split at the configured chunk byte bound, so peak
-    /// memory is one page plus one chunk regardless of range size
-    /// (when the hook flushes; without a hook, `outbuf` accumulates
-    /// the chunks under the caller's backpressure). A store error
-    /// mid-stream terminates the stream with an error frame echoing
-    /// SCAN_STREAM — frame-level, the connection survives. An `Err`
-    /// return means the flush hook reported a dead socket.
-    fn serve_scan_stream(
-        &mut self,
-        lo: u64,
-        hi: u64,
-        limit: u32,
-        outbuf: &mut Vec<u8>,
-        flush: &mut Option<FlushHook<'_>>,
-    ) -> std::io::Result<()> {
+    /// time and re-split at the configured chunk byte bound, so the
+    /// store never materialises more than one page; `outbuf`
+    /// accumulates the chunks under the reactor's write-backlog
+    /// backpressure. A store error mid-stream terminates the stream
+    /// with an error frame echoing SCAN_STREAM — frame-level, the
+    /// connection survives.
+    fn serve_scan_stream(&mut self, lo: u64, hi: u64, limit: u32, outbuf: &mut Vec<u8>) {
         let mut remaining = if limit == 0 {
             u64::MAX
         } else {
@@ -446,7 +343,7 @@ impl ExecCtx {
                         self.telemetry.count_error(*status);
                     }
                     encode_response(&resp, Some(Opcode::ScanStream), outbuf);
-                    return Ok(());
+                    return;
                 }
             };
             let got = page.len();
@@ -460,9 +357,6 @@ impl ExecCtx {
                     self.note_chunk(chunks_emitted);
                     chunk.clear();
                     chunk_bytes = 0;
-                    if let Some(f) = flush.as_mut() {
-                        f(outbuf)?;
-                    }
                 }
                 chunk_bytes += entry_bytes;
                 chunk.push((k, v));
@@ -481,7 +375,6 @@ impl ExecCtx {
         encode_scan_chunk(false, &chunk, outbuf);
         chunks_emitted += 1;
         self.note_chunk(chunks_emitted);
-        Ok(())
     }
 
     /// Telemetry for one emitted chunk: count it, and count the
@@ -732,5 +625,96 @@ mod tests {
         assert_eq!(collect_work(&mut dec, &mut items), CollectEnd::Fatal);
         assert_eq!(items.len(), 2);
         assert!(matches!(items[1], Work::Bad(FrameError::BadMagic(_))));
+    }
+
+    /// One pipelined `[PUT, PUT, SCAN_STREAM, PUT]` batch against a
+    /// persistent store answers four response groups in request
+    /// order, and by the time `exec_batch` hands the bytes back —
+    /// before any of them could reach a socket — every acked PUT's
+    /// record is in its shard's WAL file (`Wal::commit` is the
+    /// `write(2)`). The store is still alive when the files are read,
+    /// so the WAL's flush-on-drop cannot stand in for a missing commit.
+    #[test]
+    fn acks_never_leave_ahead_of_their_wal_records() {
+        use crate::frame::{parse_response, DEFAULT_MAX_BODY, MAX_RESPONSE_BODY};
+        use e2nvm_persist::{replay_and_truncate, FlushPolicy, PersistenceConfig, WalOp};
+        let dir = std::env::temp_dir().join(format!(
+            "e2nvm-dispatch-wal-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pcfg = PersistenceConfig::builder()
+            .data_dir(&dir)
+            .flush_policy(FlushPolicy::OsOnly)
+            .build()
+            .unwrap();
+        let store = crate::demo::demo_store(2, 64, 32, 11)
+            .with_persistence(pcfg.clone(), None)
+            .expect("enable persistence");
+        let mut ctx = ExecCtx {
+            store: Front::Plain(store),
+            registry: None,
+            telemetry: ServerTelemetry::disconnected(),
+            max_frame_body: DEFAULT_MAX_BODY,
+            scan_chunk_bytes: 64 * 1024,
+        };
+        let put = |key: u64, value: &[u8]| {
+            Work::Req(Request::Put {
+                key,
+                value: value.to_vec(),
+            })
+        };
+        let batch = vec![
+            put(1, b"one"),
+            put(2, b"two"),
+            Work::Req(Request::ScanStream {
+                lo: 0,
+                hi: u64::MAX,
+                limit: 0,
+            }),
+            put(3, b"three"),
+        ];
+        let mut outbuf = Vec::new();
+        let outcome = ctx.exec_batch(batch, &mut outbuf);
+        assert!(!outcome.close && !outcome.shutdown);
+
+        let mut dec = FrameDecoder::new(MAX_RESPONSE_BODY);
+        dec.extend(&outbuf);
+        let mut responses = Vec::new();
+        while let Some(raw) = dec.next_frame().expect("well-formed response frames") {
+            responses.push(parse_response(&raw).expect("response parses"));
+        }
+        // The stream sees the two PUTs ahead of it and not the one
+        // behind it: request order, not batch-then-scan.
+        assert_eq!(
+            responses,
+            vec![
+                Response::Stored,
+                Response::Stored,
+                Response::ScanChunk {
+                    more: false,
+                    entries: vec![(1, b"one".to_vec()), (2, b"two".to_vec())],
+                },
+                Response::Stored,
+            ]
+        );
+
+        let mut logged: Vec<WalOp> = (0..2)
+            .flat_map(|shard| replay_and_truncate(&pcfg.wal_path(shard)).unwrap().ops)
+            .collect();
+        logged.sort_by_key(|op| match op {
+            WalOp::Put { key, .. } | WalOp::Delete { key } => *key,
+        });
+        let wal_put = |key: u64, value: &[u8]| WalOp::Put {
+            key,
+            value: value.to_vec(),
+        };
+        assert_eq!(
+            logged,
+            vec![wal_put(1, b"one"), wal_put(2, b"two"), wal_put(3, b"three")]
+        );
+        drop(ctx);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,11 +11,11 @@
 //! * [`server`] — [`Server`]: a std-only TCP server fronting a
 //!   [`ShardedE2KvStore`](e2nvm_kvstore::ShardedE2KvStore) with
 //!   request pipelining, bounded connections, typed error frames, and
-//!   graceful shutdown. On Linux it serves with a readiness-based
-//!   epoll reactor plus a fixed worker pool ([`reactor`]); elsewhere
-//!   it falls back to thread-per-connection.
-//! * [`threaded`] — [`ThreadedServer`]: the thread-per-connection
-//!   engine, kept as a measurable baseline you can select explicitly.
+//!   graceful shutdown. It serves with a readiness-based epoll
+//!   reactor plus a fixed worker pool ([`reactor`]) — the only serving
+//!   path. epoll is Linux-only: on other hosts the crate compiles
+//!   (codec, client, config) but [`Server::start`] returns
+//!   `io::ErrorKind::Unsupported`.
 //! * [`client`] — [`Client`]: a blocking pipelined client (also what
 //!   the `e2nvm-loadgen` binary drives).
 //! * [`telemetry`] — wire-level counters/gauges/histograms under
@@ -48,7 +48,6 @@ pub mod server;
 #[cfg(target_os = "linux")]
 mod sys;
 pub mod telemetry;
-pub mod threaded;
 #[cfg(target_os = "linux")]
 mod worker;
 
@@ -56,7 +55,6 @@ pub use client::{Client, ScanStream};
 pub use frame::{FrameDecoder, FrameError, Opcode, Request, Response, Status};
 pub use server::{Server, ServerConfig, ServerConfigBuilder, ServerHandle};
 pub use telemetry::ServerTelemetry;
-pub use threaded::ThreadedServer;
 
 // Re-exported so server embedders can shape `ServerConfig::cache`
 // without naming the kvstore crate directly.

@@ -39,11 +39,10 @@
 #![cfg(target_os = "linux")]
 
 use crate::dispatch::{collect_work, CollectEnd, ExecCtx, Work};
-use crate::frame::FrameDecoder;
+use crate::frame::{encode_response, FrameDecoder, Response, Status};
 use crate::server::{ServeParts, ServerConfig};
 use crate::sys::{Poller, PollerEvent, Waker};
 use crate::telemetry::ServerTelemetry;
-use crate::threaded::reject_busy;
 use crate::worker::{Completion, Job, WorkerPool};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -89,24 +88,17 @@ pub(crate) fn spawn(
     waker: Waker,
 ) -> std::io::Result<JoinHandle<usize>> {
     let workers = parts.config.effective_workers();
-    let pool = WorkerPool::spawn(workers, waker.clone(), || ExecCtx {
+    let new_ctx = || ExecCtx {
         store: parts.front.clone(),
         registry: parts.registry.clone(),
         telemetry: parts.telemetry.clone(),
-        coalesce_puts: parts.config.coalesce_puts,
-        max_frame_body: parts.config.max_frame_body,
-        scan_chunk_bytes: parts.config.scan_chunk_bytes,
-    })?;
-    // The reactor thread's own execution context, for batches it runs
-    // inline at low fan-in (see `INLINE_ACTIVE_MAX`).
-    let exec = ExecCtx {
-        store: parts.front.clone(),
-        registry: parts.registry.clone(),
-        telemetry: parts.telemetry.clone(),
-        coalesce_puts: parts.config.coalesce_puts,
         max_frame_body: parts.config.max_frame_body,
         scan_chunk_bytes: parts.config.scan_chunk_bytes,
     };
+    let pool = WorkerPool::spawn(workers, waker.clone(), new_ctx)?;
+    // The reactor thread's own execution context, for batches it runs
+    // inline at low fan-in (see `INLINE_ACTIVE_MAX`).
+    let exec = new_ctx();
     let poller = Poller::new()?;
     std::thread::Builder::new()
         .name("e2nvm-reactor".into())
@@ -281,7 +273,7 @@ impl Reactor {
                 Ok((stream, _peer)) => {
                     if self.active >= self.config.max_connections {
                         self.telemetry.connections_rejected.inc();
-                        self.telemetry.count_error(crate::frame::Status::Busy);
+                        self.telemetry.count_error(Status::Busy);
                         reject_busy(stream);
                         continue;
                     }
@@ -553,8 +545,7 @@ impl Reactor {
             if done.close {
                 // Fatal violation answered or SHUTDOWN acked: anything
                 // decoded after it is void (the peer's pipeline ends
-                // at the close), exactly as the threaded server drops
-                // the rest of a poisoned read batch.
+                // at the close).
                 self.telemetry.queued_items.sub(conn.pending.len() as i64);
                 conn.pending.clear();
                 conn.read_closed = true;
@@ -581,6 +572,21 @@ impl Reactor {
             }
         }
     }
+}
+
+/// Send a BUSY error frame (best effort) and close.
+fn reject_busy(mut stream: TcpStream) {
+    let mut out = Vec::new();
+    encode_response(
+        &Response::Error {
+            status: Status::Busy,
+            retired: 0,
+            message: "connection limit reached".into(),
+        },
+        None,
+        &mut out,
+    );
+    let _ = stream.write_all(&out);
 }
 
 impl Poller {

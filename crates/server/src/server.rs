@@ -2,24 +2,19 @@
 //! configuration, the [`Server`] front door, and the [`ServerHandle`]
 //! lifecycle controls.
 //!
-//! Two serving engines share this surface (and byte-identical wire
-//! behavior — `PROTOCOL.md` does not change between them):
+//! There is one serving path: a readiness-based event loop —
+//! nonblocking sockets registered with epoll, per-connection state
+//! machines, and a small fixed worker pool executing decoded request
+//! batches (`crate::reactor`). One process holds thousands of
+//! idle-or-bursty clients; backpressure pauses a flooding connection's
+//! reads instead of dropping clients. epoll is Linux-only, and so is
+//! serving: elsewhere the crate still compiles (frame codec, client,
+//! config), but [`Server::start`] returns
+//! [`ErrorKind::Unsupported`].
 //!
-//! * **Reactor** (the default, [`Server`]): a readiness-based event
-//!   loop — nonblocking sockets registered with epoll, per-connection
-//!   state machines, and a small fixed worker pool executing decoded
-//!   request batches. One process holds thousands of idle-or-bursty
-//!   clients; backpressure pauses a flooding connection's reads
-//!   instead of dropping clients. See [`crate::reactor`].
-//! * **Thread-per-connection** ([`crate::ThreadedServer`]): the
-//!   original model, kept as the measurable baseline (and as the
-//!   serving engine on non-Linux hosts, where the epoll poller is
-//!   unavailable). See [`crate::threaded`].
-//!
-//! Graceful shutdown is a shared flag plus (for the reactor) an
-//! eventfd wakeup, set by [`ServerHandle::shutdown`] or by a SHUTDOWN
-//! frame from any client; the reactor drains promptly by walking its
-//! readiness set instead of waiting out per-thread read timeouts.
+//! Graceful shutdown is a shared flag plus an eventfd wakeup, set by
+//! [`ServerHandle::shutdown`] or by a SHUTDOWN frame from any client;
+//! the reactor drains promptly by walking its readiness set.
 
 use crate::dispatch::Front;
 use crate::frame::DEFAULT_MAX_BODY;
@@ -43,29 +38,26 @@ pub struct ServerConfig {
     pub addr: String,
     /// Maximum simultaneously open connections; the next one is sent a
     /// BUSY error frame and closed. This is fd-exhaustion protection —
-    /// under the reactor, load is governed by per-connection
-    /// backpressure ([`ServerConfig::queue_depth`]) long before this
-    /// cliff is reached.
+    /// load is governed by per-connection backpressure
+    /// ([`ServerConfig::queue_depth`]) long before this cliff is
+    /// reached.
     pub max_connections: usize,
     /// Cap on a frame's `body_len`; larger frames are answered with
     /// FRAME_TOO_LARGE and the connection closes.
     pub max_frame_body: usize,
-    /// Liveness tick. The reactor uses it as the upper bound on one
-    /// `epoll_wait` (wakeups normally arrive via eventfd well before
-    /// it); the threaded baseline uses it as each connection's socket
-    /// read timeout, which paces its shutdown polling. Must be
-    /// nonzero.
+    /// Liveness tick only: the upper bound on one `epoll_wait` (wakeups
+    /// normally arrive via eventfd well before it). Despite the name it
+    /// is not a socket read timeout — no connection is ever timed out.
+    /// Must be nonzero.
     pub read_timeout: Duration,
-    /// Reactor worker pool size; `0` (the default) auto-sizes to the
-    /// host's available parallelism, clamped to `[1, 8]`. Ignored by
-    /// the threaded baseline.
+    /// Worker pool size; `0` (the default) auto-sizes to the host's
+    /// available parallelism, clamped to `[1, 8]`.
     pub workers: usize,
     /// Per-connection bound on decoded-but-unserved request items.
     /// When a connection's queue reaches this bound (or its write
     /// backlog exceeds one frame cap), the reactor stops reading from
     /// it until the queue drains below half — TCP backpressure pauses
-    /// the client instead of a dropped connection. Ignored by the
-    /// threaded baseline.
+    /// the client instead of a dropped connection.
     pub queue_depth: usize,
     /// When set, front the store with a DRAM read-through
     /// [`e2nvm_kvstore::HotCache`] of this shape. `None` (the default)
@@ -73,12 +65,6 @@ pub struct ServerConfig {
     /// cache existed. Caching is a server-side concern: nothing about
     /// the wire protocol changes either way.
     pub cache: Option<CacheConfig>,
-    /// Coalesce runs of consecutive pipelined PUT frames into one
-    /// batched `put_many` against the store, so they share segment
-    /// placements. Off by default: batching changes how values pack
-    /// into segments, and the default must stay bit-identical to the
-    /// unbatched server.
-    pub coalesce_puts: bool,
     /// Target payload bytes per SCAN_STREAM chunk frame (default
     /// 64 KiB). Entries are never split across chunks, so a chunk
     /// carrying one entry larger than this bound exceeds it by that
@@ -97,7 +83,6 @@ impl Default for ServerConfig {
             workers: 0,
             queue_depth: 64,
             cache: None,
-            coalesce_puts: false,
             scan_chunk_bytes: 64 * 1024,
         }
     }
@@ -211,13 +196,13 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Liveness tick / read timeout (see [`ServerConfig::read_timeout`]).
+    /// Liveness tick (see [`ServerConfig::read_timeout`]).
     pub fn read_timeout(mut self, timeout: Duration) -> Self {
         self.cfg.read_timeout = timeout;
         self
     }
 
-    /// Reactor worker pool size, 0 = auto (see [`ServerConfig::workers`]).
+    /// Worker pool size, 0 = auto (see [`ServerConfig::workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
         self
@@ -233,13 +218,6 @@ impl ServerConfigBuilder {
     /// [`ServerConfig::cache`]).
     pub fn cache(mut self, cache: CacheConfig) -> Self {
         self.cfg.cache = Some(cache);
-        self
-    }
-
-    /// Coalesce consecutive pipelined PUTs into batched `put_many`
-    /// calls (see [`ServerConfig::coalesce_puts`]).
-    pub fn coalesce_puts(mut self, on: bool) -> Self {
-        self.cfg.coalesce_puts = on;
         self
     }
 
@@ -260,7 +238,7 @@ impl ServerConfigBuilder {
     }
 }
 
-/// Everything a serving engine needs besides its sockets: the fronted
+/// Everything the reactor needs besides its sockets: the fronted
 /// store, the resolved config, and the telemetry plumbing.
 pub(crate) struct ServeParts {
     pub front: Front,
@@ -316,10 +294,8 @@ impl ServeParts {
 /// A configured-but-not-started server. Build with [`Server::new`],
 /// optionally attach telemetry, then [`Server::start`].
 ///
-/// `Server` serves with the epoll reactor on Linux and falls back to
-/// the thread-per-connection engine elsewhere; to *force* the threaded
-/// engine (e.g. as a measurement baseline) use
-/// [`ThreadedServer`](crate::ThreadedServer).
+/// Serving needs epoll: on a non-Linux host [`Server::start`] returns
+/// [`ErrorKind::Unsupported`].
 pub struct Server {
     store: ShardedE2KvStore,
     config: ServerConfig,
@@ -351,6 +327,7 @@ impl Server {
     /// Bind and start serving. Returns once the listener is live; all
     /// serving happens on background threads owned by the returned
     /// handle.
+    #[cfg(target_os = "linux")]
     pub fn start(self) -> std::io::Result<ServerHandle> {
         self.config.validate()?;
         let listener = TcpListener::bind(&self.config.addr)?;
@@ -359,27 +336,23 @@ impl Server {
         let parts = ServeParts::assemble(self.store, self.config, self.telemetry, self.registry);
         parts.record_started(addr);
         let shutdown = Arc::new(AtomicBool::new(false));
-        #[cfg(target_os = "linux")]
-        {
-            let waker = crate::sys::Waker::new()?;
-            let thread =
-                crate::reactor::spawn(listener, parts, Arc::clone(&shutdown), waker.clone())?;
-            Ok(ServerHandle {
-                addr,
-                shutdown,
-                waker: Some(waker),
-                thread: Some(thread),
-            })
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let thread = crate::threaded::spawn(listener, parts, Arc::clone(&shutdown))?;
-            Ok(ServerHandle {
-                addr,
-                shutdown,
-                thread: Some(thread),
-            })
-        }
+        let waker = crate::sys::Waker::new()?;
+        let thread = crate::reactor::spawn(listener, parts, Arc::clone(&shutdown), waker.clone())?;
+        Ok(ServerHandle {
+            addr,
+            shutdown,
+            waker,
+            thread: Some(thread),
+        })
+    }
+
+    /// Serving needs epoll, which this platform does not have.
+    #[cfg(not(target_os = "linux"))]
+    pub fn start(self) -> std::io::Result<ServerHandle> {
+        Err(std::io::Error::new(
+            ErrorKind::Unsupported,
+            "e2nvm-server serves through epoll and runs on Linux only",
+        ))
     }
 }
 
@@ -389,11 +362,10 @@ impl Server {
 pub struct ServerHandle {
     pub(crate) addr: SocketAddr,
     pub(crate) shutdown: Arc<AtomicBool>,
-    /// Present for reactor-backed servers: kicks the event loop out of
-    /// `epoll_wait` so a shutdown is observed immediately rather than
-    /// at the next liveness tick.
+    /// Kicks the event loop out of `epoll_wait` so a shutdown is
+    /// observed immediately rather than at the next liveness tick.
     #[cfg(target_os = "linux")]
-    pub(crate) waker: Option<crate::sys::Waker>,
+    pub(crate) waker: crate::sys::Waker,
     pub(crate) thread: Option<JoinHandle<usize>>,
 }
 
@@ -410,9 +382,7 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         #[cfg(target_os = "linux")]
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
+        self.waker.wake();
     }
 
     /// Whether shutdown has been requested (by this handle or by a

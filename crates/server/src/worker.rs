@@ -11,8 +11,7 @@
 //! request order without any cross-worker coordination; parallelism
 //! comes from different connections' batches running on different
 //! workers. The store clones inside each worker share the shards (and
-//! the cache), so cross-connection coherence is unchanged from the
-//! threaded model.
+//! the cache), so coherence is cross-connection and cross-worker.
 
 use crate::dispatch::{ExecCtx, Work};
 use crate::sys::Waker;

@@ -1,10 +1,7 @@
-//! Reactor-specific behavior the threaded baseline never had to prove:
-//! slow-loris byte trickles, backpressure under a pipelined flood,
-//! idle connections riding alongside active ones, prompt drain, and
-//! the BUSY cliff at the connection limit. Everything here runs
-//! against `Server` (the reactor on Linux, the threaded fallback
-//! elsewhere) — the wire-visible behavior must hold either way, with
-//! the drain-promptness pin being the one reactor-only guarantee.
+//! What an event-driven server has to prove: slow-loris byte
+//! trickles, backpressure under a pipelined flood, idle connections
+//! riding alongside active ones, prompt drain, and the BUSY cliff at
+//! the connection limit.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -200,13 +197,11 @@ fn idle_connections_ride_alongside_active_ones() {
     handle.join();
 }
 
-/// The drain-latency regression pin (the threaded engine's cliff): a
-/// server configured with a long read timeout and a fleet of idle
-/// connections must still shut down promptly. Under the old
-/// thread-per-connection model each idle connection's thread noticed
-/// the flag only at its next read timeout, so this exact scenario took
-/// up to `read_timeout` (5s here); the reactor's eventfd wakeup plus
-/// drain walk retires it in milliseconds.
+/// The drain-latency regression pin: a server configured with a long
+/// liveness tick and a fleet of idle connections must still shut down
+/// promptly. A drain that waited for the tick would take up to
+/// `read_timeout` (5s here); the eventfd wakeup plus drain walk
+/// retires it in milliseconds.
 #[cfg(target_os = "linux")]
 #[test]
 fn reactor_drain_is_prompt_despite_long_read_timeout() {
@@ -237,9 +232,8 @@ fn reactor_drain_is_prompt_despite_long_read_timeout() {
 }
 
 /// Past `max_connections` the next client is still told why: a BUSY
-/// error frame, then close — the fd-exhaustion backstop kept from the
-/// threaded model (ordinary overload is handled by backpressure long
-/// before this).
+/// error frame, then close — the fd-exhaustion backstop (ordinary
+/// overload is handled by backpressure long before this).
 #[test]
 fn busy_frame_past_max_connections() {
     let config = ServerConfig::builder()

@@ -1,8 +1,8 @@
 //! End-to-end streaming SCAN: a range whose values total more than
 //! the 1 MiB frame cap completes over the wire as multiple chunk
-//! frames — on both serving engines — while the legacy single-frame
-//! SCAN refuses the same range with SCAN_TOO_LARGE instead of
-//! emitting a frame the peer's decoder would fatally reject.
+//! frames, while the legacy single-frame SCAN refuses the same range
+//! with SCAN_TOO_LARGE instead of emitting a frame the peer's decoder
+//! would fatally reject.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -12,7 +12,7 @@ use e2nvm_server::frame::{
     encode_request, parse_response, FrameDecoder, Request, Response, DEFAULT_MAX_BODY,
     MAX_RESPONSE_BODY,
 };
-use e2nvm_server::{demo::demo_store, Client, Server, ServerConfig, ServerHandle, ThreadedServer};
+use e2nvm_server::{demo::demo_store, Client, Server, ServerConfig, ServerHandle};
 
 const VALUE_LEN: usize = 3600;
 const KEYS: u64 = 320;
@@ -31,17 +31,13 @@ fn value_for(key: u64) -> Vec<u8> {
         .collect()
 }
 
-fn start(threaded: bool) -> ServerHandle {
+fn start() -> ServerHandle {
     // 384 x 4 KiB segments across 2 shards: room for the 320 values
     // plus placement headroom.
     let store = demo_store(2, 384, 4096, 11);
-    let config = ServerConfig::default();
-    if threaded {
-        ThreadedServer::new(store, config).start()
-    } else {
-        Server::new(store, config).start()
-    }
-    .expect("server binds an ephemeral port")
+    Server::new(store, ServerConfig::default())
+        .start()
+        .expect("server binds an ephemeral port")
 }
 
 fn load(client: &mut Client) -> BTreeMap<u64, Vec<u8>> {
@@ -60,100 +56,98 @@ fn load(client: &mut Client) -> BTreeMap<u64, Vec<u8>> {
 }
 
 #[test]
-fn streamed_scan_past_the_frame_cap_completes_on_both_engines() {
-    for threaded in [false, true] {
-        let handle = start(threaded);
-        let addr = handle.local_addr();
-        let mut client = Client::connect(addr).expect("connect");
-        let expected = load(&mut client);
+fn streamed_scan_past_the_frame_cap_completes() {
+    let handle = start();
+    let addr = handle.local_addr();
+    let mut client = Client::connect(addr).expect("connect");
+    let expected = load(&mut client);
 
-        // The legacy single-frame SCAN must refuse the range: its
-        // encoded body would exceed the frame cap, and emitting it
-        // would poison the peer's decoder. SCAN_TOO_LARGE is a
-        // frame-level error — the connection survives.
-        let err = client
-            .scan(0, u64::MAX, 0)
-            .expect_err("over-cap legacy SCAN must error");
-        assert!(
-            err.to_string().contains("SCAN_STREAM"),
-            "error should point at the streaming opcode: {err}"
-        );
+    // The legacy single-frame SCAN must refuse the range: its
+    // encoded body would exceed the frame cap, and emitting it
+    // would poison the peer's decoder. SCAN_TOO_LARGE is a
+    // frame-level error — the connection survives.
+    let err = client
+        .scan(0, u64::MAX, 0)
+        .expect_err("over-cap legacy SCAN must error");
+    assert!(
+        err.to_string().contains("SCAN_STREAM"),
+        "error should point at the streaming opcode: {err}"
+    );
 
-        // The streamed path serves the same range whole — limit = 0
-        // (unlimited) included, the regression the old collect-all
-        // SCAN could never answer within one frame.
-        let all = client
-            .scan_all(0, u64::MAX, 0)
-            .expect("streamed scan completes");
-        assert_eq!(all.len(), expected.len(), "threaded={threaded}");
-        for ((k, v), (ek, ev)) in all.iter().zip(&expected) {
-            assert_eq!((k, v), (ek, ev), "threaded={threaded}");
-        }
-
-        // Dropping a stream mid-way drains it: the connection stays
-        // frame-aligned and keeps serving.
-        {
-            let mut stream = client.scan_stream(0, u64::MAX, 0).expect("start stream");
-            let first = stream.next().expect("one entry").expect("no error");
-            assert_eq!(first.0, 0);
-        }
-        assert_eq!(
-            client.get(7).expect("get after dropped stream"),
-            Some(value_for(7))
-        );
-
-        // Pin the multi-frame shape on the raw socket: one SCAN_STREAM
-        // request, N > 1 chunk frames back, every non-terminal chunk
-        // flagged more=1, reassembling to the same entries.
-        let mut raw = TcpStream::connect(addr).expect("raw connect");
-        let mut req = Vec::new();
-        encode_request(
-            &Request::ScanStream {
-                lo: 0,
-                hi: u64::MAX,
-                limit: 0,
-            },
-            &mut req,
-        );
-        raw.write_all(&req).expect("send raw SCAN_STREAM");
-        let mut dec = FrameDecoder::new(MAX_RESPONSE_BODY);
-        let mut chunks = 0usize;
-        let mut reassembled: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut buf = [0u8; 64 * 1024];
-        'stream: loop {
-            while let Some(frame) = dec.next_frame().expect("well-formed response frames") {
-                match parse_response(&frame).expect("chunk parses") {
-                    Response::ScanChunk { more, entries } => {
-                        chunks += 1;
-                        reassembled.extend(entries);
-                        if !more {
-                            break 'stream;
-                        }
-                    }
-                    other => panic!("expected ScanChunk, got {other:?}"),
-                }
-            }
-            let n = raw.read(&mut buf).expect("read stream");
-            assert!(n > 0, "server closed mid-stream");
-            dec.extend(&buf[..n]);
-        }
-        assert!(
-            chunks > 1,
-            "a > 1 MiB scan must span multiple chunk frames, got {chunks} (threaded={threaded})"
-        );
-        assert_eq!(reassembled.len(), expected.len());
-        drop(raw);
-
-        // Bounded limits still bound: limit = 3 yields the 3 smallest.
-        let three = client.scan_all(0, u64::MAX, 3).expect("bounded stream");
-        assert_eq!(
-            three.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-
-        client.shutdown_server().expect("shutdown");
-        handle.join();
+    // The streamed path serves the same range whole — limit = 0
+    // (unlimited) included, the regression the old collect-all
+    // SCAN could never answer within one frame.
+    let all = client
+        .scan_all(0, u64::MAX, 0)
+        .expect("streamed scan completes");
+    assert_eq!(all.len(), expected.len());
+    for ((k, v), (ek, ev)) in all.iter().zip(&expected) {
+        assert_eq!((k, v), (ek, ev));
     }
+
+    // Dropping a stream mid-way drains it: the connection stays
+    // frame-aligned and keeps serving.
+    {
+        let mut stream = client.scan_stream(0, u64::MAX, 0).expect("start stream");
+        let first = stream.next().expect("one entry").expect("no error");
+        assert_eq!(first.0, 0);
+    }
+    assert_eq!(
+        client.get(7).expect("get after dropped stream"),
+        Some(value_for(7))
+    );
+
+    // Pin the multi-frame shape on the raw socket: one SCAN_STREAM
+    // request, N > 1 chunk frames back, every non-terminal chunk
+    // flagged more=1, reassembling to the same entries.
+    let mut raw = TcpStream::connect(addr).expect("raw connect");
+    let mut req = Vec::new();
+    encode_request(
+        &Request::ScanStream {
+            lo: 0,
+            hi: u64::MAX,
+            limit: 0,
+        },
+        &mut req,
+    );
+    raw.write_all(&req).expect("send raw SCAN_STREAM");
+    let mut dec = FrameDecoder::new(MAX_RESPONSE_BODY);
+    let mut chunks = 0usize;
+    let mut reassembled: Vec<(u64, Vec<u8>)> = Vec::new();
+    let mut buf = [0u8; 64 * 1024];
+    'stream: loop {
+        while let Some(frame) = dec.next_frame().expect("well-formed response frames") {
+            match parse_response(&frame).expect("chunk parses") {
+                Response::ScanChunk { more, entries } => {
+                    chunks += 1;
+                    reassembled.extend(entries);
+                    if !more {
+                        break 'stream;
+                    }
+                }
+                other => panic!("expected ScanChunk, got {other:?}"),
+            }
+        }
+        let n = raw.read(&mut buf).expect("read stream");
+        assert!(n > 0, "server closed mid-stream");
+        dec.extend(&buf[..n]);
+    }
+    assert!(
+        chunks > 1,
+        "a > 1 MiB scan must span multiple chunk frames, got {chunks}"
+    );
+    assert_eq!(reassembled.len(), expected.len());
+    drop(raw);
+
+    // Bounded limits still bound: limit = 3 yields the 3 smallest.
+    let three = client.scan_all(0, u64::MAX, 3).expect("bounded stream");
+    assert_eq!(
+        three.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+        vec![0, 1, 2]
+    );
+
+    client.shutdown_server().expect("shutdown");
+    handle.join();
 }
 
 /// `scan_stream_with` drives the callback form; a tiny chunk bound

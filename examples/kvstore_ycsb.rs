@@ -1,13 +1,13 @@
 //! Run the YCSB core workloads against the E2-NVM key-value store
-//! (red-black-tree index + VAE/K-means placement) and print per-workload
+//! (ordered DRAM index + VAE/K-means placement) and print per-workload
 //! device statistics — a miniature of the paper's Figure 11 setup.
 //!
 //! ```text
 //! cargo run --release --example kvstore_ycsb
 //! ```
 
-use e2nvm::core::{E2Config, E2Engine};
-use e2nvm::kvstore::{E2KvStore, NvmKvStore};
+use e2nvm::core::{E2Config, E2Engine, ShardedEngine};
+use e2nvm::kvstore::{NvmKvStore, ShardedE2KvStore};
 use e2nvm::sim::{DeviceConfig, LogicalSegment, MemoryController, NvmDevice};
 use e2nvm::workloads::{Operation, Ycsb};
 use rand::rngs::StdRng;
@@ -57,7 +57,7 @@ fn main() {
         .expect("config");
     let mut engine = E2Engine::new(controller, cfg).expect("engine");
     engine.train().expect("train");
-    let mut store = E2KvStore::new(engine);
+    let mut store = ShardedE2KvStore::new(ShardedEngine::new(vec![engine]));
     for key in 0..RECORDS {
         store.put(key, &value_for(key, 0)).expect("load");
     }

@@ -75,8 +75,6 @@ fn main() {
     );
 
     // ---------- shutdown: persist model + device image ----------
-    // The `e2nvm::persist` facade replaces the deprecated per-crate
-    // helpers (`E2Model::save`, `sim::snapshot::save`).
     shared.with_engine(|engine| {
         e2nvm::persist::save_model(engine.model().expect("trained"), &model_path)
             .expect("save model");

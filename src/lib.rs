@@ -18,7 +18,7 @@
 //! * [`telemetry`] — lock-free metrics registry + event journal
 //!   (compiled away without the `telemetry` feature).
 //! * [`server`] — the TCP serving layer: length-prefixed binary wire
-//!   protocol (PROTOCOL.md), threaded pipelined server, blocking
+//!   protocol (PROTOCOL.md), epoll-reactor pipelined server, blocking
 //!   client.
 //! * [`cluster`] — N servers as one keyspace: consistent-hash routing,
 //!   R-way replication with read repair, and wear-driven failover
@@ -74,8 +74,8 @@ pub mod prelude {
         SharedEngine,
     };
     pub use e2nvm_kvstore::{
-        CacheConfig, CacheConfigBuilder, CacheStats, CachedKvStore, E2KvStore, HotCache,
-        NvmKvStore, ShardedE2KvStore, StoreError,
+        CacheConfig, CacheConfigBuilder, CacheStats, CachedKvStore, HotCache, NvmKvStore,
+        ShardedE2KvStore, StoreError,
     };
     pub use e2nvm_persist::{FlushPolicy, PersistenceConfig, PersistenceConfigBuilder};
     pub use e2nvm_server::{Client, Server, ServerConfig, ServerConfigBuilder, ServerHandle};

@@ -2,9 +2,10 @@
 //! YCSB generator, bare and plugged into E2-NVM, through the umbrella
 //! crate's public API.
 
-use e2nvm::core::{E2Config, E2Engine, PaddingType};
+use e2nvm::core::{E2Config, E2Engine, PaddingType, ShardedEngine};
 use e2nvm::kvstore::{
-    BPlusTree, DirectNodeStore, E2NodeStore, FpTree, NoveLsm, NvmKvStore, PathHashing, WiscKey,
+    BPlusTree, DirectNodeStore, E2NodeStore, FpTree, NoveLsm, NvmKvStore, PathHashing,
+    ShardedE2KvStore, WiscKey,
 };
 use e2nvm::sim::{DeviceConfig, LogicalSegment, MemoryController, NvmDevice};
 use e2nvm::workloads::{DatasetKind, Operation, Ycsb};
@@ -118,11 +119,10 @@ fn all_structures_survive_ycsb_plugged_into_e2() {
     }
 }
 
-/// Mixed dataset values flow through the batched writer and the shared
-/// engine without loss.
+/// Small values flow through the engine's batched put (paper §4.1.4)
+/// without loss, packed several to a segment.
 #[test]
 fn batched_writer_with_dataset_values() {
-    use e2nvm::core::BatchedWriter;
     let mut controller = MemoryController::without_wear_leveling(device());
     let mut rng = StdRng::seed_from_u64(5);
     let residents = DatasetKind::PubMed.generate_sized(SEGMENTS, SEGMENT, &mut rng);
@@ -138,27 +138,27 @@ fn batched_writer_with_dataset_values() {
         .unwrap();
     let mut engine = E2Engine::new(controller, cfg).unwrap();
     engine.train().unwrap();
-    let mut writer = BatchedWriter::new(engine);
 
     let small_values: Vec<Vec<u8>> = (0..64)
         .map(|i| (0..20).map(|b| (i * 7 + b) as u8).collect())
         .collect();
+    let pairs: Vec<(u64, &[u8])> = small_values
+        .iter()
+        .enumerate()
+        .map(|(key, v)| (key as u64, v.as_slice()))
+        .collect();
+    assert!(engine.put_many(&pairs).iter().all(Result::is_ok));
     for (key, v) in small_values.iter().enumerate() {
-        writer.put(key as u64, v).unwrap();
-    }
-    writer.flush().unwrap();
-    for (key, v) in small_values.iter().enumerate() {
-        assert_eq!(&writer.get(key as u64).unwrap(), v, "key {key}");
+        assert_eq!(&engine.get(key as u64).unwrap(), v, "key {key}");
     }
     // ~64 values of 20 B in 128 B batches -> about 11 placements.
-    let writes = writer.engine().device_stats().writes;
+    let writes = engine.device_stats().writes;
     assert!(writes <= 16, "batching ineffective: {writes} writes");
 }
 
 /// A store driven by values from each dataset generator round-trips.
 #[test]
 fn datasets_roundtrip_through_e2_kv() {
-    use e2nvm::kvstore::E2KvStore;
     let mut controller = MemoryController::without_wear_leveling(device());
     let mut rng = StdRng::seed_from_u64(17);
     let residents = DatasetKind::CifarLike.generate_sized(SEGMENTS, SEGMENT, &mut rng);
@@ -174,7 +174,7 @@ fn datasets_roundtrip_through_e2_kv() {
         .unwrap();
     let mut engine = E2Engine::new(controller, cfg).unwrap();
     engine.train().unwrap();
-    let mut store = E2KvStore::new(engine);
+    let mut store = ShardedE2KvStore::new(ShardedEngine::new(vec![engine]));
 
     let mut key = 0u64;
     for kind in DatasetKind::ALL {
