@@ -40,11 +40,6 @@ pub struct E2Config {
     /// Retraining trigger: retrain when any cluster's free list drops
     /// below this many addresses (§4.1.4 "minimum threshold").
     pub retrain_min_free: usize,
-    /// Number of independent serving shards for
-    /// [`crate::sharded::ShardedEngine`] — each shard owns a disjoint
-    /// slice of the device's segment space with its own model, address
-    /// pool, and retrainer. `1` means unsharded.
-    pub num_shards: usize,
     /// How many times a placement re-programs a segment after a
     /// transient write failure before the engine retires the segment
     /// and falls back to another address (graceful degradation; only
@@ -73,7 +68,6 @@ impl Default for E2Config {
             beta: 0.3,
             train_sample_cap: 4096,
             retrain_min_free: 2,
-            num_shards: 1,
             max_write_retries: 2,
             padding_location: PaddingLocation::End,
             padding_type: PaddingType::Learned,
@@ -131,9 +125,6 @@ impl E2Config {
         }
         if self.batch == 0 {
             return fail("batch must be > 0");
-        }
-        if self.num_shards == 0 {
-            return fail("num_shards must be >= 1");
         }
         if !(self.lr.is_finite() && self.lr > 0.0) {
             return fail("lr must be finite and > 0");
@@ -233,8 +224,6 @@ impl E2ConfigBuilder {
         train_sample_cap: usize,
         /// Per-cluster low-water mark that triggers retraining.
         retrain_min_free: usize,
-        /// Number of independent serving shards.
-        num_shards: usize,
         /// Write retries after a transient failure before retiring.
         max_write_retries: usize,
         /// Where padding bits are placed.
@@ -317,10 +306,6 @@ mod tests {
             },
             E2Config {
                 batch: 0,
-                ..E2Config::default()
-            },
-            E2Config {
-                num_shards: 0,
                 ..E2Config::default()
             },
         ] {

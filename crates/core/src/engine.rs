@@ -13,7 +13,6 @@
 use crate::config::E2Config;
 use crate::dap::DynamicAddressPool;
 use crate::error::{E2Error, Result};
-use crate::incremental::IncrementalIndexer;
 use crate::model::E2Model;
 use crate::padding::Padder;
 use crate::telemetry::EngineTelemetry;
@@ -95,7 +94,12 @@ pub struct E2Engine {
     live: HashMap<LogicalSegment, usize>,
     rng: StdRng,
     prediction: PredictionStats,
-    incremental: Option<IncrementalIndexer>,
+    /// Incremental indexing frontier (§4.1.4): after
+    /// [`E2Engine::train_partial`], segments below it have been handed
+    /// to the DAP and those at or above it await
+    /// [`E2Engine::index_more`]. `None` when training covered the whole
+    /// device.
+    mapped: Option<usize>,
     telemetry: EngineTelemetry,
 }
 
@@ -121,7 +125,7 @@ impl E2Engine {
             index: BTreeMap::new(),
             live: HashMap::new(),
             prediction: PredictionStats::default(),
-            incremental: None,
+            mapped: None,
             telemetry: EngineTelemetry::disconnected(),
             controller,
             cfg,
@@ -228,9 +232,8 @@ impl E2Engine {
                 "train_partial: initial {initial} out of 1..={total}"
             )));
         }
-        let indexer = IncrementalIndexer::new(total, initial);
-        let free: Vec<(LogicalSegment, Vec<u8>)> = indexer
-            .initial_range()
+        let free: Vec<(LogicalSegment, Vec<u8>)> = (0..initial)
+            .map(LogicalSegment)
             .map(|seg| {
                 let content = self.controller.peek(seg).expect("in range").to_vec();
                 (seg, content)
@@ -239,7 +242,7 @@ impl E2Engine {
         let contents: Vec<Vec<u8>> = free.iter().map(|(_, c)| c.clone()).collect();
         let model = E2Model::train(&self.cfg, &contents, &mut self.rng);
         self.install_model(model, &free);
-        self.incremental = Some(indexer);
+        self.mapped = Some(initial);
         Ok(())
     }
 
@@ -249,10 +252,12 @@ impl E2Engine {
     /// was fully trained from the start.
     pub fn index_more(&mut self, count: usize) -> Result<usize> {
         let model = self.model.as_ref().ok_or(E2Error::NotTrained)?;
-        let Some(indexer) = &mut self.incremental else {
+        let Some(mapped) = self.mapped else {
             return Ok(0);
         };
-        let new_segments = indexer.take_next(count);
+        let end = mapped + count.min(self.controller.num_segments() - mapped);
+        self.mapped = Some(end);
+        let new_segments: Vec<LogicalSegment> = (mapped..end).map(LogicalSegment).collect();
         let contents: Vec<Vec<u8>> = new_segments
             .iter()
             .map(|&seg| self.controller.peek(seg).expect("in range").to_vec())

@@ -17,10 +17,10 @@
 //!   simulated NVM device ([`engine`]).
 //! * [`retrain::BackgroundRetrainer`] — lazy retraining when a cluster's
 //!   free list runs low (§4.1.4).
-//! * [`SharedEngine`] / [`ShardedEngine`] — thread-safe serving (§5.1):
-//!   one mutex-guarded engine, or N independent engines over disjoint
-//!   segment partitions with hash-routed keys ([`concurrent`],
-//!   [`sharded`]).
+//! * [`ShardedEngine`] — the thread-safe serving handle (§5.1): N
+//!   mutex-guarded engines over disjoint segment partitions with
+//!   hash-routed keys, each with its own background retrainer; a
+//!   single engine is the one-shard case ([`sharded`]).
 //! * [`kselect`] — SSE elbow + energy valley for picking K (Figure 8).
 //! * [`batch`] — grouping small writes into segment-sized batches.
 //!
@@ -41,12 +41,10 @@
 //! ```
 
 pub mod batch;
-pub mod concurrent;
 pub mod config;
 pub mod dap;
 pub mod engine;
 pub mod error;
-pub mod incremental;
 pub mod kselect;
 pub mod model;
 pub mod padding;
@@ -55,12 +53,10 @@ pub mod sharded;
 pub mod telemetry;
 
 pub use batch::{Batch, BatchAccumulator};
-pub use concurrent::SharedEngine;
 pub use config::{E2Config, E2ConfigBuilder};
 pub use dap::{DapError, DynamicAddressPool};
 pub use engine::{E2Engine, EngineState, PredictionStats};
 pub use error::{E2Error, Result};
-pub use incremental::IncrementalIndexer;
 pub use kselect::{sweep_k, KSelection, KSweepPoint};
 pub use model::E2Model;
 pub use padding::{Padder, PaddingLocation, PaddingType};

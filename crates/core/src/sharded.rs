@@ -1,28 +1,46 @@
-//! Sharded serving: N independent engines over disjoint slices of the
+//! Thread-safe serving (paper §5.1: "We utilize thread-safe methods in
+//! E2-NVM. This is the case for the data structures that we utilize to
+//! maintain address pools and mapping") with lazy background retraining
+//! (§4.1.4), sharded: N independent engines over disjoint slices of the
 //! device's segment space.
 //!
-//! [`SharedEngine`] serialises every operation on
-//! one mutex, which caps throughput at one core no matter how many
-//! clients call in (the paper's §5.1 thread-safe serving). A
-//! [`ShardedEngine`] removes that cap structurally: the segment space is
-//! partitioned with [`e2nvm_sim::partition_controllers`], each shard
-//! gets a *private* [`E2Engine`] — its own VAE+K-means model, dynamic
-//! address pool, padder, RNG, and background retrainer — and keys are
-//! routed to shards by hash. Operations on different shards share no
-//! locks, so they proceed in parallel; operations on the same key
-//! always hit the same shard, preserving per-key linearizability.
+//! One mutex over one engine caps throughput at one core no matter how
+//! many clients call in. A [`ShardedEngine`] removes that cap
+//! structurally: the segment space is partitioned with
+//! [`e2nvm_sim::partition_controllers`], each shard gets a *private*
+//! [`E2Engine`] — its own VAE+K-means model, dynamic address pool,
+//! padder, RNG, and background retrainer — and keys are routed to
+//! shards by hash. Operations on different shards share no locks, so
+//! they proceed in parallel; operations on the same key always hit the
+//! same shard, preserving per-key linearizability. A single engine is
+//! the one-shard case, `ShardedEngine::new(vec![engine])`.
+//!
+//! Lock granularity: one mutex per shard engine. The hot path (pad →
+//! predict → pop → device write) is microseconds and ends by checking
+//! the retraining trigger inside the same critical section; the
+//! expensive part — retraining — runs on the shard's worker thread with
+//! no lock held. When a cluster's free list hits the low-water mark a
+//! snapshot goes to the [`BackgroundRetrainer`]; the serving path keeps
+//! answering from the old model until the new one is ready, then
+//! installs it under the shard mutex. The retrainer's own lock is taken
+//! only while a retrain is tripped or in flight, always before the
+//! engine lock, and never across a wait on the worker.
 //!
 //! Cross-shard observability is by aggregation: device counters merge
 //! with [`DeviceStats::merge`] and serving-path counters with
 //! [`PredictionStats::merge`], so the paper's metrics (bit flips,
 //! energy, latency) remain exact sums of per-shard accounting.
 
-use crate::concurrent::SharedEngine;
 use crate::config::E2Config;
 use crate::engine::{E2Engine, PredictionStats};
 use crate::error::{E2Error, Result};
+use crate::retrain::BackgroundRetrainer;
 use e2nvm_sim::{DeviceStats, MemoryController, WriteReport};
-use e2nvm_telemetry::TelemetryRegistry;
+use e2nvm_telemetry::{Event, TelemetryRegistry};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// SplitMix64 finalizer: decorrelates adjacent keys before routing.
 #[inline]
@@ -33,42 +51,112 @@ fn hash64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A clonable handle to N independent shards, each a [`SharedEngine`]
-/// over its own partition of the segment space.
+/// One shard: a mutexed engine plus the state of its lazy retrain.
+struct Shard {
+    engine: Mutex<E2Engine>,
+    retrain: Mutex<Retrain>,
+    /// Mirrors `retrain.worker.is_pending()` (written under `retrain`)
+    /// so a mutation knows, without that lock, to poll for a finished
+    /// model. A hint only — the model itself travels through the
+    /// retrainer's channel — hence `Relaxed`.
+    in_flight: AtomicBool,
+    /// Models installed via the background path (diagnostics).
+    swaps: AtomicU64,
+}
+
+struct Retrain {
+    worker: BackgroundRetrainer,
+    next_seed: u64,
+    /// When the in-flight retrain was submitted (for the journal's
+    /// retrain duration).
+    started: Option<Instant>,
+}
+
+impl Shard {
+    fn new(engine: E2Engine) -> Self {
+        assert!(engine.is_trained(), "ShardedEngine: engine must be trained");
+        Self {
+            retrain: Mutex::new(Retrain {
+                worker: BackgroundRetrainer::spawn(),
+                next_seed: engine.config().seed ^ 0xBACC_6E55,
+                started: None,
+            }),
+            engine: Mutex::new(engine),
+            in_flight: AtomicBool::new(false),
+            swaps: AtomicU64::new(0),
+        }
+    }
+
+    /// Advance the retraining state machine: install a finished model
+    /// if one is waiting (frees the worker), then — when `may_submit` —
+    /// send a snapshot if a cluster is at its threshold. Returns whether
+    /// a retrain is still in flight.
+    fn pump(&self, may_submit: bool) -> bool {
+        let mut retrain = self.retrain.lock();
+        if let Some(model) = retrain.worker.try_take() {
+            let loss = model.history().train.last().map(|l| f64::from(l.total()));
+            let duration_ms = retrain
+                .started
+                .take()
+                .map_or(0, |t| t.elapsed().as_millis() as u64);
+            let mut engine = self.engine.lock();
+            engine.install_model_now(model);
+            let telemetry = engine.telemetry();
+            telemetry.record_event(Event::RetrainFinished {
+                shard: telemetry.shard(),
+                loss,
+                duration_ms,
+            });
+            self.swaps.fetch_add(1, Ordering::Relaxed);
+        }
+        if may_submit && !retrain.worker.is_pending() {
+            let engine = self.engine.lock();
+            if engine.needs_retrain() {
+                let seed = retrain.next_seed;
+                retrain.next_seed = seed.wrapping_add(1);
+                if retrain
+                    .worker
+                    .submit(engine.config(), engine.training_snapshot(), seed)
+                {
+                    retrain.started = Some(Instant::now());
+                    let telemetry = engine.telemetry();
+                    telemetry.record_event(Event::RetrainStarted {
+                        shard: telemetry.shard(),
+                    });
+                }
+            }
+        }
+        let pending = retrain.worker.is_pending();
+        self.in_flight.store(pending, Ordering::Relaxed);
+        pending
+    }
+}
+
+/// The thread-safe engine handle: N independent shards, each a mutexed
+/// [`E2Engine`] over its own partition of the segment space plus that
+/// shard's background retrainer. `Clone` is cheap and clones share the
+/// shards.
 #[derive(Clone)]
 pub struct ShardedEngine {
-    shards: Vec<SharedEngine>,
+    shards: Arc<[Shard]>,
 }
 
 impl ShardedEngine {
-    /// Wrap already-trained engines, one per shard.
+    /// Wrap already-trained engines, one per shard, and spawn their
+    /// retraining workers.
     ///
     /// # Panics
     /// Panics if `engines` is empty or any engine is untrained.
     pub fn new(engines: Vec<E2Engine>) -> Self {
         assert!(!engines.is_empty(), "ShardedEngine: need >= 1 shard");
         Self {
-            shards: engines.into_iter().map(SharedEngine::new).collect(),
+            shards: engines.into_iter().map(Shard::new).collect(),
         }
     }
 
-    /// Assemble from existing shared handles (e.g. to reuse engines that
-    /// were trained elsewhere).
-    ///
-    /// # Panics
-    /// Panics if `shards` is empty.
-    pub fn from_shared(shards: Vec<SharedEngine>) -> Self {
-        assert!(!shards.is_empty(), "ShardedEngine: need >= 1 shard");
-        Self { shards }
-    }
-
-    /// Build and train one engine per controller. `cfg.num_shards` is
-    /// ignored in favour of `controllers.len()` (the partition is the
-    /// source of truth); each shard trains on its own resident contents
-    /// with a seed derived from `cfg.seed` so the shards' models are
-    /// decorrelated. Shard 0 uses `cfg.seed` itself, so a single-shard
-    /// build is bit-identical to an unsharded [`E2Engine`] with the same
-    /// configuration.
+    /// Build and train one engine per controller (the partition is the
+    /// only source of truth for the shard count); each shard trains on
+    /// its own resident contents under [`ShardedEngine::shard_config`].
     pub fn train(controllers: Vec<MemoryController>, cfg: &E2Config) -> Result<Self> {
         if controllers.is_empty() {
             return Err(E2Error::Config("ShardedEngine: need >= 1 shard".into()));
@@ -77,20 +165,27 @@ impl ShardedEngine {
             .into_iter()
             .enumerate()
             .map(|(i, controller)| {
-                let shard_cfg = E2Config {
-                    // Golden-ratio stride: shard 0 keeps cfg.seed, later
-                    // shards get decorrelated streams.
-                    seed: cfg
-                        .seed
-                        .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    ..cfg.clone()
-                };
-                let mut engine = E2Engine::new(controller, shard_cfg)?;
+                let mut engine = E2Engine::new(controller, Self::shard_config(cfg, i))?;
                 engine.train()?;
                 Ok(engine)
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(Self::new(engines))
+    }
+
+    /// The configuration shard `shard` runs under: `cfg` with the seed
+    /// advanced by a golden-ratio stride so the shards' models are
+    /// decorrelated. Shard 0 keeps `cfg.seed` itself, so a single-shard
+    /// build is bit-identical to an unsharded [`E2Engine`] with the
+    /// same configuration. Training and recovery both derive their
+    /// per-shard seeds here.
+    pub fn shard_config(cfg: &E2Config, shard: usize) -> E2Config {
+        E2Config {
+            seed: cfg
+                .seed
+                .wrapping_add((shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            ..cfg.clone()
+        }
     }
 
     /// Number of shards.
@@ -105,7 +200,7 @@ impl ShardedEngine {
     /// [`ShardedEngine::device_stats`]'s merge).
     pub fn attach_telemetry(&self, registry: &TelemetryRegistry) {
         for (i, shard) in self.shards.iter().enumerate() {
-            shard.attach_telemetry(registry, i);
+            shard.engine.lock().attach_telemetry(registry, i);
         }
     }
 
@@ -115,132 +210,168 @@ impl ShardedEngine {
         ((hash64(key) as u128 * self.shards.len() as u128) >> 64) as usize
     }
 
-    /// Borrow one shard's shared handle.
-    pub fn shard(&self, i: usize) -> &SharedEngine {
-        &self.shards[i]
-    }
-
-    /// Iterate over the shard handles.
-    pub fn shards(&self) -> impl Iterator<Item = &SharedEngine> {
-        self.shards.iter()
-    }
-
-    /// PUT/UPDATE, routed to the key's shard.
-    pub fn put(&self, key: u64, value: &[u8]) -> Result<WriteReport> {
-        self.shards[self.shard_for(key)].put(key, value)
-    }
-
-    /// GET, routed to the key's shard.
-    pub fn get(&self, key: u64) -> Result<Vec<u8>> {
-        self.shards[self.shard_for(key)].get(key)
-    }
-
-    /// DELETE, routed to the key's shard.
-    pub fn delete(&self, key: u64) -> Result<bool> {
-        self.shards[self.shard_for(key)].delete(key)
-    }
-
-    /// Batched PUT: pairs are grouped by destination shard and each
-    /// group runs through that shard's segment-packing batch path
-    /// ([`SharedEngine::put_many`]) under one lock acquisition.
-    /// Results come back in the order of `pairs`. Within a shard the
-    /// shard's batch order follows `pairs` order, so duplicate keys
-    /// still resolve last-occurrence-wins.
-    pub fn put_many(&self, pairs: &[(u64, &[u8])]) -> Vec<Result<()>> {
+    /// Batch routing: group `items` by the shard their key routes to,
+    /// hand each non-empty group to `run` (one call per shard, the
+    /// group in `items` order so duplicate keys still resolve
+    /// last-occurrence-wins), and return the per-item results in
+    /// `items` order.
+    ///
+    /// # Panics
+    /// Panics if `run` returns fewer results than it was given items.
+    pub fn route_batch<I: Copy, R>(
+        &self,
+        items: &[I],
+        key: impl Fn(&I) -> u64,
+        mut run: impl FnMut(usize, &[I]) -> Vec<R>,
+    ) -> Vec<R> {
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, &(key, _)) in pairs.iter().enumerate() {
-            by_shard[self.shard_for(key)].push(i);
+        for (i, item) in items.iter().enumerate() {
+            by_shard[self.shard_for(key(item))].push(i);
         }
-        let mut out: Vec<Option<Result<()>>> = (0..pairs.len()).map(|_| None).collect();
+        let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
         for (shard, idxs) in by_shard.iter().enumerate() {
             if idxs.is_empty() {
                 continue;
             }
-            let group: Vec<(u64, &[u8])> = idxs.iter().map(|&i| pairs[i]).collect();
-            let results = self.shards[shard].put_many(&group);
-            for (&i, r) in idxs.iter().zip(results) {
+            let group: Vec<I> = idxs.iter().map(|&i| items[i]).collect();
+            for (&i, r) in idxs.iter().zip(run(shard, &group)) {
                 out[i] = Some(r);
             }
         }
         out.into_iter()
-            .map(|r| r.expect("every pair routed to exactly one shard"))
+            .map(|r| r.expect("every item routed to one shard and answered by it"))
             .collect()
+    }
+
+    /// Run a closure with exclusive access to one shard's engine
+    /// (inspection and admin; the retraining trigger is not checked).
+    pub fn with_shard_engine<T>(&self, i: usize, f: impl FnOnce(&mut E2Engine) -> T) -> T {
+        f(&mut self.shards[i].engine.lock())
+    }
+
+    /// Run a mutation on shard `i` under one acquisition of its engine
+    /// lock, judge the retraining trigger in the same critical section,
+    /// then drive that shard's retraining state machine only if it
+    /// tripped or a retrain is in flight (no other lock is touched
+    /// otherwise). Every mutating op below is this call; a caller that
+    /// holds its own per-shard lock around it (the store's WAL) gets
+    /// "that lock, then the engine lock" as the one lock order.
+    pub fn mutate_shard<T>(&self, i: usize, f: impl FnOnce(&mut E2Engine) -> T) -> T {
+        let shard = &self.shards[i];
+        let (out, tripped) = {
+            let mut engine = shard.engine.lock();
+            let out = f(&mut engine);
+            (out, engine.needs_retrain())
+        };
+        if tripped || shard.in_flight.load(Ordering::Relaxed) {
+            shard.pump(true);
+        }
+        out
+    }
+
+    /// Fold over every shard's engine, each read under one acquisition
+    /// of its lock — the one pass behind every cross-shard aggregate.
+    pub fn fold_shards<A>(&self, init: A, mut f: impl FnMut(A, &E2Engine) -> A) -> A {
+        self.shards
+            .iter()
+            .fold(init, |acc, shard| f(acc, &shard.engine.lock()))
+    }
+
+    /// PUT/UPDATE (Algorithm 1), routed to the key's shard.
+    pub fn put(&self, key: u64, value: &[u8]) -> Result<WriteReport> {
+        self.mutate_shard(self.shard_for(key), |e| e.put(key, value))
+    }
+
+    /// GET, routed to the key's shard.
+    pub fn get(&self, key: u64) -> Result<Vec<u8>> {
+        self.with_shard_engine(self.shard_for(key), |e| e.get(key))
+    }
+
+    /// DELETE (Algorithm 2), routed to the key's shard.
+    pub fn delete(&self, key: u64) -> Result<bool> {
+        self.mutate_shard(self.shard_for(key), |e| e.delete(key))
+    }
+
+    /// Batched PUT: each shard's share of `pairs` runs through that
+    /// shard's segment-packing batch path ([`E2Engine::put_many`])
+    /// under one lock acquisition, and its retraining state machine is
+    /// pumped once at the end instead of per key. Results come back in
+    /// the order of `pairs`.
+    pub fn put_many(&self, pairs: &[(u64, &[u8])]) -> Vec<Result<()>> {
+        self.route_batch(
+            pairs,
+            |&(key, _)| key,
+            |shard, group| self.mutate_shard(shard, |e| e.put_many(group)),
+        )
     }
 
     /// Batched GET: keys are grouped by shard, served under one lock
     /// acquisition per shard, and reassembled into `keys` order.
     pub fn get_many(&self, keys: &[u64]) -> Vec<Result<Vec<u8>>> {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, &key) in keys.iter().enumerate() {
-            by_shard[self.shard_for(key)].push(i);
-        }
-        let mut out: Vec<Option<Result<Vec<u8>>>> = (0..keys.len()).map(|_| None).collect();
-        for (shard, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let group: Vec<u64> = idxs.iter().map(|&i| keys[i]).collect();
-            let results = self.shards[shard].get_many(&group);
-            for (&i, r) in idxs.iter().zip(results) {
-                out[i] = Some(r);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every key routed to exactly one shard"))
-            .collect()
+        self.route_batch(
+            keys,
+            |&key| key,
+            |shard, group| self.with_shard_engine(shard, |e| e.get_many(group)),
+        )
     }
 
-    /// SCAN over an inclusive key range: every shard contributes its
-    /// matches (keys are hash-routed, so any shard may hold any part of
-    /// the range), merged into key order.
+    /// SCAN over an inclusive key range, merged into key order.
     pub fn scan(&self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>> {
-        let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.scan(lo, hi)?);
-        }
-        // Shards hold disjoint keys, so an unstable sort is safe.
-        out.sort_unstable_by_key(|(k, _)| *k);
-        Ok(out)
+        self.scan_limit(lo, hi, usize::MAX)
     }
 
     /// SCAN stopping after `limit` entries in global key order. Keys
     /// are hash-routed, so any shard may hold any of the `limit`
     /// smallest matches: each shard contributes up to `limit` entries
     /// (early-stopped inside its index walk), then the merged result is
-    /// truncated.
+    /// truncated. An inverted range (`lo > hi`) is empty.
     pub fn scan_limit(&self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
-        let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.scan_limit(lo, hi, limit)?);
+        // `BTreeMap::range` panics on an inverted range, and would do
+        // so here with the shard lock held.
+        if lo > hi {
+            return Ok(Vec::new());
         }
+        let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
+        for shard in self.shards.iter() {
+            out.extend(shard.engine.lock().scan_limit(lo..=hi, limit)?);
+        }
+        // Shards hold disjoint keys, so an unstable sort is safe.
         out.sort_unstable_by_key(|(k, _)| *k);
         out.truncate(limit);
         Ok(out)
     }
 
-    /// Advance every shard's lazy-retraining state machine.
+    /// Advance every shard's lazy-retraining state machine. Mutations
+    /// do this for their own shard; a maintenance loop may call it too.
     pub fn pump_retraining(&self) {
-        for shard in &self.shards {
-            shard.pump_retraining();
+        for shard in self.shards.iter() {
+            shard.pump(true);
         }
     }
 
     /// Block until every shard's in-flight retraining (if any) completes
-    /// and is installed.
+    /// and is installed (tests / shutdown). Polls: the retrainer lock is
+    /// released between looks, so a mutation that needs it never queues
+    /// behind the training run.
     pub fn finish_retraining(&self) {
-        for shard in &self.shards {
-            shard.finish_retraining();
+        for shard in self.shards.iter() {
+            while shard.pump(false) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
     }
 
     /// Background model swaps across all shards.
     pub fn model_swaps(&self) -> u64 {
-        self.shards.iter().map(SharedEngine::model_swaps).sum()
+        self.shards
+            .iter()
+            .map(|s| s.swaps.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Keys stored across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(SharedEngine::len).sum()
+        self.fold_shards(0, |n, e| n + e.len())
     }
 
     /// Whether no shard holds any key.
@@ -250,66 +381,43 @@ impl ShardedEngine {
 
     /// Free segments available across all shards.
     pub fn free_count(&self) -> usize {
-        self.shards.iter().map(SharedEngine::free_count).sum()
-    }
-
-    /// Segments permanently retired by wear-out across all shards.
-    pub fn retired_count(&self) -> usize {
-        self.shards.iter().map(SharedEngine::retired_count).sum()
-    }
-
-    /// Physical slots quarantined across all shard controllers — what
-    /// the HEALTH wire summary reports.
-    pub fn retired_physical_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(SharedEngine::retired_physical_count)
-            .sum()
-    }
-
-    /// Total segments across all shards (free + in use + retired) —
-    /// the stable denominator for wear fractions.
-    pub fn num_segments(&self) -> usize {
-        self.shards.iter().map(SharedEngine::num_segments).sum()
+        self.fold_shards(0, |n, e| n + e.free_count())
     }
 
     /// Device statistics aggregated over all shards.
     pub fn device_stats(&self) -> DeviceStats {
-        let mut total = DeviceStats::default();
-        for shard in &self.shards {
-            total.merge(&shard.device_stats());
-        }
-        total
+        self.fold_shards(DeviceStats::default(), |mut total, e| {
+            total.merge(e.device_stats());
+            total
+        })
     }
 
-    /// Reset every shard's device statistics.
+    /// Reset every shard's device statistics (e.g. after a warm-up
+    /// phase).
     pub fn reset_device_stats(&self) {
-        for shard in &self.shards {
-            shard.reset_device_stats();
+        for shard in self.shards.iter() {
+            shard.engine.lock().reset_device_stats();
         }
     }
 
     /// Serving-path prediction counters aggregated over all shards.
     pub fn prediction_stats(&self) -> PredictionStats {
-        let mut total = PredictionStats::default();
-        for shard in &self.shards {
-            total.merge(&shard.prediction_stats());
-        }
-        total
-    }
-
-    /// Run a closure with exclusive access to one shard's engine.
-    pub fn with_shard_engine<T>(&self, i: usize, f: impl FnOnce(&mut E2Engine) -> T) -> T {
-        self.shards[i].with_engine(f)
+        self.fold_shards(PredictionStats::default(), |mut total, e| {
+            total.merge(&e.prediction_stats());
+            total
+        })
     }
 }
 
 impl std::fmt::Debug for ShardedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (keys, free) =
+            self.fold_shards((0, 0), |(k, fr), e| (k + e.len(), fr + e.free_count()));
         f.debug_struct("ShardedEngine")
             .field("shards", &self.shards.len())
-            .field("keys", &self.len())
-            .field("free", &self.free_count())
+            .field("keys", &keys)
+            .field("free", &free)
+            .field("model_swaps", &self.model_swaps())
             .finish()
     }
 }
@@ -344,6 +452,11 @@ mod tests {
     }
 
     fn sharded(num_shards: usize, total_segments: usize, seg_bytes: usize) -> ShardedEngine {
+        sharded_with(num_shards, total_segments, &test_config(seg_bytes))
+    }
+
+    fn sharded_with(num_shards: usize, total_segments: usize, cfg: &E2Config) -> ShardedEngine {
+        let seg_bytes = cfg.segment_bytes;
         let dev_cfg = DeviceConfig::builder()
             .segment_bytes(seg_bytes)
             .num_segments(total_segments)
@@ -358,7 +471,7 @@ mod tests {
                 mc
             })
             .collect();
-        ShardedEngine::train(controllers, &test_config(seg_bytes)).unwrap()
+        ShardedEngine::train(controllers, cfg).unwrap()
     }
 
     #[test]
@@ -433,6 +546,94 @@ mod tests {
         }
         let keys: Vec<u64> = s.scan(2, 29).unwrap().into_iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![5, 7, 9, 12]);
+    }
+
+    #[test]
+    fn inverted_scan_range_is_empty() {
+        let s = sharded(2, 64, 32);
+        s.put(4, b"four").unwrap();
+        assert_eq!(s.scan(5, 3).unwrap(), vec![]);
+        assert_eq!(s.scan_limit(5, 3, 10).unwrap(), vec![]);
+        // No shard lock was lost to a panic: the same handle still serves.
+        assert_eq!(s.scan(3, 5).unwrap(), vec![(4, b"four".to_vec())]);
+    }
+
+    /// Four writers on a shared handle while the background retrain
+    /// triggers, trains and swaps in underneath them: per-key
+    /// consistency, the swap itself, scans and clone-shared state.
+    #[test]
+    fn retraining_while_writers_run() {
+        const PER_THREAD: u64 = 20;
+        let cfg = E2Config {
+            retrain_min_free: 2,
+            ..test_config(32)
+        };
+        let s = sharded_with(2, 96, &cfg);
+        let value = |t: u64, i: u64| vec![(t as u8) << 1 | (i as u8 & 1); 24];
+        // All-but-zero values drain each shard's zeros cluster, so a
+        // threshold trips well before the 80 keys could fill 96 segments.
+        let tripped = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(4);
+        let written: Vec<u64> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (s, tripped, start) = (s.clone(), &tripped, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut i = 0;
+                        while i < PER_THREAD && !tripped.load(Ordering::SeqCst) {
+                            let key = t * 100 + i;
+                            s.put(key, &value(t, i)).unwrap();
+                            assert_eq!(s.get(key).unwrap(), value(t, i), "t{t} key{key}");
+                            if i % 3 == 0 {
+                                assert!(s.delete(key).unwrap());
+                            }
+                            let shard = s.shard_for(key);
+                            if s.model_swaps() > 0
+                                || s.with_shard_engine(shard, |e| e.needs_retrain())
+                            {
+                                tripped.store(true, Ordering::SeqCst);
+                            }
+                            i += 1;
+                        }
+                        i
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(tripped.load(Ordering::SeqCst), "no cluster ever tripped");
+
+        s.finish_retraining();
+        s.pump_retraining();
+        assert!(s.model_swaps() >= 1, "no background swap happened");
+
+        // Every surviving key reads back after the swap, through a
+        // clone as through the original.
+        let clone = s.clone();
+        let mut survivors = 0;
+        for (t, &n) in written.iter().enumerate() {
+            let t = t as u64;
+            for i in (0..n).filter(|i| i % 3 != 0) {
+                assert_eq!(clone.get(t * 100 + i).unwrap(), value(t, i));
+                survivors += 1;
+            }
+            let keys: Vec<u64> = s
+                .scan(t * 100, t * 100 + 99)
+                .unwrap()
+                .into_iter()
+                .map(|(k, _)| k)
+                .collect();
+            let expect: Vec<u64> = (0..n).filter(|i| i % 3 != 0).map(|i| t * 100 + i).collect();
+            assert_eq!(keys, expect);
+        }
+        assert_eq!(s.len(), survivors);
+        assert_eq!(clone.len(), survivors);
+        assert_eq!(clone.model_swaps(), s.model_swaps());
+        clone.put(9_999, b"via clone").unwrap();
+        assert_eq!(s.get(9_999).unwrap(), b"via clone");
+        assert!(s.delete(9_999).unwrap());
+        assert_eq!(clone.get(9_999), Err(E2Error::KeyNotFound(9_999)));
     }
 
     #[test]

@@ -27,10 +27,11 @@ use std::time::Instant;
 struct PersistState {
     cfg: PersistenceConfig,
     /// Per-shard WALs. **Lock ordering**: a mutation takes its shard's
-    /// WAL lock *first* and holds it *across* the engine apply, so WAL
-    /// record order always equals apply order within a shard. The
-    /// snapshot path takes every WAL lock (in shard order) and then each
-    /// engine lock — the same wal-then-engine order, so no cycle.
+    /// WAL lock *first* and holds it *across* the engine apply
+    /// ([`ShardedEngine::mutate_shard`]), so WAL record order always
+    /// equals apply order within a shard. The snapshot path takes every
+    /// WAL lock (in shard order) and then each engine lock — the same
+    /// wal-then-engine order, so no cycle.
     wals: Vec<Mutex<Wal>>,
     /// Acked mutations since the last snapshot (drives
     /// [`PersistenceConfig::snapshot_every_ops`]).
@@ -259,9 +260,10 @@ impl ShardedE2KvStore {
     /// [`ShardedE2KvStore::with_persistence`] instead).
     ///
     /// `e2cfg` must be the same engine config the store was built with;
-    /// per-shard seeds are re-derived exactly as
-    /// [`ShardedEngine::train`] derives them, and geometry mismatches
-    /// (segment size, input bits) are rejected during restore.
+    /// per-shard seeds are re-derived by
+    /// [`ShardedEngine::shard_config`], as training derived them, and
+    /// geometry mismatches (segment size, input bits) are rejected
+    /// during restore.
     pub fn recover(
         cfg: &PersistenceConfig,
         e2cfg: &E2Config,
@@ -286,14 +288,7 @@ impl ShardedE2KvStore {
                 })?,
                 None => MemoryController::without_wear_leveling(device),
             };
-            let shard_cfg = E2Config {
-                // Golden-ratio stride, matching ShardedEngine::train.
-                seed: e2cfg
-                    .seed
-                    .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                ..e2cfg.clone()
-            };
-            let mut engine = E2Engine::new(mc, shard_cfg)?;
+            let mut engine = E2Engine::new(mc, ShardedEngine::shard_config(e2cfg, i))?;
             engine.restore_state(&shard.state)?;
             engines.push(engine);
         }
@@ -398,27 +393,29 @@ impl ShardedE2KvStore {
     /// Segments permanently retired by wear-out across all shards
     /// (degraded mode).
     pub fn retired_count(&self) -> usize {
-        self.engine.retired_count()
+        self.wear_summary().retired_segments as usize
     }
 
     /// Physical slots quarantined by the shards' memory controllers —
     /// the device-side counterpart of [`Self::retired_count`], and the
     /// figure the HEALTH frame reports as ground truth.
     pub fn retired_physical_count(&self) -> usize {
-        self.engine.retired_physical_count()
+        self.wear_summary().retired_physical as usize
     }
 
     /// Point-in-time wear summary across all shards — what the wire
     /// protocol's HEALTH frame carries and what the cluster layer's
-    /// health prober acts on.
+    /// health prober acts on. One pass: each shard's five counters are
+    /// read under a single acquisition of its lock.
     pub fn wear_summary(&self) -> WearSummary {
-        WearSummary {
-            keys: self.engine.len() as u64,
-            free_segments: self.engine.free_count() as u64,
-            retired_segments: self.engine.retired_count() as u64,
-            retired_physical: self.engine.retired_physical_count() as u64,
-            total_segments: self.engine.num_segments() as u64,
-        }
+        self.engine
+            .fold_shards(WearSummary::default(), |w, e| WearSummary {
+                keys: w.keys + e.len() as u64,
+                free_segments: w.free_segments + e.free_count() as u64,
+                retired_segments: w.retired_segments + e.retired_count() as u64,
+                retired_physical: w.retired_physical + e.retired_physical_count() as u64,
+                total_segments: w.total_segments + e.controller().num_segments() as u64,
+            })
     }
 
     /// Number of keys stored across all shards.
@@ -452,7 +449,7 @@ impl NvmKvStore for ShardedE2KvStore {
             // runs before the ack leaves the process, so a crash in
             // between loses only mutations the client was never acked.
             let mut wal = p.wals[shard].lock();
-            self.engine.shard(shard).put(key, value)?;
+            self.engine.mutate_shard(shard, |e| e.put(key, value))?;
             wal.append_put(key, value)
                 .map_err(|e| StoreError::Persistence(format!("wal append: {e}")))?;
         }
@@ -473,54 +470,47 @@ impl NvmKvStore for ShardedE2KvStore {
                 .map(|r| r.map_err(StoreError::from))
                 .collect();
         };
-        // Route the batch ourselves so each shard's group applies and
-        // logs under that shard's WAL lock (one group-commit append per
-        // shard). Mirrors ShardedEngine::put_many's routing.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.engine.num_shards()];
-        for (i, &(key, _)) in pairs.iter().enumerate() {
-            by_shard[self.engine.shard_for(key)].push(i);
-        }
-        let mut out: Vec<Option<Result<()>>> = (0..pairs.len()).map(|_| None).collect();
+        // Each shard's group applies and logs under that shard's WAL
+        // lock (one group-commit append per shard).
         let mut acked = 0u64;
-        for (shard, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let group: Vec<(u64, &[u8])> = idxs.iter().map(|&i| pairs[i]).collect();
-            let mut wal = p.wals[shard].lock();
-            let results = self.engine.shard(shard).put_many(&group);
-            // Log exactly the applied (successful) subset, in order,
-            // encoding straight from the borrowed values.
-            let mut logged = 0u64;
-            let mut appended: std::result::Result<(), StoreError> = Ok(());
-            for (&(key, value), r) in group.iter().zip(&results) {
-                if r.is_ok() {
-                    if let Err(e) = wal.append_put(key, value) {
-                        appended = Err(StoreError::Persistence(format!("wal append: {e}")));
-                        break;
+        let out = self.engine.route_batch(
+            pairs,
+            |&(key, _)| key,
+            |shard, group| {
+                let mut wal = p.wals[shard].lock();
+                let results = self.engine.mutate_shard(shard, |e| e.put_many(group));
+                // Log exactly the applied (successful) subset, in order,
+                // encoding straight from the borrowed values.
+                let mut logged = 0u64;
+                let mut appended: std::result::Result<(), StoreError> = Ok(());
+                for (&(key, value), r) in group.iter().zip(&results) {
+                    if r.is_ok() {
+                        if let Err(e) = wal.append_put(key, value) {
+                            appended = Err(StoreError::Persistence(format!("wal append: {e}")));
+                            break;
+                        }
+                        logged += 1;
                     }
-                    logged += 1;
                 }
-            }
-            drop(wal);
-            if appended.is_ok() {
-                acked += logged;
-            }
-            for (&i, r) in idxs.iter().zip(results) {
-                out[i] = Some(match (&appended, r) {
-                    // Applied in memory but not durably logged: fail
-                    // the ack so the client retries.
-                    (Err(e), Ok(())) => Err(e.clone()),
-                    (_, r) => r.map_err(StoreError::from),
-                });
-            }
-        }
+                drop(wal);
+                if appended.is_ok() {
+                    acked += logged;
+                }
+                results
+                    .into_iter()
+                    .map(|r| match (&appended, r) {
+                        // Applied in memory but not durably logged: fail
+                        // the ack so the client retries.
+                        (Err(e), Ok(())) => Err(e.clone()),
+                        (_, r) => r.map_err(StoreError::from),
+                    })
+                    .collect()
+            },
+        );
         if acked > 0 {
             self.note_mutations(&p, acked);
         }
-        out.into_iter()
-            .map(|r| r.expect("every pair routed to exactly one shard"))
-            .collect()
+        out
     }
 
     fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>> {
@@ -554,7 +544,7 @@ impl NvmKvStore for ShardedE2KvStore {
         let shard = self.engine.shard_for(key);
         let existed = {
             let mut wal = p.wals[shard].lock();
-            let existed = self.engine.shard(shard).delete(key)?;
+            let existed = self.engine.mutate_shard(shard, |e| e.delete(key))?;
             if existed {
                 // Deleting an absent key changes nothing; log only
                 // actual state transitions.
@@ -570,8 +560,7 @@ impl NvmKvStore for ShardedE2KvStore {
     }
 
     fn scan(&mut self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>> {
-        self.telemetry.scans.inc();
-        Ok(self.engine.scan(lo, hi)?)
+        self.scan_limit(lo, hi, usize::MAX)
     }
 
     fn scan_limit(&mut self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
@@ -661,6 +650,19 @@ mod tests {
         }
         let keys: Vec<u64> = s.scan(3, 7).unwrap().into_iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![4, 6]);
+    }
+
+    #[test]
+    fn inverted_scan_range_is_empty() {
+        let mut s = store(32, 64);
+        s.put(4, b"four").unwrap();
+        assert_eq!(s.scan(5, 3).unwrap(), vec![]);
+        assert_eq!(s.scan_limit(5, 3, 10).unwrap(), vec![]);
+        // The cache front passes scans straight through.
+        let mut cached = crate::CachedKvStore::new(s, crate::CacheConfig::default());
+        assert_eq!(cached.scan(5, 3).unwrap(), vec![]);
+        // No shard lock was lost to a panic: the store still serves.
+        assert_eq!(cached.scan(3, 5).unwrap(), vec![(4, b"four".to_vec())]);
     }
 
     fn kv_cfg(seg_bytes: usize) -> E2Config {
@@ -830,6 +832,42 @@ mod tests {
         for (k, v) in &shadow {
             assert_eq!(r2.get(*k).unwrap().as_ref(), Some(v), "key {k}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_rederives_each_shards_config() {
+        let dir = std::env::temp_dir().join(format!(
+            "e2nvm_kv_seeds_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let e2cfg = kv_cfg(64);
+        let pcfg = PersistenceConfig::builder()
+            .data_dir(&dir)
+            .flush_policy(e2nvm_persist::FlushPolicy::OsOnly)
+            .build()
+            .unwrap();
+        let configs = |s: &ShardedE2KvStore| -> Vec<E2Config> {
+            (0..3)
+                .map(|i| s.engine().with_shard_engine(i, |e| e.config().clone()))
+                .collect()
+        };
+        let trained = configs(
+            &sharded_store(3, 96, 64)
+                .with_persistence(pcfg.clone(), None)
+                .unwrap(),
+        );
+        let (recovered, _) = ShardedE2KvStore::recover(&pcfg, &e2cfg, None)
+            .unwrap()
+            .expect("snapshot present");
+        assert_eq!(configs(&recovered), trained);
+        // Decorrelated, not merely equal: three distinct seeds, shard 0
+        // keeping the caller's.
+        let seeds: Vec<u64> = trained.iter().map(|c| c.seed).collect();
+        assert_eq!(seeds[0], e2cfg.seed);
+        assert!(seeds[0] != seeds[1] && seeds[1] != seeds[2] && seeds[0] != seeds[2]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -71,7 +71,6 @@ pub mod prelude {
     pub use e2nvm_cluster::{ClusterClient, ClusterConfig, ClusterView, NodeState};
     pub use e2nvm_core::{
         E2Config, E2ConfigBuilder, E2Engine, E2Error, PaddingLocation, PaddingType, ShardedEngine,
-        SharedEngine,
     };
     pub use e2nvm_kvstore::{
         CacheConfig, CacheConfigBuilder, CacheStats, CachedKvStore, HotCache, NvmKvStore,

@@ -253,7 +253,9 @@ proptest! {
         );
         prop_assert_eq!(sharded.len(), single.len());
         // Merged free count includes the untouched shards' pools.
-        let other_free: usize = (1..SHARDS).map(|i| sharded.shard(i).free_count()).sum();
+        let other_free: usize = (1..SHARDS)
+            .map(|i| sharded.with_shard_engine(i, |e| e.free_count()))
+            .sum();
         prop_assert_eq!(sharded.free_count() - other_free, single.free_count());
     }
 }
