@@ -23,8 +23,7 @@
 //! With `--cache` the generator runs the whole suite twice — once
 //! against a plain server, once against one fronted by the DRAM
 //! read-through cache — and records the side-by-side comparison (with
-//! per-workload hit rates when built with `--features telemetry`) in
-//! `results/cache_throughput.md` instead.
+//! per-workload hit rates) in `results/cache_throughput.md` instead.
 //!
 //! With `--recovery` it runs the kill-and-restart experiment instead:
 //! boot a *separate* `e2nvm-server` process with `--data-dir`, drive
@@ -360,7 +359,7 @@ struct WorkloadResult {
     bits_flipped: u64,
     energy_pj: f64,
     /// Cache hit/miss deltas over this workload's run, when the server
-    /// exposes the `e2nvm_cache_*` series (cache on + telemetry built).
+    /// exposes the `e2nvm_cache_*` series (a cache is attached).
     cache_hits: Option<u64>,
     cache_misses: Option<u64>,
 }
@@ -397,8 +396,7 @@ fn stats_field(stats: &str, name: &str) -> Option<f64> {
 }
 
 /// One unlabeled sample value from a Prometheus exposition, or `None`
-/// when the series is absent (e.g. built without `--features
-/// telemetry`, or no cache attached).
+/// when the series is absent (e.g. no cache attached).
 fn metric_value(metrics: &str, name: &str) -> Option<u64> {
     metrics.lines().find_map(|line| {
         let rest = line.strip_prefix(name)?.strip_prefix(' ')?;
@@ -436,11 +434,12 @@ fn metric_sum(metrics: &str, name: &str) -> Option<u64> {
 }
 
 /// Print the CI-checkable error-frame summary for one finished suite.
+/// Every server registers the family at start, so a reply without it
+/// is a server bug, not a configuration.
 fn print_error_frames(metrics: &str) {
-    match metric_sum(metrics, "e2nvm_server_error_frames_total") {
-        Some(n) => println!("server error frames: {n}"),
-        None => println!("server error frames: unavailable (build with --features telemetry)"),
-    }
+    let n = metric_sum(metrics, "e2nvm_server_error_frames_total")
+        .expect("METRICS reply has no e2nvm_server_error_frames_total series");
+    println!("server error frames: {n}");
 }
 
 /// Print the CI-checkable multi-chunk streaming-SCAN count: how many
@@ -448,12 +447,9 @@ fn print_error_frames(metrics: &str) {
 /// from the server's telemetry. Non-zero proves workload E exercised
 /// the chunked path, not just single-frame streams.
 fn print_multi_chunk_scans(metrics: &str) {
-    match metric_value(metrics, "e2nvm_server_scan_stream_multi_chunk_total") {
-        Some(n) => println!("multi-chunk scan responses: {n}"),
-        None => {
-            println!("multi-chunk scan responses: unavailable (build with --features telemetry)")
-        }
-    }
+    let n = metric_value(metrics, "e2nvm_server_scan_stream_multi_chunk_total")
+        .expect("METRICS reply has no e2nvm_server_scan_stream_multi_chunk_total series");
+    println!("multi-chunk scan responses: {n}");
 }
 
 /// Everything one full suite run produced: per-workload throughput,
@@ -806,7 +802,7 @@ fn report_plain(args: &Args, suite: &SuiteOutcome) {
 }
 
 /// The `--cache` report: baseline and cached suites side by side, with
-/// per-workload hit rates when the telemetry build exposes them.
+/// per-workload hit rates.
 fn report_cache(args: &Args, baseline: &SuiteOutcome, cached: &SuiteOutcome) {
     let records = (args.segments / 4) as u64;
     let value_len = args.seg_bytes * 3 / 4;
@@ -1606,22 +1602,19 @@ fn main() {
         .expect("loadgen cache config");
     let cached = run_suite(&args, Some(cache_cfg));
 
-    // Accounting cross-check, when the build exposes the cache series:
-    // every run-phase GET was either a hit or a miss — the cache never
-    // double-counts and never loses a lookup. Per-workload deltas
-    // exclude the load phase's own spot-check GETs.
-    if cached.metrics.contains("e2nvm_cache_hits_total") {
-        let hits: u64 = cached.results.iter().filter_map(|r| r.cache_hits).sum();
-        let misses: u64 = cached.results.iter().filter_map(|r| r.cache_misses).sum();
-        let reads: u64 = cached.results.iter().map(|r| r.reads).sum();
-        assert!(hits > 0, "cached suite never hit the cache");
-        assert_eq!(
-            hits + misses,
-            reads,
-            "cache lookups ({hits} hits + {misses} misses) != GETs served ({reads})"
-        );
-        eprintln!("cache accounting: {hits} hits + {misses} misses == {reads} reads served");
-    }
+    // Accounting cross-check: every run-phase GET was either a hit or a
+    // miss — the cache never double-counts and never loses a lookup.
+    // Per-workload deltas exclude the load phase's own spot-check GETs.
+    let hits: u64 = cached.results.iter().filter_map(|r| r.cache_hits).sum();
+    let misses: u64 = cached.results.iter().filter_map(|r| r.cache_misses).sum();
+    let reads: u64 = cached.results.iter().map(|r| r.reads).sum();
+    assert!(hits > 0, "cached suite never hit the cache");
+    assert_eq!(
+        hits + misses,
+        reads,
+        "cache lookups ({hits} hits + {misses} misses) != GETs served ({reads})"
+    );
+    eprintln!("cache accounting: {hits} hits + {misses} misses == {reads} reads served");
 
     report_cache(&args, &baseline, &cached);
     let total_ops: u64 = (baseline.results.iter().chain(&cached.results))

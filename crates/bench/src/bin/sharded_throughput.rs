@@ -23,7 +23,6 @@
 
 use e2nvm_core::{E2Config, PaddingType, ShardedEngine};
 use e2nvm_sim::{partition_controllers, DeviceConfig, LogicalSegment, MemoryController};
-use e2nvm_telemetry::TelemetryRegistry;
 use e2nvm_workloads::zipf::{scramble, Zipfian};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -102,11 +101,6 @@ fn run_one(
 ) -> RunResult {
     let keyspace = (total_segments / 4) as u64;
     let engine = build_engine(num_shards, total_segments, seg_bytes);
-    // Live registry during the measured phase — a no-op ZST without the
-    // `telemetry` feature, so this same binary measures both the
-    // instrumented and the compiled-away configuration.
-    let registry = TelemetryRegistry::new();
-    engine.attach_telemetry(&registry);
 
     // Preload every key so the measured phase is pure UPDATE traffic.
     let mut rng = StdRng::seed_from_u64(1);
@@ -142,7 +136,6 @@ fn run_one(
     // each shard its own service time. Shards are independent serial
     // servers, so the sharded makespan is the busiest shard.
     let engine = build_engine(num_shards, total_segments, seg_bytes);
-    engine.attach_telemetry(&registry);
     let mut rng = StdRng::seed_from_u64(1);
     for key in 0..keyspace {
         let value = seeded_value(key, seg_bytes, &mut rng);
@@ -267,128 +260,4 @@ fn main() {
     let mut f = std::fs::File::create(path).unwrap();
     f.write_all(md.as_bytes()).unwrap();
     println!("\nwrote {path}");
-
-    write_overhead_record(&results, quick);
-}
-
-/// Noise-resistant instrumentation-cost probe: single-threaded UPDATE
-/// batches against a 1-shard engine, scored by the *fastest* batch —
-/// the min over repeated identical batches estimates the true service
-/// cost with scheduling noise stripped out (unlike the contended
-/// 8-thread sweep above, which on a busy host swings far more than the
-/// few-percent effect being measured).
-fn overhead_probe(seg_bytes: usize) -> f64 {
-    // Enough batches to span several seconds of wall time: the min
-    // then reliably lands in a fast CPU window even on a host with
-    // slow-period drift much larger than the effect being measured.
-    const BATCHES: usize = 400;
-    const BATCH_OPS: usize = 200;
-    let keyspace = 64u64;
-    let engine = build_engine(1, 256, seg_bytes);
-    let registry = TelemetryRegistry::new();
-    engine.attach_telemetry(&registry);
-    let mut rng = StdRng::seed_from_u64(1);
-    for key in 0..keyspace {
-        let value = seeded_value(key, seg_bytes, &mut rng);
-        engine.put(key, &value).unwrap();
-    }
-    let mut best = f64::INFINITY;
-    for batch in 0..BATCHES {
-        let t0 = Instant::now();
-        for i in 0..BATCH_OPS {
-            let key = (batch * BATCH_OPS + i) as u64 % keyspace;
-            let value = seeded_value(key, seg_bytes, &mut rng);
-            engine.put(key, &value).unwrap();
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    BATCH_OPS as f64 / best
-}
-
-/// Record this build state's numbers (`telemetry` feature on or off) and,
-/// once both states have run, compose the overhead comparison report.
-fn write_overhead_record(results: &[RunResult], quick: bool) {
-    let state = if cfg!(feature = "telemetry") {
-        "on"
-    } else {
-        "off"
-    };
-    let probe = overhead_probe(64);
-    let mut txt = format!("mode={}\n", if quick { "quick" } else { "full" });
-    txt.push_str(&format!("probe_ops_per_s={probe:.1}\n"));
-    for r in results {
-        txt.push_str(&format!(
-            "{} {} {:.1} {:.1}\n",
-            r.shards, r.ops, r.wall_ops_per_s, r.capacity_ops_per_s
-        ));
-    }
-    let txt_path = format!("results/telemetry_overhead_{state}.txt");
-    std::fs::write(&txt_path, txt).unwrap();
-    println!("wrote {txt_path} (telemetry {state})");
-
-    struct Record {
-        probe: f64,
-        rows: Vec<(usize, f64, f64)>,
-    }
-    let parse = |path: &str| -> Option<Record> {
-        let body = std::fs::read_to_string(path).ok()?;
-        let probe = body
-            .lines()
-            .find_map(|l| l.strip_prefix("probe_ops_per_s="))?
-            .parse()
-            .ok()?;
-        let rows: Vec<(usize, f64, f64)> = body
-            .lines()
-            .filter(|l| !l.contains('='))
-            .filter_map(|l| {
-                let f: Vec<&str> = l.split_whitespace().collect();
-                Some((
-                    f.first()?.parse().ok()?,
-                    f.get(2)?.parse().ok()?,
-                    f.get(3)?.parse().ok()?,
-                ))
-            })
-            .collect();
-        (!rows.is_empty()).then_some(Record { probe, rows })
-    };
-    let (Some(on), Some(off)) = (
-        parse("results/telemetry_overhead_on.txt"),
-        parse("results/telemetry_overhead_off.txt"),
-    ) else {
-        return;
-    };
-    if on.rows.len() != off.rows.len() {
-        return;
-    }
-
-    let headline = (off.probe - on.probe) / off.probe * 100.0;
-    let mut md = String::from("# Telemetry overhead: PUT throughput on vs off\n\n");
-    md.push_str(
-        "Same `sharded_throughput` binary built twice: with the `telemetry` feature \
-         (live atomics-backed counters, gauges, and histograms on the put path) and \
-         without it (every telemetry type is a zero-sized no-op). Positive deltas mean \
-         the instrumented build is slower.\n\n",
-    );
-    md.push_str(&format!(
-        "**Headline (single-threaded min-batch probe): {:.0} ops/s off vs {:.0} ops/s on \
-         → {headline:+.2}% regression** (acceptance bound: < 2%). The probe times repeated \
-         identical UPDATE batches and keeps the fastest, so host scheduling noise — far \
-         larger than the effect measured — is stripped out.\n\n",
-        off.probe, on.probe
-    ));
-    md.push_str(
-        "For context, the contended 8-thread sweep from the same runs (noisy on a
-busy host; the probe above is the comparable number):\n\n",
-    );
-    md.push_str("| shards | capacity off (ops/s) | capacity on (ops/s) | delta |\n");
-    md.push_str("|-------:|---------------------:|--------------------:|------:|\n");
-    for (a, b) in off.rows.iter().zip(on.rows.iter()) {
-        let delta = (a.2 - b.2) / a.2 * 100.0;
-        md.push_str(&format!(
-            "| {} | {:.0} | {:.0} | {:+.2}% |\n",
-            a.0, a.2, b.2, delta
-        ));
-    }
-    std::fs::write("results/telemetry_overhead.md", md).unwrap();
-    println!("wrote results/telemetry_overhead.md (probe delta {headline:+.2}%)");
 }

@@ -144,7 +144,7 @@ impl E2Engine {
         self.telemetry.refresh_clusters(&self.dap.occupancy());
     }
 
-    /// The engine's telemetry sink (disconnected no-op handles until
+    /// The engine's telemetry sink (disconnected handles until
     /// [`E2Engine::attach_telemetry`] is called).
     pub fn telemetry(&self) -> &EngineTelemetry {
         &self.telemetry

@@ -5,7 +5,7 @@
 //! histogram, placement/fallback/exhaustion counters, per-cluster DAP
 //! depth gauges, and the structured event journal shared through the
 //! attached [`TelemetryRegistry`]. All hot-path updates are relaxed
-//! atomics; with the `telemetry` feature off every call compiles away.
+//! atomics.
 //!
 //! The per-cluster gauges are rebuilt on every model install (K can
 //! change across retrains), labeled `{shard="<s>",cluster="<c>"}`.

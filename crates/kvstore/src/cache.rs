@@ -43,6 +43,7 @@ use e2nvm_telemetry::TelemetryRegistry;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Approximate per-entry DRAM bookkeeping overhead (slot + hash-map
 /// entry + allocation headers) charged against the byte budget in
@@ -134,9 +135,8 @@ impl CacheConfigBuilder {
     }
 }
 
-/// Always-on cache counters, aggregated across shards on demand —
-/// available to tests and tools even when the `telemetry` feature is
-/// compiled out.
+/// The cache's own counters, aggregated across shards on demand —
+/// available to tests and tools whether or not a registry is attached.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from DRAM.
@@ -566,15 +566,13 @@ impl<S: NvmKvStore> CachedKvStore<S> {
     /// behave exactly like [`NvmKvStore::get`]: read the inner store,
     /// fill, then apply `f` to the fetched value.
     pub fn get_with<R>(&mut self, key: u64, f: impl FnOnce(&[u8]) -> R) -> Result<Option<R>> {
-        let t0 = crate::telemetry::now_if_enabled();
+        let t0 = Instant::now();
         match self.cache.lookup_apply(key, f) {
             Ok(r) => {
-                if let Some(t0) = t0 {
-                    self.cache
-                        .telemetry()
-                        .hit_latency_ns
-                        .observe(t0.elapsed().as_nanos() as u64);
-                }
+                self.cache
+                    .telemetry()
+                    .hit_latency_ns
+                    .observe(t0.elapsed().as_nanos() as u64);
                 Ok(Some(r))
             }
             Err((version, f)) => {
@@ -583,12 +581,10 @@ impl<S: NvmKvStore> CachedKvStore<S> {
                     self.cache.fill(key, &value, version);
                     f(&value)
                 });
-                if let Some(t0) = t0 {
-                    self.cache
-                        .telemetry()
-                        .miss_latency_ns
-                        .observe(t0.elapsed().as_nanos() as u64);
-                }
+                self.cache
+                    .telemetry()
+                    .miss_latency_ns
+                    .observe(t0.elapsed().as_nanos() as u64);
                 Ok(r)
             }
         }
@@ -621,15 +617,13 @@ impl<S: NvmKvStore> NvmKvStore for CachedKvStore<S> {
     }
 
     fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>> {
-        let t0 = crate::telemetry::now_if_enabled();
+        let t0 = Instant::now();
         match self.cache.lookup(key) {
             Lookup::Hit(value) => {
-                if let Some(t0) = t0 {
-                    self.cache
-                        .telemetry()
-                        .hit_latency_ns
-                        .observe(t0.elapsed().as_nanos() as u64);
-                }
+                self.cache
+                    .telemetry()
+                    .hit_latency_ns
+                    .observe(t0.elapsed().as_nanos() as u64);
                 Ok(Some(value))
             }
             Lookup::Miss { version } => {
@@ -637,12 +631,10 @@ impl<S: NvmKvStore> NvmKvStore for CachedKvStore<S> {
                 if let Some(value) = &got {
                     self.cache.fill(key, value, version);
                 }
-                if let Some(t0) = t0 {
-                    self.cache
-                        .telemetry()
-                        .miss_latency_ns
-                        .observe(t0.elapsed().as_nanos() as u64);
-                }
+                self.cache
+                    .telemetry()
+                    .miss_latency_ns
+                    .observe(t0.elapsed().as_nanos() as u64);
                 Ok(got)
             }
         }

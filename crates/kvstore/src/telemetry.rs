@@ -1,18 +1,8 @@
 //! KV-operation telemetry: per-op counters and latency histograms for
-//! the E2-backed stores. Instrumentation is unconditional — built
-//! without the `telemetry` feature every handle is a no-op ZST.
+//! the E2-backed stores. Instrumentation is unconditional: a store
+//! nobody attached counts into private, never-rendered handles.
 
 use e2nvm_telemetry::{Counter, Gauge, Histogram, TelemetryRegistry};
-
-/// `Instant::now()` only in telemetry builds: the explicit-timing
-/// counterpart of `Histogram::start_timer` for paths where the drop
-/// guard's borrow would conflict with later `&mut self` calls. With
-/// the feature off every histogram is a no-op ZST, so this skips the
-/// clock read entirely instead of timing into the void.
-#[inline]
-pub(crate) fn now_if_enabled() -> Option<std::time::Instant> {
-    cfg!(feature = "telemetry").then(std::time::Instant::now)
-}
 
 /// Latency bucket bounds in nanoseconds for KV operations (put spans
 /// padding + prediction + device write; scans can touch many segments).
@@ -47,8 +37,8 @@ impl Default for StoreTelemetry {
 }
 
 impl StoreTelemetry {
-    /// A sink wired to nothing: counters count into thin air (or are
-    /// no-ops entirely with the feature off).
+    /// A sink wired to nothing: counters count into private handles no
+    /// registry renders.
     pub fn disconnected() -> Self {
         Self {
             registry: None,
@@ -112,8 +102,7 @@ const CACHE_LATENCY_BOUNDS: [u64; 8] =
 
 /// Telemetry sink for a [`crate::HotCache`]: hit/miss/eviction
 /// counters, occupancy gauges, and hit-vs-miss latency histograms, all
-/// under the `e2nvm_cache_*` namespace. Built without the `telemetry`
-/// feature every handle is a no-op ZST.
+/// under the `e2nvm_cache_*` namespace.
 #[derive(Clone, Debug)]
 pub struct CacheTelemetry {
     registry: Option<TelemetryRegistry>,

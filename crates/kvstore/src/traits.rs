@@ -99,7 +99,7 @@ pub trait NvmKvStore {
 /// Exercise a store with a deterministic CRUD workload and verify
 /// results against a shadow `BTreeMap` — shared by every structure's
 /// tests.
-#[cfg(any(test, feature = "test-utils"))]
+#[cfg(test)]
 pub fn check_against_shadow(
     store: &mut dyn NvmKvStore,
     ops: usize,

@@ -3,9 +3,7 @@
 //! [`DeviceTelemetry`] bundles the metric handles the [`crate::NvmDevice`]
 //! updates at its accounting chokepoints. A freshly built device carries
 //! disconnected handles; [`crate::NvmDevice::attach_telemetry`] swaps in
-//! handles registered on a shared [`TelemetryRegistry`]. With the
-//! `telemetry` feature off every handle is a zero-sized no-op and the
-//! whole sink compiles away.
+//! handles registered on a shared [`TelemetryRegistry`].
 //!
 //! The counter set mirrors [`crate::DeviceStats`] field-for-field (the
 //! integer fields), updated at the same three accounting sites

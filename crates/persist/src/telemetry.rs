@@ -1,7 +1,6 @@
 //! Persistence telemetry: WAL and snapshot counters under the
 //! `e2nvm_persist_*` namespace, composing with the device/engine/store/
-//! server series on the same registry. Zero-sized no-ops without the
-//! `telemetry` feature, like every other sink in the workspace.
+//! server series on the same registry.
 
 use e2nvm_telemetry::{Counter, Gauge, TelemetryRegistry};
 

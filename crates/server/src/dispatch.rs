@@ -22,6 +22,7 @@ use crate::telemetry::ServerTelemetry;
 use e2nvm_core::E2Error;
 use e2nvm_kvstore::{CachedKvStore, NvmKvStore, ShardedE2KvStore, StoreError};
 use e2nvm_telemetry::TelemetryRegistry;
+use std::time::Instant;
 
 /// What the connection handlers serve from: the bare sharded store, or
 /// the same store behind a read-through cache. Clones share both the
@@ -184,9 +185,8 @@ impl ExecCtx {
                 Work::Req(req) => {
                     // Timed explicitly (not via the histogram's drop
                     // guard, which would hold a borrow of the telemetry
-                    // struct across the `&mut self` dispatch), and only
-                    // when the observation can go somewhere.
-                    let t0 = crate::telemetry::now_if_enabled();
+                    // struct across the `&mut self` dispatch).
+                    let t0 = Instant::now();
                     let op = req.opcode();
                     self.telemetry.count_frame(op);
                     match req {
@@ -229,11 +229,9 @@ impl ExecCtx {
                             encode_response(&resp, Some(op), outbuf);
                         }
                     }
-                    if let Some(t0) = t0 {
-                        self.telemetry
-                            .frame_latency_ns
-                            .observe(t0.elapsed().as_nanos() as u64);
-                    }
+                    self.telemetry
+                        .frame_latency_ns
+                        .observe(t0.elapsed().as_nanos() as u64);
                     if outcome.close {
                         break;
                     }

@@ -7,15 +7,6 @@
 use crate::frame::{Opcode, Status};
 use e2nvm_telemetry::{Counter, Gauge, Histogram, TelemetryRegistry};
 
-/// `Instant::now()` only in telemetry builds. Without the feature every
-/// histogram is a no-op ZST, so this skips the clock read on the
-/// per-frame hot path instead of timing into the void (clock reads are
-/// not free, especially under virtualised clocksources).
-#[inline]
-pub(crate) fn now_if_enabled() -> Option<std::time::Instant> {
-    cfg!(feature = "telemetry").then(std::time::Instant::now)
-}
-
 /// Latency bucket bounds in nanoseconds for one served frame (decode →
 /// store call → response encode; excludes socket wait).
 const FRAME_LATENCY_BOUNDS: [u64; 8] = [
@@ -32,8 +23,7 @@ const FRAME_LATENCY_BOUNDS: [u64; 8] = [
 /// Telemetry sink for one server instance.
 ///
 /// Cheap to clone (handles are `Arc`-backed); every connection thread
-/// clones the sink, so all connections share the same series. Without
-/// the `telemetry` feature every field is a zero-sized no-op.
+/// clones the sink, so all connections share the same series.
 #[derive(Clone, Debug)]
 pub struct ServerTelemetry {
     /// Served frames per opcode (`e2nvm_server_frames_total{op=...}`).
@@ -111,8 +101,8 @@ const STATUSES: [Status; 11] = [
 ];
 
 impl ServerTelemetry {
-    /// A sink wired to nothing (counters count into thin air, or are
-    /// compile-time no-ops without the `telemetry` feature).
+    /// A sink wired to nothing: counters count into private handles no
+    /// registry renders.
     pub fn disconnected() -> Self {
         Self {
             frames: std::array::from_fn(|_| Counter::disconnected()),

@@ -15,11 +15,11 @@
 
 use crate::dispatch::{ExecCtx, Work};
 use crate::sys::Waker;
-use crate::telemetry::now_if_enabled;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// One connection's queued items, headed for a worker.
 pub(crate) struct Job {
@@ -133,15 +133,13 @@ fn worker_loop(shared: Arc<Shared>, mut ctx: ExecCtx) {
                 }
             }
         };
-        let t0 = now_if_enabled();
+        let t0 = Instant::now();
         let mut bytes = Vec::with_capacity(job.items.len() * 16);
         let outcome = ctx.exec_batch(job.items, &mut bytes);
         ctx.telemetry.worker_batches.inc();
-        if let Some(t0) = t0 {
-            ctx.telemetry
-                .worker_busy_ns
-                .add(t0.elapsed().as_nanos() as u64);
-        }
+        ctx.telemetry
+            .worker_busy_ns
+            .add(t0.elapsed().as_nanos() as u64);
         let mut completions = shared.completions.lock().unwrap();
         completions.push_back(Completion {
             token: job.token,

@@ -9,10 +9,13 @@ use e2nvm_server::demo::demo_store;
 use e2nvm_server::{CacheConfig, Client, Server, ServerConfig, ServerHandle};
 use e2nvm_telemetry::TelemetryRegistry;
 
-/// A cache-fronted server on an ephemeral loopback port, with its
-/// telemetry registered so the METRICS frame exposes `e2nvm_cache_*`.
+/// A cache-fronted 2-shard server on an ephemeral loopback port, with
+/// store and server telemetry registered so the METRICS frame exposes
+/// the per-shard device/engine series and `e2nvm_cache_*`.
 fn start_cached_server() -> (ServerHandle, TelemetryRegistry) {
-    let store = demo_store(2, 64, 32, 11);
+    let registry = TelemetryRegistry::new();
+    let mut store = demo_store(2, 64, 32, 11);
+    store.attach_telemetry(&registry);
     let config = ServerConfig::builder()
         .cache(
             CacheConfig::builder()
@@ -22,7 +25,6 @@ fn start_cached_server() -> (ServerHandle, TelemetryRegistry) {
         )
         .build()
         .expect("valid config");
-    let registry = TelemetryRegistry::new();
     let handle = Server::new(store, config)
         .with_telemetry(&registry)
         .start()
@@ -106,12 +108,10 @@ fn ping_pong_writes_never_serve_stale() {
     handle.join();
 }
 
-/// With the `telemetry` feature the shared cache's counters are
-/// visible through the METRICS frame, and repeated hot reads are
-/// actually served from the cache (hits advance), proving the
-/// cross-connection reads above exercised the cache rather than a
-/// cache that silently never engaged.
-#[cfg(feature = "telemetry")]
+/// The shared cache's counters are visible through the METRICS frame,
+/// and repeated hot reads are actually served from the cache (hits
+/// advance), proving the cross-connection reads above exercised the
+/// cache rather than a cache that silently never engaged.
 #[test]
 fn metrics_prove_cache_engagement() {
     let (handle, _registry) = start_cached_server();
@@ -138,6 +138,34 @@ fn metrics_prove_cache_engagement() {
     assert!(hits >= 9, "expected >= 9 cache hits, got {hits}");
     assert_eq!(hits + misses, 10, "every GET is either a hit or a miss");
     assert!(value("e2nvm_cache_invalidations_total") >= 1);
+
+    // Text-format grouping on a 2-shard store, whose per-shard series
+    // are registered shard by shard: every family is announced by
+    // exactly one HELP and one TYPE line, and every sample sits under
+    // the latest announcement — so no family's lines are split by
+    // another's.
+    assert!(metrics.contains("e2nvm_device_writes_total{shard=\"1\"}"));
+    let (mut helps, mut types) = (Vec::new(), Vec::new());
+    for line in metrics.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            helps.push(rest.split(' ').next().unwrap());
+        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let family = rest.split(' ').next().unwrap();
+            assert!(!types.contains(&family), "{family} announced twice");
+            types.push(family);
+        } else {
+            let series = line.split(['{', ' ']).next().unwrap();
+            let family = *types.last().expect("sample before any TYPE line");
+            assert!(
+                matches!(
+                    series.strip_prefix(family),
+                    Some("" | "_bucket" | "_sum" | "_count")
+                ),
+                "sample `{line}` sits under family `{family}`:\n{metrics}"
+            );
+        }
+    }
+    assert_eq!(helps, types, "HELP and TYPE lines pair up");
 
     client.shutdown_server().expect("clean shutdown");
     handle.join();

@@ -12,8 +12,8 @@ use e2nvm_telemetry::TelemetryRegistry;
 
 /// Boot a reactor server over a device with a deliberately tiny
 /// endurance budget so segments retire within a few hundred writes.
-/// Telemetry is registered so (with the `telemetry` feature) the wear
-/// gauges show up in the METRICS exposition.
+/// Telemetry is registered so the wear gauges show up in the METRICS
+/// exposition.
 fn start_wearing_server() -> (ServerHandle, TelemetryRegistry) {
     let store = demo_store_with_fault(
         4,
@@ -112,10 +112,9 @@ fn rising_wear_is_visible_through_health_before_pool_depletion() {
     handle.join();
 }
 
-/// With the `telemetry` feature compiled in, the same wear numbers are
-/// scrapeable as text: serving a HEALTH or METRICS frame refreshes the
-/// `e2nvm_server_wear_*` gauges from the store.
-#[cfg(feature = "telemetry")]
+/// The same wear numbers are scrapeable as text: serving a HEALTH or
+/// METRICS frame refreshes the `e2nvm_server_wear_*` gauges from the
+/// store.
 #[test]
 fn wear_gauges_appear_in_metrics_exposition() {
     let (handle, _registry) = start_wearing_server();

@@ -8,6 +8,11 @@
 //! dropped and counted, so the journal is safe to leave attached
 //! forever.
 
+use parking_lot::Mutex;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{SystemTime, UNIX_EPOCH};
+
 /// A structured control-plane event emitted by the serving stack.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Event {
@@ -111,148 +116,85 @@ impl Event {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::Event;
-    use parking_lot::Mutex;
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::{SystemTime, UNIX_EPOCH};
-
-    /// An [`Event`] plus the journal's bookkeeping: a monotonic
-    /// sequence number and the unix timestamp (milliseconds) at which
-    /// it was recorded.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct TimedEvent {
-        /// Monotonic sequence number within the journal.
-        pub seq: u64,
-        /// Unix timestamp in milliseconds at record time.
-        pub unix_ms: u64,
-        /// The recorded event.
-        pub event: Event,
-    }
-
-    /// Bounded ring of [`TimedEvent`]s; drop-oldest when full.
-    #[derive(Debug)]
-    pub struct EventJournal {
-        ring: Mutex<VecDeque<TimedEvent>>,
-        capacity: usize,
-        next_seq: AtomicU64,
-        dropped: AtomicU64,
-    }
-
-    impl EventJournal {
-        /// A journal holding at most `capacity` events. Capacity 0 is a
-        /// legal "disconnected" journal that records nothing.
-        pub fn with_capacity(capacity: usize) -> Self {
-            EventJournal {
-                ring: Mutex::new(VecDeque::with_capacity(capacity)),
-                capacity,
-                next_seq: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-            }
-        }
-
-        /// Append `event`, evicting the oldest entry when full.
-        pub fn record(&self, event: Event) {
-            if self.capacity == 0 {
-                return;
-            }
-            let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-            let unix_ms = SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
-                .unwrap_or(0);
-            let mut ring = self.ring.lock();
-            if ring.len() == self.capacity {
-                ring.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            ring.push_back(TimedEvent {
-                seq,
-                unix_ms,
-                event,
-            });
-        }
-
-        /// All currently retained events, oldest first.
-        pub fn snapshot(&self) -> Vec<TimedEvent> {
-            self.ring.lock().iter().cloned().collect()
-        }
-
-        /// Total events ever recorded (including since-dropped ones).
-        pub fn recorded(&self) -> u64 {
-            self.next_seq.load(Ordering::Relaxed)
-        }
-
-        /// Events evicted to make room for newer ones.
-        pub fn dropped(&self) -> u64 {
-            self.dropped.load(Ordering::Relaxed)
-        }
-
-        /// Maximum number of retained events.
-        pub fn capacity(&self) -> usize {
-            self.capacity
-        }
-    }
+/// An [`Event`] plus the journal's bookkeeping: a monotonic
+/// sequence number and the unix timestamp (milliseconds) at which
+/// it was recorded.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TimedEvent {
+    /// Monotonic sequence number within the journal.
+    pub seq: u64,
+    /// Unix timestamp in milliseconds at record time.
+    pub unix_ms: u64,
+    /// The recorded event.
+    pub event: Event,
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::Event;
-
-    /// No-op timed event (telemetry disabled at compile time).
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct TimedEvent {
-        /// Monotonic sequence number (never produced in this build).
-        pub seq: u64,
-        /// Unix timestamp in milliseconds (never produced).
-        pub unix_ms: u64,
-        /// The recorded event (never produced).
-        pub event: Event,
-    }
-
-    /// No-op journal (telemetry disabled at compile time).
-    #[derive(Debug, Default)]
-    pub struct EventJournal;
-
-    impl EventJournal {
-        /// A journal that records nothing, whatever its capacity.
-        pub fn with_capacity(_capacity: usize) -> Self {
-            EventJournal
-        }
-
-        /// Append an event (no-op).
-        #[inline(always)]
-        pub fn record(&self, _event: Event) {}
-
-        /// Retained events (always empty).
-        pub fn snapshot(&self) -> Vec<TimedEvent> {
-            Vec::new()
-        }
-
-        /// Total events ever recorded (always 0).
-        pub fn recorded(&self) -> u64 {
-            0
-        }
-
-        /// Events evicted (always 0).
-        pub fn dropped(&self) -> u64 {
-            0
-        }
-
-        /// Maximum retained events (always 0).
-        pub fn capacity(&self) -> usize {
-            0
-        }
-    }
+/// Bounded ring of [`TimedEvent`]s; drop-oldest when full.
+#[derive(Debug)]
+pub struct EventJournal {
+    ring: Mutex<VecDeque<TimedEvent>>,
+    capacity: usize,
+    next_seq: AtomicU64,
+    dropped: AtomicU64,
 }
 
-pub use imp::{EventJournal, TimedEvent};
+impl EventJournal {
+    /// A journal holding at most `capacity` events. Capacity 0 is a
+    /// legal "disconnected" journal that records nothing.
+    pub fn with_capacity(capacity: usize) -> Self {
+        EventJournal {
+            ring: Mutex::new(VecDeque::with_capacity(capacity)),
+            capacity,
+            next_seq: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+        }
+    }
+
+    /// Append `event`, evicting the oldest entry when full.
+    pub fn record(&self, event: Event) {
+        if self.capacity == 0 {
+            return;
+        }
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let unix_ms = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
+            .unwrap_or(0);
+        let mut ring = self.ring.lock();
+        if ring.len() == self.capacity {
+            ring.pop_front();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        ring.push_back(TimedEvent {
+            seq,
+            unix_ms,
+            event,
+        });
+    }
+
+    /// All currently retained events, oldest first.
+    pub fn snapshot(&self) -> Vec<TimedEvent> {
+        self.ring.lock().iter().cloned().collect()
+    }
+
+    /// Total events ever recorded (including since-dropped ones).
+    pub fn recorded(&self) -> u64 {
+        self.next_seq.load(Ordering::Relaxed)
+    }
+
+    /// Events evicted to make room for newer ones.
+    pub fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Maximum number of retained events.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+}
 
 impl TimedEvent {
     /// Render this event as a single JSON object.
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     pub(crate) fn to_json(&self) -> String {
         let mut fields = format!(
             "\"seq\":{},\"unix_ms\":{},\"kind\":\"{}\"",
@@ -317,7 +259,7 @@ impl TimedEvent {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -19,15 +19,13 @@
 //! [`TelemetryRegistry::snapshot_json`] a self-contained JSON document
 //! including recent journal entries.
 //!
-//! ## The `enabled` feature
+//! ## One build
 //!
-//! With the `enabled` feature **off** (the default), every type here is
-//! a zero-sized struct whose methods are empty `#[inline]` bodies — an
-//! instrumented call site like `sink.writes.inc()` compiles to nothing.
-//! Crates in this workspace therefore instrument unconditionally and
-//! expose their own `telemetry` forwarding feature; turning it on flips
-//! this crate to the real atomics-backed implementation. No `#[cfg]`
-//! appears outside this crate.
+//! Every type here is atomics-backed in every build. Crates in this
+//! workspace instrument unconditionally: each holds a `*Telemetry`
+//! handle bundle that starts `disconnected()` (private `Arc`s nobody
+//! renders) and is swapped for a registered one by `attach_telemetry`
+//! / `with_telemetry`.
 //!
 //! ```
 //! use e2nvm_telemetry::{Event, TelemetryRegistry};
@@ -39,7 +37,6 @@
 //! latency.observe(250);
 //! registry.journal().record(Event::RetrainStarted { shard: 0 });
 //! let text = registry.render_prometheus();
-//! # #[cfg(feature = "enabled")]
 //! assert!(text.contains("demo_writes_total 1"));
 //! ```
 
@@ -53,17 +50,10 @@ pub use journal::{Event, EventJournal, TimedEvent};
 pub use metrics::{Counter, Gauge, Histogram, HistogramTimer};
 pub use registry::TelemetryRegistry;
 
-/// Whether this build carries the real instrumentation (`enabled`
-/// feature) or the zero-cost no-op stand-ins.
-pub const fn is_enabled() -> bool {
-    cfg!(feature = "enabled")
-}
-
 /// Minimal JSON string escaping (quotes, backslashes, control chars) —
 /// shared by the JSON renderers; metric and label names are expected to
 /// be plain identifiers, but escaping keeps the output well-formed for
 /// any input.
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

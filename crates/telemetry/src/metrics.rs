@@ -3,303 +3,191 @@
 //!
 //! Handles are cheap to clone (`Arc` around atomics) and updated with
 //! `Ordering::Relaxed` — each metric is an independent statistical
-//! accumulator, so no cross-metric ordering is required. With the
-//! `enabled` feature off, every type in this module is a zero-sized
-//! stand-in whose methods are empty `#[inline]` bodies.
+//! accumulator, so no cross-metric ordering is required.
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::Instant;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
-    /// Monotonically increasing counter.
-    ///
-    /// Counters never decrease and are never reset: consumers that want
-    /// deltas (e.g. per-interval rates) subtract successive reads, the
-    /// same contract Prometheus counters have.
-    #[derive(Clone, Debug, Default)]
-    pub struct Counter(Arc<AtomicU64>);
+/// Monotonically increasing counter.
+///
+/// Counters never decrease and are never reset: consumers that want
+/// deltas (e.g. per-interval rates) subtract successive reads, the
+/// same contract Prometheus counters have.
+#[derive(Clone, Debug, Default)]
+pub struct Counter(Arc<AtomicU64>);
 
-    impl Counter {
-        /// A counter not attached to any registry; updates are kept but
-        /// never rendered. Useful as a default sink.
-        pub fn disconnected() -> Self {
-            Self::default()
-        }
-
-        /// Increment by one.
-        #[inline]
-        pub fn inc(&self) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
-
-        /// Add `delta` to the counter.
-        #[inline]
-        pub fn add(&self, delta: u64) {
-            // Skipping zero deltas keeps accounting-style call sites
-            // (which unconditionally add per-op quantities, several of
-            // which are usually 0) off the RMW for free: a predicted
-            // branch is cheaper than a relaxed fetch_add.
-            if delta != 0 {
-                self.0.fetch_add(delta, Ordering::Relaxed);
-            }
-        }
-
-        /// Current value.
-        #[inline]
-        pub fn get(&self) -> u64 {
-            self.0.load(Ordering::Relaxed)
-        }
+impl Counter {
+    /// A counter not attached to any registry; updates are kept but
+    /// never rendered. Useful as a default sink.
+    pub fn disconnected() -> Self {
+        Self::default()
     }
 
-    /// Signed instantaneous value (free-list depth, queue length, ...).
-    #[derive(Clone, Debug, Default)]
-    pub struct Gauge(Arc<AtomicI64>);
+    /// Increment by one.
+    #[inline]
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
 
-    impl Gauge {
-        /// A gauge not attached to any registry.
-        pub fn disconnected() -> Self {
-            Self::default()
-        }
-
-        /// Set the gauge to `value`.
-        #[inline]
-        pub fn set(&self, value: i64) {
-            self.0.store(value, Ordering::Relaxed);
-        }
-
-        /// Add `delta` to the gauge.
-        #[inline]
-        pub fn add(&self, delta: i64) {
+    /// Add `delta` to the counter.
+    #[inline]
+    pub fn add(&self, delta: u64) {
+        // Skipping zero deltas keeps accounting-style call sites
+        // (which unconditionally add per-op quantities, several of
+        // which are usually 0) off the RMW for free: a predicted
+        // branch is cheaper than a relaxed fetch_add.
+        if delta != 0 {
             self.0.fetch_add(delta, Ordering::Relaxed);
         }
-
-        /// Subtract `delta` from the gauge.
-        #[inline]
-        pub fn sub(&self, delta: i64) {
-            self.0.fetch_sub(delta, Ordering::Relaxed);
-        }
-
-        /// Current value.
-        #[inline]
-        pub fn get(&self) -> i64 {
-            self.0.load(Ordering::Relaxed)
-        }
     }
 
-    #[derive(Debug)]
-    struct HistogramCore {
-        /// Upper bounds of the finite buckets, strictly increasing. An
-        /// implicit `+Inf` bucket follows.
-        bounds: Vec<u64>,
-        /// Per-bucket observation counts, `bounds.len() + 1` entries
-        /// (the last one is the `+Inf` overflow bucket). The total
-        /// observation count is the sum of these — not a separate
-        /// atomic, keeping `observe` at two RMWs.
-        buckets: Vec<AtomicU64>,
-        sum: AtomicU64,
-    }
-
-    /// Fixed-bucket histogram over `u64` observations (nanoseconds, bit
-    /// counts, ...). Buckets are chosen at registration time; observing
-    /// is two relaxed atomic adds plus a branchless-ish bucket scan over
-    /// a handful of bounds.
-    #[derive(Clone, Debug)]
-    pub struct Histogram(Arc<HistogramCore>);
-
-    impl Histogram {
-        /// A histogram not attached to any registry.
-        pub fn disconnected(bounds: &[u64]) -> Self {
-            let mut sorted: Vec<u64> = bounds.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            let buckets = (0..=sorted.len()).map(|_| AtomicU64::new(0)).collect();
-            Histogram(Arc::new(HistogramCore {
-                bounds: sorted,
-                buckets,
-                sum: AtomicU64::new(0),
-            }))
-        }
-
-        /// Record one sample into its bucket.
-        #[inline]
-        pub fn observe(&self, value: u64) {
-            let core = &*self.0;
-            let idx = core
-                .bounds
-                .iter()
-                .position(|&b| value <= b)
-                .unwrap_or(core.bounds.len());
-            core.buckets[idx].fetch_add(1, Ordering::Relaxed);
-            core.sum.fetch_add(value, Ordering::Relaxed);
-        }
-
-        /// Start a timer that observes the elapsed wall time in
-        /// nanoseconds when dropped.
-        #[inline]
-        pub fn start_timer(&self) -> HistogramTimer<'_> {
-            HistogramTimer {
-                histogram: self,
-                start: Instant::now(),
-            }
-        }
-
-        /// Total observations (sum over all buckets).
-        pub fn count(&self) -> u64 {
-            self.0
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .sum()
-        }
-
-        /// Sum of all observed values.
-        pub fn sum(&self) -> u64 {
-            self.0.sum.load(Ordering::Relaxed)
-        }
-
-        /// Finite bucket upper bounds (the trailing `+Inf` bucket is
-        /// implicit).
-        pub fn bounds(&self) -> &[u64] {
-            &self.0.bounds
-        }
-
-        /// Per-bucket (non-cumulative) counts; the final entry is the
-        /// `+Inf` overflow bucket.
-        pub fn bucket_counts(&self) -> Vec<u64> {
-            self.0
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect()
-        }
-    }
-
-    /// Drop guard returned by [`Histogram::start_timer`]; records the
-    /// elapsed nanoseconds into the histogram when it goes out of scope.
-    #[derive(Debug)]
-    pub struct HistogramTimer<'a> {
-        histogram: &'a Histogram,
-        start: Instant,
-    }
-
-    impl Drop for HistogramTimer<'_> {
-        fn drop(&mut self) {
-            let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.histogram.observe(ns);
-        }
+    /// Current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use std::marker::PhantomData;
+/// Signed instantaneous value (free-list depth, queue length, ...).
+#[derive(Clone, Debug, Default)]
+pub struct Gauge(Arc<AtomicI64>);
 
-    /// No-op counter (telemetry disabled at compile time).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Counter;
-
-    impl Counter {
-        /// A counter attached to nothing (all of them, in this build).
-        pub fn disconnected() -> Self {
-            Counter
-        }
-
-        /// Increment by one (no-op).
-        #[inline(always)]
-        pub fn inc(&self) {}
-
-        /// Add `delta` (no-op).
-        #[inline(always)]
-        pub fn add(&self, _delta: u64) {}
-
-        /// Current value (always 0).
-        #[inline(always)]
-        pub fn get(&self) -> u64 {
-            0
-        }
+impl Gauge {
+    /// A gauge not attached to any registry.
+    pub fn disconnected() -> Self {
+        Self::default()
     }
 
-    /// No-op gauge (telemetry disabled at compile time).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Gauge;
-
-    impl Gauge {
-        /// A gauge attached to nothing (all of them, in this build).
-        pub fn disconnected() -> Self {
-            Gauge
-        }
-
-        /// Set the value (no-op).
-        #[inline(always)]
-        pub fn set(&self, _value: i64) {}
-
-        /// Add `delta` (no-op).
-        #[inline(always)]
-        pub fn add(&self, _delta: i64) {}
-
-        /// Subtract `delta` (no-op).
-        #[inline(always)]
-        pub fn sub(&self, _delta: i64) {}
-
-        /// Current value (always 0).
-        #[inline(always)]
-        pub fn get(&self) -> i64 {
-            0
-        }
+    /// Set the gauge to `value`.
+    #[inline]
+    pub fn set(&self, value: i64) {
+        self.0.store(value, Ordering::Relaxed);
     }
 
-    /// No-op histogram (telemetry disabled at compile time).
-    #[derive(Clone, Copy, Debug)]
-    pub struct Histogram;
-
-    impl Histogram {
-        /// A histogram attached to nothing (all of them, in this build).
-        pub fn disconnected(_bounds: &[u64]) -> Self {
-            Histogram
-        }
-
-        /// Record one sample (no-op).
-        #[inline(always)]
-        pub fn observe(&self, _value: u64) {}
-
-        /// No-op timer: never reads the clock.
-        #[inline(always)]
-        pub fn start_timer(&self) -> HistogramTimer<'_> {
-            HistogramTimer(PhantomData)
-        }
-
-        /// Total samples observed (always 0).
-        pub fn count(&self) -> u64 {
-            0
-        }
-
-        /// Sum of all samples (always 0).
-        pub fn sum(&self) -> u64 {
-            0
-        }
-
-        /// Finite bucket upper bounds (always empty).
-        pub fn bounds(&self) -> &[u64] {
-            &[]
-        }
-
-        /// Per-bucket counts (always empty).
-        pub fn bucket_counts(&self) -> Vec<u64> {
-            Vec::new()
-        }
+    /// Add `delta` to the gauge.
+    #[inline]
+    pub fn add(&self, delta: i64) {
+        self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// No-op drop guard; carries the histogram lifetime so the API
-    /// matches the enabled build exactly.
-    #[derive(Debug)]
-    pub struct HistogramTimer<'a>(PhantomData<&'a ()>);
+    /// Subtract `delta` from the gauge.
+    #[inline]
+    pub fn sub(&self, delta: i64) {
+        self.0.fetch_sub(delta, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    #[inline]
+    pub fn get(&self) -> i64 {
+        self.0.load(Ordering::Relaxed)
+    }
 }
 
-pub use imp::{Counter, Gauge, Histogram, HistogramTimer};
+#[derive(Debug)]
+struct HistogramCore {
+    /// Upper bounds of the finite buckets, strictly increasing. An
+    /// implicit `+Inf` bucket follows.
+    bounds: Vec<u64>,
+    /// Per-bucket observation counts, `bounds.len() + 1` entries
+    /// (the last one is the `+Inf` overflow bucket). The total
+    /// observation count is the sum of these — not a separate
+    /// atomic, keeping `observe` at two RMWs.
+    buckets: Vec<AtomicU64>,
+    sum: AtomicU64,
+}
 
-#[cfg(all(test, feature = "enabled"))]
+/// Fixed-bucket histogram over `u64` observations (nanoseconds, bit
+/// counts, ...). Buckets are chosen at registration time; observing
+/// is two relaxed atomic adds plus a branchless-ish bucket scan over
+/// a handful of bounds.
+#[derive(Clone, Debug)]
+pub struct Histogram(Arc<HistogramCore>);
+
+impl Histogram {
+    /// A histogram not attached to any registry.
+    pub fn disconnected(bounds: &[u64]) -> Self {
+        let mut sorted: Vec<u64> = bounds.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let buckets = (0..=sorted.len()).map(|_| AtomicU64::new(0)).collect();
+        Histogram(Arc::new(HistogramCore {
+            bounds: sorted,
+            buckets,
+            sum: AtomicU64::new(0),
+        }))
+    }
+
+    /// Record one sample into its bucket.
+    #[inline]
+    pub fn observe(&self, value: u64) {
+        let core = &*self.0;
+        let idx = core
+            .bounds
+            .iter()
+            .position(|&b| value <= b)
+            .unwrap_or(core.bounds.len());
+        core.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        core.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// Start a timer that observes the elapsed wall time in
+    /// nanoseconds when dropped.
+    #[inline]
+    pub fn start_timer(&self) -> HistogramTimer<'_> {
+        HistogramTimer {
+            histogram: self,
+            start: Instant::now(),
+        }
+    }
+
+    /// Total observations (sum over all buckets).
+    pub fn count(&self) -> u64 {
+        self.0
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Sum of all observed values.
+    pub fn sum(&self) -> u64 {
+        self.0.sum.load(Ordering::Relaxed)
+    }
+
+    /// Finite bucket upper bounds (the trailing `+Inf` bucket is
+    /// implicit).
+    pub fn bounds(&self) -> &[u64] {
+        &self.0.bounds
+    }
+
+    /// Per-bucket (non-cumulative) counts; the final entry is the
+    /// `+Inf` overflow bucket.
+    pub fn bucket_counts(&self) -> Vec<u64> {
+        self.0
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect()
+    }
+}
+
+/// Drop guard returned by [`Histogram::start_timer`]; records the
+/// elapsed nanoseconds into the histogram when it goes out of scope.
+#[derive(Debug)]
+pub struct HistogramTimer<'a> {
+    histogram: &'a Histogram,
+    start: Instant,
+}
+
+impl Drop for HistogramTimer<'_> {
+    fn drop(&mut self) {
+        let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.histogram.observe(ns);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -7,448 +7,346 @@
 //! the *same* underlying handle, so independent components can share a
 //! series without coordination.
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use crate::journal::EventJournal;
-    use crate::json_escape;
-    use crate::metrics::{Counter, Gauge, Histogram};
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+use crate::journal::EventJournal;
+use crate::json_escape;
+use crate::metrics::{Counter, Gauge, Histogram};
+use parking_lot::Mutex;
+use std::sync::Arc;
 
-    const DEFAULT_JOURNAL_CAPACITY: usize = 256;
+const DEFAULT_JOURNAL_CAPACITY: usize = 256;
 
-    type Labels = Vec<(String, String)>;
+type Labels = Vec<(String, String)>;
 
-    struct Series<H> {
-        name: String,
-        help: String,
-        labels: Labels,
-        handle: H,
+struct Series<H> {
+    name: String,
+    help: String,
+    labels: Labels,
+    handle: H,
+}
+
+struct Inner {
+    counters: Mutex<Vec<Series<Counter>>>,
+    gauges: Mutex<Vec<Series<Gauge>>>,
+    histograms: Mutex<Vec<Series<Histogram>>>,
+    journal: EventJournal,
+}
+
+/// Shared handle to a set of metrics plus an event journal.
+/// Cloning is cheap and clones observe the same underlying state.
+#[derive(Clone)]
+pub struct TelemetryRegistry {
+    inner: Arc<Inner>,
+}
+
+impl std::fmt::Debug for TelemetryRegistry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TelemetryRegistry")
+            .field("counters", &self.inner.counters.lock().len())
+            .field("gauges", &self.inner.gauges.lock().len())
+            .field("histograms", &self.inner.histograms.lock().len())
+            .finish()
+    }
+}
+
+impl Default for TelemetryRegistry {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+fn canonical(labels: &[(&str, &str)]) -> Labels {
+    let mut out: Labels = labels
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    out.sort();
+    out
+}
+
+fn get_or_insert<H: Clone>(
+    series: &Mutex<Vec<Series<H>>>,
+    name: &str,
+    help: &str,
+    labels: &[(&str, &str)],
+    make: impl FnOnce() -> H,
+) -> H {
+    let labels = canonical(labels);
+    let mut series = series.lock();
+    if let Some(s) = series.iter().find(|s| s.name == name && s.labels == labels) {
+        return s.handle.clone();
+    }
+    let handle = make();
+    series.push(Series {
+        name: name.to_string(),
+        help: help.to_string(),
+        labels,
+        handle: handle.clone(),
+    });
+    handle
+}
+
+/// `series` regrouped so each family's label sets are contiguous:
+/// families in first-registration order, label sets in registration
+/// order within a family. The text exposition format requires all
+/// lines of a family in one group under its single HELP/TYPE header,
+/// and per-shard attachment registers families interleaved.
+fn by_family<H>(series: &[Series<H>]) -> Vec<&Series<H>> {
+    let mut grouped: Vec<&Series<H>> = series.iter().collect();
+    // Stable sort: ties (same family) keep registration order.
+    grouped.sort_by_cached_key(|s| series.iter().position(|t| t.name == s.name));
+    grouped
+}
+
+fn render_labels(labels: &Labels, extra: Option<(&str, &str)>) -> String {
+    let mut pairs: Vec<String> = labels
+        .iter()
+        .map(|(k, v)| format!("{k}=\"{}\"", json_escape(v)))
+        .collect();
+    if let Some((k, v)) = extra {
+        pairs.push(format!("{k}=\"{v}\""));
+    }
+    if pairs.is_empty() {
+        String::new()
+    } else {
+        format!("{{{}}}", pairs.join(","))
+    }
+}
+
+fn labels_json(labels: &Labels) -> String {
+    let fields: Vec<String> = labels
+        .iter()
+        .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
+        .collect();
+    format!("{{{}}}", fields.join(","))
+}
+
+impl TelemetryRegistry {
+    /// A registry with the default journal capacity.
+    pub fn new() -> Self {
+        Self::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
     }
 
-    struct Inner {
-        counters: Mutex<Vec<Series<Counter>>>,
-        gauges: Mutex<Vec<Series<Gauge>>>,
-        histograms: Mutex<Vec<Series<Histogram>>>,
-        journal: EventJournal,
-    }
-
-    /// Shared handle to a set of metrics plus an event journal.
-    /// Cloning is cheap and clones observe the same underlying state.
-    #[derive(Clone)]
-    pub struct TelemetryRegistry {
-        inner: Arc<Inner>,
-    }
-
-    impl std::fmt::Debug for TelemetryRegistry {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("TelemetryRegistry")
-                .field("counters", &self.inner.counters.lock().len())
-                .field("gauges", &self.inner.gauges.lock().len())
-                .field("histograms", &self.inner.histograms.lock().len())
-                .finish()
+    /// A registry whose journal retains at most `capacity` events.
+    pub fn with_journal_capacity(capacity: usize) -> Self {
+        TelemetryRegistry {
+            inner: Arc::new(Inner {
+                counters: Mutex::new(Vec::new()),
+                gauges: Mutex::new(Vec::new()),
+                histograms: Mutex::new(Vec::new()),
+                journal: EventJournal::with_capacity(capacity),
+            }),
         }
     }
 
-    impl Default for TelemetryRegistry {
-        fn default() -> Self {
-            Self::new()
-        }
+    /// Register (or fetch) an unlabeled counter.
+    pub fn counter(&self, name: &str, help: &str) -> Counter {
+        self.counter_with_labels(name, help, &[])
     }
 
-    fn canonical(labels: &[(&str, &str)]) -> Labels {
-        let mut out: Labels = labels
+    /// Register (or fetch) a counter distinguished by `labels`.
+    pub fn counter_with_labels(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
+        get_or_insert(&self.inner.counters, name, help, labels, Counter::default)
+    }
+
+    /// Register (or fetch) an unlabeled gauge.
+    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
+        self.gauge_with_labels(name, help, &[])
+    }
+
+    /// Register (or fetch) a gauge distinguished by `labels`.
+    pub fn gauge_with_labels(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
+        get_or_insert(&self.inner.gauges, name, help, labels, Gauge::default)
+    }
+
+    /// Register (or fetch) an unlabeled histogram with `bounds`.
+    pub fn histogram(&self, name: &str, help: &str, bounds: &[u64]) -> Histogram {
+        self.histogram_with_labels(name, help, bounds, &[])
+    }
+
+    /// Register (or fetch) a histogram distinguished by `labels`.
+    pub fn histogram_with_labels(
+        &self,
+        name: &str,
+        help: &str,
+        bounds: &[u64],
+        labels: &[(&str, &str)],
+    ) -> Histogram {
+        get_or_insert(&self.inner.histograms, name, help, labels, || {
+            Histogram::disconnected(bounds)
+        })
+    }
+
+    /// Sum of a counter family across every label combination.
+    pub fn counter_total(&self, name: &str) -> u64 {
+        self.inner
+            .counters
+            .lock()
             .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        out.sort();
+            .filter(|s| s.name == name)
+            .map(|s| s.handle.get())
+            .sum()
+    }
+
+    /// Sum of a gauge family across every label combination.
+    pub fn gauge_total(&self, name: &str) -> i64 {
+        self.inner
+            .gauges
+            .lock()
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.handle.get())
+            .sum()
+    }
+
+    /// The shared structured event journal.
+    pub fn journal(&self) -> &EventJournal {
+        &self.inner.journal
+    }
+
+    /// Render every registered metric in the Prometheus text
+    /// exposition format (one `# HELP` / `# TYPE` header per family,
+    /// followed by all of that family's label sets; cumulative
+    /// `_bucket{le=...}` histogram series).
+    pub fn render_prometheus(&self) -> String {
+        let mut out = String::new();
+        let mut seen: Vec<String> = Vec::new();
+        let mut header = |out: &mut String, name: &str, help: &str, kind: &str| {
+            if !seen.iter().any(|s| s == name) {
+                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+                seen.push(name.to_string());
+            }
+        };
+
+        for s in by_family(&self.inner.counters.lock()) {
+            header(&mut out, &s.name, &s.help, "counter");
+            out.push_str(&format!(
+                "{}{} {}\n",
+                s.name,
+                render_labels(&s.labels, None),
+                s.handle.get()
+            ));
+        }
+        for s in by_family(&self.inner.gauges.lock()) {
+            header(&mut out, &s.name, &s.help, "gauge");
+            out.push_str(&format!(
+                "{}{} {}\n",
+                s.name,
+                render_labels(&s.labels, None),
+                s.handle.get()
+            ));
+        }
+        for s in by_family(&self.inner.histograms.lock()) {
+            header(&mut out, &s.name, &s.help, "histogram");
+            let counts = s.handle.bucket_counts();
+            let bounds = s.handle.bounds().to_vec();
+            let mut cumulative = 0u64;
+            for (i, c) in counts.iter().enumerate() {
+                cumulative += c;
+                let le = if i < bounds.len() {
+                    bounds[i].to_string()
+                } else {
+                    "+Inf".to_string()
+                };
+                out.push_str(&format!(
+                    "{}_bucket{} {}\n",
+                    s.name,
+                    render_labels(&s.labels, Some(("le", &le))),
+                    cumulative
+                ));
+            }
+            out.push_str(&format!(
+                "{}_sum{} {}\n",
+                s.name,
+                render_labels(&s.labels, None),
+                s.handle.sum()
+            ));
+            out.push_str(&format!(
+                "{}_count{} {}\n",
+                s.name,
+                render_labels(&s.labels, None),
+                s.handle.count()
+            ));
+        }
         out
     }
 
-    fn get_or_insert<H: Clone>(
-        series: &Mutex<Vec<Series<H>>>,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        make: impl FnOnce() -> H,
-    ) -> H {
-        let labels = canonical(labels);
-        let mut series = series.lock();
-        if let Some(s) = series.iter().find(|s| s.name == name && s.labels == labels) {
-            return s.handle.clone();
-        }
-        let handle = make();
-        series.push(Series {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels,
-            handle: handle.clone(),
-        });
-        handle
-    }
-
-    fn render_labels(labels: &Labels, extra: Option<(&str, &str)>) -> String {
-        let mut pairs: Vec<String> = labels
+    /// Render metrics plus the retained journal as one JSON
+    /// document.
+    pub fn snapshot_json(&self) -> String {
+        let counters: Vec<String> = self
+            .inner
+            .counters
+            .lock()
             .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", json_escape(v)))
-            .collect();
-        if let Some((k, v)) = extra {
-            pairs.push(format!("{k}=\"{v}\""));
-        }
-        if pairs.is_empty() {
-            String::new()
-        } else {
-            format!("{{{}}}", pairs.join(","))
-        }
-    }
-
-    fn labels_json(labels: &Labels) -> String {
-        let fields: Vec<String> = labels
-            .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-            .collect();
-        format!("{{{}}}", fields.join(","))
-    }
-
-    impl TelemetryRegistry {
-        /// A registry with the default journal capacity.
-        pub fn new() -> Self {
-            Self::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
-        }
-
-        /// A registry whose journal retains at most `capacity` events.
-        pub fn with_journal_capacity(capacity: usize) -> Self {
-            TelemetryRegistry {
-                inner: Arc::new(Inner {
-                    counters: Mutex::new(Vec::new()),
-                    gauges: Mutex::new(Vec::new()),
-                    histograms: Mutex::new(Vec::new()),
-                    journal: EventJournal::with_capacity(capacity),
-                }),
-            }
-        }
-
-        /// Register (or fetch) an unlabeled counter.
-        pub fn counter(&self, name: &str, help: &str) -> Counter {
-            self.counter_with_labels(name, help, &[])
-        }
-
-        /// Register (or fetch) a counter distinguished by `labels`.
-        pub fn counter_with_labels(
-            &self,
-            name: &str,
-            help: &str,
-            labels: &[(&str, &str)],
-        ) -> Counter {
-            get_or_insert(&self.inner.counters, name, help, labels, Counter::default)
-        }
-
-        /// Register (or fetch) an unlabeled gauge.
-        pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-            self.gauge_with_labels(name, help, &[])
-        }
-
-        /// Register (or fetch) a gauge distinguished by `labels`.
-        pub fn gauge_with_labels(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-            get_or_insert(&self.inner.gauges, name, help, labels, Gauge::default)
-        }
-
-        /// Register (or fetch) an unlabeled histogram with `bounds`.
-        pub fn histogram(&self, name: &str, help: &str, bounds: &[u64]) -> Histogram {
-            self.histogram_with_labels(name, help, bounds, &[])
-        }
-
-        /// Register (or fetch) a histogram distinguished by `labels`.
-        pub fn histogram_with_labels(
-            &self,
-            name: &str,
-            help: &str,
-            bounds: &[u64],
-            labels: &[(&str, &str)],
-        ) -> Histogram {
-            get_or_insert(&self.inner.histograms, name, help, labels, || {
-                Histogram::disconnected(bounds)
+            .map(|s| {
+                format!(
+                    "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
+                    json_escape(&s.name),
+                    labels_json(&s.labels),
+                    s.handle.get()
+                )
             })
-        }
-
-        /// Sum of a counter family across every label combination.
-        pub fn counter_total(&self, name: &str) -> u64 {
-            self.inner
-                .counters
-                .lock()
-                .iter()
-                .filter(|s| s.name == name)
-                .map(|s| s.handle.get())
-                .sum()
-        }
-
-        /// Sum of a gauge family across every label combination.
-        pub fn gauge_total(&self, name: &str) -> i64 {
-            self.inner
-                .gauges
-                .lock()
-                .iter()
-                .filter(|s| s.name == name)
-                .map(|s| s.handle.get())
-                .sum()
-        }
-
-        /// The shared structured event journal.
-        pub fn journal(&self) -> &EventJournal {
-            &self.inner.journal
-        }
-
-        /// Render every registered metric in the Prometheus text
-        /// exposition format (`# HELP` / `# TYPE` headers, cumulative
-        /// `_bucket{le=...}` histogram series).
-        pub fn render_prometheus(&self) -> String {
-            let mut out = String::new();
-            let mut seen: Vec<String> = Vec::new();
-            let mut header = |out: &mut String, name: &str, help: &str, kind: &str| {
-                if !seen.iter().any(|s| s == name) {
-                    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-                    seen.push(name.to_string());
-                }
-            };
-
-            for s in self.inner.counters.lock().iter() {
-                header(&mut out, &s.name, &s.help, "counter");
-                out.push_str(&format!(
-                    "{}{} {}\n",
-                    s.name,
-                    render_labels(&s.labels, None),
+            .collect();
+        let gauges: Vec<String> = self
+            .inner
+            .gauges
+            .lock()
+            .iter()
+            .map(|s| {
+                format!(
+                    "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
+                    json_escape(&s.name),
+                    labels_json(&s.labels),
                     s.handle.get()
-                ));
-            }
-            for s in self.inner.gauges.lock().iter() {
-                header(&mut out, &s.name, &s.help, "gauge");
-                out.push_str(&format!(
-                    "{}{} {}\n",
-                    s.name,
-                    render_labels(&s.labels, None),
-                    s.handle.get()
-                ));
-            }
-            for s in self.inner.histograms.lock().iter() {
-                header(&mut out, &s.name, &s.help, "histogram");
-                let counts = s.handle.bucket_counts();
-                let bounds = s.handle.bounds().to_vec();
-                let mut cumulative = 0u64;
-                for (i, c) in counts.iter().enumerate() {
-                    cumulative += c;
-                    let le = if i < bounds.len() {
-                        bounds[i].to_string()
-                    } else {
-                        "+Inf".to_string()
-                    };
-                    out.push_str(&format!(
-                        "{}_bucket{} {}\n",
-                        s.name,
-                        render_labels(&s.labels, Some(("le", &le))),
-                        cumulative
-                    ));
-                }
-                out.push_str(&format!(
-                    "{}_sum{} {}\n",
-                    s.name,
-                    render_labels(&s.labels, None),
-                    s.handle.sum()
-                ));
-                out.push_str(&format!(
-                    "{}_count{} {}\n",
-                    s.name,
-                    render_labels(&s.labels, None),
-                    s.handle.count()
-                ));
-            }
-            out
-        }
-
-        /// Render metrics plus the retained journal as one JSON
-        /// document.
-        pub fn snapshot_json(&self) -> String {
-            let counters: Vec<String> = self
-                .inner
-                .counters
-                .lock()
-                .iter()
-                .map(|s| {
-                    format!(
-                        "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
-                        json_escape(&s.name),
-                        labels_json(&s.labels),
-                        s.handle.get()
-                    )
-                })
-                .collect();
-            let gauges: Vec<String> = self
-                .inner
-                .gauges
-                .lock()
-                .iter()
-                .map(|s| {
-                    format!(
-                        "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
-                        json_escape(&s.name),
-                        labels_json(&s.labels),
-                        s.handle.get()
-                    )
-                })
-                .collect();
-            let histograms: Vec<String> = self
-                .inner
-                .histograms
-                .lock()
-                .iter()
-                .map(|s| {
-                    let bounds: Vec<String> =
-                        s.handle.bounds().iter().map(|b| b.to_string()).collect();
-                    let counts: Vec<String> = s
-                        .handle
-                        .bucket_counts()
-                        .iter()
-                        .map(|c| c.to_string())
-                        .collect();
-                    format!(
-                        "{{\"name\":\"{}\",\"labels\":{},\"count\":{},\"sum\":{},\"bounds\":[{}],\"buckets\":[{}]}}",
-                        json_escape(&s.name),
-                        labels_json(&s.labels),
-                        s.handle.count(),
-                        s.handle.sum(),
-                        bounds.join(","),
-                        counts.join(",")
-                    )
-                })
-                .collect();
-            let events: Vec<String> = self
-                .inner
-                .journal
-                .snapshot()
-                .iter()
-                .map(|e| e.to_json())
-                .collect();
-            format!(
-                "{{\"enabled\":true,\"counters\":[{}],\"gauges\":[{}],\"histograms\":[{}],\
-                 \"events\":[{}],\"events_recorded\":{},\"events_dropped\":{}}}",
-                counters.join(","),
-                gauges.join(","),
-                histograms.join(","),
-                events.join(","),
-                self.inner.journal.recorded(),
-                self.inner.journal.dropped()
-            )
-        }
+                )
+            })
+            .collect();
+        let histograms: Vec<String> = self
+            .inner
+            .histograms
+            .lock()
+            .iter()
+            .map(|s| {
+                let bounds: Vec<String> =
+                    s.handle.bounds().iter().map(|b| b.to_string()).collect();
+                let counts: Vec<String> = s
+                    .handle
+                    .bucket_counts()
+                    .iter()
+                    .map(|c| c.to_string())
+                    .collect();
+                format!(
+                    "{{\"name\":\"{}\",\"labels\":{},\"count\":{},\"sum\":{},\"bounds\":[{}],\"buckets\":[{}]}}",
+                    json_escape(&s.name),
+                    labels_json(&s.labels),
+                    s.handle.count(),
+                    s.handle.sum(),
+                    bounds.join(","),
+                    counts.join(",")
+                )
+            })
+            .collect();
+        let events: Vec<String> = self
+            .inner
+            .journal
+            .snapshot()
+            .iter()
+            .map(|e| e.to_json())
+            .collect();
+        format!(
+            "{{\"enabled\":true,\"counters\":[{}],\"gauges\":[{}],\"histograms\":[{}],\
+             \"events\":[{}],\"events_recorded\":{},\"events_dropped\":{}}}",
+            counters.join(","),
+            gauges.join(","),
+            histograms.join(","),
+            events.join(","),
+            self.inner.journal.recorded(),
+            self.inner.journal.dropped()
+        )
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use crate::journal::EventJournal;
-    use crate::metrics::{Counter, Gauge, Histogram};
-
-    static NOOP_JOURNAL: EventJournal = EventJournal;
-
-    /// No-op registry (telemetry disabled at compile time). All
-    /// registration methods return no-op handles; renderers emit a
-    /// fixed "disabled" document. Deliberately `Clone` but not `Copy`,
-    /// matching the enabled registry's surface so downstream code
-    /// lints identically in both feature states.
-    #[derive(Clone, Debug, Default)]
-    pub struct TelemetryRegistry;
-
-    impl TelemetryRegistry {
-        /// A registry with the default journal capacity (which is 0 here).
-        pub fn new() -> Self {
-            TelemetryRegistry
-        }
-
-        /// A registry with an explicit journal capacity (ignored).
-        pub fn with_journal_capacity(_capacity: usize) -> Self {
-            TelemetryRegistry
-        }
-
-        /// Register a counter (returns the no-op handle).
-        #[inline(always)]
-        pub fn counter(&self, _name: &str, _help: &str) -> Counter {
-            Counter
-        }
-
-        /// Register a labeled counter (returns the no-op handle).
-        #[inline(always)]
-        pub fn counter_with_labels(
-            &self,
-            _name: &str,
-            _help: &str,
-            _labels: &[(&str, &str)],
-        ) -> Counter {
-            Counter
-        }
-
-        /// Register a gauge (returns the no-op handle).
-        #[inline(always)]
-        pub fn gauge(&self, _name: &str, _help: &str) -> Gauge {
-            Gauge
-        }
-
-        /// Register a labeled gauge (returns the no-op handle).
-        #[inline(always)]
-        pub fn gauge_with_labels(
-            &self,
-            _name: &str,
-            _help: &str,
-            _labels: &[(&str, &str)],
-        ) -> Gauge {
-            Gauge
-        }
-
-        /// Register a histogram (returns the no-op handle).
-        #[inline(always)]
-        pub fn histogram(&self, _name: &str, _help: &str, _bounds: &[u64]) -> Histogram {
-            Histogram
-        }
-
-        /// Register a labeled histogram (returns the no-op handle).
-        #[inline(always)]
-        pub fn histogram_with_labels(
-            &self,
-            _name: &str,
-            _help: &str,
-            _bounds: &[u64],
-            _labels: &[(&str, &str)],
-        ) -> Histogram {
-            Histogram
-        }
-
-        /// Sum of a counter family across label sets (always 0).
-        pub fn counter_total(&self, _name: &str) -> u64 {
-            0
-        }
-
-        /// Sum of a gauge family across label sets (always 0).
-        pub fn gauge_total(&self, _name: &str) -> i64 {
-            0
-        }
-
-        /// The shared event journal (a no-op sink).
-        pub fn journal(&self) -> &EventJournal {
-            &NOOP_JOURNAL
-        }
-
-        /// Prometheus text exposition (a fixed "disabled" comment).
-        pub fn render_prometheus(&self) -> String {
-            "# e2nvm telemetry disabled (build without the `telemetry` feature)\n".to_string()
-        }
-
-        /// JSON snapshot (a fixed "disabled" document).
-        pub fn snapshot_json(&self) -> String {
-            "{\"enabled\":false}".to_string()
-        }
-    }
-}
-
-pub use imp::TelemetryRegistry;
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::journal::Event;
@@ -507,6 +405,56 @@ mod tests {
         r.counter_with_labels("ops_total", "ops", &[("shard", "1")]);
         let text = r.render_prometheus();
         assert_eq!(text.matches("# HELP ops_total").count(), 1, "{text}");
+    }
+
+    #[test]
+    fn interleaved_registration_renders_families_contiguously() {
+        let r = TelemetryRegistry::new();
+        // What per-shard attachment does: shard 0's whole set, then
+        // shard 1's.
+        for shard in ["0", "1"] {
+            let l = [("shard", shard)];
+            r.counter_with_labels("writes_total", "Writes", &l);
+            r.counter_with_labels("reads_total", "Reads", &l);
+            r.gauge_with_labels("depth", "Depth", &l);
+            r.gauge_with_labels("free", "Free", &l);
+            r.histogram_with_labels("lat_ns", "Latency", &[10], &l);
+            r.histogram_with_labels("flips", "Flips", &[10], &l);
+        }
+        let text = r.render_prometheus();
+        // The family of each sample line, in output order, with runs
+        // collapsed: a family appearing twice was split by another.
+        let mut runs: Vec<&str> = Vec::new();
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            let series = line.split(['{', ' ']).next().unwrap();
+            let family = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| series.strip_suffix(suffix))
+                .unwrap_or(series);
+            if runs.last() != Some(&family) {
+                runs.push(family);
+            }
+        }
+        assert_eq!(
+            runs,
+            [
+                "writes_total",
+                "reads_total",
+                "depth",
+                "free",
+                "lat_ns",
+                "flips"
+            ],
+            "{text}"
+        );
+        for family in &runs {
+            assert_eq!(text.matches(&format!("# HELP {family} ")).count(), 1);
+            assert_eq!(text.matches(&format!("# TYPE {family} ")).count(), 1);
+        }
+        // Label sets keep registration order within the family.
+        let s0 = text.find("writes_total{shard=\"0\"}").unwrap();
+        let s1 = text.find("writes_total{shard=\"1\"}").unwrap();
+        assert!(s0 < s1, "{text}");
     }
 
     #[test]

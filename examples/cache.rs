@@ -97,18 +97,14 @@ fn main() {
     );
     println!("cross-connection reads never went stale");
 
-    // With --features telemetry the shared registry exposes the
-    // e2nvm_cache_* series through the METRICS frame.
+    // The shared registry exposes the e2nvm_cache_* series through the
+    // METRICS frame.
     let metrics = reader.metrics().expect("metrics");
-    if cfg!(feature = "telemetry") {
-        let hits = metrics
-            .lines()
-            .find(|l| l.starts_with("e2nvm_cache_hits_total"))
-            .expect("cache series registered");
-        println!("over the wire: {hits}");
-    } else {
-        println!("(build with --features telemetry to scrape e2nvm_cache_* series)");
-    }
+    let hits = metrics
+        .lines()
+        .find(|l| l.starts_with("e2nvm_cache_hits_total"))
+        .expect("cache series registered");
+    println!("over the wire: {hits}");
 
     writer.shutdown_server().expect("shutdown ack");
     let served = handle.join();

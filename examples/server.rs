@@ -80,15 +80,7 @@ fn main() {
     // METRICS (Prometheus exposition from the shared registry).
     println!("stats: {}", client.stats().expect("stats"));
     let metrics = client.metrics().expect("metrics");
-    println!(
-        "metrics exposition: {} lines{}",
-        metrics.lines().count(),
-        if cfg!(feature = "telemetry") {
-            ""
-        } else {
-            " (build with --features telemetry for live series)"
-        }
-    );
+    println!("metrics exposition: {} lines", metrics.lines().count());
 
     // Graceful shutdown over the wire: SHUTDOWN is acknowledged, the
     // accept loop drains, and join() reports connections served.

@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! cargo run --release --example telemetry
-//! cargo run --release --no-default-features --example telemetry   # no-op build
 //! ```
 //!
 //! The CI smoke step runs this example and checks the exposition for
@@ -55,14 +54,6 @@ fn main() {
     // placement, and per-shard device accounting.
     let registry = TelemetryRegistry::new();
     store.attach_telemetry(&registry);
-    println!(
-        "telemetry compiled {}",
-        if e2nvm::telemetry::is_enabled() {
-            "IN (live metrics below)"
-        } else {
-            "OUT (all renders are fixed stubs)"
-        }
-    );
 
     // A small mixed workload.
     for i in 0..120u64 {

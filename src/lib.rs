@@ -15,8 +15,7 @@
 //!   logs, atomic full-system snapshots, and the unified save/load
 //!   facade behind `PersistenceConfig` (DESIGN.md §14).
 //! * [`workloads`] — YCSB and synthetic dataset generators.
-//! * [`telemetry`] — lock-free metrics registry + event journal
-//!   (compiled away without the `telemetry` feature).
+//! * [`telemetry`] — lock-free metrics registry + event journal.
 //! * [`server`] — the TCP serving layer: length-prefixed binary wire
 //!   protocol (PROTOCOL.md), epoll-reactor pipelined server, blocking
 //!   client.
@@ -49,7 +48,6 @@
 //! engine.train().unwrap();
 //! engine.put(42, b"value").unwrap();
 //! assert_eq!(engine.get(42).unwrap(), b"value");
-//! # #[cfg(feature = "telemetry")]
 //! assert!(registry.render_prometheus().contains("e2nvm_device_writes_total"));
 //! ```
 
@@ -66,7 +64,7 @@ pub use e2nvm_workloads as workloads;
 
 /// The types almost every user of the reproduction touches: engine +
 /// config construction, the KV trait and stores, and the telemetry
-/// surface (no-op types when the `telemetry` feature is off).
+/// surface.
 pub mod prelude {
     pub use e2nvm_cluster::{ClusterClient, ClusterConfig, ClusterView, NodeState};
     pub use e2nvm_core::{

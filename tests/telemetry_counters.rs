@@ -4,7 +4,6 @@
 //! counter totals equal the stats snapshot field-for-field (integer
 //! fields) — on a single engine and, summed across per-shard label
 //! sets, on a sharded engine against its merged stats.
-#![cfg(feature = "telemetry")]
 
 use e2nvm::prelude::*;
 use e2nvm::sim::partition_controllers;
