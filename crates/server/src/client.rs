@@ -73,8 +73,8 @@ impl Client {
     /// request order, without building owned [`Response`] values. The
     /// frame borrows the receive buffer — `f` gets the status byte in
     /// `code` and the echoed opcode in `aux` (see `PROTOCOL.md`). This
-    /// is what throughput tooling (`e2nvm-loadgen`) drives, so the
-    /// measurement isn't dominated by client-side allocations.
+    /// is the path for throughput tooling, so a measurement isn't
+    /// dominated by client-side allocations.
     pub fn pipeline_with(
         &mut self,
         reqs: &[Request],

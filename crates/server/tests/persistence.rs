@@ -4,8 +4,8 @@
 //! boots from the same directory via [`ShardedE2KvStore::recover`],
 //! and every write acked by the first server is read back through the
 //! second. The kill-path twin of this test (SIGKILL instead of a
-//! graceful stop) lives in the bench crate's `loadgen --recovery`
-//! mode, exercised by CI's kill-and-restart job.
+//! graceful stop) is the bench crate's `e2nvm-loadgen --recovery`
+//! drill, exercised by CI's kill-and-restart job.
 
 use e2nvm_kvstore::ShardedE2KvStore;
 use e2nvm_persist::{FlushPolicy, PersistenceConfig};

@@ -1,7 +1,7 @@
 //! What an event-driven server has to prove: slow-loris byte
 //! trickles, backpressure under a pipelined flood, idle connections
-//! riding alongside active ones, prompt drain, and the BUSY cliff at
-//! the connection limit.
+//! riding alongside active ones, 256-way active fan-in, prompt drain,
+//! and the BUSY cliff at the connection limit.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -195,6 +195,97 @@ fn idle_connections_ride_alongside_active_ones() {
     drop(late);
     handle.shutdown();
     handle.join();
+}
+
+/// Fan-in: 256 connections all *active* at once on one event loop —
+/// every socket has a pipelined PUT/GET batch in flight before the
+/// first reply is drained. Every reply must be right and in order, the
+/// server must not have sent a single error frame (no BUSY reject, no
+/// violation, no store error), and shutdown must still drain promptly
+/// with all 256 sockets open.
+#[cfg(target_os = "linux")]
+#[test]
+fn many_active_pipelined_connections_are_all_served() {
+    use e2nvm_telemetry::TelemetryRegistry;
+
+    const CONNS: usize = 256;
+    const ROUNDS: usize = 8;
+    // One key per connection, so a GET can only observe its own
+    // connection's preceding PUT.
+    let store = demo_store(2, 4 * CONNS, 32, 11);
+    let registry = TelemetryRegistry::new();
+    let config = ServerConfig::builder()
+        .max_connections(CONNS + 1) // the fleet + the METRICS client
+        .build()
+        .expect("fan-in connection limit is valid");
+    let handle = Server::new(store, config)
+        .with_telemetry(&registry)
+        .start()
+        .expect("server binds an ephemeral port");
+    let addr = handle.local_addr();
+
+    let value = |conn: usize, round: usize| format!("c{conn}r{round}").into_bytes();
+    let mut fleet: Vec<TcpStream> = (0..CONNS)
+        .map(|_| TcpStream::connect(addr).unwrap())
+        .collect();
+    for (conn, s) in fleet.iter_mut().enumerate() {
+        let key = conn as u64;
+        let mut bytes = Vec::new();
+        for round in 0..ROUNDS {
+            encode_request(
+                &Request::Put {
+                    key,
+                    value: value(conn, round),
+                },
+                &mut bytes,
+            );
+            encode_request(&Request::Get { key }, &mut bytes);
+        }
+        s.write_all(&bytes).unwrap();
+    }
+    for (conn, s) in fleet.iter_mut().enumerate() {
+        let responses = read_responses(s, ROUNDS * 2);
+        for round in 0..ROUNDS {
+            assert_eq!(
+                responses[2 * round],
+                Response::Stored,
+                "conn {conn} PUT {round}"
+            );
+            assert_eq!(
+                responses[2 * round + 1],
+                Response::Value(value(conn, round)),
+                "conn {conn} GET {round}"
+            );
+        }
+    }
+
+    let mut client = Client::connect(addr).unwrap();
+    let metrics = client.metrics().expect("METRICS frame");
+    let error_frames: Vec<&str> = metrics
+        .lines()
+        .filter(|l| l.starts_with("e2nvm_server_error_frames_total{"))
+        .collect();
+    assert!(
+        !error_frames.is_empty(),
+        "server publishes the error-frame family"
+    );
+    for line in error_frames {
+        assert!(line.ends_with(" 0"), "server sent error frames: {line}");
+    }
+    drop(client);
+
+    handle.shutdown();
+    let t0 = Instant::now();
+    let served = handle.join();
+    let drain = t0.elapsed();
+    assert!(
+        served > CONNS,
+        "expected > {CONNS} connections served, got {served}"
+    );
+    assert!(
+        drain < Duration::from_secs(1),
+        "drain took {drain:?} with {CONNS} open connections"
+    );
 }
 
 /// The drain-latency regression pin: a server configured with a long
