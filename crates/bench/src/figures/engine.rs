@@ -148,7 +148,7 @@ pub fn fig10(scale: Scale) -> Table {
             ]);
         }
     }
-    table.note("paper Fig 10: at k=1 E2/PNW/DCW coincide; E2-NVM improves with k (up to 3.2x over PNW, 4.23x over RBW); E2 prediction is slower than PNW (two-stage)");
+    table.note("paper Fig 10: at k=1 E2/PNW/DCW coincide; E2-NVM improves with k (up to 3.2x over PNW, 4.23x over RBW). Not reproduced: 'E2 prediction is slower than PNW (two-stage)' — E2 serves from a packed-bit kernel that pays per set bit (0.9-4.2 us; 2.5-9.3 us on the dense float path it replaced), PNW still runs dense floats (1.4-4.0 us); by nominal MACs the two-stage model is still the larger");
     table
 }
 
@@ -523,10 +523,6 @@ mod tests {
                     row[0]
                 );
             }
-            // E2 prediction latency exceeds PNW's (two predictions).
-            let pnw_us: f64 = row[8].parse().unwrap();
-            let e2_us: f64 = row[9].parse().unwrap();
-            assert!(e2_us > pnw_us * 0.5, "e2 pred {e2_us}us vs pnw {pnw_us}us");
         }
     }
 

@@ -13,7 +13,7 @@
 use crate::config::E2Config;
 use crate::dap::DynamicAddressPool;
 use crate::error::{E2Error, Result};
-use crate::model::E2Model;
+use crate::model::{E2Model, PlacementScratch};
 use crate::padding::Padder;
 use crate::telemetry::EngineTelemetry;
 use e2nvm_sim::{LogicalSegment, MemoryController, SimError, WriteReport};
@@ -79,6 +79,14 @@ pub struct EngineState {
     pub entries: Vec<(u64, LogicalSegment, usize, usize)>,
 }
 
+/// The free segments at one instant and a copy of what each holds,
+/// index-aligned: what a model is trained on and the address pool is
+/// rebuilt from.
+struct FreeSnapshot {
+    segments: Vec<LogicalSegment>,
+    contents: Vec<Vec<u8>>,
+}
+
 /// The E2-NVM engine.
 pub struct E2Engine {
     cfg: E2Config,
@@ -93,6 +101,8 @@ pub struct E2Engine {
     /// only once its count reaches zero.
     live: HashMap<LogicalSegment, usize>,
     rng: StdRng,
+    /// Padded input and kernel working memory of every prediction.
+    scratch: PlacementScratch,
     prediction: PredictionStats,
     /// Incremental indexing frontier (§4.1.4): after
     /// [`E2Engine::train_partial`], segments below it have been handed
@@ -124,6 +134,7 @@ impl E2Engine {
             padder,
             index: BTreeMap::new(),
             live: HashMap::new(),
+            scratch: PlacementScratch::default(),
             prediction: PredictionStats::default(),
             mapped: None,
             telemetry: EngineTelemetry::disconnected(),
@@ -161,8 +172,8 @@ impl E2Engine {
     /// [`E2Engine::place_value`] by callers that keep their own index,
     /// e.g. the node stores in `e2nvm-kvstore`, so the key index alone
     /// cannot be trusted here).
-    fn free_snapshot(&self) -> Vec<(LogicalSegment, Vec<u8>)> {
-        let free: Vec<LogicalSegment> = if self.model.is_some() {
+    fn free_snapshot(&self) -> FreeSnapshot {
+        let segments: Vec<LogicalSegment> = if self.model.is_some() {
             self.dap.free_segments()
         } else {
             (0..self.controller.num_segments())
@@ -170,16 +181,21 @@ impl E2Engine {
                 .filter(|&seg| !self.dap.is_retired(seg))
                 .collect()
         };
-        free.into_iter()
-            .map(|seg| {
-                let content = self
-                    .controller
+        self.snapshot_of(segments)
+    }
+
+    /// Copy the current contents of `segments` off the device.
+    fn snapshot_of(&self, segments: Vec<LogicalSegment>) -> FreeSnapshot {
+        let contents = segments
+            .iter()
+            .map(|&seg| {
+                self.controller
                     .peek(seg)
                     .expect("segment in range")
-                    .to_vec();
-                (seg, content)
+                    .to_vec()
             })
-            .collect()
+            .collect();
+        FreeSnapshot { segments, contents }
     }
 
     /// Replace the padding strategy. For [`crate::padding::PaddingType::Learned`] the
@@ -193,8 +209,8 @@ impl E2Engine {
         self.cfg.padding_type = ptype;
         self.padder = Padder::new(location, ptype);
         if ptype == crate::padding::PaddingType::Learned && self.model.is_some() {
-            let contents: Vec<Vec<u8>> = self.free_snapshot().into_iter().map(|(_, c)| c).collect();
-            self.padder.train_learned(&contents, 10, &mut self.rng);
+            let free = self.free_snapshot();
+            self.padder.train_learned(&free.contents, 10, &mut self.rng);
         }
     }
 
@@ -203,14 +219,13 @@ impl E2Engine {
     /// path; see [`crate::retrain`] for the background variant.
     pub fn train(&mut self) -> Result<()> {
         let free = self.free_snapshot();
-        if free.is_empty() {
+        if free.segments.is_empty() {
             return Err(E2Error::OutOfSpace);
         }
         let shard = self.telemetry.shard();
         self.telemetry.record_event(Event::RetrainStarted { shard });
         let started = Instant::now();
-        let contents: Vec<Vec<u8>> = free.iter().map(|(_, c)| c.clone()).collect();
-        let model = E2Model::train(&self.cfg, &contents, &mut self.rng);
+        let model = E2Model::train(&self.cfg, &free.contents, &mut self.rng);
         let loss = model.history().train.last().map(|l| f64::from(l.total()));
         self.install_model(model, &free);
         self.telemetry.record_event(Event::RetrainFinished {
@@ -232,15 +247,8 @@ impl E2Engine {
                 "train_partial: initial {initial} out of 1..={total}"
             )));
         }
-        let free: Vec<(LogicalSegment, Vec<u8>)> = (0..initial)
-            .map(LogicalSegment)
-            .map(|seg| {
-                let content = self.controller.peek(seg).expect("in range").to_vec();
-                (seg, content)
-            })
-            .collect();
-        let contents: Vec<Vec<u8>> = free.iter().map(|(_, c)| c.clone()).collect();
-        let model = E2Model::train(&self.cfg, &contents, &mut self.rng);
+        let free = self.snapshot_of((0..initial).map(LogicalSegment).collect());
+        let model = E2Model::train(&self.cfg, &free.contents, &mut self.rng);
         self.install_model(model, &free);
         self.mapped = Some(initial);
         Ok(())
@@ -257,16 +265,12 @@ impl E2Engine {
         };
         let end = mapped + count.min(self.controller.num_segments() - mapped);
         self.mapped = Some(end);
-        let new_segments: Vec<LogicalSegment> = (mapped..end).map(LogicalSegment).collect();
-        let contents: Vec<Vec<u8>> = new_segments
-            .iter()
-            .map(|&seg| self.controller.peek(seg).expect("in range").to_vec())
-            .collect();
-        let assignments = model.classify_segments(&contents);
-        for (&seg, cluster) in new_segments.iter().zip(assignments) {
+        for seg in (mapped..end).map(LogicalSegment) {
+            let content = self.controller.peek(seg).expect("in range");
+            let cluster = model.classify(content, &mut self.scratch);
             self.dap.push(cluster, seg)?;
         }
-        Ok(new_segments.len())
+        Ok(end - mapped)
     }
 
     /// Sweep the candidate Ks on the current free contents (SSE elbow +
@@ -274,20 +278,19 @@ impl E2Engine {
     /// Returns the chosen K.
     pub fn train_auto_k(&mut self, candidates: &[usize], est_writes: u64) -> Result<usize> {
         let free = self.free_snapshot();
-        if free.is_empty() {
+        if free.segments.is_empty() {
             return Err(E2Error::OutOfSpace);
         }
-        let contents: Vec<Vec<u8>> = free.iter().map(|(_, c)| c.clone()).collect();
         let selection = crate::kselect::sweep_k(
             &self.cfg,
-            &contents,
+            &free.contents,
             candidates,
             &self.controller.device().config().energy.clone(),
             est_writes,
             &mut self.rng,
         );
         self.cfg.k = selection.energy_k;
-        let model = E2Model::train(&self.cfg, &contents, &mut self.rng);
+        let model = E2Model::train(&self.cfg, &free.contents, &mut self.rng);
         self.install_model(model, &free);
         Ok(selection.energy_k)
     }
@@ -299,11 +302,13 @@ impl E2Engine {
         self.install_model(model, &free);
     }
 
-    fn install_model(&mut self, model: E2Model, free: &[(LogicalSegment, Vec<u8>)]) {
-        let contents: Vec<Vec<u8>> = free.iter().map(|(_, c)| c.clone()).collect();
-        let assignments = model.classify_segments(&contents);
-        let pairs: Vec<(LogicalSegment, usize)> =
-            free.iter().map(|(seg, _)| *seg).zip(assignments).collect();
+    fn install_model(&mut self, model: E2Model, free: &FreeSnapshot) {
+        let FreeSnapshot { segments, contents } = free;
+        let pairs: Vec<(LogicalSegment, usize)> = segments
+            .iter()
+            .zip(contents)
+            .map(|(&seg, content)| (seg, model.classify(content, &mut self.scratch)))
+            .collect();
         self.dap.rebuild(model.k(), &pairs);
         // Refresh padding state from the snapshot.
         let total_bits: u64 = contents.iter().map(|c| (c.len() * 8) as u64).sum();
@@ -316,7 +321,7 @@ impl E2Engine {
                 .set_memory_ratio(ones as f32 / total_bits as f32);
         }
         if self.cfg.padding_type == crate::padding::PaddingType::Learned {
-            self.padder.train_learned(&contents, 10, &mut self.rng);
+            self.padder.train_learned(contents, 10, &mut self.rng);
         }
         self.model = Some(model);
         self.telemetry.retrains.inc();
@@ -370,14 +375,14 @@ impl E2Engine {
         }
         let model = self.model.as_ref().ok_or(E2Error::NotTrained)?;
         let t0 = Instant::now();
-        let order = model.cluster_order(value, &self.padder, &mut self.rng);
+        let order = model.order_into(value, &self.padder, &mut self.rng, &mut self.scratch);
         let pred_ns = t0.elapsed().as_nanos();
         self.prediction.predictions += 1;
         self.prediction.total_ns += pred_ns;
         self.telemetry.observe_prediction(pred_ns as u64);
         let predicted = order.first().copied().unwrap_or(0);
         loop {
-            let Some((seg, used)) = self.dap.pop_with_fallback(&order) else {
+            let Some((seg, used)) = self.dap.pop_with_fallback(order) else {
                 let retired = self.dap.retired_count();
                 return Err(if retired > 0 {
                     E2Error::PoolDepleted { retired }
@@ -408,28 +413,24 @@ impl E2Engine {
                 }
                 Err(SimError::SegmentWornOut { .. } | SimError::WriteFailed { .. }) => {
                     // Worn out, or still failing verify after the retry
-                    // budget: quarantine the address and fall back.
-                    self.retire_segment(seg);
+                    // budget: permanently quarantine the address and
+                    // fall back. It leaves the pool for good, the
+                    // *physical* slot the dying write actually hit is
+                    // quarantined on the controller (so later
+                    // relocations route around the dead medium), and
+                    // the retirement is journaled with both ids. The
+                    // remap only mutates after *successful* writes, so
+                    // the failed write's translation is still live.
+                    if self.dap.retire(seg) {
+                        let phys = self
+                            .controller
+                            .retire(seg)
+                            .expect("retired logical id must still translate");
+                        self.telemetry.record_retirement(seg.index(), phys.index());
+                    }
                 }
                 Err(e) => return Err(e.into()),
             }
-        }
-    }
-
-    /// Permanently quarantine `seg`: it leaves the address pool for
-    /// good, the *physical* slot the dying write actually hit is
-    /// quarantined on the controller (so later relocations route around
-    /// the dead medium), and the retirement is journaled with both
-    /// ids. Idempotent. Calling this from the failed write's error path
-    /// is sound because the remap only mutates after *successful*
-    /// writes — the failed write's translation is still live.
-    fn retire_segment(&mut self, seg: LogicalSegment) {
-        if self.dap.retire(seg) {
-            let phys = self
-                .controller
-                .retire(seg)
-                .expect("retired logical id must still translate");
-            self.telemetry.record_retirement(seg.index(), phys.index());
         }
     }
 
@@ -446,8 +447,8 @@ impl E2Engine {
             });
         }
         let model = self.model.as_ref().ok_or(E2Error::NotTrained)?;
-        let order = model.cluster_order(value, &self.padder, &mut self.rng);
-        for c in order {
+        let order = model.order_into(value, &self.padder, &mut self.rng, &mut self.scratch);
+        for &c in order {
             if let Some(seg) = self.dap.peek_head(c) {
                 let content = self.controller.peek(seg)?;
                 let flips = e2nvm_sim::bitops::hamming(&content[..value.len()], value);
@@ -464,9 +465,9 @@ impl E2Engine {
         if self.dap.is_retired(seg) {
             return Ok(());
         }
-        let content = self.controller.peek(seg)?.to_vec();
+        let content = self.controller.peek(seg)?;
         let model = self.model.as_ref().ok_or(E2Error::NotTrained)?;
-        let cluster = model.predict_features(&e2nvm_ml::data::bytes_to_features(&content));
+        let cluster = model.classify(content, &mut self.scratch);
         self.dap.push(cluster, seg)?;
         self.telemetry
             .set_cluster_depth(cluster, self.dap.cluster_len(cluster));
@@ -709,7 +710,7 @@ impl E2Engine {
     /// Snapshot the free-segment contents (for the background
     /// retrainer).
     pub fn training_snapshot(&self) -> Vec<Vec<u8>> {
-        self.free_snapshot().into_iter().map(|(_, c)| c).collect()
+        self.free_snapshot().contents
     }
 
     /// Export the engine's durable state (model, retirement, index) for
@@ -811,14 +812,12 @@ impl E2Engine {
             .filter(|&(_, &count)| count >= 2)
             .map(|(&seg, &count)| (seg, count))
             .collect();
-        let free: Vec<(LogicalSegment, Vec<u8>)> = (0..num_segments)
-            .map(LogicalSegment)
-            .filter(|seg| !self.dap.is_retired(*seg) && !per_seg.contains_key(seg))
-            .map(|seg| {
-                let content = self.controller.peek(seg).expect("in range").to_vec();
-                (seg, content)
-            })
-            .collect();
+        let free = self.snapshot_of(
+            (0..num_segments)
+                .map(LogicalSegment)
+                .filter(|seg| !self.dap.is_retired(*seg) && !per_seg.contains_key(seg))
+                .collect(),
+        );
         self.install_model(model, &free);
         Ok(())
     }

@@ -58,7 +58,7 @@ pub use dap::{DapError, DynamicAddressPool};
 pub use engine::{E2Engine, EngineState, PredictionStats};
 pub use error::{E2Error, Result};
 pub use kselect::{sweep_k, KSelection, KSweepPoint};
-pub use model::E2Model;
+pub use model::{E2Model, PlacementScratch};
 pub use padding::{Padder, PaddingLocation, PaddingType};
 pub use retrain::BackgroundRetrainer;
 pub use sharded::ShardedEngine;

@@ -5,8 +5,18 @@ use crate::config::E2Config;
 use crate::padding::Padder;
 use e2nvm_ml::data::{segments_to_matrix, subsample_rows, train_val_split};
 use e2nvm_ml::persist::{Persist, PersistError, Reader, Writer};
-use e2nvm_ml::{ClusterModel, Matrix, TrainingHistory};
+use e2nvm_ml::{ClusterModel, Matrix, PredictScratch, TrainingHistory};
 use rand::Rng;
+
+/// Caller-owned buffers of the serving path ([`E2Model::order_into`],
+/// [`E2Model::classify`]): the padded model input as packed bits
+/// and the prediction kernel's working memory. One per engine, reused
+/// for every placement and recycle.
+#[derive(Debug, Default)]
+pub struct PlacementScratch {
+    padded: Vec<u8>,
+    predict: PredictScratch,
+}
 
 /// A trained placement model.
 #[derive(Debug, Clone)]
@@ -42,32 +52,70 @@ impl E2Model {
         }
     }
 
-    /// Predict the cluster for a (padded) feature vector.
+    /// Pad a value and return the clusters in nearest-first order — the
+    /// order the DAP uses for fallback (Algorithm 1, step 1). The slice
+    /// lives in `scratch`; after the first call nothing is allocated.
+    pub fn order_into<'s, R: Rng>(
+        &self,
+        value: &[u8],
+        padder: &Padder,
+        rng: &mut R,
+        scratch: &'s mut PlacementScratch,
+    ) -> &'s [usize] {
+        let padded = self.pad_into(value, padder, rng, &mut scratch.padded);
+        self.cluster.order_packed(padded, &mut scratch.predict)
+    }
+
+    /// Cluster of one whole segment's content (Algorithm 2's
+    /// re-classification; no padding needed), allocation-free like
+    /// [`E2Model::order_into`].
+    ///
+    /// # Panics
+    /// Panics if `segment` is not exactly the model's input width.
+    pub fn classify(&self, segment: &[u8], scratch: &mut PlacementScratch) -> usize {
+        self.cluster.predict_packed(segment, &mut scratch.predict)
+    }
+
+    /// [`E2Model::order_into`] with scratch of its own, as an owned
+    /// list.
+    pub fn cluster_order<R: Rng>(&self, value: &[u8], padder: &Padder, rng: &mut R) -> Vec<usize> {
+        self.order_into(value, padder, rng, &mut PlacementScratch::default())
+            .to_vec()
+    }
+
+    /// Pad a value and predict its cluster.
+    pub fn predict_value<R: Rng>(&self, value: &[u8], padder: &Padder, rng: &mut R) -> usize {
+        let mut scratch = PlacementScratch::default();
+        let padded = self.pad_into(value, padder, rng, &mut scratch.padded);
+        self.cluster.predict_packed(padded, &mut scratch.predict)
+    }
+
+    /// Predict the cluster for a (padded) 0.0/1.0 feature vector.
     pub fn predict_features(&self, features: &[f32]) -> usize {
-        debug_assert_eq!(features.len(), self.input_bits);
         self.cluster.predict(features)
     }
 
-    /// Pad a value and predict its cluster (Algorithm 1, step 1).
-    pub fn predict_value<R: Rng>(&self, value: &[u8], padder: &Padder, rng: &mut R) -> usize {
-        let features = padder.pad(value, self.input_bits, rng);
-        self.cluster.predict(&features)
+    /// Classify whole segments (no padding needed), one at a time
+    /// through the prediction kernel.
+    pub fn classify_segments(&self, contents: &[impl AsRef<[u8]>]) -> Vec<usize> {
+        let mut scratch = PlacementScratch::default();
+        contents
+            .iter()
+            .map(|c| self.classify(c.as_ref(), &mut scratch))
+            .collect()
     }
 
-    /// Pad a value and return the clusters in nearest-first order — the
-    /// order the DAP uses for fallback.
-    pub fn cluster_order<R: Rng>(&self, value: &[u8], padder: &Padder, rng: &mut R) -> Vec<usize> {
-        let features = padder.pad(value, self.input_bits, rng);
-        self.cluster.clusters_by_distance(&features)
-    }
-
-    /// Classify whole segments (no padding needed).
-    pub fn classify_segments(&self, contents: &[Vec<u8>]) -> Vec<usize> {
-        if contents.is_empty() {
-            return Vec::new();
-        }
-        let m = segments_to_matrix(contents);
-        self.cluster.predict_batch(&m)
+    /// Pad `value` to the model input, packed, in `buf`.
+    fn pad_into<'b, R: Rng>(
+        &self,
+        value: &[u8],
+        padder: &Padder,
+        rng: &mut R,
+        buf: &'b mut Vec<u8>,
+    ) -> &'b [u8] {
+        buf.resize(self.input_bits / 8, 0);
+        padder.pad(value, buf, rng);
+        buf
     }
 
     /// Number of clusters.
@@ -88,6 +136,12 @@ impl E2Model {
     /// Multiply-accumulates per prediction (CPU-energy model input).
     pub fn predict_macs(&self) -> u64 {
         self.cluster.predict_macs()
+    }
+
+    /// The underlying encoder + centroids — the batched `Matrix` path
+    /// the serving kernel is checked against.
+    pub fn cluster_model(&self) -> &ClusterModel {
+        &self.cluster
     }
 
     /// Multiply-accumulates for one retraining epoch on `n` samples.

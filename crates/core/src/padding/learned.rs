@@ -90,11 +90,12 @@ impl LearnedPadder {
             .collect()
     }
 
-    /// Generate `q` padding bits (0.0/1.0) conditioned on `data`.
+    /// Generate `q` padding bits conditioned on `data`, calling `set(j)`
+    /// for every bit `j` of the `q` that is a one (ascending).
     ///
     /// The window is seeded with the last 8 bytes of `data` (cycled if
     /// the value is shorter) and slides by one predicted byte per step.
-    pub fn generate(&self, data: &[u8], q: usize) -> Vec<f32> {
+    pub fn generate(&self, data: &[u8], q: usize, mut set: impl FnMut(usize)) {
         let mut window = [0u8; WINDOW_BITS / 8];
         if data.is_empty() {
             // Nothing to condition on: a zero window.
@@ -106,23 +107,21 @@ impl LearnedPadder {
                 *w = data[i % data.len()];
             }
         }
-        let mut out = Vec::with_capacity(q);
-        while out.len() < q {
+        for start in (0..q).step_by(STEP_BITS) {
             let seq = Self::windows_to_sequence(std::iter::once(&window[..]));
             let pred = self.lstm.predict(&seq);
             let mut byte = 0u8;
             for c in 0..STEP_BITS {
                 let bit = pred.get(0, c) > 0.5;
                 byte = (byte << 1) | u8::from(bit);
-                if out.len() < q {
-                    out.push(f32::from(bit));
+                if bit && start + c < q {
+                    set(start + c);
                 }
             }
             // Slide the window by one byte.
             window.rotate_left(1);
             window[WINDOW_BITS / 8 - 1] = byte;
         }
-        out
     }
 }
 
@@ -131,14 +130,26 @@ mod tests {
     use super::*;
     use e2nvm_ml::rng::seeded;
 
+    /// The `q` generated bits, one `bool` each.
+    fn generated(padder: &LearnedPadder, data: &[u8], q: usize) -> Vec<bool> {
+        let mut out = vec![false; q];
+        padder.generate(data, q, |j| out[j] = true);
+        out
+    }
+
+    fn ones(bits: &[bool]) -> usize {
+        bits.iter().filter(|&&b| b).count()
+    }
+
     #[test]
-    fn generates_requested_length() {
+    fn sets_only_bits_below_q() {
         let mut rng = seeded(1);
         let padder = LearnedPadder::new(&mut rng);
-        for q in [1, 7, 8, 9, 64, 100] {
-            let out = padder.generate(&[0xAB, 0xCD], q);
-            assert_eq!(out.len(), q);
-            assert!(out.iter().all(|&v| v == 0.0 || v == 1.0));
+        for q in [0, 1, 7, 8, 9, 64, 100] {
+            // `generated` indexes out of bounds (and panics) on `j >= q`.
+            let out = generated(&padder, &[0xAB, 0xCD], q);
+            // A shorter request is a prefix of a longer one.
+            assert_eq!(out, generated(&padder, &[0xAB, 0xCD], 104)[..q]);
         }
     }
 
@@ -150,9 +161,12 @@ mod tests {
         let segments: Vec<Vec<u8>> = (0..8).map(|_| vec![0xFFu8; 24]).collect();
         let mut padder = LearnedPadder::new(&mut rng);
         padder.train(&segments, 30, &mut rng);
-        let out = padder.generate(&[0xFFu8; 8], 32);
-        let ones: f32 = out.iter().sum();
-        assert!(ones >= 30.0, "expected ~all ones, got {ones}/32");
+        let out = generated(&padder, &[0xFFu8; 8], 32);
+        assert!(
+            ones(&out) >= 30,
+            "expected ~all ones, got {}/32",
+            ones(&out)
+        );
     }
 
     #[test]
@@ -173,11 +187,9 @@ mod tests {
         let data: Vec<u8> = (0..8)
             .map(|i| if i % 2 == 0 { 0x00 } else { 0xFF })
             .collect();
-        let out = padder.generate(&data, 16);
-        let first_byte_ones: f32 = out[..8].iter().sum();
-        let second_byte_ones: f32 = out[8..16].iter().sum();
+        let out = generated(&padder, &data, 16);
         assert!(
-            first_byte_ones <= 2.0 && second_byte_ones >= 6.0,
+            ones(&out[..8]) <= 2 && ones(&out[8..]) >= 6,
             "pattern not learned: {out:?}"
         );
     }
@@ -186,8 +198,8 @@ mod tests {
     fn short_and_empty_values_handled() {
         let mut rng = seeded(4);
         let padder = LearnedPadder::new(&mut rng);
-        assert_eq!(padder.generate(&[], 8).len(), 8);
-        assert_eq!(padder.generate(&[0x01], 8).len(), 8);
+        generated(&padder, &[], 8);
+        generated(&padder, &[0x01], 8);
     }
 
     #[test]
@@ -196,6 +208,6 @@ mod tests {
         let mut padder = LearnedPadder::new(&mut rng);
         // Segments not longer than the window: no examples, no panic.
         padder.train(&[vec![0u8; 8], vec![1u8; 4]], 5, &mut rng);
-        assert_eq!(padder.generate(&[0u8; 4], 16).len(), 16);
+        generated(&padder, &[0u8; 4], 16);
     }
 }

@@ -16,7 +16,6 @@ pub mod learned;
 
 pub use learned::LearnedPadder;
 
-use e2nvm_ml::data::bytes_to_features;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -158,87 +157,95 @@ impl Padder {
         self.learned.is_some()
     }
 
-    /// Pad `data` to exactly `target_bits` bit-features for the model.
-    /// Returns the feature vector; stored bytes are unaffected (padding
-    /// is prediction-only).
+    /// Pad `data` to the model input `out` — `input_bits / 8` bytes of
+    /// packed bits, MSB-first as `e2nvm_ml::data::bytes_to_features`
+    /// lays them out, which is what the prediction kernel reads. Stored
+    /// bytes are unaffected (padding is prediction-only). The `q`
+    /// padding bits are generated in ascending order, one RNG draw per
+    /// bit for the randomized types, and land around the data as the
+    /// location says (a [`PaddingLocation::Middle`] split falls on a
+    /// nibble).
     ///
     /// # Panics
-    /// Panics if `data` is longer than `target_bits` allows.
-    pub fn pad<R: Rng>(&self, data: &[u8], target_bits: usize, rng: &mut R) -> Vec<f32> {
-        let data_bits = bytes_to_features(data);
+    /// Panics if `data` is longer than `out`.
+    pub fn pad<R: Rng>(&self, data: &[u8], out: &mut [u8], rng: &mut R) {
         assert!(
-            data_bits.len() <= target_bits,
-            "pad: data ({} bits) exceeds model input ({target_bits} bits)",
-            data_bits.len()
+            data.len() <= out.len(),
+            "pad: data ({} bits) exceeds model input ({} bits)",
+            data.len() * 8,
+            out.len() * 8
         );
-        let q = target_bits - data_bits.len();
-        if q == 0 {
-            return data_bits;
-        }
-        let pad_bits = self.generate(data, &data_bits, q, rng);
-        debug_assert_eq!(pad_bits.len(), q);
-        let mut out = Vec::with_capacity(target_bits);
-        match self.location {
-            PaddingLocation::Beginning => {
-                out.extend_from_slice(&pad_bits);
-                out.extend_from_slice(&data_bits);
-            }
-            PaddingLocation::End => {
-                out.extend_from_slice(&data_bits);
-                out.extend_from_slice(&pad_bits);
-            }
-            PaddingLocation::Middle => {
-                let half = q / 2;
-                out.extend_from_slice(&pad_bits[..half]);
-                out.extend_from_slice(&data_bits);
-                out.extend_from_slice(&pad_bits[half..]);
+        let data_bits = data.len() * 8;
+        let q = out.len() * 8 - data_bits;
+        let before = match self.location {
+            PaddingLocation::Beginning => q,
+            PaddingLocation::Middle => q / 2,
+            PaddingLocation::End => 0,
+        };
+        out.fill(0);
+        let (byte, shift) = (before / 8, before % 8);
+        if shift == 0 {
+            out[byte..byte + data.len()].copy_from_slice(data);
+        } else {
+            for (i, &b) in data.iter().enumerate() {
+                out[byte + i] |= b >> shift;
+                out[byte + i + 1] |= b << (8 - shift);
             }
         }
-        out
-    }
-
-    fn generate<R: Rng>(&self, data: &[u8], data_bits: &[f32], q: usize, rng: &mut R) -> Vec<f32> {
+        // Padding bit `j` of `q` sits before the data while `j < before`
+        // and after it otherwise.
+        let mut set = |j: usize| {
+            let pos = if j < before { j } else { j + data_bits };
+            out[pos / 8] |= 0x80 >> (pos % 8);
+        };
         match self.ptype {
-            PaddingType::Zero => vec![0.0; q],
-            PaddingType::One => vec![1.0; q],
-            PaddingType::Random => (0..q).map(|_| f32::from(rng.gen::<bool>())).collect(),
+            PaddingType::Zero => {}
+            PaddingType::One => (0..q).for_each(set),
+            PaddingType::Random => {
+                for j in 0..q {
+                    if rng.gen::<bool>() {
+                        set(j);
+                    }
+                }
+            }
             PaddingType::InputBased => {
-                let ones: f32 = data_bits.iter().sum();
-                let p = if data_bits.is_empty() {
+                let p = if data.is_empty() {
                     0.5
                 } else {
-                    ones / data_bits.len() as f32
+                    e2nvm_sim::bitops::popcount(data) as f32 / data_bits as f32
                 };
-                bernoulli(p, q, rng)
+                bernoulli(p, q, rng, set);
             }
-            PaddingType::DatasetBased => {
-                let p = if self.dataset_bits == 0 {
-                    0.5
-                } else {
-                    self.dataset_ones as f32 / self.dataset_bits as f32
-                };
-                bernoulli(p, q, rng)
-            }
-            PaddingType::MemoryBased => bernoulli(self.memory_ones_ratio, q, rng),
+            PaddingType::DatasetBased => bernoulli(self.dataset_ratio(), q, rng, set),
+            PaddingType::MemoryBased => bernoulli(self.memory_ones_ratio, q, rng, set),
             PaddingType::Learned => match &self.learned {
-                Some(padder) => padder.generate(data, q),
+                Some(padder) => padder.generate(data, q, set),
                 // Untrained learned padder: degrade gracefully to the
                 // dataset distribution rather than panic mid-workload.
-                None => {
-                    let p = if self.dataset_bits == 0 {
-                        0.5
-                    } else {
-                        self.dataset_ones as f32 / self.dataset_bits as f32
-                    };
-                    bernoulli(p, q, rng)
-                }
+                None => bernoulli(self.dataset_ratio(), q, rng, set),
             },
+        }
+    }
+
+    /// Share of one-bits among the items observed so far (0.5 before
+    /// the first).
+    fn dataset_ratio(&self) -> f32 {
+        if self.dataset_bits == 0 {
+            0.5
+        } else {
+            self.dataset_ones as f32 / self.dataset_bits as f32
         }
     }
 }
 
-fn bernoulli<R: Rng>(p: f32, q: usize, rng: &mut R) -> Vec<f32> {
-    (0..q).map(|_| f32::from(rng.gen::<f32>() < p)).collect()
+/// Set each of the `q` padding bits with probability `p`, one draw per
+/// bit in ascending order.
+fn bernoulli<R: Rng>(p: f32, q: usize, rng: &mut R, mut set: impl FnMut(usize)) {
+    for j in 0..q {
+        if rng.gen::<f32>() < p {
+            set(j);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -246,44 +253,70 @@ mod tests {
     use super::*;
     use e2nvm_ml::rng::seeded;
 
+    /// Pad `data` into a fresh `out_bytes`-byte model input.
+    fn padded(padder: &Padder, data: &[u8], out_bytes: usize, rng: &mut impl Rng) -> Vec<u8> {
+        let mut out = vec![0xA5u8; out_bytes]; // stale content must not leak
+        padder.pad(data, &mut out, rng);
+        out
+    }
+
+    /// Share of one-bits in `bytes`.
+    fn ones_ratio(bytes: &[u8]) -> f32 {
+        e2nvm_sim::bitops::popcount(bytes) as f32 / (bytes.len() * 8) as f32
+    }
+
     #[test]
     fn exact_size_passthrough() {
         let padder = Padder::new(PaddingLocation::End, PaddingType::Zero);
         let mut rng = seeded(1);
-        let out = padder.pad(&[0xFF], 8, &mut rng);
-        assert_eq!(out, vec![1.0f32; 8]);
+        assert_eq!(padded(&padder, &[0xFF], 1, &mut rng), [0xFF]);
     }
 
     #[test]
     fn locations_place_data_correctly() {
         let mut rng = seeded(2);
         let data = [0xFFu8]; // 8 one-bits
-        for (loc, data_range) in [
-            (PaddingLocation::Beginning, 8..16),
-            (PaddingLocation::End, 0..8),
-            (PaddingLocation::Middle, 4..12),
+        for (loc, expect) in [
+            (PaddingLocation::Beginning, [0x00, 0xFF]),
+            (PaddingLocation::End, [0xFF, 0x00]),
+            (PaddingLocation::Middle, [0x0F, 0xF0]),
         ] {
             let padder = Padder::new(loc, PaddingType::Zero);
-            let out = padder.pad(&data, 16, &mut rng);
-            assert_eq!(out.len(), 16);
-            for (i, v) in out.iter().enumerate() {
-                let expect = if data_range.contains(&i) { 1.0 } else { 0.0 };
-                assert_eq!(*v, expect, "{}: bit {i}", loc.name());
-            }
+            assert_eq!(
+                padded(&padder, &data, 2, &mut rng),
+                expect,
+                "{}",
+                loc.name()
+            );
         }
+    }
+
+    #[test]
+    fn middle_split_on_a_nibble_keeps_data_and_padding_apart() {
+        let mut rng = seeded(9);
+        let padder = Padder::new(PaddingLocation::Middle, PaddingType::One);
+        // 3 padding bytes: 12 bits before the data, 12 after.
+        assert_eq!(
+            padded(&padder, &[0x00, 0x81], 5, &mut rng),
+            [0xFF, 0xF0, 0x08, 0x1F, 0xFF]
+        );
     }
 
     #[test]
     fn zero_one_random_types() {
         let mut rng = seeded(3);
         let data = [0x0Fu8];
-        let zero = Padder::new(PaddingLocation::End, PaddingType::Zero).pad(&data, 32, &mut rng);
-        assert!(zero[8..].iter().all(|&v| v == 0.0));
-        let one = Padder::new(PaddingLocation::End, PaddingType::One).pad(&data, 32, &mut rng);
-        assert!(one[8..].iter().all(|&v| v == 1.0));
-        let rand = Padder::new(PaddingLocation::End, PaddingType::Random).pad(&data, 512, &mut rng);
-        let ones: f32 = rand[8..].iter().sum();
-        assert!((ones / 504.0 - 0.5).abs() < 0.1, "random not balanced");
+        let end = |t| Padder::new(PaddingLocation::End, t);
+        let zero = padded(&end(PaddingType::Zero), &data, 4, &mut rng);
+        assert_eq!(zero, [0x0F, 0, 0, 0]);
+        let one = padded(&end(PaddingType::One), &data, 4, &mut rng);
+        assert_eq!(one, [0x0F, 0xFF, 0xFF, 0xFF]);
+        let rand = padded(&end(PaddingType::Random), &data, 64, &mut rng);
+        assert_eq!(rand[0], 0x0F);
+        assert!(
+            (ones_ratio(&rand[1..]) - 0.5).abs() < 0.1,
+            "random not balanced"
+        );
     }
 
     #[test]
@@ -292,8 +325,8 @@ mod tests {
         // Input 25% ones, like the paper's d1 = [0,0,0,1] example.
         let data = [0b0001_0001u8, 0b0000_0000];
         let padder = Padder::new(PaddingLocation::End, PaddingType::InputBased);
-        let out = padder.pad(&data, 16 + 4096, &mut rng);
-        let p = out[16..].iter().sum::<f32>() / 4096.0;
+        let out = padded(&padder, &data, 2 + 512, &mut rng);
+        let p = ones_ratio(&out[2..]);
         assert!((p - 2.0 / 16.0).abs() < 0.03, "p={p}");
     }
 
@@ -303,8 +336,8 @@ mod tests {
         let mut padder = Padder::new(PaddingLocation::End, PaddingType::DatasetBased);
         // Observe 75%-ones data.
         padder.observe(&[0xFF, 0xFF, 0xFF, 0x00]);
-        let out = padder.pad(&[0x00], 8 + 4096, &mut rng);
-        let p = out[8..].iter().sum::<f32>() / 4096.0;
+        let out = padded(&padder, &[0x00], 1 + 512, &mut rng);
+        let p = ones_ratio(&out[1..]);
         assert!((p - 0.75).abs() < 0.03, "p={p}");
     }
 
@@ -313,8 +346,8 @@ mod tests {
         let mut rng = seeded(6);
         let mut padder = Padder::new(PaddingLocation::End, PaddingType::MemoryBased);
         padder.set_memory_ratio(0.9);
-        let out = padder.pad(&[0x00], 8 + 4096, &mut rng);
-        let p = out[8..].iter().sum::<f32>() / 4096.0;
+        let out = padded(&padder, &[0x00], 1 + 512, &mut rng);
+        let p = ones_ratio(&out[1..]);
         assert!((p - 0.9).abs() < 0.03, "p={p}");
     }
 
@@ -323,9 +356,8 @@ mod tests {
         let mut rng = seeded(7);
         let padder = Padder::new(PaddingLocation::End, PaddingType::Learned);
         assert!(!padder.is_learned_ready());
-        let out = padder.pad(&[0xAA], 64, &mut rng);
-        assert_eq!(out.len(), 64);
-        assert!(out.iter().all(|&v| v == 0.0 || v == 1.0));
+        let out = padded(&padder, &[0xAA], 8, &mut rng);
+        assert_eq!(out[0], 0xAA);
     }
 
     #[test]
@@ -333,7 +365,7 @@ mod tests {
     fn oversized_data_panics() {
         let padder = Padder::new(PaddingLocation::End, PaddingType::Zero);
         let mut rng = seeded(8);
-        padder.pad(&[0u8; 10], 8, &mut rng);
+        padder.pad(&[0u8; 10], &mut [0u8; 1], &mut rng);
     }
 
     #[test]

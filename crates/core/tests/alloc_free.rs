@@ -1,0 +1,101 @@
+//! Pins "allocation-free": once its scratch is warm, the serving path —
+//! pad + order on place, classify on recycle — never touches the heap.
+//! Its own test binary, because it has to own the global allocator.
+
+use e2nvm_core::{E2Config, E2Model, Padder, PaddingLocation, PaddingType, PlacementScratch};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The system allocator, counting the bytes requested by threads that
+/// have armed it (the test harness's own threads allocate at will).
+struct Counting;
+
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count(bytes: usize) {
+    if ARMED.with(Cell::get) {
+        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches only an
+// atomic and a const-initialized, destructor-free thread-local, neither
+// of which allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+#[test]
+fn warm_scratch_predicts_without_allocating() {
+    const SEGMENT: usize = 32;
+    let mut rng = StdRng::seed_from_u64(11);
+    let segments: Vec<Vec<u8>> = (0..64)
+        .map(|_| (0..SEGMENT).map(|_| rng.gen()).collect())
+        .collect();
+    let cfg = E2Config::builder()
+        .fast(SEGMENT, 6)
+        .hidden(vec![16, 8])
+        .pretrain_epochs(1)
+        .joint_epochs(1)
+        .build()
+        .unwrap();
+    let model = E2Model::train(&cfg, &segments, &mut rng);
+    // Every generator but the learned one, whose LSTM steps run on the
+    // batched `Matrix` path.
+    let padders: Vec<Padder> = PaddingLocation::ALL
+        .into_iter()
+        .flat_map(|location| {
+            PaddingType::ALL
+                .into_iter()
+                .filter(|&t| t != PaddingType::Learned)
+                .map(move |t| Padder::new(location, t))
+        })
+        .collect();
+
+    let mut scratch = PlacementScratch::default();
+    model.order_into(&segments[0][..5], &padders[0], &mut rng, &mut scratch);
+    model.classify(&segments[0], &mut scratch);
+
+    let mut checksum = 0usize;
+    ARMED.with(|armed| armed.set(true));
+    for i in 0..1000 {
+        let segment = &segments[i % segments.len()];
+        let padder = &padders[i % padders.len()];
+        let value = &segment[..i % (SEGMENT + 1)];
+        checksum += model.order_into(value, padder, &mut rng, &mut scratch)[0];
+        checksum += model.classify(segment, &mut scratch);
+    }
+    ARMED.with(|armed| armed.set(false));
+
+    assert_eq!(
+        BYTES.load(Ordering::Relaxed),
+        0,
+        "the warm serving path allocated"
+    );
+    assert!(checksum < 2 * 1000 * model.k());
+}

@@ -1,12 +1,20 @@
 //! Property tests for the core invariants DESIGN.md calls out:
 //! padding output width and stored-bytes neutrality, DAP conservation
-//! under interleaved traffic, and batch accumulator integrity.
+//! under interleaved traffic, and batch accumulator integrity — plus
+//! the exhaustive check that the packed-bit prediction kernel decides
+//! exactly what the batched `Matrix` path decides.
 
-use e2nvm_core::{BatchAccumulator, DynamicAddressPool, Padder, PaddingLocation, PaddingType};
+use e2nvm_core::padding::LearnedPadder;
+use e2nvm_core::{
+    BatchAccumulator, DynamicAddressPool, E2Config, E2Model, Padder, PaddingLocation, PaddingType,
+    PlacementScratch,
+};
+use e2nvm_ml::data::{bytes_to_features, segments_to_matrix};
+use e2nvm_ml::Matrix;
 use e2nvm_sim::LogicalSegment;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 fn any_location() -> impl Strategy<Value = PaddingLocation> {
     prop_oneof![
@@ -24,33 +32,121 @@ fn any_type() -> impl Strategy<Value = PaddingType> {
         Just(PaddingType::InputBased),
         Just(PaddingType::DatasetBased),
         Just(PaddingType::MemoryBased),
-        Just(PaddingType::Learned), // untrained: falls back gracefully
+        Just(PaddingType::Learned),
     ]
+}
+
+/// What a [`Padder`] under test was told, so [`float_padding`] can
+/// generate from the same state.
+struct PadderState<'a> {
+    location: PaddingLocation,
+    ptype: PaddingType,
+    /// Everything passed to `Padder::observe`, concatenated.
+    observed: &'a [u8],
+    memory_ratio: f32,
+    /// A generator trained exactly as the padder's own, if it has one.
+    learned: Option<&'a LearnedPadder>,
+}
+
+/// The reference padding: one `f32` feature per bit, generated type by
+/// type and assembled location by location the way `Padder::pad` did
+/// while it returned a `Vec<f32>`. The packed padding must unpack to
+/// exactly this, having drawn from `rng` exactly as often.
+fn float_padding(
+    state: &PadderState,
+    data: &[u8],
+    target_bits: usize,
+    rng: &mut impl Rng,
+) -> Vec<f32> {
+    let data_bits = bytes_to_features(data);
+    let q = target_bits - data_bits.len();
+    if q == 0 {
+        return data_bits;
+    }
+    let mut bernoulli =
+        |p: f32| -> Vec<f32> { (0..q).map(|_| f32::from(rng.gen::<f32>() < p)).collect() };
+    let pad_bits: Vec<f32> = match (state.ptype, state.learned) {
+        (PaddingType::Zero, _) => vec![0.0; q],
+        (PaddingType::One, _) => vec![1.0; q],
+        (PaddingType::Random, _) => (0..q).map(|_| f32::from(rng.gen::<bool>())).collect(),
+        (PaddingType::InputBased, _) => bernoulli(ones_share(data)),
+        (PaddingType::DatasetBased, _) | (PaddingType::Learned, None) => {
+            bernoulli(ones_share(state.observed))
+        }
+        (PaddingType::MemoryBased, _) => bernoulli(state.memory_ratio),
+        (PaddingType::Learned, Some(generator)) => {
+            let mut bits = vec![0.0; q];
+            generator.generate(data, q, |j| bits[j] = 1.0);
+            bits
+        }
+    };
+    let before = match state.location {
+        PaddingLocation::Beginning => q,
+        PaddingLocation::Middle => q / 2,
+        PaddingLocation::End => 0,
+    };
+    [&pad_bits[..before], &data_bits[..], &pad_bits[before..]].concat()
+}
+
+/// Share of one-bits in `bytes`, 0.5 when there are none to count.
+fn ones_share(bytes: &[u8]) -> f32 {
+    if bytes.is_empty() {
+        return 0.5;
+    }
+    let ones: f32 = bytes_to_features(bytes).iter().sum();
+    ones / (bytes.len() * 8) as f32
+}
+
+/// A padder with a trained LSTM generator plus an identically trained
+/// twin of that generator for [`float_padding`].
+fn trained_learned(location: PaddingLocation, seed: u64) -> (Padder, LearnedPadder) {
+    let segments: Vec<Vec<u8>> = (0..12u8)
+        .map(|s| {
+            (0..24u8)
+                .map(|i| i.wrapping_mul(7) ^ s.wrapping_mul(29))
+                .collect()
+        })
+        .collect();
+    let mut padder = Padder::new(location, PaddingType::Learned);
+    padder.train_learned(&segments, 1, &mut StdRng::seed_from_u64(seed));
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut twin = LearnedPadder::new(&mut rng);
+    twin.train(&segments, 1, &mut rng);
+    (padder, twin)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Padding always produces exactly the model width, values are
-    /// bits, and the data bits appear intact at the configured
-    /// location.
+    /// Padding always produces exactly the model width, the data bits
+    /// appear intact at the configured location, and the packed output
+    /// is bit for bit the float reference, with the RNG left in the
+    /// same state.
     #[test]
     fn padding_width_and_data_intact(
-        data in proptest::collection::vec(any::<u8>(), 1..24),
+        data in proptest::collection::vec(any::<u8>(), 0..24),
         extra_bytes in 0usize..16,
         loc in any_location(),
         ptype in any_type(),
+        train_learned in any::<bool>(),
         ratio in 0.0f32..1.0,
         seed in 0u64..1000,
     ) {
         let target_bits = (data.len() + extra_bytes) * 8;
-        let mut padder = Padder::new(loc, ptype);
+        let (mut padder, twin) = if ptype == PaddingType::Learned && train_learned {
+            let (padder, twin) = trained_learned(loc, seed);
+            (padder, Some(twin))
+        } else {
+            // An untrained learned padder falls back gracefully.
+            (Padder::new(loc, ptype), None)
+        };
         padder.observe(&data);
         padder.set_memory_ratio(ratio);
         let mut rng = StdRng::seed_from_u64(seed);
-        let out = padder.pad(&data, target_bits, &mut rng);
+        let mut packed = vec![0u8; target_bits / 8];
+        padder.pad(&data, &mut packed, &mut rng);
+        let out = bytes_to_features(&packed);
         prop_assert_eq!(out.len(), target_bits);
-        prop_assert!(out.iter().all(|&b| b == 0.0 || b == 1.0));
         // Locate the data bits.
         let q = target_bits - data.len() * 8;
         let start = match loc {
@@ -58,12 +154,22 @@ proptest! {
             PaddingLocation::Middle => q / 2,
             PaddingLocation::End => 0,
         };
-        let expect = e2nvm_ml::data::bytes_to_features(&data);
+        let expect = bytes_to_features(&data);
         prop_assert_eq!(
             &out[start..start + expect.len()],
             &expect[..],
             "data bits not intact at {:?}", loc
         );
+        let state = PadderState {
+            location: loc,
+            ptype,
+            observed: &data,
+            memory_ratio: ratio,
+            learned: twin.as_ref(),
+        };
+        let mut ref_rng = StdRng::seed_from_u64(seed);
+        prop_assert_eq!(out, float_padding(&state, &data, target_bits, &mut ref_rng));
+        prop_assert_eq!(rng.next_u64(), ref_rng.next_u64(), "RNG drawn differently");
     }
 
     /// DAP conservation: across arbitrary interleavings of push/pop, no
@@ -200,5 +306,89 @@ proptest! {
             prop_assert_eq!(cursor, batch.data.len());
         }
         prop_assert_eq!(seen, values.len(), "items lost or duplicated");
+    }
+}
+
+fn random_bytes(len: usize, rng: &mut StdRng) -> Vec<u8> {
+    (0..len).map(|_| rng.gen()).collect()
+}
+
+/// The serving kernel reads packed bits and sums weight rows of set
+/// bits; the batched `Matrix` path (`Vae::latent` on
+/// `bytes_to_features` input + `KMeans`) is what it must agree with —
+/// not approximately, because one differing cluster changes a
+/// placement. Every padding type × location (the learned generator
+/// trained), every value length, one and two hidden layers.
+#[test]
+fn kernel_decides_what_the_matrix_path_decides() {
+    const SEGMENT: usize = 16;
+    let mut data_rng = StdRng::seed_from_u64(17);
+    let segments: Vec<Vec<u8>> = (0..48)
+        .map(|_| random_bytes(SEGMENT, &mut data_rng))
+        .collect();
+    for hidden in [vec![12], vec![12, 8]] {
+        let cfg = E2Config::builder()
+            .fast(SEGMENT, 5)
+            .hidden(hidden.clone())
+            .pretrain_epochs(2)
+            .joint_epochs(1)
+            .build()
+            .unwrap();
+        let model = E2Model::train(&cfg, &segments, &mut StdRng::seed_from_u64(3));
+        let reference = model.cluster_model();
+        let reference_order = |padded: &[u8]| {
+            let x = Matrix::from_vec(1, SEGMENT * 8, bytes_to_features(padded));
+            let z = reference.vae().latent(&x);
+            reference.kmeans().clusters_by_distance(z.row(0))
+        };
+
+        // Whole segments: Algorithm 2's re-classification and the pool
+        // rebuild.
+        let batch = reference.predict_batch(&segments_to_matrix(&segments));
+        assert_eq!(model.classify_segments(&segments), batch);
+        let mut scratch = PlacementScratch::default();
+        for (segment, &cluster) in segments.iter().zip(&batch) {
+            assert_eq!(model.classify(segment, &mut scratch), cluster);
+            assert_eq!(model.predict_features(&bytes_to_features(segment)), cluster);
+        }
+
+        // Padded values: Algorithm 1's prediction.
+        for location in PaddingLocation::ALL {
+            for ptype in PaddingType::ALL {
+                let mut padder = if ptype == PaddingType::Learned {
+                    trained_learned(location, 5).0
+                } else {
+                    Padder::new(location, ptype)
+                };
+                padder.observe(&segments[0]);
+                padder.set_memory_ratio(0.3);
+                for len in 0..=SEGMENT {
+                    let value = random_bytes(len, &mut data_rng);
+                    let seed = len as u64;
+                    let what = format!("{hidden:?} {} {} len {len}", location.name(), ptype.name());
+
+                    let mut ref_rng = StdRng::seed_from_u64(seed);
+                    let mut padded = [0u8; SEGMENT];
+                    padder.pad(&value, &mut padded, &mut ref_rng);
+                    let expect = reference_order(&padded);
+                    let after = ref_rng.next_u64();
+
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let order = model.order_into(&value, &padder, &mut rng, &mut scratch);
+                    assert_eq!(order, expect, "order_into, {what}");
+                    assert_eq!(rng.next_u64(), after, "order_into RNG, {what}");
+
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let order = model.cluster_order(&value, &padder, &mut rng);
+                    assert_eq!(order, expect, "cluster_order, {what}");
+                    assert_eq!(rng.next_u64(), after, "cluster_order RNG, {what}");
+
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let nearest = model.predict_value(&value, &padder, &mut rng);
+                    assert_eq!(nearest, expect[0], "predict_value, {what}");
+                    assert_eq!(rng.next_u64(), after, "predict_value RNG, {what}");
+                }
+            }
+        }
     }
 }

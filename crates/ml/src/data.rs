@@ -9,13 +9,41 @@ use rand::Rng;
 /// ("Each memory location is encoded as a vector of bits, each of which
 /// is used as a feature/dimension").
 pub fn bytes_to_features(bytes: &[u8]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(bytes.len() * 8);
-    for &b in bytes {
-        for shift in (0..8).rev() {
-            out.push(((b >> shift) & 1) as f32);
+    let mut out = vec![0.0f32; bytes.len() * 8];
+    for (features, &b) in out.chunks_exact_mut(8).zip(bytes) {
+        for (i, f) in features.iter_mut().enumerate() {
+            *f = f32::from((b >> (7 - i)) & 1);
         }
     }
     out
+}
+
+/// Inverse of [`bytes_to_features`]: pack 0.0/1.0 features back into
+/// MSB-first bytes, the input of the prediction kernel
+/// ([`crate::predict`]).
+///
+/// # Panics
+/// Panics if the length is not a whole number of bytes or a feature is
+/// neither `0.0` nor `1.0` — the model's input is bits.
+pub fn features_to_bytes(features: &[f32]) -> Vec<u8> {
+    assert_eq!(
+        features.len() % 8,
+        0,
+        "features_to_bytes: {} features are not whole bytes",
+        features.len()
+    );
+    let mut all_bits = true;
+    let bytes = features
+        .chunks_exact(8)
+        .map(|byte| {
+            byte.iter().fold(0u8, |acc, &f| {
+                all_bits &= f == 0.0 || f == 1.0;
+                (acc << 1) | u8::from(f == 1.0)
+            })
+        })
+        .collect();
+    assert!(all_bits, "features_to_bytes: a feature is not a bit");
+    bytes
 }
 
 /// Stack many equal-length byte buffers into an `n × (len*8)` feature
@@ -73,6 +101,12 @@ mod tests {
     fn bit_features_msb_first() {
         let f = bytes_to_features(&[0b1010_0000]);
         assert_eq!(f, vec![1., 0., 1., 0., 0., 0., 0., 0.]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a bit")]
+    fn non_bit_feature_rejected() {
+        features_to_bytes(&[0.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! ("After training, only the encoder part of the VAE and the K-means
 //! clustering models are needed").
 
+use crate::data::features_to_bytes;
 use crate::kmeans::KMeans;
 use crate::matrix::Matrix;
+use crate::predict::PredictScratch;
 use crate::vae::{Vae, VaeConfig, VaeLosses};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -254,13 +256,15 @@ impl ClusterModel {
         )
     }
 
-    /// Predict the cluster of one feature vector (two-stage: encoder
-    /// then K-means — the prediction path whose latency Figure 10
-    /// reports).
+    /// Predict the cluster of one 0.0/1.0 feature vector (two-stage:
+    /// encoder then K-means — the prediction path whose latency
+    /// Figure 10 reports). Packs the features and runs
+    /// [`ClusterModel::predict_packed`].
+    ///
+    /// # Panics
+    /// Panics if a feature is neither `0.0` nor `1.0`.
     pub fn predict(&self, features: &[f32]) -> usize {
-        let x = Matrix::from_vec(1, features.len(), features.to_vec());
-        let z = self.vae.latent(&x);
-        self.kmeans.predict(z.row(0))
+        self.predict_packed(&features_to_bytes(features), &mut PredictScratch::default())
     }
 
     /// Predict clusters for a batch of samples.
@@ -271,12 +275,15 @@ impl ClusterModel {
             .collect()
     }
 
-    /// Clusters ordered nearest-first for a feature vector (the DAP's
-    /// fallback order).
+    /// Clusters ordered nearest-first for a 0.0/1.0 feature vector (the
+    /// DAP's fallback order). Packs the features and runs
+    /// [`ClusterModel::order_packed`].
+    ///
+    /// # Panics
+    /// Panics if a feature is neither `0.0` nor `1.0`.
     pub fn clusters_by_distance(&self, features: &[f32]) -> Vec<usize> {
-        let x = Matrix::from_vec(1, features.len(), features.to_vec());
-        let z = self.vae.latent(&x);
-        self.kmeans.clusters_by_distance(z.row(0))
+        self.order_packed(&features_to_bytes(features), &mut PredictScratch::default())
+            .to_vec()
     }
 
     /// Number of clusters.
@@ -290,7 +297,9 @@ impl ClusterModel {
     }
 
     /// Multiply-accumulates per prediction (encoder forward + centroid
-    /// scan) — feeds the CPU-energy model.
+    /// scan) — feeds the CPU-energy model. The *nominal dense* count:
+    /// it prices the model, not the serving kernel's skipping of zero
+    /// inputs and of the log σ² half ([`crate::predict`]).
     pub fn predict_macs(&self) -> u64 {
         self.vae.predict_macs() + (self.kmeans.k() * self.vae.config().latent_dim) as u64
     }

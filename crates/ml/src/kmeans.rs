@@ -136,7 +136,7 @@ impl KMeans {
     }
 }
 
-fn dist2(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dist2(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
 }
 

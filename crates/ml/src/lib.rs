@@ -25,6 +25,7 @@ pub mod mlp;
 pub mod optim;
 pub mod pca;
 pub mod persist;
+pub mod predict;
 pub mod rng;
 pub mod vae;
 
@@ -37,4 +38,5 @@ pub use matrix::Matrix;
 pub use mlp::Mlp;
 pub use pca::Pca;
 pub use persist::{Persist, PersistError};
+pub use predict::PredictScratch;
 pub use vae::{Vae, VaeConfig, VaeLosses};

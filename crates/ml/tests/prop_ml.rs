@@ -77,14 +77,12 @@ proptest! {
         prop_assert!((sse - fit.sse).abs() < sse.abs().max(1.0) * 1e-3);
     }
 
-    /// bytes -> features -> (threshold) -> bytes round-trips.
+    /// bytes -> features -> bytes round-trips.
     #[test]
     fn feature_roundtrip(bytes in proptest::collection::vec(any::<u8>(), 1..64)) {
         let feats = data::bytes_to_features(&bytes);
         prop_assert_eq!(feats.len(), bytes.len() * 8);
-        let bits: Vec<u8> = feats.iter().map(|&f| if f > 0.5 { 1 } else { 0 }).collect();
-        let back = e2nvm_sim_free_bits_to_bytes(&bits);
-        prop_assert_eq!(back, bytes);
+        prop_assert_eq!(data::features_to_bytes(&feats), bytes);
     }
 
     /// PCA transform output has the requested width and finite values.
@@ -101,12 +99,4 @@ proptest! {
         prop_assert_eq!(scores.cols(), p.min(6));
         prop_assert!(scores.as_slice().iter().all(|v| v.is_finite()));
     }
-}
-
-/// Minimal local bit-packer (MSB-first) to avoid a cross-crate dep in
-/// this test.
-fn e2nvm_sim_free_bits_to_bytes(bits: &[u8]) -> Vec<u8> {
-    bits.chunks_exact(8)
-        .map(|chunk| chunk.iter().fold(0u8, |acc, &b| (acc << 1) | (b & 1)))
-        .collect()
 }

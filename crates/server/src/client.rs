@@ -7,8 +7,8 @@
 //! the k-th request.
 
 use crate::frame::{
-    encode_request, is_continuation, parse_response, FrameDecoder, FrameError, RawFrame, Request,
-    Response, Status, MAX_RESPONSE_BODY,
+    encode_request, parse_response, FrameDecoder, FrameError, RawFrame, Request, Response, Status,
+    MAX_RESPONSE_BODY,
 };
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -138,47 +138,6 @@ impl Client {
                     format!(
                         "server closed the connection with {} of {n} responses outstanding",
                         n - received,
-                    ),
-                ));
-            }
-            self.decoder.extend(&self.rdbuf[..got]);
-        }
-        Ok(())
-    }
-
-    /// Like [`Client::recv_frames`], but `n` counts completed
-    /// *requests* rather than frames: a SCAN_STREAM response's
-    /// non-terminal chunks invoke `f` without counting toward `n`
-    /// (only its final chunk — or the error frame that terminated the
-    /// stream — does). Use this to drain a pipeline that may contain
-    /// streaming scans, where the frame count isn't knowable up front.
-    pub fn recv_responses(
-        &mut self,
-        n: usize,
-        mut f: impl FnMut(&RawFrame<'_>),
-    ) -> std::io::Result<()> {
-        let mut completed = 0usize;
-        while completed < n {
-            match self.decoder.next_frame() {
-                Ok(Some(raw)) => {
-                    if !is_continuation(&raw) {
-                        completed += 1;
-                    }
-                    f(&raw);
-                    continue;
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    return Err(std::io::Error::new(ErrorKind::InvalidData, e.to_string()));
-                }
-            }
-            let got = self.stream.read(&mut self.rdbuf)?;
-            if got == 0 {
-                return Err(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    format!(
-                        "server closed the connection with {} of {n} responses outstanding",
-                        n - completed,
                     ),
                 ));
             }

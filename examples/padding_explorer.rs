@@ -13,10 +13,8 @@ use e2nvm::workloads::DatasetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn bits_to_string(bits: &[f32]) -> String {
-    bits.iter()
-        .map(|&b| if b > 0.5 { '1' } else { '0' })
-        .collect()
+fn bits_to_string(packed: &[u8]) -> String {
+    packed.iter().map(|b| format!("{b:08b}")).collect()
 }
 
 fn main() {
@@ -35,7 +33,8 @@ fn main() {
             // Only the top 4 bits of d1 are data; emulate by padding the
             // 4-bit value. (Bytes are the API granularity; we show the
             // 8->16 bit equivalent of the paper's 4->8 example.)
-            let padded = padder.pad(&d1, 16, &mut rng);
+            let mut padded = [0u8; 2];
+            padder.pad(&d1, &mut padded, &mut rng);
             println!(
                 "{:>10} {:>10} {:>16}",
                 ptype.name(),
