@@ -3,7 +3,7 @@
 
 use crate::config::E2Config;
 use crate::padding::Padder;
-use e2nvm_ml::data::{segments_to_matrix, subsample_rows, train_val_split};
+use e2nvm_ml::data::{subsample_segments, train_val_split};
 use e2nvm_ml::persist::{Persist, PersistError, Reader, Writer};
 use e2nvm_ml::{ClusterModel, Matrix, PredictScratch, TrainingHistory};
 use rand::Rng;
@@ -40,8 +40,7 @@ impl E2Model {
             contents.iter().all(|c| c.len() == cfg.segment_bytes),
             "E2Model::train: contents must be whole segments"
         );
-        let all = segments_to_matrix(contents);
-        let capped = subsample_rows(&all, cfg.train_sample_cap, rng);
+        let capped = subsample_segments(contents, cfg.train_sample_cap, rng);
         let (train, val) = train_val_split(&capped, 0.1, rng);
         let val_opt: Option<&Matrix> = (val.rows() > 0).then_some(&val);
         let (cluster, history) = ClusterModel::train(&cfg.dec_config(), &train, val_opt, rng);
@@ -273,6 +272,21 @@ mod tests {
             loaded.classify_segments(&contents),
             model.classify_segments(&contents)
         );
+    }
+
+    #[test]
+    fn training_twice_gives_the_same_bytes() {
+        // More segments than the cap, so the subsample runs too.
+        let cfg = E2Config::builder()
+            .fast(16, 2)
+            .pretrain_epochs(3)
+            .joint_epochs(2)
+            .train_sample_cap(48)
+            .build()
+            .unwrap();
+        let contents = clustered_segments(40, 16, &mut seeded(5));
+        let train = || E2Model::train(&cfg, &contents, &mut seeded(6)).to_bytes();
+        assert_eq!(train(), train());
     }
 
     #[test]

@@ -77,19 +77,30 @@ pub fn train_val_split<R: Rng>(data: &Matrix, val_frac: f32, rng: &mut R) -> (Ma
     (data.select_rows(train_idx), data.select_rows(val_idx))
 }
 
-/// Subsample at most `max_rows` rows uniformly without replacement
-/// (used to bound training-set size on large pools).
-pub fn subsample_rows<R: Rng>(data: &Matrix, max_rows: usize, rng: &mut R) -> Matrix {
-    if data.rows() <= max_rows {
-        return data.clone();
+/// [`segments_to_matrix`] over at most `max_rows` of the segments, drawn
+/// uniformly without replacement (bounds training-set size on large
+/// pools). The rows are chosen before any is converted, so a pool of
+/// any size costs `max_rows` rows of floats. Every segment in order, and
+/// no RNG draw, when there are no more than `max_rows`.
+pub fn subsample_segments<R: Rng>(
+    segments: &[impl AsRef<[u8]>],
+    max_rows: usize,
+    rng: &mut R,
+) -> Matrix {
+    let n = segments.len();
+    if n <= max_rows {
+        return segments_to_matrix(segments);
     }
-    let mut idx: Vec<usize> = (0..data.rows()).collect();
+    let mut idx: Vec<usize> = (0..n).collect();
     for i in 0..max_rows {
-        let j = rng.gen_range(i..idx.len());
+        let j = rng.gen_range(i..n);
         idx.swap(i, j);
     }
-    idx.truncate(max_rows);
-    data.select_rows(&idx)
+    let chosen: Vec<&[u8]> = idx[..max_rows]
+        .iter()
+        .map(|&i| segments[i].as_ref())
+        .collect();
+    segments_to_matrix(&chosen)
 }
 
 #[cfg(test)]
@@ -147,24 +158,55 @@ mod tests {
         assert_eq!(seen, expect);
     }
 
+    /// One distinct two-byte segment per index.
+    fn numbered_segments(n: u16) -> Vec<[u8; 2]> {
+        (0..n).map(u16::to_be_bytes).collect()
+    }
+
     #[test]
     fn subsample_bounds_rows() {
         let mut rng = seeded(2);
-        let data = Matrix::from_fn(50, 2, |r, _| r as f32);
-        let s = subsample_rows(&data, 10, &mut rng);
-        assert_eq!(s.rows(), 10);
-        let t = subsample_rows(&data, 100, &mut rng);
-        assert_eq!(t.rows(), 50);
+        let segments = numbered_segments(50);
+        assert_eq!(subsample_segments(&segments, 10, &mut rng).rows(), 10);
+        let before = rng.clone();
+        let all = subsample_segments(&segments, 100, &mut rng);
+        assert_eq!(all, segments_to_matrix(&segments));
+        assert_eq!(rng, before, "nothing to drop, nothing drawn");
     }
 
     #[test]
     fn subsample_has_no_duplicates() {
         let mut rng = seeded(3);
-        let data = Matrix::from_fn(30, 1, |r, _| r as f32);
-        let s = subsample_rows(&data, 20, &mut rng);
-        let mut vals: Vec<i64> = s.as_slice().iter().map(|&v| v as i64).collect();
-        vals.sort_unstable();
-        vals.dedup();
-        assert_eq!(vals.len(), 20);
+        let s = subsample_segments(&numbered_segments(30), 20, &mut rng);
+        let mut rows: Vec<Vec<u8>> = (0..s.rows()).map(|r| features_to_bytes(s.row(r))).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        assert_eq!(rows.len(), 20);
+    }
+
+    #[test]
+    fn subsample_equals_convert_then_select() {
+        // The form this replaced: every segment to floats first, then
+        // keep `max_rows` of the rows.
+        fn subsample_rows<R: Rng>(data: &Matrix, max_rows: usize, rng: &mut R) -> Matrix {
+            if data.rows() <= max_rows {
+                return data.clone();
+            }
+            let mut idx: Vec<usize> = (0..data.rows()).collect();
+            for i in 0..max_rows {
+                let j = rng.gen_range(i..idx.len());
+                idx.swap(i, j);
+            }
+            idx.truncate(max_rows);
+            data.select_rows(&idx)
+        }
+        let segments = numbered_segments(300);
+        for cap in [1, 17, 299, 300, 301] {
+            let (mut a, mut b) = (seeded(4), seeded(4));
+            let new = subsample_segments(&segments, cap, &mut a);
+            let old = subsample_rows(&segments_to_matrix(&segments), cap, &mut b);
+            assert_eq!(new, old, "cap {cap}: same rows in the same order");
+            assert_eq!(a, b, "cap {cap}: same RNG state afterwards");
+        }
     }
 }

@@ -105,19 +105,32 @@ impl Dense {
     /// # Panics
     /// Panics if called before [`Dense::forward`].
     pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
+        let dz = self.preact_grad(d_out);
+        self.backward_preact(&dz)
+    }
+
+    /// The gradient w.r.t. the *pre-activation* `z`, from the gradient
+    /// w.r.t. this layer's output.
+    pub(crate) fn preact_grad(&self, d_out: &Matrix) -> Matrix {
         let y = self
             .cache_y
             .as_ref()
             .expect("Dense::backward before forward");
         let act = self.act;
-        let dz = d_out.zip(y, |g, yv| g * act.derivative_from_output(yv));
-        self.backward_preact(&dz)
+        d_out.zip(y, |g, yv| g * act.derivative_from_output(yv))
     }
 
     /// Backward pass from the gradient w.r.t. the *pre-activation* `z`.
     /// Lets callers fuse loss+activation gradients (e.g. sigmoid + BCE
     /// simplifies to `ŷ − x`).
     pub fn backward_preact(&mut self, dz: &Matrix) -> Matrix {
+        self.accumulate_preact(dz);
+        dz.matmul_t(&self.w)
+    }
+
+    /// The parameter-gradient half of [`Dense::backward_preact`], for a
+    /// layer whose input gradient nobody reads (a network's first).
+    pub(crate) fn accumulate_preact(&mut self, dz: &Matrix) {
         let x = self
             .cache_x
             .as_ref()
@@ -126,7 +139,6 @@ impl Dense {
         for (g, s) in self.b_grad.iter_mut().zip(dz.col_sums()) {
             *g += s;
         }
-        dz.matmul_t(&self.w)
     }
 
     /// Zero accumulated gradients.

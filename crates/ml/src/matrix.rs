@@ -162,23 +162,17 @@ impl Matrix {
         out
     }
 
-    /// `self · otherᵀ` without materializing the transpose.
+    /// `self · otherᵀ`: every element is the ascending-`k` fold
+    /// `+0.0 + a₀·b₀ + a₁·b₁ + …` that [`Matrix::matmul`] computes (an
+    /// all-`-0.0` sum is `+0.0`), walked `matmul`'s way so the adds of
+    /// different elements overlap.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
             "matmul_t: {}x{} · ({}x{})ᵀ",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..other.rows {
-                let b_row = other.row(j);
-                let dot: f32 = a_row.iter().zip(b_row).map(|(&a, &b)| a * b).sum();
-                out.data[i * other.rows + j] = dot;
-            }
-        }
-        out
+        self.matmul(&other.transpose())
     }
 
     /// Materialized transpose.
@@ -394,6 +388,21 @@ mod tests {
         // a·cᵀ via matmul_t == matmul(transpose)
         let c = m(4, 3, &[1., 2., 0., 0., 1., 1., 2., 0., 1., 1., 1., 1.]);
         assert_eq!(a.matmul_t(&c), a.matmul(&c.transpose()));
+    }
+
+    #[test]
+    fn matmul_t_sums_negative_zeros_to_positive_zero() {
+        // The one place the sign of a zero is the kernel's choice: every
+        // product is -0.0 (first row) or skipped as `0 · b` (second), and
+        // the fold starts from `matmul`'s +0.0, not `Iterator::sum`'s
+        // toolchain-dependent neutral element.
+        let a = m(2, 2, &[1., 2., 0., -0.]);
+        let c = m(3, 2, &[-0., -0., 0., -0., -0., 0.]);
+        let out = a.matmul_t(&c);
+        assert_eq!((out.rows(), out.cols()), (2, 3));
+        for v in out.as_slice() {
+            assert_eq!(v.to_bits(), 0.0f32.to_bits());
+        }
     }
 
     #[test]

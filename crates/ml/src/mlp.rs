@@ -4,6 +4,7 @@ use crate::activation::Activation;
 use crate::dense::Dense;
 use crate::matrix::Matrix;
 use rand::Rng;
+use std::borrow::Cow;
 
 /// A multi-layer perceptron.
 #[derive(Debug, Clone)]
@@ -77,25 +78,30 @@ impl Mlp {
             .fold(x.clone(), |h, layer| layer.forward_inference(&h))
     }
 
-    /// Backward from the gradient w.r.t. the network *output*.
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let mut grad = d_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
-        grad
-    }
-
     /// Backward where the last layer receives a *pre-activation*
     /// gradient (fused loss+activation), earlier layers the usual chain.
+    /// Returns the gradient w.r.t. the network input.
     pub fn backward_preact_last(&mut self, dz_last: &Matrix) -> Matrix {
-        let mut iter = self.layers.iter_mut().rev();
-        let last = iter.next().expect("Mlp has layers");
-        let mut grad = last.backward_preact(dz_last);
-        for layer in iter {
-            grad = layer.backward(&grad);
+        let dz = self.backward_to_first(dz_last);
+        self.layers[0].backward_preact(&dz)
+    }
+
+    /// [`Mlp::backward_preact_last`] for a network whose input is data:
+    /// the same parameter gradients, and no input gradient computed.
+    pub(crate) fn accumulate_preact_last(&mut self, dz_last: &Matrix) {
+        let dz = self.backward_to_first(dz_last);
+        self.layers[0].accumulate_preact(&dz);
+    }
+
+    /// Backward through every layer above the first; returns the first
+    /// layer's pre-activation gradient.
+    fn backward_to_first<'a>(&mut self, dz_last: &'a Matrix) -> Cow<'a, Matrix> {
+        let mut dz = Cow::Borrowed(dz_last);
+        for i in (1..self.layers.len()).rev() {
+            let grad = self.layers[i].backward_preact(&dz);
+            dz = Cow::Owned(self.layers[i - 1].preact_grad(&grad));
         }
-        grad
+        dz
     }
 
     /// Adam step on every layer.
@@ -207,6 +213,46 @@ mod tests {
         let a = mlp.forward(&x);
         let b = mlp.forward_inference(&x);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn parameters_only_backward_steps_the_same_weights() {
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for hidden in [&[][..], &[12], &[12, 8]] {
+            let dims = [&[10][..], hidden, &[6]].concat();
+            let mut rng = seeded(11);
+            let mut full = Mlp::new(&dims, Activation::Relu, Activation::Linear, 0.01, &mut rng);
+            let mut params_only = full.clone();
+            let untrained = full.layers()[0].weights().clone();
+            // Zeros, ones and negatives, so the zero-skipping branches run.
+            let x = Matrix::from_fn(5, 10, |r, c| ((r * 7 + c * 3) % 4) as f32 - 1.0);
+            for round in 0..3 {
+                let dz = full.forward(&x).map(|v| v - 0.25);
+                assert_eq!(params_only.forward(&x).map(|v| v - 0.25), dz);
+                let dx = full.backward_preact_last(&dz);
+                assert_eq!((dx.rows(), dx.cols()), (5, 10));
+                params_only.accumulate_preact_last(&dz);
+                full.step();
+                params_only.step();
+                for (l, (a, b)) in full.layers().iter().zip(params_only.layers()).enumerate() {
+                    assert_eq!(
+                        bits(a.weights().as_slice()),
+                        bits(b.weights().as_slice()),
+                        "hidden {hidden:?} round {round} layer {l}: weights"
+                    );
+                    assert_eq!(
+                        bits(a.bias()),
+                        bits(b.bias()),
+                        "hidden {hidden:?} round {round} layer {l}: bias"
+                    );
+                }
+            }
+            assert_ne!(
+                &untrained,
+                full.layers()[0].weights(),
+                "hidden {hidden:?}: the first layer trained"
+            );
+        }
     }
 
     #[test]

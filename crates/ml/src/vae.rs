@@ -171,7 +171,7 @@ impl Vae {
 
         let dh = dmu.hcat(&dlogvar);
         // Encoder output layer is Linear, so output grad == preact grad.
-        self.encoder.backward_preact_last(&dh);
+        self.encoder.accumulate_preact_last(&dh);
 
         self.decoder.step();
         self.encoder.step();
@@ -227,7 +227,10 @@ impl Vae {
 
     /// Multiply-accumulates for one training epoch over `n` samples
     /// (forward + backward ≈ 3× forward cost). Feeds the CPU-energy
-    /// model of Figures 8, 16, 18.
+    /// model of Figures 8, 16, 18. Like [`Vae::predict_macs`] it is
+    /// the *nominal dense* count: it prices the model, not the
+    /// kernels' zero-skipping or the encoder's first layer computing
+    /// no input gradient.
     pub fn train_macs_per_epoch(&self, n: usize) -> u64 {
         3 * (self.encoder.forward_macs(n) + self.decoder.forward_macs(n))
     }

@@ -12,6 +12,12 @@ fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |v| Matrix::from_vec(rows, cols, v))
 }
 
+/// Ordinary values of both signs, and the exact zeros of both signs
+/// that a ReLU gradient is full of.
+fn signed_or_zero() -> impl Strategy<Value = f32> {
+    prop_oneof![-10.0f32..10.0, -10.0f32..10.0, Just(0.0f32), Just(-0.0f32)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -25,18 +31,43 @@ proptest! {
         }
     }
 
-    /// Fused-transpose products match materialized transposes.
+    /// Fused-transpose products match materialized transposes, and
+    /// `matmul_t` is bit for bit the ascending-`k` fold from `+0.0` of
+    /// each element — the order training's weights depend on, whichever
+    /// loop the kernel makes innermost.
     #[test]
-    fn fused_transpose_products(a in matrix(4, 3), b in matrix(4, 5), c in matrix(6, 3)) {
+    fn fused_transpose_products(
+        a in matrix(4, 3),
+        b in matrix(4, 5),
+        rows in 1usize..4,
+        long in 2usize..12,
+        vals in proptest::collection::vec(signed_or_zero(), (3 + 67) * 11),
+    ) {
         let fused = a.t_matmul(&b);
         let explicit = a.transpose().matmul(&b);
         for (x, y) in fused.as_slice().iter().zip(explicit.as_slice()) {
             prop_assert!((x - y).abs() < 1e-3);
         }
-        let fused2 = a.matmul_t(&c);
-        let explicit2 = a.matmul(&c.transpose());
-        for (x, y) in fused2.as_slice().iter().zip(explicit2.as_slice()) {
-            prop_assert!((x - y).abs() < 1e-3);
+        let (left, right) = vals.split_at(3 * 11);
+        for k in [0, 1, long] {
+            for width in [1, 3, 4, 5, 67] {
+                let a = Matrix::from_vec(rows, k, left[..rows * k].to_vec());
+                let c = Matrix::from_vec(width, k, right[..width * k].to_vec());
+                let fused2 = a.matmul_t(&c);
+                prop_assert_eq!((fused2.rows(), fused2.cols()), (rows, width));
+                for i in 0..rows {
+                    for j in 0..width {
+                        let fold = (a.row(i).iter().zip(c.row(j)))
+                            .fold(0.0f32, |acc, (&x, &y)| acc + x * y);
+                        prop_assert_eq!(
+                            fused2.get(i, j).to_bits(),
+                            fold.to_bits(),
+                            "element ({}, {}) of {}x{} · ({}x{})ᵀ: {} vs fold {}",
+                            i, j, rows, k, width, k, fused2.get(i, j), fold
+                        );
+                    }
+                }
+            }
         }
     }
 
