@@ -44,8 +44,9 @@ impl std::fmt::Display for DapError {
 
 impl std::error::Error for DapError {}
 
-/// The dynamic address pool.
-#[derive(Debug, Clone)]
+/// The dynamic address pool. Two pools are equal when every cluster
+/// would hand out the same addresses in the same order.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DynamicAddressPool {
     pools: VecVecDeque,
     /// `membership[seg] == Some(cluster)` iff the segment is free and

@@ -35,17 +35,28 @@ struct Entry {
 }
 
 /// Serving-path counters (prediction overhead, Figure 10's latency
-/// comparison).
+/// comparison). A *full* prediction walks every set bit of its input:
+/// one per placement, plus one per recycle whose segment carries no
+/// cluster tag. A *resumed* one continues a placement's first-layer
+/// sums over the written segment's tail (the write-time classification
+/// behind the tag) and costs the tail's set bits only.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PredictionStats {
-    /// Model predictions performed.
+    /// Full model predictions performed.
     pub predictions: u64,
-    /// Wall-clock nanoseconds spent in padding + prediction.
+    /// Wall-clock nanoseconds spent in padding + full prediction.
     pub total_ns: u128,
+    /// Resumed (tail-only) predictions performed.
+    pub resumed: u64,
+    /// Recycles served by the segment's write-time cluster tag.
+    pub tag_hits: u64,
+    /// Recycles that classified the content in full: no tag, or
+    /// [`E2Engine::recycle_segment`], which trusts none.
+    pub tag_fallbacks: u64,
 }
 
 impl PredictionStats {
-    /// Mean prediction latency in nanoseconds.
+    /// Mean full-prediction latency in nanoseconds.
     pub fn mean_ns(&self) -> f64 {
         if self.predictions == 0 {
             0.0
@@ -59,6 +70,9 @@ impl PredictionStats {
     pub fn merge(&mut self, other: &PredictionStats) {
         self.predictions += other.predictions;
         self.total_ns += other.total_ns;
+        self.resumed += other.resumed;
+        self.tag_hits += other.tag_hits;
+        self.tag_fallbacks += other.tag_fallbacks;
     }
 }
 
@@ -87,6 +101,10 @@ struct FreeSnapshot {
     contents: Vec<Vec<u8>>,
 }
 
+/// "No cluster tag" in [`E2Engine::tags`]; a cluster id this large is
+/// never tagged.
+const NO_TAG: u8 = u8::MAX;
+
 /// The E2-NVM engine.
 pub struct E2Engine {
     cfg: E2Config,
@@ -100,6 +118,16 @@ pub struct E2Engine {
     /// this map hold exactly one entry; a shared segment is recycled
     /// only once its count reaches zero.
     live: HashMap<LogicalSegment, usize>,
+    /// Write-time cluster tag per segment ([`NO_TAG`] = unknown): the
+    /// cluster the current model gives the segment's *whole* content,
+    /// computed right after the engine's own KV path wrote it (see
+    /// [`E2Engine::tag_written`]) so that recycling it needs no model
+    /// call. Only segments behind live index entries carry one; not
+    /// persisted.
+    tags: Vec<u8>,
+    /// Whether any tag is set — lets [`E2Engine::controller_mut`] void
+    /// them without sweeping the table on every call.
+    tagged: bool,
     rng: StdRng,
     /// Padded input and kernel working memory of every prediction.
     scratch: PlacementScratch,
@@ -134,6 +162,8 @@ impl E2Engine {
             padder,
             index: BTreeMap::new(),
             live: HashMap::new(),
+            tags: vec![NO_TAG; num_segments],
+            tagged: false,
             scratch: PlacementScratch::default(),
             prediction: PredictionStats::default(),
             mapped: None,
@@ -310,6 +340,8 @@ impl E2Engine {
             .map(|(&seg, content)| (seg, model.classify(content, &mut self.scratch)))
             .collect();
         self.dap.rebuild(model.k(), &pairs);
+        // Tags name the old model's clusters.
+        self.void_tags();
         // Refresh padding state from the snapshot.
         let total_bits: u64 = contents.iter().map(|c| (c.len() * 8) as u64).sum();
         let ones: u64 = contents
@@ -460,18 +492,102 @@ impl E2Engine {
 
     /// Low-level recycle: classify the segment's current content and
     /// return it to the DAP. Recycling a retired segment is a no-op —
-    /// dead addresses never re-enter circulation.
+    /// dead addresses never re-enter circulation. Always asks the
+    /// model: a caller that placed the segment itself may have patched
+    /// it in place since, so no write-time tag is trusted here.
     pub fn recycle_segment(&mut self, seg: LogicalSegment) -> Result<()> {
+        if let Some(tag) = self.tags.get_mut(seg.index()) {
+            *tag = NO_TAG;
+        }
+        self.recycle_by_content(seg)
+    }
+
+    fn recycle_by_content(&mut self, seg: LogicalSegment) -> Result<()> {
         if self.dap.is_retired(seg) {
             return Ok(());
         }
         let content = self.controller.peek(seg)?;
         let model = self.model.as_ref().ok_or(E2Error::NotTrained)?;
+        let t0 = Instant::now();
         let cluster = model.classify(content, &mut self.scratch);
+        let ns = t0.elapsed().as_nanos();
+        self.prediction.predictions += 1;
+        self.prediction.total_ns += ns;
+        self.prediction.tag_fallbacks += 1;
+        self.telemetry.observe_prediction(ns as u64);
+        self.telemetry.recycle_classified.inc();
+        self.push_free(cluster, seg)
+    }
+
+    /// Recycle a segment the engine's own KV path wrote and nothing
+    /// else has touched since: its write-time tag *is* its cluster, so
+    /// the model is asked only when there is no tag.
+    fn recycle_by_tag(&mut self, seg: LogicalSegment) -> Result<()> {
+        let tag = std::mem::replace(&mut self.tags[seg.index()], NO_TAG);
+        if tag == NO_TAG {
+            return self.recycle_by_content(seg);
+        }
+        if self.dap.is_retired(seg) {
+            return Ok(());
+        }
+        debug_assert_eq!(
+            Some(usize::from(tag)),
+            self.model.as_ref().map(|m| m.classify(
+                self.controller.peek(seg).expect("tagged segment in range"),
+                &mut self.scratch
+            )),
+            "cluster tag of {seg} disagrees with its content"
+        );
+        self.prediction.tag_hits += 1;
+        self.telemetry.recycle_tag_hits.inc();
+        self.push_free(usize::from(tag), seg)
+    }
+
+    fn push_free(&mut self, cluster: usize, seg: LogicalSegment) -> Result<()> {
         self.dap.push(cluster, seg)?;
         self.telemetry
             .set_cluster_depth(cluster, self.dap.cluster_len(cluster));
         Ok(())
+    }
+
+    /// Classify segment `seg` at write time: the placement just made
+    /// put `len` bytes at its offset 0, and predicted for them padded
+    /// with zeros at the end — so the first-layer sums still in the
+    /// scratch are exactly the prefix of the sums for what `seg` holds
+    /// now (DESIGN.md §5, resume clause), and continuing them over the
+    /// old tail behind the value yields the cluster
+    /// [`E2Model::classify`] would give the whole content. Remembered
+    /// as the segment's tag for [`E2Engine::recycle_by_tag`]. Any other
+    /// padding puts bits into the prediction that the segment does not
+    /// hold; then no tag is set.
+    ///
+    /// Must directly follow the `place_value` it describes: nothing may
+    /// run the model in between.
+    fn tag_written(&mut self, seg: LogicalSegment, len: usize) {
+        use crate::padding::{PaddingLocation, PaddingType};
+        let Some(model) = self.model.as_ref() else {
+            return;
+        };
+        if self.padder.location() != PaddingLocation::End
+            || self.padder.padding_type() != PaddingType::Zero
+            || model.k() > usize::from(NO_TAG)
+        {
+            return;
+        }
+        let content = self.controller.peek(seg).expect("placed segment in range");
+        let cluster = model.classify_written(content, len, &mut self.scratch);
+        self.prediction.resumed += 1;
+        self.telemetry.resumed_predictions.inc();
+        self.tags[seg.index()] = cluster as u8;
+        self.tagged = true;
+    }
+
+    /// Forget every tag.
+    fn void_tags(&mut self) {
+        if self.tagged {
+            self.tags.fill(NO_TAG);
+            self.tagged = false;
+        }
     }
 
     /// Drop one live reference to the segment behind a displaced index
@@ -484,10 +600,10 @@ impl E2Engine {
                 *count -= 1;
                 if *count == 0 {
                     self.live.remove(&entry.seg);
-                    self.recycle_segment(entry.seg)?;
+                    self.recycle_by_tag(entry.seg)?;
                 }
             }
-            None => self.recycle_segment(entry.seg)?,
+            None => self.recycle_by_tag(entry.seg)?,
         }
         Ok(())
     }
@@ -496,6 +612,7 @@ impl E2Engine {
     /// its packed bytes were placed on.
     fn commit_batch(&mut self, batch: &crate::batch::Batch) -> Result<()> {
         let (seg, _report) = self.place_value(&batch.data)?;
+        self.tag_written(seg, batch.data.len());
         // Count the whole batch up front so that releasing an
         // intra-batch duplicate (same key twice in one batch) cannot
         // drop the count to zero while later items still land here.
@@ -511,6 +628,7 @@ impl E2Engine {
     /// PUT / UPDATE (Algorithm 1). Returns the device write report.
     pub fn put(&mut self, key: u64, value: &[u8]) -> Result<WriteReport> {
         let (seg, report) = self.place_value(value)?;
+        self.tag_written(seg, value.len());
         if let Some(old) = self.index.insert(
             key,
             Entry {
@@ -617,16 +735,14 @@ impl E2Engine {
         range: R,
         limit: usize,
     ) -> Result<Vec<(u64, Vec<u8>)>> {
-        let entries: Vec<(u64, Entry)> = self
-            .index
+        let Self {
+            index, controller, ..
+        } = self;
+        index
             .range(range)
             .take(limit)
-            .map(|(&k, &e)| (k, e))
-            .collect();
-        entries
-            .into_iter()
-            .map(|(k, e)| {
-                let data = self.controller.read(e.seg)?;
+            .map(|(&k, e)| {
+                let data = controller.read(e.seg)?;
                 Ok((k, data[e.off..e.off + e.len].to_vec()))
             })
             .collect()
@@ -682,9 +798,10 @@ impl E2Engine {
         self.prediction
     }
 
-    /// Estimated DRAM footprint of the DAP (Figure 7's y-axis).
+    /// Estimated DRAM footprint of the DAP and the per-segment cluster
+    /// tags beside it (Figure 7's y-axis).
     pub fn dap_memory_bytes(&self) -> usize {
-        self.dap.memory_bytes()
+        self.dap.memory_bytes() + self.tags.len()
     }
 
     /// Modeled multiply-accumulates per prediction.
@@ -697,8 +814,18 @@ impl E2Engine {
         self.model.as_ref()
     }
 
-    /// Borrow the controller (seeding, wear inspection).
+    /// The address pool: which cluster holds which free segment, in pop
+    /// order.
+    pub fn dap(&self) -> &DynamicAddressPool {
+        &self.dap
+    }
+
+    /// Borrow the controller (seeding, wear inspection, in-place
+    /// patches). The caller may rewrite any segment behind the engine's
+    /// back, so every write-time cluster tag is voided: the next
+    /// recycle of each segment classifies its content again.
     pub fn controller_mut(&mut self) -> &mut MemoryController {
+        self.void_tags();
         &mut self.controller
     }
 
@@ -998,6 +1125,79 @@ mod tests {
         assert_eq!(s.predictions, 2);
         assert!(s.mean_ns() > 0.0);
         assert!(e.predict_macs() > 0);
+    }
+
+    #[test]
+    fn updating_put_tags_the_segment_and_recycles_by_tag() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut e = engine(32, 32, 2);
+        seed_two_families(&mut e, &mut rng);
+        e.train().unwrap();
+        // First write of each key: one full prediction, one resumed
+        // pass over the 12-byte tail the value leaves in place.
+        e.put(1, &[0u8; 20]).unwrap();
+        e.put(2, &[0xFFu8; 20]).unwrap();
+        let s = e.prediction_stats();
+        assert_eq!((s.predictions, s.resumed, s.tag_hits), (2, 2, 0));
+        // Updates and deletes recycle by tag: no further full calls
+        // beyond the one per placement.
+        e.put(1, &[0xFFu8; 7]).unwrap();
+        e.put(2, &[]).unwrap();
+        assert!(e.delete(1).unwrap());
+        let s = e.prediction_stats();
+        assert_eq!((s.predictions, s.resumed), (4, 4));
+        assert_eq!((s.tag_hits, s.tag_fallbacks), (3, 0));
+        // A new model renumbers the clusters: the surviving tag is
+        // dropped and the next recycle asks the model.
+        e.train().unwrap();
+        assert!(e.delete(2).unwrap());
+        let s = e.prediction_stats();
+        assert_eq!((s.predictions, s.tag_hits, s.tag_fallbacks), (5, 3, 1));
+    }
+
+    #[test]
+    fn tags_are_set_only_where_the_prediction_saw_the_segment() {
+        use crate::padding::{PaddingLocation, PaddingType};
+        // Any padding but zeros-at-the-end predicts for bits the
+        // segment will not hold; so does no padding rule at all when
+        // the value lands at an offset.
+        let untagged = [
+            (PaddingLocation::Beginning, PaddingType::Zero),
+            (PaddingLocation::Middle, PaddingType::Zero),
+            (PaddingLocation::End, PaddingType::One),
+            (PaddingLocation::End, PaddingType::Random),
+            (PaddingLocation::End, PaddingType::MemoryBased),
+            (PaddingLocation::End, PaddingType::Learned),
+        ];
+        for (location, ptype) in untagged {
+            let mut rng = StdRng::seed_from_u64(32);
+            let mut e = engine(32, 32, 2);
+            seed_two_families(&mut e, &mut rng);
+            e.train().unwrap();
+            e.set_padding(location, ptype);
+            for round in 0..6u8 {
+                e.put(u64::from(round % 2), &[round; 20]).unwrap();
+            }
+            let pairs: Vec<(u64, &[u8])> = vec![(0, &[1u8; 9]), (1, &[2u8; 9])];
+            assert!(e.put_many(&pairs).iter().all(Result::is_ok));
+            let s = e.prediction_stats();
+            assert_eq!((s.resumed, s.tag_hits), (0, 0), "{location:?} {ptype:?}");
+            assert_eq!(s.tag_fallbacks, 6, "{location:?} {ptype:?}");
+        }
+
+        let mut rng = StdRng::seed_from_u64(33);
+        let mut e = engine(32, 32, 2);
+        seed_two_families(&mut e, &mut rng);
+        e.train().unwrap();
+        let (at_offset, _) = e.place_at(8, &[0xFFu8; 16]).unwrap();
+        let (whole, _) = e.place_value(&[0u8; 32]).unwrap();
+        assert_eq!(e.prediction_stats().resumed, 0);
+        assert!(e.tags.iter().all(|&t| t == NO_TAG));
+        // Callers that place for themselves recycle by content.
+        e.recycle_segment(at_offset).unwrap();
+        e.recycle_segment(whole).unwrap();
+        let s = e.prediction_stats();
+        assert_eq!((s.tag_hits, s.tag_fallbacks), (0, 2));
     }
 
     fn faulty_engine(num_segments: usize, endurance_bits: u64, transient_rate: f64) -> E2Engine {

@@ -75,6 +75,26 @@ impl E2Model {
         self.cluster.predict_packed(segment, &mut scratch.predict)
     }
 
+    /// [`E2Model::classify`] of a segment whose first `written` bytes
+    /// are the value the last [`E2Model::order_into`] on `scratch` was
+    /// asked about, when that call padded with zeros at the end: the
+    /// prediction is resumed over `segment[written..]` instead of
+    /// walking the value's bits again
+    /// ([`ClusterModel::resume_packed`]). Same cluster, bit for bit.
+    ///
+    /// # Panics
+    /// Panics if `segment` is not exactly the model's input width or
+    /// `scratch` has served no call of this model.
+    pub fn classify_written(
+        &self,
+        segment: &[u8],
+        written: usize,
+        scratch: &mut PlacementScratch,
+    ) -> usize {
+        self.cluster
+            .resume_packed(segment, written, &mut scratch.predict)
+    }
+
     /// [`E2Model::order_into`] with scratch of its own, as an owned
     /// list.
     pub fn cluster_order<R: Rng>(&self, value: &[u8], padder: &Padder, rng: &mut R) -> Vec<usize> {

@@ -2,7 +2,9 @@
 //!
 //! [`EngineTelemetry`] bundles the placement-path metric handles an
 //! [`crate::E2Engine`] updates while serving: a prediction-latency
-//! histogram, placement/fallback/exhaustion counters, per-cluster DAP
+//! histogram (its `_count` over `placements` is full predictions per
+//! PUT), resumed-prediction and recycle tag-hit counters,
+//! placement/fallback/exhaustion counters, per-cluster DAP
 //! depth gauges, and the structured event journal shared through the
 //! attached [`TelemetryRegistry`]. All hot-path updates are relaxed
 //! atomics.
@@ -32,7 +34,15 @@ pub struct EngineTelemetry {
     pub write_retries: Counter,
     /// Segments permanently retired from the pool by wear-out.
     pub retired_segments: Counter,
-    /// Padding + model-prediction latency per placement (ns).
+    /// Write-time classifications that resumed the placement's
+    /// prediction over the written segment's tail.
+    pub resumed_predictions: Counter,
+    /// Recycles served by the segment's write-time cluster tag.
+    pub recycle_tag_hits: Counter,
+    /// Recycles that classified the segment's content in full.
+    pub recycle_classified: Counter,
+    /// Latency of every *full* prediction (ns): padding + model per
+    /// placement, model alone per content-classified recycle.
     pub prediction_latency_ns: Histogram,
     /// One gauge per cluster: current DAP free-list depth.
     cluster_depth: Vec<Gauge>,
@@ -57,6 +67,9 @@ impl EngineTelemetry {
             retrains: Counter::disconnected(),
             write_retries: Counter::disconnected(),
             retired_segments: Counter::disconnected(),
+            resumed_predictions: Counter::disconnected(),
+            recycle_tag_hits: Counter::disconnected(),
+            recycle_classified: Counter::disconnected(),
             prediction_latency_ns: Histogram::disconnected(&PREDICTION_BOUNDS),
             cluster_depth: Vec::new(),
         }
@@ -94,9 +107,21 @@ impl EngineTelemetry {
                 "e2nvm_engine_retired_segments_total",
                 "Segments permanently retired from the pool by wear-out",
             ),
+            resumed_predictions: c(
+                "e2nvm_engine_resumed_predictions_total",
+                "Write-time classifications resumed over the written segment's tail",
+            ),
+            recycle_tag_hits: c(
+                "e2nvm_engine_recycle_tag_hits_total",
+                "Recycles served by the write-time cluster tag",
+            ),
+            recycle_classified: c(
+                "e2nvm_engine_recycle_classified_total",
+                "Recycles that classified the segment's content in full",
+            ),
             prediction_latency_ns: registry.histogram_with_labels(
                 "e2nvm_engine_prediction_latency_ns",
-                "Padding + cluster prediction latency per placement (ns)",
+                "Full cluster prediction latency: per placement and per content-classified recycle (ns)",
                 &PREDICTION_BOUNDS,
                 &labels,
             ),
@@ -119,7 +144,7 @@ impl EngineTelemetry {
         }
     }
 
-    /// Observe one padding+prediction latency sample.
+    /// Observe one full-prediction latency sample.
     #[inline]
     pub fn observe_prediction(&self, ns: u64) {
         self.prediction_latency_ns.observe(ns);

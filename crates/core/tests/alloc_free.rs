@@ -1,8 +1,13 @@
 //! Pins "allocation-free": once its scratch is warm, the serving path —
-//! pad + order on place, classify on recycle — never touches the heap.
-//! Its own test binary, because it has to own the global allocator.
+//! pad + order on place, classify on recycle — never touches the heap,
+//! and neither does a whole updating `E2Engine::put`, which runs the
+//! model in full exactly once. Its own test binary, because it has to
+//! own the global allocator.
 
-use e2nvm_core::{E2Config, E2Model, Padder, PaddingLocation, PaddingType, PlacementScratch};
+use e2nvm_core::{
+    E2Config, E2Engine, E2Model, Padder, PaddingLocation, PaddingType, PlacementScratch,
+};
+use e2nvm_sim::{DeviceConfig, LogicalSegment, MemoryController, NvmDevice};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -98,4 +103,68 @@ fn warm_scratch_predicts_without_allocating() {
         "the warm serving path allocated"
     );
     assert!(checksum < 2 * 1000 * model.k());
+}
+
+/// An updating PUT end to end: one full prediction places the value,
+/// one resumed pass tags the segment it landed on, and the displaced
+/// segment goes back to the pool by its tag — no second model call,
+/// no heap.
+#[test]
+fn warm_tagged_put_is_one_full_prediction_and_no_allocation() {
+    const SEGMENT: usize = 32;
+    const VALUE: usize = 24;
+    const KEYS: u64 = 8;
+    let mut rng = StdRng::seed_from_u64(12);
+    let dev = NvmDevice::new(
+        DeviceConfig::builder()
+            .segment_bytes(SEGMENT)
+            .num_segments(128)
+            .build()
+            .unwrap(),
+    );
+    let cfg = E2Config::builder()
+        .fast(SEGMENT, 4)
+        .hidden(vec![16, 8])
+        .pretrain_epochs(1)
+        .joint_epochs(1)
+        .retrain_min_free(0)
+        .padding_type(PaddingType::Zero)
+        .build()
+        .unwrap();
+    let mut engine = E2Engine::new(MemoryController::without_wear_leveling(dev), cfg).unwrap();
+    // Every segment ends in zeros, so a written segment holds exactly
+    // the zero-padded value the placement predicted for: it is popped
+    // from and later pushed back to the same cluster, and no free list
+    // ever outgrows the capacity it was built with.
+    for i in 0..128 {
+        let mut content: Vec<u8> = (0..SEGMENT).map(|_| rng.gen()).collect();
+        content[VALUE..].fill(0);
+        engine
+            .controller_mut()
+            .seed(LogicalSegment(i), &content)
+            .unwrap();
+    }
+    engine.train().unwrap();
+    let values: Vec<Vec<u8>> = (0..64)
+        .map(|_| (0..VALUE).map(|_| rng.gen()).collect())
+        .collect();
+    for (i, value) in values.iter().enumerate() {
+        engine.put(i as u64 % KEYS, value).unwrap();
+    }
+
+    let before = engine.prediction_stats();
+    ARMED.with(|armed| armed.set(true));
+    for i in 0..1000 {
+        engine
+            .put(i as u64 % KEYS, &values[(i * 7) % values.len()])
+            .unwrap();
+    }
+    ARMED.with(|armed| armed.set(false));
+    let after = engine.prediction_stats();
+
+    assert_eq!(BYTES.load(Ordering::Relaxed), 0, "a warm PUT allocated");
+    assert_eq!(after.predictions - before.predictions, 1000);
+    assert_eq!(after.resumed - before.resumed, 1000);
+    assert_eq!(after.tag_hits - before.tag_hits, 1000);
+    assert_eq!(after.tag_fallbacks, before.tag_fallbacks);
 }

@@ -2,19 +2,22 @@
 //! padding output width and stored-bytes neutrality, DAP conservation
 //! under interleaved traffic, and batch accumulator integrity — plus
 //! the exhaustive check that the packed-bit prediction kernel decides
-//! exactly what the batched `Matrix` path decides.
+//! exactly what the batched `Matrix` path decides, and the twin check
+//! that recycling by write-time cluster tag decides exactly what
+//! classifying the content decides.
 
 use e2nvm_core::padding::LearnedPadder;
 use e2nvm_core::{
-    BatchAccumulator, DynamicAddressPool, E2Config, E2Model, Padder, PaddingLocation, PaddingType,
-    PlacementScratch,
+    BatchAccumulator, DynamicAddressPool, E2Config, E2Engine, E2Model, Padder, PaddingLocation,
+    PaddingType, PlacementScratch,
 };
 use e2nvm_ml::data::{bytes_to_features, segments_to_matrix};
 use e2nvm_ml::Matrix;
-use e2nvm_sim::LogicalSegment;
+use e2nvm_sim::{DeviceConfig, FaultConfig, LogicalSegment, MemoryController, NvmDevice};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::sync::OnceLock;
 
 fn any_location() -> impl Strategy<Value = PaddingLocation> {
     prop_oneof![
@@ -113,6 +116,181 @@ fn trained_learned(location: PaddingLocation, seed: u64) -> (Padder, LearnedPadd
     let mut twin = LearnedPadder::new(&mut rng);
     twin.train(&segments, 1, &mut rng);
     (padder, twin)
+}
+
+/// Geometry of the tag-vs-content twin test.
+const TWIN_SEGMENT: usize = 16;
+const TWIN_SEGMENTS: usize = 48;
+const TWIN_KEYS: u64 = 12;
+
+/// The twin test's config, the content its devices start with, and two
+/// differently trained models to swap between.
+fn twin_fixture() -> &'static (E2Config, Vec<Vec<u8>>, [E2Model; 2]) {
+    static FIXTURE: OnceLock<(E2Config, Vec<Vec<u8>>, [E2Model; 2])> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let cfg = E2Config::builder()
+            .fast(TWIN_SEGMENT, 4)
+            .hidden(vec![12])
+            .pretrain_epochs(2)
+            .joint_epochs(1)
+            .retrain_min_free(0)
+            .padding_type(PaddingType::Zero)
+            .build()
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(29);
+        // Four loose families, so all four clusters get members.
+        let contents: Vec<Vec<u8>> = (0..TWIN_SEGMENTS)
+            .map(|i| {
+                let base = [0x00u8, 0xFF, 0x0F, 0xAA][i % 4];
+                (0..TWIN_SEGMENT)
+                    .map(|_| base ^ (rng.gen::<u8>() & rng.gen::<u8>() & rng.gen::<u8>()))
+                    .collect()
+            })
+            .collect();
+        let models =
+            [3, 4].map(|seed| E2Model::train(&cfg, &contents, &mut StdRng::seed_from_u64(seed)));
+        (cfg, contents, models)
+    })
+}
+
+/// A served engine over a fresh device: optionally behind start-gap
+/// wear leveling, optionally with transient write failures and an
+/// endurance budget small enough that segments retire mid-schedule.
+fn twin_engine(wear_leveled: bool, faulty: bool) -> E2Engine {
+    let (cfg, contents, models) = twin_fixture();
+    let mut dev_cfg = DeviceConfig::builder()
+        .segment_bytes(TWIN_SEGMENT)
+        .num_segments(TWIN_SEGMENTS);
+    if faulty {
+        dev_cfg = dev_cfg.fault(FaultConfig {
+            seed: 5,
+            endurance_bits: 900,
+            endurance_shape: 3.0,
+            transient_rate: 0.15,
+        });
+    }
+    let dev = NvmDevice::new(dev_cfg.build().unwrap());
+    let controller = if wear_leveled {
+        MemoryController::with_start_gap(dev, 5)
+    } else {
+        MemoryController::without_wear_leveling(dev)
+    };
+    let mut engine = E2Engine::new(controller, cfg.clone()).unwrap();
+    // Start-gap keeps one physical segment back.
+    let logical = engine.controller().num_segments();
+    for (i, content) in contents.iter().enumerate().take(logical) {
+        engine
+            .controller_mut()
+            .seed(LogicalSegment(i), content)
+            .unwrap();
+    }
+    engine.install_model_now(models[0].clone());
+    engine
+}
+
+/// Save-and-recover in memory: a fresh engine over a copy of the device
+/// and controller state, restored from the exported engine state.
+fn recovered(engine: &E2Engine) -> E2Engine {
+    let controller = MemoryController::from_state(
+        engine.controller().device().clone(),
+        &engine.controller().export_state(),
+    )
+    .unwrap();
+    let mut fresh = E2Engine::new(controller, engine.config().clone()).unwrap();
+    fresh
+        .restore_state(&engine.export_state().unwrap())
+        .unwrap();
+    fresh
+}
+
+/// One step of a twin schedule; the `Debug` text of what it returned.
+fn twin_step(engine: &mut E2Engine, op: &(u8, u8, u8, Vec<u8>), installs: &mut usize) -> String {
+    let (kind, a, b, bytes) = op;
+    let key = u64::from(*a) % TWIN_KEYS;
+    match kind % 10 {
+        0..=3 => format!("{:?}", engine.put(key, bytes)),
+        4 | 5 => {
+            // Small values, so several share a segment; a repeated key
+            // and an empty value ride along when the bytes say so.
+            let cut = bytes.len().min(5);
+            let pairs: Vec<(u64, &[u8])> = vec![
+                (key, &bytes[..cut]),
+                (u64::from(*b) % TWIN_KEYS, &bytes[cut..bytes.len().min(9)]),
+                ((key + 1) % TWIN_KEYS, &bytes[..bytes.len().min(3)]),
+                ((key + 2) % TWIN_KEYS, &bytes[..cut]),
+            ];
+            format!("{:?}", engine.put_many(&pairs))
+        }
+        6 => format!("{:?}", engine.delete(key)),
+        7 => {
+            *installs += 1;
+            engine.install_model_now(twin_fixture().2[*installs % 2].clone());
+            String::new()
+        }
+        8 => {
+            // An integrator's in-place patch: a live segment rewritten
+            // into another family when there is one to pick, else a few
+            // bytes anywhere.
+            let live = engine.export_state().unwrap().entries;
+            let family = [[0x00u8, 0xFF, 0x0F, 0xAA][usize::from(*b) % 4]; TWIN_SEGMENT];
+            let (seg, off, patch) = if live.is_empty() || bytes.len() % 2 == 1 {
+                let off = usize::from(*b) % TWIN_SEGMENT;
+                let seg = usize::from(*a) % engine.controller().num_segments();
+                (
+                    LogicalSegment(seg),
+                    off,
+                    &bytes[..bytes.len().min(TWIN_SEGMENT - off)],
+                )
+            } else {
+                (live[usize::from(*a) % live.len()].1, 0, &family[..])
+            };
+            format!("{:?}", engine.controller_mut().write_at(seg, off, patch))
+        }
+        _ => {
+            *engine = recovered(engine);
+            String::new()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Recycling by write-time tag is recycling by content: under any
+    /// schedule of puts, packed batches, deletes, model installs,
+    /// in-place patches through `controller_mut()` and save/recover
+    /// cycles — with wear leveling moving segments and faults retiring
+    /// them — the engine ends every step exactly where a twin ends
+    /// that has its tags voided before each step, and so classifies the
+    /// content of every segment it recycles that an earlier step wrote.
+    /// (A tag set and used inside one `put_many` serves the twin too;
+    /// there, and everywhere else, a debug build asserts each tag
+    /// against the content as it is used.)
+    #[test]
+    fn tagged_recycling_equals_classifying_every_time(
+        ops in proptest::collection::vec(
+            (0u8..10, any::<u8>(), any::<u8>(),
+             proptest::collection::vec(any::<u8>(), 0..TWIN_SEGMENT + 1)),
+            1..70),
+        wear_leveled in any::<bool>(),
+        faulty in any::<bool>(),
+    ) {
+        let mut tagged = twin_engine(wear_leveled, faulty);
+        let mut twin = twin_engine(wear_leveled, faulty);
+        let (mut installs, mut twin_installs) = (0, 0);
+        for (i, op) in ops.iter().enumerate() {
+            twin.controller_mut();
+            let got = twin_step(&mut tagged, op, &mut installs);
+            let expect = twin_step(&mut twin, op, &mut twin_installs);
+            prop_assert_eq!(got, expect, "result of op {} {:?}", i, op);
+            prop_assert_eq!(tagged.dap(), twin.dap(), "pool after op {} {:?}", i, op);
+            prop_assert_eq!(tagged.export_state().unwrap(), twin.export_state().unwrap());
+            prop_assert_eq!(tagged.device_stats(), twin.device_stats());
+        }
+        for key in 0..TWIN_KEYS {
+            prop_assert_eq!(tagged.get(key), twin.get(key));
+        }
+    }
 }
 
 proptest! {

@@ -273,7 +273,7 @@ impl NodeStore for DirectNodeStore {
 
     fn read(&mut self, node: NodeId) -> Result<Vec<u8>> {
         let seg = self.seg(node)?;
-        Ok(self.controller.read(seg)?)
+        Ok(self.controller.read(seg)?.to_vec())
     }
 
     fn node_bytes(&self) -> usize {
@@ -394,7 +394,7 @@ impl NodeStore for E2NodeStore {
             .get(&node)
             .copied()
             .ok_or(StoreError::UnknownNode(node))?;
-        Ok(self.engine.controller_mut().read(seg)?)
+        Ok(self.engine.controller_mut().read(seg)?.to_vec())
     }
 
     fn node_bytes(&self) -> usize {
@@ -526,6 +526,28 @@ mod tests {
         s.write(node, &[0xFFu8; 64]).unwrap();
         assert_eq!(s.free_capacity(), free_before - 1);
         assert_eq!(s.read(node).unwrap(), vec![0xFFu8; 64]);
+    }
+
+    #[test]
+    fn e2_free_after_in_place_rewrite_recycles_by_content() {
+        let mut s = e2(24, 64);
+        let model = s.engine_mut().model().unwrap().clone();
+        let clusters = model.classify_segments(&[[0u8; 64], [0xFF; 64]]);
+        let (zeros, ones) = (clusters[0], clusters[1]);
+        assert_ne!(zeros, ones, "families not separated");
+        let node = s.alloc().unwrap();
+        s.write_at(node, 0, &[0u8; 64]).unwrap();
+        let held = s.engine_mut().dap().occupancy();
+        // Patched in place into the other family: the segment was
+        // placed as zeros, but what it holds when freed decides where
+        // it goes.
+        s.write_at(node, 0, &[0xFFu8; 64]).unwrap();
+        s.free(node).unwrap();
+        let freed = s.engine_mut().dap().occupancy();
+        assert_eq!(freed[ones], held[ones] + 1);
+        assert_eq!(freed[zeros], held[zeros]);
+        let stats = s.engine_mut().prediction_stats();
+        assert_eq!((stats.tag_hits, stats.tag_fallbacks), (0, 1));
     }
 
     #[test]

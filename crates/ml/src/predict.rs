@@ -27,6 +27,19 @@
 //! * centroid distances use the reference's own `kmeans::dist2`, and
 //!   equal distances keep ascending cluster index (the reference's
 //!   stable sort).
+//!
+//! ## Resume clause
+//!
+//! The first layer's pre-bias sums are a left fold over the set bits in
+//! ascending index, so the fold over a prefix of the input is an exact
+//! intermediate of the fold over the whole input. A full call leaves
+//! those sums in the scratch; when its input was all zero from byte `n`
+//! on (a value zero-padded at the end), [`ClusterModel::resume_packed`]
+//! continues the fold over the set bits of bytes `n..` of a segment
+//! that starts with the same `n` bytes and arrives at the full call's
+//! additions in the full call's order: μ and the cluster are those of
+//! `predict_packed` on the whole segment, bit for bit, for the rows of
+//! the tail alone.
 
 use crate::dec::ClusterModel;
 use crate::dense::Dense;
@@ -36,6 +49,9 @@ use crate::kmeans::dist2;
 /// to the model's widths on first use and are reused afterwards.
 #[derive(Debug, Default)]
 pub struct PredictScratch {
+    /// First-layer sums of the last full call, before bias and
+    /// activation — what [`ClusterModel::resume_packed`] continues.
+    sums0: Vec<f32>,
     /// Activations of the layer just computed (finally μ).
     cur: Vec<f32>,
     /// Activations of the layer being computed.
@@ -83,8 +99,36 @@ impl ClusterModel {
         order
     }
 
-    /// Encoder μ of one packed-bit sample, left in `scratch.cur`.
-    fn latent_packed(&self, bits: &[u8], scratch: &mut PredictScratch) {
+    /// Nearest cluster of `bits`, continuing the last full call on
+    /// `scratch` instead of starting over: that call's input must have
+    /// been `bits[..from]` followed by zero bytes. Only the set bits of
+    /// `bits[from..]` are visited; the result is
+    /// [`ClusterModel::predict_packed`]'s on all of `bits` (the module
+    /// docs' resume clause). The remembered sums are left as they were,
+    /// so several segments may be resumed from one full call.
+    ///
+    /// # Panics
+    /// Panics if `bits` is not exactly the model's input width, if
+    /// `from` is past its end, or if `scratch` holds no full call of
+    /// this model's width.
+    pub fn resume_packed(&self, bits: &[u8], from: usize, scratch: &mut PredictScratch) -> usize {
+        self.check_width(bits);
+        assert!(from <= bits.len(), "resume: byte {from} past the input");
+        let first = &self.vae().encoder().layers()[0];
+        let PredictScratch { sums0, next, .. } = &mut *scratch;
+        assert_eq!(
+            sums0.len(),
+            self.layer_width(0),
+            "resume: no full call on this scratch"
+        );
+        next.clear();
+        next.extend_from_slice(sums0);
+        add_rows_of_set_bits(first, bits, from, next);
+        self.finish_layers(scratch);
+        self.kmeans().predict(&scratch.cur)
+    }
+
+    fn check_width(&self, bits: &[u8]) {
         assert_eq!(
             bits.len() * 8,
             self.input_dim(),
@@ -92,20 +136,42 @@ impl ClusterModel {
             bits.len(),
             self.input_dim()
         );
+    }
+
+    /// Columns of encoder layer `i` the kernel computes: the last layer
+    /// emits (μ, log σ²) and only μ is served.
+    fn layer_width(&self, i: usize) -> usize {
+        let layers = self.vae().encoder().layers();
+        if i + 1 == layers.len() {
+            self.vae().config().latent_dim
+        } else {
+            layers[i].out_dim()
+        }
+    }
+
+    /// Encoder μ of one packed-bit sample, left in `scratch.cur`; the
+    /// first layer's pre-bias sums stay in `scratch.sums0`.
+    fn latent_packed(&self, bits: &[u8], scratch: &mut PredictScratch) {
+        self.check_width(bits);
+        let first = &self.vae().encoder().layers()[0];
+        let PredictScratch { sums0, next, .. } = &mut *scratch;
+        sums0.clear();
+        sums0.resize(self.layer_width(0), 0.0);
+        add_rows_of_set_bits(first, bits, 0, sums0);
+        next.clear();
+        next.extend_from_slice(sums0);
+        self.finish_layers(scratch);
+    }
+
+    /// From the first layer's pre-bias sums in `scratch.next` to μ in
+    /// `scratch.cur`: bias and activation, then the remaining layers.
+    fn finish_layers(&self, scratch: &mut PredictScratch) {
         let layers = self.vae().encoder().layers();
         let PredictScratch { cur, next, .. } = scratch;
         for (i, layer) in layers.iter().enumerate() {
-            // The last layer emits (μ, log σ²); only μ is served.
-            let width = if i + 1 == layers.len() {
-                self.vae().config().latent_dim
-            } else {
-                layer.out_dim()
-            };
-            next.clear();
-            next.resize(width, 0.0);
-            if i == 0 {
-                add_rows_of_set_bits(layer, bits, next);
-            } else {
+            if i > 0 {
+                next.clear();
+                next.resize(self.layer_width(i), 0.0);
                 add_scaled_rows(layer, cur, next);
             }
             for (z, b) in next.iter_mut().zip(layer.bias()) {
@@ -116,18 +182,24 @@ impl ClusterModel {
     }
 }
 
-/// `out += Σ W[i]` over the set bits `i` of `bits`, ascending, keeping
-/// the first `out.len()` columns.
-fn add_rows_of_set_bits(layer: &Dense, bits: &[u8], out: &mut [f32]) {
+/// `out += Σ W[i]` over the set bits `i` of `bits[from..]` (indexed
+/// from the start of `bits`), ascending, keeping the first `out.len()`
+/// columns.
+fn add_rows_of_set_bits(layer: &Dense, bits: &[u8], from: usize, out: &mut [f32]) {
     let w = layer.weights();
+    let first_word = from / 8;
     // A word at a time: the inner loop's exit is the branch the CPU
     // cannot predict, and this takes it once per 64 bits, not per 8.
-    for (word_idx, chunk) in bits.chunks(8).enumerate() {
+    for (word_idx, chunk) in bits.chunks(8).enumerate().skip(first_word) {
         let mut bytes = [0u8; 8];
         bytes[..chunk.len()].copy_from_slice(chunk);
         // Big-endian keeps MSB-first: the highest set bit is the lowest
         // feature index.
         let mut rest = u64::from_be_bytes(bytes);
+        if word_idx == first_word {
+            // Drop the bytes of this word that lie before `from`.
+            rest &= u64::MAX >> (from % 8 * 8);
+        }
         while rest != 0 {
             let lead = rest.leading_zeros() as usize;
             rest &= !(1 << (63 - lead));
@@ -221,6 +293,51 @@ mod tests {
                 assert_eq!(model.predict(x.row(0)), cluster);
             }
         }
+    }
+
+    /// The resume clause: after a full call on a value zero-padded at
+    /// the end, continuing over a segment's tail gives the μ and the
+    /// cluster of a full call on that segment — at every split point
+    /// (word-aligned or not, empty value, no tail), whatever the tail
+    /// holds, and as often as asked.
+    #[test]
+    fn resumed_tail_equals_the_full_call_exactly() {
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for hidden in [&[][..], &[24], &[24, 12]] {
+            let (model, samples) = model_and_samples(hidden);
+            let (mut resumed, mut full) = (PredictScratch::default(), PredictScratch::default());
+            for (i, sample) in samples.iter().enumerate() {
+                for len in 0..=BYTES {
+                    let mut padded = sample[..len].to_vec();
+                    padded.resize(BYTES, 0);
+                    model.order_packed(&padded, &mut resumed);
+                    let tails = [
+                        sample[len..].to_vec(),
+                        vec![0; BYTES - len],
+                        vec![0xFF; BYTES - len],
+                    ];
+                    // One full call serves all three segments.
+                    for tail in tails {
+                        let segment = [&sample[..len], &tail[..]].concat();
+                        let expected = model.predict_packed(&segment, &mut full);
+                        let got = model.resume_packed(&segment, len, &mut resumed);
+                        assert_eq!(
+                            bits(&resumed.cur),
+                            bits(&full.cur),
+                            "μ, hidden {hidden:?}, sample {i}, split at byte {len}"
+                        );
+                        assert_eq!(got, expected);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no full call on this scratch")]
+    fn resume_without_a_full_call_rejected() {
+        let (model, samples) = model_and_samples(&[24]);
+        model.resume_packed(&samples[0], 8, &mut PredictScratch::default());
     }
 
     #[test]

@@ -4,8 +4,11 @@
 use e2nvm_ml::kmeans::KMeans;
 use e2nvm_ml::matrix::Matrix;
 use e2nvm_ml::rng::seeded;
-use e2nvm_ml::{data, Pca};
+use e2nvm_ml::vae::VaeConfig;
+use e2nvm_ml::{data, ClusterModel, DecConfig, Pca, PredictScratch};
 use proptest::prelude::*;
+use rand::Rng;
+use std::sync::OnceLock;
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-10.0f32..10.0, rows * cols)
@@ -18,8 +21,70 @@ fn signed_or_zero() -> impl Strategy<Value = f32> {
     prop_oneof![-10.0f32..10.0, -10.0f32..10.0, Just(0.0f32), Just(-0.0f32)]
 }
 
+/// Segment width of [`resume_models`]: not a whole number of 64-bit
+/// words.
+const SEG: usize = 20;
+
+/// Briefly trained models with no, one and two hidden encoder layers.
+fn resume_models() -> &'static [ClusterModel] {
+    static MODELS: OnceLock<Vec<ClusterModel>> = OnceLock::new();
+    MODELS.get_or_init(|| {
+        [&[][..], &[24], &[24, 12]]
+            .iter()
+            .map(|hidden| {
+                let mut rng = seeded(0x7A11);
+                let samples: Vec<Vec<u8>> = (0..64)
+                    .map(|_| (0..SEG).map(|_| rng.gen()).collect())
+                    .collect();
+                let cfg = DecConfig {
+                    vae: VaeConfig {
+                        input_dim: SEG * 8,
+                        hidden: hidden.to_vec(),
+                        latent_dim: 5,
+                        lr: 5e-3,
+                        beta: 0.2,
+                    },
+                    k: 6,
+                    pretrain_epochs: 2,
+                    joint_epochs: 1,
+                    batch: 16,
+                    ..DecConfig::default()
+                };
+                ClusterModel::train(&cfg, &data::segments_to_matrix(&samples), None, &mut rng).0
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A write leaves `value` over the head of a segment and the old
+    /// content behind it: classifying that by resuming the placement's
+    /// call (the value zero-padded at the end) over the tail alone is
+    /// the full call's cluster, wherever the split falls.
+    #[test]
+    fn resumed_prediction_is_the_full_prediction(
+        old in proptest::collection::vec(any::<u8>(), SEG),
+        value in proptest::collection::vec(any::<u8>(), 0..SEG + 1),
+        sparse in any::<bool>(),
+    ) {
+        // Sparse content puts the decision near a cluster boundary
+        // more often than uniform noise does.
+        let thin = |b: &u8| if sparse { b & (b >> 3) & 0x11 } else { *b };
+        let mut segment: Vec<u8> = old.iter().map(thin).collect();
+        segment[..value.len()].copy_from_slice(&value);
+        let mut padded = value.clone();
+        padded.resize(SEG, 0);
+        for model in resume_models() {
+            let mut scratch = PredictScratch::default();
+            let placed = model.order_packed(&padded, &mut scratch)[0];
+            prop_assert_eq!(placed, model.predict_packed(&padded, &mut PredictScratch::default()));
+            let resumed = model.resume_packed(&segment, value.len(), &mut scratch);
+            let full = model.predict_packed(&segment, &mut PredictScratch::default());
+            prop_assert_eq!(resumed, full, "split at byte {}", value.len());
+        }
+    }
 
     /// (A·B)ᵀ == Bᵀ·Aᵀ.
     #[test]

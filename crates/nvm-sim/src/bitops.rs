@@ -63,6 +63,31 @@ pub fn one_to_zero(old: &[u8], new: &[u8]) -> u64 {
         .sum()
 }
 
+/// `(0 -> 1, 1 -> 0)` transition counts going from `old` to `new` in
+/// one word-wise pass: [`zero_to_one`] and [`one_to_zero`] together,
+/// and their sum is [`hamming`].
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn transitions(old: &[u8], new: &[u8]) -> (u64, u64) {
+    assert_eq!(old.len(), new.len(), "transitions: slice length mismatch");
+    let (mut set, mut reset) = (0u64, 0u64);
+    let mut chunks_o = old.chunks_exact(8);
+    let mut chunks_n = new.chunks_exact(8);
+    for (co, cn) in chunks_o.by_ref().zip(chunks_n.by_ref()) {
+        let o = u64::from_le_bytes(co.try_into().expect("chunk is 8 bytes"));
+        let n = u64::from_le_bytes(cn.try_into().expect("chunk is 8 bytes"));
+        set += (!o & n).count_ones() as u64;
+        reset += (o & !n).count_ones() as u64;
+    }
+    for (o, n) in chunks_o.remainder().iter().zip(chunks_n.remainder()) {
+        set += (!o & n).count_ones() as u64;
+        reset += (o & !n).count_ones() as u64;
+    }
+    (set, reset)
+}
+
 /// Expand a byte slice into individual bits, most significant bit first
 /// within each byte. Used when feeding memory contents to the ML models.
 pub fn bytes_to_bits(bytes: &[u8]) -> Vec<u8> {
@@ -149,6 +174,34 @@ mod tests {
         assert_eq!(set + reset, hamming(&old, &new));
         assert_eq!(set, 8);
         assert_eq!(reset, 8);
+    }
+
+    #[test]
+    fn transitions_equal_the_three_separate_passes_at_every_length() {
+        // A fixed LCG stream: every byte value and both directions of
+        // flip turn up on either side of the 8-byte chunk boundary.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 56) as u8
+        };
+        for len in 0..=257 {
+            let old: Vec<u8> = (0..len).map(|_| next()).collect();
+            let new: Vec<u8> = (0..len).map(|_| next()).collect();
+            let (set, reset) = transitions(&old, &new);
+            assert_eq!(set, zero_to_one(&old, &new), "len {len}");
+            assert_eq!(reset, one_to_zero(&old, &new), "len {len}");
+            assert_eq!(set + reset, hamming(&old, &new), "len {len}");
+            assert_eq!(transitions(&old, &old), (0, 0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn transitions_length_mismatch_panics() {
+        transitions(&[0], &[0, 0]);
     }
 
     #[test]

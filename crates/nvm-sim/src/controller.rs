@@ -362,10 +362,11 @@ impl MemoryController {
         }
     }
 
-    /// Read a logical segment (with device read accounting).
-    pub fn read(&mut self, logical: LogicalSegment) -> Result<Vec<u8>> {
+    /// Read a logical segment (with device read accounting). The slice
+    /// is the device's own; callers copy out what they keep.
+    pub fn read(&mut self, logical: LogicalSegment) -> Result<&[u8]> {
         let phys = self.physical(logical)?;
-        Ok(self.device.read(phys)?.to_vec())
+        self.device.read(phys)
     }
 
     /// Inspect a logical segment's content without accounting.

@@ -252,15 +252,16 @@ impl NvmDevice {
             let oend = (offset + data.len()).min(lend);
             let old_region = &self.data[base + ostart..base + oend];
             let new_region = &write_data[ostart - offset..oend - offset];
-            let flips = bitops::hamming(old_region, new_region);
-            if flips == 0 && old_region == new_region {
+            let (set, reset) = bitops::transitions(old_region, new_region);
+            let flips = set + reset;
+            if flips == 0 {
                 report.lines_skipped += 1;
                 continue;
             }
             report.lines_written += 1;
             report.bits_flipped += flips;
-            report.bits_set += bitops::zero_to_one(old_region, new_region);
-            report.bits_reset += bitops::one_to_zero(old_region, new_region);
+            report.bits_set += set;
+            report.bits_reset += reset;
             report.bits_programmed += if self.cfg.media_dcw {
                 flips
             } else {

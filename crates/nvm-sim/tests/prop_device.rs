@@ -2,7 +2,7 @@
 //! naive XOR popcount, contents must always read back, and the
 //! controller's remap must stay a bijection under arbitrary traffic.
 
-use e2nvm_sim::bitops::hamming;
+use e2nvm_sim::bitops::{hamming, one_to_zero, transitions, zero_to_one};
 use e2nvm_sim::{
     DeviceConfig, FaultConfig, LogicalSegment, MemoryController, NvmDevice, PhysicalSegment,
     WearTracking,
@@ -49,6 +49,51 @@ proptest! {
         prop_assert_eq!(&now[offset..offset + data.len()], &data[..]);
         prop_assert_eq!(&now[..offset], &old[..offset]);
         prop_assert_eq!(&now[offset + data.len()..], &old[offset + data.len()..]);
+    }
+
+    /// The one-pass transition count is the three separate passes, on
+    /// line pairs that share most bytes as well as on unrelated ones —
+    /// and a partial write's report is the per-line sum of them.
+    #[test]
+    fn write_report_equals_the_three_pass_reference(
+        old in segment_data(256),
+        noise in segment_data(256),
+        keep in proptest::collection::vec(any::<bool>(), 256),
+        offset in 0usize..256,
+        len in 0usize..257,
+    ) {
+        let len = len.min(256 - offset);
+        let new: Vec<u8> = (0..256).map(|i| if keep[i] { old[i] } else { noise[i] }).collect();
+        let (set, reset) = transitions(&old, &new);
+        prop_assert_eq!(set, zero_to_one(&old, &new));
+        prop_assert_eq!(reset, one_to_zero(&old, &new));
+        prop_assert_eq!(set + reset, hamming(&old, &new));
+
+        let cfg = DeviceConfig::builder().segment_bytes(256).num_segments(1).build().unwrap();
+        let line = cfg.cache_line_bytes;
+        let mut dev = NvmDevice::new(cfg);
+        let seg = dev.segment(0);
+        dev.seed_segment(seg, &old).unwrap();
+        let r = dev.write_at(seg, offset, &new[offset..offset + len]).unwrap();
+        let (mut written, mut skipped, mut set, mut reset) = (0, 0, 0, 0);
+        for lstart in (0..256).step_by(line) {
+            let (a, b) = (offset.max(lstart), (offset + len).min(lstart + line));
+            if a >= b {
+                continue;
+            }
+            if old[a..b] == new[a..b] {
+                skipped += 1;
+            } else {
+                written += 1;
+                set += zero_to_one(&old[a..b], &new[a..b]);
+                reset += one_to_zero(&old[a..b], &new[a..b]);
+            }
+        }
+        prop_assert_eq!(
+            (r.lines_written, r.lines_skipped, r.bits_set, r.bits_reset, r.bits_flipped),
+            (written, skipped, set, reset, set + reset)
+        );
+        prop_assert_eq!(r.bits_flipped, hamming(&old[offset..offset + len], &new[offset..offset + len]));
     }
 
     /// Lines written + lines skipped is the number of lines the write
