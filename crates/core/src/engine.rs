@@ -48,6 +48,9 @@ pub struct PredictionStats {
     pub total_ns: u128,
     /// Resumed (tail-only) predictions performed.
     pub resumed: u64,
+    /// Wall-clock nanoseconds spent in resumed predictions — model
+    /// time per PUT is `total_ns` and this together.
+    pub resumed_ns: u128,
     /// Recycles served by the segment's write-time cluster tag.
     pub tag_hits: u64,
     /// Recycles that classified the content in full: no tag, or
@@ -71,6 +74,7 @@ impl PredictionStats {
         self.predictions += other.predictions;
         self.total_ns += other.total_ns;
         self.resumed += other.resumed;
+        self.resumed_ns += other.resumed_ns;
         self.tag_hits += other.tag_hits;
         self.tag_fallbacks += other.tag_fallbacks;
     }
@@ -575,9 +579,12 @@ impl E2Engine {
             return;
         }
         let content = self.controller.peek(seg).expect("placed segment in range");
+        let t0 = Instant::now();
         let cluster = model.classify_written(content, len, &mut self.scratch);
+        let ns = t0.elapsed().as_nanos();
         self.prediction.resumed += 1;
-        self.telemetry.resumed_predictions.inc();
+        self.prediction.resumed_ns += ns;
+        self.telemetry.observe_resumed_prediction(ns as u64);
         self.tags[seg.index()] = cluster as u8;
         self.tagged = true;
     }
@@ -1124,6 +1131,9 @@ mod tests {
         let s = e.prediction_stats();
         assert_eq!(s.predictions, 2);
         assert!(s.mean_ns() > 0.0);
+        // The write-time tail passes are model time too, kept apart.
+        assert_eq!(s.resumed, 2);
+        assert!(s.resumed_ns > 0);
         assert!(e.predict_macs() > 0);
     }
 

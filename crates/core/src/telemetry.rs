@@ -3,7 +3,7 @@
 //! [`EngineTelemetry`] bundles the placement-path metric handles an
 //! [`crate::E2Engine`] updates while serving: a prediction-latency
 //! histogram (its `_count` over `placements` is full predictions per
-//! PUT), resumed-prediction and recycle tag-hit counters,
+//! PUT), resumed-prediction count and time, recycle tag-hit counters,
 //! placement/fallback/exhaustion counters, per-cluster DAP
 //! depth gauges, and the structured event journal shared through the
 //! attached [`TelemetryRegistry`]. All hot-path updates are relaxed
@@ -37,6 +37,8 @@ pub struct EngineTelemetry {
     /// Write-time classifications that resumed the placement's
     /// prediction over the written segment's tail.
     pub resumed_predictions: Counter,
+    /// Nanoseconds spent in those resumed predictions.
+    pub resumed_prediction_ns: Counter,
     /// Recycles served by the segment's write-time cluster tag.
     pub recycle_tag_hits: Counter,
     /// Recycles that classified the segment's content in full.
@@ -68,6 +70,7 @@ impl EngineTelemetry {
             write_retries: Counter::disconnected(),
             retired_segments: Counter::disconnected(),
             resumed_predictions: Counter::disconnected(),
+            resumed_prediction_ns: Counter::disconnected(),
             recycle_tag_hits: Counter::disconnected(),
             recycle_classified: Counter::disconnected(),
             prediction_latency_ns: Histogram::disconnected(&PREDICTION_BOUNDS),
@@ -82,6 +85,15 @@ impl EngineTelemetry {
         let shard_label = shard.to_string();
         let labels: [(&str, &str); 1] = [("shard", &shard_label)];
         let c = |name: &str, help: &str| registry.counter_with_labels(name, help, &labels);
+        // Of the process, not of a shard: every engine runs the kernel
+        // this CPU selects, and they all land on the one series.
+        registry
+            .gauge_with_labels(
+                "e2nvm_model_kernel",
+                "Instantiation of the prediction kernel this process runs (always 1; read the impl label)",
+                &[("impl", e2nvm_ml::predict::kernel_name())],
+            )
+            .set(1);
         EngineTelemetry {
             placements: c(
                 "e2nvm_engine_placements_total",
@@ -110,6 +122,10 @@ impl EngineTelemetry {
             resumed_predictions: c(
                 "e2nvm_engine_resumed_predictions_total",
                 "Write-time classifications resumed over the written segment's tail",
+            ),
+            resumed_prediction_ns: c(
+                "e2nvm_engine_resumed_prediction_ns_total",
+                "Nanoseconds spent in resumed write-time classifications",
             ),
             recycle_tag_hits: c(
                 "e2nvm_engine_recycle_tag_hits_total",
@@ -148,6 +164,13 @@ impl EngineTelemetry {
     #[inline]
     pub fn observe_prediction(&self, ns: u64) {
         self.prediction_latency_ns.observe(ns);
+    }
+
+    /// Account one resumed prediction that took `ns`.
+    #[inline]
+    pub fn observe_resumed_prediction(&self, ns: u64) {
+        self.resumed_predictions.inc();
+        self.resumed_prediction_ns.add(ns);
     }
 
     /// Account a successful placement: `predicted` is the model's first

@@ -13,6 +13,10 @@
 //! ([`rng::seeded`]), which keeps every experiment in the workspace
 //! reproducible.
 
+// One exception, scoped to its call site: the CPU-feature dispatch of
+// `predict::Kernel::add_rows`. Anything further needs a reviewer.
+#![deny(unsafe_code)]
+
 pub mod activation;
 pub mod data;
 pub mod dec;

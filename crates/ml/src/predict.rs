@@ -40,15 +40,30 @@
 //! additions in the full call's order: μ and the cluster are those of
 //! `predict_packed` on the whole segment, bit for bit, for the rows of
 //! the tail alone.
+//!
+//! ## Column-tile clause
+//!
+//! A layer's sums are computed a tile of columns at a time — the tile's
+//! sums stay in registers for the whole walk over the inputs and are
+//! stored once (`add_tile`); a layer wider than a tile walks its
+//! inputs again for the next one. Columns are independent, and every
+//! column of every tile still takes its additions in ascending input
+//! index, so tiling — and with it the tile widths, which differ between
+//! the AVX2 and the portable instantiation of the one loop — changes no
+//! sum. Neither instantiation may fuse the later layers' multiply and
+//! add (`fma` is never enabled): the reference rounds twice.
 
+use crate::activation::Activation;
 use crate::dec::ClusterModel;
-use crate::dense::Dense;
 use crate::kmeans::dist2;
+use crate::matrix::Matrix;
 
 /// Caller-owned working memory of the prediction kernel. Buffers grow
 /// to the model's widths on first use and are reused afterwards.
 #[derive(Debug, Default)]
 pub struct PredictScratch {
+    /// The instantiation this CPU runs, asked once per scratch.
+    kernel: Kernel,
     /// First-layer sums of the last full call, before bias and
     /// activation — what [`ClusterModel::resume_packed`] continues.
     sums0: Vec<f32>,
@@ -60,6 +75,19 @@ pub struct PredictScratch {
     dist: Vec<f32>,
     /// Cluster ids, nearest first.
     order: Vec<usize>,
+}
+
+impl PredictScratch {
+    /// A scratch whose calls run the portable instantiation of the
+    /// kernel whatever the CPU offers — what the tests hold against
+    /// [`PredictScratch::default`], which runs the one [`kernel_name`]
+    /// reports.
+    pub fn portable() -> Self {
+        PredictScratch {
+            kernel: Kernel::PORTABLE,
+            ..Self::default()
+        }
+    }
 }
 
 impl ClusterModel {
@@ -115,7 +143,12 @@ impl ClusterModel {
         self.check_width(bits);
         assert!(from <= bits.len(), "resume: byte {from} past the input");
         let first = &self.vae().encoder().layers()[0];
-        let PredictScratch { sums0, next, .. } = &mut *scratch;
+        let PredictScratch {
+            kernel,
+            sums0,
+            next,
+            ..
+        } = &mut *scratch;
         assert_eq!(
             sums0.len(),
             self.layer_width(0),
@@ -123,7 +156,7 @@ impl ClusterModel {
         );
         next.clear();
         next.extend_from_slice(sums0);
-        add_rows_of_set_bits(first, bits, from, next);
+        kernel.add_rows(first.weights(), SetBits::new(bits, from), next);
         self.finish_layers(scratch);
         self.kmeans().predict(&scratch.cur)
     }
@@ -154,10 +187,15 @@ impl ClusterModel {
     fn latent_packed(&self, bits: &[u8], scratch: &mut PredictScratch) {
         self.check_width(bits);
         let first = &self.vae().encoder().layers()[0];
-        let PredictScratch { sums0, next, .. } = &mut *scratch;
+        let PredictScratch {
+            kernel,
+            sums0,
+            next,
+            ..
+        } = &mut *scratch;
         sums0.clear();
         sums0.resize(self.layer_width(0), 0.0);
-        add_rows_of_set_bits(first, bits, 0, sums0);
+        kernel.add_rows(first.weights(), SetBits::new(bits, 0), sums0);
         next.clear();
         next.extend_from_slice(sums0);
         self.finish_layers(scratch);
@@ -167,63 +205,207 @@ impl ClusterModel {
     /// `scratch.cur`: bias and activation, then the remaining layers.
     fn finish_layers(&self, scratch: &mut PredictScratch) {
         let layers = self.vae().encoder().layers();
-        let PredictScratch { cur, next, .. } = scratch;
+        let PredictScratch {
+            kernel, cur, next, ..
+        } = scratch;
         for (i, layer) in layers.iter().enumerate() {
             if i > 0 {
                 next.clear();
                 next.resize(self.layer_width(i), 0.0);
-                add_scaled_rows(layer, cur, next);
+                kernel.add_rows(layer.weights(), non_zero(cur), next);
             }
-            for (z, b) in next.iter_mut().zip(layer.bias()) {
-                *z = layer.activation().apply(*z + b);
-            }
+            add_bias_and_activate(layer.activation(), layer.bias(), next);
             std::mem::swap(cur, next);
         }
     }
 }
 
-/// `out += Σ W[i]` over the set bits `i` of `bits[from..]` (indexed
-/// from the start of `bits`), ascending, keeping the first `out.len()`
-/// columns.
-fn add_rows_of_set_bits(layer: &Dense, bits: &[u8], from: usize, out: &mut [f32]) {
-    let w = layer.weights();
-    let first_word = from / 8;
-    // A word at a time: the inner loop's exit is the branch the CPU
-    // cannot predict, and this takes it once per 64 bits, not per 8.
-    for (word_idx, chunk) in bits.chunks(8).enumerate().skip(first_word) {
-        let mut bytes = [0u8; 8];
-        bytes[..chunk.len()].copy_from_slice(chunk);
-        // Big-endian keeps MSB-first: the highest set bit is the lowest
-        // feature index.
-        let mut rest = u64::from_be_bytes(bytes);
-        if word_idx == first_word {
-            // Drop the bytes of this word that lie before `from`.
-            rest &= u64::MAX >> (from % 8 * 8);
-        }
-        while rest != 0 {
-            let lead = rest.leading_zeros() as usize;
-            rest &= !(1 << (63 - lead));
-            let row = &w.row(word_idx * 64 + lead)[..out.len()];
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o += v;
+/// Which instantiation of [`add_tiles`] a scratch's calls run.
+#[derive(Debug, Clone, Copy)]
+struct Kernel {
+    /// `true` only out of [`Kernel::detect`], which asked the CPU: the
+    /// soundness of the AVX2 call rests on nothing else setting it.
+    avx2: bool,
+}
+
+impl Kernel {
+    const PORTABLE: Kernel = Kernel { avx2: false };
+
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        Kernel { avx2 }
+    }
+
+    /// `out += Σ a · W[i]` over `inputs`' `(i, a)` in their order,
+    /// keeping the first `out.len()` columns.
+    #[allow(unsafe_code)]
+    fn add_rows(
+        self,
+        w: &Matrix,
+        inputs: impl Iterator<Item = (usize, f32)> + Clone,
+        out: &mut [f32],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            /// Sixty-four columns are eight `ymm` registers of sums.
+            ///
+            /// # Safety
+            /// The CPU must support AVX2.
+            #[target_feature(enable = "avx2")]
+            unsafe fn avx2(
+                w: &Matrix,
+                inputs: impl Iterator<Item = (usize, f32)> + Clone,
+                out: &mut [f32],
+            ) {
+                add_tiles::<64>(w, inputs, out);
+            }
+            if self.avx2 {
+                // SAFETY: `self.avx2` is set by `Kernel::detect` alone,
+                // from `is_x86_feature_detected!("avx2")`.
+                return unsafe { avx2(w, inputs, out) };
             }
         }
+        // Thirty-two columns are eight 128-bit registers of sums.
+        add_tiles::<32>(w, inputs, out);
     }
 }
 
-/// `out += Σ x[i] · W[i]` over the non-zero `x[i]`, ascending, keeping
-/// the first `out.len()` columns.
-fn add_scaled_rows(layer: &Dense, x: &[f32], out: &mut [f32]) {
-    let w = layer.weights();
-    for (i, &a) in x.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        let row = &w.row(i)[..out.len()];
-        for (o, &v) in out.iter_mut().zip(row) {
-            *o += a * v;
+impl Default for Kernel {
+    fn default() -> Self {
+        Kernel::detect()
+    }
+}
+
+/// Name of the kernel instantiation predictions run on this CPU:
+/// `"avx2"` or `"portable"`.
+pub fn kernel_name() -> &'static str {
+    if Kernel::detect().avx2 {
+        "avx2"
+    } else {
+        "portable"
+    }
+}
+
+/// The one loop of the kernel, over columns `col..col + T` of `out`:
+/// the tile's sums are a local array for the whole walk (registers,
+/// when `T` floats fit the target's) and `out` is written once.
+#[inline(always)]
+fn add_tile<const T: usize>(
+    w: &Matrix,
+    inputs: impl Iterator<Item = (usize, f32)>,
+    col: usize,
+    out: &mut [f32],
+) {
+    let out: &mut [f32; T] = (&mut out[col..col + T])
+        .try_into()
+        .expect("a slice of T columns");
+    let (weights, stride) = (w.as_slice(), w.cols());
+    let mut sums = *out;
+    for (i, a) in inputs {
+        let at = i * stride + col;
+        let row: &[f32; T] = weights[at..at + T]
+            .try_into()
+            .expect("a slice of T columns");
+        for (sum, &v) in sums.iter_mut().zip(row) {
+            *sum += a * v;
         }
     }
+    *out = sums;
+}
+
+/// [`add_tile`] over all of `out`: tiles of `WIDE` columns, then of
+/// each narrower power of two for what is left, every tile walking
+/// `inputs` anew.
+#[inline(always)]
+fn add_tiles<const WIDE: usize>(
+    w: &Matrix,
+    inputs: impl Iterator<Item = (usize, f32)> + Clone,
+    out: &mut [f32],
+) {
+    assert!(out.len() <= w.cols(), "more sums than weight columns");
+    let mut col = 0;
+    macro_rules! tiles {
+        ($($t:literal)*) => {$(
+            while $t <= WIDE && out.len() - col >= $t {
+                add_tile::<$t>(w, inputs.clone(), col, out);
+                col += $t;
+            }
+        )*};
+    }
+    tiles!(64 32 16 8 4 2 1);
+}
+
+/// The set bits of `bits[from..]` as layer inputs: `(index, 1.0)` in
+/// ascending index, indexed from the start of `bits`. The constant
+/// `1.0` lets [`add_tile`]'s `1.0 * w` fold to `w` — the same value
+/// either way.
+#[derive(Clone)]
+struct SetBits<'a> {
+    bits: &'a [u8],
+    /// The 8-byte word being walked.
+    word: usize,
+    /// Its bits not yet visited. A word at a time: running out of them
+    /// is the branch the CPU cannot predict, and this takes it once
+    /// per 64 bits, not per 8.
+    rest: u64,
+}
+
+impl<'a> SetBits<'a> {
+    fn new(bits: &'a [u8], from: usize) -> Self {
+        let word = from / 8;
+        // Drop the bytes of the first word that lie before `from`.
+        let rest = load_word(bits, word).unwrap_or(0) & (u64::MAX >> (from % 8 * 8));
+        SetBits { bits, word, rest }
+    }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = (usize, f32);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<(usize, f32)> {
+        while self.rest == 0 {
+            self.word += 1;
+            self.rest = load_word(self.bits, self.word)?;
+        }
+        let lead = self.rest.leading_zeros() as usize;
+        self.rest &= !(1 << (63 - lead));
+        Some((self.word * 64 + lead, 1.0))
+    }
+}
+
+/// Bytes `8 * word..` of `bits` (up to eight, zero-extended) as one
+/// big-endian word — which keeps MSB-first: the highest set bit is the
+/// lowest feature index. `None` past the end.
+#[inline(always)]
+fn load_word(bits: &[u8], word: usize) -> Option<u64> {
+    let rest = bits.get(word * 8..).filter(|rest| !rest.is_empty())?;
+    Some(match rest.get(..8) {
+        Some(full) => u64::from_be_bytes(full.try_into().expect("eight bytes")),
+        // Folded, not copied: a `memcpy` call inside the walk would
+        // have the tile's sums spilled around it.
+        None => rest.iter().fold(0, |w, &b| w << 8 | u64::from(b)) << (64 - 8 * rest.len()),
+    })
+}
+
+/// `z = f(z + bias)` element by element. The encoder's two activations
+/// get loops of their own — straight-line code that vectorises; matching
+/// per element instead is a jump table inside the loop.
+fn add_bias_and_activate(activation: Activation, bias: &[f32], z: &mut [f32]) {
+    let biased = z.iter_mut().zip(bias);
+    match activation {
+        Activation::Linear => biased.for_each(|(z, b)| *z += b),
+        Activation::Relu => biased.for_each(|(z, b)| *z = (*z + b).max(0.0)),
+        other => biased.for_each(|(z, b)| *z = other.apply(*z + b)),
+    }
+}
+
+/// The non-zero entries of `x` as layer inputs, ascending.
+fn non_zero(x: &[f32]) -> impl Iterator<Item = (usize, f32)> + Clone + '_ {
+    x.iter().copied().enumerate().filter(|&(_, a)| a != 0.0)
 }
 
 #[cfg(test)]
@@ -239,9 +421,25 @@ mod tests {
     /// Not a whole number of 64-bit words, so the tail is covered too.
     const BYTES: usize = 36;
 
-    /// A briefly trained model (non-zero biases) with the given encoder
-    /// hidden widths, and segments of every density to ask it about.
-    fn model_and_samples(hidden: &[usize]) -> (ClusterModel, Vec<Vec<u8>>) {
+    /// Encoder shapes — hidden widths and latent width — that between
+    /// them meet every tile of both instantiations: 64 and 128 are
+    /// whole wide tiles, 72 and 40 a wide tile and a narrow one, 24,
+    /// 20, 12, 10, 8, 7, 6 and 3 the narrow tiles down to one column.
+    const SHAPES: [(&[usize], usize); 9] = [
+        (&[], 6),
+        (&[24], 6),
+        (&[24, 12], 6),
+        (&[64], 10),
+        (&[128], 10),
+        (&[72], 20),
+        (&[8], 10),
+        (&[64, 40], 20),
+        (&[3], 7),
+    ];
+
+    /// A briefly trained model (non-zero biases) of the given encoder
+    /// shape, and segments of every density to ask it about.
+    fn model_and_samples(hidden: &[usize], latent_dim: usize) -> (ClusterModel, Vec<Vec<u8>>) {
         let mut rng = seeded(0xBEEF ^ hidden.len() as u64);
         let samples: Vec<Vec<u8>> = (0..96)
             .map(|i| {
@@ -257,7 +455,7 @@ mod tests {
             vae: VaeConfig {
                 input_dim: BYTES * 8,
                 hidden: hidden.to_vec(),
-                latent_dim: 6,
+                latent_dim,
                 lr: 5e-3,
                 beta: 0.2,
             },
@@ -271,26 +469,46 @@ mod tests {
         (model, samples)
     }
 
+    /// A scratch for each instantiation of the kernel this CPU runs.
+    fn scratches() -> Vec<(&'static str, PredictScratch)> {
+        let mut all = vec![("portable", PredictScratch::portable())];
+        if Kernel::detect().avx2 {
+            all.push(("avx2", PredictScratch::default()));
+        } else {
+            eprintln!("no AVX2 on this CPU: only the portable instantiation is tested");
+        }
+        all
+    }
+
+    fn to_bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
     /// The contract of the module docs, checked where it is stated: μ
     /// itself — not just the cluster it leads to — is the `Matrix`
-    /// path's to the last bit, for zero, one and two hidden layers.
+    /// path's to the last bit, at every shape and on both
+    /// instantiations.
     #[test]
     fn latent_order_and_nearest_equal_the_matrix_path_exactly() {
-        for hidden in [&[][..], &[24], &[24, 12]] {
-            let (model, samples) = model_and_samples(hidden);
+        for (hidden, latent_dim) in SHAPES {
+            let (model, samples) = model_and_samples(hidden, latent_dim);
             let batch = model.predict_batch(&segments_to_matrix(&samples));
-            let mut scratch = PredictScratch::default();
-            for (sample, &cluster) in samples.iter().zip(&batch) {
-                let x = Matrix::from_vec(1, BYTES * 8, bytes_to_features(sample));
-                let z = model.vae().latent(&x);
-                let order = model.order_packed(sample, &mut scratch).to_vec();
-                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&scratch.cur), bits(z.row(0)), "μ, hidden {hidden:?}");
-                assert_eq!(order, model.kmeans().clusters_by_distance(z.row(0)));
-                assert_eq!(model.predict_packed(sample, &mut scratch), cluster);
-                // The float-signature adapters are the same kernel.
-                assert_eq!(model.clusters_by_distance(x.row(0)), order);
-                assert_eq!(model.predict(x.row(0)), cluster);
+            for (kernel, mut scratch) in scratches() {
+                for (sample, &cluster) in samples.iter().zip(&batch) {
+                    let x = Matrix::from_vec(1, BYTES * 8, bytes_to_features(sample));
+                    let z = model.vae().latent(&x);
+                    let order = model.order_packed(sample, &mut scratch).to_vec();
+                    assert_eq!(
+                        to_bits(&scratch.cur),
+                        to_bits(z.row(0)),
+                        "μ, hidden {hidden:?}, latent {latent_dim}, {kernel}"
+                    );
+                    assert_eq!(order, model.kmeans().clusters_by_distance(z.row(0)));
+                    assert_eq!(model.predict_packed(sample, &mut scratch), cluster);
+                    // The float-signature adapters are the same kernel.
+                    assert_eq!(model.clusters_by_distance(x.row(0)), order);
+                    assert_eq!(model.predict(x.row(0)), cluster);
+                }
             }
         }
     }
@@ -299,34 +517,40 @@ mod tests {
     /// the end, continuing over a segment's tail gives the μ and the
     /// cluster of a full call on that segment — at every split point
     /// (word-aligned or not, empty value, no tail), whatever the tail
-    /// holds, and as often as asked.
+    /// holds, and as often as asked; at every shape and on both
+    /// instantiations.
     #[test]
     fn resumed_tail_equals_the_full_call_exactly() {
-        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        for hidden in [&[][..], &[24], &[24, 12]] {
-            let (model, samples) = model_and_samples(hidden);
-            let (mut resumed, mut full) = (PredictScratch::default(), PredictScratch::default());
-            for (i, sample) in samples.iter().enumerate() {
-                for len in 0..=BYTES {
-                    let mut padded = sample[..len].to_vec();
-                    padded.resize(BYTES, 0);
-                    model.order_packed(&padded, &mut resumed);
-                    let tails = [
-                        sample[len..].to_vec(),
-                        vec![0; BYTES - len],
-                        vec![0xFF; BYTES - len],
-                    ];
-                    // One full call serves all three segments.
-                    for tail in tails {
-                        let segment = [&sample[..len], &tail[..]].concat();
-                        let expected = model.predict_packed(&segment, &mut full);
-                        let got = model.resume_packed(&segment, len, &mut resumed);
-                        assert_eq!(
-                            bits(&resumed.cur),
-                            bits(&full.cur),
-                            "μ, hidden {hidden:?}, sample {i}, split at byte {len}"
-                        );
-                        assert_eq!(got, expected);
+        for (hidden, latent_dim) in SHAPES {
+            let (model, samples) = model_and_samples(hidden, latent_dim);
+            for (kernel, mut resumed) in scratches() {
+                // The full call it is held against is the portable one:
+                // the two instantiations agree with each other as well.
+                let mut full = PredictScratch::portable();
+                // Every fourth density keeps the debug build quick.
+                for (i, sample) in samples.iter().enumerate().step_by(4) {
+                    for len in 0..=BYTES {
+                        let mut padded = sample[..len].to_vec();
+                        padded.resize(BYTES, 0);
+                        model.order_packed(&padded, &mut resumed);
+                        let tails = [
+                            sample[len..].to_vec(),
+                            vec![0; BYTES - len],
+                            vec![0xFF; BYTES - len],
+                        ];
+                        // One full call serves all three segments.
+                        for tail in tails {
+                            let segment = [&sample[..len], &tail[..]].concat();
+                            let expected = model.predict_packed(&segment, &mut full);
+                            let got = model.resume_packed(&segment, len, &mut resumed);
+                            assert_eq!(
+                                to_bits(&resumed.cur),
+                                to_bits(&full.cur),
+                                "μ, hidden {hidden:?}, latent {latent_dim}, {kernel}, \
+                                 sample {i}, split at byte {len}"
+                            );
+                            assert_eq!(got, expected);
+                        }
                     }
                 }
             }
@@ -336,13 +560,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "no full call on this scratch")]
     fn resume_without_a_full_call_rejected() {
-        let (model, samples) = model_and_samples(&[24]);
+        let (model, samples) = model_and_samples(&[24], 6);
         model.resume_packed(&samples[0], 8, &mut PredictScratch::default());
     }
 
     #[test]
     fn equal_distances_keep_cluster_index_order() {
-        let (model, samples) = model_and_samples(&[24]);
+        let (model, samples) = model_and_samples(&[24], 6);
         let twin = model.kmeans().centroids().row(2).to_vec();
         let mut centroids = model.kmeans().centroids().clone();
         for c in [0, 4, 5] {
@@ -367,7 +591,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "packed bytes for a 288-bit model")]
     fn wrong_input_width_rejected() {
-        let (model, _) = model_and_samples(&[24]);
+        let (model, _) = model_and_samples(&[24], 6);
         model.predict_packed(&[0u8; BYTES - 1], &mut PredictScratch::default());
     }
 }

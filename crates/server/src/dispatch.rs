@@ -180,13 +180,13 @@ impl ExecCtx {
         // them. Streamed scans move it forward (they run their own
         // barrier first).
         let mut barrier = outbuf.len();
+        // One clock read per frame: the end of a frame's span is the
+        // start of the next one's, so a span also holds the loop's own
+        // work between two frames.
+        let mut frame_start = Instant::now();
         for item in items {
             match item {
                 Work::Req(req) => {
-                    // Timed explicitly (not via the histogram's drop
-                    // guard, which would hold a borrow of the telemetry
-                    // struct across the `&mut self` dispatch).
-                    let t0 = Instant::now();
                     let op = req.opcode();
                     self.telemetry.count_frame(op);
                     match req {
@@ -229,9 +229,11 @@ impl ExecCtx {
                             encode_response(&resp, Some(op), outbuf);
                         }
                     }
+                    let frame_end = Instant::now();
                     self.telemetry
                         .frame_latency_ns
-                        .observe(t0.elapsed().as_nanos() as u64);
+                        .observe((frame_end - frame_start).as_nanos() as u64);
+                    frame_start = frame_end;
                     if outcome.close {
                         break;
                     }
