@@ -27,6 +27,25 @@ impl Activation {
         }
     }
 
+    /// `z = f(z + bias)` element by element — [`Activation::apply`] with
+    /// the variant matched once, outside the loop: each arm is
+    /// straight-line code that vectorises, where matching per element
+    /// is a jump table inside the loop.
+    pub(crate) fn apply_biased(self, bias: &[f32], z: &mut [f32]) {
+        #[inline(always)]
+        fn each(f: Activation, bias: &[f32], z: &mut [f32]) {
+            for (z, b) in z.iter_mut().zip(bias) {
+                *z = f.apply(*z + b);
+            }
+        }
+        match self {
+            Activation::Linear => each(Activation::Linear, bias, z),
+            Activation::Relu => each(Activation::Relu, bias, z),
+            Activation::Sigmoid => each(Activation::Sigmoid, bias, z),
+            Activation::Tanh => each(Activation::Tanh, bias, z),
+        }
+    }
+
     /// Derivative expressed in terms of the *output* `y = f(x)` (cheaper
     /// than recomputing from x for sigmoid/tanh; exact for all four).
     #[inline]

@@ -53,7 +53,6 @@
 //! sum. Neither instantiation may fuse the later layers' multiply and
 //! add (`fma` is never enabled): the reference rounds twice.
 
-use crate::activation::Activation;
 use crate::dec::ClusterModel;
 use crate::kmeans::dist2;
 use crate::matrix::Matrix;
@@ -82,9 +81,10 @@ impl PredictScratch {
     /// kernel whatever the CPU offers — what the tests hold against
     /// [`PredictScratch::default`], which runs the one [`kernel_name`]
     /// reports.
-    pub fn portable() -> Self {
+    #[cfg(test)]
+    fn portable() -> Self {
         PredictScratch {
-            kernel: Kernel::PORTABLE,
+            kernel: Kernel { avx2: false },
             ..Self::default()
         }
     }
@@ -214,7 +214,7 @@ impl ClusterModel {
                 next.resize(self.layer_width(i), 0.0);
                 kernel.add_rows(layer.weights(), non_zero(cur), next);
             }
-            add_bias_and_activate(layer.activation(), layer.bias(), next);
+            layer.activation().apply_biased(layer.bias(), next);
             std::mem::swap(cur, next);
         }
     }
@@ -229,8 +229,6 @@ struct Kernel {
 }
 
 impl Kernel {
-    const PORTABLE: Kernel = Kernel { avx2: false };
-
     fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         let avx2 = std::arch::is_x86_feature_detected!("avx2");
@@ -391,18 +389,6 @@ fn load_word(bits: &[u8], word: usize) -> Option<u64> {
     })
 }
 
-/// `z = f(z + bias)` element by element. The encoder's two activations
-/// get loops of their own — straight-line code that vectorises; matching
-/// per element instead is a jump table inside the loop.
-fn add_bias_and_activate(activation: Activation, bias: &[f32], z: &mut [f32]) {
-    let biased = z.iter_mut().zip(bias);
-    match activation {
-        Activation::Linear => biased.for_each(|(z, b)| *z += b),
-        Activation::Relu => biased.for_each(|(z, b)| *z = (*z + b).max(0.0)),
-        other => biased.for_each(|(z, b)| *z = other.apply(*z + b)),
-    }
-}
-
 /// The non-zero entries of `x` as layer inputs, ascending.
 fn non_zero(x: &[f32]) -> impl Iterator<Item = (usize, f32)> + Clone + '_ {
     x.iter().copied().enumerate().filter(|&(_, a)| a != 0.0)
@@ -415,7 +401,8 @@ mod tests {
     use crate::dec::DecConfig;
     use crate::matrix::Matrix;
     use crate::rng::seeded;
-    use crate::vae::VaeConfig;
+    use crate::vae::{Vae, VaeConfig};
+    use proptest::prelude::*;
     use rand::Rng;
 
     /// Not a whole number of 64-bit words, so the tail is covered too.
@@ -527,8 +514,7 @@ mod tests {
                 // The full call it is held against is the portable one:
                 // the two instantiations agree with each other as well.
                 let mut full = PredictScratch::portable();
-                // Every fourth density keeps the debug build quick.
-                for (i, sample) in samples.iter().enumerate().step_by(4) {
+                for (i, sample) in samples.iter().enumerate() {
                     for len in 0..=BYTES {
                         let mut padded = sample[..len].to_vec();
                         padded.resize(BYTES, 0);
@@ -552,6 +538,64 @@ mod tests {
                             assert_eq!(got, expected);
                         }
                     }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Whatever tiles a layer's width falls into, and whichever
+        /// instantiation walks them: μ, order, cluster and resumed
+        /// cluster are the `Matrix` path's.
+        #[test]
+        fn every_width_predicts_as_the_matrix_path_on_both_kernels(
+            hidden in 1usize..=160,
+            latent_dim in 1usize..=40,
+            density in 0.0f32..1.0,
+            split in 0usize..=BYTES,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = seeded(seed);
+            let vae = Vae::new(
+                VaeConfig {
+                    input_dim: BYTES * 8,
+                    hidden: vec![hidden],
+                    latent_dim,
+                    lr: 1e-3,
+                    beta: 0.2,
+                },
+                &mut rng,
+            );
+            let segments: Vec<Vec<u8>> = (0..12)
+                .map(|_| {
+                    (0..BYTES)
+                        .map(|_| {
+                            (0..8).fold(0u8, |b, _| (b << 1) | u8::from(rng.gen::<f32>() < density))
+                        })
+                        .collect()
+                })
+                .collect();
+            let centroids = vae.latent(&segments_to_matrix(&segments[..6]));
+            let model =
+                ClusterModel::from_parts(vae, crate::kmeans::KMeans::from_centroids(centroids))
+                    .unwrap();
+            let clusters = model.predict_batch(&segments_to_matrix(&segments));
+            for (kernel, mut scratch) in scratches() {
+                for (segment, &cluster) in segments.iter().zip(&clusters) {
+                    let z = model
+                        .vae()
+                        .latent(&segments_to_matrix(std::slice::from_ref(segment)));
+                    let order = model.kmeans().clusters_by_distance(z.row(0));
+                    prop_assert_eq!(model.order_packed(segment, &mut scratch), &order[..], "{}", kernel);
+                    prop_assert_eq!(to_bits(&scratch.cur), to_bits(z.row(0)), "μ, {}", kernel);
+                    let mut padded = segment[..split].to_vec();
+                    padded.resize(BYTES, 0);
+                    model.order_packed(&padded, &mut scratch);
+                    let resumed = model.resume_packed(segment, split, &mut scratch);
+                    prop_assert_eq!(resumed, cluster, "{}", kernel);
+                    prop_assert_eq!(to_bits(&scratch.cur), to_bits(z.row(0)), "resumed μ, {}", kernel);
                 }
             }
         }

@@ -5,7 +5,7 @@ use e2nvm_ml::kmeans::KMeans;
 use e2nvm_ml::matrix::Matrix;
 use e2nvm_ml::rng::seeded;
 use e2nvm_ml::vae::VaeConfig;
-use e2nvm_ml::{data, ClusterModel, DecConfig, Pca, PredictScratch, Vae};
+use e2nvm_ml::{data, ClusterModel, DecConfig, Pca, PredictScratch};
 use proptest::prelude::*;
 use rand::Rng;
 use std::sync::OnceLock;
@@ -83,54 +83,6 @@ proptest! {
             let resumed = model.resume_packed(&segment, value.len(), &mut scratch);
             let full = model.predict_packed(&segment, &mut PredictScratch::default());
             prop_assert_eq!(resumed, full, "split at byte {}", value.len());
-        }
-    }
-
-    /// Whatever tiles a layer's width falls into, and whichever
-    /// instantiation of the kernel walks them, orders, clusters and
-    /// resumed clusters are the `Matrix` path's. (μ itself is held to
-    /// the last bit where it can be seen: `predict.rs`'s unit tests.)
-    #[test]
-    fn every_width_predicts_as_the_matrix_path_on_both_kernels(
-        hidden in 1usize..=160,
-        latent_dim in 1usize..=40,
-        density in 0.0f32..1.0,
-        split in 0usize..SEG + 1,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = seeded(seed);
-        let vae = Vae::new(
-            VaeConfig { input_dim: SEG * 8, hidden: vec![hidden], latent_dim, lr: 1e-3, beta: 0.2 },
-            &mut rng,
-        );
-        let segments: Vec<Vec<u8>> = (0..12)
-            .map(|_| {
-                (0..SEG)
-                    .map(|_| (0..8).fold(0u8, |b, _| (b << 1) | u8::from(rng.gen::<f32>() < density)))
-                    .collect()
-            })
-            .collect();
-        let centroids = vae.latent(&data::segments_to_matrix(&segments[..6]));
-        let model = ClusterModel::from_parts(vae, KMeans::from_centroids(centroids)).unwrap();
-        let clusters = model.predict_batch(&data::segments_to_matrix(&segments));
-        let mut scratches = vec![("portable", PredictScratch::portable())];
-        if e2nvm_ml::predict::kernel_name() == "avx2" {
-            scratches.push(("avx2", PredictScratch::default()));
-        } else {
-            static SKIPPED: std::sync::Once = std::sync::Once::new();
-            SKIPPED.call_once(|| eprintln!("no AVX2 on this CPU: only the portable kernel is tested"));
-        }
-        for (segment, &cluster) in segments.iter().zip(&clusters) {
-            let z = model.vae().latent(&data::segments_to_matrix(std::slice::from_ref(segment)));
-            let order = model.kmeans().clusters_by_distance(z.row(0));
-            let mut padded = segment[..split].to_vec();
-            padded.resize(SEG, 0);
-            for (kernel, scratch) in &mut scratches {
-                prop_assert_eq!(model.order_packed(segment, scratch), &order[..], "{}", kernel);
-                prop_assert_eq!(model.predict_packed(segment, scratch), cluster, "{}", kernel);
-                model.order_packed(&padded, scratch);
-                prop_assert_eq!(model.resume_packed(segment, split, scratch), cluster, "{}", kernel);
-            }
         }
     }
 

@@ -247,6 +247,9 @@ impl ExecCtx {
                         outcome.close = true;
                         break;
                     }
+                    // Rejected frames are not observed; keep their cost
+                    // out of the next request's span.
+                    frame_start = Instant::now();
                 }
             }
         }
