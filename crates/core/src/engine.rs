@@ -15,6 +15,7 @@ use crate::dap::DynamicAddressPool;
 use crate::error::{E2Error, Result};
 use crate::model::{E2Model, PlacementScratch};
 use crate::padding::Padder;
+use crate::scan::ScanBuffer;
 use crate::telemetry::EngineTelemetry;
 use e2nvm_sim::{LogicalSegment, MemoryController, SimError, WriteReport};
 use e2nvm_telemetry::{Event, TelemetryRegistry};
@@ -728,31 +729,33 @@ impl E2Engine {
         Ok(true)
     }
 
-    /// SCAN: all key/value pairs with keys in `range`, in key order.
+    /// SCAN: all key/value pairs with keys in `range`, in key order —
+    /// [`E2Engine::scan_append`] collected.
     pub fn scan<R: RangeBounds<u64>>(&mut self, range: R) -> Result<Vec<(u64, Vec<u8>)>> {
-        self.scan_limit(range, usize::MAX)
+        let mut buf = ScanBuffer::new();
+        self.scan_append(range, usize::MAX, &mut buf)?;
+        Ok(buf.to_vec())
     }
 
-    /// SCAN stopping after `limit` entries: the first `limit` key/value
-    /// pairs with keys in `range`, in key order. Walks the index only
-    /// as far as the limit, so a small page over a huge range costs
-    /// O(limit + log n) rather than O(range).
-    pub fn scan_limit<R: RangeBounds<u64>>(
+    /// The engine's one scan walk: append the first `limit` entries of
+    /// `range`, in key order, to `buf` — one device read per entry.
+    /// Walks the index only as far as the limit, so a small page over a
+    /// huge range costs O(limit + log n) rather than O(range). On a
+    /// device error `buf` keeps the entries read before it.
+    pub fn scan_append<R: RangeBounds<u64>>(
         &mut self,
         range: R,
         limit: usize,
-    ) -> Result<Vec<(u64, Vec<u8>)>> {
+        buf: &mut ScanBuffer,
+    ) -> Result<()> {
         let Self {
             index, controller, ..
         } = self;
-        index
-            .range(range)
-            .take(limit)
-            .map(|(&k, e)| {
-                let data = controller.read(e.seg)?;
-                Ok((k, data[e.off..e.off + e.len].to_vec()))
-            })
-            .collect()
+        for (&key, e) in index.range(range).take(limit) {
+            let data = controller.read(e.seg)?;
+            buf.push(key, &data[e.off..e.off + e.len]);
+        }
+        Ok(())
     }
 
     /// Number of keys stored.

@@ -23,6 +23,8 @@
 //!   single engine is the one-shard case ([`sharded`]).
 //! * [`kselect`] — SSE elbow + energy valley for picking K (Figure 8).
 //! * [`batch`] — grouping small writes into segment-sized batches.
+//! * [`ScanBuffer`] — the flat, reusable buffer a range scan travels
+//!   in from the index walks to its consumer ([`scan`]).
 //!
 //! ```no_run
 //! use e2nvm_core::{E2Config, E2Engine};
@@ -49,6 +51,7 @@ pub mod kselect;
 pub mod model;
 pub mod padding;
 pub mod retrain;
+pub mod scan;
 pub mod sharded;
 pub mod telemetry;
 
@@ -61,5 +64,6 @@ pub use kselect::{sweep_k, KSelection, KSweepPoint};
 pub use model::{E2Model, PlacementScratch};
 pub use padding::{Padder, PaddingLocation, PaddingType};
 pub use retrain::BackgroundRetrainer;
+pub use scan::ScanBuffer;
 pub use sharded::ShardedEngine;
 pub use telemetry::EngineTelemetry;

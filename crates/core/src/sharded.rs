@@ -35,6 +35,7 @@ use crate::config::E2Config;
 use crate::engine::{E2Engine, PredictionStats};
 use crate::error::{E2Error, Result};
 use crate::retrain::BackgroundRetrainer;
+use crate::scan::ScanBuffer;
 use e2nvm_sim::{DeviceStats, MemoryController, WriteReport};
 use e2nvm_telemetry::{Event, TelemetryRegistry};
 use parking_lot::Mutex;
@@ -315,30 +316,45 @@ impl ShardedEngine {
         )
     }
 
-    /// SCAN over an inclusive key range, merged into key order.
+    /// SCAN over an inclusive key range, merged into key order —
+    /// [`ShardedEngine::scan_into`] collected.
     pub fn scan(&self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>> {
         self.scan_limit(lo, hi, usize::MAX)
     }
 
-    /// SCAN stopping after `limit` entries in global key order. Keys
-    /// are hash-routed, so any shard may hold any of the `limit`
-    /// smallest matches: each shard contributes up to `limit` entries
-    /// (early-stopped inside its index walk), then the merged result is
-    /// truncated. An inverted range (`lo > hi`) is empty.
+    /// SCAN stopping after `limit` entries in global key order —
+    /// [`ShardedEngine::scan_into`] collected.
     pub fn scan_limit(&self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
+        let mut buf = ScanBuffer::new();
+        self.scan_into(lo, hi, limit, &mut buf)?;
+        Ok(buf.to_vec())
+    }
+
+    /// The one scan path: replace `buf`'s contents with the first
+    /// `limit` entries of `lo..=hi` in global key order and return how
+    /// many entries were read off the devices to find them. Keys are
+    /// hash-routed, so any shard may hold any of the `limit` smallest
+    /// matches: each shard appends up to `limit` entries (early-stopped
+    /// inside its index walk, under its own lock, one shard at a time),
+    /// then the entries are ordered by key and the first `limit` kept.
+    /// An inverted range (`lo > hi`) is empty; on an error `buf` is
+    /// left empty.
+    pub fn scan_into(&self, lo: u64, hi: u64, limit: usize, buf: &mut ScanBuffer) -> Result<usize> {
+        buf.clear();
         // `BTreeMap::range` panics on an inverted range, and would do
         // so here with the shard lock held.
         if lo > hi {
-            return Ok(Vec::new());
+            return Ok(0);
         }
-        let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
         for shard in self.shards.iter() {
-            out.extend(shard.engine.lock().scan_limit(lo..=hi, limit)?);
+            if let Err(e) = shard.engine.lock().scan_append(lo..=hi, limit, buf) {
+                buf.clear();
+                return Err(e);
+            }
         }
-        // Shards hold disjoint keys, so an unstable sort is safe.
-        out.sort_unstable_by_key(|(k, _)| *k);
-        out.truncate(limit);
-        Ok(out)
+        let read = buf.len();
+        buf.keep_lowest(limit);
+        Ok(read)
     }
 
     /// Advance every shard's lazy-retraining state machine. Mutations

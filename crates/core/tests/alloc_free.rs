@@ -1,13 +1,16 @@
 //! Pins "allocation-free": once its scratch is warm, the serving path —
 //! pad + order on place, classify on recycle — never touches the heap,
-//! and neither does a whole updating `E2Engine::put`, which runs the
-//! model in full exactly once. Its own test binary, because it has to
-//! own the global allocator.
+//! neither does a whole updating `E2Engine::put`, which runs the
+//! model in full exactly once, and neither does a range scan visited
+//! in the store's reusable buffer. Its own test binary, because it has
+//! to own the global allocator.
 
 use e2nvm_core::{
     E2Config, E2Engine, E2Model, Padder, PaddingLocation, PaddingType, PlacementScratch,
+    ShardedEngine,
 };
-use e2nvm_sim::{DeviceConfig, LogicalSegment, MemoryController, NvmDevice};
+use e2nvm_kvstore::{NvmKvStore, ShardedE2KvStore};
+use e2nvm_sim::{partition_controllers, DeviceConfig, LogicalSegment, MemoryController, NvmDevice};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -167,4 +170,66 @@ fn warm_tagged_put_is_one_full_prediction_and_no_allocation() {
     assert_eq!(after.resumed - before.resumed, 1000);
     assert_eq!(after.tag_hits - before.tag_hits, 1000);
     assert_eq!(after.tag_fallbacks, before.tag_fallbacks);
+}
+
+/// A scan through `NvmKvStore::scan_visit` — the call the server makes
+/// per page — lands in the store handle's own flat buffer and is
+/// visited there: once a scan at least as large has warmed the buffer,
+/// two shards' worth of entries are read, ordered and visited without
+/// the heap.
+#[test]
+fn warm_visited_scan_does_not_allocate() {
+    const SEGMENT: usize = 32;
+    const KEYS: u64 = 96;
+    let mut rng = StdRng::seed_from_u64(13);
+    let dev_cfg = DeviceConfig::builder()
+        .segment_bytes(SEGMENT)
+        .num_segments(256)
+        .build()
+        .unwrap();
+    let cfg = E2Config::builder()
+        .fast(SEGMENT, 2)
+        .hidden(vec![16, 8])
+        .pretrain_epochs(1)
+        .joint_epochs(1)
+        .retrain_min_free(0)
+        .padding_type(PaddingType::Zero)
+        .build()
+        .unwrap();
+    let controllers = partition_controllers(&dev_cfg, 2)
+        .unwrap()
+        .into_iter()
+        .map(|(_, mut mc)| {
+            for i in 0..mc.num_segments() {
+                let content: Vec<u8> = (0..SEGMENT).map(|_| rng.gen()).collect();
+                mc.seed(LogicalSegment(i), &content).unwrap();
+            }
+            mc
+        })
+        .collect();
+    let mut store = ShardedE2KvStore::new(ShardedEngine::train(controllers, &cfg).unwrap());
+    for key in 0..KEYS {
+        store.put(key, &[key as u8; 24]).unwrap();
+    }
+    // Warm the buffer with the largest scan the loop below makes.
+    store.scan_visit(0, KEYS, 64, &mut |_, _| true).unwrap();
+
+    let mut bytes_seen = 0usize;
+    let mut visited = 0usize;
+    ARMED.with(|armed| armed.set(true));
+    for i in 0..1000u64 {
+        let lo = i % KEYS;
+        let limit = 1 + (i as usize * 7) % 64;
+        visited += store
+            .scan_visit(lo, KEYS, limit, &mut |_, value| {
+                bytes_seen += value.len();
+                true
+            })
+            .unwrap();
+    }
+    ARMED.with(|armed| armed.set(false));
+
+    assert_eq!(BYTES.load(Ordering::Relaxed), 0, "a warm scan allocated");
+    assert!(visited > 1000);
+    assert_eq!(bytes_seen, visited * 24);
 }

@@ -680,6 +680,16 @@ impl<S: NvmKvStore> NvmKvStore for CachedKvStore<S> {
         self.inner.scan_limit(lo, hi, limit)
     }
 
+    fn scan_visit(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        limit: usize,
+        f: &mut dyn FnMut(u64, &[u8]) -> bool,
+    ) -> Result<usize> {
+        self.inner.scan_visit(lo, hi, limit, f)
+    }
+
     fn stats(&self) -> e2nvm_sim::DeviceStats {
         self.inner.stats()
     }

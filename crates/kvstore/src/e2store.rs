@@ -9,8 +9,8 @@
 
 use crate::store::{Result, StoreError};
 use crate::telemetry::StoreTelemetry;
-use crate::traits::NvmKvStore;
-use e2nvm_core::{E2Config, E2Engine, E2Error, ShardedEngine};
+use crate::traits::{visit_while, NvmKvStore};
+use e2nvm_core::{E2Config, E2Engine, E2Error, ScanBuffer, ShardedEngine};
 use e2nvm_persist::{
     replay_and_truncate, FlushPolicy, PersistTelemetry, PersistenceConfig, ShardState,
     StoreSnapshot, Wal, WalOp, WalSyncer,
@@ -147,11 +147,28 @@ pub struct RecoveryReport {
 /// attaches a per-shard WAL plus snapshot layer, and
 /// [`ShardedE2KvStore::recover`] rebuilds a store from them after a
 /// kill — every acknowledged mutation survives (see DESIGN.md §14).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ShardedE2KvStore {
     engine: ShardedEngine,
     telemetry: StoreTelemetry,
     persist: Option<Arc<PersistState>>,
+    /// Where this handle's scans land before they are visited or
+    /// collected. Owned, not shared: every clone (one per server
+    /// worker) scans into its own, so no lock guards it.
+    scan_buf: ScanBuffer,
+}
+
+impl Clone for ShardedE2KvStore {
+    /// Share the shards, the telemetry series and the persistence
+    /// layer; start with an empty scan buffer.
+    fn clone(&self) -> Self {
+        Self {
+            engine: self.engine.clone(),
+            telemetry: self.telemetry.clone(),
+            persist: self.persist.clone(),
+            scan_buf: ScanBuffer::new(),
+        }
+    }
 }
 
 impl ShardedE2KvStore {
@@ -161,6 +178,7 @@ impl ShardedE2KvStore {
             engine,
             telemetry: StoreTelemetry::disconnected(),
             persist: None,
+            scan_buf: ScanBuffer::new(),
         }
     }
 
@@ -342,6 +360,7 @@ impl ShardedE2KvStore {
                 telemetry: telemetry.clone(),
                 _syncer: syncer,
             })),
+            scan_buf: ScanBuffer::new(),
         };
         let report = RecoveryReport {
             shards: store.engine.num_shards(),
@@ -372,6 +391,21 @@ impl ShardedE2KvStore {
                 let _ = self.snapshot_now();
             }
         }
+    }
+
+    /// The one scan behind [`NvmKvStore::scan_limit`] and
+    /// [`NvmKvStore::scan_visit`]: fill this handle's buffer with the
+    /// first `limit` entries of `lo..=hi` and account for it. On an
+    /// error the buffer is empty.
+    fn scan_fill(&mut self, lo: u64, hi: u64, limit: usize) -> Result<()> {
+        let _timer = self.telemetry.scan_latency_ns.start_timer();
+        self.telemetry.scans.inc();
+        let read = self.engine.scan_into(lo, hi, limit, &mut self.scan_buf)?;
+        self.telemetry.scan_entries_read.add(read as u64);
+        self.telemetry
+            .scan_entries_returned
+            .add(self.scan_buf.len() as u64);
+        Ok(())
     }
 
     /// Register this store's KV-op metrics — and every shard's engine
@@ -564,8 +598,19 @@ impl NvmKvStore for ShardedE2KvStore {
     }
 
     fn scan_limit(&mut self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
-        self.telemetry.scans.inc();
-        Ok(self.engine.scan_limit(lo, hi, limit)?)
+        self.scan_fill(lo, hi, limit)?;
+        Ok(self.scan_buf.to_vec())
+    }
+
+    fn scan_visit(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        limit: usize,
+        f: &mut dyn FnMut(u64, &[u8]) -> bool,
+    ) -> Result<usize> {
+        self.scan_fill(lo, hi, limit)?;
+        Ok(visit_while(self.scan_buf.iter(), f))
     }
 
     fn stats(&self) -> e2nvm_sim::DeviceStats {

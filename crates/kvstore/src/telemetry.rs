@@ -26,8 +26,11 @@ pub struct StoreTelemetry {
     pub(crate) gets: Counter,
     pub(crate) deletes: Counter,
     pub(crate) scans: Counter,
+    pub(crate) scan_entries_read: Counter,
+    pub(crate) scan_entries_returned: Counter,
     pub(crate) put_latency_ns: Histogram,
     pub(crate) get_latency_ns: Histogram,
+    pub(crate) scan_latency_ns: Histogram,
 }
 
 impl Default for StoreTelemetry {
@@ -46,8 +49,11 @@ impl StoreTelemetry {
             gets: Counter::disconnected(),
             deletes: Counter::disconnected(),
             scans: Counter::disconnected(),
+            scan_entries_read: Counter::disconnected(),
+            scan_entries_returned: Counter::disconnected(),
             put_latency_ns: Histogram::disconnected(&OP_LATENCY_BOUNDS),
             get_latency_ns: Histogram::disconnected(&OP_LATENCY_BOUNDS),
+            scan_latency_ns: Histogram::disconnected(&OP_LATENCY_BOUNDS),
         }
     }
 
@@ -73,6 +79,16 @@ impl StoreTelemetry {
                 "KV range-scan operations",
                 &labels,
             ),
+            scan_entries_read: registry.counter_with_labels(
+                "e2nvm_kv_scan_entries_read_total",
+                "Entries range scans read off the devices (every shard reads up to the limit)",
+                &labels,
+            ),
+            scan_entries_returned: registry.counter_with_labels(
+                "e2nvm_kv_scan_entries_returned_total",
+                "Entries range scans returned after the cross-shard merge",
+                &labels,
+            ),
             put_latency_ns: registry.histogram_with_labels(
                 "e2nvm_kv_put_latency_ns",
                 "KV put latency in nanoseconds",
@@ -82,6 +98,12 @@ impl StoreTelemetry {
             get_latency_ns: registry.histogram_with_labels(
                 "e2nvm_kv_get_latency_ns",
                 "KV get latency in nanoseconds",
+                &OP_LATENCY_BOUNDS,
+                &labels,
+            ),
+            scan_latency_ns: registry.histogram_with_labels(
+                "e2nvm_kv_scan_latency_ns",
+                "KV range-scan latency in nanoseconds (one store call: a page on the wire path)",
                 &OP_LATENCY_BOUNDS,
                 &labels,
             ),

@@ -15,8 +15,8 @@
 //! (low fan-in) or on a worker.
 
 use crate::frame::{
-    encode_response, encode_scan_chunk, encode_value_frame, parse_request, FrameDecoder,
-    FrameError, Opcode, Request, Response, Status,
+    encode_response, encode_value_frame, parse_request, FrameDecoder, FrameError, Opcode, Request,
+    Response, ScanStreamWriter, Status,
 };
 use crate::telemetry::ServerTelemetry;
 use e2nvm_core::E2Error;
@@ -142,9 +142,110 @@ pub(crate) struct BatchOutcome {
 /// Entries fetched from the store per paging step while producing a
 /// scan response. Bounds store-side materialisation per call: the
 /// server never asks the store for more than one page at a time, no
-/// matter how large the range (the stores' `scan_limit` overrides stop
-/// early at the page bound).
+/// matter how large the range ([`NvmKvStore::scan_visit`] reads at
+/// most the page it is asked for — per shard — into the store's
+/// reusable scan buffer, and visits it in place).
 const SCAN_PAGE: usize = 256;
+
+/// The one page loop behind both scan opcodes: walk `lo..=hi` one
+/// [`SCAN_PAGE`] at a time, handing each entry to `visit` in key order
+/// until `limit` entries were visited (`0` = no limit), the range is
+/// exhausted or `visit` returns `false`. A page is read whole before
+/// its first entry is visited, so a store error — which ends the walk
+/// — means `visit` saw nothing of the failed page.
+fn scan_pages(
+    store: &mut dyn NvmKvStore,
+    lo: u64,
+    hi: u64,
+    limit: u32,
+    mut visit: impl FnMut(u64, &[u8]) -> bool,
+) -> Result<(), StoreError> {
+    let mut remaining = if limit == 0 {
+        u64::MAX
+    } else {
+        u64::from(limit)
+    };
+    let mut cursor = lo;
+    while remaining > 0 && cursor <= hi {
+        let want = remaining.min(SCAN_PAGE as u64) as usize;
+        let mut last_key = None;
+        let mut go_on = true;
+        let got = store.scan_visit(cursor, hi, want, &mut |key, value| {
+            last_key = Some(key);
+            go_on = visit(key, value);
+            go_on
+        })?;
+        remaining -= got as u64;
+        match last_key {
+            Some(key) if go_on && got == want && key < hi => cursor = key + 1,
+            _ => break,
+        }
+    }
+    Ok(())
+}
+
+/// Produce the chunked response stream for one SCAN_STREAM request,
+/// appending chunk frames to `outbuf`.
+///
+/// The result is paged out of the store [`SCAN_PAGE`] entries at a
+/// time and each visited entry is written straight into `outbuf`,
+/// behind a chunk header that is patched when the chunk closes at the
+/// `scan_chunk_bytes` bound — the frames [`crate::frame::encode_scan_chunk`]
+/// would produce, with nothing gathered in between. `outbuf`
+/// accumulates the chunks under the reactor's write-backlog
+/// backpressure. A store error mid-stream terminates the stream with
+/// an error frame echoing SCAN_STREAM — frame-level, the connection
+/// survives.
+fn stream_scan(
+    store: &mut dyn NvmKvStore,
+    telemetry: &ServerTelemetry,
+    scan_chunk_bytes: usize,
+    lo: u64,
+    hi: u64,
+    limit: u32,
+    outbuf: &mut Vec<u8>,
+) {
+    let mut chunks_emitted = 0u64;
+    // Telemetry for one emitted chunk: count it, and count the
+    // response as multi-chunk when its second chunk goes out.
+    let mut note_chunk = || {
+        chunks_emitted += 1;
+        telemetry.scan_stream_chunks.inc();
+        if chunks_emitted == 2 {
+            telemetry.scan_stream_multi_chunk.inc();
+        }
+    };
+    let mut stream = ScanStreamWriter::open(outbuf);
+    let paged = scan_pages(store, lo, hi, limit, |key, value| {
+        if stream.chunk_entries() > 0 && stream.chunk_bytes() + 12 + value.len() > scan_chunk_bytes
+        {
+            // At least one more entry (this one) follows.
+            stream.next_chunk();
+            note_chunk();
+        }
+        stream.push(key, value);
+        true
+    });
+    match paged {
+        // Terminal chunk: whatever is left (possibly nothing — an
+        // empty range is one empty final chunk).
+        Ok(()) => {
+            stream.finish();
+            note_chunk();
+        }
+        // Mid-stream store error: terminal for the stream, survivable
+        // for the connection. Chunks already closed stand; the peer
+        // sees the typed error in place of the final chunk.
+        Err(e) => {
+            stream.abandon();
+            let resp = store_error_frame(&e);
+            if let Response::Error { status, .. } = &resp {
+                telemetry.count_error(*status);
+            }
+            encode_response(&resp, Some(Opcode::ScanStream), outbuf);
+        }
+    }
+}
 
 /// Everything needed to execute requests against the store: a [`Front`]
 /// clone (shards shared), the registry for METRICS frames, the
@@ -215,7 +316,15 @@ impl ExecCtx {
                                 encode_response(&resp, None, outbuf);
                                 outcome.close = true;
                             } else {
-                                self.serve_scan_stream(lo, hi, limit, outbuf);
+                                stream_scan(
+                                    self.store.kv(),
+                                    &self.telemetry,
+                                    self.scan_chunk_bytes,
+                                    lo,
+                                    hi,
+                                    limit,
+                                    outbuf,
+                                );
                                 // Everything emitted so far is either
                                 // committed or read-only.
                                 barrier = outbuf.len();
@@ -312,83 +421,6 @@ impl ExecCtx {
         }
     }
 
-    /// Produce the chunked response stream for one SCAN_STREAM
-    /// request, appending chunk frames to `outbuf`.
-    ///
-    /// The result is paged out of the store [`SCAN_PAGE`] entries at a
-    /// time and re-split at the configured chunk byte bound, so the
-    /// store never materialises more than one page; `outbuf`
-    /// accumulates the chunks under the reactor's write-backlog
-    /// backpressure. A store error mid-stream terminates the stream
-    /// with an error frame echoing SCAN_STREAM — frame-level, the
-    /// connection survives.
-    fn serve_scan_stream(&mut self, lo: u64, hi: u64, limit: u32, outbuf: &mut Vec<u8>) {
-        let mut remaining = if limit == 0 {
-            u64::MAX
-        } else {
-            u64::from(limit)
-        };
-        let mut cursor = lo;
-        let mut chunk: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut chunk_bytes = 0usize;
-        let mut chunks_emitted = 0u64;
-        while remaining > 0 && cursor <= hi {
-            let want = remaining.min(SCAN_PAGE as u64) as usize;
-            let page = match self.store.kv().scan_limit(cursor, hi, want) {
-                Ok(page) => page,
-                Err(e) => {
-                    // Mid-stream store error: terminal for the stream,
-                    // survivable for the connection. Entries already
-                    // emitted stand; the peer sees the typed error in
-                    // place of the final chunk.
-                    let resp = store_error_frame(&e);
-                    if let Response::Error { status, .. } = &resp {
-                        self.telemetry.count_error(*status);
-                    }
-                    encode_response(&resp, Some(Opcode::ScanStream), outbuf);
-                    return;
-                }
-            };
-            let got = page.len();
-            let last_key = page.last().map(|&(k, _)| k);
-            for (k, v) in page {
-                let entry_bytes = 12 + v.len();
-                if !chunk.is_empty() && chunk_bytes + entry_bytes > self.scan_chunk_bytes {
-                    // At least one more entry (this one) follows.
-                    encode_scan_chunk(true, &chunk, outbuf);
-                    chunks_emitted += 1;
-                    self.note_chunk(chunks_emitted);
-                    chunk.clear();
-                    chunk_bytes = 0;
-                }
-                chunk_bytes += entry_bytes;
-                chunk.push((k, v));
-            }
-            remaining -= got as u64;
-            if got < want {
-                break;
-            }
-            match last_key {
-                Some(k) if k < hi => cursor = k + 1,
-                _ => break,
-            }
-        }
-        // Terminal chunk: whatever is left (possibly nothing — an
-        // empty range is one empty final chunk).
-        encode_scan_chunk(false, &chunk, outbuf);
-        chunks_emitted += 1;
-        self.note_chunk(chunks_emitted);
-    }
-
-    /// Telemetry for one emitted chunk: count it, and count the
-    /// response as multi-chunk when its second chunk goes out.
-    fn note_chunk(&self, emitted_for_response: u64) {
-        self.telemetry.scan_stream_chunks.inc();
-        if emitted_for_response == 2 {
-            self.telemetry.scan_stream_multi_chunk.inc();
-        }
-    }
-
     /// Serve a legacy single-frame SCAN, paging the store like the
     /// streaming path so an over-sized result is detected after at
     /// most one frame's worth of entries plus one page — never by
@@ -396,48 +428,30 @@ impl ExecCtx {
     /// would exceed the frame cap answers [`Status::ScanTooLarge`]
     /// (emitting the over-cap frame would poison the peer's decoder).
     fn bounded_scan(&mut self, lo: u64, hi: u64, limit: u32) -> Response {
-        let mut remaining = if limit == 0 {
-            u64::MAX
-        } else {
-            u64::from(limit)
-        };
-        let mut cursor = lo;
+        let max_frame_body = self.max_frame_body;
         let mut entries: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut body_bytes = 4usize;
-        while remaining > 0 && cursor <= hi {
-            let want = remaining.min(SCAN_PAGE as u64) as usize;
-            let page = match self.store.kv().scan_limit(cursor, hi, want) {
-                Ok(page) => page,
-                Err(e) => return store_error_frame(&e),
-            };
-            let got = page.len();
-            let last_key = page.last().map(|&(k, _)| k);
-            for (k, v) in page {
-                body_bytes += 12 + v.len();
-                if body_bytes > self.max_frame_body {
-                    return Response::Error {
-                        status: Status::ScanTooLarge,
-                        retired: 0,
-                        message: format!(
-                            "scan result exceeds the {}-byte frame cap after {} entries; \
-                             use SCAN_STREAM (opcode 0x09) for unbounded ranges",
-                            self.max_frame_body,
-                            entries.len(),
-                        ),
-                    };
-                }
-                entries.push((k, v));
+        let paged = scan_pages(self.store.kv(), lo, hi, limit, |key, value| {
+            body_bytes += 12 + value.len();
+            if body_bytes > max_frame_body {
+                return false;
             }
-            remaining -= got as u64;
-            if got < want {
-                break;
-            }
-            match last_key {
-                Some(k) if k < hi => cursor = k + 1,
-                _ => break,
-            }
+            entries.push((key, value.to_vec()));
+            true
+        });
+        match paged {
+            Err(e) => store_error_frame(&e),
+            Ok(()) if body_bytes > max_frame_body => Response::Error {
+                status: Status::ScanTooLarge,
+                retired: 0,
+                message: format!(
+                    "scan result exceeds the {max_frame_body}-byte frame cap after {} entries; \
+                     use SCAN_STREAM (opcode 0x09) for unbounded ranges",
+                    entries.len(),
+                ),
+            },
+            Ok(()) => Response::Entries(entries),
         }
-        Response::Entries(entries)
     }
 
     fn handle(&mut self, req: Request) -> Response {
@@ -719,5 +733,195 @@ mod tests {
         );
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    use e2nvm_kvstore::store::Result as StoreResult;
+
+    /// An in-memory store that can fail a chosen `scan_limit` call —
+    /// the page a SCAN_STREAM dies on. It keeps the trait's default
+    /// `scan_visit`, so the stream is also pinned for stores without a
+    /// scan buffer.
+    struct PagedFake {
+        map: std::collections::BTreeMap<u64, Vec<u8>>,
+        pages_served: usize,
+        fail_page: Option<usize>,
+    }
+
+    impl NvmKvStore for PagedFake {
+        fn name(&self) -> &'static str {
+            "paged fake"
+        }
+        fn put(&mut self, key: u64, value: &[u8]) -> StoreResult<()> {
+            self.map.insert(key, value.to_vec());
+            Ok(())
+        }
+        fn get(&mut self, key: u64) -> StoreResult<Option<Vec<u8>>> {
+            Ok(self.map.get(&key).cloned())
+        }
+        fn delete(&mut self, key: u64) -> StoreResult<bool> {
+            Ok(self.map.remove(&key).is_some())
+        }
+        fn scan(&mut self, lo: u64, hi: u64) -> StoreResult<Vec<(u64, Vec<u8>)>> {
+            self.scan_limit(lo, hi, usize::MAX)
+        }
+        fn scan_limit(
+            &mut self,
+            lo: u64,
+            hi: u64,
+            limit: usize,
+        ) -> StoreResult<Vec<(u64, Vec<u8>)>> {
+            if self.fail_page == Some(self.pages_served) {
+                return Err(StoreError::Degraded { retired: 7 });
+            }
+            self.pages_served += 1;
+            let range = self.map.range(lo..=hi).take(limit);
+            Ok(range.map(|(&k, v)| (k, v.clone())).collect())
+        }
+        fn stats(&self) -> e2nvm_sim::DeviceStats {
+            e2nvm_sim::DeviceStats::default()
+        }
+        fn reset_stats(&mut self) {}
+    }
+
+    /// The stream `entries` must produce, from the reference encoder:
+    /// chunks split where the next entry would pass `chunk_bytes`,
+    /// every chunk but the last flagged `more`, and — when the store
+    /// failed after `entries` — the typed error frame in place of the
+    /// last chunk, whose entries are dropped.
+    fn reference_stream(
+        entries: &[(u64, Vec<u8>)],
+        chunk_bytes: usize,
+        error: Option<&StoreError>,
+    ) -> Vec<u8> {
+        use crate::frame::encode_scan_chunk;
+        let mut chunks: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new()];
+        let mut open_bytes = 0;
+        for (key, value) in entries {
+            let entry_bytes = 12 + value.len();
+            if open_bytes > 0 && open_bytes + entry_bytes > chunk_bytes {
+                chunks.push(Vec::new());
+                open_bytes = 0;
+            }
+            open_bytes += entry_bytes;
+            chunks.last_mut().unwrap().push((*key, value.clone()));
+        }
+        let last = chunks.pop().unwrap();
+        let mut out = Vec::new();
+        for chunk in &chunks {
+            encode_scan_chunk(true, chunk, &mut out);
+        }
+        match error {
+            None => encode_scan_chunk(false, &last, &mut out),
+            Some(e) => encode_response(&store_error_frame(e), Some(Opcode::ScanStream), &mut out),
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Chunks written in place are, byte for byte, what
+        /// `encode_scan_chunk` makes of the same entries — whatever the
+        /// value sizes (an entry larger than the chunk bound included),
+        /// the chunk bound, the limit and the number of `SCAN_PAGE`s the
+        /// range spans — and a store error on a later page leaves the
+        /// closed chunks standing and ends the stream with the typed
+        /// error frame.
+        #[test]
+        fn streamed_chunks_are_the_reference_encoders_bytes(
+            sizes in proptest::collection::vec(
+                proptest::prop_oneof![0usize..40, 0usize..40, 0usize..40, 100usize..400],
+                0..700,
+            ),
+            chunk_bytes in proptest::prop_oneof![16usize..128, 128usize..2048, 65536usize..65537],
+            bounds in (0u64..700, 0u64..1400),
+            limit in proptest::prop_oneof![0u32..1, 1u32..3, 200u32..600],
+            fail_page in proptest::prop_oneof![0usize..1, 1usize..3],
+        ) {
+            use proptest::prelude::*;
+            // Keys are spread two apart, so a bound can fall between.
+            let map: std::collections::BTreeMap<u64, Vec<u8>> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| (2 * i as u64, vec![i as u8; len]))
+                .collect();
+            let (lo, hi) = bounds;
+            let take = if limit == 0 { usize::MAX } else { limit as usize };
+            let matches: Vec<(u64, Vec<u8>)> = if lo > hi {
+                Vec::new()
+            } else {
+                map.range(lo..=hi).take(take).map(|(&k, v)| (k, v.clone())).collect()
+            };
+            // Page 0 never fails here; a later page fails only if the
+            // scan is sure to reach it.
+            let fail_page = Some(fail_page).filter(|&p| p > 0 && matches.len() > p * SCAN_PAGE);
+            let mut store = PagedFake { map, pages_served: 0, fail_page };
+            let telemetry = ServerTelemetry::disconnected();
+            let mut outbuf = b"earlier responses stay".to_vec();
+            stream_scan(&mut store, &telemetry, chunk_bytes, lo, hi, limit, &mut outbuf);
+
+            let error = StoreError::Degraded { retired: 7 };
+            let want = match fail_page {
+                None => reference_stream(&matches, chunk_bytes, None),
+                Some(p) => reference_stream(&matches[..p * SCAN_PAGE], chunk_bytes, Some(&error)),
+            };
+            prop_assert_eq!(&outbuf[..22], &b"earlier responses stay"[..]);
+            prop_assert!(outbuf[22..] == want[..], "stream differs from the reference");
+        }
+    }
+
+    /// The same pin on the real store, where `scan_visit` hands out
+    /// the entries of a merged two-shard buffer: three `SCAN_PAGE`s of
+    /// mixed-size values, streamed and through the legacy single-frame
+    /// SCAN.
+    #[test]
+    fn real_store_streams_the_reference_bytes_across_pages() {
+        use crate::frame::DEFAULT_MAX_BODY;
+        let mut store = crate::demo::demo_store(2, 1024, 32, 11);
+        let mut all = Vec::new();
+        for key in 0..600u64 {
+            let value = vec![key as u8; (key % 29) as usize];
+            store.put(key * 3, &value).unwrap();
+            all.push((key * 3, value));
+        }
+        let mut ctx = ExecCtx {
+            store: Front::Plain(store),
+            registry: None,
+            telemetry: ServerTelemetry::disconnected(),
+            max_frame_body: DEFAULT_MAX_BODY,
+            scan_chunk_bytes: 0,
+        };
+        for (chunk_bytes, limit) in [(64, 0), (1000, 0), (64 * 1024, 0), (1000, 300), (64, 1)] {
+            let want = if limit == 0 {
+                all.len()
+            } else {
+                limit as usize
+            };
+            let mut outbuf = Vec::new();
+            stream_scan(
+                ctx.store.kv(),
+                &ctx.telemetry,
+                chunk_bytes,
+                0,
+                u64::MAX,
+                limit,
+                &mut outbuf,
+            );
+            assert!(
+                outbuf == reference_stream(&all[..want], chunk_bytes, None),
+                "chunk_bytes {chunk_bytes}, limit {limit}"
+            );
+        }
+        assert_eq!(
+            ctx.telemetry.scan_stream_multi_chunk.get(),
+            3,
+            "every stream but the 64 KiB-chunk and the one-entry one spans chunks"
+        );
+        let legacy = ctx.handle(Request::Scan {
+            lo: 3,
+            hi: 3 * 500,
+            limit: 0,
+        });
+        assert_eq!(legacy, Response::Entries(all[1..=500].to_vec()));
     }
 }

@@ -600,8 +600,8 @@ pub fn encode_response(resp: &Response, echo: Option<Opcode>, out: &mut Vec<u8>)
 
 /// Encode one SCAN_STREAM chunk frame — byte-identical to
 /// `encode_response(&Response::ScanChunk { .. }, Some(Opcode::ScanStream), out)`
-/// without moving the entries into a `Response`. The server's chunk
-/// producer encodes each page straight from its scratch buffer.
+/// without moving the entries into a `Response`. The reference for
+/// the server's in-place chunk writer, which must emit these bytes.
 pub fn encode_scan_chunk(more: bool, entries: &[(u64, Vec<u8>)], out: &mut Vec<u8>) {
     let body_len = 5 + entries.iter().map(|(_, v)| 12 + v.len()).sum::<usize>();
     put_header(out, body_len, Status::Ok as u8, Opcode::ScanStream as u8);
@@ -611,6 +611,84 @@ pub fn encode_scan_chunk(more: bool, entries: &[(u64, Vec<u8>)], out: &mut Vec<u
         out.extend_from_slice(&k.to_le_bytes());
         out.extend_from_slice(&(v.len() as u32).to_le_bytes());
         out.extend_from_slice(v);
+    }
+}
+
+/// Bytes of a SCAN_STREAM chunk frame ahead of its first entry: the
+/// 8-byte frame header, the `more` flag and the entry count.
+const SCAN_CHUNK_PREFIX: usize = 13;
+
+/// A SCAN_STREAM response written in place at the tail of an output
+/// buffer, one entry at a time: each chunk frame opens with a
+/// placeholder prefix that is patched (byte count, entry count,
+/// `more`) when the chunk closes. The frames are byte-identical to
+/// [`encode_scan_chunk`] over the same entries — that function is the
+/// reference — but nothing is gathered before it is encoded.
+pub(crate) struct ScanStreamWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// Where the open chunk's frame starts in `out`.
+    frame_at: usize,
+    /// Entries in the open chunk.
+    entries: u32,
+}
+
+impl<'a> ScanStreamWriter<'a> {
+    /// Open the stream's first chunk at the tail of `out`.
+    pub(crate) fn open(out: &'a mut Vec<u8>) -> Self {
+        let frame_at = out.len();
+        encode_scan_chunk(false, &[], out);
+        Self {
+            out,
+            frame_at,
+            entries: 0,
+        }
+    }
+
+    /// Entries in the open chunk.
+    pub(crate) fn chunk_entries(&self) -> u32 {
+        self.entries
+    }
+
+    /// Entry bytes (12 + value length each) in the open chunk.
+    pub(crate) fn chunk_bytes(&self) -> usize {
+        self.out.len() - self.frame_at - SCAN_CHUNK_PREFIX
+    }
+
+    /// Append one entry to the open chunk.
+    pub(crate) fn push(&mut self, key: u64, value: &[u8]) {
+        self.out.extend_from_slice(&key.to_le_bytes());
+        self.out
+            .extend_from_slice(&(value.len() as u32).to_le_bytes());
+        self.out.extend_from_slice(value);
+        self.entries += 1;
+    }
+
+    /// Patch the open chunk's prefix with what it turned out to hold.
+    fn close(&mut self, more: bool) {
+        let body_len = self.out.len() - self.frame_at - 8;
+        let prefix = &mut self.out[self.frame_at..self.frame_at + SCAN_CHUNK_PREFIX];
+        prefix[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+        prefix[8] = u8::from(more);
+        prefix[9..].copy_from_slice(&self.entries.to_le_bytes());
+    }
+
+    /// Close the open chunk as non-terminal and open the next one.
+    pub(crate) fn next_chunk(&mut self) {
+        self.close(true);
+        self.frame_at = self.out.len();
+        self.entries = 0;
+        encode_scan_chunk(false, &[], self.out);
+    }
+
+    /// Close the open chunk as the stream's terminal chunk.
+    pub(crate) fn finish(mut self) {
+        self.close(false);
+    }
+
+    /// Drop the open chunk (closed chunks stand): the stream ends with
+    /// whatever frame the caller appends next.
+    pub(crate) fn abandon(self) {
+        self.out.truncate(self.frame_at);
     }
 }
 
