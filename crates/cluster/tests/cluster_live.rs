@@ -282,6 +282,65 @@ fn wear_crossing_threshold_drains_the_node_before_it_dies() {
     }
 }
 
+/// A node holding more than one frame of values is still scanned and
+/// drained whole. The servers' frame cap is lowered to 16 KiB so ~600
+/// small values exceed it; node 0 alone receives them (the writer
+/// believes node 1 dead), a fresh router's merged scan returns them
+/// entry for entry, and draining node 0 re-homes every one to node 1.
+#[test]
+fn scan_and_drain_pass_the_frame_cap() {
+    const FRAME_CAP: usize = 16 * 1024;
+    let handles: Vec<ServerHandle> = (0..2)
+        .map(|i| {
+            let config = ServerConfig::builder()
+                .max_frame_body(FRAME_CAP)
+                .build()
+                .expect("config");
+            Server::new(demo_store(2, 1024, 32, 11 + i), config)
+                .start()
+                .expect("server binds an ephemeral port")
+        })
+        .collect();
+    let addrs: Vec<String> = handles.iter().map(|h| h.local_addr().to_string()).collect();
+
+    let mut writer = cluster_over(&addrs, 2, false);
+    writer.view().mark_down(1);
+    let mut shadow: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    for key in 0..600u64 {
+        let value = format!("value-{key:04}-padded-to-28-b").into_bytes();
+        writer.put(key * 7, &value).expect("put to node 0");
+        shadow.insert(key * 7, value);
+    }
+    let expect: Vec<(u64, Vec<u8>)> = shadow.iter().map(|(k, v)| (*k, v.clone())).collect();
+    let scan_body: usize = expect.iter().map(|(_, v)| 12 + v.len()).sum();
+    assert!(
+        scan_body > FRAME_CAP,
+        "node 0 must hold more than one frame ({scan_body} B vs {FRAME_CAP} B)"
+    );
+
+    let mut cluster = cluster_over(&addrs, 2, false);
+    assert_eq!(cluster.scan(0, u64::MAX).expect("merged scan"), expect);
+
+    // Node 0 reports itself worn out; the drain re-homes all it holds.
+    let worn = e2nvm_kvstore::WearSummary {
+        retired_segments: 512,
+        total_segments: 1024,
+        ..Default::default()
+    };
+    assert_eq!(
+        cluster.view().record_probe(0, worn, 0.02),
+        NodeState::Draining
+    );
+    assert_eq!(cluster.drain(0).expect("drain"), expect.len());
+    let mut node1 = Client::connect(&addrs[1]).expect("connect node 1");
+    assert_eq!(node1.scan(0, u64::MAX, 0).expect("direct scan"), expect);
+
+    cluster.shutdown_all();
+    for h in handles {
+        h.join();
+    }
+}
+
 /// With every node down, operations fail with the typed cluster
 /// errors — never a panic, never a silent success.
 #[test]

@@ -930,8 +930,9 @@ impl E2Engine {
             self.dap.retire(seg);
         }
         // Mirror the quarantine onto the controller's physical flags
-        // when the mapping is the identity (legacy snapshots carry no
-        // controller section, and under identity logical == physical).
+        // when the mapping is the identity (a shard block without a
+        // controller section restores onto a pass-through controller,
+        // and under identity logical == physical).
         // A controller rebuilt from a persisted `ControllerState`
         // already has authoritative flags and a possibly non-identity
         // remap — retiring through the *current* translation would mark

@@ -1,8 +1,8 @@
 //! The paper's Figure 3 system: a persistent key-value store on hybrid
 //! DRAM-NVM built on E2-NVM — [`ShardedE2KvStore`], the
 //! [`NvmKvStore`] face of a [`ShardedEngine`]. Each shard's
-//! [`E2Engine`] owns its ordered DRAM key index (the
-//! "RB-Tree.put(D, A)" of Algorithm 1) and the live-entry counts of
+//! [`E2Engine`] owns its ordered DRAM key index (the data index of
+//! Algorithm 1) and the live-entry counts of
 //! packed segments; this layer adds the WAL + snapshot persistence
 //! and the KV-op telemetry. A single-engine store is one shard:
 //! `ShardedE2KvStore::new(ShardedEngine::new(vec![engine]))`.
@@ -296,10 +296,9 @@ impl ShardedE2KvStore {
         for (i, shard) in snap.shards.iter().enumerate() {
             let device = e2nvm_sim::snapshot::from_image(&shard.device_image)
                 .map_err(|e| StoreError::Persistence(format!("shard {i} device image: {e}")))?;
-            // v2 snapshots carry the controller's translation state
-            // (remap, policy, quarantined slots); v1 snapshots were only
-            // ever taken under identity mapping, so a pass-through
-            // controller reconstructs them faithfully.
+            // A shard block carries the controller's translation state
+            // (remap, policy, quarantined slots); one without it stands
+            // for a pass-through controller.
             let mc = match &shard.controller {
                 Some(cs) => MemoryController::from_state(device, cs).map_err(|e| {
                     StoreError::Persistence(format!("shard {i} controller state: {e}"))

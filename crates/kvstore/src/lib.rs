@@ -20,7 +20,6 @@ pub mod e2store;
 pub mod fptree;
 pub mod novelsm;
 pub mod path_hashing;
-pub mod rbtree;
 pub mod store;
 pub mod telemetry;
 pub mod traits;
@@ -32,7 +31,6 @@ pub use e2store::{RecoveryReport, ShardedE2KvStore, WearSummary};
 pub use fptree::FpTree;
 pub use novelsm::NoveLsm;
 pub use path_hashing::PathHashing;
-pub use rbtree::RbTree;
 pub use store::{DirectNodeStore, E2NodeStore, NodeId, NodeStore, StoreError};
 pub use telemetry::{CacheTelemetry, StoreTelemetry};
 pub use traits::NvmKvStore;

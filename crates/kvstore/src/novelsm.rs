@@ -3,14 +3,14 @@
 //! through DRAM), and immutable tables are compacted into sorted runs.
 //!
 //! Reproduction shape: the memtable is an append-only region of NVM
-//! segments with a DRAM skiplist-equivalent index (the crate's RB
-//! tree); when the memtable region fills, it is merged with level-1
+//! segments with a DRAM skiplist-equivalent index (an ordered map);
+//! when the memtable region fills, it is merged with level-1
 //! into fresh sorted-run segments and the old segments are freed.
 //! Deletes write tombstones (vlen = 0xFFFF).
 
-use crate::rbtree::RbTree;
 use crate::store::{NodeId, NodeStore, Result, StoreError};
 use crate::traits::NvmKvStore;
+use std::collections::BTreeMap;
 
 const HEADER: usize = 10;
 const TOMBSTONE: u16 = u16::MAX;
@@ -28,7 +28,7 @@ struct MemLoc {
 struct SortedRun {
     nodes: Vec<(NodeId, usize)>, // (node, bytes used)
     /// DRAM sparse index: key -> (node index in run, offset, len).
-    index: RbTree<MemLoc>,
+    index: BTreeMap<u64, MemLoc>,
 }
 
 /// The NoveLSM-style store.
@@ -37,7 +37,7 @@ pub struct NoveLsm<S: NodeStore> {
     /// Memtable segments cap before a flush.
     memtable_cap: usize,
     mem_nodes: Vec<(NodeId, usize)>,
-    mem_index: RbTree<MemLoc>,
+    mem_index: BTreeMap<u64, MemLoc>,
     level1: Option<SortedRun>,
 }
 
@@ -52,7 +52,7 @@ impl<S: NodeStore> NoveLsm<S> {
             store,
             memtable_cap: memtable_segments,
             mem_nodes: Vec::new(),
-            mem_index: RbTree::new(),
+            mem_index: BTreeMap::new(),
             level1: None,
         }
     }
@@ -102,32 +102,20 @@ impl<S: NodeStore> NoveLsm<S> {
         // Materialize the merged view: memtable wins over level 1;
         // tombstones drop keys.
         let mut merged: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mem_keys: std::collections::BTreeMap<u64, MemLoc> = self
-            .mem_index
-            .range(0, u64::MAX)
-            .into_iter()
-            .map(|(k, loc)| (k, *loc))
-            .collect();
         // Level-1 survivors not shadowed by the memtable.
         if let Some(run) = &self.level1 {
-            let l1: Vec<(u64, MemLoc)> = run
-                .index
-                .range(0, u64::MAX)
-                .into_iter()
-                .map(|(k, loc)| (k, *loc))
-                .collect();
-            for (k, loc) in l1 {
-                if mem_keys.contains_key(&k) {
+            for (&k, loc) in &run.index {
+                if self.mem_index.contains_key(&k) {
                     continue;
                 }
                 if let Some(len) = loc.len {
-                    let node = self.level1.as_ref().expect("run exists").nodes[loc.node_slot].0;
+                    let node = run.nodes[loc.node_slot].0;
                     let image = self.store.read(node)?;
                     merged.push((k, image[loc.offset..loc.offset + len].to_vec()));
                 }
             }
         }
-        for (k, loc) in &mem_keys {
+        for (k, loc) in &self.mem_index {
             if let Some(len) = loc.len {
                 let node = self.mem_nodes[loc.node_slot].0;
                 let image = self.store.read(node)?;
@@ -139,7 +127,7 @@ impl<S: NodeStore> NoveLsm<S> {
         // Write the new sorted run.
         let mut run = SortedRun {
             nodes: Vec::new(),
-            index: RbTree::new(),
+            index: BTreeMap::new(),
         };
         for (k, v) in &merged {
             let rec_len = HEADER + v.len();
@@ -172,7 +160,7 @@ impl<S: NodeStore> NoveLsm<S> {
         for (node, _) in self.mem_nodes.drain(..) {
             self.store.free(node)?;
         }
-        self.mem_index = RbTree::new();
+        self.mem_index = BTreeMap::new();
         if let Some(old) = self.level1.take() {
             for (node, _) in old.nodes {
                 self.store.free(node)?;
@@ -215,12 +203,12 @@ impl<S: NodeStore> NvmKvStore for NoveLsm<S> {
     }
 
     fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>> {
-        if let Some(loc) = self.mem_index.get(key).copied() {
+        if let Some(loc) = self.mem_index.get(&key).copied() {
             let nodes = self.mem_nodes.clone();
             return self.read_loc(&nodes, loc);
         }
         if let Some(run) = &self.level1 {
-            if let Some(loc) = run.index.get(key).copied() {
+            if let Some(loc) = run.index.get(&key).copied() {
                 let nodes = run.nodes.clone();
                 return self.read_loc(&nodes, loc);
             }
@@ -238,21 +226,22 @@ impl<S: NodeStore> NvmKvStore for NoveLsm<S> {
     }
 
     fn scan(&mut self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>> {
+        if lo > hi {
+            return Ok(Vec::new());
+        }
         // Merge memtable view over level-1 view.
         let mem: Vec<(u64, MemLoc)> = self
             .mem_index
-            .range(lo, hi)
-            .into_iter()
-            .map(|(k, loc)| (k, *loc))
+            .range(lo..=hi)
+            .map(|(k, loc)| (*k, *loc))
             .collect();
         let l1: Vec<(u64, MemLoc)> = self
             .level1
             .as_ref()
             .map(|run| {
                 run.index
-                    .range(lo, hi)
-                    .into_iter()
-                    .map(|(k, loc)| (k, *loc))
+                    .range(lo..=hi)
+                    .map(|(k, loc)| (*k, *loc))
                     .collect()
             })
             .unwrap_or_default();

@@ -1,14 +1,13 @@
 //! WiscKey (Lu et al., FAST '16 / TOS '17): key-value separation. Keys
-//! live in a small DRAM-side index (here: the crate's red-black tree,
-//! mirroring the paper's system model); values are appended to a
+//! live in a small DRAM-side index (an ordered map, as in the paper's
+//! system model); values are appended to a
 //! sequential **value log** on NVM. Updates never rewrite in place —
 //! they append and garbage-collect, which minimizes write amplification
 //! (the property the paper's §2.3 contrasts with bit-flip reduction).
 
-use crate::rbtree::RbTree;
 use crate::store::{NodeId, NodeStore, Result, StoreError};
 use crate::traits::NvmKvStore;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Value-log record: `[key: 8][vlen: 2][value]`.
 const HEADER: usize = 10;
@@ -24,7 +23,7 @@ struct ValueLoc {
 pub struct WiscKey<S: NodeStore> {
     store: S,
     /// DRAM key index: key -> location in the value log.
-    index: RbTree<ValueLoc>,
+    index: BTreeMap<u64, ValueLoc>,
     /// Log segments in append order (front = oldest).
     log: VecDeque<(NodeId, usize)>, // (node, bytes used)
     /// Live bytes per log slot, for GC victim choice.
@@ -36,7 +35,7 @@ impl<S: NodeStore> WiscKey<S> {
     pub fn new(store: S) -> Self {
         Self {
             store,
-            index: RbTree::new(),
+            index: BTreeMap::new(),
             log: VecDeque::new(),
             live_bytes: VecDeque::new(),
         }
@@ -96,7 +95,7 @@ impl<S: NodeStore> WiscKey<S> {
             let key = u64::from_le_bytes(image[off..off + 8].try_into().expect("8 bytes"));
             let vlen =
                 u16::from_le_bytes(image[off + 8..off + 10].try_into().expect("2 bytes")) as usize;
-            let loc = self.index.get(key).copied();
+            let loc = self.index.get(&key).copied();
             if loc
                 == Some(ValueLoc {
                     node_slot: victim_slot,
@@ -123,12 +122,9 @@ impl<S: NodeStore> WiscKey<S> {
 
     fn index_renumber_after_removal(&mut self, removed_slot: usize) {
         // Slots above the removed one shift down by one.
-        let keys = self.index.keys();
-        for key in keys {
-            if let Some(loc) = self.index.get_mut(key) {
-                if loc.node_slot > removed_slot {
-                    loc.node_slot -= 1;
-                }
+        for loc in self.index.values_mut() {
+            if loc.node_slot > removed_slot {
+                loc.node_slot -= 1;
             }
         }
     }
@@ -152,7 +148,7 @@ impl<S: NodeStore> NvmKvStore for WiscKey<S> {
             }));
         }
         // Old location (if any) becomes garbage.
-        if let Some(old) = self.index.get(key).copied() {
+        if let Some(old) = self.index.get(&key).copied() {
             self.live_bytes[old.node_slot] =
                 self.live_bytes[old.node_slot].saturating_sub(HEADER + old.len);
         }
@@ -162,7 +158,7 @@ impl<S: NodeStore> NvmKvStore for WiscKey<S> {
     }
 
     fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>> {
-        let Some(loc) = self.index.get(key).copied() else {
+        let Some(loc) = self.index.get(&key).copied() else {
             return Ok(None);
         };
         let (node, _) = self.log[loc.node_slot];
@@ -171,7 +167,7 @@ impl<S: NodeStore> NvmKvStore for WiscKey<S> {
     }
 
     fn delete(&mut self, key: u64) -> Result<bool> {
-        let Some(loc) = self.index.remove(key) else {
+        let Some(loc) = self.index.remove(&key) else {
             return Ok(false);
         };
         // Pure index operation: the log record becomes garbage.
@@ -181,11 +177,13 @@ impl<S: NodeStore> NvmKvStore for WiscKey<S> {
     }
 
     fn scan(&mut self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>> {
+        if lo > hi {
+            return Ok(Vec::new());
+        }
         let locs: Vec<(u64, ValueLoc)> = self
             .index
-            .range(lo, hi)
-            .into_iter()
-            .map(|(k, loc)| (k, *loc))
+            .range(lo..=hi)
+            .map(|(k, loc)| (*k, *loc))
             .collect();
         locs.into_iter()
             .map(|(k, loc)| {

@@ -7,13 +7,13 @@
 //!
 //! Format (little-endian): magic `E2DV`, version, geometry, flags,
 //! energy/latency parameters, pool bytes, the optional wear counter
-//! arrays, then (version ≥ 2) the optional fault-model section: its
+//! arrays, then the optional fault-model section: its
 //! config, the transient-draw position, and the per-segment lifetime
 //! programmed-bit totals and worn flags. Endurance *limits* are not
 //! stored — they are re-drawn deterministically from the persisted
 //! config. Cumulative [`crate::DeviceStats`] are *not* stored either:
-//! they are measurement state, not device state. Version-1 images
-//! (no fault section) are still read.
+//! they are measurement state, not device state. An image of any
+//! other version is [`SimError::InvalidConfig`].
 
 use crate::addr::PhysicalSegment;
 use crate::config::{DeviceConfig, WearTracking};
@@ -116,7 +116,7 @@ pub fn to_image(device: &NvmDevice) -> Vec<u8> {
         }
         None => put_u64(&mut buf, 0),
     }
-    // Fault-model section (version 2): config + mutable state. Limits
+    // Fault-model section: config + mutable state. Limits
     // are re-drawn from the config on restore.
     match device.fault_state() {
         Some(f) => {
@@ -140,17 +140,16 @@ pub fn to_image(device: &NvmDevice) -> Vec<u8> {
     buf
 }
 
-/// Rebuild a device from an image produced by [`to_image`] (current or
-/// version-1, fault-section-free).
+/// Rebuild a device from an image produced by [`to_image`].
 pub fn from_image(image: &[u8]) -> Result<NvmDevice> {
     let mut c = Cursor { buf: image, pos: 0 };
     if c.take(4)? != MAGIC {
         return Err(SimError::InvalidConfig("not a device image".into()));
     }
     let version = c.u16()?;
-    if !(1..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(SimError::InvalidConfig(format!(
-            "unknown device image version {version}"
+            "unsupported device image version {version} (this build reads {VERSION})"
         )));
     }
     let segment_bytes = c.u64()? as usize;
@@ -184,8 +183,8 @@ pub fn from_image(image: &[u8]) -> Result<NvmDevice> {
     }
     let n_bit_counters = c.u64()? as usize;
     let bit_counters = c.take(n_bit_counters)?.to_vec();
-    // Fault-model section (absent in version-1 images).
-    let fault = if version >= 2 && c.take(1)?[0] != 0 {
+    // Fault-model section, behind its presence tag.
+    let fault = if c.take(1)?[0] != 0 {
         let cfg = FaultConfig {
             seed: c.u64()?,
             endurance_bits: c.u64()?,
@@ -342,21 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_images_without_fault_section_still_load() {
-        let dev = worn_device();
-        let mut image = to_image(&dev);
-        // Rewrite the version to 1 and drop the trailing fault tag.
-        image[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(image.pop(), Some(0), "fault tag of a faultless device");
-        let restored = from_image(&image).unwrap();
-        assert_eq!(
-            restored.peek(PhysicalSegment(3)),
-            dev.peek(PhysicalSegment(3))
-        );
-        assert!(restored.fault_state().is_none());
-    }
-
-    #[test]
     fn corrupt_images_rejected() {
         let dev = worn_device();
         let image = to_image(&dev);
@@ -370,6 +354,15 @@ mod tests {
         let mut long = image.clone();
         long.push(7);
         assert!(from_image(&long).is_err());
+        // A version this build does not write.
+        for version in [1u16, VERSION + 1] {
+            let mut other = image.clone();
+            other[4..6].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                from_image(&other),
+                Err(SimError::InvalidConfig(msg)) if msg.contains("version")
+            ));
+        }
     }
 
     #[test]

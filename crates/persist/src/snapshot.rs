@@ -8,11 +8,11 @@
 //!
 //! Format (little-endian): magic `E2SS`, version, shard count, one
 //! [`ShardState`] block per shard, then a CRC-32 trailer over
-//! everything before it. Version 2 appends a controller section to
-//! each shard block; version 1 files (no controller section) still
-//! load, with [`ShardState::controller`] set to `None` — v1 snapshots
-//! were only ever taken under the identity mapping, so "no controller
-//! state" and "pass-through controller" coincide.
+//! everything before it. Each shard block ends with a presence tag and,
+//! behind it, the controller section; a block without one
+//! ([`ShardState::controller`] is `None`) stands for a pass-through
+//! controller. A file of any other version is
+//! [`PersistError::Corrupt`].
 //! [`StoreSnapshot::save_atomic`] writes to a
 //! temp file, fsyncs, renames over `snapshot.e2s` and fsyncs the
 //! directory, so a crash mid-snapshot leaves the previous snapshot
@@ -34,7 +34,7 @@ const VERSION: u16 = 2;
 /// treated as corruption, not allocation requests.
 const MAX_FIELD: u64 = 1 << 32;
 
-/// Policy tags for the controller section (version 2).
+/// Policy tags for the controller section.
 const POLICY_NONE: u16 = 0;
 const POLICY_START_GAP: u16 = 1;
 const POLICY_RANDOM_SWAP: u16 = 2;
@@ -48,8 +48,8 @@ pub struct ShardState {
     /// Engine state: serialized model, retired segments, key index.
     pub state: EngineState,
     /// Controller state: wear-leveling policy, logical→physical remap,
-    /// quarantined physical slots. `None` when loaded from a version-1
-    /// snapshot, which implies a pass-through (identity) controller.
+    /// quarantined physical slots. `None` stands for a pass-through
+    /// (identity) controller.
     pub controller: Option<ControllerState>,
 }
 
@@ -239,9 +239,9 @@ impl StoreSnapshot {
             return Err(PersistError::Corrupt("not a store snapshot".into()));
         }
         let version = c.u16()?;
-        if version != 1 && version != VERSION {
+        if version != VERSION {
             return Err(PersistError::Corrupt(format!(
-                "unknown snapshot version {version}"
+                "unsupported snapshot version {version} (this build reads {VERSION})"
             )));
         }
         let shard_count = c.len()?;
@@ -263,20 +263,14 @@ impl StoreSnapshot {
                 let len = c.len()?;
                 entries.push((key, seg, off, len));
             }
-            // v1 shard blocks end here; v2 appends the controller
-            // section behind a presence tag.
-            let controller = if version >= 2 {
-                match c.u16()? {
-                    0 => None,
-                    1 => Some(c.controller()?),
-                    other => {
-                        return Err(PersistError::Corrupt(format!(
-                            "controller presence tag must be 0 or 1, got {other}"
-                        )))
-                    }
+            let controller = match c.u16()? {
+                0 => None,
+                1 => Some(c.controller()?),
+                other => {
+                    return Err(PersistError::Corrupt(format!(
+                        "controller presence tag must be 0 or 1, got {other}"
+                    )))
                 }
-            } else {
-                None
             };
             shards.push(ShardState {
                 device_image,
@@ -398,37 +392,19 @@ mod tests {
     }
 
     #[test]
-    fn version_1_snapshots_still_load() {
-        // Hand-encode the v1 layout (no controller section) and check
-        // it decodes with `controller: None` for every shard.
-        let shards = sample().shards;
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&1u16.to_le_bytes());
-        put_u64(&mut buf, shards.len() as u64);
-        for shard in &shards {
-            put_bytes(&mut buf, &shard.device_image);
-            put_bytes(&mut buf, &shard.state.model);
-            put_u64(&mut buf, shard.state.retired.len() as u64);
-            for seg in &shard.state.retired {
-                put_u64(&mut buf, seg.index() as u64);
-            }
-            put_u64(&mut buf, shard.state.entries.len() as u64);
-            for &(key, seg, off, len) in &shard.state.entries {
-                put_u64(&mut buf, key);
-                put_u64(&mut buf, seg.index() as u64);
-                put_u64(&mut buf, off as u64);
-                put_u64(&mut buf, len as u64);
-            }
-        }
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        let restored = StoreSnapshot::from_bytes(&buf).unwrap();
-        assert_eq!(restored.shards.len(), shards.len());
-        for (got, want) in restored.shards.iter().zip(&shards) {
-            assert_eq!(got.device_image, want.device_image);
-            assert_eq!(got.state, want.state);
-            assert_eq!(got.controller, None);
+    fn other_versions_are_corrupt() {
+        // A well-formed file (valid CRC) of a version this build does
+        // not write is the typed error, not a guess at its layout.
+        for version in [1u16, VERSION + 1] {
+            let mut bytes = sample().to_bytes();
+            bytes.truncate(bytes.len() - 4);
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            let crc = crc32(&bytes);
+            bytes.extend_from_slice(&crc.to_le_bytes());
+            assert!(matches!(
+                StoreSnapshot::from_bytes(&bytes),
+                Err(PersistError::Corrupt(msg)) if msg.contains("version")
+            ));
         }
     }
 

@@ -210,16 +210,12 @@ impl Client {
         }
     }
 
-    /// SCAN `lo..=hi`, at most `limit` entries (0 = unlimited), as one
-    /// response frame. A result too large for the frame cap is
-    /// answered with SCAN_TOO_LARGE (an error here); use
-    /// [`Client::scan_stream`] / [`Client::scan_all`] for ranges of
-    /// unbounded size.
+    /// SCAN `lo..=hi`, at most `limit` entries (0 = unlimited),
+    /// collected: [`Client::scan_stream`] gathered into one `Vec`, so
+    /// the result may exceed the frame cap and peak memory is the full
+    /// result, by construction.
     pub fn scan(&mut self, lo: u64, hi: u64, limit: u32) -> std::io::Result<Vec<(u64, Vec<u8>)>> {
-        match self.call(&Request::Scan { lo, hi, limit })? {
-            Response::Entries(entries) => Ok(entries),
-            other => Err(unexpected(&other)),
-        }
+        self.scan_stream(lo, hi, limit)?.collect()
     }
 
     /// Streaming SCAN `lo..=hi`, at most `limit` entries (0 =
@@ -238,40 +234,6 @@ impl Client {
             buffered: VecDeque::new(),
             done: false,
         })
-    }
-
-    /// Streaming SCAN via callback: invoke `f(key, value)` for every
-    /// entry, in key order, as chunks arrive. Returns the entry count.
-    pub fn scan_stream_with(
-        &mut self,
-        lo: u64,
-        hi: u64,
-        limit: u32,
-        mut f: impl FnMut(u64, Vec<u8>),
-    ) -> std::io::Result<usize> {
-        let mut count = 0usize;
-        let mut stream = self.scan_stream(lo, hi, limit)?;
-        for entry in &mut stream {
-            let (key, value) = entry?;
-            f(key, value);
-            count += 1;
-        }
-        Ok(count)
-    }
-
-    /// Streaming SCAN, collected: like [`Client::scan`] but served
-    /// over SCAN_STREAM, so the result may exceed the frame cap. The
-    /// collect-all convenience — peak memory is the full result, by
-    /// construction.
-    pub fn scan_all(
-        &mut self,
-        lo: u64,
-        hi: u64,
-        limit: u32,
-    ) -> std::io::Result<Vec<(u64, Vec<u8>)>> {
-        let mut out = Vec::new();
-        self.scan_stream_with(lo, hi, limit, |key, value| out.push((key, value)))?;
-        Ok(out)
     }
 
     /// The server's stats snapshot (JSON text).

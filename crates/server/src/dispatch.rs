@@ -147,18 +147,18 @@ pub(crate) struct BatchOutcome {
 /// reusable scan buffer, and visits it in place).
 const SCAN_PAGE: usize = 256;
 
-/// The one page loop behind both scan opcodes: walk `lo..=hi` one
-/// [`SCAN_PAGE`] at a time, handing each entry to `visit` in key order
-/// until `limit` entries were visited (`0` = no limit), the range is
-/// exhausted or `visit` returns `false`. A page is read whole before
-/// its first entry is visited, so a store error — which ends the walk
-/// — means `visit` saw nothing of the failed page.
+/// The page loop behind a scan: walk `lo..=hi` one [`SCAN_PAGE`] at a
+/// time, handing each entry to `visit` in key order until `limit`
+/// entries were visited (`0` = no limit) or the range is exhausted. A
+/// page is read whole before its first entry is visited, so a store
+/// error — which ends the walk — means `visit` saw nothing of the
+/// failed page.
 fn scan_pages(
     store: &mut dyn NvmKvStore,
     lo: u64,
     hi: u64,
     limit: u32,
-    mut visit: impl FnMut(u64, &[u8]) -> bool,
+    mut visit: impl FnMut(u64, &[u8]),
 ) -> Result<(), StoreError> {
     let mut remaining = if limit == 0 {
         u64::MAX
@@ -169,15 +169,14 @@ fn scan_pages(
     while remaining > 0 && cursor <= hi {
         let want = remaining.min(SCAN_PAGE as u64) as usize;
         let mut last_key = None;
-        let mut go_on = true;
         let got = store.scan_visit(cursor, hi, want, &mut |key, value| {
             last_key = Some(key);
-            go_on = visit(key, value);
-            go_on
+            visit(key, value);
+            true
         })?;
         remaining -= got as u64;
         match last_key {
-            Some(key) if go_on && got == want && key < hi => cursor = key + 1,
+            Some(key) if got == want && key < hi => cursor = key + 1,
             _ => break,
         }
     }
@@ -224,7 +223,6 @@ fn stream_scan(
             note_chunk();
         }
         stream.push(key, value);
-        true
     });
     match paged {
         // Terminal chunk: whatever is left (possibly nothing — an
@@ -249,17 +247,12 @@ fn stream_scan(
 
 /// Everything needed to execute requests against the store: a [`Front`]
 /// clone (shards shared), the registry for METRICS frames, the
-/// telemetry sink, and the response-size bounds. One per reactor
-/// worker, plus one for the reactor thread's inline batches.
+/// telemetry sink, and the scan chunk bound. One per reactor worker,
+/// plus one for the reactor thread's inline batches.
 pub(crate) struct ExecCtx {
     pub store: Front,
     pub registry: Option<TelemetryRegistry>,
     pub telemetry: ServerTelemetry,
-    /// The server's `body_len` cap: a legacy single-frame SCAN whose
-    /// encoded body would exceed it is answered with
-    /// [`Status::ScanTooLarge`] instead of a frame the peer's decoder
-    /// would reject as fatal.
-    pub max_frame_body: usize,
     /// Target payload bytes per SCAN_STREAM chunk. Entries are never
     /// split, so a chunk holding one oversized entry may exceed this.
     pub scan_chunk_bytes: usize,
@@ -421,39 +414,6 @@ impl ExecCtx {
         }
     }
 
-    /// Serve a legacy single-frame SCAN, paging the store like the
-    /// streaming path so an over-sized result is detected after at
-    /// most one frame's worth of entries plus one page — never by
-    /// materialising the whole range. A result whose encoded body
-    /// would exceed the frame cap answers [`Status::ScanTooLarge`]
-    /// (emitting the over-cap frame would poison the peer's decoder).
-    fn bounded_scan(&mut self, lo: u64, hi: u64, limit: u32) -> Response {
-        let max_frame_body = self.max_frame_body;
-        let mut entries: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut body_bytes = 4usize;
-        let paged = scan_pages(self.store.kv(), lo, hi, limit, |key, value| {
-            body_bytes += 12 + value.len();
-            if body_bytes > max_frame_body {
-                return false;
-            }
-            entries.push((key, value.to_vec()));
-            true
-        });
-        match paged {
-            Err(e) => store_error_frame(&e),
-            Ok(()) if body_bytes > max_frame_body => Response::Error {
-                status: Status::ScanTooLarge,
-                retired: 0,
-                message: format!(
-                    "scan result exceeds the {max_frame_body}-byte frame cap after {} entries; \
-                     use SCAN_STREAM (opcode 0x09) for unbounded ranges",
-                    entries.len(),
-                ),
-            },
-            Ok(()) => Response::Entries(entries),
-        }
-    }
-
     fn handle(&mut self, req: Request) -> Response {
         match req {
             Request::Ping => Response::Pong,
@@ -470,7 +430,6 @@ impl ExecCtx {
                 Ok(existed) => Response::Deleted(existed),
                 Err(e) => store_error_frame(&e),
             },
-            Request::Scan { lo, hi, limit } => self.bounded_scan(lo, hi, limit),
             // Streamed in exec_batch (needs the output buffer); only a
             // direct `handle` caller could reach this arm, and there
             // is none.
@@ -653,7 +612,7 @@ mod tests {
     /// so the WAL's flush-on-drop cannot stand in for a missing commit.
     #[test]
     fn acks_never_leave_ahead_of_their_wal_records() {
-        use crate::frame::{parse_response, DEFAULT_MAX_BODY, MAX_RESPONSE_BODY};
+        use crate::frame::{parse_response, MAX_RESPONSE_BODY};
         use e2nvm_persist::{replay_and_truncate, FlushPolicy, PersistenceConfig, WalOp};
         let dir = std::env::temp_dir().join(format!(
             "e2nvm-dispatch-wal-{}-{:?}",
@@ -673,7 +632,6 @@ mod tests {
             store: Front::Plain(store),
             registry: None,
             telemetry: ServerTelemetry::disconnected(),
-            max_frame_body: DEFAULT_MAX_BODY,
             scan_chunk_bytes: 64 * 1024,
         };
         let put = |key: u64, value: &[u8]| {
@@ -872,11 +830,10 @@ mod tests {
 
     /// The same pin on the real store, where `scan_visit` hands out
     /// the entries of a merged two-shard buffer: three `SCAN_PAGE`s of
-    /// mixed-size values, streamed and through the legacy single-frame
-    /// SCAN.
+    /// mixed-size values, and an inner range against the store's own
+    /// `scan_limit`.
     #[test]
     fn real_store_streams_the_reference_bytes_across_pages() {
-        use crate::frame::DEFAULT_MAX_BODY;
         let mut store = crate::demo::demo_store(2, 1024, 32, 11);
         let mut all = Vec::new();
         for key in 0..600u64 {
@@ -888,7 +845,6 @@ mod tests {
             store: Front::Plain(store),
             registry: None,
             telemetry: ServerTelemetry::disconnected(),
-            max_frame_body: DEFAULT_MAX_BODY,
             scan_chunk_bytes: 0,
         };
         for (chunk_bytes, limit) in [(64, 0), (1000, 0), (64 * 1024, 0), (1000, 300), (64, 1)] {
@@ -917,11 +873,18 @@ mod tests {
             3,
             "every stream but the 64 KiB-chunk and the one-entry one spans chunks"
         );
-        let legacy = ctx.handle(Request::Scan {
-            lo: 3,
-            hi: 3 * 500,
-            limit: 0,
-        });
-        assert_eq!(legacy, Response::Entries(all[1..=500].to_vec()));
+        let inner = ctx.store.kv().scan_limit(3, 3 * 500, usize::MAX).unwrap();
+        assert_eq!(inner, all[1..=500]);
+        let mut outbuf = Vec::new();
+        stream_scan(
+            ctx.store.kv(),
+            &ctx.telemetry,
+            1000,
+            3,
+            3 * 500,
+            0,
+            &mut outbuf,
+        );
+        assert!(outbuf == reference_stream(&inner, 1000, None));
     }
 }

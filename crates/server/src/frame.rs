@@ -64,8 +64,8 @@ pub enum Opcode {
     Put = 0x02,
     /// Delete one key. Body: `key u64`.
     Delete = 0x03,
-    /// Range scan. Body: `lo u64, hi u64, limit u32` (0 = unlimited).
-    Scan = 0x04,
+    // 0x04 is retired (the single-frame SCAN that SCAN_STREAM
+    // superseded): answered UNKNOWN_OPCODE, never reassigned.
     /// Device + store statistics snapshot (JSON text response).
     Stats = 0x05,
     /// Telemetry exposition (Prometheus text response).
@@ -84,12 +84,11 @@ pub enum Opcode {
     /// only be reported because retirement is keyed on
     /// `PhysicalSegment` ids end to end.
     Health = 0x08,
-    /// Streaming range scan. Same 20-byte body as [`Opcode::Scan`]
-    /// (`lo u64, hi u64, limit u32`, 0 = unlimited), but the server
-    /// answers with a *sequence* of chunk frames — each a bounded
-    /// slice of the result prefixed by a continuation byte — instead
-    /// of one response frame, so arbitrarily large ranges fit under
-    /// the frame cap with bounded peak memory on both sides.
+    /// Range scan. Body: `lo u64, hi u64, limit u32` (0 = unlimited).
+    /// The server answers with a *sequence* of chunk frames — each a
+    /// bounded slice of the result prefixed by a continuation byte —
+    /// so arbitrarily large ranges fit under the frame cap with
+    /// bounded peak memory on both sides.
     ScanStream = 0x09,
     /// Ask the server to shut down gracefully. Empty body.
     Shutdown = 0x7F,
@@ -103,7 +102,6 @@ impl Opcode {
             0x01 => Opcode::Get,
             0x02 => Opcode::Put,
             0x03 => Opcode::Delete,
-            0x04 => Opcode::Scan,
             0x05 => Opcode::Stats,
             0x06 => Opcode::Metrics,
             0x07 => Opcode::Flush,
@@ -121,7 +119,6 @@ impl Opcode {
             Opcode::Get => "get",
             Opcode::Put => "put",
             Opcode::Delete => "delete",
-            Opcode::Scan => "scan",
             Opcode::Stats => "stats",
             Opcode::Metrics => "metrics",
             Opcode::Flush => "flush",
@@ -132,12 +129,11 @@ impl Opcode {
     }
 
     /// Every defined opcode, in wire order.
-    pub const ALL: [Opcode; 11] = [
+    pub const ALL: [Opcode; 10] = [
         Opcode::Ping,
         Opcode::Get,
         Opcode::Put,
         Opcode::Delete,
-        Opcode::Scan,
         Opcode::Stats,
         Opcode::Metrics,
         Opcode::Flush,
@@ -172,10 +168,8 @@ pub enum Status {
     OutOfSpace = 0x04,
     /// Any other store/engine/device error; detail text in the body.
     StoreError = 0x05,
-    /// A legacy single-frame SCAN matched more bytes than fit under
-    /// the frame cap. The detail text points at SCAN_STREAM, which has
-    /// no such ceiling. Streaming scans never raise this.
-    ScanTooLarge = 0x06,
+    // 0x06 is retired (SCAN_TOO_LARGE, raised only by the retired
+    // single-frame SCAN): never sent, never reassigned.
     /// The frame violated the protocol at the framing level (bad magic)
     /// or the body could not be parsed for its opcode.
     Malformed = 0x10,
@@ -203,7 +197,6 @@ impl Status {
             0x03 => Status::PoolDepleted,
             0x04 => Status::OutOfSpace,
             0x05 => Status::StoreError,
-            0x06 => Status::ScanTooLarge,
             0x10 => Status::Malformed,
             0x11 => Status::UnsupportedVersion,
             0x12 => Status::UnknownOpcode,
@@ -223,7 +216,6 @@ impl Status {
             Status::PoolDepleted => "pool_depleted",
             Status::OutOfSpace => "out_of_space",
             Status::StoreError => "store_error",
-            Status::ScanTooLarge => "scan_too_large",
             Status::Malformed => "malformed",
             Status::UnsupportedVersion => "unsupported_version",
             Status::UnknownOpcode => "unknown_opcode",
@@ -256,17 +248,9 @@ pub enum Request {
         /// Key to delete.
         key: u64,
     },
-    /// All pairs with `lo <= key <= hi`, at most `limit` (0 = all).
-    Scan {
-        /// Inclusive lower key bound.
-        lo: u64,
-        /// Inclusive upper key bound.
-        hi: u64,
-        /// Maximum entries returned; 0 means unlimited.
-        limit: u32,
-    },
-    /// Like [`Request::Scan`], but answered as a stream of bounded
-    /// chunk frames (see [`Response::ScanChunk`]).
+    /// All pairs with `lo <= key <= hi`, at most `limit` (0 = all),
+    /// answered as a stream of bounded chunk frames (see
+    /// [`Response::ScanChunk`]).
     ScanStream {
         /// Inclusive lower key bound.
         lo: u64,
@@ -295,7 +279,6 @@ impl Request {
             Request::Get { .. } => Opcode::Get,
             Request::Put { .. } => Opcode::Put,
             Request::Delete { .. } => Opcode::Delete,
-            Request::Scan { .. } => Opcode::Scan,
             Request::ScanStream { .. } => Opcode::ScanStream,
             Request::Stats => Opcode::Stats,
             Request::Metrics => Opcode::Metrics,
@@ -324,11 +307,6 @@ pub enum Response {
     Deleted(
         /// True when the key was present and removed.
         bool,
-    ),
-    /// OK for SCAN: the matching pairs in key order.
-    Entries(
-        /// `(key, value)` pairs, ascending by key.
-        Vec<(u64, Vec<u8>)>,
     ),
     /// One OK chunk of a SCAN_STREAM response. A streaming scan is
     /// answered with one or more of these, contiguous and in key
@@ -522,7 +500,7 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
             out.extend_from_slice(&key.to_le_bytes());
             out.extend_from_slice(value);
         }
-        Request::Scan { lo, hi, limit } | Request::ScanStream { lo, hi, limit } => {
+        Request::ScanStream { lo, hi, limit } => {
             put_header(out, 20, op, 0);
             out.extend_from_slice(&lo.to_le_bytes());
             out.extend_from_slice(&hi.to_le_bytes());
@@ -548,16 +526,6 @@ pub fn encode_response(resp: &Response, echo: Option<Opcode>, out: &mut Vec<u8>)
         Response::Deleted(existed) => {
             put_header(out, 1, Status::Ok as u8, aux);
             out.push(u8::from(*existed));
-        }
-        Response::Entries(entries) => {
-            let body_len = 4 + entries.iter().map(|(_, v)| 12 + v.len()).sum::<usize>();
-            put_header(out, body_len, Status::Ok as u8, aux);
-            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            for (k, v) in entries {
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                out.extend_from_slice(v);
-            }
         }
         Response::ScanChunk { more, entries } => {
             let body_len = 5 + entries.iter().map(|(_, v)| 12 + v.len()).sum::<usize>();
@@ -762,26 +730,21 @@ pub fn parse_request(frame: &RawFrame<'_>) -> Result<Request, FrameError> {
                 value: body[8..].to_vec(),
             })
         }
-        Opcode::Scan | Opcode::ScanStream => {
+        Opcode::ScanStream => {
             if body.len() != 20 {
                 return Err(FrameError::BadBody("SCAN body must be exactly 20 bytes"));
             }
-            let (lo, hi, limit) = (
-                take_u64(body, 0).unwrap(),
-                take_u64(body, 8).unwrap(),
-                take_u32(body, 16).unwrap(),
-            );
-            Ok(if op == Opcode::Scan {
-                Request::Scan { lo, hi, limit }
-            } else {
-                Request::ScanStream { lo, hi, limit }
+            Ok(Request::ScanStream {
+                lo: take_u64(body, 0).unwrap(),
+                hi: take_u64(body, 8).unwrap(),
+                limit: take_u32(body, 16).unwrap(),
             })
         }
     }
 }
 
 /// Parse the `count u32` + `count × (key u64, len u32, value)` entry
-/// list shared by SCAN and SCAN_STREAM OK bodies, starting at `at`.
+/// list of a SCAN_STREAM OK body, starting at `at`.
 /// Rejects trailing bytes: the list must consume the body exactly.
 fn parse_entry_list(body: &[u8], at: usize) -> Result<Vec<(u64, Vec<u8>)>, FrameError> {
     let count = take_u32(body, at).ok_or(FrameError::BadBody("SCAN count truncated"))? as usize;
@@ -822,10 +785,6 @@ pub fn parse_response(frame: &RawFrame<'_>) -> Result<Response, FrameError> {
                     [1] => Ok(Response::Deleted(true)),
                     _ => Err(FrameError::BadBody("DELETE response must be one 0/1 byte")),
                 },
-                Opcode::Scan => {
-                    let entries = parse_entry_list(body, 0)?;
-                    Ok(Response::Entries(entries))
-                }
                 Opcode::ScanStream => {
                     let more = match body.first() {
                         Some(0) => false,
@@ -1000,11 +959,6 @@ mod tests {
             value: Vec::new(),
         });
         roundtrip_request(Request::Delete { key: 7 });
-        roundtrip_request(Request::Scan {
-            lo: 3,
-            hi: 9,
-            limit: 100,
-        });
         roundtrip_request(Request::ScanStream {
             lo: 0,
             hi: u64::MAX,
@@ -1026,11 +980,6 @@ mod tests {
             (Response::Stored, Some(Opcode::Put)),
             (Response::Deleted(true), Some(Opcode::Delete)),
             (Response::Deleted(false), Some(Opcode::Delete)),
-            (
-                Response::Entries(vec![(1, vec![0xAA; 4]), (2, Vec::new())]),
-                Some(Opcode::Scan),
-            ),
-            (Response::Entries(Vec::new()), Some(Opcode::Scan)),
             (
                 Response::ScanChunk {
                     more: true,
@@ -1170,7 +1119,6 @@ mod tests {
         for (op, body_len) in [
             (Opcode::Get, 4usize),
             (Opcode::Delete, 9),
-            (Opcode::Scan, 19),
             (Opcode::ScanStream, 19),
             (Opcode::Put, 3),
             (Opcode::Ping, 1),
@@ -1190,8 +1138,8 @@ mod tests {
     #[test]
     fn continuation_classification() {
         // Only an OK frame echoing SCAN_STREAM with leading byte 1 is
-        // non-terminal; a final chunk, a plain SCAN response, and an
-        // error frame echoing SCAN_STREAM are all terminal.
+        // non-terminal; a final chunk and an error frame echoing
+        // SCAN_STREAM are both terminal.
         let chunk = |more: bool| {
             let mut bytes = Vec::new();
             encode_response(
@@ -1225,7 +1173,7 @@ mod tests {
         let mut err = Vec::new();
         encode_response(
             &Response::Error {
-                status: Status::ScanTooLarge,
+                status: Status::StoreError,
                 retired: 0,
                 message: "mid-stream".into(),
             },
@@ -1252,7 +1200,6 @@ mod tests {
             Status::PoolDepleted,
             Status::OutOfSpace,
             Status::StoreError,
-            Status::ScanTooLarge,
             Status::Malformed,
             Status::UnsupportedVersion,
             Status::UnknownOpcode,
@@ -1262,5 +1209,8 @@ mod tests {
         ] {
             assert_eq!(Status::from_u8(s as u8), Some(s));
         }
+        // Retired code points (PROTOCOL.md §7) decode as undefined.
+        assert_eq!(Opcode::from_u8(0x04), None);
+        assert_eq!(Status::from_u8(0x06), None);
     }
 }

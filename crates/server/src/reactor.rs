@@ -92,7 +92,6 @@ pub(crate) fn spawn(
         store: parts.front.clone(),
         registry: parts.registry.clone(),
         telemetry: parts.telemetry.clone(),
-        max_frame_body: parts.config.max_frame_body,
         scan_chunk_bytes: parts.config.scan_chunk_bytes,
     };
     let pool = WorkerPool::spawn(workers, waker.clone(), new_ctx)?;

@@ -88,12 +88,11 @@ const BATCH_ITEM_BOUNDS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
 /// The statuses an error-frame counter is kept for (everything that can
 /// appear on the wire as a non-OK, non-NOT_FOUND status).
-const STATUSES: [Status; 11] = [
+const STATUSES: [Status; 10] = [
     Status::Degraded,
     Status::PoolDepleted,
     Status::OutOfSpace,
     Status::StoreError,
-    Status::ScanTooLarge,
     Status::Malformed,
     Status::UnsupportedVersion,
     Status::UnknownOpcode,

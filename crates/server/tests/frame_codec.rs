@@ -16,11 +16,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
         (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..256))
             .prop_map(|(key, value)| Request::Put { key, value }),
         any::<u64>().prop_map(|key| Request::Delete { key }),
-        (any::<u64>(), any::<u64>(), any::<u32>()).prop_map(|(lo, hi, limit)| Request::Scan {
-            lo,
-            hi,
-            limit
-        }),
         (any::<u64>(), any::<u64>(), any::<u32>())
             .prop_map(|(lo, hi, limit)| { Request::ScanStream { lo, hi, limit } }),
         Just(Request::Stats),
@@ -36,7 +31,6 @@ fn arb_error_status() -> impl Strategy<Value = Status> {
         Just(Status::PoolDepleted),
         Just(Status::OutOfSpace),
         Just(Status::StoreError),
-        Just(Status::ScanTooLarge),
         Just(Status::Malformed),
         Just(Status::UnsupportedVersion),
         Just(Status::UnknownOpcode),
@@ -68,8 +62,6 @@ fn arb_response() -> impl Strategy<Value = (Response, Option<Opcode>)> {
         Just((Response::NotFound, Some(Opcode::Get))),
         Just((Response::Stored, Some(Opcode::Put))),
         any::<bool>().prop_map(|b| (Response::Deleted(b), Some(Opcode::Delete))),
-        proptest::collection::vec(arb_entry(), 0..8)
-            .prop_map(|e| (Response::Entries(e), Some(Opcode::Scan))),
         (any::<bool>(), proptest::collection::vec(arb_entry(), 0..8)).prop_map(
             |(more, entries)| {
                 (

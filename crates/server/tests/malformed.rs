@@ -9,8 +9,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use e2nvm_server::frame::{
-    encode_request, parse_response, FrameDecoder, Opcode, Request, Response, Status,
-    DEFAULT_MAX_BODY, MAGIC, VERSION,
+    encode_request, parse_response, FrameDecoder, FrameError, Opcode, RawFrame, Request, Response,
+    Status, DEFAULT_MAX_BODY, MAGIC, VERSION,
 };
 use e2nvm_server::{demo::demo_store, Client, Server, ServerConfig, ServerHandle};
 
@@ -151,7 +151,7 @@ fn malformed_streams_get_error_frames_and_no_panic() {
             20,
             MAGIC,
             VERSION,
-            Opcode::Scan as u8,
+            Opcode::ScanStream as u8,
             0,
             &[0xAB; 5],
         ))
@@ -208,6 +208,44 @@ fn malformed_streams_get_error_frames_and_no_panic() {
         }
     }
 
+    // 8. Retired code points (PROTOCOL.md §7). An old peer's
+    //    single-frame SCAN (opcode 0x04, its well-formed 20-byte body)
+    //    is an unknown opcode now — survivable — and a response frame
+    //    carrying the retired SCAN_TOO_LARGE status (0x06) is a decode
+    //    error on the receiving side, not a panic.
+    {
+        let mut s = TcpStream::connect(addr).unwrap();
+        let mut legacy = Vec::new();
+        encode_request(
+            &Request::ScanStream {
+                lo: 0,
+                hi: u64::MAX,
+                limit: 0,
+            },
+            &mut legacy,
+        );
+        legacy[6] = 0x04;
+        s.write_all(&legacy).unwrap();
+        match read_response(&mut s) {
+            Response::Error { status, .. } => assert_eq!(status, Status::UnknownOpcode),
+            other => panic!("expected UNKNOWN_OPCODE error frame, got {other:?}"),
+        }
+        let mut ping = Vec::new();
+        encode_request(&Request::Ping, &mut ping);
+        s.write_all(&ping).unwrap();
+        assert_eq!(read_response(&mut s), Response::Pong);
+
+        let retired_status = RawFrame {
+            code: 0x06,
+            aux: Opcode::ScanStream as u8,
+            body: &[0; 8],
+        };
+        assert_eq!(
+            parse_response(&retired_status),
+            Err(FrameError::UnknownStatus(0x06))
+        );
+    }
+
     // After all of the abuse above, a fresh client connection is served
     // normally: the process never panicked and the accept loop is alive.
     let mut client = Client::connect(addr).unwrap();
@@ -217,8 +255,8 @@ fn malformed_streams_get_error_frames_and_no_panic() {
     handle.shutdown();
     let served = handle.join();
     assert!(
-        served >= 8,
-        "expected >= 8 connections served, got {served}"
+        served >= 9,
+        "expected >= 9 connections served, got {served}"
     );
 }
 
@@ -227,7 +265,7 @@ fn malformed_streams_get_error_frames_and_no_panic() {
 /// silent short read — the client treats it as a poisoned stream.
 #[test]
 fn truncated_mid_chunk_is_rejected() {
-    use e2nvm_server::frame::{encode_scan_chunk, FrameError, RawFrame};
+    use e2nvm_server::frame::encode_scan_chunk;
 
     let entries = vec![(7u64, vec![0xAA; 24]), (9u64, vec![0xBB; 24])];
     let mut bytes = Vec::new();

@@ -1,8 +1,6 @@
 //! End-to-end streaming SCAN: a range whose values total more than
 //! the 1 MiB frame cap completes over the wire as multiple chunk
-//! frames, while the legacy single-frame SCAN refuses the same range
-//! with SCAN_TOO_LARGE instead of emitting a frame the peer's decoder
-//! would fatally reject.
+//! frames, each under the cap.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -18,7 +16,7 @@ const VALUE_LEN: usize = 3600;
 const KEYS: u64 = 320;
 
 /// Deterministic value for `key`, sized so [`KEYS`] of them total
-/// ~1.15 MiB — past the legacy frame cap.
+/// ~1.15 MiB — past the frame cap.
 fn value_for(key: u64) -> Vec<u8> {
     let mut state = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     (0..VALUE_LEN)
@@ -62,23 +60,10 @@ fn streamed_scan_past_the_frame_cap_completes() {
     let mut client = Client::connect(addr).expect("connect");
     let expected = load(&mut client);
 
-    // The legacy single-frame SCAN must refuse the range: its
-    // encoded body would exceed the frame cap, and emitting it
-    // would poison the peer's decoder. SCAN_TOO_LARGE is a
-    // frame-level error — the connection survives.
-    let err = client
-        .scan(0, u64::MAX, 0)
-        .expect_err("over-cap legacy SCAN must error");
-    assert!(
-        err.to_string().contains("SCAN_STREAM"),
-        "error should point at the streaming opcode: {err}"
-    );
-
-    // The streamed path serves the same range whole — limit = 0
-    // (unlimited) included, the regression the old collect-all
-    // SCAN could never answer within one frame.
+    // The range is served whole — limit = 0 (unlimited) included —
+    // although no single frame could carry it.
     let all = client
-        .scan_all(0, u64::MAX, 0)
+        .scan(0, u64::MAX, 0)
         .expect("streamed scan completes");
     assert_eq!(all.len(), expected.len());
     for ((k, v), (ek, ev)) in all.iter().zip(&expected) {
@@ -140,7 +125,7 @@ fn streamed_scan_past_the_frame_cap_completes() {
     drop(raw);
 
     // Bounded limits still bound: limit = 3 yields the 3 smallest.
-    let three = client.scan_all(0, u64::MAX, 3).expect("bounded stream");
+    let three = client.scan(0, u64::MAX, 3).expect("bounded stream");
     assert_eq!(
         three.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
         vec![0, 1, 2]
@@ -150,10 +135,10 @@ fn streamed_scan_past_the_frame_cap_completes() {
     handle.join();
 }
 
-/// `scan_stream_with` drives the callback form; a tiny chunk bound
-/// forces many chunks and entries must never split across them.
+/// A tiny chunk bound forces many chunks, and entries must never
+/// split across them.
 #[test]
-fn callback_form_and_tiny_chunks() {
+fn tiny_chunks_carry_whole_entries() {
     let store = demo_store(2, 64, 64, 11);
     let config = ServerConfig::builder()
         .scan_chunk_bytes(64)
@@ -167,15 +152,9 @@ fn callback_form_and_tiny_chunks() {
     // 40-byte values against a 64-byte chunk bound: one entry per
     // chunk (12 + 40 = 52 fits, two do not), so the stream is ~20
     // chunks — and every entry arrives whole.
-    let mut seen = Vec::new();
-    let n = client
-        .scan_stream_with(0, u64::MAX, 0, |k, v| {
-            assert_eq!(v, vec![k as u8; 40]);
-            seen.push(k);
-        })
-        .expect("callback stream");
-    assert_eq!(n, 20);
-    assert_eq!(seen, (0..20).collect::<Vec<_>>());
+    let seen = client.scan(0, u64::MAX, 0).expect("chunked stream");
+    let want: Vec<(u64, Vec<u8>)> = (0..20).map(|k| (k, vec![k as u8; 40])).collect();
+    assert_eq!(seen, want);
     client.shutdown_server().expect("shutdown");
     handle.join();
 }
