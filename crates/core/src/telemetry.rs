@@ -90,7 +90,7 @@ impl EngineTelemetry {
         registry
             .gauge_with_labels(
                 "e2nvm_model_kernel",
-                "Instantiation of the prediction kernel this process runs (always 1; read the impl label)",
+                "Instantiation of the model kernel this process predicts and trains with (always 1; read the impl label)",
                 &[("impl", e2nvm_ml::predict::kernel_name())],
             )
             .set(1);

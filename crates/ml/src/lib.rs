@@ -14,13 +14,14 @@
 //! reproducible.
 
 // One exception, scoped to its call site: the CPU-feature dispatch of
-// `predict::Kernel::add_rows`. Anything further needs a reviewer.
+// `kernel::Kernel::add_rows`, which training and serving share.
 #![deny(unsafe_code)]
 
 pub mod activation;
 pub mod data;
 pub mod dec;
 pub mod dense;
+mod kernel;
 pub mod kmeans;
 pub mod loss;
 pub mod lstm;

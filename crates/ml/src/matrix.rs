@@ -1,8 +1,9 @@
 //! A small dense row-major `f32` matrix — the only tensor type the ML
-//! substrate needs. Operations are written cache-consciously (ikj
-//! matmul, fused map/zip) following the Rust Performance Book's advice
-//! to keep hot loops allocation-free.
+//! substrate needs. Products run the crate's one GEMM kernel (the
+//! column-tiled loop serving predicts with); elementwise operations are
+//! fused map/zip loops.
 
+use crate::kernel::{non_zero, Kernel};
 use std::fmt;
 
 /// Dense row-major matrix of `f32`.
@@ -114,8 +115,14 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Matrix product `self · other` (ikj loop order).
+    /// Matrix product `self · other`: every element is the
+    /// ascending-`k` fold `+0.0 + a₀·b₀ + a₁·b₁ + …` that skips
+    /// `a = 0` (an all-`-0.0` sum is `+0.0`, and `0 × ∞` adds nothing).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        self.matmul_on(Kernel::detect(), other)
+    }
+
+    fn matmul_on(&self, kernel: Kernel, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul: {}x{} · {}x{}",
@@ -123,49 +130,24 @@ impl Matrix {
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
+            kernel.add_rows(other, non_zero(self.row(i)), out.row_mut(i));
         }
         out
     }
 
-    /// `selfᵀ · other` without materializing the transpose.
+    /// `selfᵀ · other`: [`Matrix::matmul`] over the transpose, whose row
+    /// `i` is column `i` of `self` — the same fold per element.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
             "t_matmul: ({}x{})ᵀ · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = other.row(r);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        self.transpose().matmul(other)
     }
 
-    /// `self · otherᵀ`: every element is the ascending-`k` fold
-    /// `+0.0 + a₀·b₀ + a₁·b₁ + …` that [`Matrix::matmul`] computes (an
-    /// all-`-0.0` sum is `+0.0`), walked `matmul`'s way so the adds of
-    /// different elements overlap.
+    /// `self · otherᵀ`: [`Matrix::matmul`] over the transpose — the same
+    /// fold per element.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -175,12 +157,17 @@ impl Matrix {
         self.matmul(&other.transpose())
     }
 
-    /// Materialized transpose.
+    /// Materialized transpose, a 16×16 block at a time.
     pub fn transpose(&self) -> Matrix {
+        const B: usize = 16;
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        for r0 in (0..self.rows).step_by(B) {
+            for c0 in (0..self.cols).step_by(B) {
+                for r in r0..self.rows.min(r0 + B) {
+                    for c in c0..self.cols.min(c0 + B) {
+                        out.data[c * self.rows + r] = self.data[r * self.cols + c];
+                    }
+                }
             }
         }
         out
@@ -405,10 +392,103 @@ mod tests {
         }
     }
 
+    /// The products' contract, written the obvious way: per output row,
+    /// sums from `+0.0`, ascending `k`, `a == 0` skipped.
+    fn naive_ikj(a: &Matrix, b: &Matrix) -> Vec<f32> {
+        let n = b.cols();
+        let mut out = vec![0.0f32; a.rows() * n];
+        for i in 0..a.rows() {
+            for (k, &x) in a.row(i).iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    out[i * n + j] += x * b.get(k, j);
+                }
+            }
+        }
+        out
+    }
+
+    /// Bit for bit, except that a NaN matches any NaN: which NaN an
+    /// `∞ − ∞` yields is the hardware's choice, not the contract's.
+    fn assert_same_sums(got: &Matrix, want: &[f32], what: &str) {
+        assert_eq!(got.as_slice().len(), want.len(), "{what}: shape");
+        for (at, (g, w)) in got.as_slice().iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {at} is {g:e} ({:#010x}), the fold says {w:e} ({:#010x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// Zeros of both signs, negatives, subnormals and — where `inf` —
+    /// infinities, which make a multiplied zero input show as a NaN.
+    fn awkward(rng: &mut impl rand::Rng, inf: bool) -> f32 {
+        let magnitude = match rng.gen_range(0..if inf { 6 } else { 5 }) {
+            0 => 0.0,
+            1 => f32::from_bits(rng.gen_range(1..0x0080_0000)),
+            5 => f32::INFINITY,
+            _ => rng.gen_range(0.0f32..4.0),
+        };
+        if rng.gen() {
+            -magnitude
+        } else {
+            magnitude
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `matmul` on every instantiation of the kernel, and `t_matmul`
+        /// / `matmul_t` (a transpose, then `matmul`), are the naive fold
+        /// at output widths that meet every tile width.
+        #[test]
+        fn products_are_the_naive_fold_on_both_kernels(
+            rows in 0usize..=5,
+            inner in 0usize..=70,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = crate::rng::seeded(seed);
+            let a = Matrix::from_fn(rows, inner, |_, _| awkward(&mut rng, false));
+            for width in [1, 7, 31, 33, 63, 64, 65, 127, 129] {
+                let b = Matrix::from_fn(inner, width, |_, _| awkward(&mut rng, true));
+                let want = naive_ikj(&a, &b);
+                let shape = format!("{rows}x{inner} · {inner}x{width}");
+                for kernel in Kernel::instantiations() {
+                    let what = format!("matmul on {}, {shape}", kernel.name());
+                    assert_same_sums(&a.matmul_on(kernel, &b), &want, &what);
+                }
+                assert_same_sums(&a.transpose().t_matmul(&b), &want, &format!("t_matmul, {shape}"));
+                assert_same_sums(&a.matmul_t(&b.transpose()), &want, &format!("matmul_t, {shape}"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_input_adds_nothing_even_against_an_infinite_row() {
+        let a = m(2, 2, &[0., 1., -0., 2.]);
+        let inf = f32::INFINITY;
+        let b = m(2, 3, &[inf, -inf, f32::NAN, 1., 2., 3.]);
+        for kernel in Kernel::instantiations() {
+            assert_eq!(a.matmul_on(kernel, &b), m(2, 3, &[1., 2., 3., 2., 4., 6.]));
+        }
+        assert_eq!(a.transpose().t_matmul(&b), a.matmul(&b));
+        assert_eq!(a.matmul_t(&b.transpose()), a.matmul(&b));
+    }
+
     #[test]
     fn transpose_involution() {
         let a = m(3, 2, &[1., 2., 3., 4., 5., 6.]);
         assert_eq!(a.transpose().transpose(), a);
+        let wide = Matrix::from_fn(17, 35, |r, c| (r * 35 + c) as f32);
+        let t = wide.transpose();
+        assert_eq!((t.rows(), t.cols()), (35, 17));
+        assert!((0..17).all(|r| (0..35).all(|c| t.get(c, r) == wide.get(r, c))));
+        assert_eq!(t.transpose(), wide);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! * a layer's pre-activation starts at `0.0` and takes the weight rows
 //!   of its non-zero inputs in **ascending input index** (what
-//!   `Matrix::matmul`'s ikj loop with its `a == 0.0` skip does); for
+//!   `Matrix::matmul` does — it runs this same kernel); for
 //!   bit inputs `1.0 * w == w`, so adding the row is the same value;
 //! * the bias is added **after** the rows (`add_row_broadcast`), then
 //!   the activation is applied;
@@ -40,22 +40,10 @@
 //! additions in the full call's order: μ and the cluster are those of
 //! `predict_packed` on the whole segment, bit for bit, for the rows of
 //! the tail alone.
-//!
-//! ## Column-tile clause
-//!
-//! A layer's sums are computed a tile of columns at a time — the tile's
-//! sums stay in registers for the whole walk over the inputs and are
-//! stored once (`add_tile`); a layer wider than a tile walks its
-//! inputs again for the next one. Columns are independent, and every
-//! column of every tile still takes its additions in ascending input
-//! index, so tiling — and with it the tile widths, which differ between
-//! the AVX2 and the portable instantiation of the one loop — changes no
-//! sum. Neither instantiation may fuse the later layers' multiply and
-//! add (`fma` is never enabled): the reference rounds twice.
 
 use crate::dec::ClusterModel;
+use crate::kernel::{non_zero, Kernel};
 use crate::kmeans::dist2;
-use crate::matrix::Matrix;
 
 /// Caller-owned working memory of the prediction kernel. Buffers grow
 /// to the model's widths on first use and are reused afterwards.
@@ -84,7 +72,7 @@ impl PredictScratch {
     #[cfg(test)]
     fn portable() -> Self {
         PredictScratch {
-            kernel: Kernel { avx2: false },
+            kernel: Kernel::portable(),
             ..Self::default()
         }
     }
@@ -220,125 +208,15 @@ impl ClusterModel {
     }
 }
 
-/// Which instantiation of [`add_tiles`] a scratch's calls run.
-#[derive(Debug, Clone, Copy)]
-struct Kernel {
-    /// `true` only out of [`Kernel::detect`], which asked the CPU: the
-    /// soundness of the AVX2 call rests on nothing else setting it.
-    avx2: bool,
-}
-
-impl Kernel {
-    fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
-        Kernel { avx2 }
-    }
-
-    /// `out += Σ a · W[i]` over `inputs`' `(i, a)` in their order,
-    /// keeping the first `out.len()` columns.
-    #[allow(unsafe_code)]
-    fn add_rows(
-        self,
-        w: &Matrix,
-        inputs: impl Iterator<Item = (usize, f32)> + Clone,
-        out: &mut [f32],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            /// Sixty-four columns are eight `ymm` registers of sums.
-            ///
-            /// # Safety
-            /// The CPU must support AVX2.
-            #[target_feature(enable = "avx2")]
-            unsafe fn avx2(
-                w: &Matrix,
-                inputs: impl Iterator<Item = (usize, f32)> + Clone,
-                out: &mut [f32],
-            ) {
-                add_tiles::<64>(w, inputs, out);
-            }
-            if self.avx2 {
-                // SAFETY: `self.avx2` is set by `Kernel::detect` alone,
-                // from `is_x86_feature_detected!("avx2")`.
-                return unsafe { avx2(w, inputs, out) };
-            }
-        }
-        // Thirty-two columns are eight 128-bit registers of sums.
-        add_tiles::<32>(w, inputs, out);
-    }
-}
-
-impl Default for Kernel {
-    fn default() -> Self {
-        Kernel::detect()
-    }
-}
-
-/// Name of the kernel instantiation predictions run on this CPU:
-/// `"avx2"` or `"portable"`.
+/// Name of the kernel instantiation predictions and training run on
+/// this CPU: `"avx2"` or `"portable"`.
 pub fn kernel_name() -> &'static str {
-    if Kernel::detect().avx2 {
-        "avx2"
-    } else {
-        "portable"
-    }
-}
-
-/// The one loop of the kernel, over columns `col..col + T` of `out`:
-/// the tile's sums are a local array for the whole walk (registers,
-/// when `T` floats fit the target's) and `out` is written once.
-#[inline(always)]
-fn add_tile<const T: usize>(
-    w: &Matrix,
-    inputs: impl Iterator<Item = (usize, f32)>,
-    col: usize,
-    out: &mut [f32],
-) {
-    let out: &mut [f32; T] = (&mut out[col..col + T])
-        .try_into()
-        .expect("a slice of T columns");
-    let (weights, stride) = (w.as_slice(), w.cols());
-    let mut sums = *out;
-    for (i, a) in inputs {
-        let at = i * stride + col;
-        let row: &[f32; T] = weights[at..at + T]
-            .try_into()
-            .expect("a slice of T columns");
-        for (sum, &v) in sums.iter_mut().zip(row) {
-            *sum += a * v;
-        }
-    }
-    *out = sums;
-}
-
-/// [`add_tile`] over all of `out`: tiles of `WIDE` columns, then of
-/// each narrower power of two for what is left, every tile walking
-/// `inputs` anew.
-#[inline(always)]
-fn add_tiles<const WIDE: usize>(
-    w: &Matrix,
-    inputs: impl Iterator<Item = (usize, f32)> + Clone,
-    out: &mut [f32],
-) {
-    assert!(out.len() <= w.cols(), "more sums than weight columns");
-    let mut col = 0;
-    macro_rules! tiles {
-        ($($t:literal)*) => {$(
-            while $t <= WIDE && out.len() - col >= $t {
-                add_tile::<$t>(w, inputs.clone(), col, out);
-                col += $t;
-            }
-        )*};
-    }
-    tiles!(64 32 16 8 4 2 1);
+    Kernel::detect().name()
 }
 
 /// The set bits of `bits[from..]` as layer inputs: `(index, 1.0)` in
 /// ascending index, indexed from the start of `bits`. The constant
-/// `1.0` lets [`add_tile`]'s `1.0 * w` fold to `w` — the same value
+/// `1.0` lets the kernel's `1.0 * w` fold to `w` — the same value
 /// either way.
 #[derive(Clone)]
 struct SetBits<'a> {
@@ -387,11 +265,6 @@ fn load_word(bits: &[u8], word: usize) -> Option<u64> {
         // have the tile's sums spilled around it.
         None => rest.iter().fold(0, |w, &b| w << 8 | u64::from(b)) << (64 - 8 * rest.len()),
     })
-}
-
-/// The non-zero entries of `x` as layer inputs, ascending.
-fn non_zero(x: &[f32]) -> impl Iterator<Item = (usize, f32)> + Clone + '_ {
-    x.iter().copied().enumerate().filter(|&(_, a)| a != 0.0)
 }
 
 #[cfg(test)]
@@ -458,13 +331,16 @@ mod tests {
 
     /// A scratch for each instantiation of the kernel this CPU runs.
     fn scratches() -> Vec<(&'static str, PredictScratch)> {
-        let mut all = vec![("portable", PredictScratch::portable())];
-        if Kernel::detect().avx2 {
-            all.push(("avx2", PredictScratch::default()));
-        } else {
-            eprintln!("no AVX2 on this CPU: only the portable instantiation is tested");
-        }
-        all
+        Kernel::instantiations()
+            .into_iter()
+            .map(|kernel| {
+                let scratch = PredictScratch {
+                    kernel,
+                    ..PredictScratch::default()
+                };
+                (kernel.name(), scratch)
+            })
+            .collect()
     }
 
     fn to_bits(v: &[f32]) -> Vec<u32> {
