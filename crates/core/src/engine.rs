@@ -730,32 +730,37 @@ impl E2Engine {
     }
 
     /// SCAN: all key/value pairs with keys in `range`, in key order —
-    /// [`E2Engine::scan_append`] collected.
+    /// the one-run case of [`crate::ShardedEngine::scan_into`]: walk,
+    /// merge, copy.
     pub fn scan<R: RangeBounds<u64>>(&mut self, range: R) -> Result<Vec<(u64, Vec<u8>)>> {
         let mut buf = ScanBuffer::new();
-        self.scan_append(range, usize::MAX, &mut buf)?;
+        let run = self.scan_walk(range, usize::MAX, &mut buf)?;
+        buf.merge(usize::MAX);
+        buf.copy_winners(run, &self.controller)?;
         Ok(buf.to_vec())
     }
 
-    /// The engine's one scan walk: append the first `limit` entries of
-    /// `range`, in key order, to `buf` — one device read per entry.
+    /// The engine's one scan walk: append the locations of the first
+    /// `limit` entries of `range` to `buf` as one run and charge the
+    /// run's device reads in one call — one read per entry walked. The
+    /// bytes stay on the device until [`ScanBuffer::copy_winners`].
     /// Walks the index only as far as the limit, so a small page over a
-    /// huge range costs O(limit + log n) rather than O(range). On a
-    /// device error `buf` keeps the entries read before it.
-    pub fn scan_append<R: RangeBounds<u64>>(
+    /// huge range costs O(limit + log n) rather than O(range). Returns
+    /// the run's index in `buf`.
+    pub(crate) fn scan_walk<R: RangeBounds<u64>>(
         &mut self,
         range: R,
         limit: usize,
         buf: &mut ScanBuffer,
-    ) -> Result<()> {
-        let Self {
-            index, controller, ..
-        } = self;
-        for (&key, e) in index.range(range).take(limit) {
-            let data = controller.read(e.seg)?;
-            buf.push(key, &data[e.off..e.off + e.len]);
-        }
-        Ok(())
+    ) -> Result<usize> {
+        let run = buf.push_run(
+            self.index
+                .range(range)
+                .take(limit)
+                .map(|(&key, e)| (key, e.seg, e.off, e.len)),
+        );
+        self.controller.read_run(buf.run_segments(run))?;
+        Ok(run)
     }
 
     /// Number of keys stored.

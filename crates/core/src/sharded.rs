@@ -26,6 +26,13 @@
 //! only while a retrain is tripped or in flight, always before the
 //! engine lock, and never across a wait on the worker.
 //!
+//! Lock hierarchy, whole stack: WAL → engine (the store's logged
+//! mutations and its snapshot) and retrain → engine (the pump) are the
+//! only orders across kinds. Engine locks nest only in ascending shard
+//! index — a scan holds every shard's engine lock at once, taken
+//! 0, 1, …, N−1 — and a scan takes no WAL or retrain lock, so it
+//! closes no cycle with either order.
+//!
 //! Cross-shard observability is by aggregation: device counters merge
 //! with [`DeviceStats::merge`] and serving-path counters with
 //! [`PredictionStats::merge`], so the paper's metrics (bit flips,
@@ -334,27 +341,47 @@ impl ShardedEngine {
     /// `limit` entries of `lo..=hi` in global key order and return how
     /// many entries were read off the devices to find them. Keys are
     /// hash-routed, so any shard may hold any of the `limit` smallest
-    /// matches: each shard appends up to `limit` entries (early-stopped
-    /// inside its index walk, under its own lock, one shard at a time),
-    /// then the entries are ordered by key and the first `limit` kept.
-    /// An inverted range (`lo > hi`) is empty; on an error `buf` is
-    /// left empty.
+    /// matches: each shard walks up to `limit` entries of its index
+    /// (one run, its reads charged in one call), the runs are merged by
+    /// key, and only the first `limit` — the winners — have their bytes
+    /// copied. Every shard's engine lock is held from its walk until its
+    /// winners are copied, taken in ascending shard index, so a scan
+    /// sees all shards at one instant. An inverted range (`lo > hi`) is
+    /// empty; on an error `buf` is left empty.
     pub fn scan_into(&self, lo: u64, hi: u64, limit: usize, buf: &mut ScanBuffer) -> Result<usize> {
         buf.clear();
         // `BTreeMap::range` panics on an inverted range, and would do
-        // so here with the shard lock held.
+        // so here with the shard locks held.
         if lo > hi {
             return Ok(0);
         }
-        for shard in self.shards.iter() {
-            if let Err(e) = shard.engine.lock().scan_append(lo..=hi, limit, buf) {
-                buf.clear();
-                return Err(e);
-            }
+        if let Err(e) = Self::scan_shards(&self.shards, lo, hi, limit, buf) {
+            buf.clear();
+            return Err(e);
         }
-        let read = buf.len();
-        buf.keep_lowest(limit);
-        Ok(read)
+        Ok(buf.walked())
+    }
+
+    /// Lock the first of `shards`, walk it, recurse on the rest with
+    /// the guard held; the innermost call merges, with every guard
+    /// held. Unwinding, each call copies its own shard's winners and
+    /// releases its guard. The guards live on the stack, one per frame,
+    /// so a warm scan allocates nothing.
+    fn scan_shards(
+        shards: &[Shard],
+        lo: u64,
+        hi: u64,
+        limit: usize,
+        buf: &mut ScanBuffer,
+    ) -> Result<()> {
+        let Some((shard, rest)) = shards.split_first() else {
+            buf.merge(limit);
+            return Ok(());
+        };
+        let mut engine = shard.engine.lock();
+        let run = engine.scan_walk(lo..=hi, limit, buf)?;
+        Self::scan_shards(rest, lo, hi, limit, buf)?;
+        buf.copy_winners(run, engine.controller())
     }
 
     /// Advance every shard's lazy-retraining state machine. Mutations

@@ -175,16 +175,17 @@ fn warm_tagged_put_is_one_full_prediction_and_no_allocation() {
 /// A scan through `NvmKvStore::scan_visit` — the call the server makes
 /// per page — lands in the store handle's own flat buffer and is
 /// visited there: once a scan at least as large has warmed the buffer,
-/// two shards' worth of entries are read, ordered and visited without
-/// the heap.
+/// three shards' runs are walked, merged under all three locks, their
+/// winners copied and visited without the heap. Most limits are below
+/// the matches, so the merge drops losers.
 #[test]
 fn warm_visited_scan_does_not_allocate() {
     const SEGMENT: usize = 32;
-    const KEYS: u64 = 96;
+    const KEYS: u64 = 144;
     let mut rng = StdRng::seed_from_u64(13);
     let dev_cfg = DeviceConfig::builder()
         .segment_bytes(SEGMENT)
-        .num_segments(256)
+        .num_segments(384)
         .build()
         .unwrap();
     let cfg = E2Config::builder()
@@ -196,7 +197,7 @@ fn warm_visited_scan_does_not_allocate() {
         .padding_type(PaddingType::Zero)
         .build()
         .unwrap();
-    let controllers = partition_controllers(&dev_cfg, 2)
+    let controllers = partition_controllers(&dev_cfg, 3)
         .unwrap()
         .into_iter()
         .map(|(_, mut mc)| {
@@ -216,6 +217,7 @@ fn warm_visited_scan_does_not_allocate() {
 
     let mut bytes_seen = 0usize;
     let mut visited = 0usize;
+    let reads_before = store.stats().reads;
     ARMED.with(|armed| armed.set(true));
     for i in 0..1000u64 {
         let lo = i % KEYS;
@@ -232,4 +234,6 @@ fn warm_visited_scan_does_not_allocate() {
     assert_eq!(BYTES.load(Ordering::Relaxed), 0, "a warm scan allocated");
     assert!(visited > 1000);
     assert_eq!(bytes_seen, visited * 24);
+    // Losers were walked and charged, so the merge had some to drop.
+    assert!(store.stats().reads - reads_before > visited as u64);
 }

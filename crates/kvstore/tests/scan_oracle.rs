@@ -3,7 +3,9 @@
 //! [`NvmKvStore::scan_limit`] and its visiting form
 //! [`NvmKvStore::scan_visit`] all return exactly what a `BTreeMap`
 //! returns — same keys, same order, same bytes — and a scan costs
-//! exactly the device reads the design says it does.
+//! exactly the device reads the design says it does: Σ over shards of
+//! min(`limit`, matches in that shard), losers included, although only
+//! the winners' bytes are copied.
 
 use e2nvm_core::{E2Config, ShardedEngine};
 use e2nvm_kvstore::{NvmKvStore, ShardedE2KvStore};
@@ -52,11 +54,11 @@ fn build(shards: usize) -> (ShardedEngine, ShardedE2KvStore) {
     (engine.clone(), ShardedE2KvStore::new(engine))
 }
 
-/// One engine + store per shard count 1..=4, trained once; every case
+/// One engine + store per shard count 1..=5, trained once; every case
 /// works on clones and leaves them empty again.
 fn stacks() -> &'static [(ShardedEngine, ShardedE2KvStore)] {
     static STACKS: OnceLock<Vec<(ShardedEngine, ShardedE2KvStore)>> = OnceLock::new();
-    STACKS.get_or_init(|| (1..=4).map(build).collect())
+    STACKS.get_or_init(|| (1..=5).map(build).collect())
 }
 
 /// Keys that collide with range bounds: a dense low universe, the top
@@ -65,10 +67,21 @@ fn arb_key() -> impl Strategy<Value = u64> {
     prop_oneof![0u64..48, (0u64..4).prop_map(|d| u64::MAX - d), any::<u64>(),]
 }
 
+/// One step of a history: a value to put, or — one step in four —
+/// `None`, a delete of the key, present or not.
+fn arb_step() -> impl Strategy<Value = Option<Vec<u8>>> {
+    (
+        0u8..4,
+        proptest::collection::vec(any::<u8>(), 0..SEG_BYTES + 1),
+    )
+        .prop_map(|(op, value)| (op != 0).then_some(value))
+}
+
 /// The limit of a scan, relative to how many entries match.
 #[derive(Debug, Clone, Copy)]
 enum Limit {
     One,
+    Half,
     Exact,
     Larger,
     Unbounded,
@@ -78,6 +91,7 @@ impl Limit {
     fn resolve(self, matches: usize) -> usize {
         match self {
             Limit::One => 1,
+            Limit::Half => (matches / 2).max(1),
             Limit::Exact => matches.max(1),
             Limit::Larger => matches + 3,
             Limit::Unbounded => usize::MAX,
@@ -88,6 +102,7 @@ impl Limit {
 fn arb_limit() -> impl Strategy<Value = Limit> {
     prop_oneof![
         Just(Limit::One),
+        Just(Limit::Half),
         Just(Limit::Exact),
         Just(Limit::Larger),
         Just(Limit::Unbounded),
@@ -107,24 +122,44 @@ fn expect(oracle: &BTreeMap<u64, Vec<u8>>, lo: u64, hi: u64, limit: usize) -> Ve
         .collect()
 }
 
+/// The device reads a scan of `lo..=hi` limited to `limit` costs: every
+/// shard walks up to `limit` of its own matches.
+fn expected_reads(
+    engine: &ShardedEngine,
+    oracle: &BTreeMap<u64, Vec<u8>>,
+    lo: u64,
+    hi: u64,
+    limit: usize,
+) -> u64 {
+    let mut per_shard = vec![0usize; engine.num_shards()];
+    for &(key, _) in &expect(oracle, lo, hi, usize::MAX) {
+        per_shard[engine.shard_for(key)] += 1;
+    }
+    per_shard.iter().map(|&m| m.min(limit) as u64).sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn scans_match_a_btreemap_at_every_layer(
-        shards in 1usize..=4,
-        records in proptest::collection::vec(
-            (arb_key(), proptest::collection::vec(any::<u8>(), 0..SEG_BYTES + 1)),
-            0..40,
-        ),
+        shards in 1usize..=5,
+        history in proptest::collection::vec((arb_key(), arb_step()), 0..60),
         ranges in proptest::collection::vec((arb_key(), arb_key(), arb_limit()), 1..12),
     ) {
         let (engine, store) = &stacks()[shards - 1];
         let mut store = store.clone();
         let mut oracle = BTreeMap::new();
-        for (key, value) in &records {
-            store.put(*key, value).unwrap();
-            oracle.insert(*key, value.clone());
+        for (key, value) in &history {
+            match value {
+                Some(value) => {
+                    store.put(*key, value).unwrap();
+                    oracle.insert(*key, value.clone());
+                }
+                None => {
+                    prop_assert_eq!(store.delete(*key).unwrap(), oracle.remove(key).is_some());
+                }
+            }
         }
         // The drawn ranges (inverted ones included), plus the two the
         // draw is unlikely to hit: everything, and nothing.
@@ -139,6 +174,7 @@ proptest! {
             prop_assert_eq!(&store.scan_limit(lo, hi, limit).unwrap(), &want);
 
             let mut visited = Vec::new();
+            let reads_before = store.stats().reads;
             let n = store
                 .scan_visit(lo, hi, limit, &mut |k, v| {
                     visited.push((k, v.to_vec()));
@@ -147,6 +183,10 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(n, want.len());
             prop_assert_eq!(&visited, &want);
+            prop_assert_eq!(
+                store.stats().reads - reads_before,
+                expected_reads(engine, &oracle, lo, hi, limit)
+            );
 
             // A visitor that has seen enough stops the visit there.
             let stop_after = want.len() / 2 + 1;
@@ -166,9 +206,10 @@ proptest! {
     }
 }
 
-/// The device reads one scan costs: every shard reads up to `limit` of
-/// its own matches before the merge keeps the lowest `limit` overall —
-/// Σ over shards of min(`limit`, matches in that shard). The
+/// The device reads one scan costs: every shard is charged for up to
+/// `limit` of its own matches before the merge keeps the lowest `limit`
+/// overall and copies only theirs — Σ over shards of min(`limit`,
+/// matches in that shard). The
 /// benchmark's shadow engine assumes exactly this
 /// (`benchmark/src/replay.rs`); reading only the winners changes both
 /// on purpose, together.
@@ -205,4 +246,52 @@ fn a_scan_reads_up_to_the_limit_from_every_shard() {
             "scan({lo}, {hi}, {limit}) device reads"
         );
     }
+}
+
+/// The merge's edge cases, fixed: every winner routed to one shard
+/// (the other shards' runs are all losers, charged and never copied),
+/// and a limit of 1 (one winner among one head per shard).
+#[test]
+fn one_shard_takes_every_winner_and_limit_one_takes_the_least_head() {
+    let (engine, mut store) = build(3);
+    let low: Vec<u64> = (0..)
+        .filter(|&k| engine.shard_for(k) == 1)
+        .take(12)
+        .collect();
+    let high: Vec<u64> = (1_000..1_040).collect();
+    assert!(low[11] < high[0]);
+    let mut oracle = BTreeMap::new();
+    for &key in low.iter().chain(&high) {
+        let value = vec![key as u8 ^ 0x5A; (key % 29) as usize];
+        store.put(key, &value).unwrap();
+        oracle.insert(key, value);
+    }
+    for (lo, hi, limit) in [
+        (0, u64::MAX, 12),
+        (0, u64::MAX, 5),
+        (low[3], 1_039, 9),
+        (0, u64::MAX, 1),
+        (low[4] + 1, u64::MAX, 1),
+        (1_000, 1_039, 1),
+    ] {
+        let want = expect(&oracle, lo, hi, limit);
+        let before = store.stats().reads;
+        let mut visited = Vec::new();
+        let n = store
+            .scan_visit(lo, hi, limit, &mut |k, v| {
+                visited.push((k, v.to_vec()));
+                true
+            })
+            .unwrap();
+        assert_eq!(n, want.len(), "scan({lo}, {hi}, {limit})");
+        assert_eq!(visited, want, "scan({lo}, {hi}, {limit})");
+        assert_eq!(
+            store.stats().reads - before,
+            expected_reads(&engine, &oracle, lo, hi, limit),
+            "scan({lo}, {hi}, {limit}) device reads"
+        );
+    }
+    // The first two cases' winners are shard 1's alone.
+    let first = expect(&oracle, 0, u64::MAX, 12);
+    assert!(first.iter().all(|&(k, _)| engine.shard_for(k) == 1));
 }

@@ -369,6 +369,30 @@ impl MemoryController {
         self.device.read(phys)
     }
 
+    /// Charge a run of full-segment reads in one call and return how
+    /// many were charged. Every address is translated and range-checked
+    /// exactly as [`MemoryController::read`] checks it; on an invalid
+    /// one the reads before it are charged and its error returned, as
+    /// that many `read` calls would have left things. The stats end bit
+    /// for bit where the same `read`s would leave them. Nothing is
+    /// returned to read: a caller takes the bytes it keeps with
+    /// [`MemoryController::peek`].
+    pub fn read_run(
+        &mut self,
+        segments: impl IntoIterator<Item = LogicalSegment>,
+    ) -> Result<usize> {
+        let mut n = 0;
+        for logical in segments {
+            if let Err(e) = self.physical(logical).and_then(|p| self.device.check(p)) {
+                self.device.charge_reads(n as u64);
+                return Err(e);
+            }
+            n += 1;
+        }
+        self.device.charge_reads(n as u64);
+        Ok(n)
+    }
+
     /// Inspect a logical segment's content without accounting.
     pub fn peek(&self, logical: LogicalSegment) -> Result<&[u8]> {
         let phys = self.physical(logical)?;
@@ -488,6 +512,89 @@ mod tests {
         assert_eq!(mc.read(seg).unwrap(), vec![7u8; 256]);
         assert_eq!(mc.num_segments(), 4);
         assert!(mc.remap_is_consistent());
+    }
+
+    /// A start-gap controller whose remap has rotated and whose energy
+    /// and latency totals are the uneven sums earlier writes leave,
+    /// reporting into its own registry. Its costs are not binary
+    /// fractions, so every addition rounds and a sum taken in another
+    /// order — or as one multiply — lands on other bits.
+    fn written_controller() -> (MemoryController, TelemetryRegistry) {
+        let uneven = NvmDevice::new(
+            DeviceConfig::builder()
+                .segment_bytes(256)
+                .num_segments(16)
+                .energy(crate::energy::EnergyParams {
+                    ctrl_pj: 0.3,
+                    read_line_pj: 0.7,
+                    ..Default::default()
+                })
+                .latency(crate::latency::LatencyParams {
+                    read_base_ns: 1.1,
+                    read_line_ns: 0.13,
+                    ..Default::default()
+                })
+                .build()
+                .unwrap(),
+        );
+        let mut mc = MemoryController::with_start_gap(uneven, 3);
+        let registry = TelemetryRegistry::new();
+        mc.attach_telemetry(&registry, &[("shard", "0")]);
+        for i in 0..40usize {
+            let content: Vec<u8> = (0..256).map(|b| (b * 31 + i * 17) as u8).collect();
+            mc.write(LogicalSegment(i % 15), &content).unwrap();
+        }
+        assert!(!mc.remap().is_identity());
+        (mc, registry)
+    }
+
+    /// Every field equal, the `f64` totals to the bit.
+    fn assert_same_charge(run: &MemoryController, single: &MemoryController, what: &str) {
+        let (a, b) = (run.stats(), single.stats());
+        assert_eq!(a, b, "{what}");
+        assert_eq!(a.energy_pj.to_bits(), b.energy_pj.to_bits(), "{what}");
+        assert_eq!(a.latency_ns.to_bits(), b.latency_ns.to_bits(), "{what}");
+    }
+
+    #[test]
+    fn a_read_run_charges_exactly_what_its_single_reads_charge() {
+        for n in [0usize, 1, 2, 97, 1000] {
+            let (mut run, run_registry) = written_controller();
+            let (mut single, single_registry) = written_controller();
+            let segments: Vec<LogicalSegment> =
+                (0..n).map(|i| LogicalSegment((i * 7) % 15)).collect();
+            assert_eq!(run.read_run(segments.iter().copied()), Ok(n));
+            for &s in &segments {
+                single.read(s).unwrap();
+            }
+            assert_same_charge(&run, &single, &format!("n = {n}"));
+            assert_eq!(
+                run_registry.counter_total("e2nvm_device_reads_total"),
+                single_registry.counter_total("e2nvm_device_reads_total"),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_read_run_fails_where_read_fails_having_charged_the_prefix() {
+        let (mut run, run_registry) = written_controller();
+        let (mut single, single_registry) = written_controller();
+        // Logical capacity is 15: the fourth address is out of range.
+        let segments = [3, 9, 0, 15, 4].map(LogicalSegment);
+        let err = run.read_run(segments).unwrap_err();
+        let mut single_err = None;
+        for s in segments {
+            if let Err(e) = single.read(s) {
+                single_err = Some(e);
+                break;
+            }
+        }
+        assert_eq!(Some(err), single_err);
+        assert_eq!(run.stats().reads, 3);
+        assert_same_charge(&run, &single, "failed run");
+        assert_eq!(run_registry.counter_total("e2nvm_device_reads_total"), 3);
+        assert_eq!(single_registry.counter_total("e2nvm_device_reads_total"), 3);
     }
 
     #[test]

@@ -135,7 +135,7 @@ impl NvmDevice {
         (0..self.cfg.num_segments).map(PhysicalSegment)
     }
 
-    fn check(&self, seg: PhysicalSegment) -> Result<usize> {
+    pub(crate) fn check(&self, seg: PhysicalSegment) -> Result<usize> {
         if seg.0 >= self.cfg.num_segments {
             return Err(SimError::SegmentOutOfRange {
                 segment: seg.0,
@@ -148,12 +148,32 @@ impl NvmDevice {
     /// Read a full segment, with read accounting.
     pub fn read(&mut self, seg: PhysicalSegment) -> Result<&[u8]> {
         let base = self.check(seg)?;
-        let lines = self.cfg.lines_per_segment() as u64;
-        self.stats.reads += 1;
-        self.telemetry.reads.inc();
-        self.stats.energy_pj += self.cfg.energy.read_energy_pj(lines);
-        self.stats.latency_ns += self.cfg.latency.read_ns(lines);
+        self.charge_reads(1);
         Ok(&self.data[base..base + self.cfg.segment_bytes])
+    }
+
+    /// The one read-accounting path: charge `n` full-segment reads.
+    /// The energy and latency totals take `n` separate additions of
+    /// the per-read cost, in order, exactly as `n` calls of
+    /// [`NvmDevice::read`] would make them — so a run charged at once
+    /// leaves [`DeviceStats`] bit for bit where the single reads would
+    /// — and the telemetry counter takes one atomic add.
+    pub(crate) fn charge_reads(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let lines = self.cfg.lines_per_segment() as u64;
+        let energy = self.cfg.energy.read_energy_pj(lines);
+        let latency = self.cfg.latency.read_ns(lines);
+        let (mut energy_pj, mut latency_ns) = (self.stats.energy_pj, self.stats.latency_ns);
+        for _ in 0..n {
+            energy_pj += energy;
+            latency_ns += latency;
+        }
+        self.stats.energy_pj = energy_pj;
+        self.stats.latency_ns = latency_ns;
+        self.stats.reads += n;
+        self.telemetry.reads.add(n);
     }
 
     /// Inspect a segment's content without any accounting. Placement

@@ -7,7 +7,7 @@
 //!
 //! The counter set mirrors [`crate::DeviceStats`] field-for-field (the
 //! integer fields), updated at the same three accounting sites
-//! (`account`, `read`, `swap_segments`) — so after any workload the
+//! (`account`, `charge_reads`, `swap_segments`) — so after any workload the
 //! counter values and the stats snapshot agree *exactly*. A property
 //! test in the workspace root enforces this. Unlike `DeviceStats`, the
 //! counters are monotonic: `reset_stats` does not touch them.
