@@ -65,15 +65,18 @@ impl Activation {
     }
 }
 
-/// Numerically-stable logistic sigmoid.
+/// Numerically-stable logistic sigmoid: `1 / (1 + e^-x)` for `x ≥ 0`
+/// and `e^x / (1 + e^x)` below, so `exp` never sees a positive
+/// argument. Both sides share `e = exp(-|x|)` — `exp(-x)` on the first,
+/// `exp(x)` on the second, the same calls the two formulas make — and
+/// the numerator is picked with a select on `x ≥ 0` instead of a
+/// branch, which a layer's outputs of either sign would mispredict.
+/// `-0.0` takes the `x ≥ 0` side.
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
+    let e = (-x.abs()).exp();
+    let numerator = if x >= 0.0 { 1.0 } else { e };
+    numerator / (1.0 + e)
 }
 
 #[cfg(test)]
@@ -88,6 +91,43 @@ mod tests {
         // Extreme inputs stay finite (stability).
         assert!(sigmoid(1000.0).is_finite());
         assert!(sigmoid(-1000.0).is_finite());
+    }
+
+    /// The select is the two-branch form to the bit (a NaN matches any
+    /// NaN), over a sweep and the edges of `exp`: signed zeros,
+    /// subnormals, where `e` underflows and overflows, infinities.
+    #[test]
+    fn sigmoid_equals_the_two_branch_form_exactly() {
+        let two_branch = |x: f32| {
+            if x >= 0.0 {
+                1.0 / (1.0 + (-x).exp())
+            } else {
+                let e = x.exp();
+                e / (1.0 + e)
+            }
+        };
+        let edges = [
+            0.0,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE / 2.0,
+            1e-30,
+            15.0,
+            87.3,
+            88.8,
+            104.0,
+            f32::INFINITY,
+        ];
+        let sweep = (-4096..=4096).map(|i| i as f32 / 64.0);
+        let xs = sweep
+            .chain(edges.iter().flat_map(|&e| [e, -e]))
+            .chain([f32::NAN, -f32::NAN]);
+        for x in xs {
+            let (got, want) = (sigmoid(x), two_branch(x));
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "sigmoid({x:e}) is {got:e}, the two-branch form says {want:e}"
+            );
+        }
     }
 
     #[test]

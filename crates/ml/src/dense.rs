@@ -92,9 +92,9 @@ impl Dense {
     /// Forward pass without caching (serving path).
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
         let mut z = x.matmul(&self.w);
-        z.add_row_broadcast(&self.b);
-        let act = self.act;
-        z.map_inplace(|v| act.apply(v));
+        for r in 0..z.rows() {
+            self.act.apply_biased(&self.b, z.row_mut(r));
+        }
         z
     }
 

@@ -8,6 +8,14 @@
 //! additions in the walk's order, so the tile widths — which differ
 //! between the AVX2 and the portable instantiation — change no sum, and
 //! `fma` is never enabled: the sums are held to a fold that rounds twice.
+//!
+//! Compaction clause: a row of float inputs reaches the kernel as its
+//! non-zero `(i, a)` pairs in ascending `i`, compacted once
+//! ([`compact_non_zero`], a store per input and no branch on its value)
+//! and then walked by every tile. The walk sees exactly what filtering
+//! `a != 0.0` would yield, in the same order, so every fold is the one
+//! the filter made: a zero input still adds no row, and the sums still
+//! start at `+0.0`.
 
 use crate::matrix::Matrix;
 
@@ -126,10 +134,25 @@ fn add_tiles<const WIDE: usize>(
     tiles!(64 32 16 8 4 2 1);
 }
 
-/// The non-zero entries of `x` as layer inputs, ascending: a zero input
-/// adds no row, so `0 × ∞` never makes a NaN.
-pub(crate) fn non_zero(x: &[f32]) -> impl Iterator<Item = (usize, f32)> + Clone + '_ {
-    x.iter().copied().enumerate().filter(|&(_, a)| a != 0.0)
+/// The non-zero entries of `x` as layer inputs, `(i, a)` in ascending
+/// `i`, compacted into the front of `slots` (grown to `x.len()` if it
+/// is shorter, never shrunk) and returned as a slice: a zero input adds
+/// no row, so `0 × ∞` never makes a NaN. Every entry is stored and the
+/// end of the slice moves past it only if it is non-zero — a count, not
+/// a branch the CPU would have to guess per input.
+pub(crate) fn compact_non_zero<'s>(
+    x: &[f32],
+    slots: &'s mut Vec<(usize, f32)>,
+) -> &'s [(usize, f32)] {
+    if slots.len() < x.len() {
+        slots.resize(x.len(), (0, 0.0));
+    }
+    let mut n = 0;
+    for (i, &a) in x.iter().enumerate() {
+        slots[n] = (i, a);
+        n += usize::from(a != 0.0);
+    }
+    &slots[..n]
 }
 
 #[cfg(test)]
@@ -147,5 +170,56 @@ impl Kernel {
             return vec![detected];
         }
         vec![Kernel::portable(), detected]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::Rng;
+
+    /// The filter the compaction replaced, kept as its reference.
+    fn non_zero(x: &[f32]) -> impl Iterator<Item = (usize, f32)> + '_ {
+        x.iter().copied().enumerate().filter(|&(_, a)| a != 0.0)
+    }
+
+    /// Zeros of both signs, subnormals, infinities, NaN and ordinary
+    /// values of either sign.
+    fn awkward(rng: &mut impl Rng) -> f32 {
+        let magnitude = match rng.gen_range(0..7) {
+            0 | 1 => 0.0,
+            2 => f32::from_bits(rng.gen_range(1..0x0080_0000)),
+            3 => f32::INFINITY,
+            4 => f32::NAN,
+            _ => rng.gen_range(0.0f32..4.0),
+        };
+        if rng.gen() {
+            -magnitude
+        } else {
+            magnitude
+        }
+    }
+
+    fn to_bits(inputs: impl Iterator<Item = (usize, f32)>) -> Vec<(usize, u32)> {
+        inputs.map(|(i, a)| (i, a.to_bits())).collect()
+    }
+
+    /// The compaction is the filter's output, index for index and bit
+    /// for bit, at every width 0..=70 — from one slot buffer reused
+    /// across rows, so stale slots past a shorter row never show.
+    #[test]
+    fn compaction_is_the_non_zero_filter_exactly() {
+        let mut rng = crate::rng::seeded(0xC0FFEE);
+        let mut slots = Vec::new();
+        for width in (0..=70).chain((0..=70).rev()) {
+            for _ in 0..8 {
+                let row: Vec<f32> = (0..width).map(|_| awkward(&mut rng)).collect();
+                assert_eq!(
+                    to_bits(compact_non_zero(&row, &mut slots).iter().copied()),
+                    to_bits(non_zero(&row)),
+                    "width {width}, row {row:?}"
+                );
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! column-tiled loop serving predicts with); elementwise operations are
 //! fused map/zip loops.
 
-use crate::kernel::{non_zero, Kernel};
+use crate::kernel::{compact_non_zero, Kernel};
 use std::fmt;
 
 /// Dense row-major matrix of `f32`.
@@ -129,8 +129,10 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
+        let mut slots = Vec::new();
         for i in 0..self.rows {
-            kernel.add_rows(other, non_zero(self.row(i)), out.row_mut(i));
+            let inputs = compact_non_zero(self.row(i), &mut slots);
+            kernel.add_rows(other, inputs.iter().copied(), out.row_mut(i));
         }
         out
     }

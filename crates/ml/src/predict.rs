@@ -18,10 +18,11 @@
 //!
 //! * a layer's pre-activation starts at `0.0` and takes the weight rows
 //!   of its non-zero inputs in **ascending input index** (what
-//!   `Matrix::matmul` does — it runs this same kernel); for
+//!   `Matrix::matmul` does — it runs this same kernel, and a later
+//!   layer's float inputs reach it through the same compaction); for
 //!   bit inputs `1.0 * w == w`, so adding the row is the same value;
-//! * the bias is added **after** the rows (`add_row_broadcast`), then
-//!   the activation is applied;
+//! * the bias is added **after** the rows, then the activation is
+//!   applied (`Activation::apply_biased`, which `Dense` runs too);
 //! * output columns are independent, so computing only the μ half of
 //!   the last encoder layer changes none of them;
 //! * centroid distances use the reference's own `kmeans::dist2`, and
@@ -42,7 +43,7 @@
 //! the tail alone.
 
 use crate::dec::ClusterModel;
-use crate::kernel::{non_zero, Kernel};
+use crate::kernel::{compact_non_zero, Kernel};
 use crate::kmeans::dist2;
 
 /// Caller-owned working memory of the prediction kernel. Buffers grow
@@ -58,6 +59,8 @@ pub struct PredictScratch {
     cur: Vec<f32>,
     /// Activations of the layer being computed.
     next: Vec<f32>,
+    /// Non-zero entries of `cur`, compacted for the next layer's walk.
+    inputs: Vec<(usize, f32)>,
     /// Squared distance from μ to each centroid.
     dist: Vec<f32>,
     /// Cluster ids, nearest first.
@@ -194,13 +197,18 @@ impl ClusterModel {
     fn finish_layers(&self, scratch: &mut PredictScratch) {
         let layers = self.vae().encoder().layers();
         let PredictScratch {
-            kernel, cur, next, ..
+            kernel,
+            cur,
+            next,
+            inputs,
+            ..
         } = scratch;
         for (i, layer) in layers.iter().enumerate() {
             if i > 0 {
                 next.clear();
                 next.resize(self.layer_width(i), 0.0);
-                kernel.add_rows(layer.weights(), non_zero(cur), next);
+                let inputs = compact_non_zero(cur, inputs);
+                kernel.add_rows(layer.weights(), inputs.iter().copied(), next);
             }
             layer.activation().apply_biased(layer.bias(), next);
             std::mem::swap(cur, next);
