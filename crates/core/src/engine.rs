@@ -18,7 +18,7 @@ use crate::padding::Padder;
 use crate::scan::ScanBuffer;
 use crate::telemetry::EngineTelemetry;
 use e2nvm_sim::{LogicalSegment, MemoryController, SimError, WriteReport};
-use e2nvm_telemetry::{Event, TelemetryRegistry};
+use e2nvm_telemetry::{Event, Sampler, TelemetryRegistry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
@@ -41,16 +41,24 @@ struct Entry {
 /// cluster tag. A *resumed* one continues a placement's first-layer
 /// sums over the written segment's tail (the write-time classification
 /// behind the tag) and costs the tail's set bits only.
+///
+/// Counts are exact; times are sampled, one call in
+/// [`Sampler::EVERY`] per call site, and each time comes with the
+/// count of calls it covers.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PredictionStats {
     /// Full model predictions performed.
     pub predictions: u64,
-    /// Wall-clock nanoseconds spent in padding + full prediction.
+    /// Full predictions timed.
+    pub timed: u64,
+    /// Wall-clock nanoseconds spent in the timed full predictions
+    /// (padding + model per placement, model per recycle).
     pub total_ns: u128,
     /// Resumed (tail-only) predictions performed.
     pub resumed: u64,
-    /// Wall-clock nanoseconds spent in resumed predictions — model
-    /// time per PUT is `total_ns` and this together.
+    /// Resumed predictions timed.
+    pub resumed_timed: u64,
+    /// Wall-clock nanoseconds spent in the timed resumed predictions.
     pub resumed_ns: u128,
     /// Recycles served by the segment's write-time cluster tag.
     pub tag_hits: u64,
@@ -60,12 +68,13 @@ pub struct PredictionStats {
 }
 
 impl PredictionStats {
-    /// Mean full-prediction latency in nanoseconds.
+    /// Mean full-prediction latency in nanoseconds, over the timed
+    /// predictions.
     pub fn mean_ns(&self) -> f64 {
-        if self.predictions == 0 {
+        if self.timed == 0 {
             0.0
         } else {
-            self.total_ns as f64 / self.predictions as f64
+            self.total_ns as f64 / self.timed as f64
         }
     }
 
@@ -73,12 +82,42 @@ impl PredictionStats {
     /// aggregation).
     pub fn merge(&mut self, other: &PredictionStats) {
         self.predictions += other.predictions;
+        self.timed += other.timed;
         self.total_ns += other.total_ns;
         self.resumed += other.resumed;
+        self.resumed_timed += other.resumed_timed;
         self.resumed_ns += other.resumed_ns;
         self.tag_hits += other.tag_hits;
         self.tag_fallbacks += other.tag_fallbacks;
     }
+
+    /// Count one full prediction, and its `ns` if it was timed.
+    fn count_full(&mut self, ns: Option<u64>) {
+        self.predictions += 1;
+        if let Some(ns) = ns {
+            self.timed += 1;
+            self.total_ns += u128::from(ns);
+        }
+    }
+
+    /// Count one resumed prediction, and its `ns` if it was timed.
+    fn count_resumed(&mut self, ns: Option<u64>) {
+        self.resumed += 1;
+        if let Some(ns) = ns {
+            self.resumed_timed += 1;
+            self.resumed_ns += u128::from(ns);
+        }
+    }
+}
+
+/// Which model calls an engine times: one [`Sampler`] per call site,
+/// never shared (a PUT makes a placement and a resumed pass, so one
+/// countdown would give every sample to the placement).
+#[derive(Debug, Default)]
+struct PredictionClocks {
+    place: Sampler,
+    resume: Sampler,
+    recycle: Sampler,
 }
 
 /// Everything an engine must remember across a restart, in a
@@ -137,6 +176,7 @@ pub struct E2Engine {
     /// Padded input and kernel working memory of every prediction.
     scratch: PlacementScratch,
     prediction: PredictionStats,
+    clocks: PredictionClocks,
     /// Incremental indexing frontier (§4.1.4): after
     /// [`E2Engine::train_partial`], segments below it have been handed
     /// to the DAP and those at or above it await
@@ -171,6 +211,7 @@ impl E2Engine {
             tagged: false,
             scratch: PlacementScratch::default(),
             prediction: PredictionStats::default(),
+            clocks: PredictionClocks::default(),
             mapped: None,
             telemetry: EngineTelemetry::disconnected(),
             controller,
@@ -411,12 +452,10 @@ impl E2Engine {
             });
         }
         let model = self.model.as_ref().ok_or(E2Error::NotTrained)?;
-        let t0 = Instant::now();
+        let started = self.clocks.place.start();
         let order = model.order_into(value, &self.padder, &mut self.rng, &mut self.scratch);
-        let pred_ns = t0.elapsed().as_nanos();
-        self.prediction.predictions += 1;
-        self.prediction.total_ns += pred_ns;
-        self.telemetry.observe_prediction(pred_ns as u64);
+        let ns = self.telemetry.record_prediction(started);
+        self.prediction.count_full(ns);
         let predicted = order.first().copied().unwrap_or(0);
         loop {
             let Some((seg, used)) = self.dap.pop_with_fallback(order) else {
@@ -513,13 +552,11 @@ impl E2Engine {
         }
         let content = self.controller.peek(seg)?;
         let model = self.model.as_ref().ok_or(E2Error::NotTrained)?;
-        let t0 = Instant::now();
+        let started = self.clocks.recycle.start();
         let cluster = model.classify(content, &mut self.scratch);
-        let ns = t0.elapsed().as_nanos();
-        self.prediction.predictions += 1;
-        self.prediction.total_ns += ns;
+        let ns = self.telemetry.record_prediction(started);
+        self.prediction.count_full(ns);
         self.prediction.tag_fallbacks += 1;
-        self.telemetry.observe_prediction(ns as u64);
         self.telemetry.recycle_classified.inc();
         self.push_free(cluster, seg)
     }
@@ -580,12 +617,10 @@ impl E2Engine {
             return;
         }
         let content = self.controller.peek(seg).expect("placed segment in range");
-        let t0 = Instant::now();
+        let started = self.clocks.resume.start();
         let cluster = model.classify_written(content, len, &mut self.scratch);
-        let ns = t0.elapsed().as_nanos();
-        self.prediction.resumed += 1;
-        self.prediction.resumed_ns += ns;
-        self.telemetry.observe_resumed_prediction(ns as u64);
+        let ns = self.telemetry.record_resumed_prediction(started);
+        self.prediction.count_resumed(ns);
         self.tags[seg.index()] = cluster as u8;
         self.tagged = true;
     }
@@ -1139,11 +1174,51 @@ mod tests {
         e.put(2, &[0u8; 8]).unwrap();
         let s = e.prediction_stats();
         assert_eq!(s.predictions, 2);
+        // Each site times its first call.
+        assert_eq!(s.timed, 1);
         assert!(s.mean_ns() > 0.0);
         // The write-time tail passes are model time too, kept apart.
-        assert_eq!(s.resumed, 2);
+        assert_eq!((s.resumed, s.resumed_timed), (2, 1));
         assert!(s.resumed_ns > 0);
         assert!(e.predict_macs() > 0);
+    }
+
+    #[test]
+    fn prediction_counts_are_exact_and_each_site_samples_its_own_latencies() {
+        let mut rng = StdRng::seed_from_u64(34);
+        let mut e = engine(32, 32, 2);
+        seed_two_families(&mut e, &mut rng);
+        e.train().unwrap();
+        let registry = TelemetryRegistry::new();
+        e.attach_telemetry(&registry, 0);
+        // 100 PUTs over 4 keys: 100 placements, 100 resumed passes,
+        // and every recycle by tag.
+        for i in 0..100u64 {
+            e.put(i % 4, &[i as u8; 20]).unwrap();
+        }
+        let samples = |name| {
+            registry
+                .histogram_with_labels(name, "", &[], &[("shard", "0")])
+                .count()
+        };
+        assert_eq!(registry.counter_total("e2nvm_engine_placements_total"), 100);
+        assert_eq!(
+            registry.counter_total("e2nvm_engine_predictions_total"),
+            100
+        );
+        assert_eq!(
+            registry.counter_total("e2nvm_engine_resumed_predictions_total"),
+            100
+        );
+        // A PUT makes two timed calls; one countdown shared by both
+        // sites would give the placement every sample.
+        assert_eq!(samples("e2nvm_engine_prediction_latency_ns"), 2);
+        assert_eq!(samples("e2nvm_engine_resumed_prediction_latency_ns"), 2);
+        let s = e.prediction_stats();
+        assert_eq!(
+            (s.predictions, s.timed, s.resumed, s.resumed_timed),
+            (100, 2, 100, 2)
+        );
     }
 
     #[test]

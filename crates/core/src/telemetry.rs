@@ -1,18 +1,21 @@
 //! Engine-level telemetry sink.
 //!
 //! [`EngineTelemetry`] bundles the placement-path metric handles an
-//! [`crate::E2Engine`] updates while serving: a prediction-latency
-//! histogram (its `_count` over `placements` is full predictions per
-//! PUT), resumed-prediction count and time, recycle tag-hit counters,
-//! placement/fallback/exhaustion counters, per-cluster DAP
+//! [`crate::E2Engine`] updates while serving: full and resumed
+//! prediction counters (`predictions` over `placements` is full
+//! predictions per PUT) with a latency histogram each, recycle tag-hit
+//! counters, placement/fallback/exhaustion counters, per-cluster DAP
 //! depth gauges, and the structured event journal shared through the
 //! attached [`TelemetryRegistry`]. All hot-path updates are relaxed
-//! atomics.
+//! atomics. Counters are exact; the latency histograms hold the calls
+//! the engine's samplers timed, one in [`e2nvm_telemetry::Sampler::EVERY`]
+//! per call site.
 //!
 //! The per-cluster gauges are rebuilt on every model install (K can
 //! change across retrains), labeled `{shard="<s>",cluster="<c>"}`.
 
 use e2nvm_telemetry::{Counter, Event, Gauge, Histogram, TelemetryRegistry};
+use std::time::Instant;
 
 /// Upper bounds for the padding+prediction latency histogram (ns).
 const PREDICTION_BOUNDS: [u64; 8] = [500, 1_000, 2_500, 5_000, 10_000, 25_000, 100_000, 1_000_000];
@@ -34,17 +37,20 @@ pub struct EngineTelemetry {
     pub write_retries: Counter,
     /// Segments permanently retired from the pool by wear-out.
     pub retired_segments: Counter,
+    /// Full predictions: one per placement, one per content-classified
+    /// recycle.
+    pub predictions: Counter,
     /// Write-time classifications that resumed the placement's
     /// prediction over the written segment's tail.
     pub resumed_predictions: Counter,
-    /// Nanoseconds spent in those resumed predictions.
-    pub resumed_prediction_ns: Counter,
+    /// Latency of the sampled resumed predictions (ns).
+    pub resumed_prediction_latency_ns: Histogram,
     /// Recycles served by the segment's write-time cluster tag.
     pub recycle_tag_hits: Counter,
     /// Recycles that classified the segment's content in full.
     pub recycle_classified: Counter,
-    /// Latency of every *full* prediction (ns): padding + model per
-    /// placement, model alone per content-classified recycle.
+    /// Latency of the sampled *full* predictions (ns): padding + model
+    /// per placement, model alone per content-classified recycle.
     pub prediction_latency_ns: Histogram,
     /// One gauge per cluster: current DAP free-list depth.
     cluster_depth: Vec<Gauge>,
@@ -69,8 +75,9 @@ impl EngineTelemetry {
             retrains: Counter::disconnected(),
             write_retries: Counter::disconnected(),
             retired_segments: Counter::disconnected(),
+            predictions: Counter::disconnected(),
             resumed_predictions: Counter::disconnected(),
-            resumed_prediction_ns: Counter::disconnected(),
+            resumed_prediction_latency_ns: Histogram::disconnected(&PREDICTION_BOUNDS),
             recycle_tag_hits: Counter::disconnected(),
             recycle_classified: Counter::disconnected(),
             prediction_latency_ns: Histogram::disconnected(&PREDICTION_BOUNDS),
@@ -119,13 +126,19 @@ impl EngineTelemetry {
                 "e2nvm_engine_retired_segments_total",
                 "Segments permanently retired from the pool by wear-out",
             ),
+            predictions: c(
+                "e2nvm_engine_predictions_total",
+                "Full cluster predictions: one per placement and one per content-classified recycle",
+            ),
             resumed_predictions: c(
                 "e2nvm_engine_resumed_predictions_total",
                 "Write-time classifications resumed over the written segment's tail",
             ),
-            resumed_prediction_ns: c(
-                "e2nvm_engine_resumed_prediction_ns_total",
-                "Nanoseconds spent in resumed write-time classifications",
+            resumed_prediction_latency_ns: registry.histogram_with_labels(
+                "e2nvm_engine_resumed_prediction_latency_ns",
+                "Resumed write-time classification latency (ns), sampled 1 in 64",
+                &PREDICTION_BOUNDS,
+                &labels,
             ),
             recycle_tag_hits: c(
                 "e2nvm_engine_recycle_tag_hits_total",
@@ -137,7 +150,7 @@ impl EngineTelemetry {
             ),
             prediction_latency_ns: registry.histogram_with_labels(
                 "e2nvm_engine_prediction_latency_ns",
-                "Full cluster prediction latency: per placement and per content-classified recycle (ns)",
+                "Full cluster prediction latency: per placement and per content-classified recycle (ns), sampled 1 in 64",
                 &PREDICTION_BOUNDS,
                 &labels,
             ),
@@ -160,17 +173,20 @@ impl EngineTelemetry {
         }
     }
 
-    /// Observe one full-prediction latency sample.
+    /// Account one full prediction and, if a sampler `started` timing
+    /// it, its latency; returns the nanoseconds observed.
     #[inline]
-    pub fn observe_prediction(&self, ns: u64) {
-        self.prediction_latency_ns.observe(ns);
+    pub fn record_prediction(&self, started: Option<Instant>) -> Option<u64> {
+        self.predictions.inc();
+        self.prediction_latency_ns.observe_since(started)
     }
 
-    /// Account one resumed prediction that took `ns`.
+    /// Account one resumed prediction and, if a sampler `started`
+    /// timing it, its latency; returns the nanoseconds observed.
     #[inline]
-    pub fn observe_resumed_prediction(&self, ns: u64) {
+    pub fn record_resumed_prediction(&self, started: Option<Instant>) -> Option<u64> {
         self.resumed_predictions.inc();
-        self.resumed_prediction_ns.add(ns);
+        self.resumed_prediction_latency_ns.observe_since(started)
     }
 
     /// Account a successful placement: `predicted` is the model's first

@@ -39,11 +39,10 @@
 use crate::store::{Result, StoreError};
 use crate::telemetry::CacheTelemetry;
 use crate::traits::NvmKvStore;
-use e2nvm_telemetry::TelemetryRegistry;
+use e2nvm_telemetry::{Sampler, TelemetryRegistry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Approximate per-entry DRAM bookkeeping overhead (slot + hash-map
 /// entry + allocation headers) charged against the byte budget in
@@ -500,6 +499,8 @@ impl HotCache {
 pub struct CachedKvStore<S> {
     inner: S,
     cache: HotCache,
+    /// Which GETs, hit or miss, this handle times.
+    clock: Sampler,
 }
 
 impl<S: NvmKvStore> CachedKvStore<S> {
@@ -508,10 +509,7 @@ impl<S: NvmKvStore> CachedKvStore<S> {
     /// # Panics
     /// Panics if `cfg` fails [`CacheConfig::validate`].
     pub fn new(inner: S, cfg: CacheConfig) -> Self {
-        Self {
-            inner,
-            cache: HotCache::new(cfg),
-        }
+        Self::with_cache(inner, HotCache::new(cfg))
     }
 
     /// Wrap `inner` with a cache whose `e2nvm_cache_*` series are
@@ -520,16 +518,17 @@ impl<S: NvmKvStore> CachedKvStore<S> {
     /// # Panics
     /// Panics if `cfg` fails [`CacheConfig::validate`].
     pub fn with_telemetry(inner: S, cfg: CacheConfig, registry: &TelemetryRegistry) -> Self {
-        Self {
-            inner,
-            cache: HotCache::with_telemetry(cfg, registry),
-        }
+        Self::with_cache(inner, HotCache::with_telemetry(cfg, registry))
     }
 
     /// Wrap `inner` around an existing cache handle (shared with other
     /// wrappers).
     pub fn with_cache(inner: S, cache: HotCache) -> Self {
-        Self { inner, cache }
+        Self {
+            inner,
+            cache,
+            clock: Sampler::default(),
+        }
     }
 
     /// Borrow the inner store.
@@ -564,15 +563,13 @@ impl<S: NvmKvStore> CachedKvStore<S> {
     /// bytes *under the shard lock* (keep it short — e.g. encode into
     /// an output buffer), so the hot path allocates nothing. Misses
     /// behave exactly like [`NvmKvStore::get`]: read the inner store,
-    /// fill, then apply `f` to the fetched value.
+    /// fill, then apply `f` to the fetched value. One GET in
+    /// [`Sampler::EVERY`] is timed.
     pub fn get_with<R>(&mut self, key: u64, f: impl FnOnce(&[u8]) -> R) -> Result<Option<R>> {
-        let t0 = Instant::now();
+        let started = self.clock.start();
         match self.cache.lookup_apply(key, f) {
             Ok(r) => {
-                self.cache
-                    .telemetry()
-                    .hit_latency_ns
-                    .observe(t0.elapsed().as_nanos() as u64);
+                self.cache.telemetry().hit_latency_ns.observe_since(started);
                 Ok(Some(r))
             }
             Err((version, f)) => {
@@ -584,7 +581,7 @@ impl<S: NvmKvStore> CachedKvStore<S> {
                 self.cache
                     .telemetry()
                     .miss_latency_ns
-                    .observe(t0.elapsed().as_nanos() as u64);
+                    .observe_since(started);
                 Ok(r)
             }
         }
@@ -617,27 +614,7 @@ impl<S: NvmKvStore> NvmKvStore for CachedKvStore<S> {
     }
 
     fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>> {
-        let t0 = Instant::now();
-        match self.cache.lookup(key) {
-            Lookup::Hit(value) => {
-                self.cache
-                    .telemetry()
-                    .hit_latency_ns
-                    .observe(t0.elapsed().as_nanos() as u64);
-                Ok(Some(value))
-            }
-            Lookup::Miss { version } => {
-                let got = self.inner.get(key)?;
-                if let Some(value) = &got {
-                    self.cache.fill(key, value, version);
-                }
-                self.cache
-                    .telemetry()
-                    .miss_latency_ns
-                    .observe(t0.elapsed().as_nanos() as u64);
-                Ok(got)
-            }
-        }
+        self.get_with(key, <[u8]>::to_vec)
     }
 
     fn get_many(&mut self, keys: &[u64]) -> Result<Vec<Option<Vec<u8>>>> {
@@ -808,6 +785,34 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert!(stats.occupancy_bytes > 0);
         assert!(stats.hit_rate() > 0.4);
+    }
+
+    #[test]
+    fn hit_and_miss_counts_are_exact_and_their_latencies_sampled() {
+        let registry = TelemetryRegistry::new();
+        let cfg = CacheConfig::builder()
+            .capacity_bytes(64 * 1024)
+            .shards(2)
+            .build()
+            .unwrap();
+        let mut s = CachedKvStore::with_telemetry(MockStore::default(), cfg, &registry);
+        for key in 0..128u64 {
+            s.put(key, &key.to_le_bytes()).unwrap();
+        }
+        // `get` and `get_with` are one timed path with one sampler:
+        // 128 misses are GETs 1..=128 (sampled: 1, 65), 200 hits GETs
+        // 129..=328 (sampled: 129, 193, 257, 321).
+        for key in 0..128u64 {
+            s.get(key).unwrap();
+        }
+        for i in 0..200u64 {
+            assert_eq!(s.get_with(i % 128, <[u8]>::len).unwrap(), Some(8));
+        }
+        let samples = |name| registry.histogram(name, "", &[]).count();
+        assert_eq!(registry.counter_total("e2nvm_cache_misses_total"), 128);
+        assert_eq!(samples("e2nvm_cache_miss_latency_ns"), 2);
+        assert_eq!(registry.counter_total("e2nvm_cache_hits_total"), 200);
+        assert_eq!(samples("e2nvm_cache_hit_latency_ns"), 4);
     }
 
     #[test]

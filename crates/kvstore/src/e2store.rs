@@ -16,7 +16,7 @@ use e2nvm_persist::{
     StoreSnapshot, Wal, WalOp, WalSyncer,
 };
 use e2nvm_sim::MemoryController;
-use e2nvm_telemetry::TelemetryRegistry;
+use e2nvm_telemetry::{Sampler, TelemetryRegistry};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -156,17 +156,29 @@ pub struct ShardedE2KvStore {
     /// collected. Owned, not shared: every clone (one per server
     /// worker) scans into its own, so no lock guards it.
     scan_buf: ScanBuffer,
+    /// Which puts, gets and scans this handle times; owned, like
+    /// `scan_buf`.
+    clocks: OpClocks,
+}
+
+/// One latency [`Sampler`] per timed store operation.
+#[derive(Debug, Default)]
+struct OpClocks {
+    put: Sampler,
+    get: Sampler,
+    scan: Sampler,
 }
 
 impl Clone for ShardedE2KvStore {
     /// Share the shards, the telemetry series and the persistence
-    /// layer; start with an empty scan buffer.
+    /// layer; start with an empty scan buffer and fresh samplers.
     fn clone(&self) -> Self {
         Self {
             engine: self.engine.clone(),
             telemetry: self.telemetry.clone(),
             persist: self.persist.clone(),
             scan_buf: ScanBuffer::new(),
+            clocks: OpClocks::default(),
         }
     }
 }
@@ -179,6 +191,7 @@ impl ShardedE2KvStore {
             telemetry: StoreTelemetry::disconnected(),
             persist: None,
             scan_buf: ScanBuffer::new(),
+            clocks: OpClocks::default(),
         }
     }
 
@@ -360,6 +373,7 @@ impl ShardedE2KvStore {
                 _syncer: syncer,
             })),
             scan_buf: ScanBuffer::new(),
+            clocks: OpClocks::default(),
         };
         let report = RecoveryReport {
             shards: store.engine.num_shards(),
@@ -397,13 +411,38 @@ impl ShardedE2KvStore {
     /// first `limit` entries of `lo..=hi` and account for it. On an
     /// error the buffer is empty.
     fn scan_fill(&mut self, lo: u64, hi: u64, limit: usize) -> Result<()> {
-        let _timer = self.telemetry.scan_latency_ns.start_timer();
+        let started = self.clocks.scan.start();
         self.telemetry.scans.inc();
-        let read = self.engine.scan_into(lo, hi, limit, &mut self.scan_buf)?;
+        let read = self.engine.scan_into(lo, hi, limit, &mut self.scan_buf);
+        self.telemetry.scan_latency_ns.observe_since(started);
+        let read = read?;
         self.telemetry.scan_entries_read.add(read as u64);
         self.telemetry
             .scan_entries_returned
             .add(self.scan_buf.len() as u64);
+        Ok(())
+    }
+
+    /// The untimed body of [`NvmKvStore::put`]: apply, and log when
+    /// persistence is attached.
+    fn put_logged(&self, key: u64, value: &[u8]) -> Result<()> {
+        let Some(p) = &self.persist else {
+            self.engine.put(key, value)?;
+            return Ok(());
+        };
+        let shard = self.engine.shard_for(key);
+        {
+            // WAL lock held across the apply: record order == apply
+            // order. The record buffers in the WAL and reaches the
+            // kernel at the next `commit` — which the serving layer
+            // runs before the ack leaves the process, so a crash in
+            // between loses only mutations the client was never acked.
+            let mut wal = p.wals[shard].lock();
+            self.engine.mutate_shard(shard, |e| e.put(key, value))?;
+            wal.append_put(key, value)
+                .map_err(|e| StoreError::Persistence(format!("wal append: {e}")))?;
+        }
+        self.note_mutations(p, 1);
         Ok(())
     }
 
@@ -468,26 +507,11 @@ impl NvmKvStore for ShardedE2KvStore {
     }
 
     fn put(&mut self, key: u64, value: &[u8]) -> Result<()> {
-        let _timer = self.telemetry.put_latency_ns.start_timer();
+        let started = self.clocks.put.start();
         self.telemetry.puts.inc();
-        let Some(p) = self.persist.clone() else {
-            self.engine.put(key, value)?;
-            return Ok(());
-        };
-        let shard = self.engine.shard_for(key);
-        {
-            // WAL lock held across the apply: record order == apply
-            // order. The record buffers in the WAL and reaches the
-            // kernel at the next `commit` — which the serving layer
-            // runs before the ack leaves the process, so a crash in
-            // between loses only mutations the client was never acked.
-            let mut wal = p.wals[shard].lock();
-            self.engine.mutate_shard(shard, |e| e.put(key, value))?;
-            wal.append_put(key, value)
-                .map_err(|e| StoreError::Persistence(format!("wal append: {e}")))?;
-        }
-        self.note_mutations(&p, 1);
-        Ok(())
+        let result = self.put_logged(key, value);
+        self.telemetry.put_latency_ns.observe_since(started);
+        result
     }
 
     fn put_many(&mut self, pairs: &[(u64, &[u8])]) -> Vec<Result<()>> {
@@ -547,9 +571,11 @@ impl NvmKvStore for ShardedE2KvStore {
     }
 
     fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>> {
-        let _timer = self.telemetry.get_latency_ns.start_timer();
+        let started = self.clocks.get.start();
         self.telemetry.gets.inc();
-        match self.engine.get(key) {
+        let got = self.engine.get(key);
+        self.telemetry.get_latency_ns.observe_since(started);
+        match got {
             Ok(v) => Ok(Some(v)),
             Err(E2Error::KeyNotFound(_)) => Ok(None),
             Err(e) => Err(StoreError::from(e)),
@@ -743,6 +769,27 @@ mod tests {
                 })
                 .collect();
         ShardedE2KvStore::new(ShardedEngine::train(controllers, &cfg).unwrap())
+    }
+
+    #[test]
+    fn put_count_is_exact_and_its_latency_sampled() {
+        let registry = TelemetryRegistry::new();
+        let mut s = store(64, 64);
+        s.attach_telemetry(&registry);
+        for i in 0..100u64 {
+            s.put(i % 8, &[i as u8; 16]).unwrap();
+        }
+        let samples = || {
+            registry
+                .histogram_with_labels("e2nvm_kv_put_latency_ns", "", &[], &[("store", "sharded")])
+                .count()
+        };
+        assert_eq!(registry.counter_total("e2nvm_kv_puts_total"), 100);
+        assert_eq!(samples(), 2);
+        // A clone times with a fresh sampler: its first put is sampled.
+        s.clone().put(0, b"clone").unwrap();
+        assert_eq!(registry.counter_total("e2nvm_kv_puts_total"), 101);
+        assert_eq!(samples(), 3);
     }
 
     #[test]

@@ -17,8 +17,10 @@ const OP_LATENCY_BOUNDS: [u64; 8] = [
     100_000_000,
 ];
 
-/// Telemetry sink for one KV store: operation counters plus a latency
-/// histogram per operation kind, all under the `e2nvm_kv_*` namespace.
+/// Telemetry sink for one KV store: exact operation counters plus a
+/// latency histogram per operation kind (one call in
+/// [`e2nvm_telemetry::Sampler::EVERY`] timed), all under the
+/// `e2nvm_kv_*` namespace.
 #[derive(Clone, Debug)]
 pub struct StoreTelemetry {
     registry: Option<TelemetryRegistry>,
@@ -91,19 +93,19 @@ impl StoreTelemetry {
             ),
             put_latency_ns: registry.histogram_with_labels(
                 "e2nvm_kv_put_latency_ns",
-                "KV put latency in nanoseconds",
+                "KV put latency in nanoseconds, sampled 1 in 64",
                 &OP_LATENCY_BOUNDS,
                 &labels,
             ),
             get_latency_ns: registry.histogram_with_labels(
                 "e2nvm_kv_get_latency_ns",
-                "KV get latency in nanoseconds",
+                "KV get latency in nanoseconds, sampled 1 in 64",
                 &OP_LATENCY_BOUNDS,
                 &labels,
             ),
             scan_latency_ns: registry.histogram_with_labels(
                 "e2nvm_kv_scan_latency_ns",
-                "KV range-scan latency in nanoseconds (one store call: a page on the wire path)",
+                "KV range-scan latency in nanoseconds (one store call: a page on the wire path), sampled 1 in 64",
                 &OP_LATENCY_BOUNDS,
                 &labels,
             ),
@@ -122,9 +124,10 @@ impl StoreTelemetry {
 const CACHE_LATENCY_BOUNDS: [u64; 8] =
     [100, 500, 1_000, 5_000, 25_000, 100_000, 500_000, 2_000_000];
 
-/// Telemetry sink for a [`crate::HotCache`]: hit/miss/eviction
-/// counters, occupancy gauges, and hit-vs-miss latency histograms, all
-/// under the `e2nvm_cache_*` namespace.
+/// Telemetry sink for a [`crate::HotCache`]: exact hit/miss/eviction
+/// counters, occupancy gauges, and hit-vs-miss latency histograms (one
+/// GET in [`e2nvm_telemetry::Sampler::EVERY`] timed), all under the
+/// `e2nvm_cache_*` namespace.
 #[derive(Clone, Debug)]
 pub struct CacheTelemetry {
     registry: Option<TelemetryRegistry>,
@@ -190,12 +193,12 @@ impl CacheTelemetry {
             entries: registry.gauge("e2nvm_cache_entries", "Entries currently resident"),
             hit_latency_ns: registry.histogram(
                 "e2nvm_cache_hit_latency_ns",
-                "GET latency when served from the cache",
+                "GET latency when served from the cache, sampled 1 in 64",
                 &CACHE_LATENCY_BOUNDS,
             ),
             miss_latency_ns: registry.histogram(
                 "e2nvm_cache_miss_latency_ns",
-                "GET latency when falling through to the store",
+                "GET latency when falling through to the store, sampled 1 in 64",
                 &CACHE_LATENCY_BOUNDS,
             ),
         }

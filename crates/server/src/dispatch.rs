@@ -21,8 +21,7 @@ use crate::frame::{
 use crate::telemetry::ServerTelemetry;
 use e2nvm_core::E2Error;
 use e2nvm_kvstore::{CachedKvStore, NvmKvStore, ShardedE2KvStore, StoreError};
-use e2nvm_telemetry::TelemetryRegistry;
-use std::time::Instant;
+use e2nvm_telemetry::{Sampler, TelemetryRegistry};
 
 /// What the connection handlers serve from: the bare sharded store, or
 /// the same store behind a read-through cache. Clones share both the
@@ -256,6 +255,8 @@ pub(crate) struct ExecCtx {
     /// Target payload bytes per SCAN_STREAM chunk. Entries are never
     /// split, so a chunk holding one oversized entry may exceed this.
     pub scan_chunk_bytes: usize,
+    /// Which frames this context times.
+    pub frame_clock: Sampler,
 }
 
 impl ExecCtx {
@@ -274,13 +275,10 @@ impl ExecCtx {
         // them. Streamed scans move it forward (they run their own
         // barrier first).
         let mut barrier = outbuf.len();
-        // One clock read per frame: the end of a frame's span is the
-        // start of the next one's, so a span also holds the loop's own
-        // work between two frames.
-        let mut frame_start = Instant::now();
         for item in items {
             match item {
                 Work::Req(req) => {
+                    let started = self.frame_clock.start();
                     let op = req.opcode();
                     self.telemetry.count_frame(op);
                     match req {
@@ -331,27 +329,21 @@ impl ExecCtx {
                             encode_response(&resp, Some(op), outbuf);
                         }
                     }
-                    let frame_end = Instant::now();
-                    self.telemetry
-                        .frame_latency_ns
-                        .observe((frame_end - frame_start).as_nanos() as u64);
-                    frame_start = frame_end;
+                    self.telemetry.frame_latency_ns.observe_since(started);
                     if outcome.close {
                         break;
                     }
                 }
                 Work::Bad(e) => {
                     // Answer with a typed error frame (never panic,
-                    // never drop silently).
+                    // never drop silently). Rejected frames are not
+                    // observed.
                     self.telemetry.count_error(e.status());
                     encode_response(&error_frame(&e), None, outbuf);
                     if e.is_fatal() {
                         outcome.close = true;
                         break;
                     }
-                    // Rejected frames are not observed; keep their cost
-                    // out of the next request's span.
-                    frame_start = Instant::now();
                 }
             }
         }
@@ -603,6 +595,30 @@ mod tests {
         assert!(matches!(items[1], Work::Bad(FrameError::BadMagic(_))));
     }
 
+    #[test]
+    fn frame_counts_are_exact_and_their_latencies_sampled() {
+        let registry = TelemetryRegistry::new();
+        let mut ctx = ExecCtx {
+            store: Front::Plain(crate::demo::demo_store(2, 64, 32, 11)),
+            registry: Some(registry.clone()),
+            telemetry: ServerTelemetry::register(&registry),
+            scan_chunk_bytes: 64 * 1024,
+            frame_clock: Sampler::default(),
+        };
+        // 100 GETs, with a rejected frame among them that is answered
+        // but neither counted as a GET nor timed.
+        let mut batch: Vec<Work> = (0..100)
+            .map(|key| Work::Req(Request::Get { key }))
+            .collect();
+        batch.insert(50, Work::Bad(FrameError::UnknownOpcode(0x55)));
+        let outcome = ctx.exec_batch(batch, &mut Vec::new());
+        assert!(!outcome.close);
+        let gets = registry.counter_with_labels("e2nvm_server_frames_total", "", &[("op", "get")]);
+        let latency = registry.histogram("e2nvm_server_frame_latency_ns", "", &[]);
+        assert_eq!(gets.get(), 100);
+        assert_eq!(latency.count(), 2);
+    }
+
     /// One pipelined `[PUT, PUT, SCAN_STREAM, PUT]` batch against a
     /// persistent store answers four response groups in request
     /// order, and by the time `exec_batch` hands the bytes back —
@@ -633,6 +649,7 @@ mod tests {
             registry: None,
             telemetry: ServerTelemetry::disconnected(),
             scan_chunk_bytes: 64 * 1024,
+            frame_clock: Sampler::default(),
         };
         let put = |key: u64, value: &[u8]| {
             Work::Req(Request::Put {
@@ -846,6 +863,7 @@ mod tests {
             registry: None,
             telemetry: ServerTelemetry::disconnected(),
             scan_chunk_bytes: 0,
+            frame_clock: Sampler::default(),
         };
         for (chunk_bytes, limit) in [(64, 0), (1000, 0), (64 * 1024, 0), (1000, 300), (64, 1)] {
             let want = if limit == 0 {

@@ -44,6 +44,7 @@ use crate::server::{ServeParts, ServerConfig};
 use crate::sys::{Poller, PollerEvent, Waker};
 use crate::telemetry::ServerTelemetry;
 use crate::worker::{Completion, Job, WorkerPool};
+use e2nvm_telemetry::Sampler;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -93,6 +94,7 @@ pub(crate) fn spawn(
         registry: parts.registry.clone(),
         telemetry: parts.telemetry.clone(),
         scan_chunk_bytes: parts.config.scan_chunk_bytes,
+        frame_clock: Sampler::default(),
     };
     let pool = WorkerPool::spawn(workers, waker.clone(), new_ctx)?;
     // The reactor thread's own execution context, for batches it runs

@@ -30,9 +30,9 @@ pub struct ServerTelemetry {
     frames: [Counter; Opcode::ALL.len()],
     /// Error frames sent, labeled by wire status.
     error_frames: [Counter; STATUSES.len()],
-    /// Latency of one frame, dispatch to encoded response; chained
-    /// within a batch (one clock read per frame), so it includes the
-    /// batch loop's own overhead since the previous frame.
+    /// Latency of one frame, dispatch to encoded response, for one
+    /// frame in [`e2nvm_telemetry::Sampler::EVERY`] per execution
+    /// context.
     pub(crate) frame_latency_ns: Histogram,
     /// Connections currently open.
     pub(crate) connections_active: Gauge,
@@ -150,9 +150,8 @@ impl ServerTelemetry {
             error_frames,
             frame_latency_ns: registry.histogram(
                 "e2nvm_server_frame_latency_ns",
-                "Per-frame service latency in nanoseconds (dispatch to encoded response; \
-                 spans are chained within a batch, so each includes the batch loop's own \
-                 overhead since the previous frame ended)",
+                "Per-frame service latency in nanoseconds (dispatch to encoded response), \
+                 sampled 1 in 64",
                 &FRAME_LATENCY_BOUNDS,
             ),
             connections_active: registry.gauge(

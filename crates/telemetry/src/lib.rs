@@ -1,12 +1,16 @@
 //! # e2nvm-telemetry — observability for the E2-NVM serving stack
 //!
-//! Two primitives, both designed so the serving hot path never takes a
+//! Three primitives, all designed so the serving hot path never takes a
 //! lock:
 //!
 //! * A **metrics registry** ([`TelemetryRegistry`]): monotonic
 //!   [`Counter`]s, [`Gauge`]s, and fixed-bucket [`Histogram`]s. Handles
 //!   are `Arc`-backed and updated with relaxed atomics; the registry's
 //!   mutex is touched only at registration and render time.
+//! * A **latency sampler** ([`Sampler`]): a per-site countdown that
+//!   reads the clock for one request in [`Sampler::EVERY`]. Counters
+//!   stay exact; per-request latency histograms hold the sampled
+//!   requests ([`Histogram::observe_since`]).
 //! * A **bounded event journal** ([`EventJournal`]): a ring buffer of
 //!   structured [`Event`]s (retrain started/finished, cluster
 //!   exhausted, fallback placement, wear-leveling swap, shard
@@ -28,16 +32,21 @@
 //! / `with_telemetry`.
 //!
 //! ```
-//! use e2nvm_telemetry::{Event, TelemetryRegistry};
+//! use e2nvm_telemetry::{Event, Sampler, TelemetryRegistry};
 //!
 //! let registry = TelemetryRegistry::new();
 //! let writes = registry.counter("demo_writes_total", "Writes served");
-//! let latency = registry.histogram("demo_latency_ns", "Op latency", &[100, 1000, 10000]);
-//! writes.inc();
-//! latency.observe(250);
+//! let latency = registry.histogram("demo_latency_ns", "Op latency (sampled 1 in 64)", &[100, 1000, 10000]);
+//! let mut clock = Sampler::default();
+//! for _ in 0..100 {
+//!     let started = clock.start();
+//!     writes.inc();
+//!     latency.observe_since(started);
+//! }
 //! registry.journal().record(Event::RetrainStarted { shard: 0 });
 //! let text = registry.render_prometheus();
-//! assert!(text.contains("demo_writes_total 1"));
+//! assert!(text.contains("demo_writes_total 100"));
+//! assert!(text.contains("demo_latency_ns_count 2"));
 //! ```
 
 #![warn(missing_docs)]
@@ -45,10 +54,12 @@
 mod journal;
 mod metrics;
 mod registry;
+mod sampler;
 
 pub use journal::{Event, EventJournal, TimedEvent};
-pub use metrics::{Counter, Gauge, Histogram, HistogramTimer};
+pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::TelemetryRegistry;
+pub use sampler::Sampler;
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars) —
 /// shared by the JSON renderers; metric and label names are expected to

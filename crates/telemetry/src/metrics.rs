@@ -1,5 +1,4 @@
-//! Metric handle types: [`Counter`], [`Gauge`], [`Histogram`], and the
-//! [`HistogramTimer`] drop guard.
+//! Metric handle types: [`Counter`], [`Gauge`] and [`Histogram`].
 //!
 //! Handles are cheap to clone (`Arc` around atomics) and updated with
 //! `Ordering::Relaxed` — each metric is an independent statistical
@@ -131,14 +130,14 @@ impl Histogram {
         core.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Start a timer that observes the elapsed wall time in
-    /// nanoseconds when dropped.
+    /// Observe the nanoseconds since `started`, a
+    /// [`crate::Sampler::start`] answer, and return them; an unsampled
+    /// request (`None`) observes nothing.
     #[inline]
-    pub fn start_timer(&self) -> HistogramTimer<'_> {
-        HistogramTimer {
-            histogram: self,
-            start: Instant::now(),
-        }
+    pub fn observe_since(&self, started: Option<Instant>) -> Option<u64> {
+        let ns = u64::try_from(started?.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.observe(ns);
+        Some(ns)
     }
 
     /// Total observations (sum over all buckets).
@@ -169,21 +168,6 @@ impl Histogram {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
-    }
-}
-
-/// Drop guard returned by [`Histogram::start_timer`]; records the
-/// elapsed nanoseconds into the histogram when it goes out of scope.
-#[derive(Debug)]
-pub struct HistogramTimer<'a> {
-    histogram: &'a Histogram,
-    start: Instant,
-}
-
-impl Drop for HistogramTimer<'_> {
-    fn drop(&mut self) {
-        let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.histogram.observe(ns);
     }
 }
 
@@ -228,12 +212,13 @@ mod tests {
     }
 
     #[test]
-    fn timer_observes_on_drop() {
+    fn observe_since_skips_unsampled_requests() {
         let h = Histogram::disconnected(&[u64::MAX]);
-        {
-            let _t = h.start_timer();
-        }
+        assert_eq!(h.observe_since(None), None);
+        assert_eq!(h.count(), 0);
+        let ns = h.observe_since(Some(Instant::now()));
         assert_eq!(h.count(), 1);
+        assert_eq!(Some(h.sum()), ns);
     }
 
     #[test]
