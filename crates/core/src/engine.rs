@@ -9,6 +9,10 @@
 //!   entry (the "flag bit" lives in DRAM) → re-classify the content and
 //!   recycle the address into the DAP.
 //! * **Read / Scan**: pure index lookups plus device reads.
+//!
+//! Every segment behind the index holds exactly one value, written at
+//! its byte 0, so a key's segment is free again the moment the key is
+//! overwritten or deleted.
 
 use crate::config::E2Config;
 use crate::dap::DynamicAddressPool;
@@ -21,17 +25,15 @@ use e2nvm_sim::{LogicalSegment, MemoryController, SimError, WriteReport};
 use e2nvm_telemetry::{Event, Sampler, TelemetryRegistry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 use std::time::Instant;
 
-/// An index entry: where a key's value lives — which segment, at what
-/// byte offset within it (nonzero only for values packed by the
-/// batched small-value path), and how long it is.
+/// An index entry: the segment a key's value occupies, alone and from
+/// byte 0, and the value's length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     seg: LogicalSegment,
-    off: usize,
     len: usize,
 }
 
@@ -123,17 +125,20 @@ struct PredictionClocks {
 /// Everything an engine must remember across a restart, in a
 /// serialization-friendly shape: the trained model artifact
 /// ([`E2Model::to_bytes`]), the permanently retired segments, and the
-/// key index. The DAP free lists and `live` reference counts are *not*
-/// part of the state — they are derived (free = not retired ∧ not
-/// indexed, classified by the restored model), which keeps the
-/// persisted format independent of in-memory bookkeeping.
+/// key index. The DAP free lists are *not* part of the state — they are
+/// derived (free = not retired ∧ not indexed, classified by the
+/// restored model), which keeps the persisted format independent of
+/// in-memory bookkeeping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineState {
     /// Serialized model ([`E2Model::to_bytes`]).
     pub model: Vec<u8>,
     /// Permanently retired segments, ascending.
     pub retired: Vec<LogicalSegment>,
-    /// Index entries as `(key, segment, byte offset, length)`.
+    /// Index entries as `(key, segment, byte offset, length)`, one key
+    /// per segment. The offset is always 0 — a value starts at its
+    /// segment's first byte — and stays in the tuple because the
+    /// snapshot format (E2SS) stores it.
     pub entries: Vec<(u64, LogicalSegment, usize, usize)>,
 }
 
@@ -157,11 +162,6 @@ pub struct E2Engine {
     dap: DynamicAddressPool,
     padder: Padder,
     index: BTreeMap<u64, Entry>,
-    /// Live-entry counts for segments holding more than one packed
-    /// value (written by [`E2Engine::put_many`]). Segments absent from
-    /// this map hold exactly one entry; a shared segment is recycled
-    /// only once its count reaches zero.
-    live: HashMap<LogicalSegment, usize>,
     /// Write-time cluster tag per segment ([`NO_TAG`] = unknown): the
     /// cluster the current model gives the segment's *whole* content,
     /// computed right after the engine's own KV path wrote it (see
@@ -206,7 +206,6 @@ impl E2Engine {
             model: None,
             padder,
             index: BTreeMap::new(),
-            live: HashMap::new(),
             tags: vec![NO_TAG; num_segments],
             tagged: false,
             scratch: PlacementScratch::default(),
@@ -633,126 +632,26 @@ impl E2Engine {
         }
     }
 
-    /// Drop one live reference to the segment behind a displaced index
-    /// entry. Singly-occupied segments (every entry written by
-    /// [`E2Engine::put`]) recycle immediately; segments shared by a
-    /// packed batch recycle only when their last entry is released.
-    fn release_entry(&mut self, entry: Entry) -> Result<()> {
-        match self.live.get_mut(&entry.seg) {
-            Some(count) => {
-                *count -= 1;
-                if *count == 0 {
-                    self.live.remove(&entry.seg);
-                    self.recycle_by_tag(entry.seg)?;
-                }
-            }
-            None => self.recycle_by_tag(entry.seg)?,
-        }
-        Ok(())
-    }
-
-    /// Index every item of an emitted [`Batch`] against the one segment
-    /// its packed bytes were placed on.
-    fn commit_batch(&mut self, batch: &crate::batch::Batch) -> Result<()> {
-        let (seg, _report) = self.place_value(&batch.data)?;
-        self.tag_written(seg, batch.data.len());
-        // Count the whole batch up front so that releasing an
-        // intra-batch duplicate (same key twice in one batch) cannot
-        // drop the count to zero while later items still land here.
-        self.live.insert(seg, batch.items.len());
-        for &(key, off, len) in &batch.items {
-            if let Some(old) = self.index.insert(key, Entry { seg, off, len }) {
-                self.release_entry(old)?;
-            }
-        }
-        Ok(())
-    }
-
     /// PUT / UPDATE (Algorithm 1). Returns the device write report.
     pub fn put(&mut self, key: u64, value: &[u8]) -> Result<WriteReport> {
         let (seg, report) = self.place_value(value)?;
         self.tag_written(seg, value.len());
-        if let Some(old) = self.index.insert(
-            key,
-            Entry {
-                seg,
-                off: 0,
-                len: value.len(),
-            },
-        ) {
-            // The key's previous segment becomes free again (or loses
-            // one of its packed entries).
-            self.release_entry(old)?;
+        let entry = Entry {
+            seg,
+            len: value.len(),
+        };
+        if let Some(old) = self.index.insert(key, entry) {
+            // The key's previous segment becomes free again.
+            self.recycle_by_tag(old.seg)?;
         }
         Ok(report)
-    }
-
-    /// Batched PUT: pack consecutive small values into shared segments
-    /// via [`crate::batch::BatchAccumulator`], paying one placement
-    /// (prediction + pop + device write) per *filled segment* instead
-    /// of one per value. Returns one result per pair, in order; a
-    /// placement failure fails every item of the affected batch and
-    /// later batches are still attempted. Duplicate keys within
-    /// `pairs` behave like sequential puts: the last occurrence wins.
-    pub fn put_many(&mut self, pairs: &[(u64, &[u8])]) -> Vec<Result<()>> {
-        let seg_bytes = self.cfg.segment_bytes;
-        let mut results: Vec<Result<()>> = (0..pairs.len()).map(|_| Ok(())).collect();
-        let mut acc = crate::batch::BatchAccumulator::new(seg_bytes);
-        // Indices of pairs sitting in the accumulator, awaiting commit.
-        let mut pending: Vec<usize> = Vec::new();
-        let commit = |this: &mut Self,
-                      batch: &crate::batch::Batch,
-                      pending: &mut Vec<usize>,
-                      results: &mut Vec<Result<()>>| {
-            if let Err(e) = this.commit_batch(batch) {
-                for &i in pending.iter() {
-                    results[i] = Err(e.clone());
-                }
-            }
-            pending.clear();
-        };
-        for (i, &(key, value)) in pairs.iter().enumerate() {
-            if value.len() > seg_bytes {
-                results[i] = Err(E2Error::ValueTooLarge {
-                    len: value.len(),
-                    segment_bytes: seg_bytes,
-                });
-                continue;
-            }
-            if value.is_empty() {
-                // Zero-length values carry no packed bytes, so the
-                // accumulator cannot represent them; flush what is
-                // pending (order matters for duplicate keys) and take
-                // the ordinary single-put path.
-                if let Some(batch) = acc.flush() {
-                    commit(self, &batch, &mut pending, &mut results);
-                }
-                results[i] = self.put(key, value).map(|_| ());
-                continue;
-            }
-            if let Some(batch) = acc.push(key, value) {
-                commit(self, &batch, &mut pending, &mut results);
-            }
-            pending.push(i);
-        }
-        if let Some(batch) = acc.flush() {
-            commit(self, &batch, &mut pending, &mut results);
-        }
-        results
-    }
-
-    /// Batched GET: one result per key, in order. Equivalent to calling
-    /// [`E2Engine::get`] per key; exists so lock-holding wrappers can
-    /// serve a whole batch under a single acquisition.
-    pub fn get_many(&mut self, keys: &[u64]) -> Vec<Result<Vec<u8>>> {
-        keys.iter().map(|&k| self.get(k)).collect()
     }
 
     /// GET: read the value back.
     pub fn get(&mut self, key: u64) -> Result<Vec<u8>> {
         let entry = *self.index.get(&key).ok_or(E2Error::KeyNotFound(key))?;
         let data = self.controller.read(entry.seg)?;
-        Ok(data[entry.off..entry.off + entry.len].to_vec())
+        Ok(data[..entry.len].to_vec())
     }
 
     /// DELETE (Algorithm 2). Returns true if the key existed.
@@ -760,7 +659,7 @@ impl E2Engine {
         let Some(entry) = self.index.remove(&key) else {
             return Ok(false);
         };
-        self.release_entry(entry)?;
+        self.recycle_by_tag(entry.seg)?;
         Ok(true)
     }
 
@@ -792,7 +691,7 @@ impl E2Engine {
             self.index
                 .range(range)
                 .take(limit)
-                .map(|(&key, e)| (key, e.seg, e.off, e.len)),
+                .map(|(&key, e)| (key, e.seg, e.len)),
         );
         self.controller.read_run(buf.run_segments(run))?;
         Ok(run)
@@ -904,7 +803,7 @@ impl E2Engine {
             entries: self
                 .index
                 .iter()
-                .map(|(&k, e)| (k, e.seg, e.off, e.len))
+                .map(|(&k, e)| (k, e.seg, 0, e.len))
                 .collect(),
         })
     }
@@ -912,10 +811,12 @@ impl E2Engine {
     /// Restore a previously exported state onto a *fresh* engine whose
     /// controller was rebuilt from the matching device image. Installs
     /// the model without retraining, re-retires dead segments, rebuilds
-    /// the index and live counts, and reconstructs the DAP free lists
-    /// from first principles (free = not retired ∧ not indexed,
-    /// classified by the restored model against the device's current
-    /// contents).
+    /// the index, and reconstructs the DAP free lists from first
+    /// principles (free = not retired ∧ not indexed, classified by the
+    /// restored model against the device's current contents). A state
+    /// the engine could not have exported — an entry at a nonzero
+    /// offset, or one segment under two keys — is rejected with
+    /// [`E2Error::Config`], and the engine is left fresh.
     pub fn restore_state(&mut self, state: &EngineState) -> Result<()> {
         if self.model.is_some() || !self.index.is_empty() {
             return Err(E2Error::Config(
@@ -939,17 +840,24 @@ impl E2Engine {
                 )));
             }
         }
-        let mut per_seg: HashMap<LogicalSegment, usize> = HashMap::new();
+        // Built aside and installed only once every entry checks out, so
+        // a rejected state leaves the engine fresh.
+        let mut index = BTreeMap::new();
+        let mut indexed = vec![false; num_segments];
         for &(key, seg, off, len) in &state.entries {
             if seg.index() >= num_segments {
                 return Err(E2Error::Config(format!(
                     "restore_state: key {key} on out-of-range {seg}"
                 )));
             }
-            if off + len > self.cfg.segment_bytes {
+            if off != 0 {
                 return Err(E2Error::Config(format!(
-                    "restore_state: key {key} spans [{off}, {}) past segment size {}",
-                    off + len,
+                    "restore_state: key {key} at offset {off} of {seg}; a value starts at byte 0"
+                )));
+            }
+            if len > self.cfg.segment_bytes {
+                return Err(E2Error::Config(format!(
+                    "restore_state: key {key} of {len} bytes past segment size {}",
                     self.cfg.segment_bytes
                 )));
             }
@@ -958,14 +866,18 @@ impl E2Engine {
                     "restore_state: key {key} lives on retired {seg}"
                 )));
             }
-            if self.index.insert(key, Entry { seg, off, len }).is_some() {
-                self.index.clear();
+            if index.insert(key, Entry { seg, len }).is_some() {
                 return Err(E2Error::Config(format!(
                     "restore_state: duplicate key {key}"
                 )));
             }
-            *per_seg.entry(seg).or_insert(0) += 1;
+            if std::mem::replace(&mut indexed[seg.index()], true) {
+                return Err(E2Error::Config(format!(
+                    "restore_state: key {key} shares {seg} with another key"
+                )));
+            }
         }
+        self.index = index;
         for &seg in &state.retired {
             self.dap.retire(seg);
         }
@@ -982,18 +894,10 @@ impl E2Engine {
                 let _ = self.controller.retire(seg);
             }
         }
-        // Singly-occupied segments are represented by *absence* from the
-        // live map (see the `live` field docs), so only packed segments
-        // carry a count.
-        self.live = per_seg
-            .iter()
-            .filter(|&(_, &count)| count >= 2)
-            .map(|(&seg, &count)| (seg, count))
-            .collect();
         let free = self.snapshot_of(
             (0..num_segments)
                 .map(LogicalSegment)
-                .filter(|seg| !self.dap.is_retired(*seg) && !per_seg.contains_key(seg))
+                .filter(|seg| !self.dap.is_retired(*seg) && !indexed[seg.index()])
                 .collect(),
         );
         self.install_model(model, &free);
@@ -1272,8 +1176,8 @@ mod tests {
             for round in 0..6u8 {
                 e.put(u64::from(round % 2), &[round; 20]).unwrap();
             }
-            let pairs: Vec<(u64, &[u8])> = vec![(0, &[1u8; 9]), (1, &[2u8; 9])];
-            assert!(e.put_many(&pairs).iter().all(Result::is_ok));
+            e.put(0, &[1u8; 9]).unwrap();
+            e.put(1, &[2u8; 9]).unwrap();
             let s = e.prediction_stats();
             assert_eq!((s.resumed, s.tag_hits), (0, 0), "{location:?} {ptype:?}");
             assert_eq!(s.tag_fallbacks, 6, "{location:?} {ptype:?}");
@@ -1423,100 +1327,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn put_many_packs_small_values_into_shared_segments() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut e = engine(32, 32, 2);
+    /// A trained engine holding keys 1 and 2, its exported state, and
+    /// a fresh engine over the same device to restore it onto.
+    fn exported_and_fresh(seed: u64) -> (EngineState, E2Engine) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut e = engine(16, 32, 2);
         seed_two_families(&mut e, &mut rng);
         e.train().unwrap();
-        let free_before = e.free_count();
-        // Eight 8-byte values fit four-to-a-segment: two segments total.
-        let pairs: Vec<(u64, Vec<u8>)> = (0..8u64).map(|k| (k, k.to_le_bytes().to_vec())).collect();
-        let borrowed: Vec<(u64, &[u8])> = pairs.iter().map(|(k, v)| (*k, v.as_slice())).collect();
-        let results = e.put_many(&borrowed);
-        assert!(results.iter().all(Result::is_ok));
-        assert_eq!(
-            free_before - e.free_count(),
-            2,
-            "8x8B values must occupy exactly two 32B segments"
-        );
-        for k in 0..8u64 {
-            assert_eq!(e.get(k).unwrap(), k.to_le_bytes().to_vec());
-        }
+        e.put(1, b"one").unwrap();
+        e.put(2, b"two").unwrap();
+        let state = e.export_state().unwrap();
+        assert!(state.entries.iter().all(|&(_, _, off, _)| off == 0));
+        let dev = e.controller().device().clone();
+        let fresh = E2Engine::new(MemoryController::without_wear_leveling(dev), e.cfg.clone());
+        (state, fresh.unwrap())
     }
 
-    #[test]
-    fn packed_segment_recycles_only_after_last_entry_dies() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let mut e = engine(32, 32, 2);
-        seed_two_families(&mut e, &mut rng);
-        e.train().unwrap();
-        let pairs: Vec<(u64, &[u8])> = vec![(1, &[0u8; 8]), (2, &[0u8; 8]), (3, &[0u8; 8])];
-        assert!(e.put_many(&pairs).iter().all(Result::is_ok));
-        let after_batch = e.free_count();
-        // Two of three packed entries die: the shared segment stays
-        // live (the survivor still points into it).
-        assert!(e.delete(1).unwrap());
-        assert!(e.delete(2).unwrap());
-        assert_eq!(e.free_count(), after_batch);
-        // The last entry dies: now the segment comes back.
-        assert!(e.delete(3).unwrap());
-        assert_eq!(e.free_count(), after_batch + 1);
-    }
-
-    #[test]
-    fn put_many_duplicate_key_last_wins() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut e = engine(32, 32, 2);
-        seed_two_families(&mut e, &mut rng);
-        e.train().unwrap();
-        let pairs: Vec<(u64, &[u8])> = vec![(7, b"first"), (8, b"other"), (7, b"second")];
-        assert!(e.put_many(&pairs).iter().all(Result::is_ok));
-        assert_eq!(e.get(7).unwrap(), b"second");
-        assert_eq!(e.get(8).unwrap(), b"other");
-        assert_eq!(e.len(), 2);
-    }
-
-    #[test]
-    fn put_many_mixed_sizes_and_errors() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let mut e = engine(32, 32, 2);
-        seed_two_families(&mut e, &mut rng);
-        e.train().unwrap();
-        let big = [0u8; 33];
-        let pairs: Vec<(u64, &[u8])> = vec![(1, b"ok"), (2, &big), (3, b""), (4, &[0xAA; 32])];
-        let results = e.put_many(&pairs);
-        assert!(results[0].is_ok());
+    /// Restore `state` onto `fresh`: it must be refused, and the engine
+    /// must still take the unmodified state afterwards.
+    fn assert_restore_refused(state: &EngineState, mut fresh: E2Engine, clean: &EngineState) {
         assert!(matches!(
-            results[1],
-            Err(E2Error::ValueTooLarge { len: 33, .. })
+            fresh.restore_state(state),
+            Err(E2Error::Config(_))
         ));
-        assert!(results[2].is_ok(), "empty value stored: {:?}", results[2]);
-        assert!(results[3].is_ok());
-        assert_eq!(e.get(1).unwrap(), b"ok");
-        assert_eq!(e.get(2), Err(E2Error::KeyNotFound(2)));
-        assert_eq!(e.get(3).unwrap(), Vec::<u8>::new());
-        assert_eq!(e.get(4).unwrap(), vec![0xAA; 32]);
-        let got = e.get_many(&[1, 2, 3]);
-        assert_eq!(got[0].as_deref(), Ok(&b"ok"[..]));
-        assert_eq!(got[1], Err(E2Error::KeyNotFound(2)));
+        assert!(fresh.is_empty() && !fresh.is_trained());
+        fresh.restore_state(clean).unwrap();
+        assert_eq!(fresh.get(2).unwrap(), b"two");
     }
 
     #[test]
-    fn put_many_overwrite_then_single_put_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(25);
-        let mut e = engine(32, 32, 2);
-        seed_two_families(&mut e, &mut rng);
-        e.train().unwrap();
-        e.put(5, b"single").unwrap();
-        let pairs: Vec<(u64, &[u8])> = vec![(5, b"batched"), (6, b"mate")];
-        assert!(e.put_many(&pairs).iter().all(Result::is_ok));
-        assert_eq!(e.get(5).unwrap(), b"batched");
-        // Overwrite a packed entry with a single put; its batch-mate
-        // must survive on the shared segment.
-        e.put(5, b"again").unwrap();
-        assert_eq!(e.get(5).unwrap(), b"again");
-        assert_eq!(e.get(6).unwrap(), b"mate");
+    fn restore_rejects_an_entry_at_a_nonzero_offset() {
+        let (clean, fresh) = exported_and_fresh(26);
+        let mut state = clean.clone();
+        state.entries[1].2 = 4;
+        state.entries[1].3 = 2;
+        assert_restore_refused(&state, fresh, &clean);
+    }
+
+    #[test]
+    fn restore_rejects_a_segment_named_by_two_keys() {
+        let (clean, fresh) = exported_and_fresh(27);
+        let mut state = clean.clone();
+        // Key 2 now points at key 1's segment: recycling either would
+        // free a segment the other still names.
+        state.entries[1].1 = state.entries[0].1;
+        assert_restore_refused(&state, fresh, &clean);
     }
 
     #[test]

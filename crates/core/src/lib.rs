@@ -22,7 +22,6 @@
 //!   hash-routed keys, each with its own background retrainer; a
 //!   single engine is the one-shard case ([`sharded`]).
 //! * [`kselect`] — SSE elbow + energy valley for picking K (Figure 8).
-//! * [`batch`] — grouping small writes into segment-sized batches.
 //! * [`ScanBuffer`] — the flat, reusable buffer a range scan travels
 //!   in from the index walks to its consumer ([`scan`]).
 //!
@@ -42,7 +41,6 @@
 //! assert_eq!(engine.get(42).unwrap(), b"value");
 //! ```
 
-pub mod batch;
 pub mod config;
 pub mod dap;
 pub mod engine;
@@ -55,7 +53,6 @@ pub mod scan;
 pub mod sharded;
 pub mod telemetry;
 
-pub use batch::{Batch, BatchAccumulator};
 pub use config::{E2Config, E2ConfigBuilder};
 pub use dap::{DapError, DynamicAddressPool};
 pub use engine::{E2Engine, EngineState, PredictionStats};

@@ -6,8 +6,8 @@
 //!
 //! A scan runs in three steps over it:
 //! 1. **walk** — [`crate::E2Engine`]'s one scan walk appends a run of
-//!    locations (key, segment, offset, length; ascending, because it is
-//!    an index walk) and charges the run's device reads in one call;
+//!    locations (key, segment, length; ascending, because it is an
+//!    index walk) and charges the run's device reads in one call;
 //! 2. **merge** — `ScanBuffer::merge` merges the runs by key and gives
 //!    each of the first `limit` — the winners — its entry slot;
 //! 3. **copy** — `ScanBuffer::copy_winners` copies one run's winners'
@@ -36,7 +36,6 @@ struct ScanEntry {
 struct ScanLoc {
     key: u64,
     seg: LogicalSegment,
-    off: usize,
     len: usize,
     slot: usize,
 }
@@ -103,17 +102,16 @@ impl ScanBuffer {
         self.locs.len()
     }
 
-    /// Append a run of `(key, segment, offset, len)` locations,
-    /// ascending by key, and return its index.
+    /// Append a run of `(key, segment, len)` locations, ascending by
+    /// key, and return its index.
     pub(crate) fn push_run(
         &mut self,
-        locs: impl Iterator<Item = (u64, LogicalSegment, usize, usize)>,
+        locs: impl Iterator<Item = (u64, LogicalSegment, usize)>,
     ) -> usize {
         let start = self.locs.len();
-        self.locs.extend(locs.map(|(key, seg, off, len)| ScanLoc {
+        self.locs.extend(locs.map(|(key, seg, len)| ScanLoc {
             key,
             seg,
-            off,
             len,
             slot: 0,
         }));
@@ -172,8 +170,7 @@ impl ScanBuffer {
         for loc in &self.locs[start..next] {
             let data = controller.peek(loc.seg)?;
             self.entries[loc.slot].start = self.bytes.len();
-            self.bytes
-                .extend_from_slice(&data[loc.off..loc.off + loc.len]);
+            self.bytes.extend_from_slice(&data[..loc.len]);
         }
         Ok(())
     }

@@ -218,39 +218,6 @@ impl ShardedEngine {
         ((hash64(key) as u128 * self.shards.len() as u128) >> 64) as usize
     }
 
-    /// Batch routing: group `items` by the shard their key routes to,
-    /// hand each non-empty group to `run` (one call per shard, the
-    /// group in `items` order so duplicate keys still resolve
-    /// last-occurrence-wins), and return the per-item results in
-    /// `items` order.
-    ///
-    /// # Panics
-    /// Panics if `run` returns fewer results than it was given items.
-    pub fn route_batch<I: Copy, R>(
-        &self,
-        items: &[I],
-        key: impl Fn(&I) -> u64,
-        mut run: impl FnMut(usize, &[I]) -> Vec<R>,
-    ) -> Vec<R> {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, item) in items.iter().enumerate() {
-            by_shard[self.shard_for(key(item))].push(i);
-        }
-        let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for (shard, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let group: Vec<I> = idxs.iter().map(|&i| items[i]).collect();
-            for (&i, r) in idxs.iter().zip(run(shard, &group)) {
-                out[i] = Some(r);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every item routed to one shard and answered by it"))
-            .collect()
-    }
-
     /// Run a closure with exclusive access to one shard's engine
     /// (inspection and admin; the retraining trigger is not checked).
     pub fn with_shard_engine<T>(&self, i: usize, f: impl FnOnce(&mut E2Engine) -> T) -> T {
@@ -298,29 +265,6 @@ impl ShardedEngine {
     /// DELETE (Algorithm 2), routed to the key's shard.
     pub fn delete(&self, key: u64) -> Result<bool> {
         self.mutate_shard(self.shard_for(key), |e| e.delete(key))
-    }
-
-    /// Batched PUT: each shard's share of `pairs` runs through that
-    /// shard's segment-packing batch path ([`E2Engine::put_many`])
-    /// under one lock acquisition, and its retraining state machine is
-    /// pumped once at the end instead of per key. Results come back in
-    /// the order of `pairs`.
-    pub fn put_many(&self, pairs: &[(u64, &[u8])]) -> Vec<Result<()>> {
-        self.route_batch(
-            pairs,
-            |&(key, _)| key,
-            |shard, group| self.mutate_shard(shard, |e| e.put_many(group)),
-        )
-    }
-
-    /// Batched GET: keys are grouped by shard, served under one lock
-    /// acquisition per shard, and reassembled into `keys` order.
-    pub fn get_many(&self, keys: &[u64]) -> Vec<Result<Vec<u8>>> {
-        self.route_batch(
-            keys,
-            |&key| key,
-            |shard, group| self.with_shard_engine(shard, |e| e.get_many(group)),
-        )
     }
 
     /// SCAN over an inclusive key range, merged into key order —
@@ -558,27 +502,6 @@ mod tests {
         assert_eq!(s.len(), 24);
         assert_eq!(s.get(2), Err(E2Error::KeyNotFound(2)));
         assert_eq!(s.get(3).unwrap(), 3u64.to_le_bytes());
-    }
-
-    #[test]
-    fn batch_ops_roundtrip_across_shards_in_input_order() {
-        let s = sharded(4, 128, 32);
-        let values: Vec<(u64, Vec<u8>)> =
-            (0..40u64).map(|k| (k, k.to_le_bytes().to_vec())).collect();
-        let pairs: Vec<(u64, &[u8])> = values.iter().map(|(k, v)| (*k, v.as_slice())).collect();
-        let results = s.put_many(&pairs);
-        assert_eq!(results.len(), 40);
-        assert!(results.iter().all(Result::is_ok));
-        // get_many must return results aligned with the *request*
-        // order, not shard order — interleave hits and misses.
-        let keys: Vec<u64> = vec![39, 1000, 0, 17, 1001, 23];
-        let got = s.get_many(&keys);
-        assert_eq!(got[0].as_deref(), Ok(&39u64.to_le_bytes()[..]));
-        assert_eq!(got[1], Err(E2Error::KeyNotFound(1000)));
-        assert_eq!(got[2].as_deref(), Ok(&0u64.to_le_bytes()[..]));
-        assert_eq!(got[3].as_deref(), Ok(&17u64.to_le_bytes()[..]));
-        assert_eq!(got[4], Err(E2Error::KeyNotFound(1001)));
-        assert_eq!(got[5].as_deref(), Ok(&23u64.to_le_bytes()[..]));
     }
 
     #[test]

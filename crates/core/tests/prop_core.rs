@@ -1,6 +1,6 @@
 //! Property tests for the core invariants DESIGN.md calls out:
-//! padding output width and stored-bytes neutrality, DAP conservation
-//! under interleaved traffic, and batch accumulator integrity — plus
+//! padding output width and stored-bytes neutrality and DAP
+//! conservation under interleaved traffic — plus
 //! the exhaustive check that the packed-bit prediction kernel decides
 //! exactly what the batched `Matrix` path decides, and the twin check
 //! that recycling by write-time cluster tag decides exactly what
@@ -8,8 +8,8 @@
 
 use e2nvm_core::padding::LearnedPadder;
 use e2nvm_core::{
-    BatchAccumulator, DynamicAddressPool, E2Config, E2Engine, E2Model, Padder, PaddingLocation,
-    PaddingType, PlacementScratch,
+    DynamicAddressPool, E2Config, E2Engine, E2Model, Padder, PaddingLocation, PaddingType,
+    PlacementScratch,
 };
 use e2nvm_ml::data::{bytes_to_features, segments_to_matrix};
 use e2nvm_ml::Matrix;
@@ -210,16 +210,18 @@ fn twin_step(engine: &mut E2Engine, op: &(u8, u8, u8, Vec<u8>), installs: &mut u
     match kind % 10 {
         0..=3 => format!("{:?}", engine.put(key, bytes)),
         4 | 5 => {
-            // Small values, so several share a segment; a repeated key
-            // and an empty value ride along when the bytes say so.
+            // Four puts in one step: a repeated key recycles, by its
+            // tag, a segment this same step wrote; an empty value rides
+            // along when the bytes say so.
             let cut = bytes.len().min(5);
-            let pairs: Vec<(u64, &[u8])> = vec![
+            let pairs: [(u64, &[u8]); 4] = [
                 (key, &bytes[..cut]),
                 (u64::from(*b) % TWIN_KEYS, &bytes[cut..bytes.len().min(9)]),
                 ((key + 1) % TWIN_KEYS, &bytes[..bytes.len().min(3)]),
                 ((key + 2) % TWIN_KEYS, &bytes[..cut]),
             ];
-            format!("{:?}", engine.put_many(&pairs))
+            let results: Vec<_> = pairs.iter().map(|&(k, v)| engine.put(k, v)).collect();
+            format!("{results:?}")
         }
         6 => format!("{:?}", engine.delete(key)),
         7 => {
@@ -257,13 +259,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Recycling by write-time tag is recycling by content: under any
-    /// schedule of puts, packed batches, deletes, model installs,
+    /// schedule of puts, runs of puts, deletes, model installs,
     /// in-place patches through `controller_mut()` and save/recover
     /// cycles — with wear leveling moving segments and faults retiring
     /// them — the engine ends every step exactly where a twin ends
     /// that has its tags voided before each step, and so classifies the
     /// content of every segment it recycles that an earlier step wrote.
-    /// (A tag set and used inside one `put_many` serves the twin too;
+    /// (A tag set and used inside one run of puts serves the twin too;
     /// there, and everywhere else, a debug build asserts each tag
     /// against the content as it is used.)
     #[test]
@@ -450,40 +452,6 @@ proptest! {
             prop_assert!(!dap.is_free(*seg), "rebuild resurrected a retired segment");
             prop_assert!(dap.is_retired(*seg));
         }
-    }
-
-    /// Batch accumulator: items never overlap, never cross the
-    /// capacity, and every pushed byte is recoverable.
-    #[test]
-    fn batch_items_tile_the_buffer(
-        values in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 1..12), 1..40),
-    ) {
-        let capacity = 32;
-        let mut acc = BatchAccumulator::new(capacity);
-        let mut batches = Vec::new();
-        for (i, v) in values.iter().enumerate() {
-            if let Some(b) = acc.push(i as u64, v) {
-                batches.push(b);
-            }
-        }
-        if let Some(b) = acc.flush() {
-            batches.push(b);
-        }
-        let mut seen = 0usize;
-        for batch in &batches {
-            prop_assert!(batch.data.len() <= capacity);
-            let mut cursor = 0;
-            for &(key, off, len) in &batch.items {
-                prop_assert_eq!(off, cursor, "gap or overlap in batch");
-                prop_assert_eq!(batch.data[off..off + len].to_vec(),
-                    values[key as usize].clone());
-                cursor = off + len;
-                seen += 1;
-            }
-            prop_assert_eq!(cursor, batch.data.len());
-        }
-        prop_assert_eq!(seen, values.len(), "items lost or duplicated");
     }
 }
 

@@ -484,9 +484,8 @@ impl HotCache {
 /// * GET consults the cache first; only misses reach the inner store,
 ///   and successful reads are cached (guarded by the shard version so a
 ///   racing write can never resurrect a stale value).
-/// * PUT/DELETE (and their batch forms) apply to the inner store first
-///   and invalidate before returning — acknowledged writes are never
-///   followed by stale reads.
+/// * PUT/DELETE apply to the inner store first and invalidate before
+///   returning — acknowledged writes are never followed by stale reads.
 /// * SCAN bypasses the cache in both directions.
 /// * A hit never touches the inner store, so cached keys stay readable
 ///   while the store is degraded.
@@ -605,42 +604,8 @@ impl<S: NvmKvStore> NvmKvStore for CachedKvStore<S> {
         result
     }
 
-    fn put_many(&mut self, pairs: &[(u64, &[u8])]) -> Vec<Result<()>> {
-        let results = self.inner.put_many(pairs);
-        for &(key, _) in pairs {
-            self.cache.invalidate(key);
-        }
-        results
-    }
-
     fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>> {
         self.get_with(key, <[u8]>::to_vec)
-    }
-
-    fn get_many(&mut self, keys: &[u64]) -> Result<Vec<Option<Vec<u8>>>> {
-        let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-        // (position in `keys`, miss-time version) per cache miss.
-        let mut miss_idx: Vec<(usize, u64)> = Vec::new();
-        let mut miss_keys: Vec<u64> = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            match self.cache.lookup(key) {
-                Lookup::Hit(value) => out[i] = Some(value),
-                Lookup::Miss { version } => {
-                    miss_idx.push((i, version));
-                    miss_keys.push(key);
-                }
-            }
-        }
-        if !miss_keys.is_empty() {
-            let fetched = self.inner.get_many(&miss_keys)?;
-            for (((i, version), key), got) in miss_idx.into_iter().zip(miss_keys).zip(fetched) {
-                if let Some(value) = &got {
-                    self.cache.fill(key, value, version);
-                }
-                out[i] = got;
-            }
-        }
-        Ok(out)
     }
 
     fn delete(&mut self, key: u64) -> Result<bool> {
@@ -912,35 +877,6 @@ mod tests {
             matches!(cache.lookup(1), Lookup::Hit(_)),
             "hot key evicted by one-touch traffic"
         );
-    }
-
-    #[test]
-    fn batch_ops_stay_coherent() {
-        let mut s = CachedKvStore::new(MockStore::default(), small_cache());
-        let pairs: Vec<(u64, &[u8])> = vec![(1, b"a"), (2, b"b"), (3, b"c")];
-        assert!(s.put_many(&pairs).iter().all(Result::is_ok));
-        assert_eq!(
-            s.get_many(&[1, 2, 3, 4]).unwrap(),
-            vec![
-                Some(b"a".to_vec()),
-                Some(b"b".to_vec()),
-                Some(b"c".to_vec()),
-                None
-            ]
-        );
-        // All three now cached; overwrite via put_many must invalidate.
-        let pairs2: Vec<(u64, &[u8])> = vec![(2, b"B")];
-        assert!(s.put_many(&pairs2).iter().all(Result::is_ok));
-        assert_eq!(
-            s.get_many(&[1, 2]).unwrap(),
-            vec![Some(b"a".to_vec()), Some(b"B".to_vec())]
-        );
-        // Key 1 was a hit (no inner traffic); key 2 had to be
-        // re-fetched after its invalidation; key 4 was never cached.
-        let stats = s.cache_stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 5);
-        assert_eq!(stats.invalidations, 4);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! DRAM-NVM built on E2-NVM — [`ShardedE2KvStore`], the
 //! [`NvmKvStore`] face of a [`ShardedEngine`]. Each shard's
 //! [`E2Engine`] owns its ordered DRAM key index (the data index of
-//! Algorithm 1) and the live-entry counts of
-//! packed segments; this layer adds the WAL + snapshot persistence
-//! and the KV-op telemetry. A single-engine store is one shard:
+//! Algorithm 1); this layer adds the WAL + snapshot persistence and the
+//! KV-op telemetry. A single-engine store is one shard:
 //! `ShardedE2KvStore::new(ShardedEngine::new(vec![engine]))`.
 
 use crate::store::{Result, StoreError};
@@ -386,18 +385,18 @@ impl ShardedE2KvStore {
         Ok(Some((store, report)))
     }
 
-    /// Count `n` acked mutations toward the periodic snapshot trigger.
+    /// Count one acked mutation toward the periodic snapshot trigger.
     /// Best-effort: if the triggered snapshot fails, the previous
     /// snapshot plus the (longer) WAL still cover every acked write, so
     /// the failure degrades recovery time, not durability; explicit
     /// [`ShardedE2KvStore::snapshot_now`]/[`NvmKvStore::flush`] calls
     /// surface snapshot errors to the caller.
-    fn note_mutations(&self, p: &PersistState, n: u64) {
+    fn note_mutation(&self, p: &PersistState) {
         let every = p.cfg.snapshot_every_ops;
         if every == 0 {
             return;
         }
-        if p.ops_since_snapshot.fetch_add(n, Ordering::Relaxed) + n >= every {
+        if p.ops_since_snapshot.fetch_add(1, Ordering::Relaxed) + 1 >= every {
             // Claim the trigger: only the thread that swaps out a
             // large count snapshots; racers see 0 and move on.
             if p.ops_since_snapshot.swap(0, Ordering::Relaxed) >= every {
@@ -442,7 +441,7 @@ impl ShardedE2KvStore {
             wal.append_put(key, value)
                 .map_err(|e| StoreError::Persistence(format!("wal append: {e}")))?;
         }
-        self.note_mutations(p, 1);
+        self.note_mutation(p);
         Ok(())
     }
 
@@ -514,62 +513,6 @@ impl NvmKvStore for ShardedE2KvStore {
         result
     }
 
-    fn put_many(&mut self, pairs: &[(u64, &[u8])]) -> Vec<Result<()>> {
-        self.telemetry.puts.add(pairs.len() as u64);
-        // Each shard packs its share of the batch into shared segments
-        // under a single lock acquisition (see
-        // [`ShardedEngine::put_many`]).
-        let Some(p) = self.persist.clone() else {
-            return self
-                .engine
-                .put_many(pairs)
-                .into_iter()
-                .map(|r| r.map_err(StoreError::from))
-                .collect();
-        };
-        // Each shard's group applies and logs under that shard's WAL
-        // lock (one group-commit append per shard).
-        let mut acked = 0u64;
-        let out = self.engine.route_batch(
-            pairs,
-            |&(key, _)| key,
-            |shard, group| {
-                let mut wal = p.wals[shard].lock();
-                let results = self.engine.mutate_shard(shard, |e| e.put_many(group));
-                // Log exactly the applied (successful) subset, in order,
-                // encoding straight from the borrowed values.
-                let mut logged = 0u64;
-                let mut appended: std::result::Result<(), StoreError> = Ok(());
-                for (&(key, value), r) in group.iter().zip(&results) {
-                    if r.is_ok() {
-                        if let Err(e) = wal.append_put(key, value) {
-                            appended = Err(StoreError::Persistence(format!("wal append: {e}")));
-                            break;
-                        }
-                        logged += 1;
-                    }
-                }
-                drop(wal);
-                if appended.is_ok() {
-                    acked += logged;
-                }
-                results
-                    .into_iter()
-                    .map(|r| match (&appended, r) {
-                        // Applied in memory but not durably logged: fail
-                        // the ack so the client retries.
-                        (Err(e), Ok(())) => Err(e.clone()),
-                        (_, r) => r.map_err(StoreError::from),
-                    })
-                    .collect()
-            },
-        );
-        if acked > 0 {
-            self.note_mutations(&p, acked);
-        }
-        out
-    }
-
     fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>> {
         let started = self.clocks.get.start();
         self.telemetry.gets.inc();
@@ -580,19 +523,6 @@ impl NvmKvStore for ShardedE2KvStore {
             Err(E2Error::KeyNotFound(_)) => Ok(None),
             Err(e) => Err(StoreError::from(e)),
         }
-    }
-
-    fn get_many(&mut self, keys: &[u64]) -> Result<Vec<Option<Vec<u8>>>> {
-        self.telemetry.gets.add(keys.len() as u64);
-        self.engine
-            .get_many(keys)
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => Ok(Some(v)),
-                Err(E2Error::KeyNotFound(_)) => Ok(None),
-                Err(e) => Err(StoreError::from(e)),
-            })
-            .collect()
     }
 
     fn delete(&mut self, key: u64) -> Result<bool> {
@@ -613,7 +543,7 @@ impl NvmKvStore for ShardedE2KvStore {
             existed
         };
         if existed {
-            self.note_mutations(&p, 1);
+            self.note_mutation(&p);
         }
         Ok(existed)
     }
@@ -812,47 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn put_many_packs_and_roundtrips() {
-        let mut s = store(32, 64);
-        let values: Vec<(u64, Vec<u8>)> = (0..12u64).map(|k| (k, vec![k as u8; 16])).collect();
-        let pairs: Vec<(u64, &[u8])> = values.iter().map(|(k, v)| (*k, v.as_slice())).collect();
-        let free_before = s.engine.free_count();
-        assert!(s.put_many(&pairs).iter().all(Result::is_ok));
-        // Twelve 16-byte values pack four-to-a-64B-segment.
-        assert_eq!(free_before - s.engine.free_count(), 3);
-        for (k, v) in &values {
-            assert_eq!(s.get(*k).unwrap().as_ref(), Some(v));
-        }
-        // Deleting batch-mates frees the segment only when the last
-        // entry dies.
-        for k in 0..4u64 {
-            assert!(s.delete(k).unwrap());
-        }
-        assert_eq!(s.engine.free_count(), free_before - 2);
-        // Batched reads agree, including misses.
-        let got = s.get_many(&[5, 0, 7]).unwrap();
-        assert_eq!(got[0].as_deref(), Some(&[5u8; 16][..]));
-        assert_eq!(got[1], None);
-        assert_eq!(got[2].as_deref(), Some(&[7u8; 16][..]));
-    }
-
-    #[test]
-    fn sharded_put_many_roundtrips() {
-        let mut s = sharded_store(4, 128, 64);
-        let values: Vec<(u64, Vec<u8>)> = (0..32u64).map(|k| (k, vec![!(k as u8); 12])).collect();
-        let pairs: Vec<(u64, &[u8])> = values.iter().map(|(k, v)| (*k, v.as_slice())).collect();
-        assert!(s.put_many(&pairs).iter().all(Result::is_ok));
-        assert_eq!(s.len(), 32);
-        let keys: Vec<u64> = (0..34u64).collect();
-        let got = s.get_many(&keys).unwrap();
-        for k in 0..32usize {
-            assert_eq!(got[k].as_deref(), Some(&values[k].1[..]), "key {k}");
-        }
-        assert_eq!(got[32], None);
-        assert_eq!(got[33], None);
-    }
-
-    #[test]
     fn persistence_recovers_acked_writes_after_kill() {
         let dir = std::env::temp_dir().join(format!(
             "e2nvm_kv_recover_{}_{:?}",
@@ -878,11 +767,9 @@ mod tests {
                 s.put(k, &v).unwrap();
                 shadow.insert(k, v);
             }
-            let batch: Vec<(u64, Vec<u8>)> =
-                (100..112u64).map(|k| (k, vec![!(k as u8); 12])).collect();
-            let pairs: Vec<(u64, &[u8])> = batch.iter().map(|(k, v)| (*k, v.as_slice())).collect();
-            assert!(s.put_many(&pairs).iter().all(Result::is_ok));
-            for (k, v) in batch {
+            for k in 100..112u64 {
+                let v = vec![!(k as u8); 12];
+                s.put(k, &v).unwrap();
                 shadow.insert(k, v);
             }
             for k in [3u64, 7, 105] {

@@ -16,31 +16,6 @@ pub trait NvmKvStore {
     /// Look up a key.
     fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>>;
 
-    /// Insert or update a batch of pairs, returning one result per
-    /// pair, in order. Semantically equivalent to calling
-    /// [`NvmKvStore::put`] per pair (duplicate keys resolve
-    /// last-occurrence-wins) — which is exactly what this default
-    /// implementation does. E2-backed stores override it to pack small
-    /// values into shared segments through the `e2nvm-core`
-    /// [`e2nvm_core::BatchAccumulator`] path, paying one placement
-    /// (model prediction + address pop + device write) per filled
-    /// segment instead of one per value.
-    fn put_many(&mut self, pairs: &[(u64, &[u8])]) -> Vec<Result<()>> {
-        pairs
-            .iter()
-            .map(|&(key, value)| self.put(key, value))
-            .collect()
-    }
-
-    /// Look up a batch of keys, returning one `Option` per key, in
-    /// order. Aborts on the first store error (per-key "not found" is
-    /// `None`, not an error). The default implementation loops over
-    /// [`NvmKvStore::get`]; concurrent stores override it to serve the
-    /// whole batch under one lock acquisition per shard.
-    fn get_many(&mut self, keys: &[u64]) -> Result<Vec<Option<Vec<u8>>>> {
-        keys.iter().map(|&key| self.get(key)).collect()
-    }
-
     /// Delete a key; returns whether it existed.
     fn delete(&mut self, key: u64) -> Result<bool>;
 
@@ -48,10 +23,11 @@ pub trait NvmKvStore {
     fn scan(&mut self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>>;
 
     /// Like [`NvmKvStore::scan`], but return at most `limit` pairs
-    /// (the lowest keys in the range). The wire protocol's SCAN frame
-    /// carries a limit so remote clients can bound a response; the
-    /// default implementation truncates a full scan, and structures
-    /// with ordered indexes may override it to stop early.
+    /// (the lowest keys in the range). The wire protocol's SCAN_STREAM
+    /// frame carries such a limit, which the server pages through
+    /// [`NvmKvStore::scan_visit`]; the default implementation truncates
+    /// a full scan, and structures with ordered indexes may override it
+    /// to stop early.
     fn scan_limit(&mut self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
         let mut entries = self.scan(lo, hi)?;
         entries.truncate(limit);
@@ -154,50 +130,14 @@ pub fn check_against_shadow(
     for op in 0..ops {
         let key = rng.gen_range(0..64u64);
         match rng.gen_range(0..12) {
-            10 => {
-                // Batched put: must behave like sequential puts.
-                let n = rng.gen_range(1..=4usize);
-                let pairs: Vec<(u64, Vec<u8>)> = (0..n)
-                    .map(|_| {
-                        let k = rng.gen_range(0..64u64);
-                        let v: Vec<u8> = (0..value_len).map(|_| rng.gen()).collect();
-                        (k, v)
-                    })
-                    .collect();
-                let borrowed: Vec<(u64, &[u8])> =
-                    pairs.iter().map(|(k, v)| (*k, v.as_slice())).collect();
-                for (i, r) in store.put_many(&borrowed).into_iter().enumerate() {
-                    r.map_err(|e| format!("op {op}: put_many[{i}] failed: {e}"))?;
-                }
-                for (k, v) in pairs {
-                    shadow.insert(k, v);
-                }
-            }
-            11 => {
-                // Batched get: must agree with the shadow per key.
-                let n = rng.gen_range(1..=6usize);
-                let keys: Vec<u64> = (0..n).map(|_| rng.gen_range(0..64u64)).collect();
-                let got = store
-                    .get_many(&keys)
-                    .map_err(|e| format!("op {op}: get_many failed: {e}"))?;
-                for (k, g) in keys.iter().zip(&got) {
-                    if g.as_ref() != shadow.get(k) {
-                        return Err(format!(
-                            "op {op}: get_many({k}) mismatch: got {:?} expected {:?}",
-                            g.as_ref().map(Vec::len),
-                            shadow.get(k).map(Vec::len)
-                        ));
-                    }
-                }
-            }
-            0..=5 => {
+            0..=5 | 10 => {
                 let value: Vec<u8> = (0..value_len).map(|_| rng.gen()).collect();
                 store
                     .put(key, &value)
                     .map_err(|e| format!("op {op}: put({key}) failed: {e}"))?;
                 shadow.insert(key, value);
             }
-            6..=7 => {
+            6..=7 | 11 => {
                 let got = store
                     .get(key)
                     .map_err(|e| format!("op {op}: get({key}) failed: {e}"))?;

@@ -1,7 +1,7 @@
 //! Observational-equivalence property test for the read-through cache:
 //! a [`CachedKvStore`] wrapping a one-shard [`ShardedE2KvStore`] must be
 //! indistinguishable from the bare store under any interleaving of
-//! puts, gets, deletes, batch ops, and scans — including when the
+//! puts, gets, deletes and scans — including when the
 //! cache budget is tiny enough that the CLOCK hand evicts constantly.
 //!
 //! The two twins are built from identical seeds, so even their error
@@ -21,8 +21,6 @@ enum Op {
     Put(u64, Vec<u8>),
     Get(u64),
     Delete(u64),
-    PutMany(Vec<(u64, Vec<u8>)>),
-    GetMany(Vec<u64>),
     Scan(u64, u64),
     ScanLimit(u64, u64, usize),
 }
@@ -36,8 +34,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u64..12, value()).prop_map(|(k, v)| Op::Put(k, v)),
         (0u64..12).prop_map(Op::Get),
         (0u64..12).prop_map(Op::Delete),
-        proptest::collection::vec((0u64..12, value()), 0..5).prop_map(Op::PutMany),
-        proptest::collection::vec(0u64..12, 0..6).prop_map(Op::GetMany),
         (0u64..12, 0u64..12).prop_map(|(lo, hi)| Op::Scan(lo.min(hi), lo.max(hi))),
         (0u64..12, 0u64..12, 0usize..4).prop_map(|(lo, hi, limit)| Op::ScanLimit(
             lo.min(hi),
@@ -131,22 +127,6 @@ proptest! {
                         show(bare.delete(*key)),
                         show(cached.delete(*key)),
                         "delete #{} diverged", i
-                    );
-                }
-                Op::PutMany(pairs) => {
-                    let slices: Vec<(u64, &[u8])> =
-                        pairs.iter().map(|(k, v)| (*k, v.as_slice())).collect();
-                    let lhs: Vec<String> =
-                        bare.put_many(&slices).into_iter().map(show).collect();
-                    let rhs: Vec<String> =
-                        cached.put_many(&slices).into_iter().map(show).collect();
-                    prop_assert_eq!(lhs, rhs, "put_many #{} diverged", i);
-                }
-                Op::GetMany(keys) => {
-                    prop_assert_eq!(
-                        show(bare.get_many(keys)),
-                        show(cached.get_many(keys)),
-                        "get_many #{} diverged", i
                     );
                 }
                 Op::Scan(lo, hi) => {

@@ -119,10 +119,11 @@ fn all_structures_survive_ycsb_plugged_into_e2() {
     }
 }
 
-/// Small values flow through the engine's batched put (paper §4.1.4)
-/// without loss, packed several to a segment.
+/// Small values take one segment each: every put is one device write
+/// and one free segment, and overwriting a key hands its old segment
+/// back, so the pool neither leaks nor shares a segment between keys.
 #[test]
-fn batched_writer_with_dataset_values() {
+fn small_values_take_one_segment_each() {
     let mut controller = MemoryController::without_wear_leveling(device());
     let mut rng = StdRng::seed_from_u64(5);
     let residents = DatasetKind::PubMed.generate_sized(SEGMENTS, SEGMENT, &mut rng);
@@ -142,18 +143,23 @@ fn batched_writer_with_dataset_values() {
     let small_values: Vec<Vec<u8>> = (0..64)
         .map(|i| (0..20).map(|b| (i * 7 + b) as u8).collect())
         .collect();
-    let pairs: Vec<(u64, &[u8])> = small_values
-        .iter()
-        .enumerate()
-        .map(|(key, v)| (key as u64, v.as_slice()))
-        .collect();
-    assert!(engine.put_many(&pairs).iter().all(Result::is_ok));
+    let free_before = engine.free_count();
+    for (key, v) in small_values.iter().enumerate() {
+        engine.put(key as u64, v).unwrap();
+    }
+    assert_eq!(engine.device_stats().writes, 64);
+    assert_eq!(engine.free_count(), free_before - 64);
     for (key, v) in small_values.iter().enumerate() {
         assert_eq!(&engine.get(key as u64).unwrap(), v, "key {key}");
     }
-    // ~64 values of 20 B in 128 B batches -> about 11 placements.
-    let writes = engine.device_stats().writes;
-    assert!(writes <= 16, "batching ineffective: {writes} writes");
+    // Overwrites recycle the old segment: the pool size holds.
+    for (key, v) in small_values.iter().enumerate().take(16) {
+        let fresh: Vec<u8> = v.iter().map(|b| b ^ 0xff).collect();
+        engine.put(key as u64, &fresh).unwrap();
+        assert_eq!(engine.get(key as u64).unwrap(), fresh, "key {key}");
+    }
+    assert_eq!(engine.free_count(), free_before - 64);
+    assert_eq!(engine.len(), 64);
 }
 
 /// A store driven by values from each dataset generator round-trips.
