@@ -115,7 +115,6 @@ pub fn fig04(scale: Scale) -> Table {
             gamma: 0.2,
             batch: 64,
             kmeans_iters: 25,
-            soft_assignment: false,
         };
         let t0 = Instant::now();
         let (model, _) = ClusterModel::train(&dec_cfg, &features, None, &mut rng);

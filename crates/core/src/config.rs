@@ -40,11 +40,6 @@ pub struct E2Config {
     /// Retraining trigger: retrain when any cluster's free list drops
     /// below this many addresses (§4.1.4 "minimum threshold").
     pub retrain_min_free: usize,
-    /// How many times a placement re-programs a segment after a
-    /// transient write failure before the engine retires the segment
-    /// and falls back to another address (graceful degradation; only
-    /// relevant when the device injects faults).
-    pub max_write_retries: usize,
     /// Where padding bits are placed for sub-segment values.
     pub padding_location: PaddingLocation,
     /// How padding bits are generated.
@@ -68,7 +63,6 @@ impl Default for E2Config {
             beta: 0.3,
             train_sample_cap: 4096,
             retrain_min_free: 2,
-            max_write_retries: 2,
             padding_location: PaddingLocation::End,
             padding_type: PaddingType::Learned,
             seed: 0xE211,
@@ -98,7 +92,6 @@ impl E2Config {
             gamma: self.gamma,
             batch: self.batch,
             kmeans_iters: 25,
-            soft_assignment: false,
         }
     }
 
@@ -224,8 +217,6 @@ impl E2ConfigBuilder {
         train_sample_cap: usize,
         /// Per-cluster low-water mark that triggers retraining.
         retrain_min_free: usize,
-        /// Write retries after a transient failure before retiring.
-        max_write_retries: usize,
         /// Where padding bits are placed.
         padding_location: PaddingLocation,
         /// How padding bits are generated.

@@ -154,6 +154,11 @@ struct FreeSnapshot {
 /// never tagged.
 const NO_TAG: u8 = u8::MAX;
 
+/// How many times a placement re-programs a segment after a transient
+/// write failure before it retires the segment and falls back to
+/// another address.
+const MAX_WRITE_RETRIES: usize = 2;
+
 /// The E2-NVM engine.
 pub struct E2Engine {
     cfg: E2Config,
@@ -315,7 +320,16 @@ impl E2Engine {
     /// into the address pool — the paper's §4.1.4 incremental indexing
     /// ("starts by indexing a portion of the memory"). Grow coverage
     /// later with [`E2Engine::index_more`].
+    ///
+    /// Only a freshly constructed engine takes it: the first `initial`
+    /// segments all enter the pool, so on a trained engine they would
+    /// include segments that live values occupy.
     pub fn train_partial(&mut self, initial: usize) -> Result<()> {
+        if self.model.is_some() {
+            return Err(E2Error::Config(
+                "train_partial requires a freshly constructed engine".into(),
+            ));
+        }
         let total = self.controller.num_segments();
         if initial == 0 || initial > total {
             return Err(E2Error::Config(format!(
@@ -346,28 +360,6 @@ impl E2Engine {
             self.dap.push(cluster, seg)?;
         }
         Ok(end - mapped)
-    }
-
-    /// Sweep the candidate Ks on the current free contents (SSE elbow +
-    /// energy valley, Figure 8) and train with the energy-optimal K.
-    /// Returns the chosen K.
-    pub fn train_auto_k(&mut self, candidates: &[usize], est_writes: u64) -> Result<usize> {
-        let free = self.free_snapshot();
-        if free.segments.is_empty() {
-            return Err(E2Error::OutOfSpace);
-        }
-        let selection = crate::kselect::sweep_k(
-            &self.cfg,
-            &free.contents,
-            candidates,
-            &self.controller.device().config().energy.clone(),
-            est_writes,
-            &mut self.rng,
-        );
-        self.cfg.k = selection.energy_k;
-        let model = E2Model::train(&self.cfg, &free.contents, &mut self.rng);
-        self.install_model(model, &free);
-        Ok(selection.energy_k)
     }
 
     /// Install an externally trained model (from the background
@@ -430,8 +422,7 @@ impl E2Engine {
     /// region costs no flips.
     ///
     /// Fault handling (graceful degradation): a transient verify
-    /// failure is re-programmed up to
-    /// [`E2Config::max_write_retries`] times — each retry only touches
+    /// failure is re-programmed up to twice — each retry only touches
     /// the bits that still differ. A segment that wears out, or keeps
     /// failing after the retries, is permanently retired from the pool
     /// and the placement falls back to the next free address; capacity
@@ -471,7 +462,7 @@ impl E2Engine {
             // retry re-programs only what still differs.
             let result = loop {
                 match self.controller.write_at(seg, offset, value) {
-                    Err(SimError::WriteFailed { .. }) if attempts < self.cfg.max_write_retries => {
+                    Err(SimError::WriteFailed { .. }) if attempts < MAX_WRITE_RETRIES => {
                         attempts += 1;
                         self.telemetry.write_retries.inc();
                     }

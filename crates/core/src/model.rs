@@ -157,7 +157,7 @@ impl E2Model {
         self.cluster.predict_macs()
     }
 
-    /// The underlying encoder + centroids — the batched `Matrix` path
+    /// The underlying VAE + centroids — the batched `Matrix` path
     /// the serving kernel is checked against.
     pub fn cluster_model(&self) -> &ClusterModel {
         &self.cluster
@@ -168,9 +168,10 @@ impl E2Model {
         self.cluster.vae().train_macs_per_epoch(n)
     }
 
-    /// Serialize the serving artifact (encoder + centroids + input
-    /// width). The training history is not persisted — a loaded model
-    /// serves predictions.
+    /// Serialize the model: its input width, the whole VAE (config,
+    /// encoder *and* decoder) and the K-means centroids. Serving reads
+    /// only the encoder and the centroids. The training history is not
+    /// persisted — a loaded model serves predictions.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_header();
         w.u64(self.input_bits as u64);

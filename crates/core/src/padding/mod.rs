@@ -152,11 +152,6 @@ impl Padder {
         self.learned = Some(padder);
     }
 
-    /// Whether the learned generator has been trained.
-    pub fn is_learned_ready(&self) -> bool {
-        self.learned.is_some()
-    }
-
     /// Pad `data` to the model input `out` — `input_bits / 8` bytes of
     /// packed bits, MSB-first as `e2nvm_ml::data::bytes_to_features`
     /// lays them out, which is what the prediction kernel reads. Stored
@@ -355,7 +350,7 @@ mod tests {
     fn untrained_learned_falls_back() {
         let mut rng = seeded(7);
         let padder = Padder::new(PaddingLocation::End, PaddingType::Learned);
-        assert!(!padder.is_learned_ready());
+        assert!(padder.learned.is_none());
         let out = padded(&padder, &[0xAA], 8, &mut rng);
         assert_eq!(out[0], 0xAA);
     }

@@ -1,5 +1,4 @@
-//! Integration tests for the §4.1.4 features: incremental indexing and
-//! automatic K selection.
+//! Integration tests for the §4.1.4 incremental indexing.
 
 use e2nvm_core::{E2Config, E2Engine, E2Error, PaddingType};
 use e2nvm_sim::{DeviceConfig, LogicalSegment, MemoryController, NvmDevice};
@@ -80,14 +79,22 @@ fn incrementally_indexed_segments_are_classified() {
 }
 
 #[test]
-fn auto_k_trains_with_selected_k() {
-    let mut e = engine(48, 32, 1);
-    let chosen = e.train_auto_k(&[2, 4], 10_000).unwrap();
-    assert!(chosen == 2 || chosen == 4, "chosen {chosen}");
-    assert_eq!(e.config().k, chosen);
-    assert!(e.is_trained());
-    assert_eq!(e.model().unwrap().k(), chosen);
-    // Engine serves normally afterwards.
-    e.put(1, &[0xF0u8; 32]).unwrap();
-    assert_eq!(e.get(1).unwrap(), vec![0xF0u8; 32]);
+fn partial_training_never_pools_a_live_segment() {
+    let mut e = engine(32, 32, 2);
+    e.train_partial(16).unwrap();
+    for key in 0..8u64 {
+        e.put(key, &[key as u8; 32]).unwrap();
+    }
+    // Every live value sits below segment 16. A second partial training
+    // over them must be refused, or leave them out of the pool.
+    match e.train_partial(16) {
+        Ok(()) | Err(E2Error::Config(_)) => {}
+        Err(other) => panic!("unexpected error {other:?}"),
+    }
+    for key in 100..100 + e.free_count() as u64 {
+        e.put(key, &[0xA5u8; 32]).unwrap();
+    }
+    for key in 0..8u64 {
+        assert_eq!(e.get(key).unwrap(), vec![key as u8; 32], "key {key}");
+    }
 }

@@ -238,11 +238,6 @@ impl ShardedE2KvStore {
         Ok(self)
     }
 
-    /// The attached persistence config, if any.
-    pub fn persistence_config(&self) -> Option<&PersistenceConfig> {
-        self.persist.as_ref().map(|p| &p.cfg)
-    }
-
     /// Take a stop-the-world snapshot now: acquire every shard's WAL
     /// lock (quiescing mutations), capture each shard's device image and
     /// engine state, write the snapshot atomically, then truncate the

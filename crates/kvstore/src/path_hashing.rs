@@ -152,11 +152,6 @@ impl<S: NodeStore> PathHashing<S> {
         self.len == 0
     }
 
-    /// Load factor over all cells.
-    pub fn load_factor(&self) -> f64 {
-        self.len as f64 / self.geo.total_cells() as f64
-    }
-
     fn locate(&self, cell: usize) -> (NodeId, usize) {
         (
             self.nodes[cell / self.cells_per_node],
@@ -346,7 +341,7 @@ mod tests {
             }
         }
         assert!(errs > 0);
-        assert!(t.load_factor() <= 1.0);
+        assert!(t.len <= t.geo.total_cells());
     }
 
     #[test]

@@ -128,11 +128,6 @@ impl<S: NodeStore> WiscKey<S> {
             }
         }
     }
-
-    /// Log segments currently held (diagnostics).
-    pub fn log_segments(&self) -> usize {
-        self.log.len()
-    }
 }
 
 impl<S: NodeStore> NvmKvStore for WiscKey<S> {
@@ -264,7 +259,7 @@ mod tests {
         for key in 0..3u64 {
             assert_eq!(w.get(key).unwrap().unwrap(), vec![39u8; 20]);
         }
-        assert!(w.log_segments() <= 4);
+        assert!(w.log.len() <= 4);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!    epochs add the cluster-distance loss `γ · Σᵢ ‖zᵢ − μ_{c(i)}‖²` to
 //!    the ELBO gradient, re-fitting centroids between epochs.
 //!
-//! The product is a [`ClusterModel`]: the VAE *encoder* plus the K-means
-//! centroids — exactly the two artifacts the paper keeps for serving
-//! ("After training, only the encoder part of the VAE and the K-means
-//! clustering models are needed").
+//! The product is a [`ClusterModel`]: the whole VAE plus the K-means
+//! centroids. Prediction reads only the encoder and the centroids, the
+//! two artifacts the paper keeps for serving ("After training, only the
+//! encoder part of the VAE and the K-means clustering models are
+//! needed").
 
 use crate::data::features_to_bytes;
 use crate::kmeans::KMeans;
@@ -40,12 +41,6 @@ pub struct DecConfig {
     pub batch: usize,
     /// Lloyd iterations per K-means (re)fit.
     pub kmeans_iters: usize,
-    /// Joint-training flavor: hard nearest-centroid distance loss
-    /// (default, what the E2-NVM paper describes) or DEC/IDEC-style
-    /// soft assignment with a Student-t kernel and a sharpened target
-    /// distribution (the method of the paper's deep-clustering
-    /// citation, Guo et al. IJCAI '17).
-    pub soft_assignment: bool,
 }
 
 impl Default for DecConfig {
@@ -58,85 +53,8 @@ impl Default for DecConfig {
             gamma: 0.1,
             batch: 64,
             kmeans_iters: 25,
-            soft_assignment: false,
         }
     }
-}
-
-/// Soft assignment q_ij ∝ (1 + ‖z_i − μ_j‖²)⁻¹ (Student-t kernel with
-/// one degree of freedom), row-normalized — DEC's similarity measure.
-pub fn soft_assignments(z: &Matrix, centroids: &Matrix) -> Matrix {
-    let (n, k) = (z.rows(), centroids.rows());
-    let mut q = Matrix::zeros(n, k);
-    for i in 0..n {
-        let mut row_sum = 0.0f32;
-        for j in 0..k {
-            let d2: f32 = z
-                .row(i)
-                .iter()
-                .zip(centroids.row(j))
-                .map(|(&a, &b)| (a - b) * (a - b))
-                .sum();
-            let v = 1.0 / (1.0 + d2);
-            q.set(i, j, v);
-            row_sum += v;
-        }
-        for j in 0..k {
-            q.set(i, j, q.get(i, j) / row_sum.max(f32::EPSILON));
-        }
-    }
-    q
-}
-
-/// DEC's sharpened target distribution p_ij ∝ q_ij² / f_j, where f_j is
-/// the soft cluster frequency — pushes points toward high-confidence
-/// assignments.
-#[allow(clippy::needless_range_loop)] // index style is clearer here
-pub fn target_distribution(q: &Matrix) -> Matrix {
-    let (n, k) = (q.rows(), q.cols());
-    let f: Vec<f32> = (0..k)
-        .map(|j| (0..n).map(|i| q.get(i, j)).sum::<f32>().max(f32::EPSILON))
-        .collect();
-    let mut p = Matrix::zeros(n, k);
-    for i in 0..n {
-        let mut row_sum = 0.0f32;
-        for j in 0..k {
-            let v = q.get(i, j) * q.get(i, j) / f[j];
-            p.set(i, j, v);
-            row_sum += v;
-        }
-        for j in 0..k {
-            p.set(i, j, p.get(i, j) / row_sum.max(f32::EPSILON));
-        }
-    }
-    p
-}
-
-/// Gradient of the KL(P‖Q) clustering loss w.r.t. z (DEC eq. 4, up to
-/// the constant factor folded into γ):
-/// dL/dz_i = 2γ Σ_j (q_ij − p_ij) · (z_i − μ_j) / (1 + ‖z_i − μ_j‖²).
-#[allow(clippy::needless_range_loop)] // index style is clearer here
-fn soft_grad(zb: &Matrix, centroids: &Matrix, p: &Matrix, q: &Matrix, gamma: f32) -> Matrix {
-    let (n, l) = (zb.rows(), zb.cols());
-    let k = centroids.rows();
-    let mut grad = Matrix::zeros(n, l);
-    let inv_n = 1.0 / n as f32;
-    for i in 0..n {
-        for j in 0..k {
-            let d2: f32 = zb
-                .row(i)
-                .iter()
-                .zip(centroids.row(j))
-                .map(|(&a, &b)| (a - b) * (a - b))
-                .sum();
-            let w = 2.0 * gamma * (q.get(i, j) - p.get(i, j)) / (1.0 + d2) * inv_n;
-            for d in 0..l {
-                let g = grad.get(i, d) + w * (zb.get(i, d) - centroids.row(j)[d]);
-                grad.set(i, d, g);
-            }
-        }
-    }
-    grad
 }
 
 /// Loss trajectory of a training run (feeds the paper's Figure 9).
@@ -150,7 +68,7 @@ pub struct TrainingHistory {
     pub sse: Vec<f32>,
 }
 
-/// The servable artifact: encoder + centroids.
+/// The trained model: the VAE and the K-means centroids.
 #[derive(Debug, Clone)]
 pub struct ClusterModel {
     vae: Vae,
@@ -186,24 +104,6 @@ impl ClusterModel {
         for _ in 0..cfg.joint_epochs {
             let centroids = fit.model.centroids().clone();
             let gamma = cfg.gamma;
-            if cfg.soft_assignment {
-                // DEC: compute the target distribution once per epoch
-                // from the full latent snapshot, then descend KL(P||Q)
-                // per batch.
-                let l = vae.train_epoch_with(data, cfg.batch, rng, |zb| {
-                    let q = soft_assignments(zb, &centroids);
-                    let p = target_distribution(&q);
-                    Some(soft_grad(zb, &centroids, &p, &q, gamma))
-                });
-                history.train.push(l);
-                if let Some(v) = validation {
-                    history.validation.push(vae.evaluate(v));
-                }
-                let z = vae.latent(data);
-                fit = KMeans::fit(&z, cfg.k, cfg.kmeans_iters, rng);
-                history.sse.push(fit.sse);
-                continue;
-            }
             let l = vae.train_epoch_with(data, cfg.batch, rng, |zb| {
                 // dL_cluster/dz = 2γ(z − μ_c)/n for each row's nearest
                 // centroid.
@@ -373,7 +273,6 @@ mod tests {
             gamma: 0.2,
             batch: 32,
             kmeans_iters: 20,
-            soft_assignment: false,
         }
     }
 
@@ -442,53 +341,6 @@ mod tests {
             last <= first * 1.25,
             "joint epochs should not blow up SSE: first={first} last={last}"
         );
-    }
-
-    #[test]
-    fn soft_assignments_are_distributions() {
-        let z = Matrix::from_rows(&[vec![0.0, 0.0], vec![5.0, 5.0], vec![0.1, 0.0]]);
-        let centroids = Matrix::from_rows(&[vec![0.0, 0.0], vec![5.0, 5.0]]);
-        let q = soft_assignments(&z, &centroids);
-        for i in 0..3 {
-            let row_sum: f32 = (0..2).map(|j| q.get(i, j)).sum();
-            assert!((row_sum - 1.0).abs() < 1e-5);
-        }
-        // Points near a centroid assign strongly to it.
-        assert!(q.get(0, 0) > 0.9);
-        assert!(q.get(1, 1) > 0.9);
-        let p = target_distribution(&q);
-        // Sharpening: p is at least as confident as q on the argmax.
-        assert!(p.get(0, 0) >= q.get(0, 0) - 1e-5);
-        for i in 0..3 {
-            let row_sum: f32 = (0..2).map(|j| p.get(i, j)).sum();
-            assert!((row_sum - 1.0).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn soft_mode_clusters_align_with_classes() {
-        let mut rng = seeded(21);
-        let (data, labels) = three_class_bits(60, 48, &mut rng);
-        let cfg = DecConfig {
-            soft_assignment: true,
-            gamma: 0.5,
-            ..quick_cfg(48, 3)
-        };
-        let (model, history) = ClusterModel::train(&cfg, &data, None, &mut rng);
-        let preds = model.predict_batch(&data);
-        let mut purity_total = 0.0;
-        for cls in 0..3 {
-            let mut counts = [0usize; 3];
-            for (p, &l) in preds.iter().zip(&labels) {
-                if l == cls {
-                    counts[*p] += 1;
-                }
-            }
-            purity_total += *counts.iter().max().unwrap() as f32 / 60.0;
-        }
-        let purity = purity_total / 3.0;
-        assert!(purity > 0.8, "soft-mode purity={purity}");
-        assert!(!history.sse.is_empty());
     }
 
     #[test]

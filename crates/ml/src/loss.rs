@@ -2,18 +2,6 @@
 
 use crate::matrix::Matrix;
 
-/// Mean squared error over a batch (mean over all elements).
-pub fn mse(pred: &Matrix, target: &Matrix) -> f32 {
-    assert_eq!((pred.rows(), pred.cols()), (target.rows(), target.cols()));
-    let n = (pred.rows() * pred.cols()).max(1) as f32;
-    pred.as_slice()
-        .iter()
-        .zip(target.as_slice())
-        .map(|(&p, &t)| (p - t) * (p - t))
-        .sum::<f32>()
-        / n
-}
-
 /// Binary cross-entropy, summed over features and averaged over the
 /// batch — the per-sample reconstruction term of the VAE's ELBO.
 /// `pred` must already be in (0, 1) (sigmoid output); values are clamped
@@ -60,19 +48,6 @@ pub fn kl_gaussian(mu: &Matrix, logvar: &Matrix) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mse_zero_on_equal() {
-        let a = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        assert_eq!(mse(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn mse_known_value() {
-        let a = Matrix::from_vec(1, 2, vec![0., 0.]);
-        let b = Matrix::from_vec(1, 2, vec![3., 4.]);
-        assert!((mse(&a, &b) - 12.5).abs() < 1e-6);
-    }
 
     #[test]
     fn bce_minimized_at_target() {

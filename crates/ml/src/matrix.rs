@@ -199,14 +199,6 @@ impl Matrix {
         }
     }
 
-    /// `self -= other`.
-    pub fn sub_assign(&mut self, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
-    }
-
     /// `self * scalar`, in place.
     pub fn scale(&mut self, s: f32) {
         for v in &mut self.data {
@@ -278,11 +270,6 @@ impl Matrix {
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Extract a contiguous block of rows `[start, end)`.
@@ -536,12 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn norms() {
-        let a = m(1, 2, &[3., 4.]);
-        assert!((a.frobenius() - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn map_and_scale() {
         let mut a = m(1, 3, &[1., -2., 3.]);
         let abs = a.map(f32::abs);
@@ -553,13 +534,10 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_assign() {
+    fn add_assign_in_place() {
         let mut a = m(1, 2, &[1., 2.]);
-        let b = m(1, 2, &[3., 4.]);
-        a.add_assign(&b);
+        a.add_assign(&m(1, 2, &[3., 4.]));
         assert_eq!(a.row(0), &[4., 6.]);
-        a.sub_assign(&b);
-        assert_eq!(a.row(0), &[1., 2.]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Optimizers. Adam is the workhorse (the paper's LSTM snippet compiles
-//! with `optimizer='adam'`); plain SGD is kept for tests and ablations.
+//! The Adam optimizer (the paper's LSTM snippet compiles with
+//! `optimizer='adam'`).
 
 /// Adam state for one parameter tensor (flattened).
 #[derive(Debug, Clone)]
@@ -32,11 +32,6 @@ impl Adam {
         self.lr
     }
 
-    /// Change the learning rate (e.g. for decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Apply one Adam update: `params -= lr * m̂ / (sqrt(v̂) + ε)`.
     ///
     /// # Panics
@@ -58,14 +53,6 @@ impl Adam {
     }
 }
 
-/// Plain SGD update: `params -= lr * grads`.
-pub fn sgd_step(params: &mut [f32], grads: &[f32], lr: f32) {
-    assert_eq!(params.len(), grads.len(), "sgd: grad length mismatch");
-    for (p, g) in params.iter_mut().zip(grads) {
-        *p -= lr * g;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,16 +67,6 @@ mod tests {
             adam.step(&mut x, &g);
         }
         assert!((x[0] - 3.0).abs() < 0.05, "x={}", x[0]);
-    }
-
-    #[test]
-    fn sgd_minimizes_quadratic() {
-        let mut x = [10.0f32];
-        for _ in 0..200 {
-            let g = [2.0 * (x[0] - 3.0)];
-            sgd_step(&mut x, &g, 0.1);
-        }
-        assert!((x[0] - 3.0).abs() < 1e-3);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Binary persistence for trained models.
 //!
 //! The paper's serving path keeps "only the encoder part of the VAE and
-//! the K-means clustering models"; a deployment needs to save exactly
-//! that artifact and load it on restart without retraining. This module
+//! the K-means clustering models"; a deployment needs to save the model
+//! and load it on restart without retraining. A `ClusterModel` is
+//! written whole — VAE config, encoder, decoder, centroids — although
+//! prediction reads only the encoder and the centroids. This module
 //! is a compact, versioned, little-endian codec for the model types —
 //! no external format dependencies, explicit invariants, and round-trip
 //! property tests.
@@ -455,7 +457,6 @@ mod tests {
             gamma: 0.2,
             batch: 16,
             kmeans_iters: 10,
-            soft_assignment: false,
         };
         let (model, _) = ClusterModel::train(&cfg, &data, None, &mut rng);
         let loaded = ClusterModel::from_bytes(&model.to_bytes()).unwrap();

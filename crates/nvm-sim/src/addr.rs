@@ -170,14 +170,6 @@ impl SegmentRemap {
             && self.forward.iter().enumerate().all(|(l, &p)| l == p)
     }
 
-    /// Iterate `(logical, physical)` pairs in logical order.
-    pub fn iter(&self) -> impl Iterator<Item = (LogicalSegment, PhysicalSegment)> + '_ {
-        self.forward
-            .iter()
-            .enumerate()
-            .map(|(l, &p)| (LogicalSegment(l), PhysicalSegment(p)))
-    }
-
     /// The forward table as raw indices (`table[l]` = physical slot),
     /// the shape snapshots serialize.
     pub fn forward_table(&self) -> &[usize] {

@@ -420,56 +420,6 @@ impl MemoryController {
         &self.device
     }
 
-    /// Mutably borrow the underlying device (seeding, traces, wear).
-    pub fn device_mut(&mut self) -> &mut NvmDevice {
-        &mut self.device
-    }
-
-    /// Export the wear heatmap in the **logical** address space: each
-    /// entry is the wear of the physical slot *currently* backing that
-    /// logical segment, translated through the live remap. Use
-    /// [`NvmDevice::wear_heatmap_json`] for the physical (medium) view;
-    /// the two only coincide under the identity mapping. Both documents
-    /// carry an `address_space` field so a consumer can tell which it
-    /// was given.
-    pub fn wear_heatmap_json(&self) -> String {
-        let wear = self.device.wear();
-        let per_logical = |physical_values: Option<Vec<u64>>| -> String {
-            match physical_values {
-                None => "null".to_string(),
-                Some(vals) => {
-                    let items: Vec<String> = self
-                        .remap
-                        .iter()
-                        .map(|(_, p)| vals[p.index()].to_string())
-                        .collect();
-                    format!("[{}]", items.join(","))
-                }
-            }
-        };
-        let writes = per_logical(
-            wear.per_segment_writes()
-                .map(|w| w.iter().map(|&x| x as u64).collect()),
-        );
-        let seg_bits = self.device.config().segment_bytes * 8;
-        let flips = per_logical(wear.per_bit_flips().map(|bits| {
-            bits.chunks(seg_bits)
-                .map(|seg| seg.iter().map(|&b| b as u64).sum::<u64>())
-                .collect()
-        }));
-        format!(
-            "{{\"address_space\":\"logical\",\"policy\":\"{}\",\"num_segments\":{},\
-             \"segment_bytes\":{},\"per_segment_writes\":{},\"per_segment_flips\":{},\
-             \"retired_physical\":{}}}",
-            self.leveler.name(),
-            self.remap.logical_len(),
-            self.device.config().segment_bytes,
-            writes,
-            flips,
-            self.retired_physical_count(),
-        )
-    }
-
     /// Check the remap table is a bijection from logical segments onto a
     /// subset of physical segments (test/diagnostic helper).
     pub fn remap_is_consistent(&self) -> bool {
@@ -491,7 +441,7 @@ impl std::fmt::Debug for MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DeviceConfig, WearTracking};
+    use crate::config::DeviceConfig;
     use crate::fault::FaultConfig;
 
     fn device(n: usize) -> NvmDevice {
@@ -819,47 +769,5 @@ mod tests {
             retired: vec![false; 3],
         };
         assert!(MemoryController::from_state(device(4), &state).is_err());
-    }
-
-    #[test]
-    fn heatmap_views_agree_only_modulo_the_remap() {
-        let dev = NvmDevice::new(
-            DeviceConfig::builder()
-                .segment_bytes(256)
-                .num_segments(4)
-                .wear_tracking(WearTracking::PerSegment)
-                .build()
-                .unwrap(),
-        );
-        let mut mc = MemoryController::with_start_gap(dev, 1);
-        for i in 0..9usize {
-            mc.write(LogicalSegment(i % 3), &vec![i as u8; 256])
-                .unwrap();
-        }
-        let logical = mc.wear_heatmap_json();
-        let physical = mc.device().wear_heatmap_json();
-        assert!(logical.contains("\"address_space\":\"logical\""));
-        assert!(physical.contains("\"address_space\":\"physical\""));
-        assert!(!mc.remap().is_identity(), "psi=1 must have rotated by now");
-
-        // Pull the per-segment write arrays back out and check the
-        // logical view is exactly the physical view pulled through the
-        // live remap.
-        fn writes_array(doc: &str) -> Vec<u64> {
-            let start =
-                doc.find("\"per_segment_writes\":[").unwrap() + "\"per_segment_writes\":[".len();
-            let end = start + doc[start..].find(']').unwrap();
-            doc[start..end]
-                .split(',')
-                .map(|s| s.parse().unwrap())
-                .collect()
-        }
-        let lw = writes_array(&logical);
-        let pw = writes_array(&physical);
-        assert_eq!(lw.len(), 3);
-        assert_eq!(pw.len(), 4);
-        for (l, p) in mc.remap().iter() {
-            assert_eq!(lw[l.index()], pw[p.index()], "mismatch at {l}->{p}");
-        }
     }
 }

@@ -8,7 +8,6 @@ use crate::error::{Result, SimError};
 use crate::fault::{FaultModel, FaultStats};
 use crate::stats::{DeviceStats, WearCounters};
 use crate::telemetry::DeviceTelemetry;
-use crate::trace::{TraceEvent, WriteTrace};
 use e2nvm_telemetry::TelemetryRegistry;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -59,7 +58,6 @@ pub struct NvmDevice {
     data: Vec<u8>,
     stats: DeviceStats,
     wear: WearCounters,
-    trace: Option<WriteTrace>,
     telemetry: DeviceTelemetry,
     /// Present iff `cfg.fault` is set; `None` keeps every write path
     /// exactly as it was before fault injection existed.
@@ -84,7 +82,6 @@ impl NvmDevice {
             data: vec![0u8; pool],
             stats: DeviceStats::default(),
             wear,
-            trace: None,
             telemetry: DeviceTelemetry::disconnected(),
             fault,
             cfg,
@@ -367,13 +364,6 @@ impl NvmDevice {
         t.flips_per_write.observe(report.bits_flipped);
         t.write_latency_ns.observe(report.latency_ns as u64);
         self.wear.record_segment_write(seg.0);
-        if let Some(trace) = &mut self.trace {
-            trace.record(TraceEvent {
-                segment: seg.0,
-                bits_flipped: report.bits_flipped,
-                lines_written: report.lines_written,
-            });
-        }
     }
 
     /// Physically exchange the contents of two segments (a wear-leveling
@@ -557,45 +547,6 @@ impl NvmDevice {
         self.fault.as_ref().map_or(0, |f| f.worn_out_count())
     }
 
-    /// Export the per-segment wear state as a JSON heatmap document:
-    /// writes per segment plus (when per-bit tracking is on) flipped
-    /// bits aggregated per segment. Arrays are `null` when the
-    /// corresponding granularity is not tracked.
-    ///
-    /// Array indices are **physical** segment ids (the document says so
-    /// in its `address_space` field): wear lives on the medium, so a
-    /// heatmap taken under an active wear-leveling remap does *not*
-    /// line up with the engine's logical ids. For a logical-indexed
-    /// view translated through the live remap, use
-    /// [`crate::MemoryController::wear_heatmap_json`].
-    pub fn wear_heatmap_json(&self) -> String {
-        fn array<T: std::fmt::Display>(values: Option<impl Iterator<Item = T>>) -> String {
-            match values {
-                None => "null".to_string(),
-                Some(vals) => {
-                    let items: Vec<String> = vals.map(|v| v.to_string()).collect();
-                    format!("[{}]", items.join(","))
-                }
-            }
-        }
-        let writes = array(self.wear.per_segment_writes().map(|w| w.iter().copied()));
-        let seg_bits = self.cfg.segment_bytes * 8;
-        let flips = array(self.wear.per_bit_flips().map(|bits| {
-            bits.chunks(seg_bits)
-                .map(|seg| seg.iter().map(|&b| b as u64).sum::<u64>())
-        }));
-        format!(
-            "{{\"address_space\":\"physical\",\"num_segments\":{},\"segment_bytes\":{},\
-             \"per_segment_writes\":{},\
-             \"per_segment_flips\":{},\"max_segment_writes\":{}}}",
-            self.cfg.num_segments,
-            self.cfg.segment_bytes,
-            writes,
-            flips,
-            self.wear.max_segment_writes()
-        )
-    }
-
     /// Restore wear counters from a persisted device image.
     pub fn restore_wear(&mut self, per_segment: &[u32], per_bit: &[u8]) -> Result<()> {
         self.wear
@@ -615,17 +566,6 @@ impl NvmDevice {
                 "cannot restore fault state: device has no fault model configured".into(),
             )),
         }
-    }
-
-    /// Enable write tracing.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(WriteTrace::default());
-    }
-
-    /// Take the accumulated trace, leaving tracing enabled with an empty
-    /// buffer.
-    pub fn take_trace(&mut self) -> Option<WriteTrace> {
-        self.trace.as_mut().map(std::mem::take)
     }
 }
 
@@ -850,21 +790,6 @@ mod tests {
             reset_heavy.energy_pj,
             set_heavy.energy_pj
         );
-    }
-
-    #[test]
-    fn trace_records_writes() {
-        let mut dev = small_device();
-        dev.enable_trace();
-        let seg = dev.segment(2);
-        dev.write(seg, &vec![0xFFu8; 256]).unwrap();
-        let trace = dev.take_trace().unwrap();
-        assert_eq!(trace.events().len(), 1);
-        assert_eq!(trace.events()[0].segment, 2);
-        assert_eq!(trace.events()[0].bits_flipped, 2048);
-        // Buffer drained but tracing still on.
-        dev.write(seg, &vec![0x00u8; 256]).unwrap();
-        assert_eq!(dev.take_trace().unwrap().events().len(), 1);
     }
 
     #[test]

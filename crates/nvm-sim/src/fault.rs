@@ -187,14 +187,6 @@ impl FaultModel {
         self.stats.worn_out_segments
     }
 
-    /// All worn-out physical segments, ascending.
-    pub fn worn_segments(&self) -> Vec<PhysicalSegment> {
-        (0..self.worn.len())
-            .filter(|&s| self.worn[s])
-            .map(PhysicalSegment)
-            .collect()
-    }
-
     /// This segment's endurance limit in programmed bits.
     pub fn limit(&self, segment: PhysicalSegment) -> u64 {
         self.limits
@@ -436,7 +428,6 @@ mod tests {
         assert!(m.is_worn(PhysicalSegment(2)));
         assert!(!m.on_programmed(2, 1000)); // already worn: no second event
         assert_eq!(m.stats().worn_out_segments, 1);
-        assert_eq!(m.worn_segments(), vec![PhysicalSegment(2)]);
     }
 
     #[test]

@@ -71,7 +71,6 @@ pub mod partition;
 pub mod snapshot;
 pub mod stats;
 pub mod telemetry;
-pub mod trace;
 pub mod wear_leveling;
 
 pub use addr::{LogicalSegment, PhysicalSegment, SegmentRemap};
@@ -89,7 +88,6 @@ pub use partition::{
 };
 pub use stats::DeviceStats;
 pub use telemetry::DeviceTelemetry;
-pub use trace::{TraceEvent, WriteTrace};
 pub use wear_leveling::{
     NoWearLeveling, RandomSwap, RetiredSet, StartGap, SwapAction, WearLeveler, WearPolicyState,
 };

@@ -10,8 +10,8 @@
 //! [`DeviceStats::merge`](crate::DeviceStats::merge).
 //!
 //! Partition math is **logical-space only**: a [`SegmentRange`]
-//! translates between global and shard-local [`LogicalSegment`]s, and
-//! each shard's controller owns its own logical→physical remap below
+//! names a run of global [`LogicalSegment`]s, and each shard's
+//! controller owns its own logical→physical remap below
 //! that. The two layers must not be conflated — a shard's *physical*
 //! slot count always equals its range length, but its *logical*
 //! capacity can be smaller (start-gap reserves one slot), so sizing
@@ -40,24 +40,6 @@ impl SegmentRange {
     pub fn contains(&self, global: LogicalSegment) -> bool {
         let i = global.index();
         i >= self.start && i < self.start + self.len
-    }
-
-    /// Translate a shard-local logical segment id to its global id.
-    ///
-    /// # Panics
-    /// Panics if `local` is out of range.
-    #[inline]
-    pub fn to_global(&self, local: LogicalSegment) -> LogicalSegment {
-        assert!(local.index() < self.len, "local segment out of range");
-        LogicalSegment(self.start + local.index())
-    }
-
-    /// Translate a global logical segment id to a shard-local one, if
-    /// owned.
-    #[inline]
-    pub fn to_local(&self, global: LogicalSegment) -> Option<LogicalSegment> {
-        self.contains(global)
-            .then(|| LogicalSegment(global.index() - self.start))
     }
 
     /// One-past-the-end global segment id.
@@ -170,16 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn local_global_translation_roundtrips() {
-        let ranges = partition_segments(10, 3).unwrap();
-        let r = ranges[1];
-        for i in 0..r.len {
-            let global = r.to_global(LogicalSegment(i));
-            assert!(r.contains(global));
-            assert_eq!(r.to_local(global), Some(LogicalSegment(i)));
-        }
-        assert!(!r.contains(LogicalSegment(0)));
-        assert_eq!(r.to_local(LogicalSegment(0)), None);
+    fn ranges_contain_only_their_own_segments() {
+        let r = partition_segments(10, 3).unwrap()[1];
+        assert!((r.start..r.end()).all(|i| r.contains(LogicalSegment(i))));
+        assert!(!r.contains(LogicalSegment(r.start - 1)));
+        assert!(!r.contains(LogicalSegment(r.end())));
     }
 
     #[test]

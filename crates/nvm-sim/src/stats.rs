@@ -216,14 +216,6 @@ impl WearCounters {
         }
         out
     }
-
-    /// Swap the per-segment wear counters of two segments (used when the
-    /// wear-leveler physically relocates contents — wear follows the
-    /// physical cell, so counters stay with the physical slot; this
-    /// helper is for logical-view analyses).
-    pub fn max_segment_writes(&self) -> u32 {
-        self.per_segment_writes.iter().copied().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

@@ -385,12 +385,6 @@ impl ServerHandle {
         self.waker.wake();
     }
 
-    /// Whether shutdown has been requested (by this handle or by a
-    /// client's SHUTDOWN frame).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Block until the server has fully stopped (every connection
     /// drained and closed). Returns the number of connections served
     /// over the server's lifetime. Does not itself request shutdown:

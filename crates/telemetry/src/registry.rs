@@ -187,17 +187,6 @@ impl TelemetryRegistry {
             .sum()
     }
 
-    /// Sum of a gauge family across every label combination.
-    pub fn gauge_total(&self, name: &str) -> i64 {
-        self.inner
-            .gauges
-            .lock()
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.handle.get())
-            .sum()
-    }
-
     /// The shared structured event journal.
     pub fn journal(&self) -> &EventJournal {
         &self.inner.journal

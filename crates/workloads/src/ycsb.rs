@@ -33,14 +33,6 @@ impl Operation {
             | Operation::ReadModifyWrite(k, _) => *k,
         }
     }
-
-    /// Whether the operation writes.
-    pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            Operation::Update(..) | Operation::Insert(..) | Operation::ReadModifyWrite(..)
-        )
-    }
 }
 
 /// Request-distribution choice.
