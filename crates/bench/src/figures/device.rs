@@ -4,7 +4,7 @@ use crate::systems::{seeded_device, stream, E2System, InPlaceSystem};
 use crate::table::{fmt, Table};
 use crate::Scale;
 use e2nvm_baselines::{Captopril, Dcw, FlipNWrite, MinShift};
-use e2nvm_sim::{DeviceConfig, NvmDevice, PhysicalSegment, WearTracking};
+use e2nvm_sim::{DeviceConfig, MemoryController, NvmDevice, PhysicalSegment, WearTracking};
 use e2nvm_workloads::DatasetKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,8 +115,9 @@ pub fn fig02(scale: Scale) -> Table {
     );
     for &psi in &psis {
         let proto = seeded_device(segment_bytes, num_segments, WearTracking::None, &old);
+        let random_swap = || MemoryController::with_random_swap(proto.clone(), psi, 0xE2);
         let run_inplace = |scheme: Box<dyn e2nvm_baselines::InPlaceScheme>| -> f64 {
-            let mut sys = InPlaceSystem::with_wear_leveling(scheme, proto.clone(), psi);
+            let mut sys = InPlaceSystem::new(scheme, random_swap());
             let stats = stream(&mut sys, &incoming, 16).expect("stream");
             stats.flips_per_write()
         };
@@ -125,13 +126,9 @@ pub fn fig02(scale: Scale) -> Table {
         let ms = run_inplace(Box::new(MinShift::default()));
         let cap = run_inplace(Box::new(Captopril::default()));
         let e2 = {
-            let mut sys = E2System::with_wear_leveling(
-                proto.clone(),
-                E2System::quick_config(segment_bytes, 6),
-                0.5,
-                psi,
-            )
-            .expect("e2 system");
+            let mut sys =
+                E2System::new(random_swap(), E2System::quick_config(segment_bytes, 6), 0.5)
+                    .expect("e2 system");
             let stats = stream(&mut sys, &incoming, 16).expect("stream");
             stats.flips_per_write()
         };

@@ -8,7 +8,9 @@ use crate::systems::{E2System, InPlaceSystem, PlacementSystem, WriteSystem};
 use crate::table::{fmt, Table};
 use crate::Scale;
 use e2nvm_baselines::{Datacon, Dcw, FlipNWrite};
-use e2nvm_sim::{DeviceConfig, FaultConfig, NvmDevice, PhysicalSegment, WearTracking};
+use e2nvm_sim::{
+    DeviceConfig, FaultConfig, MemoryController, NvmDevice, PhysicalSegment, WearTracking,
+};
 use e2nvm_workloads::DatasetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,6 +91,7 @@ pub fn life01(scale: Scale) -> Table {
         }
         dev
     };
+    let start_gap = || MemoryController::with_start_gap(make_device(), psi);
 
     let mut table = Table::new(
         "life01",
@@ -128,19 +131,14 @@ pub fn life01(scale: Scale) -> Table {
     // Wear-leveling-on rows: same devices, same endurance draws, but
     // the controller rotates logical→physical under Start-Gap(ψ).
     {
-        let mut sys = InPlaceSystem::with_start_gap(Box::new(Dcw), make_device(), psi);
+        let mut sys = InPlaceSystem::new(Box::new(Dcw), start_gap());
         let name = format!("{}+start-gap", sys.name());
         let (w, bits, censored) = writes_to_first_death(&mut sys, &incoming, cap);
         results.push((name, w, bits, censored));
     }
     {
-        let mut sys = E2System::with_start_gap(
-            make_device(),
-            E2System::quick_config(segment_bytes, 4),
-            0.5,
-            psi,
-        )
-        .expect("e2 start-gap system");
+        let mut sys = E2System::new(start_gap(), E2System::quick_config(segment_bytes, 4), 0.5)
+            .expect("e2 start-gap system");
         let name = format!("{}+start-gap", sys.name());
         let (w, bits, censored) = writes_to_first_death(&mut sys, &incoming, cap);
         results.push((name, w, bits, censored));
@@ -232,8 +230,12 @@ pub fn life02(scale: Scale) -> Table {
         ),
         (
             "start-gap",
-            E2System::with_start_gap(make_device(), quick_cfg(), 0.5, psi)
-                .expect("e2 start-gap system"),
+            E2System::new(
+                MemoryController::with_start_gap(make_device(), psi),
+                quick_cfg(),
+                0.5,
+            )
+            .expect("e2 start-gap system"),
         ),
     ];
     for (wl, mut sys) in systems {

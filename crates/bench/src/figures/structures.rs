@@ -212,8 +212,10 @@ pub fn fig16(scale: Scale) -> Table {
     );
 
     // --- Wear-leveling-only baseline (DCW behind random swap) ---
-    let mut wl =
-        crate::systems::InPlaceSystem::with_wear_leveling(Box::new(e2nvm_baselines::Dcw), dev, 20);
+    let mut wl = crate::systems::InPlaceSystem::new(
+        Box::new(e2nvm_baselines::Dcw),
+        MemoryController::with_random_swap(dev, 20, 0xE2),
+    );
     let mut wl_meter = EnergyMeter::new();
 
     let mut table = Table::new(

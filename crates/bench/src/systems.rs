@@ -84,33 +84,14 @@ pub struct InPlaceSystem {
 }
 
 impl InPlaceSystem {
-    /// Wrap a scheme over a device.
-    pub fn new(scheme: Box<dyn InPlaceScheme>, device: NvmDevice) -> Self {
+    /// Wrap a scheme over a device, or over a controller that
+    /// wear-levels one. Under start-gap the controller reserves one
+    /// physical slot as the gap, so the system's logical pool is one
+    /// segment smaller than the device.
+    pub fn new(scheme: Box<dyn InPlaceScheme>, controller: impl Into<MemoryController>) -> Self {
         Self {
             scheme,
-            controller: MemoryController::without_wear_leveling(device),
-            next: 0,
-            aux_flips: 0,
-        }
-    }
-
-    /// Same, but behind wear leveling with period ψ.
-    pub fn with_wear_leveling(scheme: Box<dyn InPlaceScheme>, device: NvmDevice, psi: u64) -> Self {
-        Self {
-            scheme,
-            controller: MemoryController::with_random_swap(device, psi, 0xE2),
-            next: 0,
-            aux_flips: 0,
-        }
-    }
-
-    /// Same, behind Start-Gap rotation with period ψ. The controller
-    /// reserves one physical slot as the gap, so the system's logical
-    /// pool is one segment smaller than the device.
-    pub fn with_start_gap(scheme: Box<dyn InPlaceScheme>, device: NvmDevice, psi: u64) -> Self {
-        Self {
-            scheme,
-            controller: MemoryController::with_start_gap(device, psi),
+            controller: controller.into(),
             next: 0,
             aux_flips: 0,
         }
@@ -171,31 +152,14 @@ pub struct PlacementSystem {
 
 impl PlacementSystem {
     /// Wrap and initialize the scheme on the seeded device (all
-    /// segments start free).
+    /// segments start free), or on a controller over it.
     pub fn new(
         mut scheme: Box<dyn PlacementScheme>,
-        device: NvmDevice,
+        controller: impl Into<MemoryController>,
         occupancy: f64,
         seed: u64,
     ) -> Self {
-        Self::with_controller(
-            MemoryController::without_wear_leveling,
-            &mut scheme,
-            device,
-            occupancy,
-            seed,
-        )
-        .with_scheme(scheme)
-    }
-
-    fn with_controller(
-        make: impl FnOnce(NvmDevice) -> MemoryController,
-        scheme: &mut Box<dyn PlacementScheme>,
-        device: NvmDevice,
-        occupancy: f64,
-        seed: u64,
-    ) -> PlacementSystemPartial {
-        let controller = make(device);
+        let controller = controller.into();
         let free: Vec<(LogicalSegment, Vec<u8>)> = (0..controller.num_segments())
             .map(|i| {
                 let seg = LogicalSegment(i);
@@ -209,48 +173,14 @@ impl PlacementSystem {
         let max_occupied = ((controller.num_segments() as f64) * occupancy)
             .floor()
             .max(1.0) as usize;
-        PlacementSystemPartial {
-            controller,
-            max_occupied,
-            train_time,
-        }
-    }
-
-    /// Wear-leveling variant (random swap every ψ writes).
-    pub fn with_wear_leveling(
-        mut scheme: Box<dyn PlacementScheme>,
-        device: NvmDevice,
-        occupancy: f64,
-        psi: u64,
-        seed: u64,
-    ) -> Self {
-        Self::with_controller(
-            |dev| MemoryController::with_random_swap(dev, psi, 0xE2),
-            &mut scheme,
-            device,
-            occupancy,
-            seed,
-        )
-        .with_scheme(scheme)
-    }
-}
-
-struct PlacementSystemPartial {
-    controller: MemoryController,
-    max_occupied: usize,
-    train_time: Duration,
-}
-
-impl PlacementSystemPartial {
-    fn with_scheme(self, scheme: Box<dyn PlacementScheme>) -> PlacementSystem {
-        PlacementSystem {
+        Self {
             scheme,
-            controller: self.controller,
+            controller,
             occupied: VecDeque::new(),
-            max_occupied: self.max_occupied,
+            max_occupied,
             predict_ns: 0,
             predictions: 0,
-            train_time: self.train_time,
+            train_time,
         }
     }
 }
@@ -327,44 +257,16 @@ pub struct E2System {
 }
 
 impl E2System {
-    /// Build and train over a seeded device.
-    pub fn new(device: NvmDevice, cfg: E2Config, occupancy: f64) -> Result<Self, E2Error> {
-        let num_segments = device.num_segments();
-        let controller = MemoryController::without_wear_leveling(device);
-        Self::build(controller, num_segments, cfg, occupancy)
-    }
-
-    /// Wear-leveling variant.
-    pub fn with_wear_leveling(
-        device: NvmDevice,
+    /// Build and train over a seeded device, or over a controller that
+    /// wear-levels one (the engine's logical pool is the controller's:
+    /// one segment smaller than the device under start-gap).
+    pub fn new(
+        controller: impl Into<MemoryController>,
         cfg: E2Config,
         occupancy: f64,
-        psi: u64,
     ) -> Result<Self, E2Error> {
-        let num_segments = device.num_segments();
-        let controller = MemoryController::with_random_swap(device, psi, 0xE2);
-        Self::build(controller, num_segments, cfg, occupancy)
-    }
-
-    /// Start-Gap variant: the engine's logical pool is one segment
-    /// smaller than the device (the controller reserves the gap slot).
-    pub fn with_start_gap(
-        device: NvmDevice,
-        cfg: E2Config,
-        occupancy: f64,
-        psi: u64,
-    ) -> Result<Self, E2Error> {
-        let controller = MemoryController::with_start_gap(device, psi);
+        let controller = controller.into();
         let num_segments = controller.num_segments();
-        Self::build(controller, num_segments, cfg, occupancy)
-    }
-
-    fn build(
-        controller: MemoryController,
-        num_segments: usize,
-        cfg: E2Config,
-        occupancy: f64,
-    ) -> Result<Self, E2Error> {
         let mut engine = E2Engine::new(controller, cfg)?;
         let t0 = Instant::now();
         engine.train()?;

@@ -28,8 +28,6 @@ pub struct E2Config {
     pub joint_epochs: usize,
     /// Cluster-loss weight γ.
     pub gamma: f32,
-    /// Mini-batch size.
-    pub batch: usize,
     /// Adam learning rate.
     pub lr: f32,
     /// KL weight β.
@@ -58,7 +56,6 @@ impl Default for E2Config {
             pretrain_epochs: 15,
             joint_epochs: 5,
             gamma: 0.1,
-            batch: 64,
             lr: 2e-3,
             beta: 0.3,
             train_sample_cap: 4096,
@@ -90,7 +87,8 @@ impl E2Config {
             pretrain_epochs: self.pretrain_epochs,
             joint_epochs: self.joint_epochs,
             gamma: self.gamma,
-            batch: self.batch,
+            // Every engine trains in mini-batches of 64.
+            batch: 64,
             kmeans_iters: 25,
         }
     }
@@ -115,9 +113,6 @@ impl E2Config {
         }
         if self.hidden.is_empty() || self.hidden.contains(&0) {
             return fail("hidden layer widths must be non-empty and > 0");
-        }
-        if self.batch == 0 {
-            return fail("batch must be > 0");
         }
         if !(self.lr.is_finite() && self.lr > 0.0) {
             return fail("lr must be finite and > 0");
@@ -207,8 +202,6 @@ impl E2ConfigBuilder {
         joint_epochs: usize,
         /// Cluster-loss weight γ.
         gamma: f32,
-        /// Mini-batch size.
-        batch: usize,
         /// Adam learning rate.
         lr: f32,
         /// KL weight β.
@@ -272,7 +265,6 @@ mod tests {
             E2Config::builder().k(0).build(),
             Err(E2Error::Config(_))
         ));
-        assert!(E2Config::builder().batch(0).build().is_err());
         assert!(E2Config::builder().lr(0.0).build().is_err());
         assert!(E2Config::builder().lr(f32::NAN).build().is_err());
         assert!(E2Config::builder().hidden(vec![]).build().is_err());
@@ -293,10 +285,6 @@ mod tests {
             },
             E2Config {
                 latent_dim: 0,
-                ..E2Config::default()
-            },
-            E2Config {
-                batch: 0,
                 ..E2Config::default()
             },
         ] {

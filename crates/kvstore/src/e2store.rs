@@ -991,8 +991,10 @@ mod tests {
         // through replay: still active, still a consistent bijection.
         for i in 0..r.engine().num_shards() {
             r.engine().with_shard_engine(i, |e| {
-                assert!(e.controller().wear_leveling_active());
-                assert_eq!(e.controller().wear_leveling_name(), "start-gap");
+                assert!(matches!(
+                    e.controller().export_state().policy,
+                    e2nvm_sim::WearPolicy::StartGap { .. }
+                ));
                 assert!(e.controller().remap_is_consistent());
             });
         }

@@ -1,11 +1,11 @@
 //! The memory controller: the owner of the logical→physical segment
-//! translation, plus a pluggable wear-leveling policy.
+//! translation, plus one of a closed set of wear-leveling policies.
 //!
 //! Software (the E2-NVM layer, the baselines, the KV stores) addresses
 //! [`LogicalSegment`]s. The controller translates each access through
 //! its [`SegmentRemap`] to the [`PhysicalSegment`] backing it, forwards
-//! the access to the device, and — every ψ writes, per the configured
-//! [`WearLeveler`] — physically relocates segments, updating the remap.
+//! the access to the device, and — every ψ writes, per its
+//! [`WearPolicy`] — physically relocates segments, updating the remap.
 //! Relocations are charged to the device like any other traffic, so
 //! their extra bit flips and energy show up in the stats, exactly the
 //! interference the paper's Figure 2 studies.
@@ -14,8 +14,9 @@
 //! is what lets wear-keyed subsystems compose with wear leveling:
 //! retirement quarantines the physical slot a dying write actually hit
 //! ([`MemoryController::retire`]), heatmaps can be read in either
-//! address space, and snapshots persist the whole mapping
-//! ([`MemoryController::export_state`]) instead of refusing to run.
+//! address space, and snapshots persist the whole mapping, policy
+//! included ([`MemoryController::export_state`]), instead of refusing
+//! to run.
 //!
 //! Relocation safety: before applying a proposed [`SwapAction`] the
 //! controller pre-checks endurance headroom on every destination
@@ -29,22 +30,20 @@ use crate::addr::{LogicalSegment, PhysicalSegment, SegmentRemap};
 use crate::device::{NvmDevice, WriteReport};
 use crate::error::{Result, SimError};
 use crate::stats::DeviceStats;
-use crate::wear_leveling::{
-    NoWearLeveling, RandomSwap, RetiredSet, StartGap, SwapAction, WearLeveler, WearPolicyState,
-};
+use crate::wear_leveling::{SwapAction, WearPolicy};
 use e2nvm_telemetry::{Event, TelemetryRegistry};
 use serde::{Deserialize, Serialize};
 
 /// Serializable controller state: everything needed to rebuild the
-/// translation layer after a restart — the wear-leveling policy's
-/// position, the logical→physical forward table, and the per-physical
-/// retired flags. Persisted as its own section of the E2SS snapshot
-/// format (v2), which is what lifted the old "snapshots refused under
-/// active wear leveling" restriction.
+/// translation layer after a restart — the wear-leveling policy with
+/// its position, the logical→physical forward table, and the
+/// per-physical retired flags. Persisted as its own section of the
+/// E2SS snapshot format (v2), which is what lifted the old "snapshots
+/// refused under active wear leveling" restriction.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ControllerState {
-    /// Wear-leveling policy state ([`WearLeveler::export`]).
-    pub policy: WearPolicyState,
+    /// The wear-leveling policy, exactly as the controller holds it.
+    pub policy: WearPolicy,
     /// Forward table: `remap[l]` = physical slot backing logical `l`.
     pub remap: Vec<usize>,
     /// Per-physical-segment retired (quarantined) flags.
@@ -55,7 +54,7 @@ pub struct ControllerState {
 pub struct MemoryController {
     device: NvmDevice,
     remap: SegmentRemap,
-    leveler: Box<dyn WearLeveler>,
+    policy: WearPolicy,
     /// Physical segments quarantined by [`MemoryController::retire`].
     retired: Vec<bool>,
     /// Wear-leveling proposals skipped because they touched a retired
@@ -66,20 +65,34 @@ pub struct MemoryController {
     telemetry: TelemetryRegistry,
 }
 
+/// The pass-through controller, so anything that takes a controller
+/// also takes a bare device.
+impl From<NvmDevice> for MemoryController {
+    fn from(device: NvmDevice) -> Self {
+        Self::without_wear_leveling(device)
+    }
+}
+
 impl MemoryController {
-    fn build(device: NvmDevice, leveler: Box<dyn WearLeveler>, reserve_gap: bool) -> Self {
+    /// A fresh controller: identity translation (one segment short of
+    /// the device under start-gap, whose last slot starts as the gap)
+    /// and nothing retired.
+    ///
+    /// # Panics
+    /// Panics if `policy` is invalid for the device (see
+    /// [`MemoryController::from_state`]).
+    fn build(device: NvmDevice, policy: WearPolicy) -> Self {
         let physical = device.num_segments();
-        let logical = if reserve_gap { physical - 1 } else { physical };
-        let remap = SegmentRemap::from_forward((0..logical).collect(), physical)
-            .expect("identity prefix is always consistent");
-        Self {
-            device,
-            remap,
-            leveler,
+        let logical = match policy {
+            WearPolicy::StartGap { .. } => physical - 1,
+            _ => physical,
+        };
+        let state = ControllerState {
+            policy,
+            remap: (0..logical).collect(),
             retired: vec![false; physical],
-            skipped_relocations: 0,
-            telemetry: TelemetryRegistry::with_journal_capacity(0),
-        }
+        };
+        Self::from_state(device, &state).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Register the underlying device's metrics on `registry` and route
@@ -92,63 +105,83 @@ impl MemoryController {
 
     /// A pass-through controller with no wear leveling.
     pub fn without_wear_leveling(device: NvmDevice) -> Self {
-        Self::build(device, Box::new(NoWearLeveling), false)
+        Self::build(device, WearPolicy::None)
     }
 
     /// Start-gap wear leveling acting every `psi` writes. One physical
     /// segment is reserved as the gap, so the logical capacity is
     /// `device.num_segments() - 1`.
+    ///
+    /// # Panics
+    /// Panics if `psi == 0` or the device has fewer than 2 segments.
     pub fn with_start_gap(device: NvmDevice, psi: u64) -> Self {
-        let n = device.num_segments();
-        Self::build(device, Box::new(StartGap::new(n, psi)), true)
+        let policy = WearPolicy::StartGap {
+            psi,
+            writes: 0,
+            gap: PhysicalSegment(device.num_segments() - 1),
+        };
+        Self::build(device, policy)
     }
 
     /// Random-swap wear leveling acting every `psi` writes (the paper's
     /// model of proprietary controllers).
+    ///
+    /// # Panics
+    /// Panics if `psi == 0` or the device has fewer than 2 segments.
     pub fn with_random_swap(device: NvmDevice, psi: u64, seed: u64) -> Self {
-        let n = device.num_segments();
-        Self::build(device, Box::new(RandomSwap::new(n, psi, seed)), false)
+        let policy = WearPolicy::RandomSwap {
+            psi,
+            seed,
+            writes: 0,
+            draws: 0,
+        };
+        Self::build(device, policy)
     }
 
     /// Rebuild a controller from persisted [`ControllerState`] — the
     /// recovery path. The device must already carry its restored image
     /// (wear counters, fault state, contents); this reattaches the
-    /// translation layer exactly where it left off.
+    /// translation layer exactly where it left off. A state that does
+    /// not fit the device — a table of the wrong size or not a
+    /// bijection, a zero period ψ, a rotating policy on a one-segment
+    /// device, a start-gap gap that is out of range or mapped — is
+    /// [`SimError::InvalidConfig`].
     pub fn from_state(device: NvmDevice, state: &ControllerState) -> Result<Self> {
         let physical = device.num_segments();
+        let invalid = |why: String| Err(SimError::InvalidConfig(why));
         if state.retired.len() != physical {
-            return Err(SimError::InvalidConfig(format!(
+            return invalid(format!(
                 "controller state has {} retired flags for a {}-segment device",
                 state.retired.len(),
                 physical
-            )));
+            ));
         }
-        let remap = SegmentRemap::from_forward(state.remap.clone(), physical).ok_or_else(|| {
-            SimError::InvalidConfig(
-                "controller remap table is not a bijection onto the device".into(),
-            )
-        })?;
-        let leveler: Box<dyn WearLeveler> = match state.policy {
-            WearPolicyState::None => Box::new(NoWearLeveling),
-            WearPolicyState::StartGap { psi, writes, gap } => {
-                if remap.logical(gap).is_some() {
-                    return Err(SimError::InvalidConfig(format!(
-                        "start-gap state names {gap} as the gap but the remap table maps it"
-                    )));
-                }
-                Box::new(StartGap::restore(physical, psi, writes, gap))
-            }
-            WearPolicyState::RandomSwap {
-                psi,
-                seed,
-                writes,
-                draws,
-            } => Box::new(RandomSwap::restore(physical, psi, seed, writes, draws)),
+        let Some(remap) = SegmentRemap::from_forward(state.remap.clone(), physical) else {
+            return invalid("controller remap table is not a bijection onto the device".into());
         };
+        match state.policy {
+            WearPolicy::None => {}
+            WearPolicy::StartGap { psi, .. } | WearPolicy::RandomSwap { psi, .. }
+                if psi == 0 || physical < 2 =>
+            {
+                return invalid(format!(
+                    "wear leveling needs psi >= 1 and at least 2 segments, \
+                     got psi {psi} on {physical}"
+                ));
+            }
+            WearPolicy::StartGap { gap, .. }
+                if gap.0 >= physical || remap.logical(gap).is_some() =>
+            {
+                return invalid(format!(
+                    "start-gap state names {gap} as the gap, which is out of range or mapped"
+                ));
+            }
+            WearPolicy::StartGap { .. } | WearPolicy::RandomSwap { .. } => {}
+        }
         Ok(Self {
             device,
             remap,
-            leveler,
+            policy: state.policy,
             retired: state.retired.clone(),
             skipped_relocations: 0,
             telemetry: TelemetryRegistry::with_journal_capacity(0),
@@ -159,7 +192,7 @@ impl MemoryController {
     /// [`MemoryController::from_state`].
     pub fn export_state(&self) -> ControllerState {
         ControllerState {
-            policy: self.leveler.export(),
+            policy: self.policy,
             remap: self.remap.forward_table().to_vec(),
             retired: self.retired.clone(),
         }
@@ -169,18 +202,6 @@ impl MemoryController {
     #[inline]
     pub fn num_segments(&self) -> usize {
         self.remap.logical_len()
-    }
-
-    /// Name of the active wear-leveling policy.
-    pub fn wear_leveling_name(&self) -> &'static str {
-        self.leveler.name()
-    }
-
-    /// Whether the active policy can remap logical→physical segments
-    /// (`false` only for the pass-through controller, whose mapping
-    /// stays the identity forever).
-    pub fn wear_leveling_active(&self) -> bool {
-        self.leveler.period().is_some()
     }
 
     /// The live logical→physical translation table and its inverse.
@@ -285,17 +306,14 @@ impl MemoryController {
     /// relocation problem must never surface as an error on the user
     /// write that triggered it — that write already succeeded.
     fn run_wear_leveling(&mut self, phys: PhysicalSegment, report: &mut WriteReport) {
-        let action = {
-            let retired = RetiredSet::new(&self.retired);
-            self.leveler.on_write(phys, &retired)
-        };
-        let Some(action) = action else {
+        let physical = self.retired.len();
+        let Some(action) = self.policy.on_write(phys, &self.retired, physical) else {
             return;
         };
         match self.try_apply(&action) {
             Ok(Some(r)) => {
                 report.merge(&r);
-                self.leveler.on_applied(&action);
+                self.policy.on_applied(&action);
                 let (a, b) = match action {
                     SwapAction::Swap(a, b) => (a, b),
                     SwapAction::MoveToGap { src, gap } => (src, gap),
@@ -431,7 +449,7 @@ impl std::fmt::Debug for MemoryController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoryController")
             .field("logical_segments", &self.remap.logical_len())
-            .field("wear_leveling", &self.leveler.name())
+            .field("wear_leveling", &self.policy)
             .field("retired_physical", &self.retired_physical_count())
             .field("stats", self.device.stats())
             .finish()
@@ -712,62 +730,108 @@ mod tests {
 
     #[test]
     fn export_restore_roundtrips_mid_rotation() {
-        let mut mc = MemoryController::with_start_gap(device(5), 2);
-        for i in 0..17usize {
-            mc.write(LogicalSegment(i % 4), &vec![i as u8; 256])
-                .unwrap();
-        }
-        mc.retire(LogicalSegment(2)).unwrap();
-        let state = mc.export_state();
-        assert!(!mc.remap().is_identity());
+        let rotating: [fn(NvmDevice) -> MemoryController; 2] = [
+            |dev| MemoryController::with_start_gap(dev, 2),
+            |dev| MemoryController::with_random_swap(dev, 2, 99),
+        ];
+        for make in rotating {
+            let mut mc = make(device(5));
+            let logical = mc.num_segments();
+            for i in 0..17usize {
+                mc.write(LogicalSegment(i % logical), &vec![i as u8; 256])
+                    .unwrap();
+            }
+            mc.retire(LogicalSegment(2)).unwrap();
+            let state = mc.export_state();
+            assert!(!mc.remap().is_identity(), "{:?}", state.policy);
 
-        // Clone the device image the cheap way: replay contents into a
-        // fresh device (wear state is irrelevant to this test).
-        let mut dev2 = device(5);
-        for p in 0..5 {
-            let content = mc.device().peek(PhysicalSegment(p)).to_vec();
-            dev2.seed_segment(PhysicalSegment(p), &content).unwrap();
-        }
-        let mut mc2 = MemoryController::from_state(dev2, &state).unwrap();
+            // Clone the device image the cheap way: replay contents into
+            // a fresh device (wear state is irrelevant to this test).
+            let mut dev2 = device(5);
+            for p in 0..5 {
+                let content = mc.device().peek(PhysicalSegment(p)).to_vec();
+                dev2.seed_segment(PhysicalSegment(p), &content).unwrap();
+            }
+            let mut mc2 = MemoryController::from_state(dev2, &state).unwrap();
 
-        assert_eq!(mc2.export_state(), state);
-        assert_eq!(mc2.num_segments(), mc.num_segments());
-        assert_eq!(mc2.retired_physical(), mc.retired_physical());
-        for l in 0..4 {
-            assert_eq!(
-                mc.peek(LogicalSegment(l)).unwrap(),
-                mc2.peek(LogicalSegment(l)).unwrap(),
-                "logical {l} must read identically after restore"
-            );
-        }
-        // Both controllers keep proposing identical relocations.
-        for i in 0..12usize {
-            let ra = mc.write(LogicalSegment(i % 4), &vec![0x5Au8; 256]).unwrap();
-            let rb = mc2
-                .write(LogicalSegment(i % 4), &vec![0x5Au8; 256])
-                .unwrap();
-            assert_eq!(ra.lines_written, rb.lines_written);
-            assert_eq!(
-                mc.remap().forward_table(),
-                mc2.remap().forward_table(),
-                "restored rotation diverged at write {i}"
-            );
+            assert_eq!(mc2.export_state(), state);
+            assert_eq!(mc2.num_segments(), logical);
+            assert_eq!(mc2.retired_physical(), mc.retired_physical());
+            for l in 0..logical {
+                assert_eq!(
+                    mc.peek(LogicalSegment(l)).unwrap(),
+                    mc2.peek(LogicalSegment(l)).unwrap(),
+                    "logical {l} must read identically after restore"
+                );
+            }
+            // Both controllers keep proposing identical relocations.
+            for i in 0..12usize {
+                let ra = mc
+                    .write(LogicalSegment(i % logical), &vec![0x5Au8; 256])
+                    .unwrap();
+                let rb = mc2
+                    .write(LogicalSegment(i % logical), &vec![0x5Au8; 256])
+                    .unwrap();
+                assert_eq!(ra.lines_written, rb.lines_written);
+                assert_eq!(
+                    mc.remap().forward_table(),
+                    mc2.remap().forward_table(),
+                    "restored {:?} diverged at write {i}",
+                    state.policy
+                );
+            }
+            assert_eq!(mc2.export_state(), mc.export_state());
         }
     }
 
     #[test]
     fn from_state_rejects_inconsistent_tables() {
-        let state = ControllerState {
-            policy: WearPolicyState::None,
-            remap: vec![0, 0, 1, 2],
-            retired: vec![false; 4],
+        let identity = |n: usize| (0..n).collect::<Vec<_>>();
+        let start_gap = |psi, gap| WearPolicy::StartGap {
+            psi,
+            writes: 0,
+            gap: PhysicalSegment(gap),
         };
-        assert!(MemoryController::from_state(device(4), &state).is_err());
-        let state = ControllerState {
-            policy: WearPolicyState::None,
-            remap: (0..4).collect(),
-            retired: vec![false; 3],
-        };
-        assert!(MemoryController::from_state(device(4), &state).is_err());
+        let bad = [
+            // Not a bijection; too few retired flags.
+            (4, WearPolicy::None, vec![0, 0, 1, 2], 4),
+            (4, WearPolicy::None, identity(4), 3),
+            // Start-gap with ψ = 0, a gap past the device, or on a
+            // one-segment device; random swap with ψ = 0.
+            (4, start_gap(0, 3), identity(3), 4),
+            (4, start_gap(2, 4), identity(3), 4),
+            (1, start_gap(2, 0), identity(0), 1),
+            (
+                4,
+                WearPolicy::RandomSwap {
+                    psi: 0,
+                    seed: 1,
+                    writes: 0,
+                    draws: 0,
+                },
+                identity(4),
+                4,
+            ),
+            // The gap is mapped.
+            (4, start_gap(2, 2), identity(3), 4),
+        ];
+        for (physical, policy, remap, flags) in bad {
+            let state = ControllerState {
+                policy,
+                remap,
+                retired: vec![false; flags],
+            };
+            let got = MemoryController::from_state(device(physical), &state);
+            assert!(
+                matches!(got, Err(SimError::InvalidConfig(_))),
+                "{state:?} on {physical} segments"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "psi >= 1")]
+    fn zero_psi_rejected() {
+        MemoryController::with_start_gap(device(4), 0);
     }
 }

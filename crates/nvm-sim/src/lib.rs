@@ -25,9 +25,9 @@
 //!   write counters and per-bit flip counters used for the wear-leveling
 //!   CDFs of the paper's Figure 19.
 //! * A [`MemoryController`] wraps the device with a logical→physical
-//!   segment remapping driven by a pluggable [`WearLeveler`] (start-gap
-//!   or random swap every ψ writes), reproducing the interference the
-//!   paper studies in Figure 2.
+//!   segment remapping driven by one [`WearPolicy`] of a closed set
+//!   (none, start-gap, or random swap every ψ writes), reproducing the
+//!   interference the paper studies in Figure 2.
 //!
 //! ## Quick example
 //!
@@ -88,6 +88,4 @@ pub use partition::{
 };
 pub use stats::DeviceStats;
 pub use telemetry::DeviceTelemetry;
-pub use wear_leveling::{
-    NoWearLeveling, RandomSwap, RetiredSet, StartGap, SwapAction, WearLeveler, WearPolicyState,
-};
+pub use wear_leveling::{SwapAction, WearPolicy};

@@ -2,13 +2,15 @@
 //!
 //! Real Optane controllers run proprietary wear leveling; prior work (and
 //! the paper's §2.1) characterizes it as a segment swap every ψ writes,
-//! with ψ on the order of tens of writes. Two standard policies are
-//! modeled: start-gap rotation (Qureshi et al., MICRO '09) and a random
-//! swap. Policies operate purely on [`PhysicalSegment`] ids — relocation
-//! is a *device-space* concern; logical names never move. The controller
+//! with ψ on the order of tens of writes. The set of policies is closed —
+//! no wear leveling, start-gap rotation (Qureshi et al., MICRO '09) and a
+//! random swap — and [`WearPolicy`] is both the policy and its persisted
+//! state: the controller holds it by value and snapshots copy it.
+//! Policies operate purely on [`PhysicalSegment`] ids — relocation is a
+//! *device-space* concern; logical names never move. The controller
 //! applies each proposed [`SwapAction`] to the device and its
 //! [`crate::SegmentRemap`], then confirms it via
-//! [`WearLeveler::on_applied`].
+//! [`WearPolicy::on_applied`].
 //!
 //! The propose/confirm split matters because an action can be *skipped*:
 //! the controller refuses relocations that would touch a retired segment
@@ -35,38 +37,24 @@ pub enum SwapAction {
     },
 }
 
-/// Read-only view of the controller's retired-segment set, handed to
-/// policies so they can route relocations around quarantined slots.
-#[derive(Debug, Clone, Copy)]
-pub struct RetiredSet<'a>(&'a [bool]);
-
-impl<'a> RetiredSet<'a> {
-    /// Wrap a per-physical-segment retired flag slice.
-    pub fn new(flags: &'a [bool]) -> Self {
-        Self(flags)
-    }
-
-    /// Whether physical segment `p` is retired (quarantined).
-    pub fn is_retired(&self, p: PhysicalSegment) -> bool {
-        self.0.get(p.0).copied().unwrap_or(false)
-    }
-
-    /// Number of retired segments.
-    pub fn count(&self) -> usize {
-        self.0.iter().filter(|&&r| r).count()
-    }
-}
-
-/// Serializable snapshot of a wear-leveling policy's internal state,
-/// exported for persistence ([`WearLeveler::export`]) and restored by
-/// the controller on recovery. Deterministic policies resume exactly
-/// where they left off — including the random-swap RNG, which is a
-/// counter-based stream precisely so this snapshot stays small.
+/// A wear-leveling policy together with its position, which is all the
+/// state it has: persisting the value and installing it again resumes
+/// the policy exactly where it left off — including the random-swap
+/// RNG, which is a counter-based stream precisely so this value stays
+/// small. [`crate::MemoryController::from_state`] validates the fields
+/// against the device it is installed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WearPolicyState {
-    /// No wear leveling.
+pub enum WearPolicy {
+    /// No wear leveling: the translation stays the identity forever.
     None,
-    /// Start-gap rotation state.
+    /// Start-gap rotation: one physical segment is kept as a *gap* (no
+    /// logical preimage); every ψ writes the segment preceding the gap
+    /// moves into it, rotating the whole address space over time.
+    ///
+    /// Retired-aware: the rotation walks backward past quarantined
+    /// predecessors rather than proposing a move out of a dead slot. If
+    /// every candidate is retired the rotation halts — the device is
+    /// nearly dead at that point and retirement reporting takes over.
     StartGap {
         /// Swap period ψ.
         psi: u64,
@@ -75,7 +63,13 @@ pub enum WearPolicyState {
         /// Current gap slot.
         gap: PhysicalSegment,
     },
-    /// Random-swap state.
+    /// Random swap: every ψ writes, the most recently written segment is
+    /// swapped with a uniformly random other segment — the model of
+    /// proprietary controllers used by the paper's Figure 2.
+    ///
+    /// Retired-aware: partners are redrawn until a live one comes up
+    /// (with a bounded number of attempts), and no proposal is made at
+    /// all when the written segment itself is quarantined mid-flight.
     RandomSwap {
         /// Swap period ψ.
         psi: u64,
@@ -88,168 +82,6 @@ pub enum WearPolicyState {
     },
 }
 
-/// A wear-leveling policy. Called once per successful write; returns a
-/// relocation proposal when the policy's period elapses. The controller
-/// confirms applied proposals via [`WearLeveler::on_applied`]; a
-/// proposal that is never confirmed was skipped and must not advance
-/// the policy's position.
-pub trait WearLeveler: Send {
-    /// Human-readable policy name.
-    fn name(&self) -> &'static str;
-
-    /// Notify the policy of one write to physical segment `segment`;
-    /// returns a proposed action when a relocation is due. `retired`
-    /// lets the policy route around quarantined slots. Proposing must
-    /// not assume the action will be applied — position bookkeeping
-    /// belongs in [`WearLeveler::on_applied`].
-    fn on_write(
-        &mut self,
-        segment: PhysicalSegment,
-        retired: &RetiredSet<'_>,
-    ) -> Option<SwapAction>;
-
-    /// The controller applied `action` to the device and remap table;
-    /// commit any position bookkeeping tied to it.
-    fn on_applied(&mut self, action: &SwapAction) {
-        let _ = action;
-    }
-
-    /// Swap period ψ (writes between relocations), if periodic.
-    fn period(&self) -> Option<u64>;
-
-    /// Export the policy's internal state for persistence.
-    fn export(&self) -> WearPolicyState;
-}
-
-/// No wear leveling at all.
-#[derive(Debug, Default, Clone)]
-pub struct NoWearLeveling;
-
-impl WearLeveler for NoWearLeveling {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-    fn on_write(
-        &mut self,
-        _segment: PhysicalSegment,
-        _retired: &RetiredSet<'_>,
-    ) -> Option<SwapAction> {
-        None
-    }
-    fn period(&self) -> Option<u64> {
-        None
-    }
-    fn export(&self) -> WearPolicyState {
-        WearPolicyState::None
-    }
-}
-
-/// Start-gap wear leveling: one physical segment is kept as a *gap*
-/// (no logical preimage); every ψ writes the segment preceding the gap
-/// moves into it, rotating the whole address space over time.
-///
-/// Retired-aware: the rotation walks backward past quarantined
-/// predecessors rather than proposing a move out of a dead slot. If
-/// every candidate is retired the rotation halts — the device is
-/// nearly dead at that point and retirement reporting takes over.
-#[derive(Debug, Clone)]
-pub struct StartGap {
-    psi: u64,
-    writes: u64,
-    gap: PhysicalSegment,
-    num_segments: usize,
-}
-
-impl StartGap {
-    /// Create a start-gap leveler over `num_segments` physical segments
-    /// (the last one starts as the gap) acting every `psi` writes.
-    ///
-    /// # Panics
-    /// Panics if `psi == 0` or `num_segments < 2`.
-    pub fn new(num_segments: usize, psi: u64) -> Self {
-        assert!(psi > 0, "StartGap: psi must be >= 1");
-        assert!(num_segments >= 2, "StartGap: need at least 2 segments");
-        Self {
-            psi,
-            writes: 0,
-            gap: PhysicalSegment(num_segments - 1),
-            num_segments,
-        }
-    }
-
-    /// Rebuild a leveler from persisted [`WearPolicyState::StartGap`]
-    /// fields, resuming exactly where it left off.
-    ///
-    /// # Panics
-    /// Panics if `psi == 0`, `num_segments < 2`, or the gap is out of
-    /// range.
-    pub fn restore(num_segments: usize, psi: u64, writes: u64, gap: PhysicalSegment) -> Self {
-        assert!(psi > 0, "StartGap: psi must be >= 1");
-        assert!(num_segments >= 2, "StartGap: need at least 2 segments");
-        assert!(gap.0 < num_segments, "StartGap: gap out of range");
-        Self {
-            psi,
-            writes,
-            gap,
-            num_segments,
-        }
-    }
-
-    /// The current gap segment (the one physical slot with no logical
-    /// preimage).
-    pub fn gap(&self) -> PhysicalSegment {
-        self.gap
-    }
-}
-
-impl WearLeveler for StartGap {
-    fn name(&self) -> &'static str {
-        "start-gap"
-    }
-
-    fn on_write(
-        &mut self,
-        _segment: PhysicalSegment,
-        retired: &RetiredSet<'_>,
-    ) -> Option<SwapAction> {
-        self.writes += 1;
-        if self.writes % self.psi != 0 {
-            return None;
-        }
-        // Walk backward from the gap, skipping retired slots; give up
-        // after a full lap (everything else retired).
-        let mut src = (self.gap.0 + self.num_segments - 1) % self.num_segments;
-        for _ in 0..self.num_segments - 1 {
-            if !retired.is_retired(PhysicalSegment(src)) {
-                return Some(SwapAction::MoveToGap {
-                    src: PhysicalSegment(src),
-                    gap: self.gap,
-                });
-            }
-            src = (src + self.num_segments - 1) % self.num_segments;
-        }
-        None
-    }
-
-    fn on_applied(&mut self, action: &SwapAction) {
-        if let SwapAction::MoveToGap { src, .. } = action {
-            self.gap = *src;
-        }
-    }
-
-    fn period(&self) -> Option<u64> {
-        Some(self.psi)
-    }
-
-    fn export(&self) -> WearPolicyState {
-        WearPolicyState::StartGap {
-            psi: self.psi,
-            writes: self.writes,
-            gap: self.gap,
-        }
-    }
-}
-
 /// SplitMix64 — the same tiny deterministic generator the fault model
 /// uses; counter-based here so the RNG state serializes as two u64s.
 fn splitmix64(mut x: u64) -> u64 {
@@ -260,107 +92,83 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Random-swap wear leveling: every ψ writes, the most recently written
-/// segment is swapped with a uniformly random other segment — the model
-/// of proprietary controllers used by the paper's Figure 2.
-///
-/// Retired-aware: partners are redrawn until a live one comes up (with
-/// a bounded number of attempts), and no proposal is made at all when
-/// the written segment itself is quarantined mid-flight.
-#[derive(Debug, Clone)]
-pub struct RandomSwap {
-    psi: u64,
-    writes: u64,
-    num_segments: usize,
-    seed: u64,
-    draws: u64,
+/// Count one write; true when the period ψ has just elapsed.
+fn tick(writes: &mut u64, psi: u64) -> bool {
+    *writes += 1;
+    *writes % psi == 0
 }
 
-impl RandomSwap {
-    /// Create a random-swap leveler acting every `psi` writes.
-    ///
-    /// # Panics
-    /// Panics if `psi == 0` or `num_segments < 2`.
-    pub fn new(num_segments: usize, psi: u64, seed: u64) -> Self {
-        assert!(psi > 0, "RandomSwap: psi must be >= 1");
-        assert!(num_segments >= 2, "RandomSwap: need at least 2 segments");
-        Self {
-            psi,
-            writes: 0,
-            num_segments,
-            seed,
-            draws: 0,
-        }
-    }
-
-    /// Rebuild a leveler from persisted [`WearPolicyState::RandomSwap`]
-    /// fields; the counter-based RNG resumes its stream exactly.
-    ///
-    /// # Panics
-    /// Panics if `psi == 0` or `num_segments < 2`.
-    pub fn restore(num_segments: usize, psi: u64, seed: u64, writes: u64, draws: u64) -> Self {
-        assert!(psi > 0, "RandomSwap: psi must be >= 1");
-        assert!(num_segments >= 2, "RandomSwap: need at least 2 segments");
-        Self {
-            psi,
-            writes,
-            num_segments,
-            seed,
-            draws,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.draws += 1;
-        splitmix64(
-            self.seed
-                .wrapping_add(self.draws.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        )
-    }
-}
-
-impl WearLeveler for RandomSwap {
-    fn name(&self) -> &'static str {
-        "random-swap"
-    }
-
-    fn on_write(
+impl WearPolicy {
+    /// Count one write to physical segment `written` on a device of
+    /// `physical` segments; returns a proposed action when a relocation
+    /// is due. `retired` holds the per-physical quarantine flags (a
+    /// segment past its end counts as live), so the proposal routes
+    /// around dead slots. Proposing does not assume the action will be
+    /// applied — position bookkeeping waits for
+    /// [`WearPolicy::on_applied`].
+    pub fn on_write(
         &mut self,
-        segment: PhysicalSegment,
-        retired: &RetiredSet<'_>,
+        written: PhysicalSegment,
+        retired: &[bool],
+        physical: usize,
     ) -> Option<SwapAction> {
-        self.writes += 1;
-        if self.writes % self.psi != 0 {
-            return None;
-        }
-        if retired.is_retired(segment) {
-            return None;
-        }
-        // Pick a live partner different from the written segment;
-        // bounded redraws so a mostly-retired device can't spin.
-        for _ in 0..4 * self.num_segments {
-            let mut other = (self.next_u64() % (self.num_segments as u64 - 1)) as usize;
-            if other >= segment.0 {
-                other += 1;
+        let is_retired = |p: usize| retired.get(p).copied().unwrap_or(false);
+        match self {
+            WearPolicy::None => None,
+            WearPolicy::StartGap { psi, writes, gap } => {
+                if !tick(writes, *psi) {
+                    return None;
+                }
+                // Walk backward from the gap, skipping retired slots;
+                // give up after a full lap (everything else retired).
+                let mut src = gap.0;
+                for _ in 0..physical - 1 {
+                    src = (src + physical - 1) % physical;
+                    if !is_retired(src) {
+                        return Some(SwapAction::MoveToGap {
+                            src: PhysicalSegment(src),
+                            gap: *gap,
+                        });
+                    }
+                }
+                None
             }
-            let other = PhysicalSegment(other);
-            if !retired.is_retired(other) {
-                return Some(SwapAction::Swap(segment, other));
+            WearPolicy::RandomSwap {
+                psi,
+                seed,
+                writes,
+                draws,
+            } => {
+                if !tick(writes, *psi) || is_retired(written.0) {
+                    return None;
+                }
+                // Pick a live partner different from the written
+                // segment; bounded redraws so a mostly-retired device
+                // can't spin.
+                for _ in 0..4 * physical {
+                    *draws += 1;
+                    let draw =
+                        splitmix64(seed.wrapping_add(draws.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+                    let mut other = (draw % (physical as u64 - 1)) as usize;
+                    if other >= written.0 {
+                        other += 1;
+                    }
+                    if !is_retired(other) {
+                        return Some(SwapAction::Swap(written, PhysicalSegment(other)));
+                    }
+                }
+                None
             }
         }
-        None
     }
 
-    fn period(&self) -> Option<u64> {
-        Some(self.psi)
-    }
-
-    fn export(&self) -> WearPolicyState {
-        WearPolicyState::RandomSwap {
-            psi: self.psi,
-            seed: self.seed,
-            writes: self.writes,
-            draws: self.draws,
+    /// The controller applied `action` to the device and remap table;
+    /// commit the position bookkeeping tied to it.
+    pub fn on_applied(&mut self, action: &SwapAction) {
+        if let (WearPolicy::StartGap { gap, .. }, SwapAction::MoveToGap { src, .. }) =
+            (self, action)
+        {
+            *gap = *src;
         }
     }
 }
@@ -369,31 +177,48 @@ impl WearLeveler for RandomSwap {
 mod tests {
     use super::*;
 
-    const NONE: [bool; 0] = [];
+    fn start_gap(physical: usize, psi: u64) -> WearPolicy {
+        WearPolicy::StartGap {
+            psi,
+            writes: 0,
+            gap: PhysicalSegment(physical - 1),
+        }
+    }
 
-    fn live() -> RetiredSet<'static> {
-        RetiredSet::new(&NONE)
+    fn random_swap(psi: u64, seed: u64) -> WearPolicy {
+        WearPolicy::RandomSwap {
+            psi,
+            seed,
+            writes: 0,
+            draws: 0,
+        }
+    }
+
+    fn gap(policy: &WearPolicy) -> PhysicalSegment {
+        match policy {
+            WearPolicy::StartGap { gap, .. } => *gap,
+            other => panic!("not start-gap: {other:?}"),
+        }
     }
 
     #[test]
     fn no_wear_leveling_never_acts() {
-        let mut wl = NoWearLeveling;
+        let mut wl = WearPolicy::None;
         for i in 0..1000 {
-            assert!(wl.on_write(PhysicalSegment(i % 7), &live()).is_none());
+            assert!(wl.on_write(PhysicalSegment(i % 7), &[], 7).is_none());
         }
-        assert_eq!(wl.period(), None);
-        assert_eq!(wl.export(), WearPolicyState::None);
+        assert_eq!(wl, WearPolicy::None);
     }
 
     #[test]
     fn start_gap_rotates_every_psi() {
-        let mut wl = StartGap::new(4, 3);
+        let mut wl = start_gap(4, 3);
         let s0 = PhysicalSegment(0);
-        assert!(wl.on_write(s0, &live()).is_none());
-        assert!(wl.on_write(s0, &live()).is_none());
+        assert!(wl.on_write(s0, &[], 4).is_none());
+        assert!(wl.on_write(s0, &[], 4).is_none());
         // Third write proposes: segment 2 moves into gap 3. The gap
         // only advances once the controller confirms the move.
-        let action = wl.on_write(s0, &live()).expect("psi elapsed");
+        let action = wl.on_write(s0, &[], 4).expect("psi elapsed");
         assert_eq!(
             action,
             SwapAction::MoveToGap {
@@ -401,13 +226,13 @@ mod tests {
                 gap: PhysicalSegment(3)
             }
         );
-        assert_eq!(wl.gap(), PhysicalSegment(3), "gap unchanged until applied");
+        assert_eq!(gap(&wl), PhysicalSegment(3), "gap unchanged until applied");
         wl.on_applied(&action);
-        assert_eq!(wl.gap(), PhysicalSegment(2));
+        assert_eq!(gap(&wl), PhysicalSegment(2));
         // Next confirmed trigger moves segment 1 into gap 2.
-        wl.on_write(s0, &live());
-        wl.on_write(s0, &live());
-        let action = wl.on_write(s0, &live()).expect("psi elapsed");
+        wl.on_write(s0, &[], 4);
+        wl.on_write(s0, &[], 4);
+        let action = wl.on_write(s0, &[], 4).expect("psi elapsed");
         assert_eq!(
             action,
             SwapAction::MoveToGap {
@@ -419,22 +244,22 @@ mod tests {
 
     #[test]
     fn start_gap_skipped_proposal_does_not_move_gap() {
-        let mut wl = StartGap::new(4, 1);
-        let first = wl.on_write(PhysicalSegment(0), &live()).unwrap();
+        let mut wl = start_gap(4, 1);
+        let first = wl.on_write(PhysicalSegment(0), &[], 4).unwrap();
         // Controller skipped it (e.g. unsafe relocation): no on_applied.
-        let second = wl.on_write(PhysicalSegment(0), &live()).unwrap();
+        let second = wl.on_write(PhysicalSegment(0), &[], 4).unwrap();
         assert_eq!(first, second, "unconfirmed proposal must be re-proposed");
     }
 
     #[test]
     fn start_gap_gap_wraps_around() {
-        let mut wl = StartGap::new(3, 1);
-        let mut gaps = vec![wl.gap().0];
+        let mut wl = start_gap(3, 1);
+        let mut gaps = vec![gap(&wl).0];
         for _ in 0..6 {
-            if let Some(a) = wl.on_write(PhysicalSegment(0), &live()) {
+            if let Some(a) = wl.on_write(PhysicalSegment(0), &[], 3) {
                 wl.on_applied(&a);
             }
-            gaps.push(wl.gap().0);
+            gaps.push(gap(&wl).0);
         }
         // Gap cycles 2 -> 1 -> 0 -> 2 -> ...
         assert_eq!(gaps, vec![2, 1, 0, 2, 1, 0, 2]);
@@ -442,11 +267,10 @@ mod tests {
 
     #[test]
     fn start_gap_walks_past_retired_predecessor() {
-        let mut wl = StartGap::new(4, 1);
+        let mut wl = start_gap(4, 1);
         // Slot 2 (the gap's predecessor) is quarantined.
-        let flags = [false, false, true, false];
-        let retired = RetiredSet::new(&flags);
-        let action = wl.on_write(PhysicalSegment(0), &retired).unwrap();
+        let retired = [false, false, true, false];
+        let action = wl.on_write(PhysicalSegment(0), &retired, 4).unwrap();
         assert_eq!(
             action,
             SwapAction::MoveToGap {
@@ -458,41 +282,17 @@ mod tests {
 
     #[test]
     fn start_gap_halts_when_all_candidates_retired() {
-        let mut wl = StartGap::new(3, 1);
-        let flags = [true, true, false];
-        let retired = RetiredSet::new(&flags);
-        assert!(wl.on_write(PhysicalSegment(2), &retired).is_none());
-    }
-
-    #[test]
-    fn start_gap_restore_resumes_exactly() {
-        let mut a = StartGap::new(5, 3);
-        for _ in 0..7 {
-            if let Some(act) = a.on_write(PhysicalSegment(0), &live()) {
-                a.on_applied(&act);
-            }
-        }
-        let WearPolicyState::StartGap { psi, writes, gap } = a.export() else {
-            panic!("wrong state kind");
-        };
-        let mut b = StartGap::restore(5, psi, writes, gap);
-        for _ in 0..10 {
-            let x = a.on_write(PhysicalSegment(1), &live());
-            let y = b.on_write(PhysicalSegment(1), &live());
-            assert_eq!(x, y);
-            if let Some(act) = x {
-                a.on_applied(&act);
-                b.on_applied(&act);
-            }
-        }
+        let mut wl = start_gap(3, 1);
+        let retired = [true, true, false];
+        assert!(wl.on_write(PhysicalSegment(2), &retired, 3).is_none());
     }
 
     #[test]
     fn random_swap_partner_differs() {
-        let mut wl = RandomSwap::new(8, 1, 42);
+        let mut wl = random_swap(1, 42);
         for i in 0..200 {
             let seg = PhysicalSegment(i % 8);
-            match wl.on_write(seg, &live()) {
+            match wl.on_write(seg, &[], 8) {
                 Some(SwapAction::Swap(a, b)) => {
                     assert_ne!(a, b);
                     assert!(b.0 < 8);
@@ -505,9 +305,9 @@ mod tests {
 
     #[test]
     fn random_swap_respects_period() {
-        let mut wl = RandomSwap::new(4, 5, 1);
+        let mut wl = random_swap(5, 1);
         let actions: Vec<bool> = (0..20)
-            .map(|i| wl.on_write(PhysicalSegment(i % 4), &live()).is_some())
+            .map(|i| wl.on_write(PhysicalSegment(i % 4), &[], 4).is_some())
             .collect();
         let count = actions.iter().filter(|&&x| x).count();
         assert_eq!(count, 4);
@@ -516,43 +316,14 @@ mod tests {
 
     #[test]
     fn random_swap_avoids_retired_partner() {
-        let mut wl = RandomSwap::new(4, 1, 7);
+        let mut wl = random_swap(1, 7);
         // Only slot 3 is a legal partner for writes to slot 0.
-        let flags = [false, true, true, false];
-        let retired = RetiredSet::new(&flags);
+        let retired = [false, true, true, false];
         for _ in 0..50 {
-            match wl.on_write(PhysicalSegment(0), &retired) {
+            match wl.on_write(PhysicalSegment(0), &retired, 4) {
                 Some(SwapAction::Swap(_, b)) => assert_eq!(b, PhysicalSegment(3)),
                 other => panic!("expected swap, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn random_swap_restore_resumes_stream() {
-        let mut a = RandomSwap::new(8, 2, 99);
-        for i in 0..11 {
-            a.on_write(PhysicalSegment(i % 8), &live());
-        }
-        let WearPolicyState::RandomSwap {
-            psi,
-            seed,
-            writes,
-            draws,
-        } = a.export()
-        else {
-            panic!("wrong state kind");
-        };
-        let mut b = RandomSwap::restore(8, psi, seed, writes, draws);
-        for i in 0..20 {
-            let seg = PhysicalSegment((i * 3) % 8);
-            assert_eq!(a.on_write(seg, &live()), b.on_write(seg, &live()));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "psi must be >= 1")]
-    fn zero_psi_rejected() {
-        StartGap::new(4, 0);
     }
 }

@@ -23,7 +23,7 @@
 use crate::crc::crc32;
 use crate::error::{PersistError, Result};
 use e2nvm_core::EngineState;
-use e2nvm_sim::{ControllerState, LogicalSegment, PhysicalSegment, WearPolicyState};
+use e2nvm_sim::{ControllerState, LogicalSegment, PhysicalSegment, WearPolicy};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -72,11 +72,11 @@ fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
 
 fn put_controller(buf: &mut Vec<u8>, cs: &ControllerState) {
     let (tag, fields): (u16, Vec<u64>) = match cs.policy {
-        WearPolicyState::None => (POLICY_NONE, Vec::new()),
-        WearPolicyState::StartGap { psi, writes, gap } => {
+        WearPolicy::None => (POLICY_NONE, Vec::new()),
+        WearPolicy::StartGap { psi, writes, gap } => {
             (POLICY_START_GAP, vec![psi, writes, gap.index() as u64])
         }
-        WearPolicyState::RandomSwap {
+        WearPolicy::RandomSwap {
             psi,
             seed,
             writes,
@@ -136,13 +136,13 @@ impl<'a> Cursor<'a> {
     }
     fn controller(&mut self) -> Result<ControllerState> {
         let policy = match self.u16()? {
-            POLICY_NONE => WearPolicyState::None,
-            POLICY_START_GAP => WearPolicyState::StartGap {
+            POLICY_NONE => WearPolicy::None,
+            POLICY_START_GAP => WearPolicy::StartGap {
                 psi: self.u64()?,
                 writes: self.u64()?,
                 gap: PhysicalSegment(self.len()?),
             },
-            POLICY_RANDOM_SWAP => WearPolicyState::RandomSwap {
+            POLICY_RANDOM_SWAP => WearPolicy::RandomSwap {
                 psi: self.u64()?,
                 seed: self.u64()?,
                 writes: self.u64()?,
@@ -344,7 +344,7 @@ mod tests {
                         ],
                     },
                     controller: Some(ControllerState {
-                        policy: WearPolicyState::StartGap {
+                        policy: WearPolicy::StartGap {
                             psi: 64,
                             writes: 129,
                             gap: PhysicalSegment(5),
@@ -370,7 +370,7 @@ mod tests {
                         entries: Vec::new(),
                     },
                     controller: Some(ControllerState {
-                        policy: WearPolicyState::RandomSwap {
+                        policy: WearPolicy::RandomSwap {
                             psi: 16,
                             seed: 0xE2,
                             writes: 40,

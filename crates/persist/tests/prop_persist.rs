@@ -6,7 +6,7 @@ use e2nvm_core::EngineState;
 use e2nvm_persist::{
     crc32, decode_records, encode_record, replay_and_truncate, ShardState, StoreSnapshot, WalOp,
 };
-use e2nvm_sim::{ControllerState, LogicalSegment, PhysicalSegment, WearPolicyState};
+use e2nvm_sim::{ControllerState, LogicalSegment, PhysicalSegment, WearPolicy};
 use proptest::prelude::*;
 
 fn wal_op() -> impl Strategy<Value = WalOp> {
@@ -29,18 +29,18 @@ fn encode_all(ops: &[WalOp]) -> Vec<u8> {
     buf
 }
 
-fn wear_policy() -> impl Strategy<Value = WearPolicyState> {
+fn wear_policy() -> impl Strategy<Value = WearPolicy> {
     prop_oneof![
-        Just(WearPolicyState::None),
+        Just(WearPolicy::None),
         (any::<u64>(), any::<u64>(), 0usize..10_000).prop_map(|(psi, writes, gap)| {
-            WearPolicyState::StartGap {
+            WearPolicy::StartGap {
                 psi,
                 writes,
                 gap: PhysicalSegment(gap),
             }
         }),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
-            |(psi, seed, writes, draws)| WearPolicyState::RandomSwap {
+            |(psi, seed, writes, draws)| WearPolicy::RandomSwap {
                 psi,
                 seed,
                 writes,
