@@ -19,7 +19,7 @@ use crate::dap::DynamicAddressPool;
 use crate::error::{E2Error, Result};
 use crate::model::{E2Model, PlacementScratch};
 use crate::padding::Padder;
-use crate::scan::ScanBuffer;
+use crate::scan::{self, Cursor, ScanBuffer};
 use crate::telemetry::EngineTelemetry;
 use e2nvm_sim::{LogicalSegment, MemoryController, SimError, WriteReport};
 use e2nvm_telemetry::{Event, Sampler, TelemetryRegistry};
@@ -655,37 +655,42 @@ impl E2Engine {
     }
 
     /// SCAN: all key/value pairs with keys in `range`, in key order —
-    /// the one-run case of [`crate::ShardedEngine::scan_into`]: walk,
-    /// merge, copy.
+    /// the one-cursor case of [`crate::ShardedEngine::scan_into`], one
+    /// device read charged per match. A range that holds no key
+    /// (inverted, or empty between two excluded bounds) is empty.
     pub fn scan<R: RangeBounds<u64>>(&mut self, range: R) -> Result<Vec<(u64, Vec<u8>)>> {
-        let mut buf = ScanBuffer::new();
-        let run = self.scan_walk(range, usize::MAX, &mut buf)?;
-        buf.merge(usize::MAX);
-        buf.copy_winners(run, &self.controller)?;
-        Ok(buf.to_vec())
+        let mut out = Vec::new();
+        let Some((lo, hi)) = scan::inclusive(&range) else {
+            return Ok(out);
+        };
+        let (matches, controller) = self.scan_cursor(lo, hi);
+        Cursor::new(matches, controller, None).merge_charge_visit(
+            usize::MAX,
+            &mut ScanBuffer::new(),
+            &mut |k, v| {
+                out.push((k, v.to_vec()));
+                true
+            },
+        )?;
+        Ok(out)
     }
 
-    /// The engine's one scan walk: append the locations of the first
-    /// `limit` entries of `range` to `buf` as one run and charge the
-    /// run's device reads in one call — one read per entry walked. The
-    /// bytes stay on the device until [`ScanBuffer::copy_winners`].
-    /// Walks the index only as far as the limit, so a small page over a
-    /// huge range costs O(limit + log n) rather than O(range). Returns
-    /// the run's index in `buf`.
-    pub(crate) fn scan_walk<R: RangeBounds<u64>>(
+    /// The index matches of `lo..=hi` in key order, beside the
+    /// controller their bytes sit on: what a scan's [`Cursor`] walks.
+    /// `lo <= hi`, or `BTreeMap::range` panics.
+    pub(crate) fn scan_cursor(
         &mut self,
-        range: R,
-        limit: usize,
-        buf: &mut ScanBuffer,
-    ) -> Result<usize> {
-        let run = buf.push_run(
-            self.index
-                .range(range)
-                .take(limit)
-                .map(|(&key, e)| (key, e.seg, e.len)),
-        );
-        self.controller.read_run(buf.run_segments(run))?;
-        Ok(run)
+        lo: u64,
+        hi: u64,
+    ) -> (
+        impl Iterator<Item = scan::Match> + '_,
+        &mut MemoryController,
+    ) {
+        let matches = self
+            .index
+            .range(lo..=hi)
+            .map(|(&key, e)| (key, e.seg, e.len));
+        (matches, &mut self.controller)
     }
 
     /// Number of keys stored.
@@ -1016,6 +1021,27 @@ mod tests {
         let keys: Vec<u64> = result.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![3, 5]);
         assert_eq!(result[0].1, 3u64.to_le_bytes().to_vec());
+    }
+
+    #[test]
+    fn scan_of_a_range_without_keys_is_empty() {
+        use std::ops::Bound::Excluded;
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut e = engine(32, 32, 2);
+        seed_two_families(&mut e, &mut rng);
+        e.train().unwrap();
+        for k in 2..=6u64 {
+            e.put(k, &k.to_le_bytes()).unwrap();
+        }
+        #[allow(clippy::reversed_empty_ranges)]
+        let inverted = e.scan(5..=3).unwrap();
+        assert_eq!(inverted, vec![]);
+        assert_eq!(e.scan((Excluded(4), Excluded(4))).unwrap(), vec![]);
+        assert_eq!(e.scan((Excluded(4), Excluded(5))).unwrap(), vec![]);
+        assert_eq!(e.device_stats().reads, 0);
+        let keys: Vec<u64> = e.scan(..).unwrap().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![2, 3, 4, 5, 6]);
+        assert_eq!(e.device_stats().reads, 5);
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   hash-routed keys, each with its own background retrainer; a
 //!   single engine is the one-shard case ([`sharded`]).
 //! * [`kselect`] — SSE elbow + energy valley for picking K (Figure 8).
-//! * [`ScanBuffer`] — the flat, reusable buffer a range scan travels
-//!   in from the index walks to its consumer ([`scan`]).
+//! * [`ScanBuffer`] — the reusable working set of a range scan, one
+//!   lazy merge over the shards' index cursors whose winners are
+//!   visited straight from device memory ([`scan`]).
 //!
 //! ```no_run
 //! use e2nvm_core::{E2Config, E2Engine};

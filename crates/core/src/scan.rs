@@ -1,63 +1,53 @@
-//! The flat buffer a scan travels in, from the shards' index walks to
-//! whoever consumes the entries: `(key, start, len)` entries over one
-//! byte arena, plus the scan's working set, all reused across scans, so
-//! a warm scan never touches the allocator no matter how many records
-//! it returns.
+//! A range scan as one lazy merge over the shards' index cursors, and
+//! the reusable buffer it keeps its winners in.
 //!
-//! A scan runs in three steps over it:
-//! 1. **walk** — [`crate::E2Engine`]'s one scan walk appends a run of
-//!    locations (key, segment, length; ascending, because it is an
-//!    index walk) and charges the run's device reads in one call;
-//! 2. **merge** — `ScanBuffer::merge` merges the runs by key and gives
-//!    each of the first `limit` — the winners — its entry slot;
-//! 3. **copy** — `ScanBuffer::copy_winners` copies one run's winners'
-//!    bytes into the arena with unaccounted peeks. Each run's winners
-//!    are a prefix of it, and losers' bytes are never copied.
+//! [`crate::ShardedEngine::scan_into`] locks every shard in ascending
+//! index, one stack frame per shard, and opens a `Cursor` on the
+//! shard's index range in the frame that holds its guard. Each cursor
+//! links to the one opened before it, so the innermost frame reaches
+//! them all without the heap, and runs the scan in three steps:
+//! 1. **merge** — take the least head among the cursors, `limit`
+//!    times. Keys are unique (shards hold disjoint keys) and every
+//!    cursor is ascending, so that is the global key order, and a
+//!    cursor advances only when its own head wins. Each winner is
+//!    recorded as `(key, shard, physical slot, len)` in the
+//!    [`ScanBuffer`]; nothing else is stored.
+//! 2. **charge** — each shard's remaining matches are only counted, up
+//!    to `limit` minus its winners, and the shard is charged its
+//!    winners plus that count in one call: Σ over shards of
+//!    min(`limit`, matches), the losers included.
+//! 3. **visit** — the winners go to the visitor in key order, their
+//!    bytes read straight out of device memory. Only the merge can fail
+//!    (it translates each winner's address), and merge and charge finish
+//!    before the first visit, so an error means the visitor saw nothing.
 //!
-//! Entries are in key order; the arena holds the bytes in whatever
-//! order the runs were copied, each entry pointing at its own.
+//! [`crate::E2Engine::scan`] is the one-cursor case.
 
 use crate::error::Result;
-use e2nvm_sim::{LogicalSegment, MemoryController};
+use e2nvm_sim::{LogicalSegment, MemoryController, PhysicalSegment};
+use std::ops::{Bound, RangeBounds};
 
-/// One scanned record: its key and where its bytes sit in the arena.
-/// Offsets are `usize`, so an unbounded scan cannot overflow them
-/// before the arena's own `Vec` runs out of address space.
+/// One index match: key, segment, value length.
+pub(crate) type Match = (u64, LogicalSegment, usize);
+
+/// A merge winner: its key, the shard whose device holds it, and the
+/// physical slot and length of its bytes there.
 #[derive(Debug, Clone, Copy)]
-struct ScanEntry {
+struct Winner {
     key: u64,
-    start: usize,
+    shard: usize,
+    phys: PhysicalSegment,
     len: usize,
 }
 
-/// Where one walked record lives on its shard's device, and — once
-/// the merge has picked it — which entry it fills.
-#[derive(Debug, Clone, Copy)]
-struct ScanLoc {
-    key: u64,
-    seg: LogicalSegment,
-    len: usize,
-    slot: usize,
-}
-
-/// One walk's locations: `locs[start..end]`, of which the merge took
-/// `locs[start..next]`.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    start: usize,
-    next: usize,
-    end: usize,
-}
-
-/// A reusable scan result: the entries of the last
-/// [`crate::ShardedEngine::scan_into`] in key order. Keep one per
-/// scanning thread and hand it to every scan.
+/// A reusable scan working set: the winners of the last
+/// [`crate::ShardedEngine::scan_into`] in key order, and what it
+/// charged. Keep one per scanning thread and hand it to every scan, so
+/// a warm scan never touches the allocator.
 #[derive(Debug, Default)]
 pub struct ScanBuffer {
-    entries: Vec<ScanEntry>,
-    bytes: Vec<u8>,
-    locs: Vec<ScanLoc>,
-    runs: Vec<Run>,
+    winners: Vec<Winner>,
+    read: usize,
 }
 
 impl ScanBuffer {
@@ -66,112 +56,196 @@ impl ScanBuffer {
         Self::default()
     }
 
-    /// Forget the entries, keep the capacity.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.bytes.clear();
-        self.locs.clear();
-        self.runs.clear();
-    }
-
-    /// Number of entries held.
+    /// Entries the last scan returned (its winners).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.winners.len()
     }
 
-    /// Whether the buffer holds no entry.
+    /// Whether the last scan returned nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.winners.is_empty()
     }
 
-    /// The entries, in the order they are held.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, &[u8])> {
-        self.entries
-            .iter()
-            .map(|e| (e.key, &self.bytes[e.start..e.start + e.len]))
+    /// Records the last scan charged as device reads, losers included.
+    pub fn read(&self) -> usize {
+        self.read
     }
 
-    /// The entries as owned pairs — what the `Vec`-returning scans
-    /// collect.
-    pub fn to_vec(&self) -> Vec<(u64, Vec<u8>)> {
-        self.iter().map(|(k, v)| (k, v.to_vec())).collect()
+    /// Forget the last scan, keep the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.winners.clear();
+        self.read = 0;
+    }
+}
+
+/// `range` as inclusive `(lo, hi)` bounds, or `None` if it holds no
+/// key — inverted, or empty between two excluded bounds.
+/// `BTreeMap::range` would panic on either.
+pub(crate) fn inclusive(range: &impl RangeBounds<u64>) -> Option<(u64, u64)> {
+    let lo = match range.start_bound() {
+        Bound::Included(&lo) => lo,
+        Bound::Excluded(&lo) => lo.checked_add(1)?,
+        Bound::Unbounded => 0,
+    };
+    let hi = match range.end_bound() {
+        Bound::Included(&hi) => hi,
+        Bound::Excluded(&hi) => hi.checked_sub(1)?,
+        Bound::Unbounded => u64::MAX,
+    };
+    (lo <= hi).then_some((lo, hi))
+}
+
+/// The cursors of the shards locked so far, reached from the innermost.
+pub(crate) trait Cursors {
+    /// Shard index of this cursor.
+    fn shard(&self) -> usize;
+    /// The least head key of this cursor and every outer one.
+    fn least(&self) -> Option<u64>;
+    /// Record that least head as the next winner, advance its cursor,
+    /// and return the new least.
+    fn take_least(&mut self, buf: &mut ScanBuffer) -> Result<Option<u64>>;
+    /// Charge every shard its winners plus its other matches up to
+    /// `limit`; returns the reads charged.
+    fn charge(&mut self, limit: usize) -> usize;
+    /// The controller of shard `shard`.
+    fn controller(&self, shard: usize) -> &MemoryController;
+}
+
+/// One locked shard's index cursor over the scanned range, its
+/// controller, and the cursors opened before it, whose least head it
+/// keeps so that a step its own head wins touches no other cursor.
+pub(crate) struct Cursor<'a, 'o, I> {
+    shard: usize,
+    head: Option<Match>,
+    rest: I,
+    won: usize,
+    controller: &'a mut MemoryController,
+    outer: Option<&'o mut dyn Cursors>,
+    outer_least: Option<u64>,
+}
+
+impl<'a, 'o, I: Iterator<Item = Match>> Cursor<'a, 'o, I> {
+    /// A cursor over `matches` (ascending), the next shard after
+    /// `outer`'s.
+    pub(crate) fn new(
+        mut matches: I,
+        controller: &'a mut MemoryController,
+        outer: Option<&'o mut dyn Cursors>,
+    ) -> Self {
+        Self {
+            shard: outer.as_ref().map_or(0, |o| o.shard() + 1),
+            head: matches.next(),
+            rest: matches,
+            won: 0,
+            controller,
+            outer_least: outer.as_ref().and_then(|o| o.least()),
+            outer,
+        }
     }
 
-    /// Records walked by every run so far — the reads charged for them.
-    pub(crate) fn walked(&self) -> usize {
-        self.locs.len()
-    }
-
-    /// Append a run of `(key, segment, len)` locations, ascending by
-    /// key, and return its index.
-    pub(crate) fn push_run(
-        &mut self,
-        locs: impl Iterator<Item = (u64, LogicalSegment, usize)>,
-    ) -> usize {
-        let start = self.locs.len();
-        self.locs.extend(locs.map(|(key, seg, len)| ScanLoc {
-            key,
-            seg,
-            len,
-            slot: 0,
-        }));
-        self.runs.push(Run {
-            start,
-            next: start,
-            end: self.locs.len(),
-        });
-        self.runs.len() - 1
-    }
-
-    /// The segments run `run` walked — what its device charge covers.
-    pub(crate) fn run_segments(&self, run: usize) -> impl Iterator<Item = LogicalSegment> + '_ {
-        let Run { start, end, .. } = self.runs[run];
-        self.locs[start..end].iter().map(|l| l.seg)
-    }
-
-    /// Merge every run by key and give the first `limit` their entry
-    /// slots, in key order. Runs are ascending and keys are unique
-    /// (shards hold disjoint keys), so taking the smallest head each
-    /// time is the global order. A run's winners are its prefix
-    /// `locs[start..next]`.
-    pub(crate) fn merge(&mut self, limit: usize) {
-        let Self {
-            entries,
-            locs,
-            runs,
-            ..
-        } = self;
-        while entries.len() < limit {
-            let mut best: Option<(usize, u64)> = None;
-            for (r, run) in runs.iter().enumerate() {
-                if run.next < run.end {
-                    let key = locs[run.next].key;
-                    if best.map_or(true, |(_, k)| key < k) {
-                        best = Some((r, key));
-                    }
-                }
+    /// Record the least head of this cursor and the outer ones as the
+    /// next winner and advance its cursor; `false` once all have run
+    /// out. Only a step the outer cursors win leaves this one.
+    #[inline(always)]
+    fn step(&mut self, buf: &mut ScanBuffer) -> Result<bool> {
+        match (self.head, &mut self.outer) {
+            (Some((key, seg, len)), _) if self.outer_least.map_or(true, |o| key < o) => {
+                buf.winners.push(Winner {
+                    key,
+                    shard: self.shard,
+                    phys: self.controller.physical(seg)?,
+                    len,
+                });
+                self.won += 1;
+                self.head = self.rest.next();
             }
-            let Some((r, key)) = best else { break };
-            let loc = &mut locs[runs[r].next];
-            runs[r].next += 1;
-            loc.slot = entries.len();
-            entries.push(ScanEntry {
-                key,
-                start: 0,
-                len: loc.len,
-            });
+            (_, Some(outer)) if self.outer_least.is_some() => {
+                self.outer_least = outer.take_least(buf)?;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Run the scan over this cursor — the innermost — and every outer
+    /// one (the module docs' three steps) into an emptied `buf`: returns
+    /// how many winners `f` was called with before it returned `false`
+    /// or they ran out. On an error `f` has seen nothing and nothing was
+    /// charged.
+    pub(crate) fn merge_charge_visit(
+        &mut self,
+        limit: usize,
+        buf: &mut ScanBuffer,
+        f: &mut dyn FnMut(u64, &[u8]) -> bool,
+    ) -> Result<usize> {
+        while buf.winners.len() < limit && self.step(buf)? {}
+        buf.read = self.charge(limit);
+        let mut visited = 0;
+        for w in &buf.winners {
+            let bytes = self.controller(w.shard).device().peek(w.phys);
+            visited += 1;
+            if !f(w.key, &bytes[..w.len]) {
+                break;
+            }
+        }
+        Ok(visited)
+    }
+}
+
+impl<I: Iterator<Item = Match>> Cursors for Cursor<'_, '_, I> {
+    fn shard(&self) -> usize {
+        self.shard
+    }
+
+    fn least(&self) -> Option<u64> {
+        match (self.head, self.outer_least) {
+            (Some((key, ..)), Some(outer)) => Some(key.min(outer)),
+            (head, outer) => head.map(|(key, ..)| key).or(outer),
         }
     }
 
-    /// Copy run `run`'s winners' bytes into the arena, reading them off
-    /// `controller` — the device its walk charged — without accounting.
-    pub(crate) fn copy_winners(&mut self, run: usize, controller: &MemoryController) -> Result<()> {
-        let Run { start, next, .. } = self.runs[run];
-        for loc in &self.locs[start..next] {
-            let data = controller.peek(loc.seg)?;
-            self.entries[loc.slot].start = self.bytes.len();
-            self.bytes.extend_from_slice(&data[..loc.len]);
+    fn take_least(&mut self, buf: &mut ScanBuffer) -> Result<Option<u64>> {
+        self.step(buf)?;
+        Ok(self.least())
+    }
+
+    fn charge(&mut self, limit: usize) -> usize {
+        let losers = match self.head {
+            Some(_) if self.won < limit => {
+                1 + self.rest.by_ref().take(limit - self.won - 1).count()
+            }
+            _ => 0,
+        };
+        let read = self.won + losers;
+        self.controller.charge_reads(read);
+        read + self.outer.as_mut().map_or(0, |o| o.charge(limit))
+    }
+
+    fn controller(&self, shard: usize) -> &MemoryController {
+        match &self.outer {
+            Some(outer) if shard != self.shard => outer.controller(shard),
+            _ => &*self.controller,
         }
-        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::inclusive;
+    use std::ops::Bound::{Excluded, Included, Unbounded};
+
+    #[test]
+    #[allow(clippy::reversed_empty_ranges)]
+    fn inclusive_bounds_of_every_range_form() {
+        assert_eq!(inclusive(&(3..=5)), Some((3, 5)));
+        assert_eq!(inclusive(&(3..5)), Some((3, 4)));
+        assert_eq!(inclusive(&(..)), Some((0, u64::MAX)));
+        assert_eq!(inclusive(&(Excluded(3), Included(4))), Some((4, 4)));
+        assert_eq!(inclusive(&(5..=3)), None);
+        assert_eq!(inclusive(&(4..4)), None);
+        assert_eq!(inclusive(&(Excluded(4), Excluded(4))), None);
+        assert_eq!(inclusive(&(Excluded(4), Excluded(5))), None);
+        assert_eq!(inclusive(&(Excluded(u64::MAX), Unbounded)), None);
+        assert_eq!(inclusive(&(..0)), None);
     }
 }

@@ -42,7 +42,7 @@ use crate::config::E2Config;
 use crate::engine::{E2Engine, PredictionStats};
 use crate::error::{E2Error, Result};
 use crate::retrain::BackgroundRetrainer;
-use crate::scan::ScanBuffer;
+use crate::scan::{Cursor, Cursors, ScanBuffer};
 use e2nvm_sim::{DeviceStats, MemoryController, WriteReport};
 use e2nvm_telemetry::{Event, TelemetryRegistry};
 use parking_lot::Mutex;
@@ -276,56 +276,77 @@ impl ShardedEngine {
     /// SCAN stopping after `limit` entries in global key order —
     /// [`ShardedEngine::scan_into`] collected.
     pub fn scan_limit(&self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
-        let mut buf = ScanBuffer::new();
-        self.scan_into(lo, hi, limit, &mut buf)?;
-        Ok(buf.to_vec())
+        let mut out = Vec::new();
+        self.scan_into(lo, hi, limit, &mut ScanBuffer::new(), &mut |key, value| {
+            out.push((key, value.to_vec()));
+            true
+        })?;
+        Ok(out)
     }
 
-    /// The one scan path: replace `buf`'s contents with the first
-    /// `limit` entries of `lo..=hi` in global key order and return how
-    /// many entries were read off the devices to find them. Keys are
+    /// The one scan path: call `f(key, value)` for the first `limit`
+    /// entries of `lo..=hi` in global key order until it returns
+    /// `false`, and return how many it was called with. Keys are
     /// hash-routed, so any shard may hold any of the `limit` smallest
-    /// matches: each shard walks up to `limit` entries of its index
-    /// (one run, its reads charged in one call), the runs are merged by
-    /// key, and only the first `limit` — the winners — have their bytes
-    /// copied. Every shard's engine lock is held from its walk until its
-    /// winners are copied, taken in ascending shard index, so a scan
-    /// sees all shards at one instant. An inverted range (`lo > hi`) is
-    /// empty; on an error `buf` is left empty.
-    pub fn scan_into(&self, lo: u64, hi: u64, limit: usize, buf: &mut ScanBuffer) -> Result<usize> {
+    /// matches: the shards' index cursors are merged lazily, a cursor
+    /// advancing only when it holds the least key, and the winners are
+    /// recorded in `buf`. Each shard's other matches are then counted up
+    /// to `limit`, and the shard is charged its winners plus that count.
+    /// The winners are visited last, straight from device memory, so an
+    /// error means `f` saw nothing. Afterwards `buf` tells what the scan
+    /// returned ([`ScanBuffer::len`]) and charged
+    /// ([`ScanBuffer::read`]); on an error it is empty.
+    ///
+    /// Every shard's engine lock is held from the merge through the
+    /// visit, taken in ascending shard index, so a scan sees all shards
+    /// at one instant — and `f` must not call back into this engine. An
+    /// inverted range (`lo > hi`) is empty.
+    pub fn scan_into(
+        &self,
+        lo: u64,
+        hi: u64,
+        limit: usize,
+        buf: &mut ScanBuffer,
+        f: &mut dyn FnMut(u64, &[u8]) -> bool,
+    ) -> Result<usize> {
         buf.clear();
         // `BTreeMap::range` panics on an inverted range, and would do
         // so here with the shard locks held.
         if lo > hi {
             return Ok(0);
         }
-        if let Err(e) = Self::scan_shards(&self.shards, lo, hi, limit, buf) {
+        let visited = Self::scan_shards(&self.shards, None, lo, hi, limit, buf, f);
+        if visited.is_err() {
             buf.clear();
-            return Err(e);
         }
-        Ok(buf.walked())
+        visited
     }
 
-    /// Lock the first of `shards`, walk it, recurse on the rest with
-    /// the guard held; the innermost call merges, with every guard
-    /// held. Unwinding, each call copies its own shard's winners and
-    /// releases its guard. The guards live on the stack, one per frame,
-    /// so a warm scan allocates nothing.
+    /// Lock the first of `shards` and open its cursor after `outer`;
+    /// with the guard held, recurse on the rest, or — on the last shard,
+    /// with every guard held — merge, charge and visit. The guards and
+    /// cursors live on the stack, one per frame, so a warm scan
+    /// allocates nothing.
     fn scan_shards(
         shards: &[Shard],
+        outer: Option<&mut dyn Cursors>,
         lo: u64,
         hi: u64,
         limit: usize,
         buf: &mut ScanBuffer,
-    ) -> Result<()> {
-        let Some((shard, rest)) = shards.split_first() else {
-            buf.merge(limit);
-            return Ok(());
-        };
+        f: &mut dyn FnMut(u64, &[u8]) -> bool,
+    ) -> Result<usize> {
+        let (shard, rest) = shards
+            .split_first()
+            .expect("a handle has at least one shard");
         let mut engine = shard.engine.lock();
-        let run = engine.scan_walk(lo..=hi, limit, buf)?;
-        Self::scan_shards(rest, lo, hi, limit, buf)?;
-        buf.copy_winners(run, engine.controller())
+        let (matches, controller) = engine.scan_cursor(lo, hi);
+        let mut cursor = Cursor::new(matches, controller, outer);
+        if rest.is_empty() {
+            cursor.merge_charge_visit(limit, buf, f)
+        } else {
+            Self::scan_shards(rest, Some(&mut cursor), lo, hi, limit, buf, f)
+        }
     }
 
     /// Advance every shard's lazy-retraining state machine. Mutations

@@ -8,7 +8,7 @@
 
 use crate::store::{Result, StoreError};
 use crate::telemetry::StoreTelemetry;
-use crate::traits::{visit_while, NvmKvStore};
+use crate::traits::NvmKvStore;
 use e2nvm_core::{E2Config, E2Engine, E2Error, ScanBuffer, ShardedEngine};
 use e2nvm_persist::{
     replay_and_truncate, FlushPolicy, PersistTelemetry, PersistenceConfig, ShardState,
@@ -151,9 +151,9 @@ pub struct ShardedE2KvStore {
     engine: ShardedEngine,
     telemetry: StoreTelemetry,
     persist: Option<Arc<PersistState>>,
-    /// Where this handle's scans land before they are visited or
-    /// collected. Owned, not shared: every clone (one per server
-    /// worker) scans into its own, so no lock guards it.
+    /// Where this handle's scans keep their winners until they are
+    /// visited. Owned, not shared: every clone (one per server worker)
+    /// scans through its own, so no lock guards it.
     scan_buf: ScanBuffer,
     /// Which puts, gets and scans this handle times; owned, like
     /// `scan_buf`.
@@ -401,20 +401,28 @@ impl ShardedE2KvStore {
     }
 
     /// The one scan behind [`NvmKvStore::scan_limit`] and
-    /// [`NvmKvStore::scan_visit`]: fill this handle's buffer with the
-    /// first `limit` entries of `lo..=hi` and account for it. On an
-    /// error the buffer is empty.
-    fn scan_fill(&mut self, lo: u64, hi: u64, limit: usize) -> Result<()> {
+    /// [`NvmKvStore::scan_visit`]: [`ShardedEngine::scan_into`] through
+    /// this handle's buffer, timed and accounted. The timing includes
+    /// the visit, which runs under the shards' engine locks.
+    fn scan_with(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        limit: usize,
+        f: &mut dyn FnMut(u64, &[u8]) -> bool,
+    ) -> Result<usize> {
         let started = self.clocks.scan.start();
         self.telemetry.scans.inc();
-        let read = self.engine.scan_into(lo, hi, limit, &mut self.scan_buf);
+        let visited = self.engine.scan_into(lo, hi, limit, &mut self.scan_buf, f);
         self.telemetry.scan_latency_ns.observe_since(started);
-        let read = read?;
-        self.telemetry.scan_entries_read.add(read as u64);
+        let visited = visited?;
+        self.telemetry
+            .scan_entries_read
+            .add(self.scan_buf.read() as u64);
         self.telemetry
             .scan_entries_returned
             .add(self.scan_buf.len() as u64);
-        Ok(())
+        Ok(visited)
     }
 
     /// The untimed body of [`NvmKvStore::put`]: apply, and log when
@@ -548,8 +556,12 @@ impl NvmKvStore for ShardedE2KvStore {
     }
 
     fn scan_limit(&mut self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
-        self.scan_fill(lo, hi, limit)?;
-        Ok(self.scan_buf.to_vec())
+        let mut out = Vec::new();
+        self.scan_with(lo, hi, limit, &mut |key, value| {
+            out.push((key, value.to_vec()));
+            true
+        })?;
+        Ok(out)
     }
 
     fn scan_visit(
@@ -559,8 +571,7 @@ impl NvmKvStore for ShardedE2KvStore {
         limit: usize,
         f: &mut dyn FnMut(u64, &[u8]) -> bool,
     ) -> Result<usize> {
-        self.scan_fill(lo, hi, limit)?;
-        Ok(visit_while(self.scan_buf.iter(), f))
+        self.scan_with(lo, hi, limit, f)
     }
 
     fn stats(&self) -> e2nvm_sim::DeviceStats {

@@ -37,11 +37,11 @@ pub trait NvmKvStore {
     /// [`NvmKvStore::scan_limit`] without handing out owned values:
     /// call `f(key, value)` for each of the (at most `limit`) pairs in
     /// key order until it returns `false`, and return how many pairs it
-    /// was called with. The whole page is read before the first call,
-    /// so an error means `f` saw nothing. The serving layer scans
-    /// through this; the default implementation iterates a
-    /// `scan_limit`, and a store that keeps a reusable scan buffer
-    /// overrides it to visit the buffer in place.
+    /// was called with. The whole page is found and read before the
+    /// first call, so an error means `f` saw nothing. The serving layer
+    /// scans through this; the default implementation iterates a
+    /// `scan_limit`, and a store that can hand out its values in place
+    /// overrides it (the E2 store visits them in device memory).
     fn scan_visit(
         &mut self,
         lo: u64,
@@ -50,10 +50,14 @@ pub trait NvmKvStore {
         f: &mut dyn FnMut(u64, &[u8]) -> bool,
     ) -> Result<usize> {
         let entries = self.scan_limit(lo, hi, limit)?;
-        Ok(visit_while(
-            entries.iter().map(|(key, value)| (*key, value.as_slice())),
-            f,
-        ))
+        let mut visited = 0;
+        for (key, value) in &entries {
+            visited += 1;
+            if !f(*key, value) {
+                break;
+            }
+        }
+        Ok(visited)
     }
 
     /// Device statistics of the underlying store.
@@ -92,23 +96,6 @@ pub trait NvmKvStore {
     fn telemetry(&self) -> Option<&TelemetryRegistry> {
         None
     }
-}
-
-/// Hand `entries` to `f` one by one until it returns `false`; returns
-/// how many it was called with. The loop of every
-/// [`NvmKvStore::scan_visit`].
-pub(crate) fn visit_while<'a>(
-    entries: impl IntoIterator<Item = (u64, &'a [u8])>,
-    f: &mut dyn FnMut(u64, &[u8]) -> bool,
-) -> usize {
-    let mut visited = 0;
-    for (key, value) in entries {
-        visited += 1;
-        if !f(key, value) {
-            break;
-        }
-    }
-    visited
 }
 
 /// Exercise a store with a deterministic CRUD workload and verify

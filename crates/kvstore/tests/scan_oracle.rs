@@ -5,7 +5,8 @@
 //! returns — same keys, same order, same bytes — and a scan costs
 //! exactly the device reads the design says it does: Σ over shards of
 //! min(`limit`, matches in that shard), losers included, although only
-//! the winners' bytes are copied.
+//! the winners are ever visited — and a visit that stops early is
+//! charged no less.
 
 use e2nvm_core::{E2Config, ShardedEngine};
 use e2nvm_kvstore::{NvmKvStore, ShardedE2KvStore};
@@ -123,7 +124,7 @@ fn expect(oracle: &BTreeMap<u64, Vec<u8>>, lo: u64, hi: u64, limit: usize) -> Ve
 }
 
 /// The device reads a scan of `lo..=hi` limited to `limit` costs: every
-/// shard walks up to `limit` of its own matches.
+/// shard is charged for up to `limit` of its own matches.
 fn expected_reads(
     engine: &ShardedEngine,
     oracle: &BTreeMap<u64, Vec<u8>>,
@@ -188,9 +189,11 @@ proptest! {
                 expected_reads(engine, &oracle, lo, hi, limit)
             );
 
-            // A visitor that has seen enough stops the visit there.
+            // A visitor that has seen enough stops the visit there, and
+            // the scan is charged in full all the same.
             let stop_after = want.len() / 2 + 1;
             let mut seen = 0;
+            let reads_before = store.stats().reads;
             let n = store
                 .scan_visit(lo, hi, limit, &mut |_, _| {
                     seen += 1;
@@ -198,6 +201,10 @@ proptest! {
                 })
                 .unwrap();
             prop_assert_eq!(n, stop_after.min(want.len()));
+            prop_assert_eq!(
+                store.stats().reads - reads_before,
+                expected_reads(engine, &oracle, lo, hi, limit)
+            );
         }
         prop_assert_eq!(&engine.scan(0, u64::MAX).unwrap(), &expect(&oracle, 0, u64::MAX, usize::MAX));
         for key in oracle.keys() {
@@ -207,8 +214,8 @@ proptest! {
 }
 
 /// The device reads one scan costs: every shard is charged for up to
-/// `limit` of its own matches before the merge keeps the lowest `limit`
-/// overall and copies only theirs — Σ over shards of min(`limit`,
+/// `limit` of its own matches — its winners among the lowest `limit`
+/// overall, plus its losers, counted — Σ over shards of min(`limit`,
 /// matches in that shard). The
 /// benchmark's shadow engine assumes exactly this
 /// (`benchmark/src/replay.rs`); reading only the winners changes both
@@ -248,9 +255,57 @@ fn a_scan_reads_up_to_the_limit_from_every_shard() {
     }
 }
 
+/// A visitor that returns `false` at once sees one entry, yet the scan
+/// is charged exactly what a full visit is — the charge is settled
+/// before the first visit — and it leaves nothing behind: the scans
+/// after it still match the oracle, reads included.
+#[test]
+fn a_visit_stopped_early_is_charged_in_full_and_leaves_no_trace() {
+    let (engine, mut store) = build(3);
+    let mut oracle = BTreeMap::new();
+    for key in (0..120u64).map(|k| k * 3) {
+        let value = vec![key as u8; (key % 31) as usize];
+        store.put(key, &value).unwrap();
+        oracle.insert(key, value);
+    }
+    for (lo, hi, limit) in [
+        (0, 400, 50),
+        (30, 200, 7),
+        (0, u64::MAX, usize::MAX),
+        (5, 5, 3),
+    ] {
+        let before = store.stats().reads;
+        let mut first = None;
+        let n = store
+            .scan_visit(lo, hi, limit, &mut |k, v| {
+                first = Some((k, v.to_vec()));
+                false
+            })
+            .unwrap();
+        let want = expect(&oracle, lo, hi, limit);
+        assert_eq!(n, want.len().min(1), "scan({lo}, {hi}, {limit})");
+        assert_eq!(first, want.first().cloned(), "scan({lo}, {hi}, {limit})");
+        assert_eq!(
+            store.stats().reads - before,
+            expected_reads(&engine, &oracle, lo, hi, limit),
+            "scan({lo}, {hi}, {limit}) stopped at once"
+        );
+
+        let before = store.stats().reads;
+        assert_eq!(store.scan_limit(lo, hi, limit).unwrap(), want);
+        assert_eq!(engine.scan_limit(lo, hi, limit).unwrap(), want);
+        assert_eq!(
+            store.stats().reads - before,
+            2 * expected_reads(&engine, &oracle, lo, hi, limit),
+            "scan({lo}, {hi}, {limit}) after the early stop"
+        );
+    }
+}
+
 /// The merge's edge cases, fixed: every winner routed to one shard
-/// (the other shards' runs are all losers, charged and never copied),
-/// and a limit of 1 (one winner among one head per shard).
+/// (the other shards' matches are all losers, counted, charged and
+/// never visited), and a limit of 1 (one winner among one head per
+/// shard).
 #[test]
 fn one_shard_takes_every_winner_and_limit_one_takes_the_least_head() {
     let (engine, mut store) = build(3);

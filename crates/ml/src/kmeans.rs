@@ -119,12 +119,16 @@ impl KMeans {
 
     /// Clusters ordered by distance from `x` (closest first) — the
     /// fallback order the dynamic address pool uses when a cluster's
-    /// free list is empty.
+    /// free list is empty. Equal distances keep cluster order, and a
+    /// NaN distance comes after every number.
     pub fn clusters_by_distance(&self, x: &[f32]) -> Vec<usize> {
         let mut order: Vec<(usize, f32)> = (0..self.k())
             .map(|c| (c, dist2(self.centroids.row(c), x)))
             .collect();
-        order.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        order.sort_by(|a, b| {
+            (a.1.is_nan().cmp(&b.1.is_nan()))
+                .then(a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+        });
         order.into_iter().map(|(c, _)| c).collect()
     }
 

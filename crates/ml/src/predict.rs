@@ -27,7 +27,7 @@
 //!   the last encoder layer changes none of them;
 //! * centroid distances use the reference's own `kmeans::dist2`, and
 //!   equal distances keep ascending cluster index (the reference's
-//!   stable sort).
+//!   stable sort); a NaN distance comes last, in both.
 //!
 //! ## Resume clause
 //!
@@ -46,6 +46,25 @@ use crate::dec::ClusterModel;
 use crate::kernel::{compact_non_zero, Kernel};
 use crate::kmeans::dist2;
 
+/// `d` as a key whose unsigned order is the placement's distance order:
+/// ascending, `-0.0` equal to `0.0`, NaN after every number (the
+/// reference [`crate::kmeans::KMeans::clusters_by_distance`] puts it
+/// last too).
+fn distance_key(d: f32) -> u32 {
+    // Adding 0.0 turns -0.0 into 0.0 and leaves every other value as is.
+    let bits = (d + 0.0).to_bits();
+    let key = if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    };
+    if d.is_nan() {
+        u32::MAX
+    } else {
+        key
+    }
+}
+
 /// Caller-owned working memory of the prediction kernel. Buffers grow
 /// to the model's widths on first use and are reused afterwards.
 #[derive(Debug, Default)]
@@ -61,8 +80,10 @@ pub struct PredictScratch {
     next: Vec<f32>,
     /// Non-zero entries of `cur`, compacted for the next layer's walk.
     inputs: Vec<(usize, f32)>,
-    /// Squared distance from μ to each centroid.
-    dist: Vec<f32>,
+    /// Each centroid's squared distance from μ as a [`distance_key`],
+    /// with the cluster index in the low half: unique, and in the
+    /// order the placement wants.
+    keys: Vec<u64>,
     /// Cluster ids, nearest first.
     order: Vec<usize>,
 }
@@ -100,21 +121,23 @@ impl ClusterModel {
     pub fn order_packed<'s>(&self, bits: &[u8], scratch: &'s mut PredictScratch) -> &'s [usize] {
         self.latent_packed(bits, scratch);
         let PredictScratch {
-            cur, dist, order, ..
+            cur, keys, order, ..
         } = scratch;
         let centroids = self.kmeans().centroids();
-        dist.clear();
-        dist.extend((0..centroids.rows()).map(|c| dist2(centroids.row(c), cur)));
+        keys.clear();
+        keys.extend(
+            (0..centroids.rows())
+                .map(|c| u64::from(distance_key(dist2(centroids.row(c), cur))) << 32 | c as u64),
+        );
+        // Each cluster's place is the number of keys below its own:
+        // (distance, index) order — the reference's stable sort — with
+        // no comparator and no data-dependent branch.
         order.clear();
-        order.extend(0..centroids.rows());
-        // In place (no merge buffer); the index tie-break makes it the
-        // reference's stable order.
-        order.sort_unstable_by(|&a, &b| {
-            dist[a]
-                .partial_cmp(&dist[b])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        order.resize(keys.len(), 0);
+        for &own in keys.iter() {
+            let place: usize = keys.iter().map(|&key| usize::from(key < own)).sum();
+            order[place] = (own & 0xFFFF_FFFF) as usize;
+        }
         order
     }
 
@@ -513,6 +536,55 @@ mod tests {
                 tied.order_packed(sample, &mut scratch),
                 tied.kmeans().clusters_by_distance(z.row(0))
             );
+        }
+    }
+
+    /// NaN and infinite distances: a centroid with a NaN coordinate is
+    /// at NaN from every sample, and one at `f32::MAX` at +∞. The order
+    /// is the reference's — ties by index, +∞ after every number, NaN
+    /// after +∞ — where a sort by `partial_cmp` has no total order.
+    #[test]
+    fn nan_distances_order_last_like_the_reference() {
+        let (model, samples) = model_and_samples(&[24], 6);
+        let mut centroids = model.kmeans().centroids().clone();
+        let twin = centroids.row(2).to_vec();
+        centroids.row_mut(6).copy_from_slice(&twin);
+        centroids.row_mut(0)[1] = f32::NAN;
+        centroids.row_mut(4).fill(f32::NAN);
+        centroids.row_mut(3).fill(f32::MAX);
+        let odd = ClusterModel::from_parts(
+            model.vae().clone(),
+            crate::kmeans::KMeans::from_centroids(centroids),
+        )
+        .unwrap();
+        let mut scratch = PredictScratch::default();
+        for sample in &samples {
+            let x = Matrix::from_vec(1, BYTES * 8, bytes_to_features(sample));
+            let z = odd.vae().latent(&x);
+            let order = odd.order_packed(sample, &mut scratch).to_vec();
+            assert_eq!(order, odd.kmeans().clusters_by_distance(z.row(0)));
+            assert_eq!(order[4..], [3, 0, 4]);
+        }
+    }
+
+    #[test]
+    fn distance_keys_order_like_the_distances() {
+        let ascending = [
+            f32::NEG_INFINITY,
+            -1.5,
+            -f32::MIN_POSITIVE,
+            0.0,
+            f32::MIN_POSITIVE,
+            1.0,
+            f32::MAX,
+            f32::INFINITY,
+        ];
+        for pair in ascending.windows(2) {
+            assert!(distance_key(pair[0]) < distance_key(pair[1]), "{pair:?}");
+        }
+        assert_eq!(distance_key(-0.0), distance_key(0.0));
+        for nan in [f32::NAN, -f32::NAN] {
+            assert_eq!(distance_key(nan), u32::MAX);
         }
     }
 

@@ -212,10 +212,12 @@ impl MemoryController {
         &self.remap
     }
 
-    fn physical(&self, logical: LogicalSegment) -> Result<PhysicalSegment> {
+    /// The physical slot backing `logical` right now.
+    #[inline]
+    pub fn physical(&self, logical: LogicalSegment) -> Result<PhysicalSegment> {
         self.remap
             .physical(logical)
-            .ok_or(SimError::SegmentOutOfRange {
+            .ok_or_else(|| SimError::SegmentOutOfRange {
                 segment: logical.index(),
                 num_segments: self.remap.logical_len(),
             })
@@ -387,28 +389,13 @@ impl MemoryController {
         self.device.read(phys)
     }
 
-    /// Charge a run of full-segment reads in one call and return how
-    /// many were charged. Every address is translated and range-checked
-    /// exactly as [`MemoryController::read`] checks it; on an invalid
-    /// one the reads before it are charged and its error returned, as
-    /// that many `read` calls would have left things. The stats end bit
-    /// for bit where the same `read`s would leave them. Nothing is
-    /// returned to read: a caller takes the bytes it keeps with
-    /// [`MemoryController::peek`].
-    pub fn read_run(
-        &mut self,
-        segments: impl IntoIterator<Item = LogicalSegment>,
-    ) -> Result<usize> {
-        let mut n = 0;
-        for logical in segments {
-            if let Err(e) = self.physical(logical).and_then(|p| self.device.check(p)) {
-                self.device.charge_reads(n as u64);
-                return Err(e);
-            }
-            n += 1;
-        }
+    /// Charge `n` full-segment reads in one call, returning nothing to
+    /// read: the count-only form of [`MemoryController::read`] for a
+    /// caller that takes the bytes it keeps with
+    /// [`MemoryController::peek`], or none at all (a scan's losers).
+    /// The stats end bit for bit where `n` `read`s would leave them.
+    pub fn charge_reads(&mut self, n: usize) {
         self.device.charge_reads(n as u64);
-        Ok(n)
     }
 
     /// Inspect a logical segment's content without accounting.
@@ -525,44 +512,21 @@ mod tests {
     }
 
     #[test]
-    fn a_read_run_charges_exactly_what_its_single_reads_charge() {
+    fn charging_n_reads_matches_n_single_reads() {
         for n in [0usize, 1, 2, 97, 1000] {
-            let (mut run, run_registry) = written_controller();
+            let (mut charged, charged_registry) = written_controller();
             let (mut single, single_registry) = written_controller();
-            let segments: Vec<LogicalSegment> =
-                (0..n).map(|i| LogicalSegment((i * 7) % 15)).collect();
-            assert_eq!(run.read_run(segments.iter().copied()), Ok(n));
-            for &s in &segments {
-                single.read(s).unwrap();
+            charged.charge_reads(n);
+            for i in 0..n {
+                single.read(LogicalSegment((i * 7) % 15)).unwrap();
             }
-            assert_same_charge(&run, &single, &format!("n = {n}"));
+            assert_same_charge(&charged, &single, &format!("n = {n}"));
             assert_eq!(
-                run_registry.counter_total("e2nvm_device_reads_total"),
+                charged_registry.counter_total("e2nvm_device_reads_total"),
                 single_registry.counter_total("e2nvm_device_reads_total"),
                 "n = {n}"
             );
         }
-    }
-
-    #[test]
-    fn a_read_run_fails_where_read_fails_having_charged_the_prefix() {
-        let (mut run, run_registry) = written_controller();
-        let (mut single, single_registry) = written_controller();
-        // Logical capacity is 15: the fourth address is out of range.
-        let segments = [3, 9, 0, 15, 4].map(LogicalSegment);
-        let err = run.read_run(segments).unwrap_err();
-        let mut single_err = None;
-        for s in segments {
-            if let Err(e) = single.read(s) {
-                single_err = Some(e);
-                break;
-            }
-        }
-        assert_eq!(Some(err), single_err);
-        assert_eq!(run.stats().reads, 3);
-        assert_same_charge(&run, &single, "failed run");
-        assert_eq!(run_registry.counter_total("e2nvm_device_reads_total"), 3);
-        assert_eq!(single_registry.counter_total("e2nvm_device_reads_total"), 3);
     }
 
     #[test]

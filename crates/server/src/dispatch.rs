@@ -141,9 +141,9 @@ pub(crate) struct BatchOutcome {
 /// Entries fetched from the store per paging step while producing a
 /// scan response. Bounds store-side materialisation per call: the
 /// server never asks the store for more than one page at a time, no
-/// matter how large the range ([`NvmKvStore::scan_visit`] reads at
-/// most the page it is asked for — per shard — into the store's
-/// reusable scan buffer, and visits it in place).
+/// matter how large the range ([`NvmKvStore::scan_visit`] merges at
+/// most the page it is asked for — counting at most a page per shard —
+/// and visits the winners where they sit on the device).
 const SCAN_PAGE: usize = 256;
 
 /// The page loop behind a scan: walk `lo..=hi` one [`SCAN_PAGE`] at a
@@ -714,8 +714,8 @@ mod tests {
 
     /// An in-memory store that can fail a chosen `scan_limit` call —
     /// the page a SCAN_STREAM dies on. It keeps the trait's default
-    /// `scan_visit`, so the stream is also pinned for stores without a
-    /// scan buffer.
+    /// `scan_visit`, so the stream is also pinned for stores that do
+    /// not visit in place.
     struct PagedFake {
         map: std::collections::BTreeMap<u64, Vec<u8>>,
         pages_served: usize,
@@ -846,9 +846,9 @@ mod tests {
     }
 
     /// The same pin on the real store, where `scan_visit` hands out
-    /// the entries of a merged two-shard buffer: three `SCAN_PAGE`s of
-    /// mixed-size values, and an inner range against the store's own
-    /// `scan_limit`.
+    /// the winners of a two-shard merge from device memory: three
+    /// `SCAN_PAGE`s of mixed-size values, and an inner range against
+    /// the store's own `scan_limit`.
     #[test]
     fn real_store_streams_the_reference_bytes_across_pages() {
         let mut store = crate::demo::demo_store(2, 1024, 32, 11);

@@ -344,7 +344,8 @@ impl Reactor {
         self.after_progress(idx);
     }
 
-    /// Read until WouldBlock / EOF / pause, decoding as we go.
+    /// Read until a short read / WouldBlock / EOF / pause, decoding as
+    /// we go.
     fn read_ready(&mut self, idx: usize) {
         loop {
             let conn = match &mut self.conns[idx] {
@@ -385,6 +386,13 @@ impl Reactor {
             {
                 conn.paused = true;
                 self.telemetry.reads_paused.inc();
+                return;
+            }
+            // A read shorter than the scratch buffer took everything the
+            // socket held, so the next one would only say WouldBlock.
+            // Epoll is level-triggered: bytes (or an EOF) that arrive
+            // later raise the next readiness event.
+            if n < self.scratch.len() {
                 return;
             }
         }

@@ -76,6 +76,71 @@ fn slow_loris_byte_trickle_is_served_identically() {
     handle.join();
 }
 
+/// Three pipelined requests: a PUT, a GET of it and a PING, as bytes.
+fn put_get_ping(key: u64) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_request(
+        &Request::Put {
+            key,
+            value: b"split".to_vec(),
+        },
+        &mut bytes,
+    );
+    encode_request(&Request::Get { key }, &mut bytes);
+    encode_request(&Request::Ping, &mut bytes);
+    bytes
+}
+
+fn assert_put_get_ping(responses: &[Response]) {
+    assert_eq!(
+        responses,
+        [
+            Response::Stored,
+            Response::Value(b"split".to_vec()),
+            Response::Pong
+        ]
+    );
+}
+
+/// A pipelined batch that reaches the server in two writes — the first
+/// ending mid-frame, read short and alone — is answered in full once
+/// the second lands: a short read ends a readiness event, and the rest
+/// raises the next one.
+#[test]
+fn pipelined_batch_in_two_writes_is_answered_in_full() {
+    let handle = start_server(ServerConfig::default());
+    let mut s = TcpStream::connect(handle.local_addr()).unwrap();
+    s.set_nodelay(true).unwrap();
+    let bytes = put_get_ping(21);
+    let split = bytes.len() / 2 + 3;
+    s.write_all(&bytes[..split]).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    s.write_all(&bytes[split..]).unwrap();
+    assert_put_get_ping(&read_responses(&mut s, 3));
+
+    drop(s);
+    handle.shutdown();
+    handle.join();
+}
+
+/// Requests followed at once by the client's EOF (a half-close) are
+/// all answered before the server closes its side: the EOF behind a
+/// short read still arrives, as the next readiness event.
+#[test]
+fn eof_right_after_data_is_answered_in_full() {
+    let handle = start_server(ServerConfig::default());
+    let mut s = TcpStream::connect(handle.local_addr()).unwrap();
+    s.write_all(&put_get_ping(22)).unwrap();
+    s.shutdown(std::net::Shutdown::Write).unwrap();
+    assert_put_get_ping(&read_responses(&mut s, 3));
+    let mut rest = Vec::new();
+    s.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "nothing after the three responses");
+
+    handle.shutdown();
+    handle.join();
+}
+
 /// A connection that floods far past the per-connection queue bound
 /// gets every response, in order — backpressure pauses its reads
 /// instead of dropping it or corrupting the pipeline.
