@@ -139,8 +139,9 @@ pub struct RecoveryReport {
 /// The E2-NVM-backed key-value store: the KV interface over a
 /// [`ShardedEngine`], whose per-shard engines each keep their own key
 /// index, so no extra DRAM index is needed here. The store is
-/// `Clone` — clones share the shards — which is what the serving
-/// layer hands out to worker threads.
+/// `Clone` — clones share the shards — so the serving layer, a
+/// drain-time snapshot handle and application threads can each hold
+/// one.
 ///
 /// Optionally crash-consistent: [`ShardedE2KvStore::with_persistence`]
 /// attaches a per-shard WAL plus snapshot layer, and

@@ -347,6 +347,13 @@ impl NodeStore for E2NodeStore {
         // the cheaper option — an E2-NVM integration only redirects a
         // write when the move pays for itself.
         if let Some(&cur) = self.map.get(&node) {
+            if data.len() > self.node_bytes() {
+                return Err(StoreError::Sim(SimError::RangeOutOfBounds {
+                    offset: 0,
+                    len: data.len(),
+                    segment_bytes: self.node_bytes(),
+                }));
+            }
             let in_place_flips = {
                 let content = self.engine.controller().peek(cur)?;
                 e2nvm_sim::bitops::hamming(&content[..data.len()], data)
@@ -505,6 +512,22 @@ mod tests {
         let mut s = e2(24, 64);
         roundtrip(&mut s);
         assert_eq!(s.flavor(), "e2");
+    }
+
+    #[test]
+    fn e2_oversized_rewrite_of_a_placed_node_is_an_error() {
+        let mut s = e2(24, 64);
+        let node = s.alloc().unwrap();
+        s.write(node, &[0u8; 64]).unwrap();
+        assert!(matches!(
+            s.write(node, &[0u8; 65]),
+            Err(StoreError::Sim(SimError::RangeOutOfBounds {
+                offset: 0,
+                len: 65,
+                segment_bytes: 64,
+            }))
+        ));
+        assert_eq!(s.read(node).unwrap(), vec![0u8; 64]);
     }
 
     #[test]

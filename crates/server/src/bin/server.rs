@@ -3,8 +3,8 @@
 //! ```text
 //! cargo run --release -p e2nvm-server --bin e2nvm-server -- \
 //!     [--addr 127.0.0.1:4242] [--shards 4] [--segments 2048] \
-//!     [--seg-bytes 64] [--max-conns 1024] [--workers 0] \
-//!     [--scan-chunk 65536] [--cache] [--cache-mb 64] \
+//!     [--seg-bytes 64] [--max-conns 1024] \
+//!     [--scan-chunk 65536] [--cache-mb N] \
 //!     [--data-dir PATH] [--flush-policy every|batch:N|os] \
 //!     [--snapshot-every OPS] \
 //!     [--fault-endurance BITS] [--fault-seed SEED]
@@ -15,11 +15,12 @@
 //! embedder would build its own store (own device geometry, own
 //! training corpus) and hand it to [`Server`] the same way.
 //!
-//! `--workers N` sizes the reactor's worker pool (0 = auto).
-//! `--scan-chunk BYTES` sets the target payload per streamed SCAN
-//! chunk frame (default 64 KiB). An unknown flag, a missing value or a
-//! value that does not parse is rejected with a usage line on stderr
-//! and exit code 2 — the server never boots on a guess.
+//! `--cache-mb N` fronts the store with an N MiB read-through cache;
+//! without it every GET is served from the store. `--scan-chunk BYTES`
+//! sets the target payload per streamed SCAN chunk frame (default
+//! 64 KiB). An unknown flag, a missing value or a value that does not
+//! parse is rejected with a usage line on stderr and exit code 2 — the
+//! server never boots on a guess.
 //!
 //! `--fault-endurance BITS` attaches the simulator's deterministic
 //! fault model with a Weibull(3.0, BITS) per-segment endurance budget
@@ -43,7 +44,7 @@ use e2nvm_server::{demo, CacheConfig, Server, ServerConfig};
 use e2nvm_telemetry::TelemetryRegistry;
 
 const USAGE: &str = "usage: e2nvm-server [--addr HOST:PORT] [--shards N] [--segments N] \
-[--seg-bytes N] [--max-conns N] [--workers N] [--scan-chunk BYTES] [--cache] [--cache-mb N] \
+[--seg-bytes N] [--max-conns N] [--scan-chunk BYTES] [--cache-mb N] \
 [--data-dir PATH] [--flush-policy every|batch:N|os] [--snapshot-every OPS] \
 [--fault-endurance BITS] [--fault-seed SEED]";
 
@@ -85,10 +86,8 @@ fn main() {
     let mut segments: usize = 2048;
     let mut seg_bytes: usize = 64;
     let mut max_conns: usize = 1024;
-    let mut workers: usize = 0;
     let mut scan_chunk: usize = 64 * 1024;
-    let mut cache = false;
-    let mut cache_mb: usize = 64;
+    let mut cache_mb: Option<usize> = None;
     let mut data_dir: Option<String> = None;
     let mut flush_policy = FlushPolicy::default();
     let mut snapshot_every: u64 = 0;
@@ -103,10 +102,8 @@ fn main() {
             "--segments" => segments = value(f, &mut it),
             "--seg-bytes" => seg_bytes = value(f, &mut it),
             "--max-conns" => max_conns = value(f, &mut it),
-            "--workers" => workers = value(f, &mut it),
             "--scan-chunk" => scan_chunk = value(f, &mut it),
-            "--cache" => cache = true,
-            "--cache-mb" => cache_mb = value(f, &mut it),
+            "--cache-mb" => cache_mb = Some(value(f, &mut it)),
             "--data-dir" => data_dir = Some(value(f, &mut it)),
             "--flush-policy" => flush_policy = parse_flush_policy(&value::<String>(f, &mut it)),
             "--snapshot-every" => snapshot_every = value(f, &mut it),
@@ -180,9 +177,8 @@ fn main() {
     let mut builder = ServerConfig::builder()
         .addr(addr)
         .max_connections(max_conns)
-        .workers(workers)
         .scan_chunk_bytes(scan_chunk);
-    if cache {
+    if let Some(cache_mb) = cache_mb {
         eprintln!("fronting the store with a {cache_mb} MiB read-through cache");
         let cache_cfg = CacheConfig::builder()
             .capacity_bytes(cache_mb << 20)

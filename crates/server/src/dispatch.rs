@@ -11,8 +11,7 @@
 //!    commit barriers that keep an ack from leaving the process ahead
 //!    of its WAL record.
 //!
-//! The reactor runs step 1 on the event loop and step 2 either inline
-//! (low fan-in) or on a worker.
+//! The reactor runs both steps on its event loop.
 
 use crate::frame::{
     encode_response, encode_value_frame, parse_request, FrameDecoder, FrameError, Opcode, Request,
@@ -25,8 +24,7 @@ use e2nvm_telemetry::{Sampler, TelemetryRegistry};
 
 /// What the connection handlers serve from: the bare sharded store, or
 /// the same store behind a read-through cache. Clones share both the
-/// store shards and the cache shards, so coherence is cross-connection
-/// and cross-worker.
+/// store shards and the cache shards, so coherence is cross-connection.
 #[derive(Clone)]
 pub(crate) enum Front {
     Plain(ShardedE2KvStore),
@@ -246,8 +244,8 @@ fn stream_scan(
 
 /// Everything needed to execute requests against the store: a [`Front`]
 /// clone (shards shared), the registry for METRICS frames, the
-/// telemetry sink, and the scan chunk bound. One per reactor worker,
-/// plus one for the reactor thread's inline batches.
+/// telemetry sink, and the scan chunk bound. The reactor owns one and
+/// runs every batch through it.
 pub(crate) struct ExecCtx {
     pub store: Front,
     pub registry: Option<TelemetryRegistry>,

@@ -12,8 +12,8 @@
 //!   [`ShardedE2KvStore`](e2nvm_kvstore::ShardedE2KvStore) with
 //!   request pipelining, bounded connections, typed error frames, and
 //!   graceful shutdown. It serves with a readiness-based epoll
-//!   reactor plus a fixed worker pool ([`reactor`]) — the only serving
-//!   path. epoll is Linux-only: on other hosts the crate compiles
+//!   reactor ([`reactor`]) whose one thread also executes every
+//!   request batch — the only serving path. epoll is Linux-only: on other hosts the crate compiles
 //!   (codec, client, config) but [`Server::start`] returns
 //!   `io::ErrorKind::Unsupported`.
 //! * [`client`] — [`Client`]: a blocking pipelined client (also what
@@ -48,8 +48,6 @@ pub mod server;
 #[cfg(target_os = "linux")]
 mod sys;
 pub mod telemetry;
-#[cfg(target_os = "linux")]
-mod worker;
 
 pub use client::{Client, ScanStream};
 pub use frame::{FrameDecoder, FrameError, Opcode, Request, Response, Status};

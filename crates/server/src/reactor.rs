@@ -1,24 +1,24 @@
 //! The readiness-based serving engine: one event-loop thread driving
-//! nonblocking sockets through epoll, plus a small fixed worker pool
-//! (`crate::worker`) executing decoded request batches.
+//! nonblocking sockets through epoll and executing every decoded
+//! request batch itself.
 //!
 //! ```text
 //!             epoll (level-triggered)
-//!   listener ──► accept, register            ┌──────────────┐
-//!   eventfd  ──► completion/shutdown wakeup  │ worker pool  │
+//!   listener ──► accept, register
+//!   eventfd  ──► shutdown wakeup
 //!   conn fd  ──► read ─► FrameDecoder ─► per-connection queue
-//!        ▲                                   │  exec batch  │
-//!        └── flush ◄─ write buffer ◄─ Completion bytes ◄────┘
+//!        ▲                                        │ exec batch (ExecCtx)
+//!        └──── flush ◄─ write buffer ◄────────────┘
 //! ```
 //!
 //! Per-connection state machine: bytes read on the event loop are
-//! decoded into ordered `Work` items; when a connection has items
-//! queued and no batch in flight, the whole queue ships to a worker as
-//! one `Job`. The worker's `Completion` carries the encoded
-//! response bytes back; the event loop appends them to the
-//! connection's write buffer and flushes under level-triggered
-//! `EPOLLOUT`. At most one batch per connection is ever in flight, so
-//! responses keep request order with zero cross-worker coordination.
+//! decoded into ordered `Work` items; after each read the connection's
+//! whole queue runs as one batch through the loop's one `ExecCtx`,
+//! which appends the encoded responses to the connection's write
+//! buffer; the loop flushes it, and what the socket does not take
+//! drains under level-triggered `EPOLLOUT`. One thread executes every
+//! batch, so each connection's responses keep request order with no
+//! coordination at all.
 //!
 //! **Backpressure** replaces the BUSY-at-accept cliff: when a
 //! connection's queue reaches [`ServerConfig::queue_depth`] items (or
@@ -31,10 +31,10 @@
 //!
 //! **Graceful drain** walks the readiness set instead of joining N
 //! threads: on shutdown the listener is deregistered, reads stop,
-//! every queued item is dispatched and answered, write buffers flush,
-//! and connections close — promptly (an eventfd wakeup, not a
-//! read-timeout poll), bounded by [`DRAIN_DEADLINE`] against peers
-//! that stop reading their responses.
+//! every queued item is executed and answered, write buffers flush,
+//! and connections close — promptly (an eventfd wakeup, not a timed
+//! poll), bounded by [`DRAIN_DEADLINE`] against peers that stop
+//! reading their responses.
 
 #![cfg(target_os = "linux")]
 
@@ -43,7 +43,6 @@ use crate::frame::{encode_response, FrameDecoder, Response, Status};
 use crate::server::{ServeParts, ServerConfig};
 use crate::sys::{Poller, PollerEvent, Waker};
 use crate::telemetry::ServerTelemetry;
-use crate::worker::{Completion, Job, WorkerPool};
 use e2nvm_telemetry::Sampler;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -63,18 +62,6 @@ pub const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// its responses exhaust server memory.
 const WRITE_BACKLOG_PAUSE: usize = 1 << 20;
 
-/// At or below this many active connections, batches run to completion
-/// on the reactor thread instead of being handed to the worker pool.
-/// At low fan-in the pool buys no meaningful parallelism but charges
-/// two thread handoffs per batch (submit wake + completion wake) —
-/// on microsecond store ops that overhead is 20–40% of throughput.
-/// Past the threshold the pool takes over: it keeps a slow batch from
-/// stalling hundreds of ready connections and spreads execution
-/// across cores. Correctness is identical either way (one batch per
-/// connection in flight, same `ExecCtx`), so the switch can flap with
-/// `active` freely.
-const INLINE_ACTIVE_MAX: usize = 8;
-
 /// epoll token of the listener.
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// epoll token of the wakeup eventfd.
@@ -88,34 +75,25 @@ pub(crate) fn spawn(
     shutdown: Arc<AtomicBool>,
     waker: Waker,
 ) -> std::io::Result<JoinHandle<usize>> {
-    let workers = parts.config.effective_workers();
-    let new_ctx = || ExecCtx {
+    let exec = ExecCtx {
         store: parts.front.clone(),
         registry: parts.registry.clone(),
         telemetry: parts.telemetry.clone(),
         scan_chunk_bytes: parts.config.scan_chunk_bytes,
         frame_clock: Sampler::default(),
     };
-    let pool = WorkerPool::spawn(workers, waker.clone(), new_ctx)?;
-    // The reactor thread's own execution context, for batches it runs
-    // inline at low fan-in (see `INLINE_ACTIVE_MAX`).
-    let exec = new_ctx();
     let poller = Poller::new()?;
     std::thread::Builder::new()
         .name("e2nvm-reactor".into())
-        .spawn(move || Reactor::new(listener, parts, shutdown, waker, poller, pool, exec).run())
+        .spawn(move || Reactor::new(listener, parts, shutdown, waker, poller, exec).run())
 }
 
 /// One connection's state, owned by the event loop.
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
-    /// Decoded, not yet dispatched items (ordered).
+    /// Decoded, not yet executed items (ordered).
     pending: VecDeque<Work>,
-    /// Whether a batch is at a worker right now.
-    in_flight: bool,
-    /// Items in the in-flight batch (gauge bookkeeping).
-    in_flight_items: usize,
     /// Encoded-but-unflushed response bytes, `out_pos` already written.
     outbuf: Vec<u8>,
     out_pos: usize,
@@ -136,10 +114,6 @@ impl Conn {
     fn backlog(&self) -> usize {
         self.outbuf.len() - self.out_pos
     }
-
-    fn queued(&self) -> usize {
-        self.pending.len() + self.in_flight_items
-    }
 }
 
 struct Reactor {
@@ -150,20 +124,17 @@ struct Reactor {
     shutdown: Arc<AtomicBool>,
     waker: Waker,
     poller: Poller,
-    pool: Option<WorkerPool>,
-    /// Execution context for inline (low fan-in) batches.
+    /// Executes every batch, on this thread.
     exec: ExecCtx,
     conns: Vec<Option<Conn>>,
-    /// Slot generations; bumped on free so a stale completion or a
-    /// stale event from the current batch can never reach a slot's new
-    /// tenant.
+    /// Slot generations; bumped on free so a stale event from the
+    /// current epoll batch can never reach a slot's new tenant.
     gens: Vec<u32>,
     free: Vec<usize>,
     active: usize,
     served: usize,
     draining: Option<Instant>,
     scratch: Vec<u8>,
-    completions: Vec<Completion>,
     events: Vec<PollerEvent>,
 }
 
@@ -174,7 +145,6 @@ impl Reactor {
         shutdown: Arc<AtomicBool>,
         waker: Waker,
         poller: Poller,
-        pool: WorkerPool,
         exec: ExecCtx,
     ) -> Self {
         Self {
@@ -185,7 +155,6 @@ impl Reactor {
             shutdown,
             waker,
             poller,
-            pool: Some(pool),
             exec,
             conns: Vec::new(),
             gens: Vec::new(),
@@ -194,7 +163,6 @@ impl Reactor {
             served: 0,
             draining: None,
             scratch: vec![0u8; 64 * 1024],
-            completions: Vec::new(),
             events: Vec::new(),
         }
     }
@@ -211,16 +179,9 @@ impl Reactor {
                 .is_err()
         {
             // Registration failed at boot: nothing is serveable.
-            self.pool.take().unwrap().stop();
             return 0;
         }
-        let tick_ms = self
-            .config
-            .read_timeout
-            .as_millis()
-            .clamp(1, i32::MAX as u128) as i32;
         loop {
-            self.apply_completions();
             if self.shutdown.load(Ordering::SeqCst) && self.draining.is_none() {
                 self.enter_drain();
             }
@@ -239,7 +200,10 @@ impl Reactor {
                     break;
                 }
             }
-            let timeout = if self.draining.is_some() { 10 } else { tick_ms };
+            // Outside a drain the loop sleeps until a socket is ready or
+            // the eventfd signals shutdown; a drain polls so it can
+            // notice `DRAIN_DEADLINE`.
+            let timeout = if self.draining.is_some() { 10 } else { -1 };
             self.events.clear();
             let mut events = std::mem::take(&mut self.events);
             if self.poller.wait(&mut events, timeout).is_err() {
@@ -261,7 +225,6 @@ impl Reactor {
             }
             self.events = events;
         }
-        self.pool.take().unwrap().stop();
         self.parts_for_stop.record_stopped(self.served);
         self.served
     }
@@ -311,8 +274,6 @@ impl Reactor {
             stream,
             decoder: FrameDecoder::new(self.config.max_frame_body),
             pending: VecDeque::new(),
-            in_flight: false,
-            in_flight_items: 0,
             outbuf: Vec::with_capacity(4096),
             out_pos: 0,
             read_closed: false,
@@ -435,49 +396,34 @@ impl Reactor {
         true
     }
 
-    /// After any read/flush/completion progress on `idx`: dispatch the
-    /// next batch, re-balance backpressure, sync poller interest, and
-    /// close if this connection is finished.
+    /// After any read/flush progress on `idx`: execute the queued
+    /// items, re-balance backpressure, sync poller interest, and close
+    /// if this connection is finished.
     fn after_progress(&mut self, idx: usize) {
         let Some(conn) = &mut self.conns[idx] else {
             return;
         };
-        // Dispatch: one batch per connection in flight at a time. At
-        // low fan-in the batch runs to completion right here on the
-        // reactor thread (no pool handoff); past `INLINE_ACTIVE_MAX`
-        // it goes to the worker pool.
-        let mut ran_inline = false;
-        if !conn.in_flight && !conn.pending.is_empty() {
-            let items: Vec<Work> = conn.pending.drain(..).collect();
-            let n = items.len();
+        // Execute: the whole queue runs as one batch, here on the event
+        // loop, and its responses go out before the next event.
+        if !conn.pending.is_empty() {
+            let n = conn.pending.len();
             self.telemetry.dispatch_batch_items.observe(n as u64);
-            if self.active <= INLINE_ACTIVE_MAX {
-                let outcome = self.exec.exec_batch(items, &mut conn.outbuf);
-                self.telemetry.queued_items.sub(n as i64);
-                if outcome.shutdown {
-                    self.shutdown.store(true, Ordering::SeqCst);
-                }
-                if outcome.close {
-                    // `pending` is already empty (the batch was all of
-                    // it), so unlike the completion path there is no
-                    // voided remainder to clear.
-                    conn.read_closed = true;
-                    conn.close_after_flush = true;
-                }
-                ran_inline = true;
-            } else {
-                conn.in_flight = true;
-                conn.in_flight_items = n;
-                let job = Job {
-                    token: idx as u32,
-                    gen: self.gens[idx],
-                    items,
-                };
-                self.pool.as_ref().unwrap().submit(job);
+            let outcome = self
+                .exec
+                .exec_batch(conn.pending.drain(..), &mut conn.outbuf);
+            self.telemetry.queued_items.sub(n as i64);
+            if outcome.shutdown {
+                self.shutdown.store(true, Ordering::SeqCst);
             }
-        }
-        if ran_inline && !self.flush(idx) {
-            return; // the connection died on the write
+            if outcome.close {
+                // Fatal violation answered or SHUTDOWN acked: the batch
+                // was the whole queue, so nothing decoded is left over.
+                conn.read_closed = true;
+                conn.close_after_flush = true;
+            }
+            if !self.flush(idx) {
+                return; // the connection died on the write
+            }
         }
         let Some(conn) = &mut self.conns[idx] else {
             return;
@@ -493,8 +439,8 @@ impl Reactor {
         // Finished? (EOF/fatal/drain with everything answered, or an
         // explicit close-after-flush with the buffer empty.)
         let flushed = conn.backlog() == 0;
-        let done = (conn.close_after_flush && flushed && !conn.in_flight)
-            || (conn.read_closed && conn.pending.is_empty() && !conn.in_flight && flushed);
+        let done = (conn.close_after_flush && flushed)
+            || (conn.read_closed && conn.pending.is_empty() && flushed);
         if done {
             self.close(idx);
             return;
@@ -522,7 +468,7 @@ impl Reactor {
             return;
         };
         let _ = self.poller.remove(conn.stream.as_raw_fd());
-        self.telemetry.queued_items.sub(conn.queued() as i64);
+        self.telemetry.queued_items.sub(conn.pending.len() as i64);
         self.telemetry.connections_active.sub(1);
         self.gens[idx] = self.gens[idx].wrapping_add(1);
         self.free.push(idx);
@@ -530,50 +476,15 @@ impl Reactor {
         // conn drops here, closing the fd.
     }
 
-    // ---- completions & drain ----------------------------------------
-
-    fn apply_completions(&mut self) {
-        let mut completions = std::mem::take(&mut self.completions);
-        self.pool
-            .as_ref()
-            .unwrap()
-            .drain_completions(&mut completions);
-        for done in completions.drain(..) {
-            if done.shutdown {
-                self.shutdown.store(true, Ordering::SeqCst);
-            }
-            let idx = done.token as usize;
-            if idx >= self.conns.len() || self.gens[idx] != done.gen || self.conns[idx].is_none() {
-                continue; // the connection died mid-flight
-            }
-            let conn = self.conns[idx].as_mut().unwrap();
-            self.telemetry.queued_items.sub(conn.in_flight_items as i64);
-            conn.in_flight = false;
-            conn.in_flight_items = 0;
-            conn.outbuf.extend_from_slice(&done.bytes);
-            if done.close {
-                // Fatal violation answered or SHUTDOWN acked: anything
-                // decoded after it is void (the peer's pipeline ends
-                // at the close).
-                self.telemetry.queued_items.sub(conn.pending.len() as i64);
-                conn.pending.clear();
-                conn.read_closed = true;
-                conn.close_after_flush = true;
-            }
-            if self.flush(idx) {
-                self.after_progress(idx);
-            }
-        }
-        self.completions = completions;
-    }
+    // ---- drain -------------------------------------------------------
 
     fn enter_drain(&mut self) {
         use std::os::fd::AsRawFd;
         self.draining = Some(Instant::now());
         let _ = self.poller.remove(self.listener.as_raw_fd());
-        // Walk the set once: stop reads everywhere, dispatch whatever
-        // is still queued, and let the normal completion/flush path
-        // retire each connection.
+        // Walk the set once: stop reads everywhere, execute whatever is
+        // still queued, and let the normal flush path retire each
+        // connection.
         for idx in 0..self.conns.len() {
             if let Some(conn) = &mut self.conns[idx] {
                 conn.read_closed = true;

@@ -3,9 +3,9 @@
 //! lifecycle controls.
 //!
 //! There is one serving path: a readiness-based event loop —
-//! nonblocking sockets registered with epoll, per-connection state
-//! machines, and a small fixed worker pool executing decoded request
-//! batches (`crate::reactor`). One process holds thousands of
+//! nonblocking sockets registered with epoll and per-connection state
+//! machines, with the loop's own thread executing every decoded
+//! request batch (`crate::reactor`). One process holds thousands of
 //! idle-or-bursty clients; backpressure pauses a flooding connection's
 //! reads instead of dropping clients. epoll is Linux-only, and so is
 //! serving: elsewhere the crate still compiles (frame codec, client,
@@ -26,11 +26,10 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Server tuning knobs. `Default` binds an ephemeral loopback port
-/// with a 1024-connection limit, the protocol's 1 MiB frame cap, an
-/// auto-sized worker pool, and a 64-item per-connection queue bound.
+/// with a 1024-connection limit, the protocol's 1 MiB frame cap and a
+/// 64-item per-connection queue bound.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Address to bind (`"127.0.0.1:0"` picks an ephemeral port; read
@@ -45,14 +44,6 @@ pub struct ServerConfig {
     /// Cap on a frame's `body_len`; larger frames are answered with
     /// FRAME_TOO_LARGE and the connection closes.
     pub max_frame_body: usize,
-    /// Liveness tick only: the upper bound on one `epoll_wait` (wakeups
-    /// normally arrive via eventfd well before it). Despite the name it
-    /// is not a socket read timeout — no connection is ever timed out.
-    /// Must be nonzero.
-    pub read_timeout: Duration,
-    /// Worker pool size; `0` (the default) auto-sizes to the host's
-    /// available parallelism, clamped to `[1, 8]`.
-    pub workers: usize,
     /// Per-connection bound on decoded-but-unserved request items.
     /// When a connection's queue reaches this bound (or its write
     /// backlog exceeds one frame cap), the reactor stops reading from
@@ -79,8 +70,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             max_connections: 1024,
             max_frame_body: DEFAULT_MAX_BODY,
-            read_timeout: Duration::from_millis(25),
-            workers: 0,
             queue_depth: 64,
             cache: None,
             scan_chunk_bytes: 64 * 1024,
@@ -104,11 +93,6 @@ impl ServerConfig {
     pub fn validate(&self) -> std::io::Result<()> {
         fn invalid(msg: String) -> std::io::Error {
             std::io::Error::new(ErrorKind::InvalidInput, msg)
-        }
-        if self.read_timeout.is_zero() {
-            return Err(invalid(
-                "ServerConfig::read_timeout must be nonzero (it paces liveness ticks)".into(),
-            ));
         }
         if self.max_connections == 0 {
             return Err(invalid(
@@ -137,19 +121,6 @@ impl ServerConfig {
         }
         Ok(())
     }
-
-    /// The worker-pool size after resolving `0` = auto (available
-    /// parallelism clamped to `[1, 8]`).
-    pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2)
-                .clamp(1, 8)
-        }
-    }
 }
 
 /// Builder for [`ServerConfig`], mirroring `E2Config::builder()` and
@@ -158,18 +129,15 @@ impl ServerConfig {
 ///
 /// ```
 /// use e2nvm_server::ServerConfig;
-/// use std::time::Duration;
 ///
 /// let cfg = ServerConfig::builder()
 ///     .addr("127.0.0.1:0")
 ///     .max_connections(8)
-///     .workers(2)
 ///     .queue_depth(32)
-///     .read_timeout(Duration::from_millis(10))
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(cfg.max_connections, 8);
-/// assert_eq!(cfg.workers, 2);
+/// assert_eq!(cfg.queue_depth, 32);
 /// assert!(cfg.cache.is_none());
 /// ```
 #[derive(Debug, Clone)]
@@ -196,18 +164,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Liveness tick (see [`ServerConfig::read_timeout`]).
-    pub fn read_timeout(mut self, timeout: Duration) -> Self {
-        self.cfg.read_timeout = timeout;
-        self
-    }
-
-    /// Worker pool size, 0 = auto (see [`ServerConfig::workers`]).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.workers = workers;
-        self
-    }
-
     /// Per-connection queue bound (see [`ServerConfig::queue_depth`]).
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.cfg.queue_depth = depth;
@@ -228,8 +184,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Validate and return the config. Rejects a zero read timeout,
-    /// a zero connection limit, a zero frame cap, a zero queue depth,
+    /// Validate and return the config. Rejects a zero connection limit, a zero frame cap, a zero queue depth,
     /// a zero scan chunk bound, and any invalid cache shape with
     /// [`ErrorKind::InvalidInput`].
     pub fn build(self) -> std::io::Result<ServerConfig> {
@@ -362,8 +317,9 @@ impl Server {
 pub struct ServerHandle {
     pub(crate) addr: SocketAddr,
     pub(crate) shutdown: Arc<AtomicBool>,
-    /// Kicks the event loop out of `epoll_wait` so a shutdown is
-    /// observed immediately rather than at the next liveness tick.
+    /// Kicks the event loop out of `epoll_wait`, where it otherwise
+    /// sleeps until a socket is ready, so a shutdown is observed at
+    /// once.
     #[cfg(target_os = "linux")]
     pub(crate) waker: crate::sys::Waker,
     pub(crate) thread: Option<JoinHandle<usize>>,
@@ -426,14 +382,5 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn auto_workers_resolve_to_a_sane_pool() {
-        let cfg = ServerConfig::default();
-        let n = cfg.effective_workers();
-        assert!((1..=8).contains(&n), "auto workers resolved to {n}");
-        let cfg = ServerConfig::builder().workers(3).build().unwrap();
-        assert_eq!(cfg.effective_workers(), 3);
     }
 }

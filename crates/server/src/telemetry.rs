@@ -1,8 +1,8 @@
 //! Wire-level telemetry: per-opcode frame counters, per-frame latency
 //! histograms, connection gauges, byte counters, and the reactor's
-//! event-loop/worker-pool series — all under the `e2nvm_server_*`
-//! namespace, composing with the engine/device/KV series the fronted
-//! store already publishes on the same registry.
+//! event-loop series — all under the `e2nvm_server_*` namespace,
+//! composing with the engine/device/KV series the fronted store
+//! already publishes on the same registry.
 
 use crate::frame::{Opcode, Status};
 use e2nvm_telemetry::{Counter, Gauge, Histogram, TelemetryRegistry};
@@ -52,18 +52,11 @@ pub struct ServerTelemetry {
     /// backpressure (queue bound or write backlog reached).
     pub(crate) reads_paused: Counter,
     /// Reactor only: decoded items currently queued on connections,
-    /// waiting for (or riding in) a worker batch.
+    /// waiting for their batch to execute.
     pub(crate) queued_items: Gauge,
-    /// Reactor only: items per dispatched batch (inline fast path or
-    /// worker pool — the histogram count is total batches).
+    /// Reactor only: items per executed batch (the histogram count is
+    /// total batches).
     pub(crate) dispatch_batch_items: Histogram,
-    /// Reactor only: batches executed by the worker pool. Batches run
-    /// inline on the reactor thread at low fan-in are the
-    /// `dispatch_batch_items` count minus this.
-    pub(crate) worker_batches: Counter,
-    /// Reactor only: nanoseconds workers spent executing batches.
-    /// Utilization = rate(worker_busy_ns) / (workers × 1e9).
-    pub(crate) worker_busy_ns: Counter,
     /// Wear summary: free segments across the fronted store's shards,
     /// refreshed whenever a HEALTH or METRICS frame is served.
     pub(crate) wear_free_segments: Gauge,
@@ -82,7 +75,7 @@ pub struct ServerTelemetry {
     pub(crate) scan_stream_multi_chunk: Counter,
 }
 
-/// Bucket bounds for items-per-worker-batch: powers of two up to the
+/// Bucket bounds for items per batch: powers of two up to the
 /// default per-connection queue bound.
 const BATCH_ITEM_BOUNDS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
@@ -119,8 +112,6 @@ impl ServerTelemetry {
             reads_paused: Counter::disconnected(),
             queued_items: Gauge::disconnected(),
             dispatch_batch_items: Histogram::disconnected(&BATCH_ITEM_BOUNDS),
-            worker_batches: Counter::disconnected(),
-            worker_busy_ns: Counter::disconnected(),
             wear_free_segments: Gauge::disconnected(),
             wear_retired_segments: Gauge::disconnected(),
             wear_total_segments: Gauge::disconnected(),
@@ -188,20 +179,12 @@ impl ServerTelemetry {
             ),
             queued_items: registry.gauge(
                 "e2nvm_server_queued_items",
-                "Decoded request items queued on connections, awaiting or riding in a worker batch",
+                "Decoded request items queued on connections, awaiting execution",
             ),
             dispatch_batch_items: registry.histogram(
                 "e2nvm_server_dispatch_batch_items",
-                "Items per dispatched batch (inline or worker pool)",
+                "Items per executed batch",
                 &BATCH_ITEM_BOUNDS,
-            ),
-            worker_batches: registry.counter(
-                "e2nvm_server_worker_batches_total",
-                "Batches executed by the worker pool (dispatched minus inline)",
-            ),
-            worker_busy_ns: registry.counter(
-                "e2nvm_server_worker_busy_ns_total",
-                "Nanoseconds workers spent executing batches (utilization numerator)",
             ),
             wear_free_segments: registry.gauge(
                 "e2nvm_server_wear_free_segments",

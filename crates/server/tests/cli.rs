@@ -1,8 +1,12 @@
 //! The `e2nvm-server` binary refuses a command line it does not fully
 //! understand: a removed or misspelt flag, or a value that does not
 //! parse, exits 2 with a usage line instead of booting on defaults.
+//! A flag it does understand takes effect: `--cache-mb` alone turns
+//! the cache on.
 
-use std::process::Command;
+use e2nvm_server::Client;
+use std::io::{BufRead, BufReader};
+use std::process::{Child, Command, Stdio};
 
 /// Run the server binary with `args`; it must exit 2, say why on
 /// stderr, and never reach the `listening on` banner.
@@ -25,6 +29,8 @@ fn assert_rejected(args: &[&str], complaint: &str) {
 #[test]
 fn removed_engine_flag_is_rejected() {
     assert_rejected(&["--threaded"], "unknown flag \"--threaded\"");
+    assert_rejected(&["--workers", "2"], "unknown flag \"--workers\"");
+    assert_rejected(&["--cache"], "unknown flag \"--cache\"");
 }
 
 #[test]
@@ -43,4 +49,44 @@ fn unknown_flush_policy_is_rejected() {
 #[test]
 fn missing_value_is_rejected() {
     assert_rejected(&["--fault-endurance"], "--fault-endurance requires a value");
+}
+
+/// Kills the server if the test fails before its SHUTDOWN.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn cache_mb_alone_turns_the_cache_on() {
+    let child = Command::new(env!("CARGO_BIN_EXE_e2nvm-server"))
+        .args(["--shards", "1", "--segments", "256", "--seg-bytes", "32"])
+        .args(["--cache-mb", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn e2nvm-server");
+    let mut server = KillOnDrop(child);
+    // Kept open until the server exits: it prints a farewell line.
+    let mut stdout = BufReader::new(server.0.stdout.take().expect("child stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("read server banner");
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected server banner {banner:?}"));
+
+    let mut client = Client::connect(addr).expect("connect");
+    let metrics = client.metrics().expect("METRICS frame");
+    assert!(
+        metrics.contains("e2nvm_cache_"),
+        "no cache series with --cache-mb 1:\n{metrics}"
+    );
+    client.shutdown_server().expect("SHUTDOWN acked");
+    let status = server.0.wait().expect("server exits");
+    assert!(status.success(), "server exited with {status}");
 }
