@@ -377,9 +377,9 @@ impl NvmKvStore for ClusterClient {
     }
 
     /// Aggregate device statistics are not carried by the binary
-    /// protocol (STATS is a JSON document per server); the cluster
-    /// returns zeros here and exposes its own counters via
-    /// [`ClusterClient::cluster_stats`].
+    /// protocol (each server publishes its device counters in its own
+    /// METRICS exposition); the cluster returns zeros here and exposes
+    /// its own counters via [`ClusterClient::cluster_stats`].
     fn stats(&self) -> e2nvm_sim::DeviceStats {
         e2nvm_sim::DeviceStats::default()
     }

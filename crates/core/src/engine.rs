@@ -223,20 +223,20 @@ impl E2Engine {
         })
     }
 
-    /// Register this engine's metrics (and its controller/device's) on
-    /// `registry`, labeled with `shard`, and start feeding them. Safe to
-    /// call before or after training; per-cluster gauges appear once a
-    /// model is installed.
-    pub fn attach_telemetry(&mut self, registry: &TelemetryRegistry, shard: usize) {
+    /// Register this engine's event handles and journal (and its
+    /// controller/device's histograms) on `registry`, labeled with
+    /// `shard`, and start feeding them. What the engine counts itself
+    /// is read by the source [`crate::ShardedEngine::attach_telemetry`]
+    /// registers over its shards.
+    pub(crate) fn attach_telemetry(&mut self, registry: &TelemetryRegistry, shard: usize) {
         let shard_label = shard.to_string();
         self.controller
             .attach_telemetry(registry, &[("shard", &shard_label)]);
         self.telemetry = EngineTelemetry::register(registry, shard);
-        self.telemetry.refresh_clusters(&self.dap.occupancy());
     }
 
     /// The engine's telemetry sink (disconnected handles until
-    /// [`E2Engine::attach_telemetry`] is called).
+    /// [`crate::ShardedEngine::attach_telemetry`] is called).
     pub fn telemetry(&self) -> &EngineTelemetry {
         &self.telemetry
     }
@@ -394,7 +394,6 @@ impl E2Engine {
         }
         self.model = Some(model);
         self.telemetry.retrains.inc();
-        self.telemetry.refresh_clusters(&self.dap.occupancy());
     }
 
     /// Whether the model has been trained.
@@ -444,7 +443,7 @@ impl E2Engine {
         let model = self.model.as_ref().ok_or(E2Error::NotTrained)?;
         let started = self.clocks.place.start();
         let order = model.order_into(value, &self.padder, &mut self.rng, &mut self.scratch);
-        let ns = self.telemetry.record_prediction(started);
+        let ns = self.telemetry.prediction_latency_ns.observe_since(started);
         self.prediction.count_full(ns);
         let predicted = order.first().copied().unwrap_or(0);
         loop {
@@ -472,8 +471,6 @@ impl E2Engine {
             match result {
                 Ok(report) => {
                     self.telemetry.record_placement(predicted, used);
-                    self.telemetry
-                        .set_cluster_depth(used, self.dap.cluster_len(used));
                     self.padder.observe(value);
                     return Ok((seg, report));
                 }
@@ -544,11 +541,11 @@ impl E2Engine {
         let model = self.model.as_ref().ok_or(E2Error::NotTrained)?;
         let started = self.clocks.recycle.start();
         let cluster = model.classify(content, &mut self.scratch);
-        let ns = self.telemetry.record_prediction(started);
+        let ns = self.telemetry.prediction_latency_ns.observe_since(started);
         self.prediction.count_full(ns);
         self.prediction.tag_fallbacks += 1;
-        self.telemetry.recycle_classified.inc();
-        self.push_free(cluster, seg)
+        self.dap.push(cluster, seg)?;
+        Ok(())
     }
 
     /// Recycle a segment the engine's own KV path wrote and nothing
@@ -571,14 +568,7 @@ impl E2Engine {
             "cluster tag of {seg} disagrees with its content"
         );
         self.prediction.tag_hits += 1;
-        self.telemetry.recycle_tag_hits.inc();
-        self.push_free(usize::from(tag), seg)
-    }
-
-    fn push_free(&mut self, cluster: usize, seg: LogicalSegment) -> Result<()> {
-        self.dap.push(cluster, seg)?;
-        self.telemetry
-            .set_cluster_depth(cluster, self.dap.cluster_len(cluster));
+        self.dap.push(usize::from(tag), seg)?;
         Ok(())
     }
 
@@ -609,7 +599,10 @@ impl E2Engine {
         let content = self.controller.peek(seg).expect("placed segment in range");
         let started = self.clocks.resume.start();
         let cluster = model.classify_written(content, len, &mut self.scratch);
-        let ns = self.telemetry.record_resumed_prediction(started);
+        let ns = self
+            .telemetry
+            .resumed_prediction_latency_ns
+            .observe_since(started);
         self.prediction.count_resumed(ns);
         self.tags[seg.index()] = cluster as u8;
         self.tagged = true;
@@ -1111,7 +1104,8 @@ mod tests {
         seed_two_families(&mut e, &mut rng);
         e.train().unwrap();
         let registry = TelemetryRegistry::new();
-        e.attach_telemetry(&registry, 0);
+        let e = crate::ShardedEngine::new(vec![e]);
+        e.attach_telemetry(&registry);
         // 100 PUTs over 4 keys: 100 placements, 100 resumed passes,
         // and every recycle by tag.
         for i in 0..100u64 {

@@ -201,15 +201,25 @@ impl ShardedEngine {
         self.shards.len()
     }
 
-    /// Register every shard's metrics on one shared `registry`, each
-    /// labeled with its shard index. Aggregate across shards at read
-    /// time with [`e2nvm_telemetry::TelemetryRegistry::counter_total`]
-    /// (label-summed counters are exact, mirroring
-    /// [`ShardedEngine::device_stats`]'s merge).
+    /// Register every shard's event handles on one shared `registry`,
+    /// each labeled with its shard index, and one read-through source
+    /// over the shards: each scrape takes each shard's engine lock once
+    /// and reads its device ledger, fault counters, prediction counters
+    /// and per-cluster free-list lengths. Aggregate across shards at
+    /// read time with
+    /// [`e2nvm_telemetry::TelemetryRegistry::counter_total`] (the
+    /// label-summed device counters equal
+    /// [`ShardedEngine::device_stats`]'s merge until a reset). Attaching
+    /// twice, or through two clones, registers one source.
     pub fn attach_telemetry(&self, registry: &TelemetryRegistry) {
         for (i, shard) in self.shards.iter().enumerate() {
             shard.engine.lock().attach_telemetry(registry, i);
         }
+        registry.source(&self.shards, |shards: &[Shard], out| {
+            for (i, shard) in shards.iter().enumerate() {
+                crate::telemetry::emit(&shard.engine.lock(), i, out);
+            }
+        });
     }
 
     /// The shard a key routes to. Deterministic, uniform over shards.

@@ -1,21 +1,23 @@
-//! Engine-level telemetry sink.
+//! Engine-level telemetry.
 //!
-//! [`EngineTelemetry`] bundles the placement-path metric handles an
-//! [`crate::E2Engine`] updates while serving: full and resumed
-//! prediction counters (`predictions` over `placements` is full
-//! predictions per PUT) with a latency histogram each, recycle tag-hit
-//! counters, placement/fallback/exhaustion counters, per-cluster DAP
-//! depth gauges, and the structured event journal shared through the
-//! attached [`TelemetryRegistry`]. All hot-path updates are relaxed
-//! atomics. Counters are exact; the latency histograms hold the calls
-//! the engine's samplers timed, one in [`e2nvm_telemetry::Sampler::EVERY`]
-//! per call site.
+//! [`EngineTelemetry`] bundles the placement-path *event* handles an
+//! [`crate::E2Engine`] updates while serving: placement, fallback,
+//! retrain, write-retry and retirement counters, the sampled latency
+//! histograms of full and resumed predictions, and the structured
+//! event journal shared through the attached [`TelemetryRegistry`].
+//! All hot-path updates are relaxed atomics; the latency histograms
+//! hold the calls the engine's samplers timed, one in
+//! [`e2nvm_telemetry::Sampler::EVERY`] per call site.
 //!
-//! The per-cluster gauges are rebuilt on every model install (K can
-//! change across retrains), labeled `{shard="<s>",cluster="<c>"}`.
+//! What the engine already counts is not mirrored: `emit` reads it
+//! when a scrape renders — the device ledger, the four
+//! [`crate::PredictionStats`] counters and the DAP's per-cluster
+//! free-list lengths (`e2nvm_dap_free_segments{shard,cluster}`, one
+//! per cluster of the model installed now). [`crate::ShardedEngine`]
+//! registers it as one read-through source over its shards.
 
-use e2nvm_telemetry::{Counter, Event, Gauge, Histogram, TelemetryRegistry};
-use std::time::Instant;
+use crate::engine::E2Engine;
+use e2nvm_telemetry::{Counter, Event, Histogram, Samples, TelemetryRegistry};
 
 /// Upper bounds for the padding+prediction latency histogram (ns).
 const PREDICTION_BOUNDS: [u64; 8] = [500, 1_000, 2_500, 5_000, 10_000, 25_000, 100_000, 1_000_000];
@@ -23,71 +25,35 @@ const PREDICTION_BOUNDS: [u64; 8] = [500, 1_000, 2_500, 5_000, 10_000, 25_000, 1
 /// Metric handles for one engine (one shard).
 #[derive(Debug, Clone)]
 pub struct EngineTelemetry {
-    registry: Option<TelemetryRegistry>,
+    registry: TelemetryRegistry,
     shard: usize,
     /// Successful placements (DAP pops) performed.
     pub placements: Counter,
-    /// Placements that fell back past the predicted cluster.
+    /// Placements that found the predicted cluster empty and fell
+    /// back to another.
     pub fallbacks: Counter,
-    /// Times the predicted cluster's free list was found empty.
-    pub exhaustions: Counter,
     /// Models installed (synchronous trains and background swaps).
     pub retrains: Counter,
     /// Write re-programs issued after transient device failures.
     pub write_retries: Counter,
     /// Segments permanently retired from the pool by wear-out.
     pub retired_segments: Counter,
-    /// Full predictions: one per placement, one per content-classified
-    /// recycle.
-    pub predictions: Counter,
-    /// Write-time classifications that resumed the placement's
-    /// prediction over the written segment's tail.
-    pub resumed_predictions: Counter,
     /// Latency of the sampled resumed predictions (ns).
     pub resumed_prediction_latency_ns: Histogram,
-    /// Recycles served by the segment's write-time cluster tag.
-    pub recycle_tag_hits: Counter,
-    /// Recycles that classified the segment's content in full.
-    pub recycle_classified: Counter,
     /// Latency of the sampled *full* predictions (ns): padding + model
     /// per placement, model alone per content-classified recycle.
     pub prediction_latency_ns: Histogram,
-    /// One gauge per cluster: current DAP free-list depth.
-    cluster_depth: Vec<Gauge>,
-}
-
-impl Default for EngineTelemetry {
-    fn default() -> Self {
-        Self::disconnected()
-    }
 }
 
 impl EngineTelemetry {
-    /// Handles not attached to any registry (the initial state of every
-    /// engine).
+    /// Handles on a private registry nobody renders, with a
+    /// zero-capacity journal (the initial state of every engine).
     pub fn disconnected() -> Self {
-        EngineTelemetry {
-            registry: None,
-            shard: 0,
-            placements: Counter::disconnected(),
-            fallbacks: Counter::disconnected(),
-            exhaustions: Counter::disconnected(),
-            retrains: Counter::disconnected(),
-            write_retries: Counter::disconnected(),
-            retired_segments: Counter::disconnected(),
-            predictions: Counter::disconnected(),
-            resumed_predictions: Counter::disconnected(),
-            resumed_prediction_latency_ns: Histogram::disconnected(&PREDICTION_BOUNDS),
-            recycle_tag_hits: Counter::disconnected(),
-            recycle_classified: Counter::disconnected(),
-            prediction_latency_ns: Histogram::disconnected(&PREDICTION_BOUNDS),
-            cluster_depth: Vec::new(),
-        }
+        Self::register(&TelemetryRegistry::with_journal_capacity(0), 0)
     }
 
-    /// Register the engine metric family on `registry`, labeled with
-    /// this engine's `shard` index. Cluster-depth gauges are created
-    /// lazily by [`EngineTelemetry::refresh_clusters`].
+    /// Register the engine's event handles on `registry`, labeled with
+    /// this engine's `shard` index.
     pub fn register(registry: &TelemetryRegistry, shard: usize) -> Self {
         let shard_label = shard.to_string();
         let labels: [(&str, &str); 1] = [("shard", &shard_label)];
@@ -108,11 +74,7 @@ impl EngineTelemetry {
             ),
             fallbacks: c(
                 "e2nvm_engine_fallback_placements_total",
-                "Placements that fell back past the predicted cluster",
-            ),
-            exhaustions: c(
-                "e2nvm_engine_cluster_exhausted_total",
-                "Placements that found the predicted cluster empty",
+                "Placements that found the predicted cluster empty and fell back to another",
             ),
             retrains: c(
                 "e2nvm_engine_retrains_total",
@@ -126,27 +88,11 @@ impl EngineTelemetry {
                 "e2nvm_engine_retired_segments_total",
                 "Segments permanently retired from the pool by wear-out",
             ),
-            predictions: c(
-                "e2nvm_engine_predictions_total",
-                "Full cluster predictions: one per placement and one per content-classified recycle",
-            ),
-            resumed_predictions: c(
-                "e2nvm_engine_resumed_predictions_total",
-                "Write-time classifications resumed over the written segment's tail",
-            ),
             resumed_prediction_latency_ns: registry.histogram_with_labels(
                 "e2nvm_engine_resumed_prediction_latency_ns",
                 "Resumed write-time classification latency (ns), sampled 1 in 64",
                 &PREDICTION_BOUNDS,
                 &labels,
-            ),
-            recycle_tag_hits: c(
-                "e2nvm_engine_recycle_tag_hits_total",
-                "Recycles served by the write-time cluster tag",
-            ),
-            recycle_classified: c(
-                "e2nvm_engine_recycle_classified_total",
-                "Recycles that classified the segment's content in full",
             ),
             prediction_latency_ns: registry.histogram_with_labels(
                 "e2nvm_engine_prediction_latency_ns",
@@ -154,8 +100,7 @@ impl EngineTelemetry {
                 &PREDICTION_BOUNDS,
                 &labels,
             ),
-            cluster_depth: Vec::new(),
-            registry: Some(registry.clone()),
+            registry: registry.clone(),
             shard,
         }
     }
@@ -168,25 +113,7 @@ impl EngineTelemetry {
     /// Record a structured event on the attached journal (no-op while
     /// disconnected).
     pub fn record_event(&self, event: Event) {
-        if let Some(registry) = &self.registry {
-            registry.journal().record(event);
-        }
-    }
-
-    /// Account one full prediction and, if a sampler `started` timing
-    /// it, its latency; returns the nanoseconds observed.
-    #[inline]
-    pub fn record_prediction(&self, started: Option<Instant>) -> Option<u64> {
-        self.predictions.inc();
-        self.prediction_latency_ns.observe_since(started)
-    }
-
-    /// Account one resumed prediction and, if a sampler `started`
-    /// timing it, its latency; returns the nanoseconds observed.
-    #[inline]
-    pub fn record_resumed_prediction(&self, started: Option<Instant>) -> Option<u64> {
-        self.resumed_predictions.inc();
-        self.resumed_prediction_latency_ns.observe_since(started)
+        self.registry.journal().record(event);
     }
 
     /// Account a successful placement: `predicted` is the model's first
@@ -194,12 +121,7 @@ impl EngineTelemetry {
     pub fn record_placement(&self, predicted: usize, used: usize) {
         self.placements.inc();
         if used != predicted {
-            self.exhaustions.inc();
             self.fallbacks.inc();
-            self.record_event(Event::ClusterExhausted {
-                shard: self.shard,
-                cluster: predicted,
-            });
             self.record_event(Event::FallbackPlacement {
                 shard: self.shard,
                 predicted,
@@ -221,35 +143,49 @@ impl EngineTelemetry {
             physical,
         });
     }
+}
 
-    /// Update one cluster's free-list depth gauge.
-    #[inline]
-    pub fn set_cluster_depth(&self, cluster: usize, depth: usize) {
-        if let Some(g) = self.cluster_depth.get(cluster) {
-            g.set(depth as i64);
-        }
+/// Emit what `engine`, shard `shard`, counts itself: its device's
+/// counters ([`e2nvm_sim::telemetry::emit`]), its
+/// [`crate::PredictionStats`] counters and one
+/// `e2nvm_dap_free_segments` gauge per cluster.
+pub(crate) fn emit(engine: &E2Engine, shard: usize, out: &mut Samples) {
+    let shard_label = shard.to_string();
+    let labels = [("shard", shard_label.as_str())];
+    e2nvm_sim::telemetry::emit(engine.controller().device(), &labels, out);
+    let p = engine.prediction_stats();
+    for (name, help, value) in [
+        (
+            "e2nvm_engine_predictions_total",
+            "Full cluster predictions: one per placement and one per content-classified recycle",
+            p.predictions,
+        ),
+        (
+            "e2nvm_engine_resumed_predictions_total",
+            "Write-time classifications resumed over the written segment's tail",
+            p.resumed,
+        ),
+        (
+            "e2nvm_engine_recycle_tag_hits_total",
+            "Recycles served by the write-time cluster tag",
+            p.tag_hits,
+        ),
+        (
+            "e2nvm_engine_recycle_classified_total",
+            "Recycles that classified the segment's content in full",
+            p.tag_fallbacks,
+        ),
+    ] {
+        out.counter(name, help, &labels, value);
     }
-
-    /// Recreate the per-cluster depth gauges for a (possibly new) K and
-    /// set them from `occupancy`. Called on every model install.
-    pub fn refresh_clusters(&mut self, occupancy: &[usize]) {
-        let Some(registry) = &self.registry else {
-            return;
-        };
-        let shard_label = self.shard.to_string();
-        self.cluster_depth = occupancy
-            .iter()
-            .enumerate()
-            .map(|(cluster, &depth)| {
-                let cluster_label = cluster.to_string();
-                let g = registry.gauge_with_labels(
-                    "e2nvm_dap_free_segments",
-                    "Free segments in one cluster's address pool",
-                    &[("shard", &shard_label), ("cluster", &cluster_label)],
-                );
-                g.set(depth as i64);
-                g
-            })
-            .collect();
+    let dap = engine.dap();
+    for cluster in 0..dap.k() {
+        let cluster_label = cluster.to_string();
+        out.gauge(
+            "e2nvm_dap_free_segments",
+            "Free segments in one cluster's address pool",
+            &[("shard", &shard_label), ("cluster", &cluster_label)],
+            dap.cluster_len(cluster) as i64,
+        );
     }
 }

@@ -37,9 +37,8 @@
 //!   single scan evict the hot set.
 
 use crate::store::{Result, StoreError};
-use crate::telemetry::CacheTelemetry;
 use crate::traits::NvmKvStore;
-use e2nvm_telemetry::{Sampler, TelemetryRegistry};
+use e2nvm_telemetry::{Histogram, Sampler, TelemetryRegistry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -231,36 +230,29 @@ impl Shard {
         value_len + ENTRY_OVERHEAD_BYTES
     }
 
-    /// Remove the slot at `idx` and return its freed byte charge.
-    fn remove_slot(&mut self, idx: usize) -> usize {
+    /// Remove the slot at `idx` and release its byte charge.
+    fn remove_slot(&mut self, idx: usize) {
         let slot = self.slots[idx].take().expect("occupied slot");
         self.map.remove(&slot.key);
         self.free.push(idx);
-        let freed = Self::charge(slot.value.len());
-        self.used_bytes -= freed;
-        freed
+        self.used_bytes -= Self::charge(slot.value.len());
     }
 
     /// Advance the CLOCK hand until `need` bytes fit, evicting
-    /// unreferenced slots and demoting referenced ones. Returns
-    /// `(entries evicted, bytes freed)`.
-    fn evict_until_fits(&mut self, need: usize) -> (usize, usize) {
-        let mut evicted = 0usize;
-        let mut freed = 0usize;
+    /// unreferenced slots and demoting referenced ones.
+    fn evict_until_fits(&mut self, need: usize) {
         while self.used_bytes + need > self.budget && !self.map.is_empty() {
             let idx = self.hand % self.slots.len();
             self.hand = self.hand.wrapping_add(1);
             match &mut self.slots[idx] {
                 Some(slot) if slot.ref_bit => slot.ref_bit = false,
                 Some(_) => {
-                    freed += self.remove_slot(idx);
-                    evicted += 1;
+                    self.remove_slot(idx);
                     self.evictions += 1;
                 }
                 None => {}
             }
         }
-        (evicted, freed)
     }
 }
 
@@ -274,34 +266,44 @@ pub struct HotCache {
     inner: Arc<CacheInner>,
 }
 
+/// Cache-lookup latency bucket bounds in nanoseconds. Hits are DRAM
+/// map lookups (sub-microsecond); misses additionally pay the inner
+/// store's read path, so the buckets span both regimes.
+const CACHE_LATENCY_BOUNDS: [u64; 8] =
+    [100, 500, 1_000, 5_000, 25_000, 100_000, 500_000, 2_000_000];
+
 #[derive(Debug)]
 struct CacheInner {
     shards: Box<[Mutex<Shard>]>,
     mask: u64,
     capacity_bytes: usize,
-    telemetry: CacheTelemetry,
+    /// GET latency served from the cache, one GET in [`Sampler::EVERY`].
+    hit_latency_ns: Histogram,
+    /// GET latency falling through to the store, sampled alike.
+    miss_latency_ns: Histogram,
 }
 
 impl HotCache {
-    /// Build a cache with no telemetry attached.
+    /// Build a cache with no telemetry attached (its series go to a
+    /// private registry nobody renders).
     ///
     /// # Panics
     /// Panics if `cfg` fails [`CacheConfig::validate`] (construct via
     /// [`CacheConfig::builder`] to catch this as an error instead).
     pub fn new(cfg: CacheConfig) -> Self {
-        Self::build(cfg, CacheTelemetry::disconnected())
+        Self::with_telemetry(cfg, &TelemetryRegistry::with_journal_capacity(0))
     }
 
     /// Build a cache whose series are registered on `registry`
-    /// (`e2nvm_cache_*` namespace).
+    /// (`e2nvm_cache_*` namespace): the hit and miss latency
+    /// histograms, and a read-through source that reads
+    /// [`HotCache::stats`] when a scrape renders. The source lives as
+    /// long as the cache: once the last clone is dropped its series are
+    /// gone from the registry.
     ///
     /// # Panics
     /// Panics if `cfg` fails [`CacheConfig::validate`].
     pub fn with_telemetry(cfg: CacheConfig, registry: &TelemetryRegistry) -> Self {
-        Self::build(cfg, CacheTelemetry::register(registry))
-    }
-
-    fn build(cfg: CacheConfig, telemetry: CacheTelemetry) -> Self {
         cfg.validate().expect("invalid CacheConfig");
         let budget = cfg.capacity_bytes / cfg.shards;
         let shards: Box<[Mutex<Shard>]> = (0..cfg.shards)
@@ -312,14 +314,60 @@ impl HotCache {
                 })
             })
             .collect();
-        Self {
-            inner: Arc::new(CacheInner {
-                shards,
-                mask: cfg.shards as u64 - 1,
-                capacity_bytes: cfg.capacity_bytes,
-                telemetry,
-            }),
-        }
+        let latency =
+            |name: &str, help: &str| registry.histogram(name, help, &CACHE_LATENCY_BOUNDS);
+        let inner = Arc::new(CacheInner {
+            shards,
+            mask: cfg.shards as u64 - 1,
+            capacity_bytes: cfg.capacity_bytes,
+            hit_latency_ns: latency(
+                "e2nvm_cache_hit_latency_ns",
+                "GET latency when served from the cache, sampled 1 in 64",
+            ),
+            miss_latency_ns: latency(
+                "e2nvm_cache_miss_latency_ns",
+                "GET latency when falling through to the store, sampled 1 in 64",
+            ),
+        });
+        registry.source(&inner, |inner: &CacheInner, out| {
+            let s = inner.stats();
+            for (name, help, value) in [
+                ("hits", "Cache lookups served from DRAM", s.hits),
+                (
+                    "misses",
+                    "Cache lookups that fell through to the store",
+                    s.misses,
+                ),
+                (
+                    "evictions",
+                    "Entries evicted by the CLOCK hand",
+                    s.evictions,
+                ),
+                (
+                    "invalidations",
+                    "Coherence invalidations from puts/deletes",
+                    s.invalidations,
+                ),
+                (
+                    "fills_dropped",
+                    "Fills dropped because an invalidation raced the read",
+                    s.fills_dropped,
+                ),
+            ] {
+                out.counter(&format!("e2nvm_cache_{name}_total"), help, &[], value);
+            }
+            for (name, help, value) in [
+                (
+                    "occupancy_bytes",
+                    "Bytes currently charged against the cache budget",
+                    s.occupancy_bytes,
+                ),
+                ("entries", "Entries currently resident", s.entries),
+            ] {
+                out.gauge(&format!("e2nvm_cache_{name}"), help, &[], value as i64);
+            }
+        });
+        Self { inner }
     }
 
     #[inline]
@@ -352,17 +400,11 @@ impl HotCache {
                 shard.hits += 1;
                 let slot = shard.slots[idx].as_mut().expect("mapped slot occupied");
                 slot.ref_bit = true;
-                let r = f(&slot.value);
-                drop(shard);
-                self.inner.telemetry.hits.inc();
-                Ok(r)
+                Ok(f(&slot.value))
             }
             None => {
                 shard.misses += 1;
-                let version = shard.version;
-                drop(shard);
-                self.inner.telemetry.misses.inc();
-                Err((version, f))
+                Err((shard.version, f))
             }
         }
     }
@@ -377,8 +419,6 @@ impl HotCache {
         let mut shard = self.shard(key).lock();
         if shard.version != version {
             shard.fills_dropped += 1;
-            drop(shard);
-            self.inner.telemetry.fills_dropped.inc();
             return false;
         }
         if shard.map.contains_key(&key) {
@@ -389,7 +429,7 @@ impl HotCache {
         if need > shard.budget {
             return false;
         }
-        let (evicted, freed) = shard.evict_until_fits(need);
+        shard.evict_until_fits(need);
         let idx = match shard.free.pop() {
             Some(idx) => idx,
             None => {
@@ -404,15 +444,6 @@ impl HotCache {
         });
         shard.map.insert(key, idx);
         shard.used_bytes += need;
-        drop(shard);
-        let t = &self.inner.telemetry;
-        if evicted > 0 {
-            t.evictions.add(evicted as u64);
-            t.occupancy_bytes.sub(freed as i64);
-            t.entries.sub(evicted as i64);
-        }
-        t.occupancy_bytes.add(need as i64);
-        t.entries.add(1);
         true
     }
 
@@ -424,32 +455,30 @@ impl HotCache {
         let mut shard = self.shard(key).lock();
         shard.version += 1;
         shard.invalidations += 1;
-        let removed = shard
-            .map
-            .get(&key)
-            .copied()
-            .map(|idx| shard.remove_slot(idx));
-        drop(shard);
-        self.inner.telemetry.invalidations.inc();
-        if let Some(freed) = removed {
-            self.inner.telemetry.occupancy_bytes.sub(freed as i64);
-            self.inner.telemetry.entries.sub(1);
+        match shard.map.get(&key).copied() {
+            Some(idx) => {
+                shard.remove_slot(idx);
+                true
+            }
+            None => false,
         }
-        removed.is_some()
-    }
-
-    /// Entries resident across all shards.
-    pub fn entries(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.lock().map.len()).sum()
     }
 
     /// Aggregate counters across all shards.
     pub fn stats(&self) -> CacheStats {
+        self.inner.stats()
+    }
+}
+
+impl CacheInner {
+    /// Aggregate counters across all shards, each read under one
+    /// acquisition of its lock.
+    fn stats(&self) -> CacheStats {
         let mut out = CacheStats {
-            capacity_bytes: self.inner.capacity_bytes,
+            capacity_bytes: self.capacity_bytes,
             ..CacheStats::default()
         };
-        for shard in self.inner.shards.iter() {
+        for shard in self.shards.iter() {
             let s = shard.lock();
             out.hits += s.hits;
             out.misses += s.misses;
@@ -460,10 +489,6 @@ impl HotCache {
             out.occupancy_bytes += s.used_bytes;
         }
         out
-    }
-
-    fn telemetry(&self) -> &CacheTelemetry {
-        &self.inner.telemetry
     }
 }
 
@@ -545,7 +570,7 @@ impl<S: NvmKvStore> CachedKvStore<S> {
         let started = self.clock.start();
         match self.cache.lookup_apply(key, f) {
             Ok(r) => {
-                self.cache.telemetry().hit_latency_ns.observe_since(started);
+                self.cache.inner.hit_latency_ns.observe_since(started);
                 Ok(Some(r))
             }
             Err((version, f)) => {
@@ -554,10 +579,7 @@ impl<S: NvmKvStore> CachedKvStore<S> {
                     self.cache.fill(key, &value, version);
                     f(&value)
                 });
-                self.cache
-                    .telemetry()
-                    .miss_latency_ns
-                    .observe_since(started);
+                self.cache.inner.miss_latency_ns.observe_since(started);
                 Ok(r)
             }
         }
@@ -629,13 +651,6 @@ impl<S: NvmKvStore> NvmKvStore for CachedKvStore<S> {
 
     fn commit(&mut self) -> Result<()> {
         self.inner.commit()
-    }
-
-    fn telemetry(&self) -> Option<&TelemetryRegistry> {
-        self.cache
-            .telemetry()
-            .registry()
-            .or_else(|| self.inner.telemetry())
     }
 }
 
@@ -754,6 +769,29 @@ mod tests {
         assert_eq!(samples("e2nvm_cache_miss_latency_ns"), 2);
         assert_eq!(registry.counter_total("e2nvm_cache_hits_total"), 200);
         assert_eq!(samples("e2nvm_cache_hit_latency_ns"), 4);
+    }
+
+    #[test]
+    fn occupancy_gauges_leave_with_their_cache() {
+        let registry = TelemetryRegistry::new();
+        let gauge = |name: &str| {
+            let text = registry.render_prometheus();
+            text.lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<i64>().ok())
+                .unwrap_or_else(|| panic!("{name} missing:\n{text}"))
+        };
+        let filled = HotCache::with_telemetry(small_cache(), &registry);
+        for key in 0..3u64 {
+            assert!(filled.fill(key, b"value", 0));
+        }
+        assert_eq!(gauge("e2nvm_cache_entries"), 3);
+        assert!(gauge("e2nvm_cache_occupancy_bytes") > 0);
+        drop(filled);
+        // A second, empty cache on the same registry reads as empty.
+        let _empty = HotCache::with_telemetry(small_cache(), &registry);
+        assert_eq!(gauge("e2nvm_cache_entries"), 0);
+        assert_eq!(gauge("e2nvm_cache_occupancy_bytes"), 0);
+        assert_eq!(registry.counter_total("e2nvm_cache_misses_total"), 0);
     }
 
     #[test]

@@ -153,8 +153,9 @@ pub struct ShardedE2KvStore {
     telemetry: StoreTelemetry,
     persist: Option<Arc<PersistState>>,
     /// Where this handle's scans keep their winners until they are
-    /// visited. Owned, not shared: every clone (one per server worker)
-    /// scans through its own, so no lock guards it.
+    /// visited. Owned, not shared: every clone (the server's one
+    /// execution context, an application thread) scans through its
+    /// own, so no lock guards it.
     scan_buf: ScanBuffer,
     /// Which puts, gets and scans this handle times; owned, like
     /// `scan_buf`.
@@ -171,7 +172,10 @@ struct OpClocks {
 
 impl Clone for ShardedE2KvStore {
     /// Share the shards, the telemetry series and the persistence
-    /// layer; start with an empty scan buffer and fresh samplers.
+    /// layer; start with an empty scan buffer and fresh samplers. The
+    /// server's event loop holds one clone and its wear gauges'
+    /// telemetry source another; neither scans through the other's
+    /// buffer.
     fn clone(&self) -> Self {
         Self {
             engine: self.engine.clone(),
@@ -450,8 +454,8 @@ impl ShardedE2KvStore {
     }
 
     /// Register this store's KV-op metrics — and every shard's engine
-    /// and device series — on `registry`. Attach before handing clones
-    /// to worker threads so all clones share the same series. (The
+    /// and device series — on `registry`. Attach before handing out
+    /// clones so all clones share the same series. (The
     /// `e2nvm_persist_*` series are registered separately, at
     /// [`ShardedE2KvStore::with_persistence`]/[`ShardedE2KvStore::recover`]
     /// time.)
@@ -602,10 +606,6 @@ impl NvmKvStore for ShardedE2KvStore {
         }
         Ok(())
     }
-
-    fn telemetry(&self) -> Option<&TelemetryRegistry> {
-        self.telemetry.registry()
-    }
 }
 
 #[cfg(test)]
@@ -727,6 +727,17 @@ mod tests {
         s.clone().put(0, b"clone").unwrap();
         assert_eq!(registry.counter_total("e2nvm_kv_puts_total"), 101);
         assert_eq!(samples(), 3);
+    }
+
+    #[test]
+    fn attaching_twice_counts_each_write_once() {
+        let registry = TelemetryRegistry::new();
+        let mut s = sharded_store(2, 64, 64);
+        s.attach_telemetry(&registry);
+        s.clone().attach_telemetry(&registry);
+        s.put(7, b"once").unwrap();
+        assert_eq!(registry.counter_total("e2nvm_device_writes_total"), 1);
+        assert_eq!(registry.counter_total("e2nvm_kv_puts_total"), 1);
     }
 
     #[test]

@@ -32,6 +32,6 @@ pub use fptree::FpTree;
 pub use novelsm::NoveLsm;
 pub use path_hashing::PathHashing;
 pub use store::{DirectNodeStore, E2NodeStore, NodeId, NodeStore, StoreError};
-pub use telemetry::{CacheTelemetry, StoreTelemetry};
+pub use telemetry::StoreTelemetry;
 pub use traits::NvmKvStore;
 pub use wisckey::WiscKey;

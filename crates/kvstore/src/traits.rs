@@ -3,7 +3,6 @@
 
 use crate::store::Result;
 use e2nvm_sim::DeviceStats;
-use e2nvm_telemetry::TelemetryRegistry;
 
 /// A persistent key-value store over simulated NVM.
 pub trait NvmKvStore {
@@ -88,13 +87,6 @@ pub trait NvmKvStore {
     /// the default no-op.
     fn commit(&mut self) -> Result<()> {
         Ok(())
-    }
-
-    /// The telemetry registry this store publishes to, if one has been
-    /// attached (e.g. [`crate::ShardedE2KvStore::attach_telemetry`]). Stores
-    /// without instrumentation keep the default `None`.
-    fn telemetry(&self) -> Option<&TelemetryRegistry> {
-        None
     }
 }
 

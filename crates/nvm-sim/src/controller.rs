@@ -470,11 +470,11 @@ mod tests {
     }
 
     /// A start-gap controller whose remap has rotated and whose energy
-    /// and latency totals are the uneven sums earlier writes leave,
-    /// reporting into its own registry. Its costs are not binary
+    /// and latency totals are the uneven sums earlier writes leave. Its
+    /// costs are not binary
     /// fractions, so every addition rounds and a sum taken in another
     /// order — or as one multiply — lands on other bits.
-    fn written_controller() -> (MemoryController, TelemetryRegistry) {
+    fn written_controller() -> MemoryController {
         let uneven = NvmDevice::new(
             DeviceConfig::builder()
                 .segment_bytes(256)
@@ -493,14 +493,12 @@ mod tests {
                 .unwrap(),
         );
         let mut mc = MemoryController::with_start_gap(uneven, 3);
-        let registry = TelemetryRegistry::new();
-        mc.attach_telemetry(&registry, &[("shard", "0")]);
         for i in 0..40usize {
             let content: Vec<u8> = (0..256).map(|b| (b * 31 + i * 17) as u8).collect();
             mc.write(LogicalSegment(i % 15), &content).unwrap();
         }
         assert!(!mc.remap().is_identity());
-        (mc, registry)
+        mc
     }
 
     /// Every field equal, the `f64` totals to the bit.
@@ -514,18 +512,13 @@ mod tests {
     #[test]
     fn charging_n_reads_matches_n_single_reads() {
         for n in [0usize, 1, 2, 97, 1000] {
-            let (mut charged, charged_registry) = written_controller();
-            let (mut single, single_registry) = written_controller();
+            let mut charged = written_controller();
+            let mut single = written_controller();
             charged.charge_reads(n);
             for i in 0..n {
                 single.read(LogicalSegment((i * 7) % 15)).unwrap();
             }
             assert_same_charge(&charged, &single, &format!("n = {n}"));
-            assert_eq!(
-                charged_registry.counter_total("e2nvm_device_reads_total"),
-                single_registry.counter_total("e2nvm_device_reads_total"),
-                "n = {n}"
-            );
         }
     }
 

@@ -57,6 +57,9 @@ pub struct NvmDevice {
     cfg: DeviceConfig,
     data: Vec<u8>,
     stats: DeviceStats,
+    /// Everything accounted before the last [`NvmDevice::reset_stats`]:
+    /// touched only there, so the lifetime totals stay monotonic.
+    lifetime: DeviceStats,
     wear: WearCounters,
     telemetry: DeviceTelemetry,
     /// Present iff `cfg.fault` is set; `None` keeps every write path
@@ -81,6 +84,7 @@ impl NvmDevice {
         Self {
             data: vec![0u8; pool],
             stats: DeviceStats::default(),
+            lifetime: DeviceStats::default(),
             wear,
             telemetry: DeviceTelemetry::disconnected(),
             fault,
@@ -88,11 +92,11 @@ impl NvmDevice {
         }
     }
 
-    /// Register this device's metrics on `registry` (labeled by
-    /// `labels`, e.g. `[("shard", "0")]`) and start feeding them. The
-    /// telemetry counters mirror [`DeviceStats`] exactly from this point
-    /// on, but are monotonic — [`NvmDevice::reset_stats`] does not reset
-    /// them. Cloning the device shares the handles.
+    /// Register this device's per-write histograms on `registry`
+    /// (labeled by `labels`, e.g. `[("shard", "0")]`) and start feeding
+    /// them. The counters are read from the ledger instead, by whoever
+    /// owns the device (see [`crate::telemetry::emit`]). Cloning the
+    /// device shares the handles.
     pub fn attach_telemetry(&mut self, registry: &TelemetryRegistry, labels: &[(&str, &str)]) {
         self.telemetry = DeviceTelemetry::register(registry, labels);
     }
@@ -154,7 +158,7 @@ impl NvmDevice {
     /// the per-read cost, in order, exactly as `n` calls of
     /// [`NvmDevice::read`] would make them — so a run charged at once
     /// leaves [`DeviceStats`] bit for bit where the single reads would
-    /// — and the telemetry counter takes one atomic add.
+    /// — and the read count takes one addition.
     pub(crate) fn charge_reads(&mut self, n: u64) {
         if n == 0 {
             return;
@@ -170,7 +174,6 @@ impl NvmDevice {
         self.stats.energy_pj = energy_pj;
         self.stats.latency_ns = latency_ns;
         self.stats.reads += n;
-        self.telemetry.reads.add(n);
     }
 
     /// Inspect a segment's content without any accounting. Placement
@@ -215,7 +218,6 @@ impl NvmDevice {
         if let Some(f) = &mut self.fault {
             if f.is_worn(seg) {
                 f.record_rejection();
-                self.telemetry.write_failures.inc();
                 return Err(SimError::SegmentWornOut {
                     segment: seg.0,
                     stuck_bits: 0,
@@ -324,7 +326,6 @@ impl NvmDevice {
                     // immutably for the deterministic corruption pattern.
                     f.stuck_corruption(seg.0, region)
                 };
-                self.telemetry.worn_out_segments.inc();
                 return Err(SimError::SegmentWornOut {
                     segment: seg.0,
                     stuck_bits,
@@ -332,7 +333,6 @@ impl NvmDevice {
             }
         }
         if transient_failed_bits > 0 {
-            self.telemetry.write_failures.inc();
             return Err(SimError::WriteFailed {
                 segment: seg.0,
                 failed_bits: transient_failed_bits,
@@ -353,14 +353,6 @@ impl NvmDevice {
         self.stats.energy_pj += report.energy_pj;
         self.stats.latency_ns += report.latency_ns;
         let t = &self.telemetry;
-        t.writes.inc();
-        t.lines_written.add(report.lines_written);
-        t.lines_skipped.add(report.lines_skipped);
-        t.bits_flipped.add(report.bits_flipped);
-        t.bits_set.add(report.bits_set);
-        t.bits_reset.add(report.bits_reset);
-        t.bits_programmed.add(report.bits_programmed);
-        t.bits_requested.add(bits_requested);
         t.flips_per_write.observe(report.bits_flipped);
         t.write_latency_ns.observe(report.latency_ns as u64);
         self.wear.record_segment_write(seg.0);
@@ -388,14 +380,12 @@ impl NvmDevice {
         let lines = self.cfg.lines_per_segment() as u64;
         // Two media reads.
         self.stats.reads += 2;
-        self.telemetry.reads.add(2);
         self.stats.energy_pj += 2.0 * self.cfg.energy.read_energy_pj(lines);
         self.stats.latency_ns += 2.0 * self.cfg.latency.read_ns(lines);
         let mut report = self.write_retrying_transients(a, &b_content)?;
         let r2 = self.write_retrying_transients(b, &a_content)?;
         report.merge(&r2);
         self.stats.swaps += 1;
-        self.telemetry.swaps.inc();
         Ok(report)
     }
 
@@ -508,15 +498,26 @@ impl NvmDevice {
         Ok(())
     }
 
-    /// Cumulative statistics.
+    /// Cumulative statistics since the last [`NvmDevice::reset_stats`].
     pub fn stats(&self) -> &DeviceStats {
         &self.stats
     }
 
+    /// Cumulative statistics since the device was built: the ledger
+    /// plus everything earlier resets folded away. Equal to
+    /// [`NvmDevice::stats`], `f64` totals bit for bit, until the first
+    /// reset.
+    pub fn lifetime_stats(&self) -> DeviceStats {
+        let mut total = self.lifetime.clone();
+        total.merge(&self.stats);
+        total
+    }
+
     /// Reset cumulative statistics (wear counters are kept — wear is
-    /// physical and survives measurement epochs).
+    /// physical and survives measurement epochs). The ledger is folded
+    /// into [`NvmDevice::lifetime_stats`] first.
     pub fn reset_stats(&mut self) {
-        self.stats = DeviceStats::default();
+        self.lifetime.merge(&std::mem::take(&mut self.stats));
     }
 
     /// Wear counters.
@@ -693,8 +694,14 @@ mod tests {
         assert_eq!(s.bits_requested, 2 * 256 * 8);
         assert!(s.energy_pj > 0.0);
         assert!(s.latency_ns > 0.0);
+        let before = s.clone();
+        assert_eq!(dev.lifetime_stats(), before);
         dev.reset_stats();
         assert_eq!(dev.stats().writes, 0);
+        // The lifetime totals keep what the reset zeroed.
+        assert_eq!(dev.lifetime_stats(), before);
+        dev.write(seg, &vec![0xFFu8; 256]).unwrap();
+        assert_eq!(dev.lifetime_stats().writes, 3);
     }
 
     #[test]

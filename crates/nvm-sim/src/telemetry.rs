@@ -1,22 +1,23 @@
-//! Device-level telemetry sink.
+//! Device-level telemetry.
 //!
-//! [`DeviceTelemetry`] bundles the metric handles the [`crate::NvmDevice`]
-//! updates at its accounting chokepoints. A freshly built device carries
-//! disconnected handles; [`crate::NvmDevice::attach_telemetry`] swaps in
-//! handles registered on a shared [`TelemetryRegistry`].
+//! The device's counters are its own ledger, [`crate::DeviceStats`]
+//! plus [`crate::FaultStats`]: nothing mirrors them. Whoever owns a
+//! device hands it to [`emit`] from a read-through source (see
+//! [`e2nvm_telemetry::TelemetryRegistry::source`]), and a scrape reads
+//! the `e2nvm_device_*` counter families straight off
+//! [`crate::NvmDevice::lifetime_stats`] and
+//! [`crate::NvmDevice::fault_stats`]. Like every Prometheus counter
+//! they are monotonic: [`crate::NvmDevice::reset_stats`] folds the
+//! ledger into the device's lifetime base before zeroing it.
 //!
-//! The counter set mirrors [`crate::DeviceStats`] field-for-field (the
-//! integer fields), updated at the same three accounting sites
-//! (`account`, `charge_reads`, `swap_segments`) — so after any workload the
-//! counter values and the stats snapshot agree *exactly*. A property
-//! test in the workspace root enforces this. Unlike `DeviceStats`, the
-//! counters are monotonic: `reset_stats` does not touch them.
+//! [`DeviceTelemetry`] keeps the two per-write histograms, which are
+//! distributions, not copies: the device observes them in its one
+//! write-accounting path. A freshly built device carries disconnected
+//! histograms; [`crate::NvmDevice::attach_telemetry`] swaps in handles
+//! registered on a shared registry.
 
-use e2nvm_telemetry::{Histogram, TelemetryRegistry};
-
-// Re-exported so downstream crates take telemetry types from the crate
-// they already depend on.
-pub use e2nvm_telemetry::Counter;
+use crate::NvmDevice;
+use e2nvm_telemetry::{Histogram, Samples, TelemetryRegistry};
 
 /// Upper bounds for the per-write bit-flip histogram (bits).
 const FLIP_BOUNDS: [u64; 8] = [0, 8, 32, 128, 512, 2048, 8192, 32768];
@@ -24,111 +25,26 @@ const FLIP_BOUNDS: [u64; 8] = [0, 8, 32, 128, 512, 2048, 8192, 32768];
 /// Upper bounds for the modeled per-write latency histogram (ns).
 const LATENCY_BOUNDS: [u64; 7] = [100, 300, 1000, 3000, 10_000, 100_000, 1_000_000];
 
-/// Metric handles updated by the device's accounting paths.
+/// Histogram handles observed by the device's write-accounting path.
 #[derive(Debug, Clone)]
 pub struct DeviceTelemetry {
-    /// Write operations accounted.
-    pub writes: Counter,
-    /// Read operations accounted.
-    pub reads: Counter,
-    /// Wear-leveling segment swaps performed.
-    pub swaps: Counter,
-    /// Cache lines transferred to media.
-    pub lines_written: Counter,
-    /// Cache lines skipped because their content was unchanged.
-    pub lines_skipped: Counter,
-    /// Stored bits whose value changed.
-    pub bits_flipped: Counter,
-    /// 0→1 transitions (SET pulses).
-    pub bits_set: Counter,
-    /// 1→0 transitions (RESET pulses).
-    pub bits_reset: Counter,
-    /// Bits that received a programming pulse.
-    pub bits_programmed: Counter,
-    /// Bits software asked to write.
-    pub bits_requested: Counter,
-    /// Writes that failed: transient program-and-verify failures plus
-    /// rejected writes to worn-out segments. Not mirrored in
-    /// [`crate::DeviceStats`] (fault counters live in
-    /// [`crate::FaultStats`]).
-    pub write_failures: Counter,
-    /// Segments that have crossed their endurance limit.
-    pub worn_out_segments: Counter,
     /// Distribution of bit flips per write operation.
     pub flips_per_write: Histogram,
     /// Distribution of the modeled write latency (ns) per operation.
     pub write_latency_ns: Histogram,
 }
 
-impl Default for DeviceTelemetry {
-    fn default() -> Self {
-        Self::disconnected()
-    }
-}
-
 impl DeviceTelemetry {
-    /// Handles not attached to any registry (the initial state of every
-    /// device).
+    /// Handles on a private registry nobody renders (the initial state
+    /// of every device).
     pub fn disconnected() -> Self {
-        DeviceTelemetry {
-            writes: Counter::disconnected(),
-            reads: Counter::disconnected(),
-            swaps: Counter::disconnected(),
-            lines_written: Counter::disconnected(),
-            lines_skipped: Counter::disconnected(),
-            bits_flipped: Counter::disconnected(),
-            bits_set: Counter::disconnected(),
-            bits_reset: Counter::disconnected(),
-            bits_programmed: Counter::disconnected(),
-            bits_requested: Counter::disconnected(),
-            write_failures: Counter::disconnected(),
-            worn_out_segments: Counter::disconnected(),
-            flips_per_write: Histogram::disconnected(&FLIP_BOUNDS),
-            write_latency_ns: Histogram::disconnected(&LATENCY_BOUNDS),
-        }
+        Self::register(&TelemetryRegistry::with_journal_capacity(0), &[])
     }
 
-    /// Register the device metric family on `registry`, distinguished by
+    /// Register the device histograms on `registry`, distinguished by
     /// `labels` (e.g. `[("shard", "3")]`).
     pub fn register(registry: &TelemetryRegistry, labels: &[(&str, &str)]) -> Self {
-        let c = |name: &str, help: &str| registry.counter_with_labels(name, help, labels);
         DeviceTelemetry {
-            writes: c("e2nvm_device_writes_total", "Write operations accounted"),
-            reads: c("e2nvm_device_reads_total", "Read operations accounted"),
-            swaps: c(
-                "e2nvm_device_swaps_total",
-                "Wear-leveling segment swaps performed",
-            ),
-            lines_written: c(
-                "e2nvm_device_lines_written_total",
-                "Cache lines transferred to media",
-            ),
-            lines_skipped: c(
-                "e2nvm_device_lines_skipped_total",
-                "Cache lines skipped (unchanged content)",
-            ),
-            bits_flipped: c(
-                "e2nvm_device_bits_flipped_total",
-                "Stored bits that changed",
-            ),
-            bits_set: c("e2nvm_device_bits_set_total", "0\u{2192}1 transitions"),
-            bits_reset: c("e2nvm_device_bits_reset_total", "1\u{2192}0 transitions"),
-            bits_programmed: c(
-                "e2nvm_device_bits_programmed_total",
-                "Bits that received a programming pulse",
-            ),
-            bits_requested: c(
-                "e2nvm_device_bits_requested_total",
-                "Bits software asked to write",
-            ),
-            write_failures: c(
-                "e2nvm_device_write_failures_total",
-                "Writes that failed program-and-verify or hit a worn-out segment",
-            ),
-            worn_out_segments: c(
-                "e2nvm_device_worn_out_segments_total",
-                "Segments that crossed their endurance limit",
-            ),
             flips_per_write: registry.histogram_with_labels(
                 "e2nvm_device_flips_per_write",
                 "Bit flips per write operation",
@@ -142,5 +58,67 @@ impl DeviceTelemetry {
                 labels,
             ),
         }
+    }
+}
+
+/// Emit `device`'s counter families, labeled `labels`, into `out`: its
+/// lifetime [`crate::DeviceStats`] (energy and modeled latency as
+/// `f64`, bit for bit) and its [`crate::FaultStats`].
+pub fn emit(device: &NvmDevice, labels: &[(&str, &str)], out: &mut Samples) {
+    let s = device.lifetime_stats();
+    let f = device.fault_stats();
+    for (name, help, value) in [
+        ("writes", "Write operations accounted", s.writes),
+        ("reads", "Read operations accounted", s.reads),
+        ("swaps", "Wear-leveling segment swaps performed", s.swaps),
+        (
+            "lines_written",
+            "Cache lines transferred to media",
+            s.lines_written,
+        ),
+        (
+            "lines_skipped",
+            "Cache lines skipped (unchanged content)",
+            s.lines_skipped,
+        ),
+        ("bits_flipped", "Stored bits that changed", s.bits_flipped),
+        ("bits_set", "0\u{2192}1 transitions", s.bits_set),
+        ("bits_reset", "1\u{2192}0 transitions", s.bits_reset),
+        (
+            "bits_programmed",
+            "Bits that received a programming pulse",
+            s.bits_programmed,
+        ),
+        (
+            "bits_requested",
+            "Bits software asked to write",
+            s.bits_requested,
+        ),
+        (
+            "write_failures",
+            "Writes that failed program-and-verify or hit a worn-out segment",
+            f.transient_failures + f.worn_out_rejections,
+        ),
+        (
+            "worn_out_segments",
+            "Segments that crossed their endurance limit",
+            f.worn_out_segments,
+        ),
+    ] {
+        out.counter(&format!("e2nvm_device_{name}_total"), help, labels, value);
+    }
+    for (name, help, value) in [
+        (
+            "energy_pj",
+            "Energy consumed by the device (pJ)",
+            s.energy_pj,
+        ),
+        (
+            "latency_ns",
+            "Modeled time spent in device operations (ns)",
+            s.latency_ns,
+        ),
+    ] {
+        out.counter_f64(&format!("e2nvm_device_{name}_total"), help, labels, value);
     }
 }

@@ -22,15 +22,10 @@ pub struct PersistTelemetry {
 }
 
 impl PersistTelemetry {
-    /// A sink wired to nothing.
+    /// A sink wired to nothing: handles on a private registry nobody
+    /// renders.
     pub fn disconnected() -> Self {
-        Self {
-            wal_appends: Counter::disconnected(),
-            wal_fsyncs: Counter::disconnected(),
-            snapshot_bytes: Counter::disconnected(),
-            snapshots: Counter::disconnected(),
-            recovery_ms: Gauge::disconnected(),
-        }
+        Self::register(&TelemetryRegistry::with_journal_capacity(0))
     }
 
     /// Register the persistence series on `registry`.

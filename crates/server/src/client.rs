@@ -236,14 +236,6 @@ impl Client {
         })
     }
 
-    /// The server's stats snapshot (JSON text).
-    pub fn stats(&mut self) -> std::io::Result<String> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(text) => Ok(text),
-            other => Err(unexpected(&other)),
-        }
-    }
-
     /// The server's wear summary: live keys plus free / retired /
     /// total segment counts, as one fixed 40-byte binary frame. This
     /// is the probe the cluster health monitor polls — cheap enough to

@@ -41,31 +41,6 @@ impl Front {
         }
     }
 
-    /// Live key count (inherent on the concrete store, not the trait).
-    fn len(&self) -> usize {
-        match self {
-            Front::Plain(store) => store.len(),
-            Front::Cached(cached) => cached.inner().len(),
-        }
-    }
-
-    /// Retired segment count across shards.
-    fn retired_count(&self) -> usize {
-        match self {
-            Front::Plain(store) => store.retired_count(),
-            Front::Cached(cached) => cached.inner().retired_count(),
-        }
-    }
-
-    /// Simulated-device counters (the cache forwards to its inner
-    /// store; DRAM hits never touch the device).
-    fn stats(&self) -> e2nvm_sim::DeviceStats {
-        match self {
-            Front::Plain(store) => store.stats(),
-            Front::Cached(cached) => cached.stats(),
-        }
-    }
-
     /// Fixed-size wear summary for the HEALTH frame (inherent on the
     /// concrete store; DRAM cache state is irrelevant to device wear).
     fn wear_summary(&self) -> e2nvm_kvstore::WearSummary {
@@ -424,7 +399,6 @@ impl ExecCtx {
             // direct `handle` caller could reach this arm, and there
             // is none.
             Request::ScanStream { .. } => unreachable!("SCAN_STREAM is served by exec_batch"),
-            Request::Stats => Response::Stats(self.stats_json()),
             // FLUSH dispatches through the NvmKvStore trait: the
             // persistence-backed store snapshots + fsyncs, stores
             // without persistence answer `Flushed(0)` (documented
@@ -433,49 +407,13 @@ impl ExecCtx {
                 Ok(bytes) => Response::Flushed(bytes),
                 Err(e) => store_error_frame(&e),
             },
-            Request::Health => {
-                let wear = self.store.wear_summary();
-                self.telemetry.record_wear(&wear);
-                Response::Health(wear)
-            }
-            Request::Metrics => {
-                // Refresh the wear gauges so a text scrape carries the
-                // same numbers a binary HEALTH probe would.
-                self.telemetry.record_wear(&self.store.wear_summary());
-                Response::Metrics(match &self.registry {
-                    Some(reg) => reg.render_prometheus(),
-                    None => "# no telemetry registry attached\n".to_string(),
-                })
-            }
+            Request::Health => Response::Health(self.store.wear_summary()),
+            Request::Metrics => Response::Metrics(match &self.registry {
+                Some(reg) => reg.render_prometheus(),
+                None => "# no telemetry registry attached\n".to_string(),
+            }),
             Request::Shutdown => Response::ShutdownAck,
         }
-    }
-
-    /// Self-contained JSON stats document (schema in `PROTOCOL.md`).
-    fn stats_json(&self) -> String {
-        let s = self.store.stats();
-        format!(
-            concat!(
-                "{{\"keys\":{},\"retired_segments\":{},\"device\":{{",
-                "\"writes\":{},\"reads\":{},\"lines_written\":{},\"lines_skipped\":{},",
-                "\"bits_flipped\":{},\"bits_set\":{},\"bits_reset\":{},\"bits_programmed\":{},",
-                "\"bits_requested\":{},\"energy_pj\":{},\"latency_ns\":{},\"swaps\":{}}}}}"
-            ),
-            self.store.len(),
-            self.store.retired_count(),
-            s.writes,
-            s.reads,
-            s.lines_written,
-            s.lines_skipped,
-            s.bits_flipped,
-            s.bits_set,
-            s.bits_reset,
-            s.bits_programmed,
-            s.bits_requested,
-            s.energy_pj,
-            s.latency_ns,
-            s.swaps,
-        )
     }
 }
 
@@ -596,10 +534,11 @@ mod tests {
     #[test]
     fn frame_counts_are_exact_and_their_latencies_sampled() {
         let registry = TelemetryRegistry::new();
+        let store = crate::demo::demo_store(2, 64, 32, 11);
         let mut ctx = ExecCtx {
-            store: Front::Plain(crate::demo::demo_store(2, 64, 32, 11)),
+            telemetry: ServerTelemetry::register(&registry, Some(&store)),
+            store: Front::Plain(store),
             registry: Some(registry.clone()),
-            telemetry: ServerTelemetry::register(&registry),
             scan_chunk_bytes: 64 * 1024,
             frame_clock: Sampler::default(),
         };

@@ -65,9 +65,8 @@ pub enum Opcode {
     /// Delete one key. Body: `key u64`.
     Delete = 0x03,
     // 0x04 is retired (the single-frame SCAN that SCAN_STREAM
-    // superseded): answered UNKNOWN_OPCODE, never reassigned.
-    /// Device + store statistics snapshot (JSON text response).
-    Stats = 0x05,
+    // superseded) and 0x05 too (the STATS JSON snapshot that METRICS
+    // and HEALTH carry): answered UNKNOWN_OPCODE, never reassigned.
     /// Telemetry exposition (Prometheus text response).
     Metrics = 0x06,
     /// Force durable state to disk: snapshot + WAL fsync. Empty body;
@@ -102,7 +101,6 @@ impl Opcode {
             0x01 => Opcode::Get,
             0x02 => Opcode::Put,
             0x03 => Opcode::Delete,
-            0x05 => Opcode::Stats,
             0x06 => Opcode::Metrics,
             0x07 => Opcode::Flush,
             0x08 => Opcode::Health,
@@ -119,7 +117,6 @@ impl Opcode {
             Opcode::Get => "get",
             Opcode::Put => "put",
             Opcode::Delete => "delete",
-            Opcode::Stats => "stats",
             Opcode::Metrics => "metrics",
             Opcode::Flush => "flush",
             Opcode::Health => "health",
@@ -129,12 +126,11 @@ impl Opcode {
     }
 
     /// Every defined opcode, in wire order.
-    pub const ALL: [Opcode; 10] = [
+    pub const ALL: [Opcode; 9] = [
         Opcode::Ping,
         Opcode::Get,
         Opcode::Put,
         Opcode::Delete,
-        Opcode::Stats,
         Opcode::Metrics,
         Opcode::Flush,
         Opcode::Health,
@@ -259,8 +255,6 @@ pub enum Request {
         /// Maximum entries returned across all chunks; 0 = unlimited.
         limit: u32,
     },
-    /// Store + device statistics snapshot.
-    Stats,
     /// Telemetry exposition.
     Metrics,
     /// Snapshot + WAL fsync on demand.
@@ -280,7 +274,6 @@ impl Request {
             Request::Put { .. } => Opcode::Put,
             Request::Delete { .. } => Opcode::Delete,
             Request::ScanStream { .. } => Opcode::ScanStream,
-            Request::Stats => Opcode::Stats,
             Request::Metrics => Opcode::Metrics,
             Request::Flush => Opcode::Flush,
             Request::Health => Opcode::Health,
@@ -318,11 +311,6 @@ pub enum Response {
         /// This chunk's `(key, value)` pairs, ascending by key.
         entries: Vec<(u64, Vec<u8>)>,
     },
-    /// OK for STATS: a JSON document.
-    Stats(
-        /// JSON text (see `PROTOCOL.md` for the schema).
-        String,
-    ),
     /// OK for METRICS: Prometheus text exposition.
     Metrics(
         /// Prometheus text exposition format.
@@ -483,12 +471,7 @@ fn put_header(out: &mut Vec<u8>, body_len: usize, code: u8, aux: u8) {
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
     let op = req.opcode() as u8;
     match req {
-        Request::Ping
-        | Request::Stats
-        | Request::Metrics
-        | Request::Flush
-        | Request::Health
-        | Request::Shutdown => {
+        Request::Ping | Request::Metrics | Request::Flush | Request::Health | Request::Shutdown => {
             put_header(out, 0, op, 0);
         }
         Request::Get { key } | Request::Delete { key } => {
@@ -538,7 +521,7 @@ pub fn encode_response(resp: &Response, echo: Option<Opcode>, out: &mut Vec<u8>)
                 out.extend_from_slice(v);
             }
         }
-        Response::Stats(text) | Response::Metrics(text) => {
+        Response::Metrics(text) => {
             put_header(out, text.len(), Status::Ok as u8, aux);
             out.extend_from_slice(text.as_bytes());
         }
@@ -692,18 +675,12 @@ pub fn parse_request(frame: &RawFrame<'_>) -> Result<Request, FrameError> {
     let op = Opcode::from_u8(frame.code).ok_or(FrameError::UnknownOpcode(frame.code))?;
     let body = frame.body;
     match op {
-        Opcode::Ping
-        | Opcode::Stats
-        | Opcode::Metrics
-        | Opcode::Flush
-        | Opcode::Health
-        | Opcode::Shutdown => {
+        Opcode::Ping | Opcode::Metrics | Opcode::Flush | Opcode::Health | Opcode::Shutdown => {
             if !body.is_empty() {
                 return Err(FrameError::BadBody("expected empty body"));
             }
             Ok(match op {
                 Opcode::Ping => Request::Ping,
-                Opcode::Stats => Request::Stats,
                 Opcode::Metrics => Request::Metrics,
                 Opcode::Flush => Request::Flush,
                 Opcode::Health => Request::Health,
@@ -820,15 +797,10 @@ pub fn parse_response(frame: &RawFrame<'_>) -> Result<Response, FrameError> {
                         total_segments: take_u64(body, 32).unwrap(),
                     }))
                 }
-                Opcode::Stats | Opcode::Metrics => {
+                Opcode::Metrics => {
                     let text = std::str::from_utf8(body)
-                        .map_err(|_| FrameError::BadBody("text body is not UTF-8"))?
-                        .to_string();
-                    Ok(if op == Opcode::Stats {
-                        Response::Stats(text)
-                    } else {
-                        Response::Metrics(text)
-                    })
+                        .map_err(|_| FrameError::BadBody("text body is not UTF-8"))?;
+                    Ok(Response::Metrics(text.to_string()))
                 }
             }
         }
@@ -964,7 +936,6 @@ mod tests {
             hi: u64::MAX,
             limit: 0,
         });
-        roundtrip_request(Request::Stats);
         roundtrip_request(Request::Metrics);
         roundtrip_request(Request::Flush);
         roundtrip_request(Request::Health);
@@ -993,10 +964,6 @@ mod tests {
                     entries: Vec::new(),
                 },
                 Some(Opcode::ScanStream),
-            ),
-            (
-                Response::Stats("{\"writes\":3}".into()),
-                Some(Opcode::Stats),
             ),
             (Response::Flushed(0), Some(Opcode::Flush)),
             (Response::Flushed(4096), Some(Opcode::Flush)),
@@ -1211,6 +1178,7 @@ mod tests {
         }
         // Retired code points (PROTOCOL.md §7) decode as undefined.
         assert_eq!(Opcode::from_u8(0x04), None);
+        assert_eq!(Opcode::from_u8(0x05), None);
         assert_eq!(Status::from_u8(0x06), None);
     }
 }

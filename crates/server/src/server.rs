@@ -274,7 +274,7 @@ impl Server {
     /// METRICS frames from it. Attach the *store's* telemetry to the
     /// same registry beforehand so one scrape sees the whole stack.
     pub fn with_telemetry(mut self, registry: &TelemetryRegistry) -> Self {
-        self.telemetry = ServerTelemetry::register(registry);
+        self.telemetry = ServerTelemetry::register(registry, Some(&self.store));
         self.registry = Some(registry.clone());
         self
     }

@@ -2,10 +2,15 @@
 //! histograms, connection gauges, byte counters, and the reactor's
 //! event-loop series — all under the `e2nvm_server_*` namespace,
 //! composing with the engine/device/KV series the fronted store
-//! already publishes on the same registry.
+//! already publishes on the same registry. The wear gauges are a
+//! read-through source over the fronted store: each scrape reads
+//! [`ShardedE2KvStore::wear_summary`], the numbers a HEALTH frame
+//! carries.
 
 use crate::frame::{Opcode, Status};
+use e2nvm_kvstore::ShardedE2KvStore;
 use e2nvm_telemetry::{Counter, Gauge, Histogram, TelemetryRegistry};
+use std::sync::Arc;
 
 /// Latency bucket bounds in nanoseconds for one served frame (decode →
 /// store call → response encode; excludes socket wait).
@@ -57,16 +62,9 @@ pub struct ServerTelemetry {
     /// Reactor only: items per executed batch (the histogram count is
     /// total batches).
     pub(crate) dispatch_batch_items: Histogram,
-    /// Wear summary: free segments across the fronted store's shards,
-    /// refreshed whenever a HEALTH or METRICS frame is served.
-    pub(crate) wear_free_segments: Gauge,
-    /// Wear summary: segments permanently retired by wear-out,
-    /// refreshed whenever a HEALTH or METRICS frame is served.
-    pub(crate) wear_retired_segments: Gauge,
-    /// Wear summary: total segments (constant denominator for the wear
-    /// fraction), refreshed whenever a HEALTH or METRICS frame is
-    /// served.
-    pub(crate) wear_total_segments: Gauge,
+    /// The wear source's owner: the registry reads the wear gauges
+    /// from it while any clone of this sink (the serving loop's) lives.
+    _wear: Option<Arc<ShardedE2KvStore>>,
     /// SCAN_STREAM chunk frames emitted (every chunk, terminal or not).
     pub(crate) scan_stream_chunks: Counter,
     /// SCAN_STREAM responses that needed more than one chunk frame —
@@ -95,33 +93,45 @@ const STATUSES: [Status; 10] = [
 ];
 
 impl ServerTelemetry {
-    /// A sink wired to nothing: counters count into private handles no
-    /// registry renders.
+    /// A sink wired to nothing: handles on a private registry nobody
+    /// renders, and no wear source.
     pub fn disconnected() -> Self {
-        Self {
-            frames: std::array::from_fn(|_| Counter::disconnected()),
-            error_frames: std::array::from_fn(|_| Counter::disconnected()),
-            frame_latency_ns: Histogram::disconnected(&FRAME_LATENCY_BOUNDS),
-            connections_active: Gauge::disconnected(),
-            connections_opened: Counter::disconnected(),
-            connections_rejected: Counter::disconnected(),
-            bytes_read: Counter::disconnected(),
-            bytes_written: Counter::disconnected(),
-            reactor_wakeups: Counter::disconnected(),
-            reactor_ready_events: Counter::disconnected(),
-            reads_paused: Counter::disconnected(),
-            queued_items: Gauge::disconnected(),
-            dispatch_batch_items: Histogram::disconnected(&BATCH_ITEM_BOUNDS),
-            wear_free_segments: Gauge::disconnected(),
-            wear_retired_segments: Gauge::disconnected(),
-            wear_total_segments: Gauge::disconnected(),
-            scan_stream_chunks: Counter::disconnected(),
-            scan_stream_multi_chunk: Counter::disconnected(),
-        }
+        Self::register(&TelemetryRegistry::with_journal_capacity(0), None)
     }
 
-    /// Register the server's series on `registry`.
-    pub fn register(registry: &TelemetryRegistry) -> Self {
+    /// Register the server's series on `registry`, the wear gauges
+    /// read from `store` when one is given.
+    pub fn register(registry: &TelemetryRegistry, store: Option<&ShardedE2KvStore>) -> Self {
+        let wear = store.map(|store| Arc::new(store.clone()));
+        if let Some(wear) = &wear {
+            registry.source(wear, |store: &ShardedE2KvStore, out| {
+                let w = store.wear_summary();
+                for (name, help, value) in [
+                    (
+                        "free",
+                        "Free segments across the fronted store",
+                        w.free_segments,
+                    ),
+                    (
+                        "retired",
+                        "Segments permanently retired by wear-out",
+                        w.retired_segments,
+                    ),
+                    (
+                        "total",
+                        "Total segments managed by the fronted store",
+                        w.total_segments,
+                    ),
+                ] {
+                    out.gauge(
+                        &format!("e2nvm_server_wear_{name}_segments"),
+                        help,
+                        &[],
+                        value as i64,
+                    );
+                }
+            });
+        }
         let frames = std::array::from_fn(|i| {
             registry.counter_with_labels(
                 "e2nvm_server_frames_total",
@@ -186,18 +196,6 @@ impl ServerTelemetry {
                 "Items per executed batch",
                 &BATCH_ITEM_BOUNDS,
             ),
-            wear_free_segments: registry.gauge(
-                "e2nvm_server_wear_free_segments",
-                "Free segments across the fronted store (refreshed on HEALTH/METRICS)",
-            ),
-            wear_retired_segments: registry.gauge(
-                "e2nvm_server_wear_retired_segments",
-                "Segments permanently retired by wear-out (refreshed on HEALTH/METRICS)",
-            ),
-            wear_total_segments: registry.gauge(
-                "e2nvm_server_wear_total_segments",
-                "Total segments managed by the fronted store (refreshed on HEALTH/METRICS)",
-            ),
             scan_stream_chunks: registry.counter(
                 "e2nvm_server_scan_stream_chunks_total",
                 "SCAN_STREAM chunk frames emitted (terminal chunks included)",
@@ -206,6 +204,7 @@ impl ServerTelemetry {
                 "e2nvm_server_scan_stream_multi_chunk_total",
                 "SCAN_STREAM responses that spanned more than one chunk frame",
             ),
+            _wear: wear,
         }
     }
 
@@ -217,16 +216,6 @@ impl ServerTelemetry {
         if let Some(i) = Opcode::ALL.iter().position(|&o| o == op) {
             self.frames[i].inc();
         }
-    }
-
-    /// Refresh the wear gauges from a store summary (called when a
-    /// HEALTH or METRICS frame is served, so scrapes see fresh values
-    /// without a per-mutation gauge write on the hot path).
-    #[inline]
-    pub(crate) fn record_wear(&self, wear: &e2nvm_kvstore::WearSummary) {
-        self.wear_free_segments.set(wear.free_segments as i64);
-        self.wear_retired_segments.set(wear.retired_segments as i64);
-        self.wear_total_segments.set(wear.total_segments as i64);
     }
 
     /// Count one error frame carrying `status`.

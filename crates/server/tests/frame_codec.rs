@@ -18,7 +18,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
         any::<u64>().prop_map(|key| Request::Delete { key }),
         (any::<u64>(), any::<u64>(), any::<u32>())
             .prop_map(|(lo, hi, limit)| { Request::ScanStream { lo, hi, limit } }),
-        Just(Request::Stats),
         Just(Request::Metrics),
         Just(Request::Flush),
         Just(Request::Shutdown),
@@ -70,7 +69,6 @@ fn arb_response() -> impl Strategy<Value = (Response, Option<Opcode>)> {
                 )
             }
         ),
-        arb_text().prop_map(|s| (Response::Stats(s), Some(Opcode::Stats))),
         arb_text().prop_map(|s| (Response::Metrics(s), Some(Opcode::Metrics))),
         any::<u64>().prop_map(|b| (Response::Flushed(b), Some(Opcode::Flush))),
         Just((Response::ShutdownAck, Some(Opcode::Shutdown))),

@@ -210,30 +210,36 @@ fn malformed_streams_get_error_frames_and_no_panic() {
 
     // 8. Retired code points (PROTOCOL.md §7). An old peer's
     //    single-frame SCAN (opcode 0x04, its well-formed 20-byte body)
-    //    is an unknown opcode now — survivable — and a response frame
-    //    carrying the retired SCAN_TOO_LARGE status (0x06) is a decode
-    //    error on the receiving side, not a panic.
+    //    or STATS (opcode 0x05, empty body) is an unknown opcode now —
+    //    survivable — and a response frame carrying the retired
+    //    SCAN_TOO_LARGE status (0x06) is a decode error on the
+    //    receiving side, not a panic.
     {
         let mut s = TcpStream::connect(addr).unwrap();
-        let mut legacy = Vec::new();
+        let mut scan = Vec::new();
         encode_request(
             &Request::ScanStream {
                 lo: 0,
                 hi: u64::MAX,
                 limit: 0,
             },
-            &mut legacy,
+            &mut scan,
         );
-        legacy[6] = 0x04;
-        s.write_all(&legacy).unwrap();
-        match read_response(&mut s) {
-            Response::Error { status, .. } => assert_eq!(status, Status::UnknownOpcode),
-            other => panic!("expected UNKNOWN_OPCODE error frame, got {other:?}"),
+        scan[6] = 0x04;
+        let mut stats = Vec::new();
+        encode_request(&Request::Ping, &mut stats);
+        stats[6] = 0x05;
+        for legacy in [scan, stats] {
+            s.write_all(&legacy).unwrap();
+            match read_response(&mut s) {
+                Response::Error { status, .. } => assert_eq!(status, Status::UnknownOpcode),
+                other => panic!("expected UNKNOWN_OPCODE error frame, got {other:?}"),
+            }
+            let mut ping = Vec::new();
+            encode_request(&Request::Ping, &mut ping);
+            s.write_all(&ping).unwrap();
+            assert_eq!(read_response(&mut s), Response::Pong);
         }
-        let mut ping = Vec::new();
-        encode_request(&Request::Ping, &mut ping);
-        s.write_all(&ping).unwrap();
-        assert_eq!(read_response(&mut s), Response::Pong);
 
         let retired_status = RawFrame {
             code: 0x06,

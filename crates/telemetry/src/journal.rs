@@ -1,7 +1,7 @@
 //! Bounded structured event journal.
 //!
-//! Events are rare control-plane occurrences (retrains, pool
-//! exhaustion, wear-leveling swaps) — a few per second at most — so the
+//! Events are rare control-plane occurrences (retrains, fallback
+//! placements, wear-leveling swaps) — a few per second at most — so the
 //! journal trades the metrics module's lock-freedom for structure: a
 //! mutex-guarded ring buffer with monotonic sequence numbers and
 //! wall-clock timestamps. When the ring is full the oldest entry is
@@ -31,15 +31,8 @@ pub enum Event {
         /// Wall-clock training duration in milliseconds.
         duration_ms: u64,
     },
-    /// A placement request found cluster `cluster`'s free list empty.
-    ClusterExhausted {
-        /// Shard the placement ran on.
-        shard: usize,
-        /// Cluster whose free list was empty.
-        cluster: usize,
-    },
-    /// A placement fell back from the predicted cluster to another
-    /// cluster's free list.
+    /// A placement found the predicted cluster's free list empty and
+    /// fell back to another cluster's free list.
     FallbackPlacement {
         /// Shard the placement ran on.
         shard: usize,
@@ -54,13 +47,6 @@ pub enum Event {
         a: usize,
         /// Second physical segment of the swap.
         b: usize,
-    },
-    /// A shard-level rebalance or administrative action.
-    ShardRebalance {
-        /// Source shard.
-        from: usize,
-        /// Destination shard.
-        to: usize,
     },
     /// A physical segment crossed its endurance limit: its content is
     /// frozen and all further writes to it fail (recorded by the
@@ -104,10 +90,8 @@ impl Event {
         match self {
             Event::RetrainStarted { .. } => "retrain_started",
             Event::RetrainFinished { .. } => "retrain_finished",
-            Event::ClusterExhausted { .. } => "cluster_exhausted",
             Event::FallbackPlacement { .. } => "fallback_placement",
             Event::WearLevelSwap { .. } => "wear_level_swap",
-            Event::ShardRebalance { .. } => "shard_rebalance",
             Event::SegmentWornOut { .. } => "segment_worn_out",
             Event::SegmentRetired { .. } => "segment_retired",
             Event::ServerStarted { .. } => "server_started",
@@ -218,9 +202,6 @@ impl TimedEvent {
                 }
                 fields.push_str(&format!(",\"duration_ms\":{duration_ms}"));
             }
-            Event::ClusterExhausted { shard, cluster } => {
-                fields.push_str(&format!(",\"shard\":{shard},\"cluster\":{cluster}"));
-            }
             Event::FallbackPlacement {
                 shard,
                 predicted,
@@ -232,9 +213,6 @@ impl TimedEvent {
             }
             Event::WearLevelSwap { a, b } => {
                 fields.push_str(&format!(",\"a\":{a},\"b\":{b}"));
-            }
-            Event::ShardRebalance { from, to } => {
-                fields.push_str(&format!(",\"from\":{from},\"to\":{to}"));
             }
             Event::SegmentWornOut { segment } => {
                 fields.push_str(&format!(",\"segment\":{segment}"));
@@ -292,7 +270,7 @@ mod tests {
     #[test]
     fn zero_capacity_is_disconnected() {
         let j = EventJournal::with_capacity(0);
-        j.record(Event::ShardRebalance { from: 0, to: 1 });
+        j.record(Event::RetrainStarted { shard: 0 });
         assert!(j.snapshot().is_empty());
         assert_eq!(j.recorded(), 0);
     }

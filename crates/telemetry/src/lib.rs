@@ -1,22 +1,27 @@
 //! # e2nvm-telemetry — observability for the E2-NVM serving stack
 //!
-//! Three primitives, all designed so the serving hot path never takes a
+//! Four primitives, all designed so the serving hot path never takes a
 //! lock:
 //!
 //! * A **metrics registry** ([`TelemetryRegistry`]): monotonic
 //!   [`Counter`]s, [`Gauge`]s, and fixed-bucket [`Histogram`]s. Handles
 //!   are `Arc`-backed and updated with relaxed atomics; the registry's
 //!   mutex is touched only at registration and render time.
+//! * **Read-through sources** ([`TelemetryRegistry::source`]): a
+//!   component that already keeps a number registers a callback that
+//!   emits it into [`Samples`] when the registry renders. The number
+//!   is counted once, in the component, and costs nothing until a
+//!   scrape reads it. The registry holds the component weakly.
 //! * A **latency sampler** ([`Sampler`]): a per-site countdown that
 //!   reads the clock for one request in [`Sampler::EVERY`]. Counters
 //!   stay exact; per-request latency histograms hold the sampled
 //!   requests ([`Histogram::observe_since`]).
 //! * A **bounded event journal** ([`EventJournal`]): a ring buffer of
-//!   structured [`Event`]s (retrain started/finished, cluster
-//!   exhausted, fallback placement, wear-leveling swap, shard
-//!   rebalance). Events are rare control-plane occurrences, so the ring
-//!   uses a short critical section; when full, the oldest entry is
-//!   dropped and counted.
+//!   structured [`Event`]s (retrain started/finished, fallback
+//!   placement, wear-leveling swap, segment wear-out and retirement,
+//!   server start/stop). Events are rare control-plane occurrences,
+//!   so the ring uses a short critical section; when full, the oldest
+//!   entry is dropped and counted.
 //!
 //! Rendering: [`TelemetryRegistry::render_prometheus`] emits the
 //! Prometheus text exposition format, and
@@ -27,9 +32,11 @@
 //!
 //! Every type here is atomics-backed in every build. Crates in this
 //! workspace instrument unconditionally: each holds a `*Telemetry`
-//! handle bundle that starts `disconnected()` (private `Arc`s nobody
-//! renders) and is swapped for a registered one by `attach_telemetry`
-//! / `with_telemetry`.
+//! bundle of event handles (histograms, event counters) that starts
+//! `disconnected()` — registered on a private registry nobody renders —
+//! and is swapped for one registered on a shared registry by
+//! `attach_telemetry` / `with_telemetry`, which also register the
+//! component's own statistics as a source.
 //!
 //! ```
 //! use e2nvm_telemetry::{Event, Sampler, TelemetryRegistry};
@@ -55,11 +62,13 @@ mod journal;
 mod metrics;
 mod registry;
 mod sampler;
+mod source;
 
 pub use journal::{Event, EventJournal, TimedEvent};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::TelemetryRegistry;
 pub use sampler::Sampler;
+pub use source::Samples;
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars) —
 /// shared by the JSON renderers; metric and label names are expected to

@@ -17,12 +17,6 @@ use std::time::Instant;
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A counter not attached to any registry; updates are kept but
-    /// never rendered. Useful as a default sink.
-    pub fn disconnected() -> Self {
-        Self::default()
-    }
-
     /// Increment by one.
     #[inline]
     pub fn inc(&self) {
@@ -53,11 +47,6 @@ impl Counter {
 pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
-    /// A gauge not attached to any registry.
-    pub fn disconnected() -> Self {
-        Self::default()
-    }
-
     /// Set the gauge to `value`.
     #[inline]
     pub fn set(&self, value: i64) {
@@ -177,7 +166,7 @@ mod tests {
 
     #[test]
     fn counter_accumulates() {
-        let c = Counter::disconnected();
+        let c = Counter::default();
         c.inc();
         c.add(41);
         assert_eq!(c.get(), 42);
@@ -185,7 +174,7 @@ mod tests {
 
     #[test]
     fn gauge_moves_both_ways() {
-        let g = Gauge::disconnected();
+        let g = Gauge::default();
         g.set(10);
         g.add(5);
         g.sub(7);
@@ -223,7 +212,7 @@ mod tests {
 
     #[test]
     fn clones_share_state() {
-        let a = Counter::disconnected();
+        let a = Counter::default();
         let b = a.clone();
         a.inc();
         b.inc();

@@ -1,21 +1,23 @@
-//! The [`TelemetryRegistry`]: owns every registered metric plus the
-//! event journal, and renders them as Prometheus text exposition or a
-//! JSON snapshot.
+//! The [`TelemetryRegistry`]: owns every registered metric, the
+//! read-through sources and the event journal, and renders them as
+//! Prometheus text exposition or a JSON snapshot.
 //!
 //! Registration takes a short mutex; the returned handles are
 //! lock-free. Registering the same `(name, labels)` pair twice returns
 //! the *same* underlying handle, so independent components can share a
-//! series without coordination.
+//! series without coordination. A source's samples join the handles'
+//! series at render time: equal `(name, labels)` are summed.
 
 use crate::journal::EventJournal;
 use crate::json_escape;
 use crate::metrics::{Counter, Gauge, Histogram};
+use crate::source::{Sample, Samples, Source, Value};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 const DEFAULT_JOURNAL_CAPACITY: usize = 256;
 
-type Labels = Vec<(String, String)>;
+pub(crate) type Labels = Vec<(String, String)>;
 
 struct Series<H> {
     name: String,
@@ -28,6 +30,7 @@ struct Inner {
     counters: Mutex<Vec<Series<Counter>>>,
     gauges: Mutex<Vec<Series<Gauge>>>,
     histograms: Mutex<Vec<Series<Histogram>>>,
+    sources: Mutex<Vec<Source>>,
     journal: EventJournal,
 }
 
@@ -44,6 +47,7 @@ impl std::fmt::Debug for TelemetryRegistry {
             .field("counters", &self.inner.counters.lock().len())
             .field("gauges", &self.inner.gauges.lock().len())
             .field("histograms", &self.inner.histograms.lock().len())
+            .field("sources", &self.inner.sources.lock().len())
             .finish()
     }
 }
@@ -54,7 +58,7 @@ impl Default for TelemetryRegistry {
     }
 }
 
-fn canonical(labels: &[(&str, &str)]) -> Labels {
+pub(crate) fn canonical(labels: &[(&str, &str)]) -> Labels {
     let mut out: Labels = labels
         .iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -86,14 +90,14 @@ fn get_or_insert<H: Clone>(
 }
 
 /// `series` regrouped so each family's label sets are contiguous:
-/// families in first-registration order, label sets in registration
-/// order within a family. The text exposition format requires all
-/// lines of a family in one group under its single HELP/TYPE header,
-/// and per-shard attachment registers families interleaved.
-fn by_family<H>(series: &[Series<H>]) -> Vec<&Series<H>> {
-    let mut grouped: Vec<&Series<H>> = series.iter().collect();
+/// families in first-appearance order, label sets in appearance order
+/// within a family. The text exposition format requires all lines of
+/// a family in one group under its single HELP/TYPE header, and
+/// per-shard attachment registers families interleaved.
+fn by_family<S>(series: &[S], name: impl Fn(&S) -> &str) -> Vec<&S> {
+    let mut grouped: Vec<&S> = series.iter().collect();
     // Stable sort: ties (same family) keep registration order.
-    grouped.sort_by_cached_key(|s| series.iter().position(|t| t.name == s.name));
+    grouped.sort_by_cached_key(|s| series.iter().position(|t| name(t) == name(s)));
     grouped
 }
 
@@ -120,6 +124,15 @@ fn labels_json(labels: &Labels) -> String {
     format!("{{{}}}", fields.join(","))
 }
 
+fn sample_json(s: &Sample) -> String {
+    format!(
+        "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
+        json_escape(&s.name),
+        labels_json(&s.labels),
+        s.value
+    )
+}
+
 impl TelemetryRegistry {
     /// A registry with the default journal capacity.
     pub fn new() -> Self {
@@ -133,6 +146,7 @@ impl TelemetryRegistry {
                 counters: Mutex::new(Vec::new()),
                 gauges: Mutex::new(Vec::new()),
                 histograms: Mutex::new(Vec::new()),
+                sources: Mutex::new(Vec::new()),
                 journal: EventJournal::with_capacity(capacity),
             }),
         }
@@ -176,14 +190,63 @@ impl TelemetryRegistry {
         })
     }
 
-    /// Sum of a counter family across every label combination.
+    /// Register a read-through source: on every render, snapshot and
+    /// [`TelemetryRegistry::counter_total`], `emit` reads `owner` and
+    /// pushes its counter and gauge samples. The registry holds `owner`
+    /// weakly — once it is dropped its samples are gone — and keeps one
+    /// source per owner, so attaching a component twice does not
+    /// double its series. `emit` runs with no registry lock held; a
+    /// source emits every family it owns on every call, zeros
+    /// included.
+    pub fn source<T, F>(&self, owner: &Arc<T>, emit: F)
+    where
+        T: ?Sized + Send + Sync + 'static,
+        F: Fn(&T, &mut Samples) + Send + Sync + 'static,
+    {
+        let source = Source::new(owner, emit);
+        let mut sources = self.inner.sources.lock();
+        if sources.iter().all(|s| s.owner != source.owner) {
+            sources.push(source);
+        }
+    }
+
+    /// Every counter and gauge: the handles, read once, then every
+    /// live source's samples, equal `(name, labels)` summed. A source
+    /// whose owner is gone is forgotten (its weak reference kept the
+    /// owner's address from being reused until now).
+    fn scalars(&self) -> Vec<Sample> {
+        let mut out = Samples::default();
+        for s in self.inner.counters.lock().iter() {
+            out.push(&s.name, &s.help, &s.labels, Value::Count(s.handle.get()));
+        }
+        for s in self.inner.gauges.lock().iter() {
+            out.push(&s.name, &s.help, &s.labels, Value::Level(s.handle.get()));
+        }
+        let sources: Vec<Source> = self.inner.sources.lock().clone();
+        let dead: Vec<usize> = sources
+            .iter()
+            .filter(|s| !(s.emit)(&mut out))
+            .map(|s| s.owner)
+            .collect();
+        if !dead.is_empty() {
+            self.inner
+                .sources
+                .lock()
+                .retain(|s| !dead.contains(&s.owner));
+        }
+        out.rows
+    }
+
+    /// Sum of an integer counter family across every label
+    /// combination, handles and sources alike.
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.inner
-            .counters
-            .lock()
+        self.scalars()
             .iter()
             .filter(|s| s.name == name)
-            .map(|s| s.handle.get())
+            .map(|s| match s.value {
+                Value::Count(v) => v,
+                _ => 0,
+            })
             .sum()
     }
 
@@ -206,25 +269,24 @@ impl TelemetryRegistry {
             }
         };
 
-        for s in by_family(&self.inner.counters.lock()) {
-            header(&mut out, &s.name, &s.help, "counter");
-            out.push_str(&format!(
-                "{}{} {}\n",
-                s.name,
-                render_labels(&s.labels, None),
-                s.handle.get()
-            ));
+        let scalars = self.scalars();
+        for counter in [true, false] {
+            let rows: Vec<&Sample> = scalars
+                .iter()
+                .filter(|s| s.value.is_counter() == counter)
+                .collect();
+            let kind = if counter { "counter" } else { "gauge" };
+            for s in by_family(&rows, |s| &s.name) {
+                header(&mut out, &s.name, &s.help, kind);
+                out.push_str(&format!(
+                    "{}{} {}\n",
+                    s.name,
+                    render_labels(&s.labels, None),
+                    s.value
+                ));
+            }
         }
-        for s in by_family(&self.inner.gauges.lock()) {
-            header(&mut out, &s.name, &s.help, "gauge");
-            out.push_str(&format!(
-                "{}{} {}\n",
-                s.name,
-                render_labels(&s.labels, None),
-                s.handle.get()
-            ));
-        }
-        for s in by_family(&self.inner.histograms.lock()) {
+        for s in by_family(&self.inner.histograms.lock(), |s| &s.name) {
             header(&mut out, &s.name, &s.help, "histogram");
             let counts = s.handle.bucket_counts();
             let bounds = s.handle.bounds().to_vec();
@@ -262,34 +324,15 @@ impl TelemetryRegistry {
     /// Render metrics plus the retained journal as one JSON
     /// document.
     pub fn snapshot_json(&self) -> String {
-        let counters: Vec<String> = self
-            .inner
-            .counters
-            .lock()
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
-                    json_escape(&s.name),
-                    labels_json(&s.labels),
-                    s.handle.get()
-                )
-            })
-            .collect();
-        let gauges: Vec<String> = self
-            .inner
-            .gauges
-            .lock()
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
-                    json_escape(&s.name),
-                    labels_json(&s.labels),
-                    s.handle.get()
-                )
-            })
-            .collect();
+        let scalars = self.scalars();
+        let json = |counter: bool| -> Vec<String> {
+            scalars
+                .iter()
+                .filter(|s| s.value.is_counter() == counter)
+                .map(sample_json)
+                .collect()
+        };
+        let (counters, gauges) = (json(true), json(false));
         let histograms: Vec<String> = self
             .inner
             .histograms
@@ -450,14 +493,15 @@ mod tests {
     fn json_snapshot_includes_events() {
         let r = TelemetryRegistry::new();
         r.counter("c_total", "c").inc();
-        r.journal().record(Event::ClusterExhausted {
+        r.journal().record(Event::FallbackPlacement {
             shard: 1,
-            cluster: 2,
+            predicted: 2,
+            used: 0,
         });
         let json = r.snapshot_json();
         assert!(json.starts_with("{\"enabled\":true"), "{json}");
         assert!(json.contains("\"name\":\"c_total\""), "{json}");
-        assert!(json.contains("\"kind\":\"cluster_exhausted\""), "{json}");
+        assert!(json.contains("\"kind\":\"fallback_placement\""), "{json}");
         assert!(json.contains("\"events_recorded\":1"), "{json}");
     }
 
@@ -467,5 +511,89 @@ mod tests {
         let r2 = r.clone();
         r.counter("shared_total", "s").add(2);
         assert_eq!(r2.counter_total("shared_total"), 2);
+    }
+
+    /// A component that keeps its own numbers, read as one source.
+    struct Ledger(&'static str, u64);
+
+    fn ledger(r: &TelemetryRegistry, shard: &'static str, writes: u64) -> Arc<Ledger> {
+        let l = Arc::new(Ledger(shard, writes));
+        r.source(&l, |l: &Ledger, out| {
+            out.counter("writes_total", "Writes", &[("shard", l.0)], l.1);
+            out.counter_f64("energy_total", "Energy", &[("shard", l.0)], 0.1 + 0.2);
+            out.gauge("depth", "Depth", &[("shard", l.0)], -1);
+        });
+        l
+    }
+
+    #[test]
+    fn sources_are_read_when_rendered_summed_and_forgotten_when_dropped() {
+        let r = TelemetryRegistry::new();
+        let a = ledger(&r, "0", 3);
+        r.source(&a, |_: &Ledger, _| panic!("one source per owner"));
+        let text = r.render_prometheus();
+        assert!(text.contains("writes_total{shard=\"0\"} 3\n"), "{text}");
+        assert!(text.contains("depth{shard=\"0\"} -1\n"), "{text}");
+        let energy = text
+            .lines()
+            .find_map(|l| l.strip_prefix("energy_total{shard=\"0\"} "));
+        assert_eq!(energy.unwrap().parse::<f64>(), Ok(0.1 + 0.2), "{text}");
+        assert!(r
+            .snapshot_json()
+            .contains("{\"name\":\"writes_total\",\"labels\":{\"shard\":\"0\"},\"value\":3}"));
+        // Equal series of two sources and a handle are summed.
+        let b = ledger(&r, "0", 4);
+        r.counter_with_labels("writes_total", "Writes", &[("shard", "0")])
+            .add(5);
+        assert_eq!(r.counter_total("writes_total"), 12);
+        assert!(r.render_prometheus().contains("depth{shard=\"0\"} -2\n"));
+        drop((a, b));
+        assert_eq!(r.counter_total("writes_total"), 5);
+        assert!(!r.render_prometheus().contains("depth"));
+        assert!(
+            r.inner.sources.lock().is_empty(),
+            "dead sources are forgotten"
+        );
+    }
+
+    #[test]
+    fn handle_and_source_families_interleaved_render_one_group_each() {
+        let r = TelemetryRegistry::new();
+        let mut ledgers = Vec::new();
+        for shard in ["0", "1"] {
+            let labels = [("shard", shard)];
+            r.counter_with_labels("reads_total", "Reads", &labels).inc();
+            ledgers.push(ledger(&r, shard, 1));
+            r.gauge_with_labels("free", "Free", &labels).set(7);
+            r.counter_with_labels("writes_total", "Writes", &labels)
+                .inc();
+        }
+        let text = r.render_prometheus();
+        let samples: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| l.rsplit_once(' ').unwrap().0)
+            .collect();
+        let mut runs: Vec<&str> = samples
+            .iter()
+            .map(|s| s.split('{').next().unwrap())
+            .collect();
+        runs.dedup();
+        let families = [
+            "reads_total",
+            "writes_total",
+            "energy_total",
+            "free",
+            "depth",
+        ];
+        assert_eq!(runs, families, "{text}");
+        for family in families {
+            assert_eq!(text.matches(&format!("# TYPE {family} ")).count(), 1);
+        }
+        let mut unique = samples.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), samples.len(), "{text}");
+        assert!(text.contains("writes_total{shard=\"1\"} 2\n"), "{text}");
     }
 }

@@ -1,6 +1,6 @@
 //! The serving layer end to end: boot a 4-shard `e2nvm-server` on an
 //! ephemeral loopback port, talk to it with the blocking client —
-//! single calls, a pipelined batch, a bounded scan, STATS and METRICS
+//! single calls, a pipelined batch, a bounded scan, HEALTH and METRICS
 //! frames — then shut it down gracefully over the wire.
 //!
 //! The frame layout on the sockets is documented in `PROTOCOL.md`.
@@ -76,11 +76,18 @@ fn main() {
         entries.iter().map(|(k, _)| *k).collect::<Vec<_>>()
     );
 
-    // Observability over the wire: STATS (store + device JSON) and
-    // METRICS (Prometheus exposition from the shared registry).
-    println!("stats: {}", client.stats().expect("stats"));
+    // Observability over the wire: HEALTH (keys and wear, one fixed
+    // binary frame) and METRICS (Prometheus exposition from the shared
+    // registry, device energy and modeled latency included).
+    println!("health: {:?}", client.health().expect("health"));
     let metrics = client.metrics().expect("metrics");
     println!("metrics exposition: {} lines", metrics.lines().count());
+    for line in metrics
+        .lines()
+        .filter(|l| l.starts_with("e2nvm_device_energy_pj_total"))
+    {
+        println!("  {line}");
+    }
 
     // Graceful shutdown over the wire: SHUTDOWN is acknowledged, the
     // accept loop drains, and join() reports connections served.

@@ -1,6 +1,6 @@
 //! Telemetry tour: attach a registry to a sharded KV store, run a small
 //! workload, and render the metrics as Prometheus text exposition and a
-//! JSON snapshot (plus the device wear heatmap).
+//! JSON snapshot.
 //!
 //! ```text
 //! cargo run --release --example telemetry
@@ -76,12 +76,4 @@ fn main() {
 
     println!("\n=== JSON snapshot ===");
     println!("{}", registry.snapshot_json());
-
-    // The trait-level hook: harness code that only sees `dyn NvmKvStore`
-    // can still reach the registry.
-    let as_trait: &dyn NvmKvStore = &store;
-    println!(
-        "\ntrait hook sees a registry: {}",
-        as_trait.telemetry().is_some()
-    );
 }

@@ -43,9 +43,10 @@
 //!     MemoryController::without_wear_leveling(device),
 //!     cfg,
 //! ).unwrap();
-//! let registry = TelemetryRegistry::new();
-//! engine.attach_telemetry(&registry, 0);
 //! engine.train().unwrap();
+//! let registry = TelemetryRegistry::new();
+//! let engine = ShardedEngine::new(vec![engine]); // one shard
+//! engine.attach_telemetry(&registry);
 //! engine.put(42, b"value").unwrap();
 //! assert_eq!(engine.get(42).unwrap(), b"value");
 //! assert!(registry.render_prometheus().contains("e2nvm_device_writes_total"));

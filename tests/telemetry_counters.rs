@@ -1,9 +1,10 @@
-//! The telemetry exactness property: the device counter families
-//! registered by `attach_telemetry` are updated at the same accounting
-//! chokepoints as [`DeviceStats`], so after *any* CRUD sequence the
-//! counter totals equal the stats snapshot field-for-field (integer
-//! fields) — on a single engine and, summed across per-shard label
-//! sets, on a sharded engine against its merged stats.
+//! The telemetry exactness property: the device counter families a
+//! scrape reads through the source `attach_telemetry` registers are
+//! the device ledger itself, so after *any* CRUD sequence the counter
+//! totals equal the stats snapshot field-for-field (integer fields,
+//! and per shard the `f64` energy and latency totals bit for bit) — on
+//! a one-shard engine and, summed across per-shard label sets, on a
+//! sharded engine against its merged stats.
 
 use e2nvm::prelude::*;
 use e2nvm::sim::partition_controllers;
@@ -104,9 +105,9 @@ proptest! {
     fn single_engine_counters_equal_device_stats(
         ops in proptest::collection::vec((0u8..10, 0u64..24, any::<u8>()), 1..48),
     ) {
-        let mut engine = single_engine(96);
+        let engine = ShardedEngine::new(vec![single_engine(96)]);
         let registry = TelemetryRegistry::new();
-        engine.attach_telemetry(&registry, 0);
+        engine.attach_telemetry(&registry);
         for &(op, key, tag) in &ops {
             match op {
                 0..=6 => { let _ = engine.put(key, &value_for(key, tag)); }
@@ -114,7 +115,7 @@ proptest! {
                 _ => { let _ = engine.delete(key); }
             }
         }
-        let stats = engine.device_stats().clone();
+        let stats = engine.device_stats();
         prop_assert!(stats.writes > 0);
         assert_counters_match(&registry, &stats)?;
     }
@@ -145,9 +146,9 @@ proptest! {
 fn counters_survive_stats_reset() {
     // Telemetry counters are monotonic: resetting the device stats must
     // not zero them — the two agree only while no reset intervenes.
-    let mut engine = single_engine(64);
+    let engine = ShardedEngine::new(vec![single_engine(64)]);
     let registry = TelemetryRegistry::new();
-    engine.attach_telemetry(&registry, 0);
+    engine.attach_telemetry(&registry);
     engine.put(1, &value_for(1, 9)).unwrap();
     let writes_before = registry.counter_total("e2nvm_device_writes_total");
     assert!(writes_before > 0);
@@ -157,4 +158,28 @@ fn counters_survive_stats_reset() {
         writes_before
     );
     assert_eq!(engine.device_stats().writes, 0);
+}
+
+#[test]
+fn energy_and_latency_totals_equal_each_shards_ledger_bit_for_bit() {
+    let engine = sharded_engine(4, 192);
+    let registry = TelemetryRegistry::new();
+    engine.attach_telemetry(&registry);
+    for key in 0..48u64 {
+        engine.put(key, &value_for(key, key as u8)).unwrap();
+        if key % 3 == 0 {
+            engine.get(key / 2).unwrap();
+        }
+    }
+    let text = registry.render_prometheus();
+    for shard in 0..engine.num_shards() {
+        let s = engine.with_shard_engine(shard, |e| e.device_stats().clone());
+        assert!(s.energy_pj > 0.0 && s.latency_ns > 0.0);
+        for (family, value) in [("energy_pj", s.energy_pj), ("latency_ns", s.latency_ns)] {
+            let series = format!("e2nvm_device_{family}_total{{shard=\"{shard}\"}} ");
+            let parsed = text.lines().find_map(|l| l.strip_prefix(series.as_str()));
+            let bits = parsed.map(|v| v.parse::<f64>().unwrap().to_bits());
+            assert_eq!(bits, Some(value.to_bits()), "{series}\n{text}");
+        }
+    }
 }
