@@ -86,7 +86,7 @@ impl HammingTree {
         while let Some(idx) = stack.pop() {
             let d = hamming(&self.nodes[idx].content, query);
             self.distance_evals += 1;
-            if !self.nodes[idx].dead && best.map_or(true, |(_, bd)| d < bd) {
+            if !self.nodes[idx].dead && best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((idx, d));
             }
             let radius = best.map_or(u64::MAX, |(_, bd)| bd);

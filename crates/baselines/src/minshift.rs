@@ -105,7 +105,7 @@ impl InPlaceScheme for MinShift {
         // A partial tail word must not be rotated: rotation would move
         // data bits into the truncated padding region and corrupt the
         // round-trip. Flipping is byte-local and stays safe.
-        let partial_tail = new.len() % 8 != 0;
+        let partial_tail = !new.len().is_multiple_of(8);
         for (w, (&old, &neww)) in old_words.iter().zip(&new_words).enumerate() {
             let mut best = (u64::MAX, Code::default(), 0u64);
             let max_shift = if partial_tail && w + 1 == n_words {

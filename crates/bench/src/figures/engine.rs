@@ -188,7 +188,7 @@ impl ClassValues {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 // ~6% of bytes perturbed per version.
-                if (state >> 33) % 16 == 0 {
+                if (state >> 33).is_multiple_of(16) {
                     b ^ ((state >> 40) as u8)
                 } else {
                     b

@@ -149,7 +149,7 @@ impl<'a, 'o, I: Iterator<Item = Match>> Cursor<'a, 'o, I> {
     #[inline(always)]
     fn step(&mut self, buf: &mut ScanBuffer) -> Result<bool> {
         match (self.head, &mut self.outer) {
-            (Some((key, seg, len)), _) if self.outer_least.map_or(true, |o| key < o) => {
+            (Some((key, seg, len)), _) if self.outer_least.is_none_or(|o| key < o) => {
                 buf.winners.push(Winner {
                     key,
                     shard: self.shard,

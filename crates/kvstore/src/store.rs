@@ -359,7 +359,7 @@ impl NodeStore for E2NodeStore {
                 e2nvm_sim::bitops::hamming(&content[..data.len()], data)
             };
             let relocate = self.engine.preview_placement(data)?;
-            if relocate.map_or(true, |(_, cand_flips)| in_place_flips <= cand_flips) {
+            if relocate.is_none_or(|(_, cand_flips)| in_place_flips <= cand_flips) {
                 return Ok(self.engine.controller_mut().write_at(cur, 0, data)?);
             }
         }

@@ -105,17 +105,17 @@ impl Dense {
     /// # Panics
     /// Panics if called before [`Dense::forward`].
     pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let dz = self.preact_grad(d_out);
-        self.backward_preact(&dz)
-    }
-
-    /// The gradient w.r.t. the *pre-activation* `z`, from the gradient
-    /// w.r.t. this layer's output.
-    pub(crate) fn preact_grad(&self, d_out: &Matrix) -> Matrix {
         let y = self
             .cache_y
             .as_ref()
             .expect("Dense::backward before forward");
+        let dz = self.preact_grad(y, d_out);
+        self.backward_preact(&dz)
+    }
+
+    /// The gradient w.r.t. the *pre-activation* `z`, from the gradient
+    /// w.r.t. this layer's output `y`.
+    pub(crate) fn preact_grad(&self, y: &Matrix, d_out: &Matrix) -> Matrix {
         let act = self.act;
         d_out.zip(y, |g, yv| g * act.derivative_from_output(yv))
     }
@@ -123,28 +123,41 @@ impl Dense {
     /// Backward pass from the gradient w.r.t. the *pre-activation* `z`.
     /// Lets callers fuse loss+activation gradients (e.g. sigmoid + BCE
     /// simplifies to `ŷ − x`).
+    ///
+    /// # Panics
+    /// Panics if called before [`Dense::forward`].
     pub fn backward_preact(&mut self, dz: &Matrix) -> Matrix {
-        self.accumulate_preact(dz);
+        let x = self
+            .cache_x
+            .take()
+            .expect("Dense::backward_preact before forward");
+        let dx = self.backward_preact_from(&x, dz);
+        self.cache_x = Some(x);
+        dx
+    }
+
+    /// [`Dense::backward_preact`] of a forward pass on `x` whose input
+    /// the caller kept.
+    pub(crate) fn backward_preact_from(&mut self, x: &Matrix, dz: &Matrix) -> Matrix {
+        self.accumulate_preact(x, dz);
         dz.matmul_t(&self.w)
     }
 
-    /// The parameter-gradient half of [`Dense::backward_preact`], for a
-    /// layer whose input gradient nobody reads (a network's first).
-    pub(crate) fn accumulate_preact(&mut self, dz: &Matrix) {
-        let x = self
-            .cache_x
-            .as_ref()
-            .expect("Dense::backward_preact before forward");
-        self.w_grad.add_assign(&x.t_matmul(dz));
+    /// The parameter-gradient half of [`Dense::backward_preact_from`],
+    /// for a layer whose input gradient nobody reads (a network's
+    /// first). The weight gradient takes `xᵀ · dz` folded in place.
+    pub(crate) fn accumulate_preact(&mut self, x: &Matrix, dz: &Matrix) {
+        self.w_grad.add_t_matmul(x, dz);
         for (g, s) in self.b_grad.iter_mut().zip(dz.col_sums()) {
             *g += s;
         }
     }
 
-    /// Zero accumulated gradients.
+    /// Zero accumulated gradients: every one `+0.0`, whatever it held
+    /// (the in-place fold of the weight gradient starts there).
     pub fn zero_grad(&mut self) {
-        self.w_grad.scale(0.0);
-        self.b_grad.iter_mut().for_each(|g| *g = 0.0);
+        self.w_grad.as_mut_slice().fill(0.0);
+        self.b_grad.fill(0.0);
     }
 
     /// Apply one Adam step with the accumulated gradients, then zero
@@ -284,6 +297,23 @@ mod tests {
         let layer = Dense::new(10, 5, Activation::Relu, 0.01, &mut rng);
         assert_eq!(layer.param_count(), 55);
         assert_eq!(layer.forward_macs(3), 150);
+    }
+
+    #[test]
+    fn zero_grad_clears_non_finite_gradients() {
+        let mut rng = seeded(6);
+        let mut layer = Dense::new(2, 2, Activation::Linear, 0.01, &mut rng);
+        layer.forward(&Matrix::from_vec(1, 2, vec![f32::INFINITY, 1.0]));
+        layer.backward(&Matrix::from_vec(1, 2, vec![1.0, -1.0]));
+        assert!(layer.w_grad.as_slice().iter().any(|g| !g.is_finite()));
+        layer.zero_grad();
+        let zero = 0.0f32.to_bits();
+        assert!(
+            layer.w_grad.as_slice().iter().all(|g| g.to_bits() == zero),
+            "{:?}",
+            layer.w_grad.as_slice()
+        );
+        assert!(layer.b_grad.iter().all(|g| g.to_bits() == zero));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! reproducible.
 
 // One exception, scoped to its call site: the CPU-feature dispatch of
-// `kernel::Kernel::add_rows`, which training and serving share.
+// `kernel::Kernel::run`, which training, serving and the optimizer share.
 #![deny(unsafe_code)]
 
 pub mod activation;

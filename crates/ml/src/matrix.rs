@@ -1,9 +1,11 @@
 //! A small dense row-major `f32` matrix — the only tensor type the ML
 //! substrate needs. Products run the crate's one GEMM kernel (the
-//! column-tiled loop serving predicts with); elementwise operations are
-//! fused map/zip loops.
+//! column-tiled loop serving predicts with, taking dense blocks of rows
+//! at once where the CPU has the registers); a weight gradient folds
+//! into its matrix in place (`Matrix::add_t_matmul`); elementwise
+//! operations are fused map/zip loops.
 
-use crate::kernel::{compact_non_zero, Kernel};
+use crate::kernel::Kernel;
 use std::fmt;
 
 /// Dense row-major matrix of `f32`.
@@ -129,11 +131,7 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
-        let mut slots = Vec::new();
-        for i in 0..self.rows {
-            let inputs = compact_non_zero(self.row(i), &mut slots);
-            kernel.add_rows(other, inputs.iter().copied(), out.row_mut(i));
-        }
+        kernel.matmul_into(self, other, &mut out);
         out
     }
 
@@ -148,6 +146,20 @@ impl Matrix {
         self.transpose().matmul(other)
     }
 
+    /// `self += aᵀ · b` folded in place: each element's fold over `k`
+    /// continues from its value here instead of from `+0.0`. On a
+    /// `self` of `+0.0`s that is `self.add_assign(&a.t_matmul(b))` bit
+    /// for bit, without the product's matrix; `self` must hold no
+    /// `-0.0` (the kernel's row-block clause).
+    pub(crate) fn add_t_matmul(&mut self, a: &Matrix, b: &Matrix) {
+        assert_eq!(
+            a.rows, b.rows,
+            "add_t_matmul: ({}x{})ᵀ · {}x{}",
+            a.rows, a.cols, b.rows, b.cols
+        );
+        Kernel::detect().matmul_into(&a.transpose(), b, self);
+    }
+
     /// `self · otherᵀ`: [`Matrix::matmul`] over the transpose — the same
     /// fold per element.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
@@ -159,17 +171,25 @@ impl Matrix {
         self.matmul(&other.transpose())
     }
 
-    /// Materialized transpose, a 16×16 block at a time.
+    /// Materialized transpose, eight rows at a time: each column of
+    /// the eight becomes eight consecutive floats of the output.
     pub fn transpose(&self) -> Matrix {
-        const B: usize = 16;
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r0 in (0..self.rows).step_by(B) {
-            for c0 in (0..self.cols).step_by(B) {
-                for r in r0..self.rows.min(r0 + B) {
-                    for c in c0..self.cols.min(c0 + B) {
-                        out.data[c * self.rows + r] = self.data[r * self.cols + c];
-                    }
+        const B: usize = 8;
+        let (rows, cols) = (self.rows, self.cols);
+        let mut out = Matrix::zeros(cols, rows);
+        let whole = rows - rows % B;
+        for r0 in (0..whole).step_by(B) {
+            let from: [&[f32]; B] = std::array::from_fn(|i| self.row(r0 + i));
+            for (c, to) in out.data.chunks_exact_mut(rows).enumerate() {
+                let to: &mut [f32; B] = (&mut to[r0..r0 + B]).try_into().expect("B floats");
+                for (t, from) in to.iter_mut().zip(&from) {
+                    *t = from[c];
                 }
+            }
+        }
+        for r in whole..rows {
+            for (c, &v) in self.row(r).iter().enumerate() {
+                out.data[c * rows + r] = v;
             }
         }
         out
@@ -429,31 +449,82 @@ mod tests {
         }
     }
 
+    /// An input of kind `kind`: 0 awkward (a fifth zeros), 1 mostly
+    /// zero, 2 bits, 3 awkward but never zero, 4 all ones — so that the
+    /// kernel's row blocks are taken and not, against finite weights and
+    /// not, and rows of bits are walked add-only.
+    fn input(rng: &mut impl rand::Rng, kind: u8) -> f32 {
+        match kind {
+            0 => awkward(rng, false),
+            1 if rng.gen_range(0..4) == 0 => awkward(rng, false),
+            1 => 0.0,
+            2 if rng.gen() => 1.0,
+            2 => 0.0,
+            3 => loop {
+                let a = awkward(rng, false);
+                if a != 0.0 {
+                    break a;
+                }
+            },
+            _ => 1.0,
+        }
+    }
+
+    /// `matmul` on every instantiation of the kernel, and `t_matmul` /
+    /// `matmul_t` (a transpose, then `matmul`), against the naive fold
+    /// at output widths that meet every tile width.
+    fn assert_products_are_the_naive_fold(a: &Matrix, rng: &mut impl rand::Rng, inf: bool) {
+        let (rows, inner) = (a.rows(), a.cols());
+        for width in [1, 7, 31, 33, 63, 64, 65, 127, 128, 129, 1024] {
+            let b = Matrix::from_fn(inner, width, |_, _| awkward(rng, inf));
+            let want = naive_ikj(a, &b);
+            let shape = format!("{rows}x{inner} · {inner}x{width} (inf {inf})");
+            for kernel in Kernel::instantiations() {
+                let what = format!("matmul on {}, {shape}", kernel.name());
+                assert_same_sums(&a.matmul_on(kernel, &b), &want, &what);
+            }
+            assert_same_sums(
+                &a.transpose().t_matmul(&b),
+                &want,
+                &format!("t_matmul, {shape}"),
+            );
+            assert_same_sums(
+                &a.matmul_t(&b.transpose()),
+                &want,
+                &format!("matmul_t, {shape}"),
+            );
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// `matmul` on every instantiation of the kernel, and `t_matmul`
-        /// / `matmul_t` (a transpose, then `matmul`), are the naive fold
-        /// at output widths that meet every tile width.
+        /// Inputs a fifth zero against weights that may be infinite, at
+        /// row counts that make whole row blocks and remainders.
         #[test]
         fn products_are_the_naive_fold_on_both_kernels(
-            rows in 0usize..=5,
+            rows in 0usize..=9,
             inner in 0usize..=70,
             seed in proptest::prelude::any::<u64>(),
         ) {
             let mut rng = crate::rng::seeded(seed);
             let a = Matrix::from_fn(rows, inner, |_, _| awkward(&mut rng, false));
-            for width in [1, 7, 31, 33, 63, 64, 65, 127, 129] {
-                let b = Matrix::from_fn(inner, width, |_, _| awkward(&mut rng, true));
-                let want = naive_ikj(&a, &b);
-                let shape = format!("{rows}x{inner} · {inner}x{width}");
-                for kernel in Kernel::instantiations() {
-                    let what = format!("matmul on {}, {shape}", kernel.name());
-                    assert_same_sums(&a.matmul_on(kernel, &b), &want, &what);
-                }
-                assert_same_sums(&a.transpose().t_matmul(&b), &want, &format!("t_matmul, {shape}"));
-                assert_same_sums(&a.matmul_t(&b.transpose()), &want, &format!("matmul_t, {shape}"));
-            }
+            assert_products_are_the_naive_fold(&a, &mut rng, true);
+        }
+
+        /// The same for inputs mostly zero, bits, never zero or all
+        /// ones, against weights finite or not.
+        #[test]
+        fn products_of_every_input_kind_are_the_naive_fold(
+            rows in 0usize..=9,
+            inner in 0usize..=70,
+            kind in 1u8..5,
+            inf in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = crate::rng::seeded(seed);
+            let a = Matrix::from_fn(rows, inner, |_, _| input(&mut rng, kind));
+            assert_products_are_the_naive_fold(&a, &mut rng, inf);
         }
     }
 
@@ -467,6 +538,76 @@ mod tests {
         }
         assert_eq!(a.transpose().t_matmul(&b), a.matmul(&b));
         assert_eq!(a.matmul_t(&b.transpose()), a.matmul(&b));
+    }
+
+    /// The same inside a row block: in a dense block, one row's zero
+    /// input (of either sign) meets an infinite weight row that every
+    /// other row of the block multiplies by a non-zero. The other rows
+    /// get ±∞ or NaN there; that row gets nothing.
+    #[test]
+    fn a_zero_input_in_a_row_block_adds_nothing_against_an_infinite_row() {
+        let inf = f32::INFINITY;
+        for width in [1, 5, 64, 128, 1024] {
+            let b = Matrix::from_fn(3, width, |k, c| match (k, c % 3) {
+                (1, 0) => inf,
+                (1, 1) => -inf,
+                (1, _) => f32::NAN,
+                _ => (k * 7 + c % 5) as f32 - 3.5,
+            });
+            for rows in [2, 4, 8, 9] {
+                for zero in [0.0, -0.0] {
+                    let a = Matrix::from_fn(rows, 3, |r, k| match (r, k) {
+                        (1, 1) => zero,
+                        _ => (r + k) as f32 * 0.25 + 0.5,
+                    });
+                    let want = naive_ikj(&a, &b);
+                    let alone: Vec<f32> = (0..width)
+                        .map(|c| 0.0 + a.get(1, 0) * b.get(0, c) + a.get(1, 2) * b.get(2, c))
+                        .collect();
+                    assert_eq!(&want[width..2 * width], &alone[..]);
+                    for kernel in Kernel::instantiations() {
+                        let what = format!(
+                            "{rows} rows, width {width}, zero {zero:?}, {}",
+                            kernel.name()
+                        );
+                        let got = a.matmul_on(kernel, &b);
+                        assert_same_sums(&got, &want, &what);
+                        assert!(got.row(1).iter().all(|v| v.is_finite()), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// On a freshly zeroed gradient, folding `aᵀ · b` in place is the
+    /// former `add_assign(&a.t_matmul(b))`, bit for bit — negative zeros
+    /// and row blocks with and without zeros included.
+    #[test]
+    fn folding_in_place_on_zeros_is_adding_the_product() {
+        let mut rng = crate::rng::seeded(0x0F01D);
+        for (batch, fan_in, width) in [
+            (64, 64, 1024),
+            (64, 1024, 64),
+            (9, 7, 20),
+            (5, 3, 1),
+            (0, 4, 6),
+        ] {
+            for kind in 0..5 {
+                let a = Matrix::from_fn(batch, fan_in, |_, _| input(&mut rng, kind));
+                let b = Matrix::from_fn(batch, width, |_, _| awkward(&mut rng, false));
+                let mut folded = Matrix::zeros(fan_in, width);
+                folded.add_t_matmul(&a, &b);
+                let mut added = Matrix::zeros(fan_in, width);
+                added.add_assign(&a.t_matmul(&b));
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&folded),
+                    bits(&added),
+                    "{batch}x{fan_in}ᵀ · {batch}x{width}, kind {kind}"
+                );
+            }
+        }
     }
 
     #[test]

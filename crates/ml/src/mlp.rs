@@ -10,6 +10,13 @@ use std::borrow::Cow;
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
+    /// Every layer's output of the last [`Mlp::forward`], held once:
+    /// it is the next layer's input and its own activation's
+    /// derivative.
+    outputs: Vec<Matrix>,
+    /// [`fingerprint`] of the last [`Mlp::forward`]'s input, which a
+    /// debug build takes and holds the backward pass's `x` to.
+    input: u64,
 }
 
 impl Mlp {
@@ -41,7 +48,16 @@ impl Mlp {
                 Dense::new(pair[0], pair[1], act, lr, rng)
             })
             .collect();
-        Self { layers }
+        Self::from_checked_layers(layers)
+    }
+
+    /// An `Mlp` over layers whose widths chain, before any forward.
+    fn from_checked_layers(layers: Vec<Dense>) -> Self {
+        Self {
+            layers,
+            outputs: Vec::new(),
+            input: 0,
+        }
     }
 
     /// Input dimensionality.
@@ -64,42 +80,72 @@ impl Mlp {
         self.layers.iter().map(|l| l.forward_macs(n)).sum()
     }
 
-    /// Forward with caches (training path).
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.layers
-            .iter_mut()
-            .fold(x.clone(), |h, layer| layer.forward(&h))
+    /// Forward for training: every layer's output is kept for the
+    /// backward pass, and the last is returned.
+    pub fn forward(&mut self, x: &Matrix) -> &Matrix {
+        if cfg!(debug_assertions) {
+            self.input = fingerprint(x);
+        }
+        self.outputs.clear();
+        for layer in &self.layers {
+            let y = layer.forward_inference(self.outputs.last().unwrap_or(x));
+            self.outputs.push(y);
+        }
+        self.outputs.last().expect("Mlp has layers")
     }
 
     /// Forward without caches (serving path).
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        self.layers
-            .iter()
-            .fold(x.clone(), |h, layer| layer.forward_inference(&h))
+        let (first, rest) = self.layers.split_first().expect("Mlp has layers");
+        rest.iter().fold(first.forward_inference(x), |h, layer| {
+            layer.forward_inference(&h)
+        })
     }
 
     /// Backward where the last layer receives a *pre-activation*
     /// gradient (fused loss+activation), earlier layers the usual chain.
     /// Returns the gradient w.r.t. the network input.
-    pub fn backward_preact_last(&mut self, dz_last: &Matrix) -> Matrix {
-        let dz = self.backward_to_first(dz_last);
-        self.layers[0].backward_preact(&dz)
+    ///
+    /// `x` must be the matrix the last [`Mlp::forward`] ran on: the
+    /// first layer's gradients are taken from it, and a different
+    /// matrix of the same shape would make them wrong without an error
+    /// in a release build (a debug build asserts it).
+    ///
+    /// # Panics
+    /// Panics if called before [`Mlp::forward`].
+    pub fn backward_preact_last(&mut self, x: &Matrix, dz_last: &Matrix) -> Matrix {
+        let dz = self.backward_to_first(x, dz_last);
+        self.layers[0].backward_preact_from(x, &dz)
     }
 
     /// [`Mlp::backward_preact_last`] for a network whose input is data:
     /// the same parameter gradients, and no input gradient computed.
-    pub(crate) fn accumulate_preact_last(&mut self, dz_last: &Matrix) {
-        let dz = self.backward_to_first(dz_last);
-        self.layers[0].accumulate_preact(&dz);
+    pub(crate) fn accumulate_preact_last(&mut self, x: &Matrix, dz_last: &Matrix) {
+        let dz = self.backward_to_first(x, dz_last);
+        self.layers[0].accumulate_preact(x, &dz);
     }
 
     /// Backward through every layer above the first; returns the first
     /// layer's pre-activation gradient.
-    fn backward_to_first<'a>(&mut self, dz_last: &'a Matrix) -> Cow<'a, Matrix> {
+    ///
+    /// # Panics
+    /// Panics if called before [`Mlp::forward`].
+    fn backward_to_first<'a>(&mut self, x: &Matrix, dz_last: &'a Matrix) -> Cow<'a, Matrix> {
+        assert_eq!(
+            self.outputs.len(),
+            self.layers.len(),
+            "Mlp::backward before forward"
+        );
+        debug_assert_eq!(
+            fingerprint(x),
+            self.input,
+            "Mlp::backward on another input than the last forward's"
+        );
         let mut dz = Cow::Borrowed(dz_last);
         for i in (1..self.layers.len()).rev() {
-            let grad = self.layers[i].backward_preact(&dz);
-            dz = Cow::Owned(self.layers[i - 1].preact_grad(&grad));
+            let below = &self.outputs[i - 1];
+            let grad = self.layers[i].backward_preact_from(below, &dz);
+            dz = Cow::Owned(self.layers[i - 1].preact_grad(below, &grad));
         }
         dz
     }
@@ -138,8 +184,19 @@ impl Mlp {
                 ));
             }
         }
-        Ok(Self { layers })
+        Ok(Self::from_checked_layers(layers))
     }
+}
+
+/// A cheap hash (FNV-1a over 32-bit words) of `x`'s shape and bits, to
+/// tell one input from another.
+fn fingerprint(x: &Matrix) -> u64 {
+    let words = [x.rows() as u32, x.cols() as u32].into_iter();
+    words
+        .chain(x.as_slice().iter().map(|v| v.to_bits()))
+        .fold(0xcbf2_9ce4_8422_2325, |h, word| {
+            (h ^ u64::from(word)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }
 
 #[cfg(test)]
@@ -186,7 +243,7 @@ mod tests {
             let y = mlp.forward(&x);
             // Fused sigmoid+BCE gradient: dz = y - t.
             let dz = Matrix::from_fn(4, 1, |r, _| y.get(r, 0) - t[r]);
-            mlp.backward_preact_last(&dz);
+            mlp.backward_preact_last(&x, &dz);
             mlp.step();
         }
         let y = mlp.forward_inference(&x);
@@ -210,7 +267,7 @@ mod tests {
             &mut rng,
         );
         let x = Matrix::from_fn(2, 4, |r, c| (r + c) as f32 * 0.1);
-        let a = mlp.forward(&x);
+        let a = mlp.forward(&x).clone();
         let b = mlp.forward_inference(&x);
         assert_eq!(a, b);
     }
@@ -229,9 +286,9 @@ mod tests {
             for round in 0..3 {
                 let dz = full.forward(&x).map(|v| v - 0.25);
                 assert_eq!(params_only.forward(&x).map(|v| v - 0.25), dz);
-                let dx = full.backward_preact_last(&dz);
+                let dx = full.backward_preact_last(&x, &dz);
                 assert_eq!((dx.rows(), dx.cols()), (5, 10));
-                params_only.accumulate_preact_last(&dz);
+                params_only.accumulate_preact_last(&x, &dz);
                 full.step();
                 params_only.step();
                 for (l, (a, b)) in full.layers().iter().zip(params_only.layers()).enumerate() {
@@ -253,6 +310,23 @@ mod tests {
                 "hidden {hidden:?}: the first layer trained"
             );
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "another input than the last forward's")]
+    fn backward_on_another_input_is_caught_in_debug() {
+        let mut rng = seeded(5);
+        let mut mlp = Mlp::new(
+            &[3, 2],
+            Activation::Relu,
+            Activation::Linear,
+            0.01,
+            &mut rng,
+        );
+        let x = Matrix::from_fn(2, 3, |r, c| (r + c) as f32);
+        let dz = mlp.forward(&x).clone();
+        mlp.backward_preact_last(&x.map(|v| v + 1.0), &dz);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The Adam optimizer (the paper's LSTM snippet compiles with
 //! `optimizer='adam'`).
 
+use crate::kernel::{Kernel, Op};
+
 /// Adam state for one parameter tensor (flattened).
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -32,7 +34,10 @@ impl Adam {
         self.lr
     }
 
-    /// Apply one Adam update: `params -= lr * m̂ / (sqrt(v̂) + ε)`.
+    /// Apply one Adam update: `params -= lr * m̂ / (sqrt(v̂) + ε)`,
+    /// in the kernel's instantiation: every operation of the update is
+    /// correctly rounded, division and `sqrt` included, so the vector
+    /// width changes no parameter.
     ///
     /// # Panics
     /// Panics if `params`/`grads` length differs from the state length.
@@ -42,13 +47,47 @@ impl Adam {
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = self.m[i] / b1t;
-            let v_hat = self.v[i] / b2t;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        Kernel::detect().run(Update {
+            adam: self,
+            bias_corrections: (b1t, b2t),
+            params,
+            grads,
+        });
+    }
+}
+
+/// One [`Adam::step`]'s elementwise loop.
+struct Update<'a> {
+    adam: &'a mut Adam,
+    /// `1 − β₁ᵗ` and `1 − β₂ᵗ`.
+    bias_corrections: (f32, f32),
+    params: &'a mut [f32],
+    grads: &'a [f32],
+}
+
+impl Op for Update<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<const BLOCK: usize, const WIDE: usize>(self) {
+        let Adam {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            m,
+            v,
+            ..
+        } = self.adam;
+        let (lr, beta1, beta2, eps) = (*lr, *beta1, *beta2, *eps);
+        let (b1t, b2t) = self.bias_corrections;
+        let state = m.iter_mut().zip(v.iter_mut());
+        for ((p, &g), (m, v)) in self.params.iter_mut().zip(self.grads).zip(state) {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let m_hat = *m / b1t;
+            let v_hat = *v / b2t;
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 }

@@ -240,7 +240,7 @@ impl ClusterModel {
 }
 
 /// Name of the kernel instantiation predictions and training run on
-/// this CPU: `"avx2"` or `"portable"`.
+/// this CPU: `"avx512"`, `"avx2"` or `"portable"`.
 pub fn kernel_name() -> &'static str {
     Kernel::detect().name()
 }

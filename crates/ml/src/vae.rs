@@ -138,8 +138,7 @@ impl Vae {
         let l = self.cfg.latent_dim;
 
         // --- forward ---
-        let h = self.encoder.forward(x);
-        let (mu, mut logvar) = split_latent(&h, l);
+        let (mu, mut logvar) = split_latent(self.encoder.forward(x), l);
         logvar.map_inplace(|v| v.clamp(-LOGVAR_CLAMP, LOGVAR_CLAMP));
         let sigma = logvar.map(|v| (0.5 * v).exp());
         let mut eps = Matrix::zeros(n, l);
@@ -149,7 +148,7 @@ impl Vae {
         let xhat = self.decoder.forward(&z);
 
         let losses = VaeLosses {
-            recon: loss::bce(&xhat, x),
+            recon: loss::bce(xhat, x),
             kl: self.cfg.beta * loss::kl_gaussian(&mu, &logvar),
         };
 
@@ -157,7 +156,7 @@ impl Vae {
         // Sigmoid + BCE fused gradient wrt decoder pre-activation.
         let inv_n = 1.0 / n as f32;
         let dz_dec = xhat.zip(x, |p, t| (p - t) * inv_n);
-        let mut dz = self.decoder.backward_preact_last(&dz_dec);
+        let mut dz = self.decoder.backward_preact_last(&z, &dz_dec);
         if let Some(extra) = extra_dz(&z) {
             dz.add_assign(&extra);
         }
@@ -171,7 +170,7 @@ impl Vae {
 
         let dh = dmu.hcat(&dlogvar);
         // Encoder output layer is Linear, so output grad == preact grad.
-        self.encoder.accumulate_preact_last(&dh);
+        self.encoder.accumulate_preact_last(x, &dh);
 
         self.decoder.step();
         self.encoder.step();

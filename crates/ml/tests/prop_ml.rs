@@ -99,23 +99,24 @@ proptest! {
     /// Fused-transpose products match materialized transposes, and
     /// `matmul_t` is bit for bit the ascending-`k` fold from `+0.0` of
     /// each element — the order training's weights depend on, whichever
-    /// loop the kernel makes innermost.
+    /// loop the kernel makes innermost — at row counts that make whole
+    /// row blocks and remainders, and at the layers' output widths.
     #[test]
     fn fused_transpose_products(
         a in matrix(4, 3),
         b in matrix(4, 5),
-        rows in 1usize..4,
+        rows in 0usize..=9,
         long in 2usize..12,
-        vals in proptest::collection::vec(signed_or_zero(), (3 + 67) * 11),
+        vals in proptest::collection::vec(signed_or_zero(), (9 + 1024) * 11),
     ) {
         let fused = a.t_matmul(&b);
         let explicit = a.transpose().matmul(&b);
         for (x, y) in fused.as_slice().iter().zip(explicit.as_slice()) {
             prop_assert!((x - y).abs() < 1e-3);
         }
-        let (left, right) = vals.split_at(3 * 11);
+        let (left, right) = vals.split_at(9 * 11);
         for k in [0, 1, long] {
-            for width in [1, 3, 4, 5, 67] {
+            for width in [1, 3, 4, 5, 64, 67, 128, 1024] {
                 let a = Matrix::from_vec(rows, k, left[..rows * k].to_vec());
                 let c = Matrix::from_vec(width, k, right[..width * k].to_vec());
                 let fused2 = a.matmul_t(&c);

@@ -100,7 +100,7 @@ impl DeviceConfig {
         if self.block_bytes == 0 {
             return Err(SimError::InvalidConfig("block_bytes must be > 0".into()));
         }
-        if self.segment_bytes % self.cache_line_bytes != 0
+        if !self.segment_bytes.is_multiple_of(self.cache_line_bytes)
             && self.segment_bytes > self.cache_line_bytes
         {
             return Err(SimError::InvalidConfig(format!(
@@ -108,7 +108,7 @@ impl DeviceConfig {
                 self.segment_bytes, self.cache_line_bytes
             )));
         }
-        if self.block_bytes % self.cache_line_bytes != 0 {
+        if !self.block_bytes.is_multiple_of(self.cache_line_bytes) {
             return Err(SimError::InvalidConfig(format!(
                 "block_bytes ({}) must be a multiple of cache_line_bytes ({})",
                 self.block_bytes, self.cache_line_bytes

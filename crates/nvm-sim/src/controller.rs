@@ -279,9 +279,8 @@ impl MemoryController {
     /// Write a full logical segment.
     pub fn write(&mut self, logical: LogicalSegment, data: &[u8]) -> Result<WriteReport> {
         let phys = self.physical(logical)?;
-        let mut report = self.device.write(phys, data).map_err(|e| {
-            self.journal_write_error(&e);
-            e
+        let mut report = self.device.write(phys, data).inspect_err(|e| {
+            self.journal_write_error(e);
         })?;
         self.run_wear_leveling(phys, &mut report);
         Ok(report)
@@ -295,9 +294,8 @@ impl MemoryController {
         data: &[u8],
     ) -> Result<WriteReport> {
         let phys = self.physical(logical)?;
-        let mut report = self.device.write_at(phys, offset, data).map_err(|e| {
-            self.journal_write_error(&e);
-            e
+        let mut report = self.device.write_at(phys, offset, data).inspect_err(|e| {
+            self.journal_write_error(e);
         })?;
         self.run_wear_leveling(phys, &mut report);
         Ok(report)

@@ -832,7 +832,11 @@ mod tests {
         let seg = dev.segment(0);
         let mut writes = 0u64;
         let death = loop {
-            let pattern = if writes % 2 == 0 { 0xFFu8 } else { 0x00u8 };
+            let pattern = if writes.is_multiple_of(2) {
+                0xFFu8
+            } else {
+                0x00u8
+            };
             match dev.write(seg, &vec![pattern; 256]) {
                 Ok(_) => writes += 1,
                 Err(e) => break e,
@@ -887,7 +891,7 @@ mod tests {
                     let mut d = vec![0u8; 256];
                     d[0] = (n % 2) as u8;
                     d
-                } else if n % 2 == 0 {
+                } else if n.is_multiple_of(2) {
                     vec![0xFFu8; 256]
                 } else {
                     vec![0x00u8; 256]

@@ -95,7 +95,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Count one write; true when the period ψ has just elapsed.
 fn tick(writes: &mut u64, psi: u64) -> bool {
     *writes += 1;
-    *writes % psi == 0
+    (*writes).is_multiple_of(psi)
 }
 
 impl WearPolicy {

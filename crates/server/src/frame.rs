@@ -1092,7 +1092,7 @@ mod tests {
         ] {
             let mut bytes = Vec::new();
             put_header(&mut bytes, body_len, op as u8, 0);
-            bytes.extend(std::iter::repeat(0u8).take(body_len));
+            bytes.extend(std::iter::repeat_n(0u8, body_len));
             let mut dec = FrameDecoder::new(DEFAULT_MAX_BODY);
             dec.extend(&bytes);
             let frame = dec.next_frame().unwrap().unwrap();

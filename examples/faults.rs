@@ -85,7 +85,7 @@ fn main() {
                 break;
             }
         }
-        if writes % 400 == 0 {
+        if writes.is_multiple_of(400) {
             println!(
                 "  {writes:>5} writes served, {} of {SEGMENTS} segments retired",
                 store.retired_count()

@@ -27,7 +27,7 @@ fn value_for(key: u64, version: u32) -> Vec<u8> {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let noise = ((state >> 33) % 19 == 0) as u8 * (state >> 40) as u8;
+            let noise = (state >> 33).is_multiple_of(19) as u8 * (state >> 40) as u8;
             (class * 25).wrapping_add((i as u8) / 16) ^ noise
         })
         .collect()

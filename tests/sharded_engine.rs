@@ -61,7 +61,7 @@ fn sharded(num_shards: usize, total_segments: usize) -> ShardedEngine {
 /// Two-family values keyed by parity, so placement always has a close
 /// cluster and neither cluster drains.
 fn value_for(key: u64, tag: u8) -> Vec<u8> {
-    let base = if key % 2 == 0 { 0x00u8 } else { 0xFF };
+    let base = if key.is_multiple_of(2) { 0x00u8 } else { 0xFF };
     let mut v = vec![base; 24];
     v[0] = tag;
     v

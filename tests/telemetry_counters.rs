@@ -68,7 +68,7 @@ fn sharded_engine(num_shards: usize, total_segments: usize) -> ShardedEngine {
 }
 
 fn value_for(key: u64, tag: u8) -> Vec<u8> {
-    let base = if key % 2 == 0 { 0x00u8 } else { 0xFF };
+    let base = if key.is_multiple_of(2) { 0x00u8 } else { 0xFF };
     let mut v = vec![base; 24];
     v[0] = tag;
     v
