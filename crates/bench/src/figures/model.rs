@@ -6,7 +6,7 @@ use crate::Scale;
 use e2nvm_core::{kselect, E2Config, PaddingLocation, PaddingType};
 use e2nvm_ml::data::segments_to_matrix;
 use e2nvm_ml::rng::seeded;
-use e2nvm_ml::{ClusterModel, DecConfig, KMeans, Pca, VaeConfig};
+use e2nvm_ml::{BitMatrix, ClusterModel, DecConfig, KMeans, Pca, VaeConfig};
 use e2nvm_sim::bitops::hamming;
 use e2nvm_sim::EnergyParams;
 use e2nvm_workloads::DatasetKind;
@@ -117,7 +117,8 @@ pub fn fig04(scale: Scale) -> Table {
             kmeans_iters: 25,
         };
         let t0 = Instant::now();
-        let (model, _) = ClusterModel::train(&dec_cfg, &features, None, &mut rng);
+        let (model, _) =
+            ClusterModel::train(&dec_cfg, &BitMatrix::from_segments(&items), None, &mut rng);
         let vae_ms = t0.elapsed().as_secs_f64() * 1e3;
         let assignments = model.predict_batch(&features);
         let vae_flips = expected_flips(&items, &assignments, &test, |item| {
@@ -265,7 +266,7 @@ pub fn fig18(scale: Scale) -> Table {
     for &n in &counts {
         let mut rng = seeded(0x000F_1618 ^ n as u64);
         let items = DatasetKind::ImagenetLike.generate_sized(n, segment_bytes, &mut rng);
-        let features = segments_to_matrix(&items);
+        let features = BitMatrix::from_segments(&items);
         let mut vae = e2nvm_ml::Vae::new(
             VaeConfig {
                 input_dim: segment_bytes * 8,

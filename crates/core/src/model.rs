@@ -5,7 +5,7 @@ use crate::config::E2Config;
 use crate::padding::Padder;
 use e2nvm_ml::data::{subsample_segments, train_val_split};
 use e2nvm_ml::persist::{Persist, PersistError, Reader, Writer};
-use e2nvm_ml::{ClusterModel, Matrix, PredictScratch, TrainingHistory};
+use e2nvm_ml::{BitMatrix, ClusterModel, PredictScratch, TrainingHistory};
 use rand::Rng;
 
 /// Caller-owned buffers of the serving path ([`E2Model::order_into`],
@@ -27,9 +27,10 @@ pub struct E2Model {
 }
 
 impl E2Model {
-    /// Train on a snapshot of memory-segment contents. Honors the
-    /// config's `train_sample_cap` and holds out 10 % for validation
-    /// loss curves.
+    /// Train on a snapshot of memory-segment contents, handed to the
+    /// trainer as packed rows of bits. Honors the config's
+    /// `train_sample_cap` and holds out 10 % for validation loss
+    /// curves.
     ///
     /// # Panics
     /// Panics if `contents` is empty or segment sizes disagree with the
@@ -42,7 +43,7 @@ impl E2Model {
         );
         let capped = subsample_segments(contents, cfg.train_sample_cap, rng);
         let (train, val) = train_val_split(&capped, 0.1, rng);
-        let val_opt: Option<&Matrix> = (val.rows() > 0).then_some(&val);
+        let val_opt: Option<&BitMatrix> = (val.rows() > 0).then_some(&val);
         let (cluster, history) = ClusterModel::train(&cfg.dec_config(), &train, val_opt, rng);
         Self {
             cluster,

@@ -1,5 +1,7 @@
 //! Activation functions and their derivatives.
 
+use crate::kernel::{Kernel, Op};
+use crate::libm::{exp_lanes, expf, map_lanes};
 use serde::{Deserialize, Serialize};
 
 /// Supported layer activations.
@@ -30,8 +32,9 @@ impl Activation {
     /// `z = f(z + bias)` element by element — [`Activation::apply`] with
     /// the variant matched once, outside the loop: each arm is
     /// straight-line code that vectorises, where matching per element
-    /// is a jump table inside the loop.
-    pub(crate) fn apply_biased(self, bias: &[f32], z: &mut [f32]) {
+    /// is a jump table inside the loop. The sigmoid's `exp` runs in
+    /// `kernel`'s lanes ([`crate::libm`]), to the same bits.
+    pub(crate) fn apply_biased(self, kernel: Kernel, bias: &[f32], z: &mut [f32]) {
         #[inline(always)]
         fn each(f: Activation, bias: &[f32], z: &mut [f32]) {
             for (z, b) in z.iter_mut().zip(bias) {
@@ -41,7 +44,7 @@ impl Activation {
         match self {
             Activation::Linear => each(Activation::Linear, bias, z),
             Activation::Relu => each(Activation::Relu, bias, z),
-            Activation::Sigmoid => each(Activation::Sigmoid, bias, z),
+            Activation::Sigmoid => kernel.run(SigmoidBiased { bias, z }),
             Activation::Tanh => each(Activation::Tanh, bias, z),
         }
     }
@@ -71,17 +74,57 @@ impl Activation {
 /// `exp(x)` on the second, the same calls the two formulas make — and
 /// the numerator is picked with a select on `x ≥ 0` instead of a
 /// branch, which a layer's outputs of either sign would mispredict.
-/// `-0.0` takes the `x ≥ 0` side.
+/// `-0.0` takes the `x ≥ 0` side. The `exp` is the crate's own, a port
+/// of glibc's `expf`: the same bits on every host.
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
-    let e = (-x.abs()).exp();
+    let e = expf(-x.abs());
     let numerator = if x >= 0.0 { 1.0 } else { e };
     numerator / (1.0 + e)
+}
+
+/// [`Activation::apply_biased`]'s sigmoid: [`sigmoid`] of `z + bias`,
+/// in blocks of [`SIGMOID_BLOCK`] elements, each in three loops that
+/// vectorise on their own — `−|x|`, its `exp` in `LANES`-wide lanes,
+/// the quotient — where one loop over all three compiles to narrower
+/// vectors with scalar table loads.
+struct SigmoidBiased<'a> {
+    bias: &'a [f32],
+    z: &'a mut [f32],
+}
+
+/// Elements per block of [`SigmoidBiased`]: a multiple of every
+/// instantiation's lanes, so only a row's last block has lanes over.
+const SIGMOID_BLOCK: usize = 64;
+
+impl Op for SigmoidBiased<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<const BLOCK: usize, const WIDE: usize, const LANES: usize>(self) {
+        let n = self.z.len().min(self.bias.len());
+        let blocks = self.z[..n].chunks_mut(SIGMOID_BLOCK);
+        for (z, bias) in blocks.zip(self.bias.chunks(SIGMOID_BLOCK)) {
+            let mut x = [0.0f32; SIGMOID_BLOCK];
+            let mut e = [0.0f32; SIGMOID_BLOCK];
+            let (x, e) = (&mut x[..z.len()], &mut e[..z.len()]);
+            for (((x, e), &z), &b) in x.iter_mut().zip(e.iter_mut()).zip(&*z).zip(bias) {
+                *x = z + b;
+                *e = -x.abs();
+            }
+            map_lanes(e, exp_lanes::<LANES>, expf);
+            for ((z, &x), &e) in z.iter_mut().zip(&*x).zip(&*e) {
+                let numerator = if x >= 0.0 { 1.0 } else { e };
+                *z = numerator / (1.0 + e);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     #[test]
     fn sigmoid_basics() {
@@ -100,9 +143,9 @@ mod tests {
     fn sigmoid_equals_the_two_branch_form_exactly() {
         let two_branch = |x: f32| {
             if x >= 0.0 {
-                1.0 / (1.0 + (-x).exp())
+                1.0 / (1.0 + expf(-x))
             } else {
-                let e = x.exp();
+                let e = expf(x);
                 e / (1.0 + e)
             }
         };
@@ -127,6 +170,36 @@ mod tests {
                 got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
                 "sigmoid({x:e}) is {got:e}, the two-branch form says {want:e}"
             );
+        }
+    }
+
+    /// The biased sigmoid of a row, in every instantiation's lanes, is
+    /// [`sigmoid`] of each `z + b` to the bit — at widths that leave
+    /// lanes over, with inputs past `exp`'s thresholds in some lanes.
+    #[test]
+    fn biased_sigmoid_lanes_are_the_scalar_sigmoid() {
+        let mut rng = crate::rng::seeded(0x5161);
+        for width in [0, 1, 3, 4, 7, 8, 9, 17, 64, 1024] {
+            let bias: Vec<f32> = (0..width).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let z: Vec<f32> = (0..width)
+                .map(|i| match i % 11 {
+                    3 => 100.0,
+                    5 => -200.0,
+                    7 => f32::NAN,
+                    _ => rng.gen_range(-30.0..30.0),
+                })
+                .collect();
+            let want: Vec<u32> = z
+                .iter()
+                .zip(&bias)
+                .map(|(z, b)| sigmoid(z + b).to_bits())
+                .collect();
+            for kernel in Kernel::instantiations() {
+                let mut got = z.clone();
+                Activation::Sigmoid.apply_biased(kernel, &bias, &mut got);
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "width {width}, {}", kernel.name());
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! Data plumbing: bytes → bit features, train/validation splits, and
 //! simple feature matrices from memory-segment snapshots.
 
+use crate::bits::BitMatrix;
 use crate::matrix::Matrix;
 use rand::Rng;
 
@@ -65,7 +66,11 @@ pub fn segments_to_matrix(segments: &[impl AsRef<[u8]>]) -> Matrix {
 
 /// Shuffled train/validation split: `val_frac` of rows go to the
 /// validation matrix.
-pub fn train_val_split<R: Rng>(data: &Matrix, val_frac: f32, rng: &mut R) -> (Matrix, Matrix) {
+pub fn train_val_split<R: Rng>(
+    data: &BitMatrix,
+    val_frac: f32,
+    rng: &mut R,
+) -> (BitMatrix, BitMatrix) {
     assert!((0.0..1.0).contains(&val_frac), "val_frac must be in [0,1)");
     let n = data.rows();
     let mut idx: Vec<usize> = (0..n).collect();
@@ -77,19 +82,18 @@ pub fn train_val_split<R: Rng>(data: &Matrix, val_frac: f32, rng: &mut R) -> (Ma
     (data.select_rows(train_idx), data.select_rows(val_idx))
 }
 
-/// [`segments_to_matrix`] over at most `max_rows` of the segments, drawn
-/// uniformly without replacement (bounds training-set size on large
-/// pools). The rows are chosen before any is converted, so a pool of
-/// any size costs `max_rows` rows of floats. Every segment in order, and
-/// no RNG draw, when there are no more than `max_rows`.
+/// At most `max_rows` of the segments as rows of bits, drawn uniformly
+/// without replacement (bounds training-set size on large pools). Every
+/// segment in order, and no RNG draw, when there are no more than
+/// `max_rows`.
 pub fn subsample_segments<R: Rng>(
     segments: &[impl AsRef<[u8]>],
     max_rows: usize,
     rng: &mut R,
-) -> Matrix {
+) -> BitMatrix {
     let n = segments.len();
     if n <= max_rows {
-        return segments_to_matrix(segments);
+        return BitMatrix::from_segments(segments);
     }
     let mut idx: Vec<usize> = (0..n).collect();
     for i in 0..max_rows {
@@ -100,7 +104,7 @@ pub fn subsample_segments<R: Rng>(
         .iter()
         .map(|&i| segments[i].as_ref())
         .collect();
-    segments_to_matrix(&chosen)
+    BitMatrix::from_segments(&chosen)
 }
 
 #[cfg(test)]
@@ -139,23 +143,44 @@ mod tests {
     #[test]
     fn split_partitions_rows() {
         let mut rng = seeded(1);
-        let data = Matrix::from_fn(100, 4, |r, _| r as f32);
+        let data = BitMatrix::from_segments(&numbered_segments(100));
         let (train, val) = train_val_split(&data, 0.2, &mut rng);
         assert_eq!(train.rows(), 80);
         assert_eq!(val.rows(), 20);
-        // Every original row id appears exactly once across both.
-        let mut seen: Vec<f32> = train
-            .as_slice()
-            .iter()
-            .chain(val.as_slice())
-            .copied()
-            .collect::<Vec<_>>()
-            .chunks(4)
-            .map(|c| c[0])
+        // Every original row appears exactly once across both.
+        let mut seen: Vec<&[u8]> = (0..train.rows())
+            .map(|r| train.row(r))
+            .chain((0..val.rows()).map(|r| val.row(r)))
             .collect();
-        seen.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let expect: Vec<f32> = (0..100).map(|v| v as f32).collect();
+        seen.sort_unstable();
+        let expect: Vec<&[u8]> = (0..100).map(|r| data.row(r)).collect();
         assert_eq!(seen, expect);
+    }
+
+    /// The split of bits is the split of their floats it replaced:
+    /// the same draws, the same rows on each side in the same order.
+    #[test]
+    fn split_of_bits_equals_the_split_of_floats() {
+        fn split_rows<R: Rng>(data: &Matrix, val_frac: f32, rng: &mut R) -> (Matrix, Matrix) {
+            let n = data.rows();
+            let mut idx: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                idx.swap(i, rng.gen_range(0..=i));
+            }
+            let n_val = ((n as f32) * val_frac).round() as usize;
+            let (val_idx, train_idx) = idx.split_at(n_val.min(n));
+            (data.select_rows(train_idx), data.select_rows(val_idx))
+        }
+        let segments = numbered_segments(97);
+        let bits = BitMatrix::from_segments(&segments);
+        for frac in [0.0, 0.1, 0.5] {
+            let (mut a, mut b) = (seeded(8), seeded(8));
+            let (train, val) = train_val_split(&bits, frac, &mut a);
+            let (train_f, val_f) = split_rows(&segments_to_matrix(&segments), frac, &mut b);
+            assert_eq!(train.to_features(), train_f, "fraction {frac}");
+            assert_eq!(val.to_features(), val_f, "fraction {frac}");
+            assert_eq!(a, b, "fraction {frac}: same RNG state afterwards");
+        }
     }
 
     /// One distinct two-byte segment per index.
@@ -170,7 +195,7 @@ mod tests {
         assert_eq!(subsample_segments(&segments, 10, &mut rng).rows(), 10);
         let before = rng.clone();
         let all = subsample_segments(&segments, 100, &mut rng);
-        assert_eq!(all, segments_to_matrix(&segments));
+        assert_eq!(all, BitMatrix::from_segments(&segments));
         assert_eq!(rng, before, "nothing to drop, nothing drawn");
     }
 
@@ -178,7 +203,7 @@ mod tests {
     fn subsample_has_no_duplicates() {
         let mut rng = seeded(3);
         let s = subsample_segments(&numbered_segments(30), 20, &mut rng);
-        let mut rows: Vec<Vec<u8>> = (0..s.rows()).map(|r| features_to_bytes(s.row(r))).collect();
+        let mut rows: Vec<&[u8]> = (0..s.rows()).map(|r| s.row(r)).collect();
         rows.sort_unstable();
         rows.dedup();
         assert_eq!(rows.len(), 20);
@@ -203,7 +228,7 @@ mod tests {
         let segments = numbered_segments(300);
         for cap in [1, 17, 299, 300, 301] {
             let (mut a, mut b) = (seeded(4), seeded(4));
-            let new = subsample_segments(&segments, cap, &mut a);
+            let new = subsample_segments(&segments, cap, &mut a).to_features();
             let old = subsample_rows(&segments_to_matrix(&segments), cap, &mut b);
             assert_eq!(new, old, "cap {cap}: same rows in the same order");
             assert_eq!(a, b, "cap {cap}: same RNG state afterwards");

@@ -16,6 +16,7 @@
 //! encoder part of the VAE and the K-means clustering models are
 //! needed").
 
+use crate::bits::BitMatrix;
 use crate::data::features_to_bytes;
 use crate::kmeans::KMeans;
 use crate::matrix::Matrix;
@@ -76,12 +77,12 @@ pub struct ClusterModel {
 }
 
 impl ClusterModel {
-    /// Train on `data` (rows = samples of bit features in `[0, 1]`),
-    /// optionally tracking validation loss on `validation`.
+    /// Train on `data` (rows = samples of packed bits), optionally
+    /// tracking validation loss on `validation`.
     pub fn train<R: Rng>(
         cfg: &DecConfig,
-        data: &Matrix,
-        validation: Option<&Matrix>,
+        data: &BitMatrix,
+        validation: Option<&BitMatrix>,
         rng: &mut R,
     ) -> (Self, TrainingHistory) {
         assert!(data.rows() > 0, "ClusterModel::train: empty data");
@@ -98,7 +99,7 @@ impl ClusterModel {
         }
 
         // Phase 2: joint fine-tuning.
-        let z = vae.latent(data);
+        let z = vae.latent_bits(data);
         let mut fit = KMeans::fit(&z, cfg.k, cfg.kmeans_iters, rng);
         history.sse.push(fit.sse);
         for _ in 0..cfg.joint_epochs {
@@ -142,7 +143,7 @@ impl ClusterModel {
             if let Some(v) = validation {
                 history.validation.push(vae.evaluate(v));
             }
-            let z = vae.latent(data);
+            let z = vae.latent_bits(data);
             fit = KMeans::fit(&z, cfg.k, cfg.kmeans_iters, rng);
             history.sse.push(fit.sse);
         }
@@ -280,7 +281,8 @@ mod tests {
     fn clusters_align_with_classes() {
         let mut rng = seeded(11);
         let (data, labels) = three_class_bits(60, 48, &mut rng);
-        let (model, history) = ClusterModel::train(&quick_cfg(48, 3), &data, None, &mut rng);
+        let bits = BitMatrix::from_features(&data);
+        let (model, history) = ClusterModel::train(&quick_cfg(48, 3), &bits, None, &mut rng);
         let preds = model.predict_batch(&data);
         // Majority label purity: each ground-truth class should map
         // dominantly to one cluster.
@@ -308,6 +310,10 @@ mod tests {
         let mut cfg = quick_cfg(32, 3);
         cfg.pretrain_epochs = 4;
         cfg.joint_epochs = 2;
+        let (data, val) = (
+            BitMatrix::from_features(&data),
+            BitMatrix::from_features(&val),
+        );
         let (_, history) = ClusterModel::train(&cfg, &data, Some(&val), &mut rng);
         assert_eq!(history.validation.len(), 6);
         assert_eq!(history.sse.len(), 3);
@@ -320,7 +326,8 @@ mod tests {
         let mut cfg = quick_cfg(32, 3);
         cfg.pretrain_epochs = 3;
         cfg.joint_epochs = 1;
-        let (model, _) = ClusterModel::train(&cfg, &data, None, &mut rng);
+        let (model, _) =
+            ClusterModel::train(&cfg, &BitMatrix::from_features(&data), None, &mut rng);
         let batch = model.predict_batch(&data);
         for (r, expected) in batch.iter().enumerate() {
             assert_eq!(model.predict(data.row(r)), *expected);
@@ -331,6 +338,7 @@ mod tests {
     fn joint_training_reduces_sse() {
         let mut rng = seeded(14);
         let (data, _) = three_class_bits(60, 48, &mut rng);
+        let data = BitMatrix::from_features(&data);
         let (_, history) = ClusterModel::train(&quick_cfg(48, 3), &data, None, &mut rng);
         let first = history.sse.first().copied().unwrap();
         let last = history.sse.last().copied().unwrap();
@@ -350,7 +358,8 @@ mod tests {
         let mut cfg = quick_cfg(32, 3);
         cfg.pretrain_epochs = 1;
         cfg.joint_epochs = 1;
-        let (model, _) = ClusterModel::train(&cfg, &data, None, &mut rng);
+        let (model, _) =
+            ClusterModel::train(&cfg, &BitMatrix::from_features(&data), None, &mut rng);
         assert_eq!(model.k(), 3);
         assert_eq!(model.input_dim(), 32);
         assert!(model.predict_macs() > 0);

@@ -2,10 +2,20 @@
 //! embedded Adam optimizer.
 
 use crate::activation::Activation;
+use crate::bits::{BitBatch, SetBits};
+use crate::kernel::{Kernel, Op};
 use crate::matrix::Matrix;
 use crate::optim::Adam;
 use crate::rng;
 use rand::Rng;
+
+/// A layer's input: a float matrix, or rows of packed bits — a
+/// network's data, read in place.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Input<'a> {
+    Floats(&'a Matrix),
+    Bits(BitBatch<'a>),
+}
 
 /// A dense layer `y = act(x·W + b)` over batched row-vector inputs.
 #[derive(Debug, Clone)]
@@ -91,9 +101,28 @@ impl Dense {
 
     /// Forward pass without caching (serving path).
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let mut z = x.matmul(&self.w);
+        self.forward_input(Input::Floats(x))
+    }
+
+    /// [`Dense::forward_inference`] of either kind of input. A row of
+    /// bits takes the weight rows of its set bits, in ascending index
+    /// from `+0.0` — `x.matmul(&self.w)` of the bits as floats, bit for
+    /// bit (the kernel's compaction clause: what a row of bits is
+    /// compacted to).
+    pub(crate) fn forward_input(&self, x: Input<'_>) -> Matrix {
+        let kernel = Kernel::detect();
+        let mut z = match x {
+            Input::Floats(x) => x.matmul(&self.w),
+            Input::Bits(x) => {
+                let mut z = Matrix::zeros(x.len(), self.out_dim());
+                for r in 0..x.len() {
+                    kernel.add_rows(&self.w, SetBits::new(x.row(r), 0), z.row_mut(r));
+                }
+                z
+            }
+        };
         for r in 0..z.rows() {
-            self.act.apply_biased(&self.b, z.row_mut(r));
+            self.act.apply_biased(kernel, &self.b, z.row_mut(r));
         }
         z
     }
@@ -139,15 +168,34 @@ impl Dense {
     /// [`Dense::backward_preact`] of a forward pass on `x` whose input
     /// the caller kept.
     pub(crate) fn backward_preact_from(&mut self, x: &Matrix, dz: &Matrix) -> Matrix {
-        self.accumulate_preact(x, dz);
+        self.accumulate_preact(Input::Floats(x), dz);
         dz.matmul_t(&self.w)
     }
 
     /// The parameter-gradient half of [`Dense::backward_preact_from`],
     /// for a layer whose input gradient nobody reads (a network's
-    /// first). The weight gradient takes `xᵀ · dz` folded in place.
-    pub(crate) fn accumulate_preact(&mut self, x: &Matrix, dz: &Matrix) {
-        self.w_grad.add_t_matmul(x, dz);
+    /// first). The weight gradient takes `xᵀ · dz` folded in place. Of
+    /// bits, that is each batch row's `dz` added to the gradient rows of
+    /// its set bits, the batch rows in ascending order: every element
+    /// continues its fold over the rows whose bit is set, ascending, as
+    /// the float product's compacted walk does — bit for bit, without
+    /// the transpose.
+    pub(crate) fn accumulate_preact(&mut self, x: Input<'_>, dz: &Matrix) {
+        match x {
+            Input::Floats(x) => self.w_grad.add_t_matmul(x, dz),
+            Input::Bits(x) => {
+                assert_eq!(
+                    (x.len(), x.cols(), dz.cols()),
+                    (dz.rows(), self.in_dim(), self.out_dim()),
+                    "accumulate_preact: bits and gradient disagree"
+                );
+                Kernel::detect().run(ScatterRows {
+                    x,
+                    dz,
+                    grad: &mut self.w_grad,
+                });
+            }
+        }
         for (g, s) in self.b_grad.iter_mut().zip(dz.col_sums()) {
             *g += s;
         }
@@ -197,6 +245,31 @@ impl Dense {
             w: weights,
             b: bias,
             act,
+        }
+    }
+}
+
+/// [`Dense::accumulate_preact`]'s loop over bits: `grad[i] += dz[r]`
+/// for every set bit `i` of batch row `r`, `r` ascending.
+struct ScatterRows<'a> {
+    x: BitBatch<'a>,
+    dz: &'a Matrix,
+    grad: &'a mut Matrix,
+}
+
+impl Op for ScatterRows<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<const BLOCK: usize, const WIDE: usize, const LANES: usize>(self) {
+        let ScatterRows { x, dz, grad } = self;
+        for r in 0..x.len() {
+            let d = dz.row(r);
+            for (i, _) in SetBits::new(x.row(r), 0) {
+                for (g, &d) in grad.row_mut(i).iter_mut().zip(d) {
+                    *g += d;
+                }
+            }
         }
     }
 }
@@ -289,6 +362,68 @@ mod tests {
             last = total;
         }
         assert!(last < first.unwrap() * 0.01, "first={first:?} last={last}");
+    }
+
+    /// Over rows of bits — picked out of order, as a training batch
+    /// is — a layer computes the float path's outputs and weight
+    /// gradient to the bit: empty to full rows, finite and infinite
+    /// weights, gradients with zeros of both signs and infinities.
+    #[test]
+    fn bits_take_the_float_paths_exactly() {
+        let same = |a: &[f32], b: &[f32]| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+        };
+        let mut rng = seeded(7);
+        for (rows, bytes, out) in [(1, 1, 1), (5, 3, 7), (9, 16, 20), (64, 128, 64)] {
+            for density in [0.0, 0.2, 0.6, 1.0] {
+                for (act, inf) in [
+                    (Activation::Relu, false),
+                    (Activation::Sigmoid, false),
+                    (Activation::Linear, true),
+                ] {
+                    let what = format!("{rows}x{bytes} bytes, {out} out, {density}, {act:?}");
+                    let segments: Vec<Vec<u8>> = (0..rows + 3)
+                        .map(|_| {
+                            let mut bit = |_| u8::from(rng.gen::<f32>() < density);
+                            (0..bytes)
+                                .map(|_| (0..8).fold(0, |b, i| b << 1 | bit(i)))
+                                .collect()
+                        })
+                        .collect();
+                    let all = crate::bits::BitMatrix::from_segments(&segments);
+                    let pick: Vec<usize> = (0..rows).map(|r| (r * 7 + 2) % (rows + 3)).collect();
+                    let floats = all.to_features().select_rows(&pick);
+                    let mut layer = Dense::new(8 * bytes, out, act, 0.01, &mut rng);
+                    if inf {
+                        layer.w.set(0, 0, f32::INFINITY);
+                        layer.w.set(8 * bytes - 1, out - 1, f32::NEG_INFINITY);
+                    }
+                    let by_bits = layer.forward_input(Input::Bits(all.pick(&pick)));
+                    let by_floats = layer.forward_inference(&floats);
+                    assert!(
+                        same(by_bits.as_slice(), by_floats.as_slice()),
+                        "forward, {what}"
+                    );
+                    let dz = Matrix::from_fn(rows, out, |r, c| match (r * 5 + c) % 9 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 if inf => f32::INFINITY,
+                        _ => rng.gen_range(-1.0..1.0),
+                    });
+                    let (mut a, mut b) = (layer.clone(), layer);
+                    a.accumulate_preact(Input::Bits(all.pick(&pick)), &dz);
+                    b.accumulate_preact(Input::Floats(&floats), &dz);
+                    assert!(
+                        same(a.w_grad.as_slice(), b.w_grad.as_slice()),
+                        "gradient, {what}"
+                    );
+                    assert!(same(&a.b_grad, &b.b_grad), "bias gradient, {what}");
+                }
+            }
+        }
     }
 
     #[test]

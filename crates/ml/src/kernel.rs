@@ -62,11 +62,12 @@ pub(crate) struct Kernel {
 
 /// A loop [`Kernel::run`] compiles once per instantiation. `BLOCK` is
 /// the widest column tile of a row block ([`ROWS`] rows; `0`: no row
-/// blocks), `WIDE` the widest column tile of one row's walk; an
-/// elementwise loop ignores both.
+/// blocks), `WIDE` the widest column tile of one row's walk, `LANES`
+/// the `f64` lanes of one vector register with `fma` (`1`: none) — the
+/// width [`crate::libm`]'s lane functions run at.
 pub(crate) trait Op {
     type Out;
-    fn run<const BLOCK: usize, const WIDE: usize>(self) -> Self::Out;
+    fn run<const BLOCK: usize, const WIDE: usize, const LANES: usize>(self) -> Self::Out;
 }
 
 /// Rows per row block. Fixed, and spelled out in [`add_block`]: a loop
@@ -83,7 +84,9 @@ impl Kernel {
         #[cfg(target_arch = "x86_64")]
         let isa = if std::arch::is_x86_feature_detected!("avx512f") {
             Isa::Avx512
-        } else if std::arch::is_x86_feature_detected!("avx2") {
+        } else if std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma")
+        {
             Isa::Avx2
         } else {
             Isa::Portable
@@ -108,36 +111,41 @@ impl Kernel {
         #[cfg(target_arch = "x86_64")]
         {
             /// A block of four rows by sixty-four columns is sixteen
-            /// `zmm` registers of sums; one row's tile is four.
+            /// `zmm` registers of sums; one row's tile is four. A `zmm`
+            /// holds eight `f64` lanes (AVX-512F has `fma`).
             ///
             /// # Safety
             /// The CPU must support AVX-512F.
             #[target_feature(enable = "avx512f")]
             unsafe fn avx512<O: Op>(op: O) -> O::Out {
-                op.run::<64, 64>()
+                op.run::<64, 64, 8>()
             }
             /// A block of four rows by sixteen columns, and one row's
-            /// sixty-four, are eight `ymm` registers of sums.
+            /// sixty-four, are eight `ymm` registers of sums. A `ymm`
+            /// holds four `f64` lanes.
             ///
             /// # Safety
-            /// The CPU must support AVX2.
-            #[target_feature(enable = "avx2")]
+            /// The CPU must support AVX2 and FMA.
+            #[target_feature(enable = "avx2,fma")]
             unsafe fn avx2<O: Op>(op: O) -> O::Out {
-                op.run::<16, 64>()
+                op.run::<16, 64, 4>()
             }
             match self.isa {
                 // SAFETY: `Isa::Avx512` is only ever set after
                 // `is_x86_feature_detected!("avx512f")`.
                 Isa::Avx512 => return unsafe { avx512(op) },
-                // SAFETY: as above, after `is_x86_feature_detected!("avx2")`.
+                // SAFETY: as above, after `is_x86_feature_detected!`
+                // of both "avx2" and "fma".
                 Isa::Avx2 => return unsafe { avx2(op) },
                 Isa::Portable => {}
             }
         }
         // One row's thirty-two columns are eight 128-bit registers of
         // sums. No row blocks: with these few registers they gain
-        // nothing measurable.
-        op.run::<0, 32>()
+        // nothing measurable. No `fma` either, so one lane: the scalar
+        // functions, whose `mul_add`s are library calls on x86-64 here
+        // (about 1.5× the training time; OPERATIONS.md §6).
+        op.run::<0, 32, 1>()
     }
 
     /// `out += Σ a · W[i]` over `inputs`' `(i, a)` in their order,
@@ -188,7 +196,7 @@ impl<I: Iterator<Item = (usize, f32)> + Clone> Op for AddRows<'_, I> {
     type Out = ();
 
     #[inline(always)]
-    fn run<const BLOCK: usize, const WIDE: usize>(self) {
+    fn run<const BLOCK: usize, const WIDE: usize, const LANES: usize>(self) {
         add_tiles::<WIDE>(self.w, self.inputs, self.out);
     }
 }
@@ -209,7 +217,7 @@ impl Op for Gemm<'_> {
     /// would be a NaN; add-only, row by row, if its non-zeros are all
     /// `1.0`.
     #[inline(always)]
-    fn run<const BLOCK: usize, const WIDE: usize>(self) {
+    fn run<const BLOCK: usize, const WIDE: usize, const LANES: usize>(self) {
         let Gemm { a, w, out } = self;
         let mut slots = Vec::new();
         let mut finite = None;
@@ -409,7 +417,9 @@ impl Kernel {
         let mut all = vec![Kernel::portable()];
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2") {
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
                 all.push(Kernel { isa: Isa::Avx2 });
             }
             if std::arch::is_x86_feature_detected!("avx512f") {

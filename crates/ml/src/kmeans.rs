@@ -144,15 +144,38 @@ pub(crate) fn dist2(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
 }
 
+/// The nearest centroid and its squared distance: the least
+/// [`distance_key`], ties to the lower index — so the first cluster of
+/// [`KMeans::clusters_by_distance`] and of the serving kernel's order,
+/// NaN and infinite distances included (`(0, ∞)` without centroids).
 fn nearest(centroids: &Matrix, x: &[f32]) -> (usize, f32) {
-    let mut best = (0usize, f32::INFINITY);
+    let mut best = (0usize, f32::INFINITY, u32::MAX);
     for c in 0..centroids.rows() {
         let d = dist2(centroids.row(c), x);
-        if d < best.1 {
-            best = (c, d);
+        let key = distance_key(d);
+        if c == 0 || key < best.2 {
+            best = (c, d, key);
         }
     }
-    best
+    (best.0, best.1)
+}
+
+/// `d` as a key whose unsigned order is the placement's distance order:
+/// ascending, `-0.0` equal to `0.0`, NaN after every number (the
+/// reference [`KMeans::clusters_by_distance`] puts it last too).
+pub(crate) fn distance_key(d: f32) -> u32 {
+    // Adding 0.0 turns -0.0 into 0.0 and leaves every other value as is.
+    let bits = (d + 0.0).to_bits();
+    let key = if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    };
+    if d.is_nan() {
+        u32::MAX
+    } else {
+        key
+    }
 }
 
 #[allow(clippy::needless_range_loop)] // index style is clearer here

@@ -14,15 +14,18 @@
 //! reproducible.
 
 // One exception, scoped to its call site: the CPU-feature dispatch of
-// `kernel::Kernel::run`, which training, serving and the optimizer share.
+// `kernel::Kernel::run`, which training, serving, the optimizer and the
+// `exp`/`ln` lanes share.
 #![deny(unsafe_code)]
 
 pub mod activation;
+pub mod bits;
 pub mod data;
 pub mod dec;
 pub mod dense;
 mod kernel;
 pub mod kmeans;
+mod libm;
 pub mod loss;
 pub mod lstm;
 pub mod matrix;
@@ -35,6 +38,7 @@ pub mod rng;
 pub mod vae;
 
 pub use activation::Activation;
+pub use bits::BitMatrix;
 pub use dec::{ClusterModel, DecConfig, TrainingHistory};
 pub use dense::Dense;
 pub use kmeans::{elbow_k, KMeans, KMeansFit};

@@ -1,7 +1,7 @@
 //! A sequential stack of [`Dense`] layers.
 
 use crate::activation::Activation;
-use crate::dense::Dense;
+use crate::dense::{Dense, Input};
 use crate::matrix::Matrix;
 use rand::Rng;
 use std::borrow::Cow;
@@ -83,12 +83,19 @@ impl Mlp {
     /// Forward for training: every layer's output is kept for the
     /// backward pass, and the last is returned.
     pub fn forward(&mut self, x: &Matrix) -> &Matrix {
+        self.forward_input(Input::Floats(x))
+    }
+
+    /// [`Mlp::forward`] of either kind of input.
+    pub(crate) fn forward_input(&mut self, x: Input<'_>) -> &Matrix {
         if cfg!(debug_assertions) {
             self.input = fingerprint(x);
         }
         self.outputs.clear();
-        for layer in &self.layers {
-            let y = layer.forward_inference(self.outputs.last().unwrap_or(x));
+        let (first, rest) = self.layers.split_first().expect("Mlp has layers");
+        self.outputs.push(first.forward_input(x));
+        for layer in rest {
+            let y = layer.forward_inference(self.outputs.last().expect("a layer below"));
             self.outputs.push(y);
         }
         self.outputs.last().expect("Mlp has layers")
@@ -96,8 +103,13 @@ impl Mlp {
 
     /// Forward without caches (serving path).
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
+        self.forward_inference_input(Input::Floats(x))
+    }
+
+    /// [`Mlp::forward_inference`] of either kind of input.
+    pub(crate) fn forward_inference_input(&self, x: Input<'_>) -> Matrix {
         let (first, rest) = self.layers.split_first().expect("Mlp has layers");
-        rest.iter().fold(first.forward_inference(x), |h, layer| {
+        rest.iter().fold(first.forward_input(x), |h, layer| {
             layer.forward_inference(&h)
         })
     }
@@ -114,13 +126,13 @@ impl Mlp {
     /// # Panics
     /// Panics if called before [`Mlp::forward`].
     pub fn backward_preact_last(&mut self, x: &Matrix, dz_last: &Matrix) -> Matrix {
-        let dz = self.backward_to_first(x, dz_last);
+        let dz = self.backward_to_first(Input::Floats(x), dz_last);
         self.layers[0].backward_preact_from(x, &dz)
     }
 
     /// [`Mlp::backward_preact_last`] for a network whose input is data:
     /// the same parameter gradients, and no input gradient computed.
-    pub(crate) fn accumulate_preact_last(&mut self, x: &Matrix, dz_last: &Matrix) {
+    pub(crate) fn accumulate_preact_last(&mut self, x: Input<'_>, dz_last: &Matrix) {
         let dz = self.backward_to_first(x, dz_last);
         self.layers[0].accumulate_preact(x, &dz);
     }
@@ -130,7 +142,7 @@ impl Mlp {
     ///
     /// # Panics
     /// Panics if called before [`Mlp::forward`].
-    fn backward_to_first<'a>(&mut self, x: &Matrix, dz_last: &'a Matrix) -> Cow<'a, Matrix> {
+    fn backward_to_first<'a>(&mut self, x: Input<'_>, dz_last: &'a Matrix) -> Cow<'a, Matrix> {
         assert_eq!(
             self.outputs.len(),
             self.layers.len(),
@@ -190,13 +202,18 @@ impl Mlp {
 
 /// A cheap hash (FNV-1a over 32-bit words) of `x`'s shape and bits, to
 /// tell one input from another.
-fn fingerprint(x: &Matrix) -> u64 {
-    let words = [x.rows() as u32, x.cols() as u32].into_iter();
-    words
-        .chain(x.as_slice().iter().map(|v| v.to_bits()))
-        .fold(0xcbf2_9ce4_8422_2325, |h, word| {
-            (h ^ u64::from(word)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+fn fingerprint(x: Input<'_>) -> u64 {
+    let fnv = |h: u64, word: u32| (h ^ u64::from(word)).wrapping_mul(0x0000_0100_0000_01b3);
+    let h = 0xcbf2_9ce4_8422_2325;
+    match x {
+        Input::Floats(x) => [x.rows() as u32, x.cols() as u32]
+            .into_iter()
+            .chain(x.as_slice().iter().map(|v| v.to_bits()))
+            .fold(h, fnv),
+        Input::Bits(x) => (0..x.len())
+            .flat_map(|r| x.row(r).iter().map(|&b| u32::from(b)))
+            .fold(fnv(fnv(h, x.len() as u32), x.cols() as u32), fnv),
+    }
 }
 
 #[cfg(test)]
@@ -288,7 +305,7 @@ mod tests {
                 assert_eq!(params_only.forward(&x).map(|v| v - 0.25), dz);
                 let dx = full.backward_preact_last(&x, &dz);
                 assert_eq!((dx.rows(), dx.cols()), (5, 10));
-                params_only.accumulate_preact_last(&x, &dz);
+                params_only.accumulate_preact_last(Input::Floats(&x), &dz);
                 full.step();
                 params_only.step();
                 for (l, (a, b)) in full.layers().iter().zip(params_only.layers()).enumerate() {

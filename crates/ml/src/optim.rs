@@ -69,7 +69,7 @@ impl Op for Update<'_> {
     type Out = ();
 
     #[inline(always)]
-    fn run<const BLOCK: usize, const WIDE: usize>(self) {
+    fn run<const BLOCK: usize, const WIDE: usize, const LANES: usize>(self) {
         let Adam {
             lr,
             beta1,

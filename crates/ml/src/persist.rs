@@ -458,7 +458,8 @@ mod tests {
             batch: 16,
             kmeans_iters: 10,
         };
-        let (model, _) = ClusterModel::train(&cfg, &data, None, &mut rng);
+        let bits = crate::bits::BitMatrix::from_features(&data);
+        let (model, _) = ClusterModel::train(&cfg, &bits, None, &mut rng);
         let loaded = ClusterModel::from_bytes(&model.to_bytes()).unwrap();
         for r in 0..data.rows() {
             assert_eq!(loaded.predict(data.row(r)), model.predict(data.row(r)));

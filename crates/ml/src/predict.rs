@@ -24,7 +24,8 @@
 //! * the bias is added **after** the rows, then the activation is
 //!   applied (`Activation::apply_biased`, which `Dense` runs too);
 //! * output columns are independent, so computing only the μ half of
-//!   the last encoder layer changes none of them;
+//!   the last encoder layer (and of log σ² only what rounds μ's width
+//!   up to one power-of-two tile) changes none of them;
 //! * centroid distances use the reference's own `kmeans::dist2`, and
 //!   equal distances keep ascending cluster index (the reference's
 //!   stable sort); a NaN distance comes last, in both.
@@ -42,28 +43,10 @@
 //! `predict_packed` on the whole segment, bit for bit, for the rows of
 //! the tail alone.
 
+use crate::bits::SetBits;
 use crate::dec::ClusterModel;
 use crate::kernel::{compact_non_zero, Kernel};
-use crate::kmeans::dist2;
-
-/// `d` as a key whose unsigned order is the placement's distance order:
-/// ascending, `-0.0` equal to `0.0`, NaN after every number (the
-/// reference [`crate::kmeans::KMeans::clusters_by_distance`] puts it
-/// last too).
-fn distance_key(d: f32) -> u32 {
-    // Adding 0.0 turns -0.0 into 0.0 and leaves every other value as is.
-    let bits = (d + 0.0).to_bits();
-    let key = if bits >> 31 == 1 {
-        !bits
-    } else {
-        bits | 1 << 31
-    };
-    if d.is_nan() {
-        u32::MAX
-    } else {
-        key
-    }
-}
+use crate::kmeans::{dist2, distance_key};
 
 /// Caller-owned working memory of the prediction kernel. Buffers grow
 /// to the model's widths on first use and are reused afterwards.
@@ -185,12 +168,17 @@ impl ClusterModel {
         );
     }
 
-    /// Columns of encoder layer `i` the kernel computes: the last layer
-    /// emits (μ, log σ²) and only μ is served.
+    /// Columns of encoder layer `i` the kernel computes. The last layer
+    /// emits (μ, log σ²) and only μ is served: its columns are computed
+    /// over one power-of-two tile, which walks the layer's inputs once
+    /// (μ = 10 of 20 columns: one 16-wide tile, not an 8- and a 2-wide
+    /// one); the log σ² columns the tile takes in are dropped. Columns
+    /// are independent, so μ is the same either way.
     fn layer_width(&self, i: usize) -> usize {
         let layers = self.vae().encoder().layers();
         if i + 1 == layers.len() {
-            self.vae().config().latent_dim
+            let latent = self.vae().config().latent_dim;
+            latent.next_power_of_two().min(layers[i].out_dim())
         } else {
             layers[i].out_dim()
         }
@@ -233,7 +221,10 @@ impl ClusterModel {
                 let inputs = compact_non_zero(cur, inputs);
                 kernel.add_rows(layer.weights(), inputs.iter().copied(), next);
             }
-            layer.activation().apply_biased(layer.bias(), next);
+            if i + 1 == layers.len() {
+                next.truncate(self.vae().config().latent_dim);
+            }
+            layer.activation().apply_biased(*kernel, layer.bias(), next);
             std::mem::swap(cur, next);
         }
     }
@@ -243,59 +234,6 @@ impl ClusterModel {
 /// this CPU: `"avx512"`, `"avx2"` or `"portable"`.
 pub fn kernel_name() -> &'static str {
     Kernel::detect().name()
-}
-
-/// The set bits of `bits[from..]` as layer inputs: `(index, 1.0)` in
-/// ascending index, indexed from the start of `bits`. The constant
-/// `1.0` lets the kernel's `1.0 * w` fold to `w` — the same value
-/// either way.
-#[derive(Clone)]
-struct SetBits<'a> {
-    bits: &'a [u8],
-    /// The 8-byte word being walked.
-    word: usize,
-    /// Its bits not yet visited. A word at a time: running out of them
-    /// is the branch the CPU cannot predict, and this takes it once
-    /// per 64 bits, not per 8.
-    rest: u64,
-}
-
-impl<'a> SetBits<'a> {
-    fn new(bits: &'a [u8], from: usize) -> Self {
-        let word = from / 8;
-        // Drop the bytes of the first word that lie before `from`.
-        let rest = load_word(bits, word).unwrap_or(0) & (u64::MAX >> (from % 8 * 8));
-        SetBits { bits, word, rest }
-    }
-}
-
-impl Iterator for SetBits<'_> {
-    type Item = (usize, f32);
-
-    #[inline(always)]
-    fn next(&mut self) -> Option<(usize, f32)> {
-        while self.rest == 0 {
-            self.word += 1;
-            self.rest = load_word(self.bits, self.word)?;
-        }
-        let lead = self.rest.leading_zeros() as usize;
-        self.rest &= !(1 << (63 - lead));
-        Some((self.word * 64 + lead, 1.0))
-    }
-}
-
-/// Bytes `8 * word..` of `bits` (up to eight, zero-extended) as one
-/// big-endian word — which keeps MSB-first: the highest set bit is the
-/// lowest feature index. `None` past the end.
-#[inline(always)]
-fn load_word(bits: &[u8], word: usize) -> Option<u64> {
-    let rest = bits.get(word * 8..).filter(|rest| !rest.is_empty())?;
-    Some(match rest.get(..8) {
-        Some(full) => u64::from_be_bytes(full.try_into().expect("eight bytes")),
-        // Folded, not copied: a `memcpy` call inside the walk would
-        // have the tile's sums spilled around it.
-        None => rest.iter().fold(0, |w, &b| w << 8 | u64::from(b)) << (64 - 8 * rest.len()),
-    })
 }
 
 #[cfg(test)]
@@ -356,7 +294,8 @@ mod tests {
             batch: 16,
             ..DecConfig::default()
         };
-        let (model, _) = ClusterModel::train(&cfg, &segments_to_matrix(&samples), None, &mut rng);
+        let bits = crate::bits::BitMatrix::from_segments(&samples);
+        let (model, _) = ClusterModel::train(&cfg, &bits, None, &mut rng);
         (model, samples)
     }
 
@@ -504,6 +443,57 @@ mod tests {
                     prop_assert_eq!(resumed, cluster, "{}", kernel);
                     prop_assert_eq!(to_bits(&scratch.cur), to_bits(z.row(0)), "resumed μ, {}", kernel);
                 }
+            }
+        }
+    }
+
+    /// A model of [`model_and_samples`]' `[24]`, 6 shape, trained once.
+    fn shared_model() -> &'static (ClusterModel, Vec<Vec<u8>>) {
+        static MODEL: std::sync::OnceLock<(ClusterModel, Vec<Vec<u8>>)> =
+            std::sync::OnceLock::new();
+        MODEL.get_or_init(|| model_and_samples(&[24], 6))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Whatever non-finite entries the centroids hold — a NaN, ±∞,
+        /// or `f32::MAX`s whose distance overflows to +∞, in any mix,
+        /// all clusters' included — the nearest cluster is the first of
+        /// the order, and a resumed call names it too: a placement and
+        /// the tag of the segment it wrote cannot disagree.
+        #[test]
+        fn nearest_is_the_first_of_the_order_whatever_the_distances(
+            poison in proptest::collection::vec(0u8..5, 7),
+            at in 0usize..6,
+            sample in 0usize..96,
+            split in 0usize..=BYTES,
+        ) {
+            let (model, samples) = shared_model();
+            let mut centroids = model.kmeans().centroids().clone();
+            for (c, kind) in poison.iter().enumerate() {
+                let row = centroids.row_mut(c);
+                match kind {
+                    0 => row[at] = f32::NAN,
+                    1 => row[at] = f32::INFINITY,
+                    2 => row[at] = f32::NEG_INFINITY,
+                    3 => row.fill(f32::MAX),
+                    _ => {}
+                }
+            }
+            let odd = ClusterModel::from_parts(
+                model.vae().clone(),
+                crate::kmeans::KMeans::from_centroids(centroids),
+            )
+            .unwrap();
+            let segment = &samples[sample];
+            let mut padded = segment[..split].to_vec();
+            padded.resize(BYTES, 0);
+            for (kernel, mut scratch) in scratches() {
+                let first = odd.order_packed(segment, &mut scratch)[0];
+                prop_assert_eq!(odd.predict_packed(segment, &mut scratch), first, "{}", kernel);
+                odd.order_packed(&padded, &mut scratch);
+                prop_assert_eq!(odd.resume_packed(segment, split, &mut scratch), first, "{}", kernel);
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Random-number utilities: seeded construction and Gaussian sampling
 //! (Box–Muller; the `rand` crate alone ships no normal distribution).
 
+use crate::libm::logf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -9,12 +10,14 @@ pub fn seeded(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// One standard-normal sample via Box–Muller.
+/// One standard-normal sample via Box–Muller. The `ln` is the crate's
+/// own (a port of glibc's `logf`, the same bits on every host); the `cos`
+/// is the platform's.
 pub fn normal<R: Rng>(rng: &mut R) -> f32 {
     // Avoid ln(0).
     let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
     let u2: f32 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+    (-2.0 * logf(u1)).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
 /// Fill a slice with N(0, std²) samples.

@@ -4,6 +4,10 @@
 //! inputs, trained with Adam and the reparameterization trick.
 
 use crate::activation::Activation;
+use crate::bits::{BitBatch, BitMatrix, BYTE_FEATURES};
+use crate::dense::Input;
+use crate::kernel::Kernel;
+use crate::libm::exp_in_place;
 use crate::loss;
 use crate::matrix::Matrix;
 use crate::mlp::Mlp;
@@ -118,8 +122,9 @@ impl Vae {
         self.decode(&self.latent(x))
     }
 
-    /// One gradient step on a batch. Returns the pre-step losses.
-    pub fn train_batch<R: Rng>(&mut self, x: &Matrix, rng: &mut R) -> VaeLosses {
+    /// One gradient step on a batch of bit rows. Returns the pre-step
+    /// losses.
+    pub fn train_batch<R: Rng>(&mut self, x: &BitMatrix, rng: &mut R) -> VaeLosses {
         self.train_batch_with(x, rng, |_| None)
     }
 
@@ -128,19 +133,35 @@ impl Vae {
     /// VAE+K-means trainer uses to add its cluster-distance loss.
     pub fn train_batch_with<R: Rng>(
         &mut self,
-        x: &Matrix,
+        x: &BitMatrix,
         rng: &mut R,
         extra_dz: impl FnOnce(&Matrix) -> Option<Matrix>,
     ) -> VaeLosses {
-        let n = x.rows();
+        self.train_picked(x.all(), rng, extra_dz)
+    }
+
+    /// [`Vae::train_batch_with`] on the rows of a batch, read where they
+    /// are. Every `exp` and `ln` is the crate's own ([`crate::libm`]).
+    fn train_picked<R: Rng>(
+        &mut self,
+        x: BitBatch<'_>,
+        rng: &mut R,
+        extra_dz: impl FnOnce(&Matrix) -> Option<Matrix>,
+    ) -> VaeLosses {
+        let n = x.len();
         assert!(n > 0, "train_batch: empty batch");
         assert_eq!(x.cols(), self.cfg.input_dim, "train_batch: wrong input dim");
         let l = self.cfg.latent_dim;
+        let kernel = Kernel::detect();
 
         // --- forward ---
-        let (mu, mut logvar) = split_latent(self.encoder.forward(x), l);
+        let (mu, mut logvar) = split_latent(self.encoder.forward_input(Input::Bits(x)), l);
         logvar.map_inplace(|v| v.clamp(-LOGVAR_CLAMP, LOGVAR_CLAMP));
-        let sigma = logvar.map(|v| (0.5 * v).exp());
+        // σ² = exp(log σ²) and σ = exp(½ log σ²).
+        let mut var = logvar.clone();
+        exp_in_place(kernel, var.as_mut_slice());
+        let mut sigma = logvar.map(|v| 0.5 * v);
+        exp_in_place(kernel, sigma.as_mut_slice());
         let mut eps = Matrix::zeros(n, l);
         rng::fill_normal(rng, eps.as_mut_slice(), 1.0);
         let mut z = sigma.hadamard(&eps);
@@ -148,14 +169,23 @@ impl Vae {
         let xhat = self.decoder.forward(&z);
 
         let losses = VaeLosses {
-            recon: loss::bce(xhat, x),
-            kl: self.cfg.beta * loss::kl_gaussian(&mu, &logvar),
+            recon: loss::bce_bits(xhat, x),
+            kl: self.cfg.beta * loss::kl_with_variance(&mu, &logvar, &var),
         };
 
         // --- backward ---
         // Sigmoid + BCE fused gradient wrt decoder pre-activation.
         let inv_n = 1.0 / n as f32;
-        let dz_dec = xhat.zip(x, |p, t| (p - t) * inv_n);
+        let mut dz_dec = Matrix::zeros(n, xhat.cols());
+        for r in 0..n {
+            let (p, dz) = (xhat.row(r), dz_dec.row_mut(r));
+            for ((dz, p), &byte) in dz.chunks_exact_mut(8).zip(p.chunks_exact(8)).zip(x.row(r)) {
+                let t = &BYTE_FEATURES[usize::from(byte)];
+                for ((dz, &p), &t) in dz.iter_mut().zip(p).zip(t) {
+                    *dz = (p - t) * inv_n;
+                }
+            }
+        }
         let mut dz = self.decoder.backward_preact_last(&z, &dz_dec);
         if let Some(extra) = extra_dz(&z) {
             dz.add_assign(&extra);
@@ -166,11 +196,11 @@ impl Vae {
         dmu.add_assign(&mu.map(|m| beta * m * inv_n));
         let mut dlogvar = dz.hadamard(&eps).hadamard(&sigma);
         dlogvar.scale(0.5);
-        dlogvar.add_assign(&logvar.map(|lv| beta * 0.5 * (lv.exp() - 1.0) * inv_n));
+        dlogvar.add_assign(&var.map(|v| beta * 0.5 * (v - 1.0) * inv_n));
 
         let dh = dmu.hcat(&dlogvar);
         // Encoder output layer is Linear, so output grad == preact grad.
-        self.encoder.accumulate_preact_last(x, &dh);
+        self.encoder.accumulate_preact_last(Input::Bits(x), &dh);
 
         self.decoder.step();
         self.encoder.step();
@@ -179,14 +209,19 @@ impl Vae {
 
     /// One epoch over `data` in shuffled mini-batches; returns the mean
     /// losses across batches.
-    pub fn train_epoch<R: Rng>(&mut self, data: &Matrix, batch: usize, rng: &mut R) -> VaeLosses {
+    pub fn train_epoch<R: Rng>(
+        &mut self,
+        data: &BitMatrix,
+        batch: usize,
+        rng: &mut R,
+    ) -> VaeLosses {
         self.train_epoch_with(data, batch, rng, |_| None)
     }
 
     /// Epoch variant of [`Vae::train_batch_with`].
     pub fn train_epoch_with<R: Rng>(
         &mut self,
-        data: &Matrix,
+        data: &BitMatrix,
         batch: usize,
         rng: &mut R,
         mut extra_dz: impl FnMut(&Matrix) -> Option<Matrix>,
@@ -201,8 +236,7 @@ impl Vae {
         let mut total = VaeLosses::default();
         let mut batches = 0;
         for chunk in idx.chunks(batch) {
-            let xb = data.select_rows(chunk);
-            let l = self.train_batch_with(&xb, rng, &mut extra_dz);
+            let l = self.train_picked(data.pick(chunk), rng, &mut extra_dz);
             total.recon += l.recon;
             total.kl += l.kl;
             batches += 1;
@@ -215,13 +249,26 @@ impl Vae {
     }
 
     /// Evaluate losses on held-out data (deterministic: z = μ).
-    pub fn evaluate(&self, data: &Matrix) -> VaeLosses {
-        let (mu, logvar) = self.encode(data);
+    pub fn evaluate(&self, data: &BitMatrix) -> VaeLosses {
+        let (mu, logvar) = self.encode_bits(data);
         let xhat = self.decode(&mu);
         VaeLosses {
-            recon: loss::bce(&xhat, data),
+            recon: loss::bce_bits(&xhat, data.all()),
             kl: self.cfg.beta * loss::kl_gaussian(&mu, &logvar),
         }
+    }
+
+    /// [`Vae::encode`] of rows of bits: the same `(μ, log σ²)`, bit for
+    /// bit, from the set bits.
+    fn encode_bits(&self, x: &BitMatrix) -> (Matrix, Matrix) {
+        let h = self.encoder.forward_inference_input(Input::Bits(x.all()));
+        split_latent(&h, self.cfg.latent_dim)
+    }
+
+    /// [`Vae::latent`] of rows of bits — what the K-means refits
+    /// cluster.
+    pub(crate) fn latent_bits(&self, x: &BitMatrix) -> Matrix {
+        self.encode_bits(x).0
     }
 
     /// Multiply-accumulates for one training epoch over `n` samples
@@ -277,16 +324,16 @@ mod tests {
     use super::*;
     use crate::rng::seeded;
 
-    fn two_cluster_bits(n: usize, dim: usize, rng: &mut impl Rng) -> Matrix {
+    fn two_cluster_bits(n: usize, dim: usize, rng: &mut impl Rng) -> BitMatrix {
         // Half the rows mostly-zeros, half mostly-ones, 10% flip noise.
-        Matrix::from_fn(n, dim, |r, _| {
+        BitMatrix::from_features(&Matrix::from_fn(n, dim, |r, _| {
             let base = if r < n / 2 { 0.0 } else { 1.0 };
             if rng.gen::<f32>() < 0.1 {
                 1.0 - base
             } else {
                 base
             }
-        })
+        }))
     }
 
     #[test]
@@ -353,7 +400,7 @@ mod tests {
         for _ in 0..40 {
             vae.train_epoch(&data, 16, &mut rng);
         }
-        let z = vae.latent(&data);
+        let z = vae.latent(&data.to_features());
         // Mean latent of each half must be farther apart than the mean
         // intra-half spread.
         let half = z.rows() / 2;

@@ -5,7 +5,7 @@ use e2nvm_ml::kmeans::KMeans;
 use e2nvm_ml::matrix::Matrix;
 use e2nvm_ml::rng::seeded;
 use e2nvm_ml::vae::VaeConfig;
-use e2nvm_ml::{data, ClusterModel, DecConfig, Pca, PredictScratch};
+use e2nvm_ml::{data, BitMatrix, ClusterModel, DecConfig, Pca, PredictScratch};
 use proptest::prelude::*;
 use rand::Rng;
 use std::sync::OnceLock;
@@ -50,7 +50,7 @@ fn resume_models() -> &'static [ClusterModel] {
                     batch: 16,
                     ..DecConfig::default()
                 };
-                ClusterModel::train(&cfg, &data::segments_to_matrix(&samples), None, &mut rng).0
+                ClusterModel::train(&cfg, &BitMatrix::from_segments(&samples), None, &mut rng).0
             })
             .collect()
     })
