@@ -103,41 +103,8 @@ impl ClusterModel {
         let mut fit = KMeans::fit(&z, cfg.k, cfg.kmeans_iters, rng);
         history.sse.push(fit.sse);
         for _ in 0..cfg.joint_epochs {
-            let centroids = fit.model.centroids().clone();
-            let gamma = cfg.gamma;
             let l = vae.train_epoch_with(data, cfg.batch, rng, |zb| {
-                // dL_cluster/dz = 2γ(z − μ_c)/n for each row's nearest
-                // centroid.
-                let n = zb.rows() as f32;
-                let nearest = |x: &[f32]| -> usize {
-                    (0..centroids.rows())
-                        .min_by(|&a, &b| {
-                            let da: f32 = centroids
-                                .row(a)
-                                .iter()
-                                .zip(x)
-                                .map(|(&m, &v)| (m - v) * (m - v))
-                                .sum();
-                            let db: f32 = centroids
-                                .row(b)
-                                .iter()
-                                .zip(x)
-                                .map(|(&m, &v)| (m - v) * (m - v))
-                                .sum();
-                            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .unwrap_or(0)
-                };
-                let mut grad = Matrix::zeros(zb.rows(), zb.cols());
-                for r in 0..zb.rows() {
-                    let c = nearest(zb.row(r));
-                    let mu = centroids.row(c);
-                    for (g, (&zv, &mv)) in grad.row_mut(r).iter_mut().zip(zb.row(r).iter().zip(mu))
-                    {
-                        *g = 2.0 * gamma * (zv - mv) / n;
-                    }
-                }
-                Some(grad)
+                Some(cluster_pull(&fit.model, zb, cfg.gamma))
             });
             history.train.push(l);
             if let Some(v) = validation {
@@ -227,6 +194,23 @@ impl ClusterModel {
         }
         Ok(Self { vae, kmeans })
     }
+}
+
+/// The joint phase's cluster-loss gradient, `dL_cluster/dz = 2γ(z − μ_c)/n`
+/// for each row of `zb` and its nearest centroid `μ_c` — the nearest as
+/// serving picks it ([`KMeans::predict`]), so a centroid at a NaN
+/// distance is never the one a row is pulled towards while another is
+/// at a number.
+fn cluster_pull(kmeans: &KMeans, zb: &Matrix, gamma: f32) -> Matrix {
+    let n = zb.rows() as f32;
+    let mut grad = Matrix::zeros(zb.rows(), zb.cols());
+    for r in 0..zb.rows() {
+        let mu = kmeans.centroids().row(kmeans.predict(zb.row(r)));
+        for (g, (&zv, &mv)) in grad.row_mut(r).iter_mut().zip(zb.row(r).iter().zip(mu)) {
+            *g = 2.0 * gamma * (zv - mv) / n;
+        }
+    }
+    grad
 }
 
 #[cfg(test)]
@@ -349,6 +333,24 @@ mod tests {
             last <= first * 1.25,
             "joint epochs should not blow up SSE: first={first} last={last}"
         );
+    }
+
+    /// A centroid at a NaN distance is never the one a row is pulled
+    /// towards while another is at a number — the cluster serving
+    /// predicts, not the first of a `partial_cmp` comparator that
+    /// holds NaN `Equal` to everything.
+    #[test]
+    fn cluster_pull_passes_over_a_nan_centroid() {
+        let kmeans = KMeans::from_centroids(Matrix::from_rows(&[
+            vec![f32::NAN, 0.0],
+            vec![5.0, 5.0],
+            vec![1.0, 1.0],
+        ]));
+        let zb = Matrix::from_rows(&[vec![0.0, 0.0], vec![4.0, 4.0]]);
+        // 2γ/n = 0.5: row 0 towards centroid 2, row 1 towards centroid 1.
+        let grad = cluster_pull(&kmeans, &zb, 0.5);
+        assert_eq!(grad.row(0), [-0.5, -0.5]);
+        assert_eq!(grad.row(1), [-0.5, -0.5]);
     }
 
     #[test]

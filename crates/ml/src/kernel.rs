@@ -243,10 +243,11 @@ impl Op for Gemm<'_> {
                 for r in r0..r0 + rows {
                     let inputs = compact_non_zero(a.row(r), &mut slots);
                     if ones {
-                        let bits = inputs.iter().map(|&(i, _)| (i, 1.0));
+                        let bits = inputs.iter().map(|&(i, _)| (i as usize, 1.0));
                         add_tiles::<WIDE>(w, bits, out.row_mut(r));
                     } else {
-                        add_tiles::<WIDE>(w, inputs.iter().copied(), out.row_mut(r));
+                        let inputs = inputs.iter().map(|&(i, a)| (i as usize, a));
+                        add_tiles::<WIDE>(w, inputs, out.row_mut(r));
                     }
                 }
             }
@@ -388,16 +389,19 @@ fn block_tiles<const BLOCK: usize>(block: &DenseBlock<'_>, w: &Matrix, out: &mut
 /// is shorter, never shrunk) and returned as a slice: a zero input adds
 /// no row, so `0 × ∞` never makes a NaN. Every entry is stored and the
 /// end of the slice moves past it only if it is non-zero — a count, not
-/// a branch the CPU would have to guess per input.
-pub(crate) fn compact_non_zero<'s>(
-    x: &[f32],
-    slots: &'s mut Vec<(usize, f32)>,
-) -> &'s [(usize, f32)] {
+/// a branch the CPU would have to guess per input. A slot is eight
+/// bytes, a `u32` index beside its input, half a `(usize, f32)`'s.
+///
+/// # Panics
+/// Panics if `x` has more entries than a `u32` counts.
+pub(crate) fn compact_non_zero<'s>(x: &[f32], slots: &'s mut Vec<(u32, f32)>) -> &'s [(u32, f32)] {
+    assert!(u32::try_from(x.len()).is_ok(), "{} inputs", x.len());
     if slots.len() < x.len() {
         slots.resize(x.len(), (0, 0.0));
     }
+    let slots = &mut slots[..x.len()];
     let mut n = 0;
-    for (i, &a) in x.iter().enumerate() {
+    for (i, &a) in (0u32..).zip(x) {
         slots[n] = (i, a);
         n += usize::from(a != 0.0);
     }
@@ -476,7 +480,11 @@ mod tests {
             for _ in 0..8 {
                 let row: Vec<f32> = (0..width).map(|_| awkward(&mut rng)).collect();
                 assert_eq!(
-                    to_bits(compact_non_zero(&row, &mut slots).iter().copied()),
+                    to_bits(
+                        compact_non_zero(&row, &mut slots)
+                            .iter()
+                            .map(|&(i, a)| (i as usize, a))
+                    ),
                     to_bits(non_zero(&row)),
                     "width {width}, row {row:?}"
                 );

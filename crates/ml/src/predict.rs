@@ -26,9 +26,10 @@
 //! * output columns are independent, so computing only the μ half of
 //!   the last encoder layer (and of log σ² only what rounds μ's width
 //!   up to one power-of-two tile) changes none of them;
-//! * centroid distances use the reference's own `kmeans::dist2`, and
-//!   equal distances keep ascending cluster index (the reference's
-//!   stable sort); a NaN distance comes last, in both.
+//! * centroid distances are the reference's `kmeans::dist2`, bit for
+//!   bit: the serving kernel asks the same lane scorer as `KMeans`
+//!   (the `kmeans` module's lane clause), and equal distances keep
+//!   ascending cluster index; a NaN distance comes last.
 //!
 //! ## Resume clause
 //!
@@ -46,7 +47,6 @@
 use crate::bits::SetBits;
 use crate::dec::ClusterModel;
 use crate::kernel::{compact_non_zero, Kernel};
-use crate::kmeans::{dist2, distance_key};
 
 /// Caller-owned working memory of the prediction kernel. Buffers grow
 /// to the model's widths on first use and are reused afterwards.
@@ -62,10 +62,8 @@ pub struct PredictScratch {
     /// Activations of the layer being computed.
     next: Vec<f32>,
     /// Non-zero entries of `cur`, compacted for the next layer's walk.
-    inputs: Vec<(usize, f32)>,
-    /// Each centroid's squared distance from μ as a [`distance_key`],
-    /// with the cluster index in the low half: unique, and in the
-    /// order the placement wants.
+    inputs: Vec<(u32, f32)>,
+    /// The cluster scorer's keys, one per lane.
     keys: Vec<u64>,
     /// Cluster ids, nearest first.
     order: Vec<usize>,
@@ -93,7 +91,7 @@ impl ClusterModel {
     /// Panics if `bits` is not exactly the model's input width.
     pub fn predict_packed(&self, bits: &[u8], scratch: &mut PredictScratch) -> usize {
         self.latent_packed(bits, scratch);
-        self.kmeans().predict(&scratch.cur)
+        self.nearest(scratch)
     }
 
     /// All clusters ordered nearest-first for one packed-bit sample —
@@ -104,23 +102,13 @@ impl ClusterModel {
     pub fn order_packed<'s>(&self, bits: &[u8], scratch: &'s mut PredictScratch) -> &'s [usize] {
         self.latent_packed(bits, scratch);
         let PredictScratch {
-            cur, keys, order, ..
+            kernel,
+            cur,
+            keys,
+            order,
+            ..
         } = scratch;
-        let centroids = self.kmeans().centroids();
-        keys.clear();
-        keys.extend(
-            (0..centroids.rows())
-                .map(|c| u64::from(distance_key(dist2(centroids.row(c), cur))) << 32 | c as u64),
-        );
-        // Each cluster's place is the number of keys below its own:
-        // (distance, index) order — the reference's stable sort — with
-        // no comparator and no data-dependent branch.
-        order.clear();
-        order.resize(keys.len(), 0);
-        for &own in keys.iter() {
-            let place: usize = keys.iter().map(|&key| usize::from(key < own)).sum();
-            order[place] = (own & 0xFFFF_FFFF) as usize;
-        }
+        self.kmeans().lanes().order(*kernel, cur, keys, order);
         order
     }
 
@@ -155,7 +143,15 @@ impl ClusterModel {
         next.extend_from_slice(sums0);
         kernel.add_rows(first.weights(), SetBits::new(bits, from), next);
         self.finish_layers(scratch);
-        self.kmeans().predict(&scratch.cur)
+        self.nearest(scratch)
+    }
+
+    /// The nearest cluster to μ in `scratch.cur`.
+    fn nearest(&self, scratch: &PredictScratch) -> usize {
+        self.kmeans()
+            .lanes()
+            .nearest(scratch.kernel, &scratch.cur)
+            .0
     }
 
     fn check_width(&self, bits: &[u8]) {
@@ -219,7 +215,8 @@ impl ClusterModel {
                 next.clear();
                 next.resize(self.layer_width(i), 0.0);
                 let inputs = compact_non_zero(cur, inputs);
-                kernel.add_rows(layer.weights(), inputs.iter().copied(), next);
+                let inputs = inputs.iter().map(|&(i, a)| (i as usize, a));
+                kernel.add_rows(layer.weights(), inputs, next);
             }
             if i + 1 == layers.len() {
                 next.truncate(self.vae().config().latent_dim);
@@ -241,6 +238,7 @@ mod tests {
     use super::*;
     use crate::data::{bytes_to_features, segments_to_matrix};
     use crate::dec::DecConfig;
+    use crate::kmeans::distance_key;
     use crate::matrix::Matrix;
     use crate::rng::seeded;
     use crate::vae::{Vae, VaeConfig};
