@@ -110,7 +110,9 @@ impl DynamicAddressPool {
         Ok(())
     }
 
-    /// The first free address of `cluster` without removing it.
+    /// The first free address of `cluster` without removing it: the
+    /// address its next pop hands out. The lists are FIFO, so the engine
+    /// knows each cluster's next placement one PUT ahead and warms it.
     pub fn peek_head(&self, cluster: usize) -> Option<LogicalSegment> {
         self.pools.get(cluster)?.front().copied()
     }
@@ -349,6 +351,46 @@ mod tests {
         assert!(!dap.is_free(seg(5)));
         assert!(dap.is_retired(seg(5)), "retirement survives rebuild");
         assert_eq!(dap.pop(2), None);
+    }
+
+    #[test]
+    fn peek_head_names_the_next_pop() {
+        // After every step, `peek_head` must equal what the next pop of
+        // each cluster returns, checked on a clone.
+        fn check(dap: &DynamicAddressPool) {
+            for c in 0..dap.k() + 1 {
+                let mut probe = dap.clone();
+                assert_eq!(dap.peek_head(c), probe.pop(c), "cluster {c}");
+            }
+        }
+        let mut dap = DynamicAddressPool::new(2, 32, 0);
+        check(&dap);
+        dap.push(0, seg(7)).unwrap();
+        check(&dap);
+        for i in [3, 9, 1] {
+            dap.push(0, seg(i)).unwrap();
+            dap.push(1, seg(i + 10)).unwrap();
+            check(&dap);
+        }
+        assert_eq!(dap.peek_head(0), Some(seg(7)));
+        assert_eq!(dap.pop(0), Some(seg(7)));
+        check(&dap);
+        // Retiring the head moves the entry behind it up.
+        assert!(dap.retire(seg(3)));
+        assert_eq!(dap.peek_head(0), Some(seg(9)));
+        check(&dap);
+        assert!(dap.retire(seg(1)));
+        check(&dap);
+        assert_eq!(dap.pop_with_fallback(&[0, 1]), Some((seg(9), 0)));
+        assert_eq!(dap.peek_head(0), None);
+        check(&dap);
+        dap.rebuild(3, &[(seg(4), 2), (seg(5), 2), (seg(6), 2), (seg(3), 2)]);
+        assert_eq!(dap.peek_head(2), Some(seg(4)));
+        check(&dap);
+        dap.pop(2);
+        dap.pop(2);
+        assert_eq!(dap.peek_head(2), Some(seg(6)));
+        check(&dap);
     }
 
     #[test]

@@ -455,6 +455,13 @@ impl E2Engine {
                     E2Error::OutOfSpace
                 });
             };
+            // Warm the cluster's next placement while this one is
+            // written: the free lists are FIFO, so the new head is the
+            // next PUT into `used` (DESIGN.md §5, prefetch clause). A
+            // hint only.
+            if let Some(head) = self.dap.peek_head(used) {
+                self.controller.prefetch(head);
+            }
             let mut attempts = 0usize;
             // Program-and-verify with bounded retry: the device reports
             // a transient failure after keeping some bits stale, so a

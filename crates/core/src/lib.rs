@@ -42,6 +42,10 @@
 //! assert_eq!(engine.get(42).unwrap(), b"value");
 //! ```
 
+// The engine reaches the device's prefetch hint only through
+// `e2nvm-sim`'s safe API.
+#![deny(unsafe_code)]
+
 pub mod config;
 pub mod dap;
 pub mod engine;

@@ -54,6 +54,10 @@ pub struct ControllerState {
 pub struct MemoryController {
     device: NvmDevice,
     remap: SegmentRemap,
+    /// The remap is the identity and can never change (no wear-leveling
+    /// policy moves anything): logical `l` is physical `l`, and
+    /// translating it loads nothing.
+    identity: bool,
     policy: WearPolicy,
     /// Physical segments quarantined by [`MemoryController::retire`].
     retired: Vec<bool>,
@@ -179,6 +183,7 @@ impl MemoryController {
             WearPolicy::StartGap { .. } | WearPolicy::RandomSwap { .. } => {}
         }
         Ok(Self {
+            identity: matches!(state.policy, WearPolicy::None) && remap.is_identity(),
             device,
             remap,
             policy: state.policy,
@@ -212,9 +217,14 @@ impl MemoryController {
         &self.remap
     }
 
-    /// The physical slot backing `logical` right now.
+    /// The physical slot backing `logical` right now. A pass-through
+    /// controller over an identity table answers without loading the
+    /// table's entry (DESIGN.md §5, prefetch clause).
     #[inline]
     pub fn physical(&self, logical: LogicalSegment) -> Result<PhysicalSegment> {
+        if self.identity && logical.index() < self.remap.logical_len() {
+            return Ok(PhysicalSegment(logical.index()));
+        }
         self.remap
             .physical(logical)
             .ok_or_else(|| SimError::SegmentOutOfRange {
@@ -396,6 +406,17 @@ impl MemoryController {
         self.device.charge_reads(n as u64);
     }
 
+    /// Hint that `logical`'s bytes are about to be read or written:
+    /// translate it and start loading the lines of the whole segment
+    /// (see [`NvmDevice::prefetch`]). A no-op for an out-of-range id;
+    /// counts nothing.
+    #[inline]
+    pub fn prefetch(&self, logical: LogicalSegment) {
+        if let Ok(phys) = self.physical(logical) {
+            self.device.prefetch(phys, usize::MAX);
+        }
+    }
+
     /// Inspect a logical segment's content without accounting.
     pub fn peek(&self, logical: LogicalSegment) -> Result<&[u8]> {
         let phys = self.physical(logical)?;
@@ -518,6 +539,34 @@ mod tests {
             }
             assert_same_charge(&charged, &single, &format!("n = {n}"));
         }
+    }
+
+    /// Every translation a controller answers equals its table's, in
+    /// range and out: the pass-through controller answers without
+    /// loading the table, a restored one with a permuted table and no
+    /// policy through it.
+    #[test]
+    fn translation_matches_the_table() {
+        let permuted = ControllerState {
+            policy: WearPolicy::None,
+            remap: vec![2, 0, 3, 1],
+            retired: vec![false; 4],
+        };
+        let controllers = [
+            MemoryController::without_wear_leveling(device(4)),
+            MemoryController::from_state(device(4), &permuted).unwrap(),
+            written_controller(),
+        ];
+        for mc in &controllers {
+            for l in 0..mc.num_segments() + 3 {
+                let got = mc.physical(LogicalSegment(l)).ok();
+                assert_eq!(got, mc.remap().physical(LogicalSegment(l)), "{mc:?} at {l}");
+            }
+        }
+        assert_eq!(
+            controllers[1].physical(LogicalSegment(0)).unwrap(),
+            PhysicalSegment(2)
+        );
     }
 
     #[test]

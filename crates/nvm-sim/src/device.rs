@@ -176,9 +176,27 @@ impl NvmDevice {
         self.stats.reads += n;
     }
 
+    /// Hint that the first `len` bytes of `seg` (all of it, if `len` is
+    /// larger) are about to be read: start loading every cache line they
+    /// span, so a later [`NvmDevice::peek`], `read` or write finds them
+    /// in L1. A reader that knows its length passes it: a 98-B value of
+    /// a 128-B segment spans two lines where the whole segment spans
+    /// three when the pool starts 16 B into a line, as an `mmap`ed one
+    /// does. A hint only: it counts no read, leaves
+    /// [`NvmDevice::stats`] and the wear counters as they are, and is a
+    /// no-op for an out-of-range id or off x86-64.
+    #[inline]
+    pub fn prefetch(&self, seg: PhysicalSegment, len: usize) {
+        if let Ok(base) = self.check(seg) {
+            let len = len.min(self.cfg.segment_bytes);
+            prefetch_lines(&self.data[base..base + len]);
+        }
+    }
+
     /// Inspect a segment's content without any accounting. Placement
     /// models use this during training snapshots; it does not model a
     /// media read.
+    #[inline]
     pub fn peek(&self, seg: PhysicalSegment) -> &[u8] {
         let base = seg.0 * self.cfg.segment_bytes;
         &self.data[base..base + self.cfg.segment_bytes]
@@ -287,12 +305,11 @@ impl NvmDevice {
                 ((lend - lstart) * 8) as u64
             };
             // Wear: per-byte flip masks, then apply the new content.
+            // `old_region` borrows `data` and the counters live in
+            // `wear`, so the flips go straight from the two slices.
             if self.wear.per_bit_flips().is_some() {
-                let diffs: Vec<(usize, u8)> = bitops::differing_bytes(old_region, new_region)
-                    .map(|(i, m)| (base + ostart + i, m))
-                    .collect();
-                for (abs, mask) in diffs {
-                    self.wear.record_byte_flips(abs, mask);
+                for (i, mask) in bitops::differing_bytes(old_region, new_region) {
+                    self.wear.record_byte_flips(base + ostart + i, mask);
                 }
             }
             self.data[base + ostart..base + oend].copy_from_slice(new_region);
@@ -568,6 +585,39 @@ impl NvmDevice {
             )),
         }
     }
+}
+
+/// Start loading every 64-B cache line `bytes` spans into L1 (the
+/// `T0` hint) and return at once. The crate's one `unsafe`: the SSE
+/// `prefetch` instruction is baseline on x86-64, and it neither faults
+/// nor writes, whatever the address. A no-op off x86-64.
+#[allow(unsafe_code)]
+#[inline]
+fn prefetch_lines(bytes: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        if bytes.is_empty() {
+            return;
+        }
+        let start = bytes.as_ptr().cast::<i8>();
+        let misalign = start as usize % LINE;
+        let span = misalign + bytes.len();
+        let mut offset = 0;
+        while offset < span {
+            // SAFETY: SSE is part of the x86-64 baseline, and a prefetch
+            // is only a hint: it never faults, even on an address outside
+            // `bytes`, and writes nothing. The pointer is formed with
+            // wrapping arithmetic and never dereferenced.
+            unsafe {
+                _mm_prefetch::<_MM_HINT_T0>(start.wrapping_sub(misalign).wrapping_add(offset))
+            };
+            offset += LINE;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = bytes;
 }
 
 #[cfg(test)]

@@ -56,6 +56,10 @@
 //! layer that retires worn-out segments.
 
 #![warn(missing_docs)]
+// One exception, scoped to its function: the cache-line prefetch hint
+// behind `NvmDevice::prefetch` and `MemoryController::prefetch`.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod addr;
 pub mod bitops;

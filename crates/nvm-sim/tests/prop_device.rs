@@ -330,4 +330,82 @@ proptest! {
         prop_assert_eq!(mc.retired_physical().len(),
             retired_owner.iter().map(|(p, _)| p).collect::<std::collections::HashSet<_>>().len());
     }
+
+    /// A prefetch is only a hint. One random op sequence, run twice on
+    /// a start-gap or a pass-through controller with per-bit wear
+    /// tracking — once with the controller's `prefetch` and the
+    /// device's own (of 0 to 63 bytes and of more than the segment)
+    /// interleaved on ids that include the last segment,
+    /// `num_segments` and far beyond, while the gap rotates — leaves
+    /// identical stats, wear counters, remap and bytes, and nothing
+    /// panics.
+    #[test]
+    fn a_prefetch_is_only_a_hint(
+        ops in proptest::collection::vec(
+            (0u8..3, 0usize..5, 0usize..64, segment_data(64), hint_id(), hint_id()),
+            1..60),
+        psi in 1u64..4,
+        rotate in any::<bool>(),
+    ) {
+        let run = |hinted: bool| {
+            let cfg = DeviceConfig::builder()
+                .segment_bytes(64)
+                .num_segments(6)
+                .block_bytes(64)
+                .wear_tracking(WearTracking::PerBit)
+                .build()
+                .unwrap();
+            let dev = NvmDevice::new(cfg);
+            let mut mc = if rotate {
+                MemoryController::with_start_gap(dev, psi)
+            } else {
+                MemoryController::without_wear_leveling(dev)
+            };
+            for (kind, seg, offset, data, a, b) in &ops {
+                if hinted {
+                    mc.prefetch(LogicalSegment(*a));
+                    mc.device().prefetch(PhysicalSegment(*b), *offset);
+                }
+                let seg = LogicalSegment(*seg);
+                match kind {
+                    0 => {
+                        mc.write(seg, data).unwrap();
+                    }
+                    1 => {
+                        mc.write_at(seg, *offset, &data[*offset..]).unwrap();
+                    }
+                    _ => {
+                        mc.read(seg).unwrap();
+                    }
+                }
+                if hinted {
+                    mc.prefetch(LogicalSegment(*b));
+                    mc.device().prefetch(PhysicalSegment(*a), usize::MAX);
+                }
+            }
+            mc
+        };
+        let (plain, hinted) = (run(false), run(true));
+        prop_assert_eq!(plain.stats(), hinted.stats());
+        prop_assert_eq!(plain.export_state(), hinted.export_state());
+        let (pw, hw) = (plain.device().wear(), hinted.device().wear());
+        prop_assert_eq!(pw.per_segment_writes(), hw.per_segment_writes());
+        prop_assert_eq!(pw.per_bit_flips(), hw.per_bit_flips());
+        for p in 0..6 {
+            prop_assert_eq!(plain.device().peek(PhysicalSegment(p)), hinted.device().peek(PhysicalSegment(p)));
+        }
+    }
+}
+
+/// A segment id to prefetch: in range (logical 0–4 under start-gap,
+/// physical 0–5), `num_segments` and just past it, far beyond, or the
+/// largest ids, whose byte offsets would overflow.
+fn hint_id() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        0usize..8,
+        8usize..100_000,
+        Just(usize::MAX / 64),
+        Just(usize::MAX - 1),
+        Just(usize::MAX),
+    ]
 }
