@@ -132,12 +132,10 @@ impl DynamicAddressPool {
         order.iter().find_map(|&c| self.pop(c).map(|seg| (seg, c)))
     }
 
-    /// The first cluster whose free list is at or below the threshold,
-    /// if any — the retraining trigger.
+    /// The first cluster whose free list is below the threshold, if
+    /// any — the retraining trigger. At threshold 0 it never trips.
     pub fn below_threshold(&self) -> Option<usize> {
-        self.pools
-            .iter()
-            .position(|p| p.len() <= self.min_threshold)
+        self.pools.iter().position(|p| p.len() < self.min_threshold)
     }
 
     /// Permanently retire a segment (quarantine: it wore out). Removes
@@ -289,8 +287,23 @@ mod tests {
         // Both clusters above threshold (2 > 1).
         assert_eq!(dap.below_threshold(), None);
         dap.pop(1);
-        // Cluster 1 now at threshold.
+        // Cluster 1 at threshold (1 = 1): not below it yet.
+        assert_eq!(dap.below_threshold(), None);
+        dap.pop(1);
+        // Cluster 1 now below threshold (0 < 1).
         assert_eq!(dap.below_threshold(), Some(1));
+    }
+
+    #[test]
+    fn an_emptied_cluster_trips_threshold_one_but_never_zero() {
+        for (threshold, tripped) in [(0, None), (1, Some(1))] {
+            let mut dap = DynamicAddressPool::new(2, 10, threshold);
+            dap.push(0, seg(0)).unwrap();
+            dap.push(1, seg(1)).unwrap();
+            assert_eq!(dap.pop(1), Some(seg(1)));
+            assert_eq!(dap.cluster_len(1), 0);
+            assert_eq!(dap.below_threshold(), tripped, "threshold {threshold}");
+        }
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! predict → pop → device write) is microseconds and ends by checking
 //! the retraining trigger inside the same critical section; the
 //! expensive part — retraining — runs on the shard's worker thread with
-//! no lock held. When a cluster's free list hits the low-water mark a
-//! snapshot goes to the [`BackgroundRetrainer`]; the serving path keeps
-//! answering from the old model until the new one is ready, then
+//! no lock held. When a cluster's free list drops below the low-water
+//! mark a snapshot goes to the [`BackgroundRetrainer`]; the serving
+//! path keeps answering from the old model until the new one is ready, then
 //! installs it under the shard mutex. The retrainer's own lock is taken
 //! only while a retrain is tripped or in flight, always before the
 //! engine lock, and never across a wait on the worker.
@@ -97,8 +97,8 @@ impl Shard {
 
     /// Advance the retraining state machine: install a finished model
     /// if one is waiting (frees the worker), then — when `may_submit` —
-    /// send a snapshot if a cluster is at its threshold. Returns whether
-    /// a retrain is still in flight.
+    /// send a snapshot if a cluster is below its threshold. Returns
+    /// whether a retrain is still in flight.
     fn pump(&self, may_submit: bool) -> bool {
         let mut retrain = self.retrain.lock();
         if let Some(model) = retrain.worker.try_take() {

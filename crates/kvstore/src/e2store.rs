@@ -78,11 +78,9 @@ fn attach_syncer(wal: Wal, shard: usize, syncer: &Option<WalSyncer>) -> Wal {
 /// counters whose trajectory is the endurance story (free shrinking,
 /// retired growing, total constant).
 ///
-/// This is the body of the wire protocol's HEALTH frame and the signal
-/// the cluster layer's wear-driven failover acts on — a server whose
-/// [`wear_fraction`](WearSummary::wear_fraction) crosses the drain
-/// threshold gets its traffic routed to replicas *before* the pool
-/// depletes.
+/// This is the body of the wire protocol's HEALTH frame: an operator
+/// polling it sees [`wear_fraction`](WearSummary::wear_fraction) climb
+/// while the server still accepts writes, *before* the pool depletes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WearSummary {
     /// Live keys in the store.
@@ -483,9 +481,8 @@ impl ShardedE2KvStore {
     }
 
     /// Point-in-time wear summary across all shards — what the wire
-    /// protocol's HEALTH frame carries and what the cluster layer's
-    /// health prober acts on. One pass: each shard's five counters are
-    /// read under a single acquisition of its lock.
+    /// protocol's HEALTH frame carries. One pass: each shard's five
+    /// counters are read under a single acquisition of its lock.
     pub fn wear_summary(&self) -> WearSummary {
         self.engine
             .fold_shards(WearSummary::default(), |w, e| WearSummary {

@@ -47,32 +47,6 @@ pub enum StoreError {
     /// decode). Rendered to a string because IO errors are not
     /// `Clone`/`PartialEq`.
     Persistence(String),
-    /// Cluster routing failure: every server in the key's hash-ring
-    /// replica set is down or draining, so there is nowhere to route
-    /// the operation. Raised by the `e2nvm-cluster` router; typed here
-    /// so clustered stores speak the same error language as single-node
-    /// ones through [`crate::NvmKvStore`].
-    Unroutable {
-        /// The key that could not be routed.
-        key: u64,
-    },
-    /// Cluster replication failure: a replicated write was acknowledged
-    /// by fewer servers than the policy requires (the mutation may
-    /// still exist on the servers that did ack — callers retry or
-    /// surface the partial state, they must not assume it was applied
-    /// nowhere). Raised by the `e2nvm-cluster` replicator.
-    ReplicationFailed {
-        /// Replicas that acknowledged the write.
-        acked: usize,
-        /// Acknowledgements the policy required.
-        required: usize,
-    },
-    /// A remote server answered a cluster operation with an error
-    /// frame (rendered to a string — the typed wire statuses live in
-    /// the server crate, which this crate cannot depend on). Raised by
-    /// the `e2nvm-cluster` router when every replica rejects an
-    /// operation at the store level rather than the transport level.
-    Remote(String),
 }
 
 impl std::fmt::Display for StoreError {
@@ -88,16 +62,6 @@ impl std::fmt::Display for StoreError {
             StoreError::Sim(e) => write!(f, "device error: {e}"),
             StoreError::Engine(e) => write!(f, "E2 engine error: {e}"),
             StoreError::Persistence(msg) => write!(f, "persistence error: {msg}"),
-            StoreError::Unroutable { key } => write!(
-                f,
-                "cluster unroutable: every replica for key {key} is down or draining"
-            ),
-            StoreError::ReplicationFailed { acked, required } => write!(
-                f,
-                "cluster replication failed: {acked} of {required} required \
-                 replica acknowledgements"
-            ),
-            StoreError::Remote(msg) => write!(f, "remote store error: {msg}"),
         }
     }
 }

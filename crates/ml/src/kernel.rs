@@ -144,7 +144,7 @@ impl Kernel {
         // sums. No row blocks: with these few registers they gain
         // nothing measurable. No `fma` either, so one lane: the scalar
         // functions, whose `mul_add`s are library calls on x86-64 here
-        // (about 1.5× the training time; OPERATIONS.md §6).
+        // (about 1.5× the training time; OPERATIONS.md §4).
         op.run::<0, 32, 1>()
     }
 

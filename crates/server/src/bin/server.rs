@@ -6,8 +6,7 @@
 //!     [--seg-bytes 64] [--max-conns 1024] \
 //!     [--scan-chunk 65536] [--cache-mb N] \
 //!     [--data-dir PATH] [--flush-policy every|batch:N|os] \
-//!     [--snapshot-every OPS] \
-//!     [--fault-endurance BITS] [--fault-seed SEED]
+//!     [--snapshot-every OPS]
 //! ```
 //!
 //! Prints the bound address on the first line (`listening on ADDR`),
@@ -21,14 +20,6 @@
 //! 64 KiB). An unknown flag, a missing value or a value that does not
 //! parse is rejected with a usage line on stderr and exit code 2 — the
 //! server never boots on a guess.
-//!
-//! `--fault-endurance BITS` attaches the simulator's deterministic
-//! fault model with a Weibull(3.0, BITS) per-segment endurance budget
-//! (counted in cumulative programmed bits), so segments genuinely
-//! retire under sustained writes — the knob the cluster's wear-out
-//! failover experiment turns. `--fault-seed` (default `0xE2`) seeds
-//! the endurance draws. Without `--fault-endurance` the device is
-//! fault-free, exactly as before.
 //!
 //! `--data-dir PATH` enables crash-consistent persistence: mutations
 //! are logged to per-shard WALs under `PATH/wal/` and snapshots land
@@ -45,8 +36,7 @@ use e2nvm_telemetry::TelemetryRegistry;
 
 const USAGE: &str = "usage: e2nvm-server [--addr HOST:PORT] [--shards N] [--segments N] \
 [--seg-bytes N] [--max-conns N] [--scan-chunk BYTES] [--cache-mb N] \
-[--data-dir PATH] [--flush-policy every|batch:N|os] [--snapshot-every OPS] \
-[--fault-endurance BITS] [--fault-seed SEED]";
+[--data-dir PATH] [--flush-policy every|batch:N|os] [--snapshot-every OPS]";
 
 /// Reject the command line: say why, print the usage line, exit 2.
 fn usage_exit(msg: &str) -> ! {
@@ -91,8 +81,6 @@ fn main() {
     let mut data_dir: Option<String> = None;
     let mut flush_policy = FlushPolicy::default();
     let mut snapshot_every: u64 = 0;
-    let mut fault_endurance: Option<u64> = None;
-    let mut fault_seed: u64 = 0xE2;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let f = flag.as_str();
@@ -107,8 +95,6 @@ fn main() {
             "--data-dir" => data_dir = Some(value(f, &mut it)),
             "--flush-policy" => flush_policy = parse_flush_policy(&value::<String>(f, &mut it)),
             "--snapshot-every" => snapshot_every = value(f, &mut it),
-            "--fault-endurance" => fault_endurance = Some(value(f, &mut it)),
-            "--fault-seed" => fault_seed = value(f, &mut it),
             _ => usage_exit(&format!("unknown flag {flag:?}")),
         }
     }
@@ -149,18 +135,7 @@ fn main() {
                 "fresh store: training {shards} shard models over \
                  {segments} × {seg_bytes} B segments..."
             );
-            let fault = fault_endurance.map(|endurance_bits| e2nvm_sim::FaultConfig {
-                seed: fault_seed,
-                endurance_bits,
-                ..e2nvm_sim::FaultConfig::default()
-            });
-            if let Some(f) = &fault {
-                eprintln!(
-                    "fault injection on: endurance ~Weibull({}, {} bits), seed {:#x}",
-                    f.endurance_shape, f.endurance_bits, f.seed
-                );
-            }
-            let store = demo::demo_store_with_fault(shards, segments, seg_bytes, 0xE2, fault);
+            let store = demo::demo_store(shards, segments, seg_bytes, 0xE2);
             match &pcfg {
                 Some(p) => store
                     .with_persistence(p.clone(), Some(&registry))

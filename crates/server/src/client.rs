@@ -237,10 +237,9 @@ impl Client {
     }
 
     /// The server's wear summary: live keys plus free / retired /
-    /// total segment counts, as one fixed 40-byte binary frame. This
-    /// is the probe the cluster health monitor polls — cheap enough to
-    /// call every few hundred milliseconds, unlike parsing
-    /// [`metrics`](Self::metrics) text.
+    /// total segment counts, as one fixed 40-byte binary frame — cheap
+    /// enough for a health monitor to call every few hundred
+    /// milliseconds, unlike parsing [`metrics`](Self::metrics) text.
     pub fn health(&mut self) -> std::io::Result<e2nvm_kvstore::WearSummary> {
         match self.call(&Request::Health)? {
             Response::Health(wear) => Ok(wear),

@@ -9,8 +9,7 @@
 use e2nvm_core::{E2Config, PaddingType, ShardedEngine};
 use e2nvm_kvstore::ShardedE2KvStore;
 use e2nvm_sim::{
-    partition_controllers_with, DeviceConfig, FaultConfig, LogicalSegment, MemoryController,
-    NvmDevice,
+    partition_controllers, DeviceConfig, FaultConfig, LogicalSegment, MemoryController,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,40 +36,14 @@ pub fn demo_store(
 }
 
 /// [`demo_store`] over a device with optional fault injection (finite
-/// per-segment endurance). This is what the wear-out experiments run:
-/// a server whose segments genuinely retire, so the cluster's health
-/// prober has real `retired_segments` growth to react to.
+/// per-segment endurance): a server whose segments genuinely retire, so
+/// its HEALTH frame reports real `retired_segments` growth.
 pub fn demo_store_with_fault(
     shards: usize,
     total_segments: usize,
     seg_bytes: usize,
     seed: u64,
     fault: Option<FaultConfig>,
-) -> ShardedE2KvStore {
-    demo_store_with_controllers(
-        shards,
-        total_segments,
-        seg_bytes,
-        seed,
-        fault,
-        MemoryController::without_wear_leveling,
-    )
-}
-
-/// The fully general bootstrap: [`demo_store_with_fault`], with each
-/// shard device wrapped by `make` — e.g.
-/// `|dev| MemoryController::with_start_gap(dev, 64)` for a server whose
-/// shards rotate under wear leveling. A wear-leveling controller may
-/// expose one fewer logical segment than its physical slice (start-gap
-/// reserves a gap slot), which this helper accounts for by seeding
-/// through the controller's *logical* capacity.
-pub fn demo_store_with_controllers(
-    shards: usize,
-    total_segments: usize,
-    seg_bytes: usize,
-    seed: u64,
-    fault: Option<FaultConfig>,
-    make: impl Fn(NvmDevice) -> MemoryController,
 ) -> ShardedE2KvStore {
     let mut builder = DeviceConfig::builder()
         .segment_bytes(seg_bytes)
@@ -81,7 +54,7 @@ pub fn demo_store_with_controllers(
     let dev_cfg = builder.build().expect("valid device config");
     let cfg = demo_config(seg_bytes, seed);
     let mut rng = StdRng::seed_from_u64(seed);
-    let controllers: Vec<MemoryController> = partition_controllers_with(&dev_cfg, shards, make)
+    let controllers: Vec<MemoryController> = partition_controllers(&dev_cfg, shards)
         .expect("partition")
         .into_iter()
         .map(|(_, mut mc)| {

@@ -76,7 +76,7 @@ pub enum Opcode {
     /// Wear/health summary. Empty body; the OK response carries a
     /// fixed 40-byte body (`keys`, `free_segments`, `retired_segments`,
     /// `retired_physical`, `total_segments`, all `u64` LE) — cheap
-    /// enough for a cluster health prober to poll every few hundred
+    /// enough for an operator's monitor to poll every few hundred
     /// milliseconds, unlike the METRICS text exposition.
     /// `retired_physical` counts the physical slots quarantined by the
     /// memory controllers — the device-side ground truth, which can

@@ -17,7 +17,7 @@
 //!   (codec, client, config) but [`Server::start`] returns
 //!   `io::ErrorKind::Unsupported`.
 //! * [`client`] — [`Client`]: a blocking pipelined client (also what
-//!   the `e2nvm-loadgen` kill drills drive).
+//!   the `e2nvm-loadgen` recovery drill drives).
 //! * [`telemetry`] — wire-level counters/gauges/histograms under
 //!   `e2nvm_server_*`, composing with the store's series on one
 //!   registry.

@@ -31,6 +31,10 @@ fn removed_engine_flag_is_rejected() {
     assert_rejected(&["--threaded"], "unknown flag \"--threaded\"");
     assert_rejected(&["--workers", "2"], "unknown flag \"--workers\"");
     assert_rejected(&["--cache"], "unknown flag \"--cache\"");
+    assert_rejected(
+        &["--fault-endurance", "6000"],
+        "unknown flag \"--fault-endurance\"",
+    );
 }
 
 #[test]
@@ -48,7 +52,7 @@ fn unknown_flush_policy_is_rejected() {
 
 #[test]
 fn missing_value_is_rejected() {
-    assert_rejected(&["--fault-endurance"], "--fault-endurance requires a value");
+    assert_rejected(&["--segments"], "--segments requires a value");
 }
 
 /// Kills the server if the test fails before its SHUTDOWN.

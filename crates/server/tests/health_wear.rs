@@ -1,9 +1,8 @@
-//! The cluster's early-warning contract: a server wearing its device
-//! out must make that wear *observable through the HEALTH probe* while
-//! it is still serving writes — i.e. before the pool depletes and the
-//! only signal left is a hard error. This is what lets the cluster's
-//! health prober drain a dying node's key ranges to replicas ahead of
-//! the failure instead of reacting to it.
+//! The HEALTH frame's early-warning contract: a server wearing its
+//! device out must make that wear *observable through the HEALTH probe*
+//! while it is still serving writes — i.e. before the pool depletes and
+//! the only signal left is a hard error. This is what lets an operator
+//! polling HEALTH act ahead of the failure instead of reacting to it.
 
 use e2nvm_server::demo::demo_store_with_fault;
 use e2nvm_server::{Client, Server, ServerConfig, ServerHandle};
@@ -103,7 +102,7 @@ fn rising_wear_is_visible_through_health_before_pool_depletion() {
     assert!(
         wear_seen_while_healthy >= 1,
         "no wear ever became visible through HEALTH while writes still \
-         succeeded (depleted={depleted}) — the prober would have had no \
+         succeeded (depleted={depleted}) — a HEALTH poller would have had no \
          early warning"
     );
 

@@ -19,9 +19,6 @@
 //! * [`server`] — the TCP serving layer: length-prefixed binary wire
 //!   protocol (PROTOCOL.md), epoll-reactor pipelined server, blocking
 //!   client.
-//! * [`cluster`] — N servers as one keyspace: consistent-hash routing,
-//!   R-way replication with read repair, and wear-driven failover
-//!   (DESIGN.md §15, OPERATIONS.md).
 //!
 //! The [`prelude`] pulls in the types almost every integration needs:
 //!
@@ -53,7 +50,6 @@
 //! ```
 
 pub use e2nvm_baselines as baselines;
-pub use e2nvm_cluster as cluster;
 pub use e2nvm_core as core;
 pub use e2nvm_kvstore as kvstore;
 pub use e2nvm_ml as ml;
@@ -67,7 +63,6 @@ pub use e2nvm_workloads as workloads;
 /// config construction, the KV trait and stores, and the telemetry
 /// surface.
 pub mod prelude {
-    pub use e2nvm_cluster::{ClusterClient, ClusterConfig, ClusterView, NodeState};
     pub use e2nvm_core::{
         E2Config, E2ConfigBuilder, E2Engine, E2Error, PaddingLocation, PaddingType, ShardedEngine,
     };

@@ -193,6 +193,10 @@ fn sharded_matches_shadow_map_under_mixed_ops() {
 /// same pool content, same config and seed, so placements are
 /// bit-identical as long as no background retraining fires.
 fn shard0_twin(num_shards: usize, total_segments: usize) -> E2Engine {
+    shard0_twin_with(num_shards, total_segments, &test_config())
+}
+
+fn shard0_twin_with(num_shards: usize, total_segments: usize, config: &E2Config) -> E2Engine {
     let ranges = e2nvm::sim::partition_segments(total_segments, num_shards).unwrap();
     let dev_cfg = DeviceConfig::builder()
         .segment_bytes(SEG_BYTES)
@@ -201,9 +205,35 @@ fn shard0_twin(num_shards: usize, total_segments: usize) -> E2Engine {
         .unwrap();
     let mut mc = MemoryController::without_wear_leveling(e2nvm::sim::NvmDevice::new(dev_cfg));
     seed_pool(&mut mc, 100);
-    let mut engine = E2Engine::new(mc, test_config()).unwrap();
+    let mut engine = E2Engine::new(mc, config.clone()).unwrap();
     engine.train().unwrap();
     engine
+}
+
+/// `retrain_min_free(0)`, which the stats property below relies on,
+/// means "never retrain": the trigger trips only once a cluster's free
+/// list drops *below* the threshold, so even an emptied cluster leaves
+/// it quiet. At threshold 1 the same emptied cluster trips it.
+#[test]
+fn emptied_cluster_trips_retrain_trigger_only_above_threshold_zero() {
+    for (threshold, trips) in [(0, false), (1, true)] {
+        let config = E2Config {
+            retrain_min_free: threshold,
+            ..test_config()
+        };
+        let mut engine = shard0_twin_with(4, 128, &config);
+        assert!(!engine.needs_retrain(), "threshold {threshold}");
+        // One content family only, so its cluster's free list drains
+        // first; stop as soon as some cluster is empty.
+        let dap_empty = |e: &E2Engine| (0..e.dap().k()).any(|c| e.dap().cluster_len(c) == 0);
+        let mut key = 0u64;
+        while !dap_empty(&engine) {
+            engine.put(key, &value_for(0, key as u8)).unwrap();
+            key += 1;
+        }
+        assert!(engine.free_count() > 0, "threshold {threshold}");
+        assert_eq!(engine.needs_retrain(), trips, "threshold {threshold}");
+    }
 }
 
 proptest! {
@@ -242,8 +272,8 @@ proptest! {
         }
 
         // Precondition for exactness: no background model swap happened
-        // (retrain_min_free = 0 and two-family traffic keep every
-        // cluster populated).
+        // (at retrain_min_free = 0 the retrain trigger never trips, even
+        // on an emptied cluster).
         prop_assert_eq!(sharded.model_swaps(), 0);
 
         prop_assert_eq!(sharded.device_stats(), single.device_stats().clone());
