@@ -6,7 +6,7 @@ use crate::Scale;
 use e2nvm_core::{kselect, E2Config, PaddingLocation, PaddingType};
 use e2nvm_ml::data::segments_to_matrix;
 use e2nvm_ml::rng::seeded;
-use e2nvm_ml::{BitMatrix, ClusterModel, DecConfig, KMeans, Pca, VaeConfig};
+use e2nvm_ml::{BitMatrix, ClusterModel, DecConfig, KMeans, Pca, PredictScratch, VaeConfig};
 use e2nvm_sim::bitops::hamming;
 use e2nvm_sim::EnergyParams;
 use e2nvm_workloads::DatasetKind;
@@ -19,7 +19,7 @@ fn expected_flips(
     items: &[Vec<u8>],
     assignments: &[usize],
     test: &[Vec<u8>],
-    predict: impl Fn(&[u8]) -> usize,
+    mut predict: impl FnMut(&[u8]) -> usize,
 ) -> f64 {
     let k = assignments.iter().copied().max().unwrap_or(0) + 1;
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
@@ -121,8 +121,9 @@ pub fn fig04(scale: Scale) -> Table {
             ClusterModel::train(&dec_cfg, &BitMatrix::from_segments(&items), None, &mut rng);
         let vae_ms = t0.elapsed().as_secs_f64() * 1e3;
         let assignments = model.predict_batch(&features);
+        let (placer, mut scratch) = (model.placer(), PredictScratch::default());
         let vae_flips = expected_flips(&items, &assignments, &test, |item| {
-            model.predict(&e2nvm_ml::data::bytes_to_features(item))
+            placer.predict_packed(item, &mut scratch)
         });
 
         table.row(vec![

@@ -363,10 +363,27 @@ impl E2Engine {
     }
 
     /// Install an externally trained model (from the background
-    /// retrainer) and rebuild the DAP against the current free set.
-    pub fn install_model_now(&mut self, model: E2Model) {
+    /// retrainer or a model file) and rebuild the DAP against the
+    /// current free set. A model of another input width is refused
+    /// with [`E2Error::Config`], and the engine keeps the model it had.
+    pub fn install_model_now(&mut self, model: E2Model) -> Result<()> {
+        self.check_model_width(&model)?;
         let free = self.free_snapshot();
         self.install_model(model, &free);
+        Ok(())
+    }
+
+    /// A model serves this engine only if it reads segments of the
+    /// configured width.
+    fn check_model_width(&self, model: &E2Model) -> Result<()> {
+        if model.input_bits() != self.cfg.input_bits() {
+            return Err(E2Error::Config(format!(
+                "model expects {} input bits, config provides {}",
+                model.input_bits(),
+                self.cfg.input_bits()
+            )));
+        }
+        Ok(())
     }
 
     fn install_model(&mut self, model: E2Model, free: &FreeSnapshot) {
@@ -821,13 +838,7 @@ impl E2Engine {
         }
         let model = E2Model::from_bytes(&state.model)
             .map_err(|e| E2Error::Config(format!("restore_state: bad model artifact: {e}")))?;
-        if model.input_bits() != self.cfg.input_bits() {
-            return Err(E2Error::Config(format!(
-                "restore_state: model expects {} input bits, config provides {}",
-                model.input_bits(),
-                self.cfg.input_bits()
-            )));
-        }
+        self.check_model_width(&model)?;
         let num_segments = self.controller.num_segments();
         for &seg in &state.retired {
             if seg.index() >= num_segments {
@@ -1390,6 +1401,46 @@ mod tests {
         // free a segment the other still names.
         state.entries[1].1 = state.entries[0].1;
         assert_restore_refused(&state, fresh, &clean);
+    }
+
+    /// A model blob with no centroids is refused at decode, so the
+    /// restore fails instead of rebuilding a pool of zero clusters.
+    #[test]
+    fn restore_rejects_a_model_without_clusters() {
+        let (clean, fresh) = exported_and_fresh(28);
+        let k = E2Model::from_bytes(&clean.model).unwrap().k();
+        let centroids = 4 * k * fresh.cfg.latent_dim;
+        let mut state = clean.clone();
+        // The centroids come last: rows, columns, element count, then
+        // the elements.
+        let end = state.model.len() - centroids;
+        state.model.truncate(end);
+        state.model[end - 24..end - 16].copy_from_slice(&0u64.to_le_bytes());
+        state.model[end - 8..end].copy_from_slice(&0u64.to_le_bytes());
+        assert_restore_refused(&state, fresh, &clean);
+    }
+
+    /// A model of another segment width is refused on install, fresh
+    /// or trained, and the engine keeps what it had.
+    #[test]
+    fn install_refuses_a_model_of_another_width() {
+        let mut narrow = engine(16, 16, 2);
+        seed_two_families(&mut narrow, &mut StdRng::seed_from_u64(29));
+        narrow.train().unwrap();
+        let narrow = narrow.model().unwrap();
+        let (state, mut fresh) = exported_and_fresh(30);
+        assert!(matches!(
+            fresh.install_model_now(narrow.clone()),
+            Err(E2Error::Config(_))
+        ));
+        assert!(!fresh.is_trained());
+        fresh.restore_state(&state).unwrap();
+        assert!(matches!(
+            fresh.install_model_now(narrow.clone()),
+            Err(E2Error::Config(_))
+        ));
+        assert_eq!(fresh.model().unwrap().to_bytes(), state.model);
+        assert_eq!(fresh.get(2).unwrap(), b"two");
     }
 
     #[test]

@@ -45,6 +45,7 @@
 // The engine reaches the device's prefetch hint only through
 // `e2nvm-sim`'s safe API.
 #![deny(unsafe_code)]
+#![warn(missing_docs)]
 
 pub mod config;
 pub mod dap;

@@ -1,11 +1,12 @@
-//! The E2-NVM model: a trained VAE encoder + K-means centroids, with
-//! byte-level prediction helpers that route values through the padder.
+//! The E2-NVM model: the trained encoder up to μ + the K-means
+//! centroids (a [`Placer`]), with byte-level prediction helpers that
+//! route values through the padder.
 
 use crate::config::E2Config;
 use crate::padding::Padder;
-use e2nvm_ml::data::{subsample_segments, train_val_split};
-use e2nvm_ml::persist::{Persist, PersistError, Reader, Writer};
-use e2nvm_ml::{BitMatrix, ClusterModel, PredictScratch, TrainingHistory};
+use e2nvm_ml::data::{features_to_bytes, subsample_segments, train_val_split};
+use e2nvm_ml::persist::{Persist, PersistError};
+use e2nvm_ml::{BitMatrix, ClusterModel, Placer, PredictScratch, TrainingHistory};
 use rand::Rng;
 
 /// Caller-owned buffers of the serving path ([`E2Model::order_into`],
@@ -18,11 +19,11 @@ pub struct PlacementScratch {
     predict: PredictScratch,
 }
 
-/// A trained placement model.
+/// A trained placement model: what serving reads, and the loss curves
+/// of the training run that made it.
 #[derive(Debug, Clone)]
 pub struct E2Model {
-    cluster: ClusterModel,
-    input_bits: usize,
+    placer: Placer,
     history: TrainingHistory,
 }
 
@@ -46,9 +47,16 @@ impl E2Model {
         let val_opt: Option<&BitMatrix> = (val.rows() > 0).then_some(&val);
         let (cluster, history) = ClusterModel::train(&cfg.dec_config(), &train, val_opt, rng);
         Self {
-            cluster,
-            input_bits: cfg.input_bits(),
+            placer: cluster.placer(),
             history,
+        }
+    }
+
+    /// A model serving `placer`, with no training history.
+    pub fn from_placer(placer: Placer) -> Self {
+        Self {
+            placer,
+            history: TrainingHistory::default(),
         }
     }
 
@@ -63,7 +71,7 @@ impl E2Model {
         scratch: &'s mut PlacementScratch,
     ) -> &'s [usize] {
         let padded = self.pad_into(value, padder, rng, &mut scratch.padded);
-        self.cluster.order_packed(padded, &mut scratch.predict)
+        self.placer.order_packed(padded, &mut scratch.predict)
     }
 
     /// Cluster of one whole segment's content (Algorithm 2's
@@ -73,7 +81,7 @@ impl E2Model {
     /// # Panics
     /// Panics if `segment` is not exactly the model's input width.
     pub fn classify(&self, segment: &[u8], scratch: &mut PlacementScratch) -> usize {
-        self.cluster.predict_packed(segment, &mut scratch.predict)
+        self.placer.predict_packed(segment, &mut scratch.predict)
     }
 
     /// [`E2Model::classify`] of a segment whose first `written` bytes
@@ -81,7 +89,7 @@ impl E2Model {
     /// asked about, when that call padded with zeros at the end: the
     /// prediction is resumed over `segment[written..]` instead of
     /// walking the value's bits again
-    /// ([`ClusterModel::resume_packed`]). Same cluster, bit for bit.
+    /// ([`Placer::resume_packed`]). Same cluster, bit for bit.
     ///
     /// # Panics
     /// Panics if `segment` is not exactly the model's input width or
@@ -92,7 +100,7 @@ impl E2Model {
         written: usize,
         scratch: &mut PlacementScratch,
     ) -> usize {
-        self.cluster
+        self.placer
             .resume_packed(segment, written, &mut scratch.predict)
     }
 
@@ -107,12 +115,18 @@ impl E2Model {
     pub fn predict_value<R: Rng>(&self, value: &[u8], padder: &Padder, rng: &mut R) -> usize {
         let mut scratch = PlacementScratch::default();
         let padded = self.pad_into(value, padder, rng, &mut scratch.padded);
-        self.cluster.predict_packed(padded, &mut scratch.predict)
+        self.placer.predict_packed(padded, &mut scratch.predict)
     }
 
     /// Predict the cluster for a (padded) 0.0/1.0 feature vector.
+    ///
+    /// # Panics
+    /// Panics if a feature is neither `0.0` nor `1.0`, or if there are
+    /// not exactly the model's input width of them.
     pub fn predict_features(&self, features: &[f32]) -> usize {
-        self.cluster.predict(features)
+        let bits = features_to_bytes(features);
+        self.placer
+            .predict_packed(&bits, &mut PredictScratch::default())
     }
 
     /// Classify whole segments (no padding needed), one at a time
@@ -133,19 +147,19 @@ impl E2Model {
         rng: &mut R,
         buf: &'b mut Vec<u8>,
     ) -> &'b [u8] {
-        buf.resize(self.input_bits / 8, 0);
+        buf.resize(self.input_bits() / 8, 0);
         padder.pad(value, buf, rng);
         buf
     }
 
     /// Number of clusters.
     pub fn k(&self) -> usize {
-        self.cluster.k()
+        self.placer.k()
     }
 
     /// Model input width in bit-features.
     pub fn input_bits(&self) -> usize {
-        self.input_bits
+        self.placer.input_bits()
     }
 
     /// Training history (loss curves for Figure 9).
@@ -153,46 +167,46 @@ impl E2Model {
         &self.history
     }
 
-    /// Multiply-accumulates per prediction (CPU-energy model input).
+    /// Multiply-accumulates per prediction (CPU-energy model input):
+    /// the encoder to μ and log σ², then the centroid scan. The
+    /// *nominal dense* count — it prices the model, not the serving
+    /// kernel's skipping of zero inputs and of the log σ² half.
     pub fn predict_macs(&self) -> u64 {
-        self.cluster.predict_macs()
+        let (to_mu, logvar, latent) = self.layer_macs();
+        to_mu + logvar + (self.k() * latent) as u64
     }
 
-    /// The underlying VAE + centroids — the batched `Matrix` path
-    /// the serving kernel is checked against.
-    pub fn cluster_model(&self) -> &ClusterModel {
-        &self.cluster
-    }
-
-    /// Multiply-accumulates for one retraining epoch on `n` samples.
+    /// Multiply-accumulates for one retraining epoch on `n` samples:
+    /// forward + backward ≈ 3× forward through the encoder and the
+    /// decoder, which mirrors the layers to μ (the same products).
     pub fn train_macs_per_epoch(&self, n: usize) -> u64 {
-        self.cluster.vae().train_macs_per_epoch(n)
+        let (to_mu, logvar, _) = self.layer_macs();
+        3 * n as u64 * (2 * to_mu + logvar)
     }
 
-    /// Serialize the model: its input width, the whole VAE (config,
-    /// encoder *and* decoder) and the K-means centroids. Serving reads
-    /// only the encoder and the centroids. The training history is not
-    /// persisted — a loaded model serves predictions.
+    /// Multiply-accumulates of one sample through the layers to μ and
+    /// through the log σ² columns training adds to the last one, and
+    /// μ's width.
+    fn layer_macs(&self) -> (u64, u64, usize) {
+        let widths = self.placer.widths();
+        let &[.., before, latent] = widths.as_slice() else {
+            unreachable!("a placer has an input and a layer")
+        };
+        let to_mu = widths.windows(2).map(|w| (w[0] * w[1]) as u64).sum();
+        (to_mu, (before * latent) as u64, latent)
+    }
+
+    /// Serialize the served model (version 2 of the model codec): the
+    /// encoder's layers up to μ and the centroids. The training history
+    /// is not persisted — a loaded model serves predictions.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_header();
-        w.u64(self.input_bits as u64);
-        Persist::encode(&self.cluster, &mut w);
-        w.into_bytes()
+        self.placer.to_bytes()
     }
 
     /// Deserialize a model previously produced by [`E2Model::to_bytes`].
+    /// A model that could not serve is refused with its own error.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, PersistError> {
-        let mut r = Reader::with_header(buf)?;
-        let input_bits = r.u64()? as usize;
-        let cluster = <ClusterModel as Persist>::decode(&mut r)?;
-        if cluster.input_dim() != input_bits {
-            return Err(PersistError::BadLength(input_bits as u64));
-        }
-        Ok(Self {
-            cluster,
-            input_bits,
-            history: TrainingHistory::default(),
-        })
+        Placer::from_bytes(buf).map(Self::from_placer)
     }
 }
 
@@ -290,9 +304,36 @@ mod tests {
         let loaded = E2Model::from_bytes(&model.to_bytes()).unwrap();
         assert_eq!(loaded.k(), model.k());
         assert_eq!(loaded.input_bits(), model.input_bits());
+        assert_eq!(loaded.predict_macs(), model.predict_macs());
+        assert_eq!(
+            loaded.train_macs_per_epoch(100),
+            model.train_macs_per_epoch(100)
+        );
         assert_eq!(
             loaded.classify_segments(&contents),
             model.classify_segments(&contents)
+        );
+    }
+
+    /// The counts a model derives from its widths are the trained
+    /// VAE's: the encoder to μ and log σ², the decoder, the centroids.
+    #[test]
+    fn macs_are_the_trained_models() {
+        let mut rng = seeded(7);
+        let contents = clustered_segments(20, 16, &mut rng);
+        let cfg = quick_cfg();
+        let bits = BitMatrix::from_segments(&contents);
+        let (cluster, _) = ClusterModel::train(&cfg.dec_config(), &bits, None, &mut rng);
+        let model = E2Model::from_placer(cluster.placer());
+        assert_eq!(
+            model.train_macs_per_epoch(100),
+            cluster.vae().train_macs_per_epoch(100)
+        );
+        let (h, l) = (cfg.hidden[0], cfg.latent_dim);
+        assert_eq!(cfg.hidden.len(), 1);
+        assert_eq!(
+            model.predict_macs(),
+            (128 * h + h * 2 * l + model.k() * l) as u64
         );
     }
 

@@ -108,7 +108,9 @@ impl Shard {
                 .take()
                 .map_or(0, |t| t.elapsed().as_millis() as u64);
             let mut engine = self.engine.lock();
-            engine.install_model_now(model);
+            engine
+                .install_model_now(model)
+                .expect("the retrainer trains at the engine's width");
             let telemetry = engine.telemetry();
             telemetry.record_event(Event::RetrainFinished {
                 shard: telemetry.shard(),

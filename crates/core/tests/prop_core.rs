@@ -12,7 +12,7 @@ use e2nvm_core::{
     PlacementScratch,
 };
 use e2nvm_ml::data::{bytes_to_features, segments_to_matrix};
-use e2nvm_ml::Matrix;
+use e2nvm_ml::{BitMatrix, ClusterModel, Matrix};
 use e2nvm_sim::{DeviceConfig, FaultConfig, LogicalSegment, MemoryController, NvmDevice};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -184,7 +184,7 @@ fn twin_engine(wear_leveled: bool, faulty: bool) -> E2Engine {
             .seed(LogicalSegment(i), content)
             .unwrap();
     }
-    engine.install_model_now(models[0].clone());
+    engine.install_model_now(models[0].clone()).unwrap();
     engine
 }
 
@@ -226,7 +226,9 @@ fn twin_step(engine: &mut E2Engine, op: &(u8, u8, u8, Vec<u8>), installs: &mut u
         6 => format!("{:?}", engine.delete(key)),
         7 => {
             *installs += 1;
-            engine.install_model_now(twin_fixture().2[*installs % 2].clone());
+            engine
+                .install_model_now(twin_fixture().2[*installs % 2].clone())
+                .unwrap();
             String::new()
         }
         8 => {
@@ -463,7 +465,8 @@ fn random_bytes(len: usize, rng: &mut StdRng) -> Vec<u8> {
 /// bits; the batched `Matrix` path (`Vae::latent` on
 /// `bytes_to_features` input + `KMeans`) is what it must agree with —
 /// not approximately, because one differing cluster changes a
-/// placement. Every padding type × location (the learned generator
+/// placement. The model serves the reference's placer as its bytes
+/// load back. Every padding type × location (the learned generator
 /// trained), every value length, one and two hidden layers.
 #[test]
 fn kernel_decides_what_the_matrix_path_decides() {
@@ -480,8 +483,14 @@ fn kernel_decides_what_the_matrix_path_decides() {
             .joint_epochs(1)
             .build()
             .unwrap();
-        let model = E2Model::train(&cfg, &segments, &mut StdRng::seed_from_u64(3));
-        let reference = model.cluster_model();
+        let (reference, _) = ClusterModel::train(
+            &cfg.dec_config(),
+            &BitMatrix::from_segments(&segments),
+            None,
+            &mut StdRng::seed_from_u64(3),
+        );
+        let model =
+            E2Model::from_bytes(&E2Model::from_placer(reference.placer()).to_bytes()).unwrap();
         let reference_order = |padded: &[u8]| {
             let x = Matrix::from_vec(1, SEGMENT * 8, bytes_to_features(padded));
             let z = reference.vae().latent(&x);
@@ -535,6 +544,65 @@ fn kernel_decides_what_the_matrix_path_decides() {
                     assert_eq!(rng.next_u64(), after, "predict_value RNG, {what}");
                 }
             }
+        }
+    }
+}
+
+/// A small trained model and its bytes, for the hostile-bytes tests.
+fn hostile_fixture() -> &'static (E2Model, Vec<u8>) {
+    static FIXTURE: OnceLock<(E2Model, Vec<u8>)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(41);
+        let segments: Vec<Vec<u8>> = (0..48).map(|_| random_bytes(16, &mut rng)).collect();
+        let cfg = E2Config::builder()
+            .fast(16, 3)
+            .hidden(vec![8])
+            .latent_dim(4)
+            .pretrain_epochs(2)
+            .joint_epochs(1)
+            .build()
+            .unwrap();
+        let model = E2Model::train(&cfg, &segments, &mut rng);
+        let bytes = model.to_bytes();
+        (model, bytes)
+    })
+}
+
+/// What a loaded model must do, whatever its weights hold: classify a
+/// segment of its width and order a value's clusters, without a panic.
+fn serves(model: &E2Model) {
+    let segment = vec![0xA5; model.input_bits() / 8];
+    let mut scratch = PlacementScratch::default();
+    assert!(model.classify(&segment, &mut scratch) < model.k());
+    let padder = Padder::new(PaddingLocation::End, PaddingType::Zero);
+    let value = &segment[..segment.len() / 2];
+    let order = model.order_into(value, &padder, &mut StdRng::seed_from_u64(1), &mut scratch);
+    assert_eq!(order.len(), model.k());
+}
+
+/// Every cut of a model's bytes short of the whole is refused.
+#[test]
+fn every_truncation_of_a_model_is_refused() {
+    let (model, bytes) = hostile_fixture();
+    serves(model);
+    serves(&E2Model::from_bytes(bytes).unwrap());
+    for cut in 0..bytes.len() {
+        assert!(E2Model::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// One corrupted byte anywhere — a shape, a count, a tag, a weight
+    /// — never panics the decoder, and whatever it accepts serves.
+    #[test]
+    fn a_corrupted_model_is_refused_or_serves(at in any::<usize>(), flip in 1u8..=255) {
+        let mut bytes = hostile_fixture().1.clone();
+        let at = at % bytes.len();
+        bytes[at] ^= flip;
+        if let Ok(model) = E2Model::from_bytes(&bytes) {
+            serves(&model);
         }
     }
 }

@@ -11,16 +11,16 @@
 //!    the ELBO gradient, re-fitting centroids between epochs.
 //!
 //! The product is a [`ClusterModel`]: the whole VAE plus the K-means
-//! centroids. Prediction reads only the encoder and the centroids, the
-//! two artifacts the paper keeps for serving ("After training, only the
-//! encoder part of the VAE and the K-means clustering models are
-//! needed").
+//! centroids, and the batched `Matrix` reference the serving kernel is
+//! held to. Serving reads only the encoder up to μ and the centroids,
+//! the two artifacts the paper keeps ("After training, only the encoder
+//! part of the VAE and the K-means clustering models are needed"):
+//! [`ClusterModel::placer`] compiles them into a [`Placer`].
 
 use crate::bits::BitMatrix;
-use crate::data::features_to_bytes;
 use crate::kmeans::KMeans;
 use crate::matrix::Matrix;
-use crate::predict::PredictScratch;
+use crate::predict::Placer;
 use crate::vae::{Vae, VaeConfig, VaeLosses};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -124,52 +124,12 @@ impl ClusterModel {
         )
     }
 
-    /// Predict the cluster of one 0.0/1.0 feature vector (two-stage:
-    /// encoder then K-means — the prediction path whose latency
-    /// Figure 10 reports). Packs the features and runs
-    /// [`ClusterModel::predict_packed`].
-    ///
-    /// # Panics
-    /// Panics if a feature is neither `0.0` nor `1.0`.
-    pub fn predict(&self, features: &[f32]) -> usize {
-        self.predict_packed(&features_to_bytes(features), &mut PredictScratch::default())
-    }
-
     /// Predict clusters for a batch of samples.
     pub fn predict_batch(&self, data: &Matrix) -> Vec<usize> {
         let z = self.vae.latent(data);
         (0..z.rows())
             .map(|r| self.kmeans.predict(z.row(r)))
             .collect()
-    }
-
-    /// Clusters ordered nearest-first for a 0.0/1.0 feature vector (the
-    /// DAP's fallback order). Packs the features and runs
-    /// [`ClusterModel::order_packed`].
-    ///
-    /// # Panics
-    /// Panics if a feature is neither `0.0` nor `1.0`.
-    pub fn clusters_by_distance(&self, features: &[f32]) -> Vec<usize> {
-        self.order_packed(&features_to_bytes(features), &mut PredictScratch::default())
-            .to_vec()
-    }
-
-    /// Number of clusters.
-    pub fn k(&self) -> usize {
-        self.kmeans.k()
-    }
-
-    /// Input feature dimensionality the model was trained on.
-    pub fn input_dim(&self) -> usize {
-        self.vae.config().input_dim
-    }
-
-    /// Multiply-accumulates per prediction (encoder forward + centroid
-    /// scan) — feeds the CPU-energy model. The *nominal dense* count:
-    /// it prices the model, not the serving kernel's skipping of zero
-    /// inputs and of the log σ² half ([`crate::predict`]).
-    pub fn predict_macs(&self) -> u64 {
-        self.vae.predict_macs() + (self.kmeans.k() * self.vae.config().latent_dim) as u64
     }
 
     /// The underlying encoder-bearing VAE.
@@ -182,17 +142,33 @@ impl ClusterModel {
         &self.kmeans
     }
 
-    /// Rebuild from persisted parts, validating that the centroids live
-    /// in the VAE's latent space.
-    pub fn from_parts(vae: Vae, kmeans: KMeans) -> Result<Self, String> {
-        if kmeans.centroids().cols() != vae.config().latent_dim {
-            return Err(format!(
-                "ClusterModel::from_parts: centroid dim {} != latent dim {}",
-                kmeans.centroids().cols(),
-                vae.config().latent_dim
-            ));
-        }
-        Ok(Self { vae, kmeans })
+    /// The serving model: the encoder's layers with the last one cut to
+    /// its μ columns (the log σ² columns and the decoder dropped), and
+    /// the centroids.
+    pub fn placer(&self) -> Placer {
+        let latent = self.vae.config().latent_dim;
+        let layers = self.vae.encoder().layers();
+        let last = layers.len() - 1;
+        let layers = layers
+            .iter()
+            .enumerate()
+            .map(|(i, l)| {
+                let out = if i == last { latent } else { l.out_dim() };
+                (
+                    l.weights().cols_range(0, out),
+                    l.bias()[..out].to_vec(),
+                    l.activation(),
+                )
+            })
+            .collect();
+        Placer::new(layers, self.kmeans.clone()).expect("a trained model serves")
+    }
+
+    /// A model of a VAE and centroids in its latent space.
+    #[cfg(test)]
+    pub(crate) fn from_parts(vae: Vae, kmeans: KMeans) -> Self {
+        assert_eq!(kmeans.centroids().cols(), vae.config().latent_dim);
+        Self { vae, kmeans }
     }
 }
 
@@ -216,6 +192,8 @@ fn cluster_pull(kmeans: &KMeans, zb: &Matrix, gamma: f32) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::features_to_bytes;
+    use crate::predict::PredictScratch;
     use crate::rng::seeded;
     use crate::vae::VaeConfig;
 
@@ -313,8 +291,10 @@ mod tests {
         let (model, _) =
             ClusterModel::train(&cfg, &BitMatrix::from_features(&data), None, &mut rng);
         let batch = model.predict_batch(&data);
+        let (placer, mut scratch) = (model.placer(), PredictScratch::default());
         for (r, expected) in batch.iter().enumerate() {
-            assert_eq!(model.predict(data.row(r)), *expected);
+            let bits = features_to_bytes(data.row(r));
+            assert_eq!(placer.predict_packed(&bits, &mut scratch), *expected);
         }
     }
 
@@ -362,8 +342,7 @@ mod tests {
         cfg.joint_epochs = 1;
         let (model, _) =
             ClusterModel::train(&cfg, &BitMatrix::from_features(&data), None, &mut rng);
-        assert_eq!(model.k(), 3);
-        assert_eq!(model.input_dim(), 32);
-        assert!(model.predict_macs() > 0);
+        let placer = model.placer();
+        assert_eq!((placer.k(), placer.widths()), (3, vec![32, 32, 4]));
     }
 }

@@ -217,7 +217,7 @@ impl Dense {
         self.zero_grad();
     }
 
-    /// Read-only view of the weights (diagnostics/tests/persistence).
+    /// Read-only view of the weights.
     pub fn weights(&self) -> &Matrix {
         &self.w
     }
@@ -225,27 +225,6 @@ impl Dense {
     /// Read-only view of the bias.
     pub fn bias(&self) -> &[f32] {
         &self.b
-    }
-
-    /// Rebuild a layer from persisted parameters. The optimizer state
-    /// starts fresh (persisted models are serving artifacts).
-    ///
-    /// # Panics
-    /// Panics if `bias.len() != weights.cols()`.
-    pub fn from_parts(weights: Matrix, bias: Vec<f32>, act: Activation) -> Self {
-        assert_eq!(bias.len(), weights.cols(), "Dense::from_parts: bias width");
-        let (in_dim, out_dim) = (weights.rows(), weights.cols());
-        Self {
-            w_grad: Matrix::zeros(in_dim, out_dim),
-            b_grad: vec![0.0; out_dim],
-            w_adam: Adam::new(in_dim * out_dim, 1e-3),
-            b_adam: Adam::new(out_dim, 1e-3),
-            cache_x: None,
-            cache_y: None,
-            w: weights,
-            b: bias,
-            act,
-        }
     }
 }
 

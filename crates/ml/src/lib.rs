@@ -17,6 +17,7 @@
 // `kernel::Kernel::run`, which training, serving, the optimizer and the
 // `exp`/`ln` lanes share.
 #![deny(unsafe_code)]
+#![warn(missing_docs)]
 
 pub mod activation;
 pub mod bits;
@@ -47,5 +48,5 @@ pub use matrix::Matrix;
 pub use mlp::Mlp;
 pub use pca::Pca;
 pub use persist::{Persist, PersistError};
-pub use predict::PredictScratch;
+pub use predict::{Placer, PredictScratch};
 pub use vae::{Vae, VaeConfig, VaeLosses};

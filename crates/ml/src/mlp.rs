@@ -48,26 +48,11 @@ impl Mlp {
                 Dense::new(pair[0], pair[1], act, lr, rng)
             })
             .collect();
-        Self::from_checked_layers(layers)
-    }
-
-    /// An `Mlp` over layers whose widths chain, before any forward.
-    fn from_checked_layers(layers: Vec<Dense>) -> Self {
         Self {
             layers,
             outputs: Vec::new(),
             input: 0,
         }
-    }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.layers.first().expect("Mlp has layers").in_dim()
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("Mlp has layers").out_dim()
     }
 
     /// Total trainable parameters.
@@ -180,24 +165,6 @@ impl Mlp {
     pub fn layers(&self) -> &[Dense] {
         &self.layers
     }
-
-    /// Rebuild from persisted layers, validating that adjacent layer
-    /// dimensions chain.
-    pub fn from_layers(layers: Vec<Dense>) -> Result<Self, String> {
-        if layers.is_empty() {
-            return Err("Mlp::from_layers: no layers".into());
-        }
-        for pair in layers.windows(2) {
-            if pair[0].out_dim() != pair[1].in_dim() {
-                return Err(format!(
-                    "Mlp::from_layers: layer widths do not chain ({} -> {})",
-                    pair[0].out_dim(),
-                    pair[1].in_dim()
-                ));
-            }
-        }
-        Ok(Self::from_checked_layers(layers))
-    }
 }
 
 /// A cheap hash (FNV-1a over 32-bit words) of `x`'s shape and bits, to
@@ -231,8 +198,6 @@ mod tests {
             0.01,
             &mut rng,
         );
-        assert_eq!(mlp.in_dim(), 8);
-        assert_eq!(mlp.out_dim(), 2);
         assert_eq!(mlp.param_count(), 8 * 4 + 4 + 4 * 2 + 2);
         let y = mlp.forward_inference(&Matrix::zeros(3, 8));
         assert_eq!((y.rows(), y.cols()), (3, 2));

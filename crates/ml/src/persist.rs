@@ -1,49 +1,98 @@
-//! Binary persistence for trained models.
+//! Binary persistence for the serving model.
 //!
 //! The paper's serving path keeps "only the encoder part of the VAE and
 //! the K-means clustering models"; a deployment needs to save the model
-//! and load it on restart without retraining. A `ClusterModel` is
-//! written whole — VAE config, encoder, decoder, centroids — although
-//! prediction reads only the encoder and the centroids. This module
-//! is a compact, versioned, little-endian codec for the model types —
-//! no external format dependencies, explicit invariants, and round-trip
-//! property tests.
+//! and load it on restart without retraining. What is written is the
+//! [`Placer`], and nothing else: the layer count, then each encoder
+//! layer's activation tag, weights and bias — the μ layer at μ's width —
+//! then the centroids. The decoder, the log σ² columns, the optimizer
+//! state and the training caches are not written: a loaded model serves
+//! predictions, and retraining starts from a fresh VAE.
 //!
-//! Optimizer state and training caches are deliberately *not* encoded:
-//! a loaded model serves predictions; resuming training re-initializes
-//! Adam (standard practice for small models).
+//! This module is a compact, versioned, little-endian codec — no
+//! external format dependencies, explicit invariants, and round-trip
+//! tests. A model that could not serve (no clusters, widths that do not
+//! chain, centroids off μ's width, an input of part of a byte) is
+//! refused at decode with its own [`PersistError`].
 
 use crate::activation::Activation;
-use crate::dense::Dense;
 use crate::kmeans::KMeans;
 use crate::matrix::Matrix;
-use crate::mlp::Mlp;
-use crate::vae::{Vae, VaeConfig};
+use crate::predict::Placer;
 
-/// Format magic + version (bump on layout changes).
+/// Format magic + version (bump on layout changes). Version 1 wrote the
+/// whole VAE; version 2 writes the [`Placer`].
 const MAGIC: &[u8; 4] = b"E2NV";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 
 /// Decoding errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PersistError {
     /// Buffer ended before the structure was complete.
     UnexpectedEof,
-    /// Magic bytes or version did not match.
+    /// The magic bytes did not match.
     BadHeader,
+    /// The artifact was written in another version of the format.
+    Version {
+        /// The version it was written in.
+        found: u16,
+        /// The one version this build reads.
+        expected: u16,
+    },
     /// A tag byte did not correspond to a known variant.
     BadTag(u8),
     /// A length field was implausible (corrupt or hostile input).
     BadLength(u64),
+    /// The model has no clusters to place into.
+    NoClusters,
+    /// Layer `layer` takes `inputs` inputs where the layer before it
+    /// (or the input, for the first) gives `expected`.
+    LayersDoNotChain {
+        /// The layer's index, input first.
+        layer: usize,
+        /// Its input width.
+        inputs: usize,
+        /// The width that reaches it.
+        expected: usize,
+    },
+    /// The centroids are not in μ's space.
+    CentroidWidth {
+        /// The centroids' width.
+        centroids: usize,
+        /// μ's width.
+        latent: usize,
+    },
+    /// The input width in bits is not a positive whole number of bytes.
+    InputNotWholeBytes(usize),
 }
 
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PersistError::UnexpectedEof => write!(f, "unexpected end of model data"),
-            PersistError::BadHeader => write!(f, "not an E2-NVM model file (bad magic/version)"),
+            PersistError::BadHeader => write!(f, "not an E2-NVM model file (bad magic)"),
+            PersistError::Version { found, expected } => write!(
+                f,
+                "model format version {found}; this build reads version {expected}"
+            ),
             PersistError::BadTag(t) => write!(f, "unknown tag byte {t}"),
             PersistError::BadLength(n) => write!(f, "implausible length field {n}"),
+            PersistError::NoClusters => write!(f, "model has no clusters"),
+            PersistError::LayersDoNotChain {
+                layer,
+                inputs,
+                expected,
+            } => write!(
+                f,
+                "layer {layer} takes {inputs} inputs but is given {expected}"
+            ),
+            PersistError::CentroidWidth { centroids, latent } => write!(
+                f,
+                "centroids {centroids} wide in a {latent}-wide latent space"
+            ),
+            PersistError::InputNotWholeBytes(bits) => {
+                write!(f, "input of {bits} bits is not whole bytes")
+            }
         }
     }
 }
@@ -117,8 +166,12 @@ impl<'a> Reader<'a> {
         if magic != MAGIC {
             return Err(PersistError::BadHeader);
         }
-        if r.u16()? != VERSION {
-            return Err(PersistError::BadHeader);
+        let found = r.u16()?;
+        if found != VERSION {
+            return Err(PersistError::Version {
+                found,
+                expected: VERSION,
+            });
         }
         Ok(r)
     }
@@ -205,9 +258,11 @@ impl Persist for Matrix {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let rows = r.u64()?;
         let cols = r.u64()?;
+        // Each side on its own too: an empty matrix of 2^60 rows is
+        // no allocation, but a loop over its rows never ends.
         let elements = rows.saturating_mul(cols);
-        if elements > MAX_ELEMENTS {
-            return Err(PersistError::BadLength(elements));
+        if rows.max(cols).max(elements) > MAX_ELEMENTS {
+            return Err(PersistError::BadLength(elements.max(rows).max(cols)));
         }
         let data = r.f32s()?;
         if data.len() as u64 != elements {
@@ -236,108 +291,31 @@ fn activation_from(tag: u8) -> Result<Activation> {
     })
 }
 
-impl Persist for Dense {
+impl Persist for Placer {
     fn encode(&self, w: &mut Writer) {
-        w.u8(activation_tag(self.activation()));
-        self.weights().encode(w);
-        w.f32s(self.bias());
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let act = activation_from(r.u8()?)?;
-        let weights = Matrix::decode(r)?;
-        let bias = r.f32s()?;
-        if bias.len() != weights.cols() {
-            return Err(PersistError::BadLength(bias.len() as u64));
+        w.u64(self.layers.len() as u64);
+        for layer in &self.layers {
+            w.u8(activation_tag(layer.activation));
+            // The μ layer's padding columns are rebuilt at load.
+            layer.weights.cols_range(0, layer.bias.len()).encode(w);
+            w.f32s(&layer.bias);
         }
-        Ok(Dense::from_parts(weights, bias, act))
-    }
-}
-
-impl Persist for Mlp {
-    fn encode(&self, w: &mut Writer) {
-        w.u64(self.layers().len() as u64);
-        for layer in self.layers() {
-            layer.encode(w);
-        }
+        self.kmeans.centroids().encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let n = r.u64()?;
-        if n > 1024 {
+        if n == 0 || n > 1024 {
             return Err(PersistError::BadLength(n));
         }
-        let layers: Result<Vec<Dense>> = (0..n).map(|_| Dense::decode(r)).collect();
-        Mlp::from_layers(layers?).map_err(|_| PersistError::BadLength(n))
-    }
-}
-
-impl Persist for VaeConfig {
-    fn encode(&self, w: &mut Writer) {
-        w.u64(self.input_dim as u64);
-        w.u64(self.hidden.len() as u64);
-        for &h in &self.hidden {
-            w.u64(h as u64);
-        }
-        w.u64(self.latent_dim as u64);
-        w.f32(self.lr);
-        w.f32(self.beta);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let input_dim = r.u64()? as usize;
-        let nh = r.u64()?;
-        if nh > 64 {
-            return Err(PersistError::BadLength(nh));
-        }
-        let hidden: Result<Vec<usize>> = (0..nh).map(|_| Ok(r.u64()? as usize)).collect();
-        Ok(VaeConfig {
-            input_dim,
-            hidden: hidden?,
-            latent_dim: r.u64()? as usize,
-            lr: r.f32()?,
-            beta: r.f32()?,
-        })
-    }
-}
-
-impl Persist for Vae {
-    fn encode(&self, w: &mut Writer) {
-        self.config().encode(w);
-        self.encoder().encode(w);
-        self.decoder().encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let cfg = VaeConfig::decode(r)?;
-        let encoder = Mlp::decode(r)?;
-        let decoder = Mlp::decode(r)?;
-        Vae::from_parts(cfg, encoder, decoder).map_err(|_| PersistError::BadHeader)
-    }
-}
-
-impl Persist for KMeans {
-    fn encode(&self, w: &mut Writer) {
-        self.centroids().encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(KMeans::from_centroids(Matrix::decode(r)?))
-    }
-}
-
-impl Persist for crate::dec::ClusterModel {
-    fn encode(&self, w: &mut Writer) {
-        // Fully qualified: `Vae` has an inherent `encode` (the latent
-        // encoder) that would shadow the trait method.
-        Persist::encode(self.vae(), w);
-        Persist::encode(self.kmeans(), w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let vae = <Vae as Persist>::decode(r)?;
-        let kmeans = <KMeans as Persist>::decode(r)?;
-        crate::dec::ClusterModel::from_parts(vae, kmeans).map_err(|_| PersistError::BadHeader)
+        let layers = (0..n)
+            .map(|_| {
+                let act = activation_from(r.u8()?)?;
+                let weights = Matrix::decode(r)?;
+                Ok((weights, r.f32s()?, act))
+            })
+            .collect::<Result<_>>()?;
+        Placer::new(layers, KMeans::from_centroids(Matrix::decode(r)?))
     }
 }
 
@@ -346,6 +324,7 @@ mod tests {
     use super::*;
     use crate::dec::{ClusterModel, DecConfig};
     use crate::rng::seeded;
+    use crate::vae::VaeConfig;
     use rand::Rng;
 
     #[test]
@@ -397,52 +376,27 @@ mod tests {
     }
 
     #[test]
-    fn mlp_roundtrip_preserves_inference() {
-        let mut rng = seeded(1);
-        let mlp = Mlp::new(
-            &[6, 4, 2],
-            Activation::Relu,
-            Activation::Sigmoid,
-            1e-3,
-            &mut rng,
-        );
-        let x = Matrix::from_fn(3, 6, |r, c| (r as f32 - c as f32) * 0.3);
-        let before = mlp.forward_inference(&x);
-        let loaded = Mlp::from_bytes(&mlp.to_bytes()).unwrap();
-        assert_eq!(loaded.forward_inference(&x), before);
+    fn an_empty_matrix_of_huge_height_is_refused() {
+        // No element to allocate, but a row loop that never ends.
+        let mut w = Writer::with_header();
+        w.u64(1 << 60);
+        w.u64(0);
+        w.f32s(&[]);
+        assert!(matches!(
+            Matrix::from_bytes(&w.into_bytes()),
+            Err(PersistError::BadLength(_))
+        ));
     }
 
-    #[test]
-    fn vae_roundtrip_preserves_latent() {
-        let mut rng = seeded(2);
-        let vae = Vae::new(
-            VaeConfig {
-                input_dim: 16,
-                hidden: vec![8],
-                latent_dim: 3,
-                lr: 1e-3,
-                beta: 0.5,
-            },
-            &mut rng,
-        );
-        let x = Matrix::from_fn(2, 16, |r, c| ((r + c) % 2) as f32);
-        let before = vae.latent(&x);
-        let loaded = Vae::from_bytes(&vae.to_bytes()).unwrap();
-        assert_eq!(loaded.latent(&x), before);
-        assert_eq!(loaded.config(), vae.config());
-    }
-
-    #[test]
-    fn cluster_model_roundtrip_preserves_predictions() {
+    /// A trained placer, and segments of both families it clusters.
+    fn trained() -> (Placer, Vec<Vec<u8>>) {
         let mut rng = seeded(3);
-        let data = Matrix::from_fn(60, 16, |r, _| {
-            let base = if r < 30 { 0.0 } else { 1.0 };
-            if rng.gen::<f32>() < 0.1 {
-                1.0 - base
-            } else {
-                base
-            }
-        });
+        let segments: Vec<Vec<u8>> = (0..60)
+            .map(|i| {
+                let base = if i < 30 { 0x00 } else { 0xFF };
+                (0..2).map(|_| base ^ (rng.gen::<u8>() & 0x11)).collect()
+            })
+            .collect();
         let cfg = DecConfig {
             vae: VaeConfig {
                 input_dim: 16,
@@ -458,18 +412,83 @@ mod tests {
             batch: 16,
             kmeans_iters: 10,
         };
-        let bits = crate::bits::BitMatrix::from_features(&data);
-        let (model, _) = ClusterModel::train(&cfg, &bits, None, &mut rng);
-        let loaded = ClusterModel::from_bytes(&model.to_bytes()).unwrap();
-        for r in 0..data.rows() {
-            assert_eq!(loaded.predict(data.row(r)), model.predict(data.row(r)));
+        let bits = crate::bits::BitMatrix::from_segments(&segments);
+        (
+            ClusterModel::train(&cfg, &bits, None, &mut rng).0.placer(),
+            segments,
+        )
+    }
+
+    #[test]
+    fn placer_roundtrip_preserves_predictions() {
+        let (placer, segments) = trained();
+        let bytes = placer.to_bytes();
+        let loaded = Placer::from_bytes(&bytes).unwrap();
+        assert_eq!(loaded.to_bytes(), bytes);
+        assert_eq!(loaded.widths(), [16, 8, 3]);
+        let mut scratch = crate::predict::PredictScratch::default();
+        for s in &segments {
+            assert_eq!(
+                loaded.predict_packed(s, &mut scratch),
+                placer.predict_packed(s, &mut scratch)
+            );
+        }
+    }
+
+    /// Layers as the codec writes them, and the centroids, encoded.
+    fn encoded(layers: &[(usize, usize)], k: usize, centroid_width: usize) -> Vec<u8> {
+        let mut w = Writer::with_header();
+        w.u64(layers.len() as u64);
+        for &(rows, cols) in layers {
+            w.u8(activation_tag(Activation::Relu));
+            Matrix::zeros(rows, cols).encode(&mut w);
+            w.f32s(&vec![0.0; cols]);
+        }
+        Matrix::zeros(k, centroid_width).encode(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_model_that_cannot_serve_is_refused() {
+        assert!(Placer::from_bytes(&encoded(&[(16, 8), (8, 3)], 2, 3)).is_ok());
+        let cases = [
+            (encoded(&[(16, 8), (8, 3)], 0, 3), PersistError::NoClusters),
+            (
+                encoded(&[(16, 8), (8, 3)], 2, 4),
+                PersistError::CentroidWidth {
+                    centroids: 4,
+                    latent: 3,
+                },
+            ),
+            (
+                encoded(&[(16, 8), (9, 3)], 2, 3),
+                PersistError::LayersDoNotChain {
+                    layer: 1,
+                    inputs: 9,
+                    expected: 8,
+                },
+            ),
+            (
+                encoded(&[(12, 8), (8, 3)], 2, 3),
+                PersistError::InputNotWholeBytes(12),
+            ),
+            (encoded(&[], 2, 3), PersistError::BadLength(0)),
+        ];
+        for (bytes, err) in cases {
+            assert_eq!(Placer::from_bytes(&bytes).unwrap_err(), err);
         }
     }
 
     #[test]
-    fn kmeans_roundtrip() {
-        let km = KMeans::from_centroids(Matrix::from_fn(3, 4, |r, c| (r * c) as f32));
-        let loaded = KMeans::from_bytes(&km.to_bytes()).unwrap();
-        assert_eq!(loaded.centroids(), km.centroids());
+    fn an_earlier_version_is_refused() {
+        let mut bytes = trained().0.to_bytes();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            Placer::from_bytes(&bytes).unwrap_err(),
+            PersistError::Version {
+                found: 1,
+                expected: 2
+            }
+        );
     }
 }

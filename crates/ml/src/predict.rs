@@ -1,8 +1,16 @@
-//! The single-sample prediction kernel: packed bits in, clusters out.
+//! The serving model and its single-sample prediction kernel: packed
+//! bits in, clusters out.
+//!
+//! After training, the paper keeps "only the encoder part of the VAE and
+//! the K-means clustering models" (§3). A [`Placer`] is exactly that:
+//! the encoder's layers up to μ as plain weights, bias and activation,
+//! and the centroids — no decoder, no log σ² columns, no optimizer state
+//! ([`crate::dec::ClusterModel::placer`] compiles one from a trained
+//! model, [`crate::persist`] writes and reads it).
 //!
 //! Every write (Algorithm 1) and every recycle (Algorithm 2) asks the
-//! [`ClusterModel`] about *one* segment whose features are bits (§3.2),
-//! so this path takes the bits as they sit in memory — MSB-first bytes,
+//! [`Placer`] about *one* segment whose features are bits (§3.2), so
+//! this path takes the bits as they sit in memory — MSB-first bytes,
 //! the layout [`crate::data::bytes_to_features`] defines — and pays per
 //! *set* bit instead of per feature. All working memory is a
 //! caller-owned [`PredictScratch`]: after the first call with a given
@@ -23,9 +31,11 @@
 //!   bit inputs `1.0 * w == w`, so adding the row is the same value;
 //! * the bias is added **after** the rows, then the activation is
 //!   applied (`Activation::apply_biased`, which `Dense` runs too);
-//! * output columns are independent, so computing only the μ half of
-//!   the last encoder layer (and of log σ² only what rounds μ's width
-//!   up to one power-of-two tile) changes none of them;
+//! * output columns are independent, so walking the μ layer over one
+//!   power-of-two tile — its weights widened with zero columns when
+//!   the placer is built (μ = 10 columns: one 16-wide tile, not an 8-
+//!   and a 2-wide one) — and dropping the padding columns changes none
+//!   of μ's;
 //! * centroid distances are the reference's `kmeans::dist2`, bit for
 //!   bit: the serving kernel asks the same lane scorer as `KMeans`
 //!   (the `kmeans` module's lane clause), and equal distances keep
@@ -37,16 +47,19 @@
 //! ascending index, so the fold over a prefix of the input is an exact
 //! intermediate of the fold over the whole input. A full call leaves
 //! those sums in the scratch; when its input was all zero from byte `n`
-//! on (a value zero-padded at the end), [`ClusterModel::resume_packed`]
+//! on (a value zero-padded at the end), [`Placer::resume_packed`]
 //! continues the fold over the set bits of bytes `n..` of a segment
 //! that starts with the same `n` bytes and arrives at the full call's
 //! additions in the full call's order: μ and the cluster are those of
 //! `predict_packed` on the whole segment, bit for bit, for the rows of
 //! the tail alone.
 
+use crate::activation::Activation;
 use crate::bits::SetBits;
-use crate::dec::ClusterModel;
 use crate::kernel::{compact_non_zero, Kernel};
+use crate::kmeans::KMeans;
+use crate::matrix::Matrix;
+use crate::persist::PersistError;
 
 /// Caller-owned working memory of the prediction kernel. Buffers grow
 /// to the model's widths on first use and are reused afterwards.
@@ -55,7 +68,7 @@ pub struct PredictScratch {
     /// The instantiation this CPU runs, asked once per scratch.
     kernel: Kernel,
     /// First-layer sums of the last full call, before bias and
-    /// activation — what [`ClusterModel::resume_packed`] continues.
+    /// activation — what [`Placer::resume_packed`] continues.
     sums0: Vec<f32>,
     /// Activations of the layer just computed (finally μ).
     cur: Vec<f32>,
@@ -83,9 +96,105 @@ impl PredictScratch {
     }
 }
 
-impl ClusterModel {
+/// One encoder layer as served: `act(x·W + b)`.
+#[derive(Debug, Clone)]
+pub(crate) struct Layer {
+    /// `in × out` — for the μ layer, `out` is μ's width rounded up to
+    /// a power of two, the columns past μ zero.
+    pub(crate) weights: Matrix,
+    /// One per served output column: μ's width for the μ layer.
+    pub(crate) bias: Vec<f32>,
+    pub(crate) activation: Activation,
+}
+
+/// The serving model: the trained encoder's layers up to μ and the
+/// K-means centroids — what the paper keeps after training.
+#[derive(Debug, Clone)]
+pub struct Placer {
+    /// Input to μ; the widths chain.
+    pub(crate) layers: Vec<Layer>,
+    /// The centroids, `k × μ`, with the lane blocks the scorer reads.
+    pub(crate) kmeans: KMeans,
+}
+
+impl Placer {
+    /// A placer of `(weights, bias, activation)` layers, input to μ,
+    /// each `weights` as wide as its `bias`, and the centroids in μ's
+    /// space. Refused unless it can serve: at least one layer and one
+    /// cluster, widths that chain, no zero width, a whole number of
+    /// input bytes and centroids as wide as μ.
+    pub(crate) fn new(
+        layers: Vec<(Matrix, Vec<f32>, Activation)>,
+        kmeans: KMeans,
+    ) -> Result<Self, PersistError> {
+        let mut width = layers.first().map_or(0, |(weights, _, _)| weights.rows());
+        if width == 0 || !width.is_multiple_of(8) {
+            return Err(PersistError::InputNotWholeBytes(width));
+        }
+        for (i, (weights, bias, _)) in layers.iter().enumerate() {
+            if bias.len() != weights.cols() || weights.cols() == 0 {
+                return Err(PersistError::BadLength(bias.len() as u64));
+            }
+            if weights.rows() != width {
+                return Err(PersistError::LayersDoNotChain {
+                    layer: i,
+                    inputs: weights.rows(),
+                    expected: width,
+                });
+            }
+            width = weights.cols();
+        }
+        if kmeans.k() == 0 {
+            return Err(PersistError::NoClusters);
+        }
+        if kmeans.centroids().cols() != width {
+            return Err(PersistError::CentroidWidth {
+                centroids: kmeans.centroids().cols(),
+                latent: width,
+            });
+        }
+        let last = layers.len() - 1;
+        let layers = layers
+            .into_iter()
+            .enumerate()
+            .map(|(i, (mut weights, bias, activation))| {
+                if i == last {
+                    let mut tile = Matrix::zeros(weights.rows(), width.next_power_of_two());
+                    for r in 0..weights.rows() {
+                        tile.row_mut(r)[..width].copy_from_slice(weights.row(r));
+                    }
+                    weights = tile;
+                }
+                Layer {
+                    weights,
+                    bias,
+                    activation,
+                }
+            })
+            .collect();
+        Ok(Self { layers, kmeans })
+    }
+
+    /// Number of clusters.
+    pub fn k(&self) -> usize {
+        self.kmeans.k()
+    }
+
+    /// The widths from the input through every layer to μ: input bits
+    /// first, μ's width last.
+    pub fn widths(&self) -> Vec<usize> {
+        let mut widths = vec![self.input_bits()];
+        widths.extend(self.layers.iter().map(|l| l.bias.len()));
+        widths
+    }
+
+    /// Input width in bits (a whole number of bytes).
+    pub fn input_bits(&self) -> usize {
+        self.layers[0].weights.rows()
+    }
+
     /// Nearest cluster of one sample given as packed bits
-    /// (`input_dim / 8` MSB-first bytes).
+    /// (`input_bits / 8` MSB-first bytes).
     ///
     /// # Panics
     /// Panics if `bits` is not exactly the model's input width.
@@ -108,7 +217,7 @@ impl ClusterModel {
             order,
             ..
         } = scratch;
-        self.kmeans().lanes().order(*kernel, cur, keys, order);
+        self.kmeans.lanes().order(*kernel, cur, keys, order);
         order
     }
 
@@ -116,7 +225,7 @@ impl ClusterModel {
     /// `scratch` instead of starting over: that call's input must have
     /// been `bits[..from]` followed by zero bytes. Only the set bits of
     /// `bits[from..]` are visited; the result is
-    /// [`ClusterModel::predict_packed`]'s on all of `bits` (the module
+    /// [`Placer::predict_packed`]'s on all of `bits` (the module
     /// docs' resume clause). The remembered sums are left as they were,
     /// so several segments may be resumed from one full call.
     ///
@@ -127,7 +236,7 @@ impl ClusterModel {
     pub fn resume_packed(&self, bits: &[u8], from: usize, scratch: &mut PredictScratch) -> usize {
         self.check_width(bits);
         assert!(from <= bits.len(), "resume: byte {from} past the input");
-        let first = &self.vae().encoder().layers()[0];
+        let first = &self.layers[0].weights;
         let PredictScratch {
             kernel,
             sums0,
@@ -136,55 +245,36 @@ impl ClusterModel {
         } = &mut *scratch;
         assert_eq!(
             sums0.len(),
-            self.layer_width(0),
+            first.cols(),
             "resume: no full call on this scratch"
         );
         next.clear();
         next.extend_from_slice(sums0);
-        kernel.add_rows(first.weights(), SetBits::new(bits, from), next);
+        kernel.add_rows(first, SetBits::new(bits, from), next);
         self.finish_layers(scratch);
         self.nearest(scratch)
     }
 
     /// The nearest cluster to μ in `scratch.cur`.
     fn nearest(&self, scratch: &PredictScratch) -> usize {
-        self.kmeans()
-            .lanes()
-            .nearest(scratch.kernel, &scratch.cur)
-            .0
+        self.kmeans.lanes().nearest(scratch.kernel, &scratch.cur).0
     }
 
     fn check_width(&self, bits: &[u8]) {
         assert_eq!(
             bits.len() * 8,
-            self.input_dim(),
+            self.input_bits(),
             "predict: {} packed bytes for a {}-bit model",
             bits.len(),
-            self.input_dim()
+            self.input_bits()
         );
-    }
-
-    /// Columns of encoder layer `i` the kernel computes. The last layer
-    /// emits (μ, log σ²) and only μ is served: its columns are computed
-    /// over one power-of-two tile, which walks the layer's inputs once
-    /// (μ = 10 of 20 columns: one 16-wide tile, not an 8- and a 2-wide
-    /// one); the log σ² columns the tile takes in are dropped. Columns
-    /// are independent, so μ is the same either way.
-    fn layer_width(&self, i: usize) -> usize {
-        let layers = self.vae().encoder().layers();
-        if i + 1 == layers.len() {
-            let latent = self.vae().config().latent_dim;
-            latent.next_power_of_two().min(layers[i].out_dim())
-        } else {
-            layers[i].out_dim()
-        }
     }
 
     /// Encoder μ of one packed-bit sample, left in `scratch.cur`; the
     /// first layer's pre-bias sums stay in `scratch.sums0`.
     fn latent_packed(&self, bits: &[u8], scratch: &mut PredictScratch) {
         self.check_width(bits);
-        let first = &self.vae().encoder().layers()[0];
+        let first = &self.layers[0].weights;
         let PredictScratch {
             kernel,
             sums0,
@@ -192,8 +282,8 @@ impl ClusterModel {
             ..
         } = &mut *scratch;
         sums0.clear();
-        sums0.resize(self.layer_width(0), 0.0);
-        kernel.add_rows(first.weights(), SetBits::new(bits, 0), sums0);
+        sums0.resize(first.cols(), 0.0);
+        kernel.add_rows(first, SetBits::new(bits, 0), sums0);
         next.clear();
         next.extend_from_slice(sums0);
         self.finish_layers(scratch);
@@ -201,8 +291,9 @@ impl ClusterModel {
 
     /// From the first layer's pre-bias sums in `scratch.next` to μ in
     /// `scratch.cur`: bias and activation, then the remaining layers.
+    /// Each layer's sums are as wide as its weights; the columns past
+    /// its bias — the μ layer's padding — are dropped before the bias.
     fn finish_layers(&self, scratch: &mut PredictScratch) {
-        let layers = self.vae().encoder().layers();
         let PredictScratch {
             kernel,
             cur,
@@ -210,18 +301,16 @@ impl ClusterModel {
             inputs,
             ..
         } = scratch;
-        for (i, layer) in layers.iter().enumerate() {
+        for (i, layer) in self.layers.iter().enumerate() {
             if i > 0 {
                 next.clear();
-                next.resize(self.layer_width(i), 0.0);
+                next.resize(layer.weights.cols(), 0.0);
                 let inputs = compact_non_zero(cur, inputs);
                 let inputs = inputs.iter().map(|&(i, a)| (i as usize, a));
-                kernel.add_rows(layer.weights(), inputs, next);
+                kernel.add_rows(&layer.weights, inputs, next);
             }
-            if i + 1 == layers.len() {
-                next.truncate(self.vae().config().latent_dim);
-            }
-            layer.activation().apply_biased(*kernel, layer.bias(), next);
+            next.truncate(layer.bias.len());
+            layer.activation.apply_biased(*kernel, &layer.bias, next);
             std::mem::swap(cur, next);
         }
     }
@@ -237,9 +326,9 @@ pub fn kernel_name() -> &'static str {
 mod tests {
     use super::*;
     use crate::data::{bytes_to_features, segments_to_matrix};
-    use crate::dec::DecConfig;
+    use crate::dec::{ClusterModel, DecConfig};
     use crate::kmeans::distance_key;
-    use crate::matrix::Matrix;
+    use crate::persist::Persist;
     use crate::rng::seeded;
     use crate::vae::{Vae, VaeConfig};
     use proptest::prelude::*;
@@ -318,27 +407,31 @@ mod tests {
     /// The contract of the module docs, checked where it is stated: μ
     /// itself — not just the cluster it leads to — is the `Matrix`
     /// path's to the last bit, at every shape and on both
-    /// instantiations.
+    /// instantiations, from the compiled placer and from the one its
+    /// bytes load back to (the μ layer written at μ's width and
+    /// widened again).
     #[test]
     fn latent_order_and_nearest_equal_the_matrix_path_exactly() {
         for (hidden, latent_dim) in SHAPES {
             let (model, samples) = model_and_samples(hidden, latent_dim);
             let batch = model.predict_batch(&segments_to_matrix(&samples));
-            for (kernel, mut scratch) in scratches() {
-                for (sample, &cluster) in samples.iter().zip(&batch) {
-                    let x = Matrix::from_vec(1, BYTES * 8, bytes_to_features(sample));
-                    let z = model.vae().latent(&x);
-                    let order = model.order_packed(sample, &mut scratch).to_vec();
-                    assert_eq!(
-                        to_bits(&scratch.cur),
-                        to_bits(z.row(0)),
-                        "μ, hidden {hidden:?}, latent {latent_dim}, {kernel}"
-                    );
-                    assert_eq!(order, model.kmeans().clusters_by_distance(z.row(0)));
-                    assert_eq!(model.predict_packed(sample, &mut scratch), cluster);
-                    // The float-signature adapters are the same kernel.
-                    assert_eq!(model.clusters_by_distance(x.row(0)), order);
-                    assert_eq!(model.predict(x.row(0)), cluster);
+            let compiled = model.placer();
+            let loaded = Placer::from_bytes(&compiled.to_bytes()).unwrap();
+            for placer in [compiled, loaded] {
+                for (kernel, mut scratch) in scratches() {
+                    for (sample, &cluster) in samples.iter().zip(&batch) {
+                        let z = model
+                            .vae()
+                            .latent(&segments_to_matrix(std::slice::from_ref(sample)));
+                        let order = placer.order_packed(sample, &mut scratch).to_vec();
+                        assert_eq!(
+                            to_bits(&scratch.cur),
+                            to_bits(z.row(0)),
+                            "μ, hidden {hidden:?}, latent {latent_dim}, {kernel}"
+                        );
+                        assert_eq!(order, model.kmeans().clusters_by_distance(z.row(0)));
+                        assert_eq!(placer.predict_packed(sample, &mut scratch), cluster);
+                    }
                 }
             }
         }
@@ -354,6 +447,7 @@ mod tests {
     fn resumed_tail_equals_the_full_call_exactly() {
         for (hidden, latent_dim) in SHAPES {
             let (model, samples) = model_and_samples(hidden, latent_dim);
+            let model = model.placer();
             for (kernel, mut resumed) in scratches() {
                 // The full call it is held against is the portable one:
                 // the two instantiations agree with each other as well.
@@ -423,21 +517,21 @@ mod tests {
                 .collect();
             let centroids = vae.latent(&segments_to_matrix(&segments[..6]));
             let model =
-                ClusterModel::from_parts(vae, crate::kmeans::KMeans::from_centroids(centroids))
-                    .unwrap();
+                ClusterModel::from_parts(vae, crate::kmeans::KMeans::from_centroids(centroids));
             let clusters = model.predict_batch(&segments_to_matrix(&segments));
+            let placer = model.placer();
             for (kernel, mut scratch) in scratches() {
                 for (segment, &cluster) in segments.iter().zip(&clusters) {
                     let z = model
                         .vae()
                         .latent(&segments_to_matrix(std::slice::from_ref(segment)));
                     let order = model.kmeans().clusters_by_distance(z.row(0));
-                    prop_assert_eq!(model.order_packed(segment, &mut scratch), &order[..], "{}", kernel);
+                    prop_assert_eq!(placer.order_packed(segment, &mut scratch), &order[..], "{}", kernel);
                     prop_assert_eq!(to_bits(&scratch.cur), to_bits(z.row(0)), "μ, {}", kernel);
                     let mut padded = segment[..split].to_vec();
                     padded.resize(BYTES, 0);
-                    model.order_packed(&padded, &mut scratch);
-                    let resumed = model.resume_packed(segment, split, &mut scratch);
+                    placer.order_packed(&padded, &mut scratch);
+                    let resumed = placer.resume_packed(segment, split, &mut scratch);
                     prop_assert_eq!(resumed, cluster, "{}", kernel);
                     prop_assert_eq!(to_bits(&scratch.cur), to_bits(z.row(0)), "resumed μ, {}", kernel);
                 }
@@ -483,7 +577,7 @@ mod tests {
                 model.vae().clone(),
                 crate::kmeans::KMeans::from_centroids(centroids),
             )
-            .unwrap();
+            .placer();
             let segment = &samples[sample];
             let mut padded = segment[..split].to_vec();
             padded.resize(BYTES, 0);
@@ -500,7 +594,9 @@ mod tests {
     #[should_panic(expected = "no full call on this scratch")]
     fn resume_without_a_full_call_rejected() {
         let (model, samples) = model_and_samples(&[24], 6);
-        model.resume_packed(&samples[0], 8, &mut PredictScratch::default());
+        model
+            .placer()
+            .resume_packed(&samples[0], 8, &mut PredictScratch::default());
     }
 
     #[test]
@@ -514,14 +610,14 @@ mod tests {
         let tied = ClusterModel::from_parts(
             model.vae().clone(),
             crate::kmeans::KMeans::from_centroids(centroids),
-        )
-        .unwrap();
+        );
+        let placer = tied.placer();
         let mut scratch = PredictScratch::default();
         for sample in &samples {
             let x = Matrix::from_vec(1, BYTES * 8, bytes_to_features(sample));
             let z = tied.vae().latent(&x);
             assert_eq!(
-                tied.order_packed(sample, &mut scratch),
+                placer.order_packed(sample, &mut scratch),
                 tied.kmeans().clusters_by_distance(z.row(0))
             );
         }
@@ -543,13 +639,13 @@ mod tests {
         let odd = ClusterModel::from_parts(
             model.vae().clone(),
             crate::kmeans::KMeans::from_centroids(centroids),
-        )
-        .unwrap();
+        );
+        let placer = odd.placer();
         let mut scratch = PredictScratch::default();
         for sample in &samples {
             let x = Matrix::from_vec(1, BYTES * 8, bytes_to_features(sample));
             let z = odd.vae().latent(&x);
-            let order = odd.order_packed(sample, &mut scratch).to_vec();
+            let order = placer.order_packed(sample, &mut scratch).to_vec();
             assert_eq!(order, odd.kmeans().clusters_by_distance(z.row(0)));
             assert_eq!(order[4..], [3, 0, 4]);
         }
@@ -580,6 +676,8 @@ mod tests {
     #[should_panic(expected = "packed bytes for a 288-bit model")]
     fn wrong_input_width_rejected() {
         let (model, _) = model_and_samples(&[24], 6);
-        model.predict_packed(&[0u8; BYTES - 1], &mut PredictScratch::default());
+        model
+            .placer()
+            .predict_packed(&[0u8; BYTES - 1], &mut PredictScratch::default());
     }
 }

@@ -117,11 +117,6 @@ impl Vae {
         self.decoder.forward_inference(z)
     }
 
-    /// Reconstruct inputs deterministically (through μ).
-    pub fn reconstruct(&self, x: &Matrix) -> Matrix {
-        self.decode(&self.latent(x))
-    }
-
     /// One gradient step on a batch of bit rows. Returns the pre-step
     /// losses.
     pub fn train_batch<R: Rng>(&mut self, x: &BitMatrix, rng: &mut R) -> VaeLosses {
@@ -273,44 +268,17 @@ impl Vae {
 
     /// Multiply-accumulates for one training epoch over `n` samples
     /// (forward + backward ≈ 3× forward cost). Feeds the CPU-energy
-    /// model of Figures 8, 16, 18. Like [`Vae::predict_macs`] it is
-    /// the *nominal dense* count: it prices the model, not the
-    /// kernels' zero-skipping or the encoder's first layer computing
-    /// no input gradient.
+    /// model of Figures 8, 16, 18. The *nominal dense* count: it prices
+    /// the model, not the kernels' zero-skipping or the encoder's first
+    /// layer computing no input gradient.
     pub fn train_macs_per_epoch(&self, n: usize) -> u64 {
         3 * (self.encoder.forward_macs(n) + self.decoder.forward_macs(n))
     }
 
-    /// Multiply-accumulates for encoding one sample (the serving path).
-    pub fn predict_macs(&self) -> u64 {
-        self.encoder.forward_macs(1)
-    }
-
-    /// Borrow the encoder (serving/model-export path).
+    /// Borrow the encoder (the layers a [`crate::predict::Placer`] is
+    /// compiled from).
     pub fn encoder(&self) -> &Mlp {
         &self.encoder
-    }
-
-    /// Borrow the decoder (persistence).
-    pub fn decoder(&self) -> &Mlp {
-        &self.decoder
-    }
-
-    /// Rebuild from persisted parts, validating dimensions against the
-    /// config.
-    pub fn from_parts(cfg: VaeConfig, encoder: Mlp, decoder: Mlp) -> Result<Self, String> {
-        if encoder.in_dim() != cfg.input_dim
-            || encoder.out_dim() != 2 * cfg.latent_dim
-            || decoder.in_dim() != cfg.latent_dim
-            || decoder.out_dim() != cfg.input_dim
-        {
-            return Err("Vae::from_parts: dimensions do not match config".into());
-        }
-        Ok(Self {
-            cfg,
-            encoder,
-            decoder,
-        })
     }
 }
 
@@ -352,7 +320,7 @@ mod tests {
         let (mu, lv) = vae.encode(&x);
         assert_eq!((mu.rows(), mu.cols()), (5, 4));
         assert_eq!((lv.rows(), lv.cols()), (5, 4));
-        let xhat = vae.reconstruct(&x);
+        let xhat = vae.decode(&mu);
         assert_eq!((xhat.rows(), xhat.cols()), (5, 32));
         // Sigmoid output in (0,1).
         assert!(xhat.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -461,7 +429,7 @@ mod tests {
     fn macs_positive_and_scale_with_n() {
         let mut rng = seeded(6);
         let vae = Vae::new(VaeConfig::default(), &mut rng);
-        assert!(vae.predict_macs() > 0);
+        assert!(vae.train_macs_per_epoch(100) > 0);
         assert!(vae.train_macs_per_epoch(200) > vae.train_macs_per_epoch(100));
     }
 }

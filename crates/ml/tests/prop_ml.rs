@@ -5,7 +5,7 @@ use e2nvm_ml::kmeans::KMeans;
 use e2nvm_ml::matrix::Matrix;
 use e2nvm_ml::rng::seeded;
 use e2nvm_ml::vae::VaeConfig;
-use e2nvm_ml::{data, BitMatrix, ClusterModel, DecConfig, Pca, PredictScratch};
+use e2nvm_ml::{data, BitMatrix, ClusterModel, DecConfig, Pca, Placer, PredictScratch};
 use proptest::prelude::*;
 use rand::Rng;
 use std::sync::OnceLock;
@@ -26,8 +26,8 @@ fn signed_or_zero() -> impl Strategy<Value = f32> {
 const SEG: usize = 20;
 
 /// Briefly trained models with no, one and two hidden encoder layers.
-fn resume_models() -> &'static [ClusterModel] {
-    static MODELS: OnceLock<Vec<ClusterModel>> = OnceLock::new();
+fn resume_models() -> &'static [Placer] {
+    static MODELS: OnceLock<Vec<Placer>> = OnceLock::new();
     MODELS.get_or_init(|| {
         [&[][..], &[24], &[24, 12]]
             .iter()
@@ -50,7 +50,9 @@ fn resume_models() -> &'static [ClusterModel] {
                     batch: 16,
                     ..DecConfig::default()
                 };
-                ClusterModel::train(&cfg, &BitMatrix::from_segments(&samples), None, &mut rng).0
+                ClusterModel::train(&cfg, &BitMatrix::from_segments(&samples), None, &mut rng)
+                    .0
+                    .placer()
             })
             .collect()
     })

@@ -16,8 +16,6 @@
 //! * [`save_model`]/[`load_model`], [`save_device`]/[`load_device`] —
 //!   file helpers over `E2Model::{to_bytes,from_bytes}` and
 //!   `e2nvm_sim::snapshot::{to_image,from_image}`.
-//! * [`codec`] — the low-level `Writer`/`Reader`/`Persist` byte codec
-//!   re-exported for implementors of new persistent artifacts.
 //!
 //! The recovery protocol built on these pieces (snapshot load → WAL
 //! replay → attach) lives in `e2nvm_kvstore::ShardedE2KvStore::recover`;
@@ -41,12 +39,6 @@ pub use wal::{
     decode_records, encode_record, replay_and_truncate, Replay, SyncPort, Wal, WalOp, WalSyncer,
     MAX_RECORD_PAYLOAD,
 };
-
-/// The low-level persistence byte codec (header/tag/length discipline),
-/// shared by the model artifact and available to new persistent types.
-pub mod codec {
-    pub use e2nvm_ml::persist::{Persist, PersistError as CodecError, Reader, Writer};
-}
 
 use e2nvm_core::E2Model;
 use e2nvm_sim::NvmDevice;

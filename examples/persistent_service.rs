@@ -91,7 +91,9 @@ fn main() {
     let controller = MemoryController::without_wear_leveling(device);
     let mut engine = E2Engine::new(controller, cfg).expect("engine");
     let model = e2nvm::persist::load_model(&model_path).expect("load model");
-    engine.install_model_now(model);
+    engine
+        .install_model_now(model)
+        .expect("a model of this engine's segment width");
     println!(
         "  resumed: k = {}, {} free segments classified",
         engine.model().expect("installed").k(),

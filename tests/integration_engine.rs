@@ -176,7 +176,7 @@ fn background_retrain_roundtrip() {
     let snapshot = engine.training_snapshot();
     assert!(bg.submit(engine.config(), snapshot, 99));
     let model = bg.wait().expect("trained model");
-    engine.install_model_now(model);
+    engine.install_model_now(model).unwrap();
     assert_eq!(engine.get(7).unwrap(), b"persistent value");
     // New placements still work after the swap.
     engine.put(8, b"another").unwrap();
