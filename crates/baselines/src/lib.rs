@@ -6,11 +6,15 @@
 //!   [`Dcw`], [`FlipNWrite`], [`MinShift`], [`Captopril`]. They rewrite a
 //!   fixed address, transforming data (inversion, rotation, hot-bit
 //!   weighting) to minimize flips; auxiliary metadata flips are charged.
-//! * **Placement schemes** ([`PlacementScheme`]): [`Datacon`],
-//!   [`HammingTree`], [`Pnw`] (K-means or PCA+K-means). They choose the
-//!   destination address by content similarity. The E2-NVM engine in
-//!   `e2nvm-core` plugs into the same trait via an adapter in the bench
-//!   crate, so every figure compares like with like.
+//! * **Placement schemes** ([`PlacementScheme`]): [`Datacon`] and
+//!   [`HammingTree`]. They choose the destination address by content
+//!   similarity.
+//!
+//! PNW (PCA + K-means) is not here: it is a model, not a placement
+//! engine. `e2nvm_ml::Pca::placer` compiles it into the same `Placer`
+//! the VAE compiles into, and the bench crate serves it through the
+//! E2-NVM engine, so Figure 10's PNW and E2-NVM columns differ in the
+//! model alone.
 
 pub mod captopril;
 pub mod datacon;
@@ -18,7 +22,6 @@ pub mod dcw;
 pub mod fnw;
 pub mod hamming_tree;
 pub mod minshift;
-pub mod pnw;
 pub mod scheme;
 
 pub use captopril::Captopril;
@@ -27,5 +30,4 @@ pub use dcw::Dcw;
 pub use fnw::FlipNWrite;
 pub use hamming_tree::HammingTree;
 pub use minshift::MinShift;
-pub use pnw::{Pnw, PnwMode};
 pub use scheme::{InPlaceScheme, InPlaceWrite, PlacementScheme};

@@ -6,9 +6,10 @@
 //!   amounts); flips of those bits are charged too, since real hardware
 //!   stores them in spare cells of the same row.
 //! * **Placement schemes** choose *which free address* receives a write:
-//!   DATACON, Hamming-Tree, PNW — and E2-NVM itself (adapted in the
-//!   bench crate). They see the pool of free segments and their
-//!   contents.
+//!   DATACON and Hamming-Tree. They see the pool of free segments and
+//!   their contents. The ML placements — E2-NVM's VAE and PNW's PCA,
+//!   each with K-means — are models served by the E2-NVM engine, not
+//!   schemes here.
 
 use e2nvm_sim::LogicalSegment;
 use rand::rngs::StdRng;
@@ -62,12 +63,6 @@ pub trait PlacementScheme {
 
     /// Free segments currently available.
     fn free_count(&self) -> usize;
-
-    /// Modeled multiply-accumulates per `choose` call (0 for non-ML
-    /// schemes) — feeds prediction-latency/energy comparisons.
-    fn prediction_macs(&self) -> u64 {
-        0
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,6 @@
 
 use e2nvm_baselines::{
     Captopril, Datacon, Dcw, FlipNWrite, HammingTree, InPlaceScheme, MinShift, PlacementScheme,
-    Pnw, PnwMode,
 };
 use e2nvm_ml::rng::seeded;
 use e2nvm_sim::bitops::hamming;
@@ -106,7 +105,6 @@ proptest! {
         let schemes: Vec<Box<dyn PlacementScheme>> = vec![
             Box::new(Datacon::new(false)),
             Box::new(HammingTree::new()),
-            Box::new(Pnw::new(3, PnwMode::RawKMeans)),
         ];
         for mut s in schemes {
             s.initialize(&free, &mut rng);

@@ -5,7 +5,7 @@
 use crate::systems::seeded_device;
 use crate::table::{fmt, Table};
 use crate::Scale;
-use e2nvm_core::{E2Config, E2Model, Padder, PaddingLocation, PaddingType};
+use e2nvm_core::{E2Config, E2Model, PaddingType, PlacementScratch};
 use e2nvm_sim::bitops::hamming;
 use e2nvm_sim::{DeviceConfig, NvmDevice, PhysicalSegment, WearTracking};
 use e2nvm_workloads::DatasetKind;
@@ -36,12 +36,11 @@ fn placement_flips(model: &E2Model, pool: &[Vec<u8>], test: &[Vec<u8>]) -> f64 {
     for (i, &c) in assignments.iter().enumerate() {
         groups[c].push(i);
     }
-    let padder = Padder::new(PaddingLocation::End, PaddingType::Zero);
-    let mut rng = StdRng::seed_from_u64(1);
+    let mut scratch = PlacementScratch::default();
     let mut total = 0.0;
     let mut count = 0u64;
     for (t, item) in test.iter().enumerate() {
-        let c = model.predict_value(item, &padder, &mut rng);
+        let c = model.classify(item, &mut scratch);
         let group = &groups[c];
         if group.is_empty() {
             continue;
@@ -156,18 +155,17 @@ pub fn abl03(scale: Scale) -> Table {
         for (i, &c) in assignments.iter().enumerate() {
             pools[c].push_back(PhysicalSegment(i));
         }
-        let padder = Padder::new(PaddingLocation::End, PaddingType::Zero);
-        let mut prng = StdRng::seed_from_u64(7);
+        let mut scratch = PlacementScratch::default();
         let mut occupied: VecDeque<PhysicalSegment> = VecDeque::new();
         let mut search_evals = 0u64;
         for item in &incoming {
             if occupied.len() >= num_segments / 2 {
                 let seg = occupied.pop_front().expect("nonempty");
                 let content = dev.peek(seg).to_vec();
-                let c = model.predict_value(&content, &padder, &mut prng);
+                let c = model.classify(&content, &mut scratch);
                 pools[c].push_back(seg);
             }
-            let c = model.predict_value(item, &padder, &mut prng);
+            let c = model.classify(item, &mut scratch);
             // Candidate clusters nearest-first.
             let order: Vec<usize> = if pools[c].is_empty() {
                 (0..model.k()).filter(|&x| !pools[x].is_empty()).collect()

@@ -94,10 +94,9 @@ pub fn fig04(scale: Scale) -> Table {
         let reduced = pca.transform(&features);
         let pca_fit = KMeans::fit(&reduced, k, 25, &mut rng);
         let pca_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let (placer, mut scratch) = (pca.placer(pca_fit.model), PredictScratch::default());
         let pca_flips = expected_flips(&items, &pca_fit.assignments, &test, |item| {
-            pca_fit
-                .model
-                .predict(&pca.transform_one(&e2nvm_ml::data::bytes_to_features(item)))
+            placer.predict_packed(item, &mut scratch)
         });
 
         // --- VAE + K-means (E2-NVM) ---

@@ -197,7 +197,6 @@ pub fn fig16(scale: Scale) -> Table {
     let mut meter = EnergyMeter::new();
     let energy_params = dev.config().energy.clone();
     // Phase 1: initial training (CPU energy + wall time as sim time).
-    use crate::systems::WriteSystem;
     let train_time = e2.train_time();
     let train_macs = {
         let engine = e2.engine_mut();

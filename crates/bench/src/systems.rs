@@ -1,9 +1,12 @@
 //! A uniform "write system" wrapper so every figure can stream the same
 //! values through E2-NVM, the placement baselines, and the RBW in-place
-//! baselines, each over its own identically seeded device.
+//! baselines, each over its own identically seeded device. PNW is the
+//! E2-NVM engine serving a PCA + K-means placer ([`E2System::serving`]).
 
 use e2nvm_baselines::{InPlaceScheme, PlacementScheme};
-use e2nvm_core::{E2Config, E2Engine, E2Error, PaddingType};
+use e2nvm_core::{E2Config, E2Engine, E2Error, E2Model, PaddingType};
+use e2nvm_ml::data::segments_to_matrix;
+use e2nvm_ml::{KMeans, Pca, Placer};
 use e2nvm_sim::{
     DeviceConfig, DeviceStats, LogicalSegment, MemoryController, NvmDevice, PhysicalSegment,
     WearTracking,
@@ -24,14 +27,6 @@ pub trait WriteSystem {
     fn stats(&self) -> DeviceStats;
     /// Reset stats (after warm-up).
     fn reset_stats(&mut self);
-    /// Mean placement-decision latency per write, ns (0 for non-ML).
-    fn mean_predict_ns(&self) -> f64 {
-        0.0
-    }
-    /// One-time model training cost, wall clock.
-    fn train_time(&self) -> Duration {
-        Duration::ZERO
-    }
     /// Access to the underlying device (wear inspection).
     fn device(&self) -> &NvmDevice;
 }
@@ -60,6 +55,21 @@ pub fn seeded_device(
         }
     }
     dev
+}
+
+/// PNW's model (Kargar et al., ICDE '21) of a seeded device: PCA to 12
+/// components (10 sweeps) of every segment's bits, then K-means (30
+/// iterations) on the scores, drawing from an RNG seeded with `seed` —
+/// compiled into a placer for [`E2System::serving`].
+pub fn pnw_placer(device: &NvmDevice, k: usize, seed: u64) -> Placer {
+    let pool: Vec<&[u8]> = (0..device.config().num_segments)
+        .map(|i| device.peek(PhysicalSegment(i)))
+        .collect();
+    let raw = segments_to_matrix(&pool);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pca = Pca::fit(&raw, 12, 10, &mut rng);
+    let kmeans = KMeans::fit(&pca.transform(&raw), k, 30, &mut rng).model;
+    pca.placer(kmeans)
 }
 
 /// Pad/truncate a value to the device segment size.
@@ -135,7 +145,7 @@ impl WriteSystem for InPlaceSystem {
 }
 
 // ---------------------------------------------------------------------
-// Placement-scheme systems (DATACON / Hamming-Tree / PNW)
+// Placement-scheme systems (DATACON / Hamming-Tree)
 // ---------------------------------------------------------------------
 
 /// Streams values through a [`PlacementScheme`], keeping the pool at a
@@ -145,9 +155,6 @@ pub struct PlacementSystem {
     controller: MemoryController,
     occupied: VecDeque<LogicalSegment>,
     max_occupied: usize,
-    predict_ns: u128,
-    predictions: u64,
-    train_time: Duration,
 }
 
 impl PlacementSystem {
@@ -167,9 +174,7 @@ impl PlacementSystem {
             })
             .collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let t0 = Instant::now();
         scheme.initialize(&free, &mut rng);
-        let train_time = t0.elapsed();
         let max_occupied = ((controller.num_segments() as f64) * occupancy)
             .floor()
             .max(1.0) as usize;
@@ -178,9 +183,6 @@ impl PlacementSystem {
             controller,
             occupied: VecDeque::new(),
             max_occupied,
-            predict_ns: 0,
-            predictions: 0,
-            train_time,
         }
     }
 }
@@ -203,13 +205,10 @@ impl WriteSystem for PlacementSystem {
         }
         let seg_bytes = self.controller.device().config().segment_bytes;
         let value = fit(value, seg_bytes);
-        let t0 = Instant::now();
         let seg = self
             .scheme
             .choose(&value)
             .ok_or_else(|| format!("{}: pool exhausted", self.scheme.name()))?;
-        self.predict_ns += t0.elapsed().as_nanos();
-        self.predictions += 1;
         self.controller
             .write_at(seg, 0, &value)
             .map_err(|e| e.to_string())?;
@@ -223,20 +222,6 @@ impl WriteSystem for PlacementSystem {
 
     fn reset_stats(&mut self) {
         self.controller.reset_stats();
-        self.predict_ns = 0;
-        self.predictions = 0;
-    }
-
-    fn mean_predict_ns(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.predict_ns as f64 / self.predictions as f64
-        }
-    }
-
-    fn train_time(&self) -> Duration {
-        self.train_time
     }
 
     fn device(&self) -> &NvmDevice {
@@ -248,8 +233,10 @@ impl WriteSystem for PlacementSystem {
 // E2-NVM system
 // ---------------------------------------------------------------------
 
-/// E2-NVM behind the same streaming interface.
+/// The E2-NVM engine behind the same streaming interface, serving the
+/// VAE it trains itself or a placer it is given.
 pub struct E2System {
+    name: &'static str,
     engine: E2Engine,
     occupied: VecDeque<LogicalSegment>,
     max_occupied: usize,
@@ -265,14 +252,40 @@ impl E2System {
         cfg: E2Config,
         occupancy: f64,
     ) -> Result<Self, E2Error> {
+        Self::build("E2-NVM", controller, cfg, occupancy, E2Engine::train)
+    }
+
+    /// Build over a seeded device and serve `placer` instead of training
+    /// one: the engine classifies its whole pool with it, the way it
+    /// installs a model it trained.
+    pub fn serving(
+        name: &'static str,
+        controller: impl Into<MemoryController>,
+        cfg: E2Config,
+        placer: Placer,
+        occupancy: f64,
+    ) -> Result<Self, E2Error> {
+        Self::build(name, controller, cfg, occupancy, |engine| {
+            engine.install_model_now(E2Model::from_placer(placer))
+        })
+    }
+
+    fn build(
+        name: &'static str,
+        controller: impl Into<MemoryController>,
+        cfg: E2Config,
+        occupancy: f64,
+        model: impl FnOnce(&mut E2Engine) -> Result<(), E2Error>,
+    ) -> Result<Self, E2Error> {
         let controller = controller.into();
         let num_segments = controller.num_segments();
         let mut engine = E2Engine::new(controller, cfg)?;
         let t0 = Instant::now();
-        engine.train()?;
+        model(&mut engine)?;
         let train_time = t0.elapsed();
         let max_occupied = ((num_segments as f64) * occupancy).floor().max(1.0) as usize;
         Ok(Self {
+            name,
             engine,
             occupied: VecDeque::new(),
             max_occupied,
@@ -300,11 +313,21 @@ impl E2System {
     pub fn engine_mut(&mut self) -> &mut E2Engine {
         &mut self.engine
     }
+
+    /// Mean latency of the engine's timed full predictions, ns.
+    pub fn mean_predict_ns(&self) -> f64 {
+        self.engine.prediction_stats().mean_ns()
+    }
+
+    /// Wall clock of training (or installing) the model at build.
+    pub fn train_time(&self) -> Duration {
+        self.train_time
+    }
 }
 
 impl WriteSystem for E2System {
     fn name(&self) -> String {
-        format!("E2-NVM(k={})", self.engine.config().k)
+        format!("{}(k={})", self.name, self.engine.config().k)
     }
 
     fn write(&mut self, value: &[u8]) -> Result<(), String> {
@@ -327,14 +350,6 @@ impl WriteSystem for E2System {
 
     fn reset_stats(&mut self) {
         self.engine.reset_device_stats();
-    }
-
-    fn mean_predict_ns(&self) -> f64 {
-        self.engine.prediction_stats().mean_ns()
-    }
-
-    fn train_time(&self) -> Duration {
-        self.train_time
     }
 
     fn device(&self) -> &NvmDevice {
@@ -361,7 +376,7 @@ pub fn stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use e2nvm_baselines::{Datacon, Dcw, FlipNWrite, HammingTree, Pnw, PnwMode};
+    use e2nvm_baselines::{Datacon, Dcw, FlipNWrite, HammingTree};
     use e2nvm_workloads::DatasetKind;
 
     fn dataset(n: usize) -> Vec<Vec<u8>> {
@@ -437,16 +452,14 @@ mod tests {
     #[test]
     fn e2_beats_pnw_raw_flip_count() {
         // The headline Figure 10 ordering at matched k on clusterable
-        // image data.
+        // image data: one engine, two models.
         let data = dataset(256);
         let dev = seeded_device(64, 128, WearTracking::None, &data);
-        let mut e2 = E2System::new(dev.clone(), E2System::quick_config(64, 10), 0.5).unwrap();
-        let mut pnw = PlacementSystem::new(
-            Box::new(Pnw::new(10, PnwMode::PcaKMeans { components: 8 })),
-            dev,
-            0.5,
-            2,
-        );
+        let cfg = E2System::quick_config(64, 10);
+        let placer = pnw_placer(&dev, 10, 2);
+        let mut e2 = E2System::new(dev.clone(), cfg.clone(), 0.5).unwrap();
+        let mut pnw = E2System::serving("PNW", dev, cfg, placer, 0.5).unwrap();
+        assert_eq!(pnw.name(), "PNW(k=10)");
         let e = stream(&mut e2, &data, 64).unwrap();
         let p = stream(&mut pnw, &data, 64).unwrap();
         assert!(

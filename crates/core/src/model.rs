@@ -111,13 +111,6 @@ impl E2Model {
             .to_vec()
     }
 
-    /// Pad a value and predict its cluster.
-    pub fn predict_value<R: Rng>(&self, value: &[u8], padder: &Padder, rng: &mut R) -> usize {
-        let mut scratch = PlacementScratch::default();
-        let padded = self.pad_into(value, padder, rng, &mut scratch.padded);
-        self.placer.predict_packed(padded, &mut scratch.predict)
-    }
-
     /// Predict the cluster for a (padded) 0.0/1.0 feature vector.
     ///
     /// # Panics
@@ -278,8 +271,8 @@ mod tests {
         let padder = Padder::new(PaddingLocation::End, PaddingType::Zero);
         // A full-size mostly-zero value and a half-size one (zero-padded)
         // should map to the same cluster.
-        let full = model.predict_value(&[0u8; 16], &padder, &mut rng);
-        let half = model.predict_value(&[0u8; 8], &padder, &mut rng);
+        let full = model.cluster_order(&[0u8; 16], &padder, &mut rng)[0];
+        let half = model.cluster_order(&[0u8; 8], &padder, &mut rng)[0];
         assert_eq!(full, half);
     }
 
@@ -290,7 +283,7 @@ mod tests {
         let model = E2Model::train(&quick_cfg(), &contents, &mut rng);
         let padder = Padder::new(PaddingLocation::End, PaddingType::Zero);
         let value = vec![0xFFu8; 16];
-        let pred = model.predict_value(&value, &padder, &mut rng);
+        let pred = model.classify(&value, &mut PlacementScratch::default());
         let order = model.cluster_order(&value, &padder, &mut rng);
         assert_eq!(order[0], pred);
         assert_eq!(order.len(), 2);

@@ -537,11 +537,6 @@ fn kernel_decides_what_the_matrix_path_decides() {
                     let order = model.cluster_order(&value, &padder, &mut rng);
                     assert_eq!(order, expect, "cluster_order, {what}");
                     assert_eq!(rng.next_u64(), after, "cluster_order RNG, {what}");
-
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let nearest = model.predict_value(&value, &padder, &mut rng);
-                    assert_eq!(nearest, expect[0], "predict_value, {what}");
-                    assert_eq!(rng.next_u64(), after, "predict_value RNG, {what}");
                 }
             }
         }

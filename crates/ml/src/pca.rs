@@ -6,8 +6,15 @@
 //! not an option. Orthogonal iteration only touches the data through
 //! products `X·B` and `Xᵀ·(X·B)` (cost `O(n·d·p)` per sweep), which
 //! scales to the full sweep.
+//!
+//! A fitted PCA and the K-means fitted on its scores compile into a
+//! [`Placer`] ([`Pca::placer`]), so PNW is served by the same kernel
+//! and the same address pool as the VAE.
 
+use crate::activation::Activation;
+use crate::kmeans::KMeans;
 use crate::matrix::Matrix;
+use crate::predict::Placer;
 use crate::rng;
 use rand::Rng;
 
@@ -74,15 +81,34 @@ impl Pca {
         centered.matmul(&self.components)
     }
 
-    /// Project one sample.
-    pub fn transform_one(&self, x: &[f32]) -> Vec<f32> {
-        let m = Matrix::from_vec(1, x.len(), x.to_vec());
-        self.transform(&m).row(0).to_vec()
-    }
-
     /// The component matrix (`d × p`).
     pub fn components(&self) -> &Matrix {
         &self.components
+    }
+
+    /// Compile the projection and `kmeans`, fitted on its scores, into
+    /// a [`Placer`] of one [`Activation::Linear`] layer: weights `W` =
+    /// the components, bias `b = −mean·W`. A segment's bits `x` land at
+    /// `x·W + b`, which the placer computes under the summation-order
+    /// contract of the [`crate::predict`] module: its clusters are
+    /// `kmeans`' order of the `Matrix` path's `x·W + b`, bit for bit.
+    /// They equal [`Pca::transform`]'s `(x − mean)·W` followed by
+    /// `kmeans` only up to rounding, since `f32` does not distribute.
+    ///
+    /// # Panics
+    /// Panics unless the PCA was fitted on a whole number of bytes of
+    /// bit features and `kmeans`' centroids have one column per
+    /// component.
+    pub fn placer(&self, kmeans: KMeans) -> Placer {
+        let mean = Matrix::from_vec(1, self.mean.len(), self.mean.clone());
+        let bias = mean
+            .matmul(&self.components)
+            .as_slice()
+            .iter()
+            .map(|v| -v)
+            .collect();
+        let layer = (self.components.clone(), bias, Activation::Linear);
+        Placer::new(vec![layer], kmeans).unwrap_or_else(|e| panic!("Pca::placer: {e}"))
     }
 }
 
@@ -115,6 +141,10 @@ fn orthonormalize(b: &mut Matrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::segments_to_matrix;
+    use crate::kernel::Kernel;
+    use crate::persist::Persist;
+    use crate::predict::PredictScratch;
     use crate::rng::seeded;
 
     /// Data spread along a known direction plus small noise.
@@ -166,16 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn transform_one_matches_batch() {
-        let mut rng = seeded(4);
-        let data = line_data(50, &[0.0, 1.0, 0.0], &mut rng);
-        let pca = Pca::fit(&data, 2, 10, &mut rng);
-        let batch = pca.transform(&data);
-        let one = pca.transform_one(data.row(7));
-        assert_eq!(one.as_slice(), batch.row(7));
-    }
-
-    #[test]
     fn p_capped_by_dims() {
         let mut rng = seeded(5);
         let data = Matrix::from_fn(10, 3, |r, c| (r + c) as f32);
@@ -194,5 +214,108 @@ mod tests {
         // Total variance is ~ (spread of t) * |dir|²; the top component
         // must capture nearly all of it.
         assert!(var > 30.0, "captured var={var}");
+    }
+
+    /// Not a whole number of 64-bit words, so the kernel's tail runs.
+    const BYTES: usize = 18;
+
+    /// Random bit rows of `BYTES` bytes, of every density.
+    fn bit_rows(n: usize, rng: &mut impl Rng) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|i| {
+                let density = i as f32 / n as f32;
+                (0..BYTES)
+                    .map(|_| {
+                        (0..8).fold(0u8, |b, _| (b << 1) | u8::from(rng.gen::<f32>() < density))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// For p ∈ {1, 12, 16} × k ∈ {1, 3, 10}: a PCA of `p` components
+    /// and a K-means of `k` clusters on its scores, fitted on seeded
+    /// random bit rows, their placer, and rows to ask it about (the
+    /// training rows and as many fresh ones) packed and as features.
+    fn fitted() -> impl Iterator<Item = (Pca, KMeans, Placer, Vec<Vec<u8>>, Matrix)> {
+        [1, 12, 16].into_iter().flat_map(|p| {
+            [1, 3, 10].into_iter().map(move |k| {
+                let mut rng = seeded(0x9CA ^ (p * 31 + k) as u64);
+                let mut segments = bit_rows(96, &mut rng);
+                let features = segments_to_matrix(&segments);
+                let pca = Pca::fit(&features, p, 10, &mut rng);
+                let kmeans = KMeans::fit(&pca.transform(&features), k, 30, &mut rng).model;
+                let placer = pca.placer(kmeans.clone());
+                segments.extend(bit_rows(96, &mut rng));
+                let features = segments_to_matrix(&segments);
+                (pca, kmeans, placer, segments, features)
+            })
+        })
+    }
+
+    /// `x·W + b` on the `Matrix` path: the product, then the bias.
+    fn matrix_path(placer: &Placer, pca: &Pca, features: &Matrix) -> Matrix {
+        let mut z = features.matmul(pca.components());
+        z.add_row_broadcast(&placer.layers[0].bias);
+        z
+    }
+
+    /// The compiled placer's order is `KMeans`' order of the `Matrix`
+    /// path's `x·W + b` to the bit, on every instantiation of the
+    /// kernel this CPU runs — and its nearest cluster the order's first.
+    #[test]
+    fn placer_orders_as_the_matrix_path_exactly() {
+        for (pca, kmeans, placer, segments, features) in fitted() {
+            let z = matrix_path(&placer, &pca, &features);
+            for kernel in Kernel::instantiations() {
+                let mut scratch = PredictScratch::on(kernel);
+                for (r, segment) in segments.iter().enumerate() {
+                    let expected = kmeans.clusters_by_distance(z.row(r));
+                    let what = format!(
+                        "p {}, k {}, row {r}, {}",
+                        pca.p(),
+                        kmeans.k(),
+                        kernel.name()
+                    );
+                    assert_eq!(
+                        placer.order_packed(segment, &mut scratch),
+                        expected,
+                        "{what}"
+                    );
+                    assert_eq!(placer.predict_packed(segment, &mut scratch), expected[0]);
+                }
+            }
+        }
+    }
+
+    /// A compiled placer survives the model codec: the bytes it loads
+    /// back from re-encode to themselves, and it orders the same.
+    #[test]
+    fn placer_round_trips_the_codec() {
+        for (_, _, placer, segments, _) in fitted() {
+            let bytes = placer.to_bytes();
+            let loaded = Placer::from_bytes(&bytes).unwrap();
+            assert_eq!(loaded.to_bytes(), bytes);
+            let (mut a, mut b) = (PredictScratch::default(), PredictScratch::default());
+            for segment in &segments {
+                assert_eq!(
+                    loaded.order_packed(segment, &mut a),
+                    placer.order_packed(segment, &mut b)
+                );
+            }
+        }
+    }
+
+    /// The compiled μ is the PCA's score up to rounding: `x·W − mean·W`
+    /// and `(x − mean)·W` differ only in where `f32` rounds.
+    #[test]
+    fn placer_latent_is_the_transform_up_to_rounding() {
+        for (pca, _, placer, _, features) in fitted() {
+            let z = matrix_path(&placer, &pca, &features);
+            let scores = pca.transform(&features);
+            for (a, b) in z.as_slice().iter().zip(scores.as_slice()) {
+                assert!((a - b).abs() < 1e-4, "p {}: {a} vs {b}", pca.p());
+            }
+        }
     }
 }

@@ -6,7 +6,9 @@
 //! the encoder's layers up to μ as plain weights, bias and activation,
 //! and the centroids — no decoder, no log σ² columns, no optimizer state
 //! ([`crate::dec::ClusterModel::placer`] compiles one from a trained
-//! model, [`crate::persist`] writes and reads it).
+//! model, [`crate::persist`] writes and reads it). The PNW baseline's
+//! PCA + K-means is a placer too: one linear layer
+//! ([`crate::pca::Pca::placer`]).
 //!
 //! Every write (Algorithm 1) and every recycle (Algorithm 2) asks the
 //! [`Placer`] about *one* segment whose features are bits (§3.2), so
@@ -18,7 +20,9 @@
 //!
 //! # Summation-order contract
 //!
-//! The batched `Matrix` path (`Vae::latent` + `KMeans`) stays for
+//! The batched `Matrix` path (`Vae::latent` + `KMeans`; for a PCA
+//! placer, `x.matmul(W)` plus the bias `−mean·W` + `KMeans`, not
+//! `Pca::transform`'s `(x − mean)·W`, which rounds elsewhere) stays for
 //! training and is the reference the tests compare this kernel against;
 //! the two must agree *bit for bit*, because a single differing cluster
 //! decision changes a placement. `f32` addition is not associative, so
@@ -83,14 +87,14 @@ pub struct PredictScratch {
 }
 
 impl PredictScratch {
-    /// A scratch whose calls run the portable instantiation of the
-    /// kernel whatever the CPU offers — what the tests hold against
+    /// A scratch whose calls run `kernel` whatever the CPU detects —
+    /// what the tests hold each instantiation against
     /// [`PredictScratch::default`], which runs the one [`kernel_name`]
     /// reports.
     #[cfg(test)]
-    fn portable() -> Self {
+    pub(crate) fn on(kernel: Kernel) -> Self {
         PredictScratch {
-            kernel: Kernel::portable(),
+            kernel,
             ..Self::default()
         }
     }
@@ -390,13 +394,7 @@ mod tests {
     fn scratches() -> Vec<(&'static str, PredictScratch)> {
         Kernel::instantiations()
             .into_iter()
-            .map(|kernel| {
-                let scratch = PredictScratch {
-                    kernel,
-                    ..PredictScratch::default()
-                };
-                (kernel.name(), scratch)
-            })
+            .map(|kernel| (kernel.name(), PredictScratch::on(kernel)))
             .collect()
     }
 
@@ -451,7 +449,7 @@ mod tests {
             for (kernel, mut resumed) in scratches() {
                 // The full call it is held against is the portable one:
                 // the two instantiations agree with each other as well.
-                let mut full = PredictScratch::portable();
+                let mut full = PredictScratch::on(Kernel::portable());
                 for (i, sample) in samples.iter().enumerate() {
                     for len in 0..=BYTES {
                         let mut padded = sample[..len].to_vec();

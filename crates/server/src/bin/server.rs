@@ -28,7 +28,10 @@
 //! magnitude faster than retraining the placement models — and only
 //! trains from scratch when no snapshot exists. Prints
 //! `recovered ...` or `fresh store ...` before the listening line so
-//! harnesses can tell which path booted.
+//! harnesses can tell which path booted. A snapshot it cannot recover
+//! from (corrupt, or written in another model format) is refused with
+//! `error: cannot recover from PATH: ...` on stderr and exit code 1,
+//! and the directory is left as it was.
 
 use e2nvm_persist::{FlushPolicy, PersistenceConfig};
 use e2nvm_server::{demo, CacheConfig, Server, ServerConfig};
@@ -112,10 +115,14 @@ fn main() {
     // Recover from the data directory when it holds a snapshot;
     // otherwise train a fresh demo store (and, with persistence on,
     // seed the directory so the next boot recovers).
+    // A data dir it cannot recover from is refused with one line on
+    // stderr and exit status 1: 2 is a usage error, 101 a panic.
     let e2cfg = demo::demo_config(seg_bytes, 0xE2);
     let recovered = pcfg.as_ref().and_then(|p| {
-        e2nvm_kvstore::ShardedE2KvStore::recover(p, &e2cfg, Some(&registry))
-            .expect("recover from data dir")
+        e2nvm_kvstore::ShardedE2KvStore::recover(p, &e2cfg, Some(&registry)).unwrap_or_else(|e| {
+            eprintln!("error: cannot recover from {}: {e}", p.data_dir.display());
+            std::process::exit(1)
+        })
     });
     let mut store = match recovered {
         Some((store, report)) => {

@@ -1,8 +1,9 @@
 //! The `e2nvm-server` binary refuses a command line it does not fully
 //! understand: a removed or misspelt flag, or a value that does not
 //! parse, exits 2 with a usage line instead of booting on defaults.
-//! A flag it does understand takes effect: `--cache-mb` alone turns
-//! the cache on.
+//! A `--data-dir` it cannot recover from is refused too, with exit 1
+//! and the directory untouched. A flag it does understand takes
+//! effect: `--cache-mb` alone turns the cache on.
 
 use e2nvm_server::Client;
 use std::io::{BufRead, BufReader};
@@ -53,6 +54,56 @@ fn unknown_flush_policy_is_rejected() {
 #[test]
 fn missing_value_is_rejected() {
     assert_rejected(&["--segments"], "--segments requires a value");
+}
+
+/// A snapshot the server cannot read — cut short, or with a body its
+/// checksum does not match — ends the boot with one line on stderr and
+/// exit status 1: not a panic (101), not a usage error (2), and
+/// nothing in the data dir changes.
+#[test]
+fn unrecoverable_data_dir_is_refused_not_a_crash() {
+    let cases: [(&str, &[u8]); 2] = [("truncated", b"E2S"), ("corrupt", &[0xA5; 64])];
+    for (tag, snapshot) in cases {
+        let dir =
+            std::env::temp_dir().join(format!("e2nvm-server-cli-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create data dir");
+        let snapshot_path = dir.join("snapshot.e2s");
+        std::fs::write(&snapshot_path, snapshot).expect("write snapshot");
+
+        let out = Command::new(env!("CARGO_BIN_EXE_e2nvm-server"))
+            .args(["--shards", "1", "--segments", "64", "--seg-bytes", "32"])
+            .arg("--data-dir")
+            .arg(&dir)
+            .env("RUST_BACKTRACE", "1")
+            .output()
+            .expect("run e2nvm-server");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: stderr {stderr}");
+        assert!(!stdout.contains("listening on"), "{tag} booted: {stdout}");
+        assert!(
+            stderr.contains(&format!("error: cannot recover from {}", dir.display())),
+            "{tag}: stderr {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{tag}: stderr {stderr}");
+        assert!(
+            !stderr.contains("stack backtrace"),
+            "{tag}: stderr {stderr}"
+        );
+
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .expect("read data dir")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        assert_eq!(entries, ["snapshot.e2s"], "{tag}: data dir changed");
+        assert_eq!(
+            std::fs::read(&snapshot_path).expect("read snapshot"),
+            snapshot,
+            "{tag}: snapshot changed"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Kills the server if the test fails before its SHUTDOWN.

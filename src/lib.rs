@@ -6,9 +6,10 @@
 //! * [`sim`] — the PCM/Optane device model, memory controller, wear
 //!   leveling, energy/latency accounting.
 //! * [`ml`] — from-scratch ML substrate: VAE, joint VAE+K-means, K-means,
-//!   PCA, LSTM.
+//!   PCA, LSTM, and the `Placer` both the VAE and PNW's PCA + K-means
+//!   compile into.
 //! * [`baselines`] — DCW, Flip-N-Write, MinShift, Captopril, DATACON,
-//!   Hamming-Tree, PNW.
+//!   Hamming-Tree.
 //! * [`core`] — the paper's contribution: the E2-NVM placement engine.
 //! * [`kvstore`] — the persistent KV store and NVM index structures.
 //! * [`persist`] — crash-consistent persistence: per-shard write-ahead
