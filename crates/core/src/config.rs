@@ -8,6 +8,7 @@
 
 use crate::error::{E2Error, Result};
 use crate::padding::{PaddingLocation, PaddingType};
+use e2nvm_ml::bits::MAX_INPUT_BITS;
 use e2nvm_ml::{DecConfig, VaeConfig};
 use serde::{Deserialize, Serialize};
 
@@ -107,6 +108,12 @@ impl E2Config {
         }
         if self.segment_bytes == 0 {
             return fail("segment_bytes must be > 0");
+        }
+        if self.input_bits() > MAX_INPUT_BITS {
+            return Err(E2Error::Config(format!(
+                "segment_bytes must be <= {}: the model's input indices are u16",
+                MAX_INPUT_BITS / 8
+            )));
         }
         if self.latent_dim == 0 {
             return fail("latent_dim must be > 0");
@@ -281,6 +288,10 @@ mod tests {
             },
             E2Config {
                 segment_bytes: 0,
+                ..E2Config::default()
+            },
+            E2Config {
+                segment_bytes: MAX_INPUT_BITS / 8 + 1,
                 ..E2Config::default()
             },
             E2Config {

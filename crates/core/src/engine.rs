@@ -999,6 +999,36 @@ mod tests {
         assert_eq!(e.get(1).unwrap(), vec![0x55u8; 32]);
     }
 
+    /// A segment wider than the model's `u16` input indices reach is
+    /// refused as a config error when the engine is built — never a
+    /// panic in training or placement later. (The device takes wide
+    /// segments in whole cache lines, so the narrowest too wide is one
+    /// line past the widest.)
+    #[test]
+    fn a_segment_wider_than_the_model_indexes_is_refused() {
+        let widest = e2nvm_ml::bits::MAX_INPUT_BITS / 8;
+        for (seg_bytes, ok) in [(widest, true), (widest + 64, false)] {
+            let dev = NvmDevice::new(
+                DeviceConfig::builder()
+                    .segment_bytes(seg_bytes)
+                    .num_segments(2)
+                    .build()
+                    .unwrap(),
+            );
+            let built = E2Engine::new(
+                MemoryController::without_wear_leveling(dev),
+                E2Config::fast(seg_bytes, 2),
+            );
+            match built {
+                Ok(_) => assert!(ok, "{seg_bytes}-byte segments accepted"),
+                Err(e) => assert!(
+                    !ok && matches!(e, E2Error::Config(_)),
+                    "{seg_bytes}-byte segments: {e}"
+                ),
+            }
+        }
+    }
+
     #[test]
     fn placement_prefers_similar_content() {
         let mut rng = StdRng::seed_from_u64(3);

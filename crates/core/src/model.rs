@@ -161,32 +161,28 @@ impl E2Model {
     }
 
     /// Multiply-accumulates per prediction (CPU-energy model input):
-    /// the encoder to μ and log σ², then the centroid scan. The
-    /// *nominal dense* count — it prices the model, not the serving
-    /// kernel's skipping of zero inputs and of the log σ² half.
+    /// `in × out` over the placer's layers to μ (μ's own width, not the
+    /// serving tile's), then the centroid scan. The *nominal dense*
+    /// count — it prices the model, not the serving kernel's skipping
+    /// of zero inputs.
     pub fn predict_macs(&self) -> u64 {
-        let (to_mu, logvar, latent) = self.layer_macs();
-        to_mu + logvar + (self.k() * latent) as u64
+        let widths = self.placer.widths();
+        let layers: u64 = widths.windows(2).map(|w| (w[0] * w[1]) as u64).sum();
+        layers + (self.k() * widths[widths.len() - 1]) as u64
     }
 
-    /// Multiply-accumulates for one retraining epoch on `n` samples:
-    /// forward + backward ≈ 3× forward through the encoder and the
-    /// decoder, which mirrors the layers to μ (the same products).
+    /// Multiply-accumulates for one retraining epoch on `n` samples,
+    /// priced as a VAE whatever placer the model holds: forward +
+    /// backward ≈ 3× forward through the encoder — its layers to μ and
+    /// the log σ² columns training adds to the last — and the decoder,
+    /// which mirrors the layers to μ (the same products).
     pub fn train_macs_per_epoch(&self, n: usize) -> u64 {
-        let (to_mu, logvar, _) = self.layer_macs();
-        3 * n as u64 * (2 * to_mu + logvar)
-    }
-
-    /// Multiply-accumulates of one sample through the layers to μ and
-    /// through the log σ² columns training adds to the last one, and
-    /// μ's width.
-    fn layer_macs(&self) -> (u64, u64, usize) {
         let widths = self.placer.widths();
         let &[.., before, latent] = widths.as_slice() else {
             unreachable!("a placer has an input and a layer")
         };
-        let to_mu = widths.windows(2).map(|w| (w[0] * w[1]) as u64).sum();
-        (to_mu, (before * latent) as u64, latent)
+        let to_mu: u64 = widths.windows(2).map(|w| (w[0] * w[1]) as u64).sum();
+        3 * n as u64 * (2 * to_mu + (before * latent) as u64)
     }
 
     /// Serialize the served model (version 2 of the model codec): the
@@ -207,7 +203,9 @@ impl E2Model {
 mod tests {
     use super::*;
     use crate::padding::{PaddingLocation, PaddingType};
+    use e2nvm_ml::data::segments_to_matrix;
     use e2nvm_ml::rng::seeded;
+    use e2nvm_ml::{KMeans, Pca};
 
     fn clustered_segments(n_per: usize, seg_bytes: usize, rng: &mut impl Rng) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
@@ -326,8 +324,21 @@ mod tests {
         assert_eq!(cfg.hidden.len(), 1);
         assert_eq!(
             model.predict_macs(),
-            (128 * h + h * 2 * l + model.k() * l) as u64
+            (128 * h + h * l + model.k() * l) as u64
         );
+    }
+
+    /// A PCA placer is priced as what it serves: its one layer and the
+    /// centroid scan, no log σ² columns.
+    #[test]
+    fn a_pca_model_prices_its_one_layer() {
+        let mut rng = seeded(5);
+        let contents = clustered_segments(40, 16, &mut rng);
+        let raw = segments_to_matrix(&contents);
+        let pca = Pca::fit(&raw, 6, 10, &mut rng);
+        let kmeans = KMeans::fit(&pca.transform(&raw), 3, 20, &mut rng).model;
+        let model = E2Model::from_placer(pca.placer(kmeans));
+        assert_eq!(model.predict_macs(), (128 * 6 + 3 * 6) as u64);
     }
 
     #[test]

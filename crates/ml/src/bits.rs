@@ -1,6 +1,6 @@
 //! Rows of packed bits — the VAE's input as it sits in memory — and the
-//! walk over their set bits that the encoder's first layer takes, in
-//! serving ([`crate::predict`]) and in training alike.
+//! decoder of their set bits into the index list the encoder's first
+//! layer walks, in serving ([`crate::predict`]) and in training alike.
 //!
 //! A row is `cols / 8` MSB-first bytes, the layout
 //! [`crate::data::bytes_to_features`] defines: bit `7 - j` of byte `b`
@@ -9,6 +9,10 @@
 
 #[cfg(test)]
 use crate::matrix::Matrix;
+
+/// The widest input, in bits, a [`crate::Vae`] or a [`crate::Placer`]
+/// is built for: the set-bit decoder's indices are `u16`.
+pub const MAX_INPUT_BITS: usize = 1 << 16;
 
 /// Rows of packed bits, all of one width.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,63 +157,84 @@ pub(crate) const BYTE_FEATURES: [[f32; 8]; 256] = {
     table
 };
 
-/// The set bits of `bits[from..]` as layer inputs: `(index, 1.0)` in
-/// ascending index, indexed from the start of `bits`. The constant
-/// `1.0` lets the kernel's `1.0 * w` fold to `w` — the same value
-/// either way.
-#[derive(Clone)]
-pub(crate) struct SetBits<'a> {
-    bits: &'a [u8],
-    /// The 8-byte word being walked.
-    word: usize,
-    /// Its bits not yet visited. A word at a time: running out of them
-    /// is the branch the CPU cannot predict, and this takes it once
-    /// per 64 bits, not per 8.
-    rest: u64,
-}
-
-impl<'a> SetBits<'a> {
-    pub(crate) fn new(bits: &'a [u8], from: usize) -> Self {
-        let word = from / 8;
-        // Drop the bytes of the first word that lie before `from`.
-        let rest = load_word(bits, word).unwrap_or(0) & (u64::MAX >> (from % 8 * 8));
-        SetBits { bits, word, rest }
+/// The feature indices of the set bits of `bits[from..]`, ascending and
+/// counted from the start of `bits`, written into the front of `out`
+/// (grown to `8 * bits.len()` slots if it is shorter, never shrunk)
+/// and returned as a slice — the list a layer's walk adds the weight
+/// rows of. No branch on the data: each byte stores all eight of its
+/// slots from a table of left-aligned positions, and the end of the
+/// list moves by the byte's count, read from a second table.
+///
+/// # Panics
+/// Panics if `bits` is wider than [`MAX_INPUT_BITS`] or `from` is past
+/// its end.
+pub(crate) fn set_bit_indices<'o>(bits: &[u8], from: usize, out: &'o mut Vec<u16>) -> &'o [u16] {
+    assert!(
+        8 * bits.len() <= MAX_INPUT_BITS,
+        "{} input bits: indices are u16",
+        8 * bits.len()
+    );
+    assert!(from <= bits.len(), "byte {from} past the input");
+    if out.len() < 8 * bits.len() {
+        out.resize(8 * bits.len(), 0);
     }
-}
-
-impl Iterator for SetBits<'_> {
-    type Item = (usize, f32);
-
-    #[inline(always)]
-    fn next(&mut self) -> Option<(usize, f32)> {
-        while self.rest == 0 {
-            self.word += 1;
-            self.rest = load_word(self.bits, self.word)?;
+    let mut n = 0;
+    // The byte's first feature index, in every lane; it wraps to 0 only
+    // after the widest input's last byte.
+    let mut base = [(8 * from) as u16; 8];
+    for &byte in &bits[from..] {
+        // `n` is at most eight per byte walked, so the eight slots fit.
+        let slots: &mut [u16; 8] = (&mut out[n..n + 8]).try_into().expect("eight slots");
+        for ((slot, &j), base) in slots
+            .iter_mut()
+            .zip(&BYTE_POSITIONS[usize::from(byte)])
+            .zip(&mut base)
+        {
+            *slot = *base + j;
+            *base = base.wrapping_add(8);
         }
-        let lead = self.rest.leading_zeros() as usize;
-        self.rest &= !(1 << (63 - lead));
-        Some((self.word * 64 + lead, 1.0))
+        n += usize::from(BYTE_COUNTS[usize::from(byte)]);
     }
+    &out[..n]
 }
 
-/// Bytes `8 * word..` of `bits` (up to eight, zero-extended) as one
-/// big-endian word — which keeps MSB-first: the highest set bit is the
-/// lowest feature index. `None` past the end.
-#[inline(always)]
-fn load_word(bits: &[u8], word: usize) -> Option<u64> {
-    let rest = bits.get(word * 8..).filter(|rest| !rest.is_empty())?;
-    Some(match rest.get(..8) {
-        Some(full) => u64::from_be_bytes(full.try_into().expect("eight bytes")),
-        // Folded, not copied: a `memcpy` call inside the walk would
-        // have the tile's sums spilled around it.
-        None => rest.iter().fold(0, |w, &b| w << 8 | u64::from(b)) << (64 - 8 * rest.len()),
-    })
-}
+/// The positions `j` of every byte's set bits (bit `7 - j`, MSB first),
+/// ascending and left-aligned; the slots past them are `0`.
+const BYTE_POSITIONS: [[u16; 8]; 256] = {
+    let mut table = [[0; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut j, mut n) = (0, 0);
+        while j < 8 {
+            if byte >> (7 - j) & 1 == 1 {
+                table[byte][n] = j as u16;
+                n += 1;
+            }
+            j += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// The number of every byte's set bits: a load where `count_ones`
+/// without the `popcnt` instruction — x86-64's baseline — is a dozen
+/// instructions a byte.
+const BYTE_COUNTS: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        table[byte] = (byte as u8).count_ones() as u8;
+        byte += 1;
+    }
+    table
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::{bytes_to_features, segments_to_matrix};
+    use rand::Rng;
 
     #[test]
     fn packing_round_trips_through_features() {
@@ -225,26 +250,60 @@ mod tests {
         assert_eq!((none.rows(), none.cols()), (0, 24));
     }
 
-    /// The walk yields exactly the set features, ascending, from any
-    /// starting byte — at widths that end inside a word and on one.
+    /// The decoder lists exactly the set features, ascending, from any
+    /// starting byte — at every length 1..=40 bytes (whole words and
+    /// not), at densities from none to all, and from one buffer reused
+    /// from longer inputs to shorter ones, so stale slots past a
+    /// shorter list never show.
     #[test]
-    fn set_bits_are_the_set_features_in_order() {
+    fn set_bit_indices_are_the_set_features_in_order() {
         let mut rng = crate::rng::seeded(0xB175);
-        for len in [0, 1, 7, 8, 9, 16, 36] {
-            let row: Vec<u8> = (0..len).map(|_| rand::Rng::gen(&mut rng)).collect();
-            let features = bytes_to_features(&row);
-            for from in 0..=len {
-                let want: Vec<usize> = (8 * from..8 * len)
-                    .filter(|&i| features[i] == 1.0)
+        let mut out = Vec::new();
+        for len in (1..=40).rev() {
+            for density in [0.0, 0.05, 0.3, 0.5, 0.9, 1.0] {
+                let row: Vec<u8> = (0..len)
+                    .map(|_| (0..8).fold(0, |b, _| b << 1 | u8::from(rng.gen_bool(density))))
                     .collect();
-                let got: Vec<usize> = SetBits::new(&row, from).map(|(i, _)| i).collect();
-                assert_eq!(got, want, "{len} bytes from byte {from}");
+                let features = bytes_to_features(&row);
+                for from in 0..=len {
+                    let want: Vec<u16> = (8 * from..8 * len)
+                        .filter(|&i| features[i] == 1.0)
+                        .map(|i| i as u16)
+                        .collect();
+                    assert_eq!(
+                        set_bit_indices(&row, from, &mut out),
+                        want,
+                        "{len} bytes from byte {from}, density {density}"
+                    );
+                }
             }
-            let table: Vec<f32> = row
-                .iter()
-                .flat_map(|&b| BYTE_FEATURES[usize::from(b)])
-                .collect();
-            assert_eq!(table, features);
         }
+    }
+
+    /// The widest input decodes to its last index, and the empty one
+    /// to nothing.
+    #[test]
+    fn the_widest_input_decodes_to_its_last_index() {
+        let mut out = Vec::new();
+        let mut row = vec![0u8; MAX_INPUT_BITS / 8];
+        row[MAX_INPUT_BITS / 8 - 1] = 0x01;
+        row[0] = 0x80;
+        assert_eq!(set_bit_indices(&row, 0, &mut out), [0, u16::MAX]);
+        assert_eq!(set_bit_indices(&row, row.len(), &mut out), []);
+        assert!(set_bit_indices(&[], 0, &mut out).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "65544 input bits")]
+    fn a_wider_input_is_refused() {
+        set_bit_indices(&vec![0; MAX_INPUT_BITS / 8 + 1], 0, &mut Vec::new());
+    }
+
+    #[test]
+    fn the_byte_table_is_the_features() {
+        let table: Vec<f32> = (0..=255u8)
+            .flat_map(|b| BYTE_FEATURES[usize::from(b)])
+            .collect();
+        assert_eq!(table, bytes_to_features(&(0..=255).collect::<Vec<u8>>()));
     }
 }

@@ -2,7 +2,7 @@
 //! embedded Adam optimizer.
 
 use crate::activation::Activation;
-use crate::bits::{BitBatch, SetBits};
+use crate::bits::{set_bit_indices, BitBatch};
 use crate::kernel::{Kernel, Op};
 use crate::matrix::Matrix;
 use crate::optim::Adam;
@@ -108,15 +108,17 @@ impl Dense {
     /// bits takes the weight rows of its set bits, in ascending index
     /// from `+0.0` — `x.matmul(&self.w)` of the bits as floats, bit for
     /// bit (the kernel's compaction clause: what a row of bits is
-    /// compacted to).
+    /// compacted to). One index buffer serves every row.
     pub(crate) fn forward_input(&self, x: Input<'_>) -> Matrix {
         let kernel = Kernel::detect();
         let mut z = match x {
             Input::Floats(x) => x.matmul(&self.w),
             Input::Bits(x) => {
                 let mut z = Matrix::zeros(x.len(), self.out_dim());
+                let mut set = Vec::new();
                 for r in 0..x.len() {
-                    kernel.add_rows(&self.w, SetBits::new(x.row(r), 0), z.row_mut(r));
+                    let set = set_bit_indices(x.row(r), 0, &mut set);
+                    kernel.add_set_rows(&self.w, set, z.row_mut(r));
                 }
                 z
             }
@@ -229,7 +231,8 @@ impl Dense {
 }
 
 /// [`Dense::accumulate_preact`]'s loop over bits: `grad[i] += dz[r]`
-/// for every set bit `i` of batch row `r`, `r` ascending.
+/// for every set bit `i` of batch row `r`, `r` ascending. One index
+/// buffer serves every row.
 struct ScatterRows<'a> {
     x: BitBatch<'a>,
     dz: &'a Matrix,
@@ -242,10 +245,11 @@ impl Op for ScatterRows<'_> {
     #[inline(always)]
     fn run<const BLOCK: usize, const WIDE: usize, const LANES: usize>(self) {
         let ScatterRows { x, dz, grad } = self;
+        let mut set = Vec::new();
         for r in 0..x.len() {
             let d = dz.row(r);
-            for (i, _) in SetBits::new(x.row(r), 0) {
-                for (g, &d) in grad.row_mut(i).iter_mut().zip(d) {
+            for &i in set_bit_indices(x.row(r), 0, &mut set) {
+                for (g, &d) in grad.row_mut(usize::from(i)).iter_mut().zip(d) {
                     *g += d;
                 }
             }

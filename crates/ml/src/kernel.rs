@@ -15,12 +15,14 @@
 //!
 //! Compaction clause: a row of float inputs reaches the kernel as its
 //! non-zero `(i, a)` pairs in ascending `i`, compacted once
-//! ([`compact_non_zero`], a store per input and no branch on its value)
-//! and then walked by every tile. The walk sees exactly what filtering
+//! ([`compact_non_zero`]: sixteen inputs per `vcompressps` on AVX-512,
+//! a store per input elsewhere, no branch on a value either way) and
+//! then walked by every tile. The walk sees exactly what filtering
 //! `a != 0.0` would yield, in the same order, so every fold is the one
 //! the filter made: a zero input still adds no row, and the sums still
-//! start at `+0.0`. A row whose non-zero inputs are all `1.0` (bits) is
-//! walked add-only: `1.0 · w` is `w`.
+//! start at `+0.0`. A row of bits is compacted to the ascending list of
+//! its set bits' indices ([`crate::bits::set_bit_indices`]) and walked
+//! add-only: `1.0 · w` is `w`.
 //!
 //! Row-block clause: a block of four rows of a product whose inputs
 //! are at least [`DENSE_TENTHS`] tenths non-zero is walked whole, every
@@ -159,6 +161,13 @@ impl Kernel {
         self.run(AddRows { w, inputs, out });
     }
 
+    /// `out += Σ W[i]` over the input indices `set`, in their order —
+    /// a row of bits ([`crate::bits::set_bit_indices`]), walked
+    /// add-only.
+    pub(crate) fn add_set_rows(self, w: &Matrix, set: &[u16], out: &mut [f32]) {
+        self.add_rows(w, set.iter().map(|&i| (usize::from(i), 1.0)), out);
+    }
+
     /// `out += a · w`: every element continues its fold over its row of
     /// `a` in ascending `k`, a zero input adding nothing. `out` must
     /// hold no `-0.0` (the row-block clause); a product's `+0.0` start
@@ -175,7 +184,12 @@ impl Kernel {
             out.rows(),
             out.cols()
         );
-        self.run(Gemm { a, w, out });
+        self.run(Gemm {
+            kernel: self,
+            a,
+            w,
+            out,
+        });
     }
 }
 
@@ -203,6 +217,7 @@ impl<I: Iterator<Item = (usize, f32)> + Clone> Op for AddRows<'_, I> {
 
 /// [`Kernel::matmul_into`]'s loop.
 struct Gemm<'a> {
+    kernel: Kernel,
     a: &'a Matrix,
     w: &'a Matrix,
     out: &'a mut Matrix,
@@ -218,8 +233,8 @@ impl Op for Gemm<'_> {
     /// `1.0`.
     #[inline(always)]
     fn run<const BLOCK: usize, const WIDE: usize, const LANES: usize>(self) {
-        let Gemm { a, w, out } = self;
-        let mut slots = Vec::new();
+        let Gemm { kernel, a, w, out } = self;
+        let mut slots = NonZero::default();
         let mut finite = None;
         let mut r0 = 0;
         while r0 < a.rows() {
@@ -241,12 +256,12 @@ impl Op for Gemm<'_> {
                 block_tiles::<BLOCK>(&DenseBlock::new(a, r0), w, out);
             } else {
                 for r in r0..r0 + rows {
-                    let inputs = compact_non_zero(a.row(r), &mut slots);
+                    let (idx, val) = compact_non_zero(kernel, a.row(r), &mut slots);
                     if ones {
-                        let bits = inputs.iter().map(|&(i, _)| (i as usize, 1.0));
+                        let bits = idx.iter().map(|&i| (i as usize, 1.0));
                         add_tiles::<WIDE>(w, bits, out.row_mut(r));
                     } else {
-                        let inputs = inputs.iter().map(|&(i, a)| (i as usize, a));
+                        let inputs = idx.iter().zip(val).map(|(&i, &a)| (i as usize, a));
                         add_tiles::<WIDE>(w, inputs, out.row_mut(r));
                     }
                 }
@@ -384,28 +399,102 @@ fn block_tiles<const BLOCK: usize>(block: &DenseBlock<'_>, w: &Matrix, out: &mut
     tiles!(64 32 16 8 4 2 1);
 }
 
-/// The non-zero entries of `x` as layer inputs, `(i, a)` in ascending
-/// `i`, compacted into the front of `slots` (grown to `x.len()` if it
-/// is shorter, never shrunk) and returned as a slice: a zero input adds
-/// no row, so `0 × ∞` never makes a NaN. Every entry is stored and the
-/// end of the slice moves past it only if it is non-zero — a count, not
-/// a branch the CPU would have to guess per input. A slot is eight
-/// bytes, a `u32` index beside its input, half a `(usize, f32)`'s.
+/// Slots for [`compact_non_zero`]'s output: an input's index and its
+/// value side by side in two arrays, as the AVX-512 compaction stores
+/// them.
+#[derive(Debug, Default)]
+pub(crate) struct NonZero {
+    idx: Vec<u32>,
+    val: Vec<f32>,
+}
+
+/// The non-zero entries of `x` as layer inputs — their indices and
+/// their values, in ascending index — compacted into the front of
+/// `slots` (grown to `x.len()` if they are shorter, never shrunk) and
+/// returned as slices: a zero input adds no row, so `0 × ∞` never makes
+/// a NaN. Every entry is stored and the end of the slices moves past it
+/// only if it is non-zero (`a != 0.0`: a NaN is kept, `-0.0` is not) —
+/// a count, not a branch the CPU would have to guess per input. On
+/// AVX-512 sixteen entries at a time: a compare into a mask, both
+/// arrays compressed in registers and each stored whole.
 ///
 /// # Panics
 /// Panics if `x` has more entries than a `u32` counts.
-pub(crate) fn compact_non_zero<'s>(x: &[f32], slots: &'s mut Vec<(u32, f32)>) -> &'s [(u32, f32)] {
+#[allow(unsafe_code)]
+pub(crate) fn compact_non_zero<'s>(
+    kernel: Kernel,
+    x: &[f32],
+    slots: &'s mut NonZero,
+) -> (&'s [u32], &'s [f32]) {
     assert!(u32::try_from(x.len()).is_ok(), "{} inputs", x.len());
-    if slots.len() < x.len() {
-        slots.resize(x.len(), (0, 0.0));
+    if slots.idx.len() < x.len() {
+        slots.idx.resize(x.len(), 0);
+        slots.val.resize(x.len(), 0.0);
     }
-    let slots = &mut slots[..x.len()];
+    let NonZero { idx, val } = slots;
+    #[cfg(target_arch = "x86_64")]
+    if kernel.isa == Isa::Avx512 {
+        // SAFETY: `Isa::Avx512` is only ever set after
+        // `is_x86_feature_detected!("avx512f")`.
+        let n = unsafe { compact_avx512(x, idx, val) };
+        return (&idx[..n], &val[..n]);
+    }
+    let _ = kernel;
     let mut n = 0;
     for (i, &a) in (0u32..).zip(x) {
-        slots[n] = (i, a);
+        idx[n] = i;
+        val[n] = a;
         n += usize::from(a != 0.0);
     }
-    &slots[..n]
+    (&idx[..n], &val[..n])
+}
+
+/// [`compact_non_zero`]'s AVX-512 instantiation: the number of non-zero
+/// entries of `x`, their indices and values in the front of `idx` and
+/// `val`. A whole chunk's two stores land at `n ≤ i`, so they end by
+/// `i + 16 ≤ x.len()`: the slots need no room past `x`'s length.
+///
+/// # Safety
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(unsafe_code)]
+unsafe fn compact_avx512(x: &[f32], idx: &mut [u32], val: &mut [f32]) -> usize {
+    use std::arch::x86_64::{
+        _mm512_add_epi32, _mm512_cmp_ps_mask, _mm512_loadu_ps, _mm512_maskz_compress_epi32,
+        _mm512_maskz_compress_ps, _mm512_set1_epi32, _mm512_setr_epi32, _mm512_setzero_ps,
+        _mm512_storeu_epi32, _mm512_storeu_ps, _CMP_NEQ_UQ,
+    };
+    let chunks = x.chunks_exact(16);
+    let tail = chunks.remainder();
+    let mut lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let mut n = 0;
+    for chunk in chunks {
+        // SAFETY: `chunk` is sixteen readable floats, and the load asks
+        // for no alignment.
+        let a = unsafe { _mm512_loadu_ps(chunk.as_ptr()) };
+        // Unordered: a NaN is not equal to zero, and `-0.0` is.
+        let keep = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(a, _mm512_setzero_ps());
+        let (to_idx, to_val) = (&mut idx[n..n + 16], &mut val[n..n + 16]);
+        // SAFETY: each store is sixteen lanes into a slice of sixteen
+        // writable slots (the slicing above asserts the room), and
+        // asks for no alignment.
+        unsafe {
+            _mm512_storeu_epi32(
+                to_idx.as_mut_ptr().cast(),
+                _mm512_maskz_compress_epi32(keep, lanes),
+            );
+            _mm512_storeu_ps(to_val.as_mut_ptr(), _mm512_maskz_compress_ps(keep, a));
+        }
+        n += keep.count_ones() as usize;
+        lanes = _mm512_add_epi32(lanes, _mm512_set1_epi32(16));
+    }
+    for (i, &a) in ((x.len() - tail.len()) as u32..).zip(tail) {
+        idx[n] = i;
+        val[n] = a;
+        n += usize::from(a != 0.0);
+    }
+    n
 }
 
 #[cfg(test)]
@@ -432,7 +521,15 @@ impl Kernel {
         }
         let names: Vec<_> = all.iter().map(|k| k.name()).collect();
         if all.len() < 3 {
-            eprintln!("this CPU runs only {names:?}: the other instantiations are not tested");
+            // Once per test binary, and written to stderr itself: the
+            // harness captures `eprintln!`, and a CI log should show it.
+            static SAID: std::sync::Once = std::sync::Once::new();
+            SAID.call_once(|| {
+                let line = format!(
+                    "this CPU runs only {names:?}: the other instantiations are not tested\n"
+                );
+                let _ = std::io::Write::write_all(&mut std::io::stderr(), line.as_bytes());
+            });
         }
         all
     }
@@ -470,24 +567,25 @@ mod tests {
     }
 
     /// The compaction is the filter's output, index for index and bit
-    /// for bit, at every width 0..=70 — from one slot buffer reused
-    /// across rows, so stale slots past a shorter row never show.
+    /// for bit, at every width 0..=70 and on every instantiation — from
+    /// one slot buffer reused across rows, so stale slots past a
+    /// shorter row never show.
     #[test]
     fn compaction_is_the_non_zero_filter_exactly() {
         let mut rng = crate::rng::seeded(0xC0FFEE);
-        let mut slots = Vec::new();
-        for width in (0..=70).chain((0..=70).rev()) {
-            for _ in 0..8 {
-                let row: Vec<f32> = (0..width).map(|_| awkward(&mut rng)).collect();
-                assert_eq!(
-                    to_bits(
-                        compact_non_zero(&row, &mut slots)
-                            .iter()
-                            .map(|&(i, a)| (i as usize, a))
-                    ),
-                    to_bits(non_zero(&row)),
-                    "width {width}, row {row:?}"
-                );
+        for kernel in Kernel::instantiations() {
+            let mut slots = NonZero::default();
+            for width in (0..=70).chain((0..=70).rev()) {
+                for _ in 0..8 {
+                    let row: Vec<f32> = (0..width).map(|_| awkward(&mut rng)).collect();
+                    let (idx, val) = compact_non_zero(kernel, &row, &mut slots);
+                    assert_eq!(
+                        to_bits(idx.iter().zip(val).map(|(&i, &a)| (i as usize, a))),
+                        to_bits(non_zero(&row)),
+                        "{}, width {width}, row {row:?}",
+                        kernel.name()
+                    );
+                }
             }
         }
     }

@@ -13,10 +13,13 @@
 //! ([`rng::seeded`]), which keeps every experiment in the workspace
 //! reproducible.
 
-// One exception, scoped to its call site: the CPU-feature dispatch of
-// `kernel::Kernel::run`, which training, serving, the optimizer and the
-// `exp`/`ln` lanes share.
+// The exceptions, each scoped to its function: the CPU-feature dispatch
+// of `kernel::Kernel::run`, which training, serving, the optimizer and
+// the `exp`/`ln` lanes share; the compaction `kernel::compact_non_zero`
+// and its AVX-512 instantiation `kernel::compact_avx512`. Every `unsafe`
+// block says why it is sound.
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod activation;

@@ -64,6 +64,9 @@ pub enum PersistError {
     },
     /// The input width in bits is not a positive whole number of bytes.
     InputNotWholeBytes(usize),
+    /// The input is wider, in bits, than a placer serves (65 536: its
+    /// set bits are listed as `u16` indices).
+    InputTooWide(usize),
 }
 
 impl std::fmt::Display for PersistError {
@@ -92,6 +95,9 @@ impl std::fmt::Display for PersistError {
             ),
             PersistError::InputNotWholeBytes(bits) => {
                 write!(f, "input of {bits} bits is not whole bytes")
+            }
+            PersistError::InputTooWide(bits) => {
+                write!(f, "input of {bits} bits is wider than 65536")
             }
         }
     }
@@ -471,6 +477,10 @@ mod tests {
             (
                 encoded(&[(12, 8), (8, 3)], 2, 3),
                 PersistError::InputNotWholeBytes(12),
+            ),
+            (
+                encoded(&[(65_544, 1)], 2, 1),
+                PersistError::InputTooWide(65_544),
             ),
             (encoded(&[], 2, 3), PersistError::BadLength(0)),
         ];

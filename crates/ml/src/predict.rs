@@ -59,8 +59,8 @@
 //! the tail alone.
 
 use crate::activation::Activation;
-use crate::bits::SetBits;
-use crate::kernel::{compact_non_zero, Kernel};
+use crate::bits::{set_bit_indices, MAX_INPUT_BITS};
+use crate::kernel::{compact_non_zero, Kernel, NonZero};
 use crate::kmeans::KMeans;
 use crate::matrix::Matrix;
 use crate::persist::PersistError;
@@ -78,8 +78,10 @@ pub struct PredictScratch {
     cur: Vec<f32>,
     /// Activations of the layer being computed.
     next: Vec<f32>,
+    /// Indices of the input's set bits, for the first layer's walk.
+    set: Vec<u16>,
     /// Non-zero entries of `cur`, compacted for the next layer's walk.
-    inputs: Vec<(u32, f32)>,
+    inputs: NonZero,
     /// The cluster scorer's keys, one per lane.
     keys: Vec<u64>,
     /// Cluster ids, nearest first.
@@ -126,7 +128,8 @@ impl Placer {
     /// each `weights` as wide as its `bias`, and the centroids in μ's
     /// space. Refused unless it can serve: at least one layer and one
     /// cluster, widths that chain, no zero width, a whole number of
-    /// input bytes and centroids as wide as μ.
+    /// input bytes up to [`MAX_INPUT_BITS`] bits and centroids as wide
+    /// as μ.
     pub(crate) fn new(
         layers: Vec<(Matrix, Vec<f32>, Activation)>,
         kmeans: KMeans,
@@ -134,6 +137,9 @@ impl Placer {
         let mut width = layers.first().map_or(0, |(weights, _, _)| weights.rows());
         if width == 0 || !width.is_multiple_of(8) {
             return Err(PersistError::InputNotWholeBytes(width));
+        }
+        if width > MAX_INPUT_BITS {
+            return Err(PersistError::InputTooWide(width));
         }
         for (i, (weights, bias, _)) in layers.iter().enumerate() {
             if bias.len() != weights.cols() || weights.cols() == 0 {
@@ -245,6 +251,7 @@ impl Placer {
             kernel,
             sums0,
             next,
+            set,
             ..
         } = &mut *scratch;
         assert_eq!(
@@ -254,7 +261,7 @@ impl Placer {
         );
         next.clear();
         next.extend_from_slice(sums0);
-        kernel.add_rows(first, SetBits::new(bits, from), next);
+        kernel.add_set_rows(first, set_bit_indices(bits, from, set), next);
         self.finish_layers(scratch);
         self.nearest(scratch)
     }
@@ -283,11 +290,12 @@ impl Placer {
             kernel,
             sums0,
             next,
+            set,
             ..
         } = &mut *scratch;
         sums0.clear();
         sums0.resize(first.cols(), 0.0);
-        kernel.add_rows(first, SetBits::new(bits, 0), sums0);
+        kernel.add_set_rows(first, set_bit_indices(bits, 0, set), sums0);
         next.clear();
         next.extend_from_slice(sums0);
         self.finish_layers(scratch);
@@ -309,8 +317,8 @@ impl Placer {
             if i > 0 {
                 next.clear();
                 next.resize(layer.weights.cols(), 0.0);
-                let inputs = compact_non_zero(cur, inputs);
-                let inputs = inputs.iter().map(|&(i, a)| (i as usize, a));
+                let (idx, val) = compact_non_zero(*kernel, cur, inputs);
+                let inputs = idx.iter().zip(val).map(|(&i, &a)| (i as usize, a));
                 kernel.add_rows(&layer.weights, inputs, next);
             }
             next.truncate(layer.bias.len());

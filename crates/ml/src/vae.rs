@@ -4,7 +4,7 @@
 //! inputs, trained with Adam and the reparameterization trick.
 
 use crate::activation::Activation;
-use crate::bits::{BitBatch, BitMatrix, BYTE_FEATURES};
+use crate::bits::{BitBatch, BitMatrix, BYTE_FEATURES, MAX_INPUT_BITS};
 use crate::dense::Input;
 use crate::kernel::Kernel;
 use crate::libm::exp_in_place;
@@ -71,10 +71,19 @@ pub struct Vae {
 
 impl Vae {
     /// Initialize with random weights.
+    ///
+    /// # Panics
+    /// Panics if a dimension is zero or the input is wider than
+    /// [`MAX_INPUT_BITS`], the widest the bit decoder indexes.
     pub fn new<R: Rng>(cfg: VaeConfig, rng: &mut R) -> Self {
         assert!(
             cfg.input_dim > 0 && cfg.latent_dim > 0,
             "VaeConfig: zero dims"
+        );
+        assert!(
+            cfg.input_dim <= MAX_INPUT_BITS,
+            "VaeConfig: {} input bits, more than {MAX_INPUT_BITS}",
+            cfg.input_dim
         );
         let mut enc_dims = vec![cfg.input_dim];
         enc_dims.extend_from_slice(&cfg.hidden);
@@ -431,5 +440,15 @@ mod tests {
         let vae = Vae::new(VaeConfig::default(), &mut rng);
         assert!(vae.train_macs_per_epoch(100) > 0);
         assert!(vae.train_macs_per_epoch(200) > vae.train_macs_per_epoch(100));
+    }
+
+    #[test]
+    #[should_panic(expected = "65544 input bits")]
+    fn a_wider_input_is_refused() {
+        let cfg = VaeConfig {
+            input_dim: MAX_INPUT_BITS + 8,
+            ..VaeConfig::default()
+        };
+        Vae::new(cfg, &mut seeded(7));
     }
 }

@@ -33,6 +33,7 @@
 //! `error: cannot recover from PATH: ...` on stderr and exit code 1,
 //! and the directory is left as it was.
 
+use e2nvm_core::E2Config;
 use e2nvm_persist::{FlushPolicy, PersistenceConfig};
 use e2nvm_server::{demo, CacheConfig, Server, ServerConfig};
 use e2nvm_telemetry::TelemetryRegistry;
@@ -100,6 +101,12 @@ fn main() {
             "--snapshot-every" => snapshot_every = value(f, &mut it),
             _ => usage_exit(&format!("unknown flag {flag:?}")),
         }
+    }
+
+    if let Err(e) = E2Config::builder().fast(seg_bytes, 2).build() {
+        usage_exit(&format!(
+            "invalid value \"{seg_bytes}\" for --seg-bytes: {e}"
+        ));
     }
 
     let registry = TelemetryRegistry::new();

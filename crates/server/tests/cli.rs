@@ -1,6 +1,7 @@
 //! The `e2nvm-server` binary refuses a command line it does not fully
-//! understand: a removed or misspelt flag, or a value that does not
-//! parse, exits 2 with a usage line instead of booting on defaults.
+//! understand: a removed or misspelt flag, a value that does not
+//! parse, or a segment width the engine cannot serve, exits 2 with a
+//! usage line instead of booting on defaults.
 //! A `--data-dir` it cannot recover from is refused too, with exit 1
 //! and the directory untouched. A flag it does understand takes
 //! effect: `--cache-mb` alone turns the cache on.
@@ -41,6 +42,18 @@ fn removed_engine_flag_is_rejected() {
 #[test]
 fn unparsable_number_is_rejected() {
     assert_rejected(&["--segments", "2k"], "invalid value \"2k\" for --segments");
+}
+
+/// A segment width the engine config refuses — none, or wider than the
+/// model's `u16` input indices reach — is a usage error, not a panic in
+/// training.
+#[test]
+fn unservable_segment_width_is_rejected() {
+    assert_rejected(
+        &["--seg-bytes", "8193"],
+        "invalid value \"8193\" for --seg-bytes",
+    );
+    assert_rejected(&["--seg-bytes", "0"], "invalid value \"0\" for --seg-bytes");
 }
 
 #[test]
