@@ -4,6 +4,7 @@ use crate::systems::{pnw_placer, seeded_device, stream, E2System, InPlaceSystem,
 use crate::table::{fmt, Table};
 use crate::Scale;
 use e2nvm_baselines::{Captopril, Dcw, FlipNWrite, InPlaceScheme, MinShift};
+use e2nvm_core::Stage;
 use e2nvm_sim::WearTracking;
 use e2nvm_workloads::{DatasetKind, Operation, Ycsb};
 use rand::rngs::StdRng;
@@ -66,9 +67,9 @@ pub fn fig07(scale: Scale) -> Table {
     table
 }
 
-/// Full predictions each Fig 10 cell's `pnw_pred_us` and `e2_pred_us`
-/// is the mean of: enough that one slow call moves a cell by little
-/// (a mean of 16 could read twice the typical value).
+/// Armed placements each Fig 10 `*_pred_us` cell averages the `order`
+/// stage of: enough that one slow call moves a cell by little (a mean
+/// of 16 could read twice the typical value).
 const FIG10_MIN_TIMED: u64 = 256;
 
 /// Figure 10: bits updated per PMem (cache line) access vs k for the
@@ -123,16 +124,18 @@ pub fn fig10(scale: Scale) -> Table {
 
         let run_engine = |mut sys: E2System| -> (f64, f64) {
             let s = stream(&mut sys, &incoming, 32).expect("stream");
-            // The engine times one full prediction in 64 per call
-            // site: keep writing past the counted pass until the mean
-            // covers enough of them.
+            // The engine's stage clock times one placement in 64, its
+            // padding + prediction as `order`: keep writing past the
+            // counted pass until the mean covers enough of them.
+            let order = sys.engine_mut().telemetry().stage_ns(Stage::Order).clone();
             for value in incoming.iter().cycle() {
-                if sys.engine_mut().prediction_stats().timed >= FIG10_MIN_TIMED {
+                if order.count() >= FIG10_MIN_TIMED {
                     break;
                 }
                 sys.write(value).expect("write");
             }
-            (s.flips_per_line_access(), sys.mean_predict_ns() / 1e3)
+            let mean_ns = order.sum() as f64 / order.count() as f64;
+            (s.flips_per_line_access(), mean_ns / 1e3)
         };
 
         for &k in &ks {

@@ -314,11 +314,6 @@ impl E2System {
         &mut self.engine
     }
 
-    /// Mean latency of the engine's timed full predictions, ns.
-    pub fn mean_predict_ns(&self) -> f64 {
-        self.engine.prediction_stats().mean_ns()
-    }
-
     /// Wall clock of training (or installing) the model at build.
     pub fn train_time(&self) -> Duration {
         self.train_time
@@ -377,6 +372,7 @@ pub fn stream(
 mod tests {
     use super::*;
     use e2nvm_baselines::{Datacon, Dcw, FlipNWrite, HammingTree};
+    use e2nvm_core::Stage;
     use e2nvm_workloads::DatasetKind;
 
     fn dataset(n: usize) -> Vec<Vec<u8>> {
@@ -445,7 +441,8 @@ mod tests {
         let mut e2 = E2System::new(dev, E2System::quick_config(64, 4), 0.5).unwrap();
         let stats = stream(&mut e2, &data, 16).unwrap();
         assert_eq!(stats.writes, 80);
-        assert!(e2.mean_predict_ns() > 0.0);
+        let order = e2.engine_mut().telemetry().stage_ns(Stage::Order);
+        assert!(order.count() > 0 && order.sum() > 0);
         assert!(e2.train_time() > Duration::ZERO);
     }
 

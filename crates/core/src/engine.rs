@@ -20,7 +20,7 @@ use crate::error::{E2Error, Result};
 use crate::model::{E2Model, PlacementScratch};
 use crate::padding::Padder;
 use crate::scan::{self, Cursor, ScanBuffer};
-use crate::telemetry::EngineTelemetry;
+use crate::telemetry::{EngineTelemetry, Stage};
 use e2nvm_sim::{LogicalSegment, MemoryController, SimError, WriteReport};
 use e2nvm_telemetry::{Event, Sampler, TelemetryRegistry};
 use rand::rngs::StdRng;
@@ -37,31 +37,19 @@ struct Entry {
     len: usize,
 }
 
-/// Serving-path counters (prediction overhead, Figure 10's latency
-/// comparison). A *full* prediction walks every set bit of its input:
-/// one per placement, plus one per recycle whose segment carries no
-/// cluster tag. A *resumed* one continues a placement's first-layer
-/// sums over the written segment's tail (the write-time classification
-/// behind the tag) and costs the tail's set bits only.
-///
-/// Counts are exact; times are sampled, one call in
-/// [`Sampler::EVERY`] per call site, and each time comes with the
-/// count of calls it covers.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Serving-path prediction counters, all exact. A *full* prediction
+/// walks every set bit of its input: one per placement, plus one per
+/// recycle whose segment carries no cluster tag. A *resumed* one
+/// continues a placement's first-layer sums over the written segment's
+/// tail (the write-time classification behind the tag) and costs the
+/// tail's set bits only. Their latencies are the stage clock's `order`,
+/// `tag` and `recycle` ([`EngineTelemetry::stage_ns`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredictionStats {
     /// Full model predictions performed.
     pub predictions: u64,
-    /// Full predictions timed.
-    pub timed: u64,
-    /// Wall-clock nanoseconds spent in the timed full predictions
-    /// (padding + model per placement, model per recycle).
-    pub total_ns: u128,
     /// Resumed (tail-only) predictions performed.
     pub resumed: u64,
-    /// Resumed predictions timed.
-    pub resumed_timed: u64,
-    /// Wall-clock nanoseconds spent in the timed resumed predictions.
-    pub resumed_ns: u128,
     /// Recycles served by the segment's write-time cluster tag.
     pub tag_hits: u64,
     /// Recycles that classified the content in full: no tag, or
@@ -70,56 +58,14 @@ pub struct PredictionStats {
 }
 
 impl PredictionStats {
-    /// Mean full-prediction latency in nanoseconds, over the timed
-    /// predictions.
-    pub fn mean_ns(&self) -> f64 {
-        if self.timed == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.timed as f64
-        }
-    }
-
     /// Merge another counter block into this one (cross-shard
     /// aggregation).
     pub fn merge(&mut self, other: &PredictionStats) {
         self.predictions += other.predictions;
-        self.timed += other.timed;
-        self.total_ns += other.total_ns;
         self.resumed += other.resumed;
-        self.resumed_timed += other.resumed_timed;
-        self.resumed_ns += other.resumed_ns;
         self.tag_hits += other.tag_hits;
         self.tag_fallbacks += other.tag_fallbacks;
     }
-
-    /// Count one full prediction, and its `ns` if it was timed.
-    fn count_full(&mut self, ns: Option<u64>) {
-        self.predictions += 1;
-        if let Some(ns) = ns {
-            self.timed += 1;
-            self.total_ns += u128::from(ns);
-        }
-    }
-
-    /// Count one resumed prediction, and its `ns` if it was timed.
-    fn count_resumed(&mut self, ns: Option<u64>) {
-        self.resumed += 1;
-        if let Some(ns) = ns {
-            self.resumed_timed += 1;
-            self.resumed_ns += u128::from(ns);
-        }
-    }
-}
-
-/// Which model calls an engine times: one [`Sampler`] per call site,
-/// never shared (a PUT makes a placement and a resumed pass, so one
-/// countdown would give every sample to the placement).
-#[derive(Debug, Default)]
-struct PredictionClocks {
-    place: Sampler,
-    resume: Sampler,
-    recycle: Sampler,
 }
 
 /// Everything an engine must remember across a restart, in a
@@ -181,7 +127,12 @@ pub struct E2Engine {
     /// Padded input and kernel working memory of every prediction.
     scratch: PlacementScratch,
     prediction: PredictionStats,
-    clocks: PredictionClocks,
+    /// The stage clock's one sampler, ticked once per public operation
+    /// ([`E2Engine::clocked`]), never by the calls nested inside one.
+    sampler: Sampler,
+    /// Whether the running operation is armed: only then does a
+    /// [`Stage`] boundary read the clock.
+    armed: bool,
     /// Incremental indexing frontier (§4.1.4): after
     /// [`E2Engine::train_partial`], segments below it have been handed
     /// to the DAP and those at or above it await
@@ -215,7 +166,8 @@ impl E2Engine {
             tagged: false,
             scratch: PlacementScratch::default(),
             prediction: PredictionStats::default(),
-            clocks: PredictionClocks::default(),
+            sampler: Sampler::default(),
+            armed: false,
             mapped: None,
             telemetry: EngineTelemetry::disconnected(),
             controller,
@@ -428,7 +380,7 @@ impl E2Engine {
     /// and return the segment and the device report. Does not touch the
     /// key index (the KV layer and the benchmarks both build on this).
     pub fn place_value(&mut self, value: &[u8]) -> Result<(LogicalSegment, WriteReport)> {
-        self.place_at(0, value)
+        self.clocked(|e| e.place(0, value))
     }
 
     /// Like [`E2Engine::place_value`], but writes `value` at a byte
@@ -451,6 +403,23 @@ impl E2Engine {
         offset: usize,
         value: &[u8],
     ) -> Result<(LogicalSegment, WriteReport)> {
+        self.clocked(|e| e.place(offset, value))
+    }
+
+    /// Run the public operation `op` under the stage clock: tick the
+    /// sampler once and, if it fires, arm the stages `op` runs and time
+    /// `op` whole as [`Stage::Op`].
+    fn clocked<T>(&mut self, op: impl FnOnce(&mut Self) -> T) -> T {
+        let started = self.sampler.start();
+        self.armed = started.is_some();
+        let out = op(self);
+        self.armed = false;
+        self.telemetry.stage_ns(Stage::Op).observe_since(started);
+        out
+    }
+
+    /// [`E2Engine::place_at`] inside an operation.
+    fn place(&mut self, offset: usize, value: &[u8]) -> Result<(LogicalSegment, WriteReport)> {
         if offset + value.len() > self.cfg.segment_bytes {
             return Err(E2Error::ValueTooLarge {
                 len: offset + value.len(),
@@ -458,12 +427,13 @@ impl E2Engine {
             });
         }
         let model = self.model.as_ref().ok_or(E2Error::NotTrained)?;
-        let started = self.clocks.place.start();
+        let started = self.armed.then(Instant::now);
         let order = model.order_into(value, &self.padder, &mut self.rng, &mut self.scratch);
-        let ns = self.telemetry.prediction_latency_ns.observe_since(started);
-        self.prediction.count_full(ns);
+        self.telemetry.stage_ns(Stage::Order).observe_since(started);
+        self.prediction.predictions += 1;
         let predicted = order.first().copied().unwrap_or(0);
         loop {
+            let started = self.armed.then(Instant::now);
             let Some((seg, used)) = self.dap.pop_with_fallback(order) else {
                 let retired = self.dap.retired_count();
                 return Err(if retired > 0 {
@@ -479,6 +449,8 @@ impl E2Engine {
             if let Some(head) = self.dap.peek_head(used) {
                 self.controller.prefetch(head);
             }
+            self.telemetry.stage_ns(Stage::Pop).observe_since(started);
+            let started = self.armed.then(Instant::now);
             let mut attempts = 0usize;
             // Program-and-verify with bounded retry: the device reports
             // a transient failure after keeping some bits stale, so a
@@ -492,6 +464,7 @@ impl E2Engine {
                     other => break other,
                 }
             };
+            self.telemetry.stage_ns(Stage::Write).observe_since(started);
             match result {
                 Ok(report) => {
                     self.telemetry.record_placement(predicted, used);
@@ -550,6 +523,11 @@ impl E2Engine {
     /// dead addresses never re-enter circulation. Always asks the
     /// model: a caller that placed the segment itself may have patched
     /// it in place since, so no write-time tag is trusted here.
+    ///
+    /// Not an operation of the stage clock: its callers pair it with a
+    /// [`E2Engine::place_value`] (a bounded pool streamed through, a
+    /// store relocating a node), and one countdown of an even period
+    /// ticked by both would arm every recycle and never a placement.
     pub fn recycle_segment(&mut self, seg: LogicalSegment) -> Result<()> {
         if let Some(tag) = self.tags.get_mut(seg.index()) {
             *tag = NO_TAG;
@@ -563,10 +541,8 @@ impl E2Engine {
         }
         let content = self.controller.peek(seg)?;
         let model = self.model.as_ref().ok_or(E2Error::NotTrained)?;
-        let started = self.clocks.recycle.start();
         let cluster = model.classify(content, &mut self.scratch);
-        let ns = self.telemetry.prediction_latency_ns.observe_since(started);
-        self.prediction.count_full(ns);
+        self.prediction.predictions += 1;
         self.prediction.tag_fallbacks += 1;
         self.dap.push(cluster, seg)?;
         Ok(())
@@ -574,25 +550,28 @@ impl E2Engine {
 
     /// Recycle a segment the engine's own KV path wrote and nothing
     /// else has touched since: its write-time tag *is* its cluster, so
-    /// the model is asked only when there is no tag.
+    /// the model is asked only when there is no tag. The
+    /// [`Stage::Recycle`] of a PUT or DELETE.
     fn recycle_by_tag(&mut self, seg: LogicalSegment) -> Result<()> {
+        let started = self.armed.then(Instant::now);
         let tag = std::mem::replace(&mut self.tags[seg.index()], NO_TAG);
         if tag == NO_TAG {
-            return self.recycle_by_content(seg);
+            self.recycle_by_content(seg)?;
+        } else if !self.dap.is_retired(seg) {
+            debug_assert_eq!(
+                Some(usize::from(tag)),
+                self.model.as_ref().map(|m| m.classify(
+                    self.controller.peek(seg).expect("tagged segment in range"),
+                    &mut self.scratch
+                )),
+                "cluster tag of {seg} disagrees with its content"
+            );
+            self.prediction.tag_hits += 1;
+            self.dap.push(usize::from(tag), seg)?;
         }
-        if self.dap.is_retired(seg) {
-            return Ok(());
-        }
-        debug_assert_eq!(
-            Some(usize::from(tag)),
-            self.model.as_ref().map(|m| m.classify(
-                self.controller.peek(seg).expect("tagged segment in range"),
-                &mut self.scratch
-            )),
-            "cluster tag of {seg} disagrees with its content"
-        );
-        self.prediction.tag_hits += 1;
-        self.dap.push(usize::from(tag), seg)?;
+        self.telemetry
+            .stage_ns(Stage::Recycle)
+            .observe_since(started);
         Ok(())
     }
 
@@ -607,8 +586,8 @@ impl E2Engine {
     /// padding puts bits into the prediction that the segment does not
     /// hold; then no tag is set.
     ///
-    /// Must directly follow the `place_value` it describes: nothing may
-    /// run the model in between.
+    /// Must directly follow the placement it describes: nothing may run
+    /// the model in between.
     fn tag_written(&mut self, seg: LogicalSegment, len: usize) {
         use crate::padding::{PaddingLocation, PaddingType};
         let Some(model) = self.model.as_ref() else {
@@ -620,14 +599,11 @@ impl E2Engine {
         {
             return;
         }
+        let started = self.armed.then(Instant::now);
         let content = self.controller.peek(seg).expect("placed segment in range");
-        let started = self.clocks.resume.start();
         let cluster = model.classify_written(content, len, &mut self.scratch);
-        let ns = self
-            .telemetry
-            .resumed_prediction_latency_ns
-            .observe_since(started);
-        self.prediction.count_resumed(ns);
+        self.telemetry.stage_ns(Stage::Tag).observe_since(started);
+        self.prediction.resumed += 1;
         self.tags[seg.index()] = cluster as u8;
         self.tagged = true;
     }
@@ -642,33 +618,41 @@ impl E2Engine {
 
     /// PUT / UPDATE (Algorithm 1). Returns the device write report.
     pub fn put(&mut self, key: u64, value: &[u8]) -> Result<WriteReport> {
-        let (seg, report) = self.place_value(value)?;
-        self.tag_written(seg, value.len());
-        let entry = Entry {
-            seg,
-            len: value.len(),
-        };
-        if let Some(old) = self.index.insert(key, entry) {
-            // The key's previous segment becomes free again.
-            self.recycle_by_tag(old.seg)?;
-        }
-        Ok(report)
+        self.clocked(|e| {
+            let (seg, report) = e.place(0, value)?;
+            e.tag_written(seg, value.len());
+            let entry = Entry {
+                seg,
+                len: value.len(),
+            };
+            if let Some(old) = e.index.insert(key, entry) {
+                // The key's previous segment becomes free again.
+                e.recycle_by_tag(old.seg)?;
+            }
+            Ok(report)
+        })
     }
 
     /// GET: read the value back.
     pub fn get(&mut self, key: u64) -> Result<Vec<u8>> {
-        let entry = *self.index.get(&key).ok_or(E2Error::KeyNotFound(key))?;
-        let data = self.controller.read(entry.seg)?;
-        Ok(data[..entry.len].to_vec())
+        self.clocked(|e| {
+            let entry = *e.index.get(&key).ok_or(E2Error::KeyNotFound(key))?;
+            let started = e.armed.then(Instant::now);
+            let data = e.controller.read(entry.seg)?;
+            e.telemetry.stage_ns(Stage::Read).observe_since(started);
+            Ok(data[..entry.len].to_vec())
+        })
     }
 
     /// DELETE (Algorithm 2). Returns true if the key existed.
     pub fn delete(&mut self, key: u64) -> Result<bool> {
-        let Some(entry) = self.index.remove(&key) else {
-            return Ok(false);
-        };
-        self.recycle_by_tag(entry.seg)?;
-        Ok(true)
+        self.clocked(|e| {
+            let Some(entry) = e.index.remove(&key) else {
+                return Ok(false);
+            };
+            e.recycle_by_tag(entry.seg)?;
+            Ok(true)
+        })
     }
 
     /// SCAN: all key/value pairs with keys in `range`, in key order —
@@ -1136,12 +1120,15 @@ mod tests {
         e.put(2, &[0u8; 8]).unwrap();
         let s = e.prediction_stats();
         assert_eq!(s.predictions, 2);
-        // Each site times its first call.
-        assert_eq!(s.timed, 1);
-        assert!(s.mean_ns() > 0.0);
+        // The clock arms the first operation.
+        let order = e.telemetry().stage_ns(Stage::Order);
+        assert_eq!(order.count(), 1);
+        assert!(order.sum() > 0);
         // The write-time tail passes are model time too, kept apart.
-        assert_eq!((s.resumed, s.resumed_timed), (2, 1));
-        assert!(s.resumed_ns > 0);
+        assert_eq!(s.resumed, 2);
+        let tag = e.telemetry().stage_ns(Stage::Tag);
+        assert_eq!(tag.count(), 1);
+        assert!(tag.sum() > 0);
         assert!(e.predict_macs() > 0);
     }
 
@@ -1159,9 +1146,14 @@ mod tests {
         for i in 0..100u64 {
             e.put(i % 4, &[i as u8; 20]).unwrap();
         }
-        let samples = |name| {
+        let samples = |stage| {
             registry
-                .histogram_with_labels(name, "", &[], &[("shard", "0")])
+                .histogram_with_labels(
+                    "e2nvm_engine_stage_ns",
+                    "",
+                    &[],
+                    &[("shard", "0"), ("stage", stage)],
+                )
                 .count()
         };
         assert_eq!(registry.counter_total("e2nvm_engine_placements_total"), 100);
@@ -1173,15 +1165,54 @@ mod tests {
             registry.counter_total("e2nvm_engine_resumed_predictions_total"),
             100
         );
-        // A PUT makes two timed calls; one countdown shared by both
-        // sites would give the placement every sample.
-        assert_eq!(samples("e2nvm_engine_prediction_latency_ns"), 2);
-        assert_eq!(samples("e2nvm_engine_resumed_prediction_latency_ns"), 2);
+        // One PUT in 64 is armed, the 1st and the 65th, and each
+        // times its placement's prediction and its resumed pass.
+        assert_eq!(samples("order"), 2);
+        assert_eq!(samples("tag"), 2);
         let s = e.prediction_stats();
-        assert_eq!(
-            (s.predictions, s.timed, s.resumed, s.resumed_timed),
-            (100, 2, 100, 2)
-        );
+        assert_eq!((s.predictions, s.resumed), (100, 100));
+    }
+
+    /// An armed PUT times every stage of Algorithm 1 once, inside its
+    /// own span; an armed GET its read.
+    #[test]
+    fn an_armed_put_times_each_stage_once_within_the_op() {
+        // A restored engine holds keys 1 and 2 untagged: its first
+        // operation, always armed, is a PUT that updates key 1 and
+        // recycles the old segment by content.
+        let (state, mut fresh) = exported_and_fresh(35);
+        fresh.restore_state(&state).unwrap();
+        let registry = TelemetryRegistry::new();
+        let e = crate::ShardedEngine::new(vec![fresh]);
+        e.attach_telemetry(&registry);
+        let stage = |stage| {
+            let labels = [("shard", "0"), ("stage", stage)];
+            let h = registry.histogram_with_labels("e2nvm_engine_stage_ns", "", &[], &labels);
+            (h.count(), h.sum())
+        };
+        e.put(1, b"uno").unwrap();
+        let leaves = ["order", "pop", "write", "tag", "recycle"];
+        let (ops, put_ns) = stage("op");
+        assert_eq!(ops, 1);
+        for leaf in leaves {
+            assert_eq!(stage(leaf).0, 1, "{leaf}");
+        }
+        let leaf_ns: u64 = leaves.iter().map(|&leaf| stage(leaf).1).sum();
+        assert!(leaf_ns <= put_ns, "stages {leaf_ns} ns > op {put_ns} ns");
+        assert_eq!(stage("read").0, 0);
+        // Operations 2 to 64 are disarmed; the 65th is armed again.
+        for _ in 2..=Sampler::EVERY {
+            e.get(2).unwrap();
+        }
+        assert_eq!(stage("op").0, 1);
+        assert_eq!(e.get(1).unwrap(), b"uno");
+        let (ops, op_ns) = stage("op");
+        let (reads, read_ns) = stage("read");
+        assert_eq!((ops, reads), (2, 1));
+        assert!(read_ns <= op_ns - put_ns, "read {read_ns} ns > its op");
+        for leaf in leaves {
+            assert_eq!(stage(leaf).0, 1, "{leaf}");
+        }
     }
 
     #[test]

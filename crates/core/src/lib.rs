@@ -69,4 +69,4 @@ pub use padding::{Padder, PaddingLocation, PaddingType};
 pub use retrain::BackgroundRetrainer;
 pub use scan::ScanBuffer;
 pub use sharded::ShardedEngine;
-pub use telemetry::EngineTelemetry;
+pub use telemetry::{EngineTelemetry, Stage};

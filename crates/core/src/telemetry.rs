@@ -2,12 +2,12 @@
 //!
 //! [`EngineTelemetry`] bundles the placement-path *event* handles an
 //! [`crate::E2Engine`] updates while serving: placement, fallback,
-//! retrain, write-retry and retirement counters, the sampled latency
-//! histograms of full and resumed predictions, and the structured
-//! event journal shared through the attached [`TelemetryRegistry`].
-//! All hot-path updates are relaxed atomics; the latency histograms
-//! hold the calls the engine's samplers timed, one in
-//! [`e2nvm_telemetry::Sampler::EVERY`] per call site.
+//! retrain, write-retry and retirement counters, the stage clock's
+//! histograms (`e2nvm_engine_stage_ns{shard,stage}`, one per [`Stage`]
+//! of the public operations the engine's one sampler armed, one in
+//! [`e2nvm_telemetry::Sampler::EVERY`]), and the structured event
+//! journal shared through the attached [`TelemetryRegistry`]. All
+//! hot-path updates are relaxed atomics.
 //!
 //! What the engine already counts is not mirrored: `emit` reads it
 //! when a scrape renders — the device ledger, the four
@@ -19,8 +19,37 @@
 use crate::engine::E2Engine;
 use e2nvm_telemetry::{Counter, Event, Histogram, Samples, TelemetryRegistry};
 
-/// Upper bounds for the padding+prediction latency histogram (ns).
-const PREDICTION_BOUNDS: [u64; 8] = [500, 1_000, 2_500, 5_000, 10_000, 25_000, 100_000, 1_000_000];
+/// Upper bounds of every stage histogram (ns).
+const STAGE_BOUNDS: [u64; 8] = [500, 1_000, 2_500, 5_000, 10_000, 25_000, 100_000, 1_000_000];
+
+/// A span of one public engine operation that the stage clock times
+/// when the operation is armed. `Op` holds the others: a PUT is
+/// `order` → `pop` → `write` → `tag` → `recycle` (Algorithm 1), a GET
+/// is `read`, a DELETE is `recycle`; `op` also covers the index and
+/// bookkeeping between them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// The whole public call.
+    Op,
+    /// Padding and the full prediction of a placement's cluster order.
+    Order,
+    /// Popping a free address (with fallback) and prefetching the
+    /// cluster's next head; once per address tried.
+    Pop,
+    /// The controller write of a placement, retries included; once per
+    /// address tried.
+    Write,
+    /// The resumed pass that tags the segment a PUT wrote.
+    Tag,
+    /// Returning a displaced or deleted segment to the pool: the tag
+    /// lookup or content classification, and the push.
+    Recycle,
+    /// A GET's device read.
+    Read,
+}
+
+/// The `stage` label of each [`Stage`], in the enum's order.
+const STAGE_NAMES: [&str; 7] = ["op", "order", "pop", "write", "tag", "recycle", "read"];
 
 /// Metric handles for one engine (one shard).
 #[derive(Debug, Clone)]
@@ -38,11 +67,9 @@ pub struct EngineTelemetry {
     pub write_retries: Counter,
     /// Segments permanently retired from the pool by wear-out.
     pub retired_segments: Counter,
-    /// Latency of the sampled resumed predictions (ns).
-    pub resumed_prediction_latency_ns: Histogram,
-    /// Latency of the sampled *full* predictions (ns): padding + model
-    /// per placement, model alone per content-classified recycle.
-    pub prediction_latency_ns: Histogram,
+    /// Nanoseconds per [`Stage`] of the armed operations, indexed by
+    /// the stage.
+    stage_ns: [Histogram; STAGE_NAMES.len()],
 }
 
 impl EngineTelemetry {
@@ -88,21 +115,23 @@ impl EngineTelemetry {
                 "e2nvm_engine_retired_segments_total",
                 "Segments permanently retired from the pool by wear-out",
             ),
-            resumed_prediction_latency_ns: registry.histogram_with_labels(
-                "e2nvm_engine_resumed_prediction_latency_ns",
-                "Resumed write-time classification latency (ns), sampled 1 in 64",
-                &PREDICTION_BOUNDS,
-                &labels,
-            ),
-            prediction_latency_ns: registry.histogram_with_labels(
-                "e2nvm_engine_prediction_latency_ns",
-                "Full cluster prediction latency: per placement and per content-classified recycle (ns), sampled 1 in 64",
-                &PREDICTION_BOUNDS,
-                &labels,
-            ),
+            stage_ns: STAGE_NAMES.map(|stage| {
+                registry.histogram_with_labels(
+                    "e2nvm_engine_stage_ns",
+                    "Time in one stage of the engine's public operations (ns), one operation in 64",
+                    &STAGE_BOUNDS,
+                    &[("shard", &shard_label), ("stage", stage)],
+                )
+            }),
             registry: registry.clone(),
             shard,
         }
+    }
+
+    /// The histogram of one stage: its count is the armed operations
+    /// that ran the stage, its sum their nanoseconds in it.
+    pub fn stage_ns(&self, stage: Stage) -> &Histogram {
+        &self.stage_ns[stage as usize]
     }
 
     /// The shard index this sink was registered with.

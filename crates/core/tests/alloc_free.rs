@@ -7,7 +7,7 @@
 
 use e2nvm_core::{
     E2Config, E2Engine, E2Model, Padder, PaddingLocation, PaddingType, PlacementScratch,
-    ShardedEngine,
+    ShardedEngine, Stage,
 };
 use e2nvm_kvstore::{NvmKvStore, ShardedE2KvStore};
 use e2nvm_sim::{partition_controllers, DeviceConfig, LogicalSegment, MemoryController, NvmDevice};
@@ -111,7 +111,7 @@ fn warm_scratch_predicts_without_allocating() {
 /// An updating PUT end to end: one full prediction places the value,
 /// one resumed pass tags the segment it landed on, and the displaced
 /// segment goes back to the pool by its tag — no second model call,
-/// no heap.
+/// no heap, also on the PUTs the stage clock arms.
 #[test]
 fn warm_tagged_put_is_one_full_prediction_and_no_allocation() {
     const SEGMENT: usize = 32;
@@ -156,6 +156,17 @@ fn warm_tagged_put_is_one_full_prediction_and_no_allocation() {
     }
 
     let before = engine.prediction_stats();
+    // Every stage an updating PUT runs.
+    let stages = [
+        Stage::Op,
+        Stage::Order,
+        Stage::Pop,
+        Stage::Write,
+        Stage::Tag,
+        Stage::Recycle,
+    ];
+    let samples = |engine: &E2Engine| stages.map(|s| engine.telemetry().stage_ns(s).count());
+    let samples_before = samples(&engine);
     ARMED.with(|armed| armed.set(true));
     for i in 0..1000 {
         engine
@@ -164,8 +175,15 @@ fn warm_tagged_put_is_one_full_prediction_and_no_allocation() {
     }
     ARMED.with(|armed| armed.set(false));
     let after = engine.prediction_stats();
+    let samples_after = samples(&engine);
 
     assert_eq!(BYTES.load(Ordering::Relaxed), 0, "a warm PUT allocated");
+    for ((stage, before), after) in stages.iter().zip(samples_before).zip(samples_after) {
+        assert!(
+            after - before >= 1000 / 64,
+            "{stage:?}: {before} -> {after}"
+        );
+    }
     assert_eq!(after.predictions - before.predictions, 1000);
     assert_eq!(after.resumed - before.resumed, 1000);
     assert_eq!(after.tag_hits - before.tag_hits, 1000);

@@ -68,35 +68,6 @@ impl fmt::Display for PhysicalSegment {
     }
 }
 
-// One-release migration shims: code that carried raw `usize` segment
-// indices can convert explicitly while it migrates to the typed ids.
-// These never convert *between* the two spaces — that is exactly the
-// step that must go through a [`SegmentRemap`].
-
-impl From<usize> for LogicalSegment {
-    fn from(i: usize) -> Self {
-        Self(i)
-    }
-}
-
-impl From<LogicalSegment> for usize {
-    fn from(s: LogicalSegment) -> usize {
-        s.0
-    }
-}
-
-impl From<usize> for PhysicalSegment {
-    fn from(i: usize) -> Self {
-        Self(i)
-    }
-}
-
-impl From<PhysicalSegment> for usize {
-    fn from(s: PhysicalSegment) -> usize {
-        s.0
-    }
-}
-
 /// The controller-owned logical→physical translation table and its
 /// inverse, queryable by any layer that needs to cross address spaces
 /// (wear attribution, quarantine, snapshots, debugging).
@@ -269,12 +240,5 @@ mod tests {
     fn displays_name_their_space() {
         assert_eq!(LogicalSegment(3).to_string(), "lseg#3");
         assert_eq!(PhysicalSegment(3).to_string(), "pseg#3");
-    }
-
-    #[test]
-    fn usize_shims_convert_explicitly() {
-        let l: LogicalSegment = 5usize.into();
-        let p: PhysicalSegment = 5usize.into();
-        assert_eq!(usize::from(l), usize::from(p));
     }
 }

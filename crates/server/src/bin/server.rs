@@ -17,9 +17,11 @@
 //! `--cache-mb N` fronts the store with an N MiB read-through cache;
 //! without it every GET is served from the store. `--scan-chunk BYTES`
 //! sets the target payload per streamed SCAN chunk frame (default
-//! 64 KiB). An unknown flag, a missing value or a value that does not
-//! parse is rejected with a usage line on stderr and exit code 2 — the
-//! server never boots on a guess.
+//! 64 KiB). An unknown flag, a missing value, a value that does not
+//! parse and a geometry the demo store cannot be built over (a segment
+//! width the engine or the device refuses, no shards, fewer segments
+//! than shards) are each rejected with a usage line on stderr and exit
+//! code 2 — the server never boots on a guess.
 //!
 //! `--data-dir PATH` enables crash-consistent persistence: mutations
 //! are logged to per-shard WALs under `PATH/wal/` and snapshots land
@@ -36,6 +38,7 @@
 use e2nvm_core::E2Config;
 use e2nvm_persist::{FlushPolicy, PersistenceConfig};
 use e2nvm_server::{demo, CacheConfig, Server, ServerConfig};
+use e2nvm_sim::{partition_segments, DeviceConfig};
 use e2nvm_telemetry::TelemetryRegistry;
 
 const USAGE: &str = "usage: e2nvm-server [--addr HOST:PORT] [--shards N] [--segments N] \
@@ -106,6 +109,17 @@ fn main() {
     if let Err(e) = E2Config::builder().fast(seg_bytes, 2).build() {
         usage_exit(&format!(
             "invalid value \"{seg_bytes}\" for --seg-bytes: {e}"
+        ));
+    }
+    // The demo store's device and partition, checked before it is built.
+    let geometry = DeviceConfig::builder()
+        .segment_bytes(seg_bytes)
+        .num_segments(segments)
+        .build()
+        .and_then(|_| partition_segments(segments, shards));
+    if let Err(e) = geometry {
+        usage_exit(&format!(
+            "invalid geometry --shards {shards} --segments {segments} --seg-bytes {seg_bytes}: {e}"
         ));
     }
 

@@ -1,7 +1,8 @@
 //! The `e2nvm-server` binary refuses a command line it does not fully
 //! understand: a removed or misspelt flag, a value that does not
-//! parse, or a segment width the engine cannot serve, exits 2 with a
-//! usage line instead of booting on defaults.
+//! parse, a segment width the engine cannot serve, or a geometry the
+//! demo store cannot be built over, exits 2 with a usage line instead
+//! of booting on defaults.
 //! A `--data-dir` it cannot recover from is refused too, with exit 1
 //! and the directory untouched. A flag it does understand takes
 //! effect: `--cache-mb` alone turns the cache on.
@@ -11,10 +12,11 @@ use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 
 /// Run the server binary with `args`; it must exit 2, say why on
-/// stderr, and never reach the `listening on` banner.
+/// stderr, never reach the `listening on` banner, and never panic.
 fn assert_rejected(args: &[&str], complaint: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_e2nvm-server"))
         .args(args)
+        .env("RUST_BACKTRACE", "1")
         .output()
         .expect("run e2nvm-server");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -26,6 +28,7 @@ fn assert_rejected(args: &[&str], complaint: &str) {
     );
     assert!(stderr.contains(complaint), "{args:?}: stderr {stderr}");
     assert!(stderr.contains("usage: e2nvm-server"), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: stderr {stderr}");
 }
 
 #[test]
@@ -54,6 +57,30 @@ fn unservable_segment_width_is_rejected() {
         "invalid value \"8193\" for --seg-bytes",
     );
     assert_rejected(&["--seg-bytes", "0"], "invalid value \"0\" for --seg-bytes");
+}
+
+/// A geometry the demo store cannot be built over — a segment width
+/// the device refuses, no shards, fewer segments than shards — is a
+/// usage error, not a panic while the store is built.
+#[test]
+fn unbuildable_geometry_is_rejected_not_a_crash() {
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["--seg-bytes", "100", "--segments", "64", "--shards", "1"],
+            "must be a multiple of cache_line_bytes",
+        ),
+        (
+            &["--shards", "0", "--segments", "64"],
+            "shards must be >= 1",
+        ),
+        (
+            &["--segments", "3", "--shards", "4"],
+            "cannot split 3 segments into 4 shards",
+        ),
+    ];
+    for (args, complaint) in cases {
+        assert_rejected(args, complaint);
+    }
 }
 
 #[test]

@@ -13,8 +13,10 @@
 //! thread-local, no allocation. So it belongs to one holder (a worker's
 //! execution context, a store handle, an engine), and two sites never
 //! share one. One countdown ticked by two sites in turn would split its
-//! samples by parity: a PUT makes a placement and a resumed pass, 64 is
-//! even, and the placement would take every sample and the pass none.
+//! samples by parity: 64 is even, and a caller that alternates two
+//! calls would have every sample land on the same one of them. An
+//! engine's one sampler therefore ticks once per public operation and
+//! times the stages inside it, never once per call site.
 
 use std::time::Instant;
 
