@@ -97,6 +97,11 @@ const FIGURES: &[(&str, &str, FigFn)] = &[
         figures::ablations::abl03,
     ),
     (
+        "abl04",
+        "ablation: placement model (VAE, PCA, arbitrary)",
+        figures::ablations::abl04,
+    ),
+    (
         "life01",
         "writes to first segment death per scheme",
         figures::endurance::life01,

@@ -1,21 +1,26 @@
 //! Ablations beyond the paper's figures, probing design choices
 //! DESIGN.md calls out: the joint VAE+K-means loss, the device's media
-//! DCW, and the DAP's take-the-first policy.
+//! DCW, the DAP's take-the-first policy, and which model places values.
 
-use crate::systems::seeded_device;
+use crate::figures::engine::MIN_TIMED;
+use crate::systems::{seeded_device, E2System};
 use crate::table::{fmt, Table};
 use crate::Scale;
-use e2nvm_core::{E2Config, E2Model, PaddingType, PlacementScratch};
+use e2nvm_core::{
+    E2Config, E2Engine, E2Model, PaddingType, PlacementModel, PlacementScratch, Stage,
+};
 use e2nvm_sim::bitops::hamming;
 use e2nvm_sim::{DeviceConfig, NvmDevice, PhysicalSegment, WearTracking};
 use e2nvm_workloads::DatasetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
+use std::time::Instant;
 
 fn quick_cfg(scale: Scale, segment_bytes: usize, k: usize, gamma: f32) -> E2Config {
     E2Config::builder()
         .fast(segment_bytes, k)
+        .model(PlacementModel::Vae)
         .latent_dim(8)
         .hidden(vec![64])
         .pretrain_epochs(scale.pick(15, 25))
@@ -224,6 +229,105 @@ pub fn abl03(scale: Scale) -> Table {
         table.row(vec![name.to_string(), fmt(flips), fmt(evals)]);
     }
     table.note("the paper's claim: taking the first address already captures most of the benefit — the search upside must be small relative to its per-write cost");
+    table
+}
+
+/// abl04 — which model should the engine train? The paper's VAE, under
+/// the benchmark's config and under the figures' `quick_config`, against
+/// PCA + K-means (the served default) and against arbitrary placement.
+/// Arbitrary is the default engine trained with one cluster: every value
+/// takes the next free segment, whatever the model predicts. The
+/// engine serves PUTs as the benchmark does: 128-B
+/// segments, 98-B values, half the segments live under keys that every
+/// PUT past the first round overwrites, and every PUT is counted.
+pub fn abl04(scale: Scale) -> Table {
+    let segment_bytes = 128;
+    let value_bytes = 98;
+    let num_segments = scale.pick(1024, 4096);
+    let n_writes = scale.pick(2048, 8192);
+    let keys = num_segments as u64 / 2;
+    let mut table = Table::new(
+        "abl04",
+        "placement model front at 128-B segments: flips vs model cost",
+        &[
+            "dataset",
+            "k",
+            "model",
+            "flips_per_write",
+            "model_pred_us",
+            "train_ms",
+            "dap_min_cluster_free",
+        ],
+    );
+    let kinds = [
+        DatasetKind::MnistLike,
+        DatasetKind::FashionLike,
+        DatasetKind::CifarLike,
+    ];
+    for kind in kinds {
+        let mut rng = StdRng::seed_from_u64(0xAB04 ^ kind.item_bytes() as u64);
+        let old = kind.generate_sized(num_segments, segment_bytes, &mut rng);
+        let incoming = kind.generate_sized(n_writes, value_bytes, &mut rng);
+        let proto = seeded_device(segment_bytes, num_segments, WearTracking::None, &old);
+        let mut run = |k: usize, model: &str, cfg: E2Config| {
+            let mut engine = E2Engine::new(proto.clone().into(), cfg).expect("engine");
+            let started = Instant::now();
+            engine.train().expect("train");
+            let train_ms = started.elapsed().as_secs_f64() * 1e3;
+            let mut puts = (0..keys).cycle().zip(incoming.iter().cycle());
+            let mut min_free = usize::MAX;
+            for (key, value) in puts.by_ref().take(n_writes) {
+                engine.put(key, value).expect("put");
+                let smallest = engine.dap().occupancy().into_iter().min();
+                min_free = min_free.min(smallest.unwrap_or(0));
+            }
+            let flips = engine.device_stats().flips_per_write();
+            // The stage clock times one PUT in 64: keep putting past the
+            // counted pass until both means cover enough of them.
+            let clocks = [Stage::Order, Stage::Tag].map(|s| engine.telemetry().stage_ns(s).clone());
+            for (key, value) in puts {
+                if clocks.iter().all(|c| c.count() >= MIN_TIMED) {
+                    break;
+                }
+                engine.put(key, value).expect("put");
+            }
+            let model_ns: f64 = clocks
+                .iter()
+                .map(|c| c.sum() as f64 / c.count() as f64)
+                .sum();
+            table.row(vec![
+                kind.name().to_string(),
+                k.to_string(),
+                model.to_string(),
+                fmt(flips),
+                fmt(model_ns / 1e3),
+                fmt(train_ms),
+                min_free.to_string(),
+            ]);
+        };
+        // The benchmark's engine config (`benchmark/src/geometry.rs`).
+        let bench = |k: usize, model: PlacementModel| {
+            E2Config::builder()
+                .k(k)
+                .segment_bytes(segment_bytes)
+                .model(model)
+                .hidden(vec![64])
+                .latent_dim(10)
+                .pretrain_epochs(10)
+                .joint_epochs(4)
+                .train_sample_cap(1_024)
+                .padding_type(PaddingType::Zero)
+                .build()
+                .unwrap()
+        };
+        run(1, "arbitrary", bench(1, PlacementModel::PcaKMeans));
+        for k in [10, 30] {
+            run(k, "vae (benchmark)", bench(k, PlacementModel::Vae));
+            run(k, "vae (quick)", E2System::quick_config(segment_bytes, k));
+            run(k, "pca", bench(k, PlacementModel::PcaKMeans));
+        }
+    }
+    table.note("the served default is PCA 12 + K-means, the lowest-SSE of 4 starts; every paper figure keeps the VAE. model_pred_us is the stage clock's order + tag per PUT: padding and prediction, then the resumed pass that tags the written segment");
     table
 }
 

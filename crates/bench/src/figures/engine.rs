@@ -1,10 +1,10 @@
 //! Figures 7, 10, 11, 13, 17, 19: the E2-NVM engine under workloads.
 
-use crate::systems::{pnw_placer, seeded_device, stream, E2System, InPlaceSystem, WriteSystem};
+use crate::systems::{seeded_device, stream, E2System, InPlaceSystem, WriteSystem};
 use crate::table::{fmt, Table};
 use crate::Scale;
 use e2nvm_baselines::{Captopril, Dcw, FlipNWrite, InPlaceScheme, MinShift};
-use e2nvm_core::Stage;
+use e2nvm_core::{E2Config, PlacementModel, Stage};
 use e2nvm_sim::WearTracking;
 use e2nvm_workloads::{DatasetKind, Operation, Ycsb};
 use rand::rngs::StdRng;
@@ -67,16 +67,16 @@ pub fn fig07(scale: Scale) -> Table {
     table
 }
 
-/// Armed placements each Fig 10 `*_pred_us` cell averages the `order`
-/// stage of: enough that one slow call moves a cell by little (a mean
+/// Armed placements each `*_pred_us` cell (Fig 10, abl04) averages a
+/// stage over: enough that one slow call moves a cell by little (a mean
 /// of 16 could read twice the typical value).
-const FIG10_MIN_TIMED: u64 = 256;
+pub(crate) const MIN_TIMED: u64 = 256;
 
 /// Figure 10: bits updated per PMem (cache line) access vs k for the
 /// RBW baselines, PNW, and E2-NVM across datasets, plus the prediction
 /// latency of the two ML methods. PNW and E2-NVM are the same engine
-/// over the same device; only the model differs (PCA + K-means vs the
-/// VAE + K-means).
+/// over the same device; only the model it trains differs
+/// ([`PlacementModel::PcaKMeans`] vs the VAE).
 #[allow(clippy::box_default)] // Box::default() cannot infer Box<dyn Trait>
 pub fn fig10(scale: Scale) -> Table {
     let segment_bytes = 64;
@@ -122,14 +122,15 @@ pub fn fig10(scale: Scale) -> Table {
         let fnw = run_inplace(Box::new(FlipNWrite::default()));
         let cap = run_inplace(Box::new(Captopril::default()));
 
-        let run_engine = |mut sys: E2System| -> (f64, f64) {
+        let run_engine = |cfg: E2Config| -> (f64, f64) {
+            let mut sys = E2System::new(proto.clone(), cfg, 0.5).expect("e2 system");
             let s = stream(&mut sys, &incoming, 32).expect("stream");
             // The engine's stage clock times one placement in 64, its
             // padding + prediction as `order`: keep writing past the
             // counted pass until the mean covers enough of them.
             let order = sys.engine_mut().telemetry().stage_ns(Stage::Order).clone();
             for value in incoming.iter().cycle() {
-                if order.count() >= FIG10_MIN_TIMED {
+                if order.count() >= MIN_TIMED {
                     break;
                 }
                 sys.write(value).expect("write");
@@ -140,13 +141,11 @@ pub fn fig10(scale: Scale) -> Table {
 
         for &k in &ks {
             let cfg = E2System::quick_config(segment_bytes, k);
-            let placer = pnw_placer(&proto, k, 7);
-            let (pnw_flips, pnw_us) = run_engine(
-                E2System::serving("PNW", proto.clone(), cfg.clone(), placer, 0.5)
-                    .expect("pnw system"),
-            );
-            let (e2_flips, e2_us) =
-                run_engine(E2System::new(proto.clone(), cfg, 0.5).expect("e2 system"));
+            let (pnw_flips, pnw_us) = run_engine(E2Config {
+                model: PlacementModel::PcaKMeans,
+                ..cfg.clone()
+            });
+            let (e2_flips, e2_us) = run_engine(cfg);
             table.row(vec![
                 kind.name().to_string(),
                 k.to_string(),
@@ -161,7 +160,7 @@ pub fn fig10(scale: Scale) -> Table {
             ]);
         }
     }
-    table.note("paper Fig 10: at k=1 E2/PNW/DCW coincide; E2-NVM improves with k (up to 3.2x over PNW, 4.23x over RBW); E2 prediction is slower than PNW (two-stage). PNW here is the E2-NVM engine serving a PCA+K-means placer, so the *_pred_us columns compare the two models on one kernel: one 512x12 linear layer against the VAE's 512x64 and 64x8");
+    table.note("paper Fig 10: at k=1 E2/PNW/DCW coincide; E2-NVM improves with k (up to 3.2x over PNW, 4.23x over RBW); E2 prediction is slower than PNW (two-stage). PNW here is the E2-NVM engine trained as PCA-12 + K-means, so the *_pred_us columns compare the two models on one kernel: one 512x12 linear layer against the VAE's 512x64 and 64x8");
     table
 }
 

@@ -3,7 +3,7 @@
 
 use crate::table::{fmt, Table};
 use crate::Scale;
-use e2nvm_core::{kselect, E2Config, PaddingLocation, PaddingType};
+use e2nvm_core::{kselect, E2Config, PaddingLocation, PaddingType, PlacementModel};
 use e2nvm_ml::data::segments_to_matrix;
 use e2nvm_ml::rng::seeded;
 use e2nvm_ml::{BitMatrix, ClusterModel, DecConfig, KMeans, Pca, PredictScratch, VaeConfig};
@@ -151,6 +151,7 @@ pub fn fig08(scale: Scale) -> Table {
     );
     let base = E2Config::builder()
         .fast(segment_bytes, 1)
+        .model(PlacementModel::Vae)
         .pretrain_epochs(scale.pick(8, 15))
         .joint_epochs(2)
         .latent_dim(8)
@@ -215,6 +216,7 @@ pub fn fig09(scale: Scale) -> Table {
         let items = kind.generate_sized(n, segment_bytes, &mut rng);
         let cfg = E2Config::builder()
             .fast(segment_bytes, 4)
+            .model(PlacementModel::Vae)
             .pretrain_epochs(epochs)
             .joint_epochs(0)
             .latent_dim(8)

@@ -1,12 +1,10 @@
 //! A uniform "write system" wrapper so every figure can stream the same
 //! values through E2-NVM, the placement baselines, and the RBW in-place
 //! baselines, each over its own identically seeded device. PNW is the
-//! E2-NVM engine serving a PCA + K-means placer ([`E2System::serving`]).
+//! E2-NVM engine trained as [`PlacementModel::PcaKMeans`].
 
 use e2nvm_baselines::{InPlaceScheme, PlacementScheme};
-use e2nvm_core::{E2Config, E2Engine, E2Error, E2Model, PaddingType};
-use e2nvm_ml::data::segments_to_matrix;
-use e2nvm_ml::{KMeans, Pca, Placer};
+use e2nvm_core::{E2Config, E2Engine, E2Error, PaddingType, PlacementModel};
 use e2nvm_sim::{
     DeviceConfig, DeviceStats, LogicalSegment, MemoryController, NvmDevice, PhysicalSegment,
     WearTracking,
@@ -55,21 +53,6 @@ pub fn seeded_device(
         }
     }
     dev
-}
-
-/// PNW's model (Kargar et al., ICDE '21) of a seeded device: PCA to 12
-/// components (10 sweeps) of every segment's bits, then K-means (30
-/// iterations) on the scores, drawing from an RNG seeded with `seed` —
-/// compiled into a placer for [`E2System::serving`].
-pub fn pnw_placer(device: &NvmDevice, k: usize, seed: u64) -> Placer {
-    let pool: Vec<&[u8]> = (0..device.config().num_segments)
-        .map(|i| device.peek(PhysicalSegment(i)))
-        .collect();
-    let raw = segments_to_matrix(&pool);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pca = Pca::fit(&raw, 12, 10, &mut rng);
-    let kmeans = KMeans::fit(&pca.transform(&raw), k, 30, &mut rng).model;
-    pca.placer(kmeans)
 }
 
 /// Pad/truncate a value to the device segment size.
@@ -233,10 +216,8 @@ impl WriteSystem for PlacementSystem {
 // E2-NVM system
 // ---------------------------------------------------------------------
 
-/// The E2-NVM engine behind the same streaming interface, serving the
-/// VAE it trains itself or a placer it is given.
+/// The E2-NVM engine behind the same streaming interface.
 pub struct E2System {
-    name: &'static str,
     engine: E2Engine,
     occupied: VecDeque<LogicalSegment>,
     max_occupied: usize,
@@ -252,40 +233,14 @@ impl E2System {
         cfg: E2Config,
         occupancy: f64,
     ) -> Result<Self, E2Error> {
-        Self::build("E2-NVM", controller, cfg, occupancy, E2Engine::train)
-    }
-
-    /// Build over a seeded device and serve `placer` instead of training
-    /// one: the engine classifies its whole pool with it, the way it
-    /// installs a model it trained.
-    pub fn serving(
-        name: &'static str,
-        controller: impl Into<MemoryController>,
-        cfg: E2Config,
-        placer: Placer,
-        occupancy: f64,
-    ) -> Result<Self, E2Error> {
-        Self::build(name, controller, cfg, occupancy, |engine| {
-            engine.install_model_now(E2Model::from_placer(placer))
-        })
-    }
-
-    fn build(
-        name: &'static str,
-        controller: impl Into<MemoryController>,
-        cfg: E2Config,
-        occupancy: f64,
-        model: impl FnOnce(&mut E2Engine) -> Result<(), E2Error>,
-    ) -> Result<Self, E2Error> {
         let controller = controller.into();
         let num_segments = controller.num_segments();
         let mut engine = E2Engine::new(controller, cfg)?;
         let t0 = Instant::now();
-        model(&mut engine)?;
+        engine.train()?;
         let train_time = t0.elapsed();
         let max_occupied = ((num_segments as f64) * occupancy).floor().max(1.0) as usize;
         Ok(Self {
-            name,
             engine,
             occupied: VecDeque::new(),
             max_occupied,
@@ -293,10 +248,12 @@ impl E2System {
         })
     }
 
-    /// Quick E2 config for experiments at a given segment size / k.
+    /// Quick E2 config for experiments at a given segment size / k: the
+    /// paper's VAE.
     pub fn quick_config(segment_bytes: usize, k: usize) -> E2Config {
         E2Config::builder()
             .fast(segment_bytes, k)
+            .model(PlacementModel::Vae)
             .latent_dim(8)
             .hidden(vec![64])
             .pretrain_epochs(20)
@@ -314,7 +271,7 @@ impl E2System {
         &mut self.engine
     }
 
-    /// Wall clock of training (or installing) the model at build.
+    /// Wall clock of training the model at build.
     pub fn train_time(&self) -> Duration {
         self.train_time
     }
@@ -322,7 +279,12 @@ impl E2System {
 
 impl WriteSystem for E2System {
     fn name(&self) -> String {
-        format!("{}(k={})", self.name, self.engine.config().k)
+        let cfg = self.engine.config();
+        let name = match cfg.model {
+            PlacementModel::Vae => "E2-NVM",
+            PlacementModel::PcaKMeans => "PNW",
+        };
+        format!("{name}(k={})", cfg.k)
     }
 
     fn write(&mut self, value: &[u8]) -> Result<(), String> {
@@ -453,9 +415,13 @@ mod tests {
         let data = dataset(256);
         let dev = seeded_device(64, 128, WearTracking::None, &data);
         let cfg = E2System::quick_config(64, 10);
-        let placer = pnw_placer(&dev, 10, 2);
-        let mut e2 = E2System::new(dev.clone(), cfg.clone(), 0.5).unwrap();
-        let mut pnw = E2System::serving("PNW", dev, cfg, placer, 0.5).unwrap();
+        let pnw_cfg = E2Config {
+            model: PlacementModel::PcaKMeans,
+            ..cfg.clone()
+        };
+        let mut e2 = E2System::new(dev.clone(), cfg, 0.5).unwrap();
+        let mut pnw = E2System::new(dev, pnw_cfg, 0.5).unwrap();
+        assert_eq!(e2.name(), "E2-NVM(k=10)");
         assert_eq!(pnw.name(), "PNW(k=10)");
         let e = stream(&mut e2, &data, 64).unwrap();
         let p = stream(&mut pnw, &data, 64).unwrap();

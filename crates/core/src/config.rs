@@ -12,6 +12,35 @@ use e2nvm_ml::bits::MAX_INPUT_BITS;
 use e2nvm_ml::{DecConfig, VaeConfig};
 use serde::{Deserialize, Serialize};
 
+/// The model an engine trains to cluster its free segments. Both kinds
+/// compile into the same served [`e2nvm_ml::Placer`] — the layers to a
+/// low-dimensional point, then the K-means centroids — so serving,
+/// persistence and recovery do not depend on which one trained it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PlacementModel {
+    /// The paper's VAE, jointly fine-tuned with K-means on its latent
+    /// means (DEC-style, §3.2). [`E2Config`]'s `latent_dim`, `hidden`,
+    /// `pretrain_epochs`, `joint_epochs`, `gamma`, `lr` and `beta`
+    /// configure it.
+    Vae,
+    /// PCA of the segments' bits to [`crate::model::PCA_COMPONENTS`]
+    /// dimensions ([`crate::model::PCA_SWEEPS`] orthogonal-iteration
+    /// sweeps), then K-means on the scores, the lowest-SSE fit of
+    /// [`crate::model::PCA_KMEANS_STARTS`] starts: PNW's model (Kargar
+    /// et al., ICDE '21). It trains about 5× faster than the VAE and
+    /// serves one linear layer.
+    PcaKMeans,
+}
+
+impl Default for PlacementModel {
+    /// PCA + K-means: on the benchmark's data it places exactly as the
+    /// VAE does, trains in about a fifth of the time and predicts in
+    /// about 0.6 of it (DESIGN.md §5, model-choice clause).
+    fn default() -> Self {
+        Self::PcaKMeans
+    }
+}
+
 /// Configuration of an [`crate::E2Engine`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct E2Config {
@@ -19,19 +48,21 @@ pub struct E2Config {
     pub k: usize,
     /// Segment size in bytes — must match the device the engine runs on.
     pub segment_bytes: usize,
-    /// Latent dimensionality of the VAE (paper: ~10).
+    /// The model trained to cluster the free segments.
+    pub model: PlacementModel,
+    /// Latent dimensionality of the VAE (paper: ~10). [`PlacementModel::Vae`] only.
     pub latent_dim: usize,
-    /// Encoder hidden layer widths.
+    /// Encoder hidden layer widths. [`PlacementModel::Vae`] only.
     pub hidden: Vec<usize>,
-    /// VAE pretraining epochs.
+    /// VAE pretraining epochs. [`PlacementModel::Vae`] only.
     pub pretrain_epochs: usize,
-    /// Joint VAE+K-means fine-tuning epochs.
+    /// Joint VAE+K-means fine-tuning epochs. [`PlacementModel::Vae`] only.
     pub joint_epochs: usize,
-    /// Cluster-loss weight γ.
+    /// Cluster-loss weight γ. [`PlacementModel::Vae`] only.
     pub gamma: f32,
-    /// Adam learning rate.
+    /// Adam learning rate. [`PlacementModel::Vae`] only.
     pub lr: f32,
-    /// KL weight β.
+    /// KL weight β. [`PlacementModel::Vae`] only.
     pub beta: f32,
     /// Cap on training-set size: at most this many free segments are
     /// sampled for (re)training (§4.1.4's incremental indexing).
@@ -52,6 +83,7 @@ impl Default for E2Config {
         Self {
             k: 10,
             segment_bytes: 256,
+            model: PlacementModel::default(),
             latent_dim: 10,
             hidden: vec![128],
             pretrain_epochs: 15,
@@ -74,7 +106,8 @@ impl E2Config {
         self.segment_bytes * 8
     }
 
-    /// The derived joint-training configuration.
+    /// The derived joint-training configuration of
+    /// [`PlacementModel::Vae`].
     pub fn dec_config(&self) -> DecConfig {
         DecConfig {
             vae: VaeConfig {
@@ -199,19 +232,21 @@ impl E2ConfigBuilder {
         k: usize,
         /// Segment size in bytes (must match the device).
         segment_bytes: usize,
-        /// Latent dimensionality of the VAE.
+        /// The model trained to cluster the free segments.
+        model: PlacementModel,
+        /// Latent dimensionality of the VAE ([`PlacementModel::Vae`] only).
         latent_dim: usize,
-        /// Encoder hidden layer widths.
+        /// Encoder hidden layer widths ([`PlacementModel::Vae`] only).
         hidden: Vec<usize>,
-        /// VAE pretraining epochs.
+        /// VAE pretraining epochs ([`PlacementModel::Vae`] only).
         pretrain_epochs: usize,
-        /// Joint VAE+K-means fine-tuning epochs.
+        /// Joint VAE+K-means fine-tuning epochs ([`PlacementModel::Vae`] only).
         joint_epochs: usize,
-        /// Cluster-loss weight γ.
+        /// Cluster-loss weight γ ([`PlacementModel::Vae`] only).
         gamma: f32,
-        /// Adam learning rate.
+        /// Adam learning rate ([`PlacementModel::Vae`] only).
         lr: f32,
-        /// KL weight β.
+        /// KL weight β ([`PlacementModel::Vae`] only).
         beta: f32,
         /// Cap on training-set size.
         train_sample_cap: usize,

@@ -910,6 +910,7 @@ impl std::fmt::Debug for E2Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PlacementModel;
     use e2nvm_sim::{DeviceConfig, NvmDevice};
     use rand::Rng;
 
@@ -1433,6 +1434,55 @@ mod tests {
         (state, fresh.unwrap())
     }
 
+    /// The default model, PCA + K-means, trains to the same bytes on two
+    /// engines over the same content.
+    #[test]
+    fn a_pca_engine_trains_to_the_same_model_bytes_twice() {
+        let train = || {
+            let mut e = engine(64, 32, 4);
+            seed_two_families(&mut e, &mut StdRng::seed_from_u64(8));
+            e.train().unwrap();
+            let model = e.model().unwrap();
+            assert!(matches!(model.kind(), PlacementModel::PcaKMeans));
+            model.to_bytes()
+        };
+        assert_eq!(train(), train());
+    }
+
+    /// A state a VAE engine exported, restored by an engine configured
+    /// with the PCA default, serves the persisted VAE as it was: the
+    /// snapshot holds a placer, whichever model trained it, and restoring
+    /// never retrains.
+    #[test]
+    fn a_vae_snapshot_restored_under_the_pca_default_serves_its_own_model() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut vae = engine(32, 32, 2);
+        vae.cfg.model = PlacementModel::Vae;
+        seed_two_families(&mut vae, &mut rng);
+        vae.train().unwrap();
+        vae.put(1, b"one").unwrap();
+        let state = vae.export_state().unwrap();
+        let dev = vae.controller().device().clone();
+        let pca_cfg = E2Config {
+            model: PlacementModel::default(),
+            ..vae.cfg.clone()
+        };
+        let mut restored =
+            E2Engine::new(MemoryController::without_wear_leveling(dev), pca_cfg).unwrap();
+        restored.restore_state(&state).unwrap();
+        let model = restored.model().unwrap();
+        assert_eq!(model.kind(), PlacementModel::Vae);
+        assert_eq!(model.to_bytes(), state.model);
+        assert_eq!(restored.get(1).unwrap(), b"one");
+        assert_eq!(restored.dap().occupancy(), vae.dap().occupancy());
+        for value in [[0x00u8; 32], [0xFF; 32]] {
+            assert_eq!(
+                restored.preview_placement(&value).unwrap(),
+                vae.preview_placement(&value).unwrap()
+            );
+        }
+    }
+
     /// Restore `state` onto `fresh`: it must be refused, and the engine
     /// must still take the unmodified state afterwards.
     fn assert_restore_refused(state: &EngineState, mut fresh: E2Engine, clean: &EngineState) {
@@ -1469,8 +1519,10 @@ mod tests {
     #[test]
     fn restore_rejects_a_model_without_clusters() {
         let (clean, fresh) = exported_and_fresh(28);
-        let k = E2Model::from_bytes(&clean.model).unwrap().k();
-        let centroids = 4 * k * fresh.cfg.latent_dim;
+        use e2nvm_ml::persist::{Persist, PersistError};
+        let placer = e2nvm_ml::Placer::from_bytes(&clean.model).unwrap();
+        let latent = *placer.widths().last().unwrap();
+        let centroids = 4 * placer.k() * latent;
         let mut state = clean.clone();
         // The centroids come last: rows, columns, element count, then
         // the elements.
@@ -1478,6 +1530,11 @@ mod tests {
         state.model.truncate(end);
         state.model[end - 24..end - 16].copy_from_slice(&0u64.to_le_bytes());
         state.model[end - 8..end].copy_from_slice(&0u64.to_le_bytes());
+        // A whole model with no clusters, not a cut one.
+        assert!(matches!(
+            E2Model::from_bytes(&state.model),
+            Err(PersistError::NoClusters)
+        ));
         assert_restore_refused(&state, fresh, &clean);
     }
 

@@ -2,8 +2,8 @@
 //! elbow plus the *energy valley* — training energy grows with K while
 //! NVM write energy shrinks, so the total has a minimum at a moderate K.
 
-use crate::config::E2Config;
-use crate::model::E2Model;
+use crate::config::{E2Config, PlacementModel};
+use crate::model::{E2Model, PCA_COMPONENTS, PCA_KMEANS_ITERS, PCA_KMEANS_STARTS, PCA_SWEEPS};
 use e2nvm_sim::bitops::hamming;
 use e2nvm_sim::EnergyParams;
 use rand::Rng;
@@ -66,18 +66,27 @@ pub fn sweep_k<R: Rng>(
         let model = E2Model::train(&cfg, contents, rng);
         let assignments = model.classify_segments(contents);
         let expected_flips = mean_intra_cluster_hamming(contents, &assignments, model.k());
-        // Training energy: VAE epochs plus the K-dependent K-means
-        // refits (one after pretraining, one per joint epoch) — the
-        // reason the paper's Figure 8 shows rising system energy at
-        // large K.
-        let epochs = (cfg.pretrain_epochs + cfg.joint_epochs) as u64;
+        // Training energy: the model's epochs (a PCA's sweeps) plus
+        // the K-dependent K-means fits — for the VAE one after
+        // pretraining and one per joint epoch — the reason the paper's
+        // Figure 8 shows rising system energy at large K.
+        let (epochs, kmeans_iters, dims) = match cfg.model {
+            PlacementModel::Vae => (
+                cfg.pretrain_epochs + cfg.joint_epochs,
+                // Lloyd iterations over all refits.
+                (cfg.joint_epochs + 1) * cfg.dec_config().kmeans_iters,
+                cfg.latent_dim,
+            ),
+            PlacementModel::PcaKMeans => (
+                PCA_SWEEPS,
+                PCA_KMEANS_STARTS * PCA_KMEANS_ITERS,
+                PCA_COMPONENTS,
+            ),
+        };
         let n = contents.len().min(cfg.train_sample_cap);
-        let vae_macs = model.train_macs_per_epoch(n) * epochs;
-        let kmeans_macs = (cfg.joint_epochs as u64 + 1)
-            * 25 // Lloyd iterations per refit
-            * n as u64
-            * (model.k() * cfg.latent_dim) as u64;
-        let train_energy_pj = energy.cpu_energy_pj(vae_macs + kmeans_macs);
+        let model_macs = model.train_macs_per_epoch(n) * epochs as u64;
+        let kmeans_macs = (kmeans_iters * n * model.k() * dims) as u64;
+        let train_energy_pj = energy.cpu_energy_pj(model_macs + kmeans_macs);
         // Write energy: per-write cost with the expected flips.
         let write_energy_pj =
             energy.write_energy_pj(lines, expected_flips.round() as u64) * est_writes as f64;
@@ -183,6 +192,7 @@ mod tests {
     fn quick_cfg() -> E2Config {
         E2Config::builder()
             .fast(16, 2)
+            .model(PlacementModel::Vae)
             .pretrain_epochs(5)
             .joint_epochs(1)
             .build()

@@ -2,14 +2,16 @@
 //!
 //! E2-NVM reduces NVM bit flips — and with them write energy and wear —
 //! by *choosing where to write*: free memory segments are clustered by
-//! content similarity with a jointly trained VAE + K-means model, and
+//! content similarity — by PCA + K-means by default, or by the paper's
+//! jointly trained VAE + K-means ([`PlacementModel`]) — and
 //! each incoming value is routed to a free segment whose resident
 //! content already resembles it, so the data-comparison write programs
 //! only a few bits.
 //!
 //! The moving parts, matching the paper's Figure 3:
 //!
-//! * [`E2Model`] — the trained encoder + centroids ([`model`]).
+//! * [`E2Model`] — the trained projection (PCA or the VAE's encoder to
+//!   μ) + centroids ([`model`]).
 //! * [`DynamicAddressPool`] — cluster → free-address lists ([`dap`]).
 //! * [`Padder`] — fitting variable-size values to the fixed model input
 //!   ([`padding`]; 7 types × 3 locations, §4 of the paper).
@@ -59,7 +61,7 @@ pub mod scan;
 pub mod sharded;
 pub mod telemetry;
 
-pub use config::{E2Config, E2ConfigBuilder};
+pub use config::{E2Config, E2ConfigBuilder, PlacementModel};
 pub use dap::{DapError, DynamicAddressPool};
 pub use engine::{E2Engine, EngineState, PredictionStats};
 pub use error::{E2Error, Result};

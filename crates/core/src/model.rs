@@ -1,13 +1,29 @@
-//! The E2-NVM model: the trained encoder up to μ + the K-means
-//! centroids (a [`Placer`]), with byte-level prediction helpers that
-//! route values through the padder.
+//! The E2-NVM model: a trained projection — PCA's components, or the
+//! VAE's encoder up to μ — + the K-means centroids (a [`Placer`]), with
+//! byte-level prediction helpers that route values through the padder.
 
-use crate::config::E2Config;
+use crate::config::{E2Config, PlacementModel};
 use crate::padding::Padder;
-use e2nvm_ml::data::{features_to_bytes, subsample_segments, train_val_split};
+use e2nvm_ml::data::{features_to_bytes, segments_to_matrix, subsample_segments, train_val_split};
 use e2nvm_ml::persist::{Persist, PersistError};
-use e2nvm_ml::{BitMatrix, ClusterModel, Placer, PredictScratch, TrainingHistory};
+use e2nvm_ml::{
+    BitMatrix, ClusterModel, KMeans, Matrix, Pca, Placer, PredictScratch, TrainingHistory,
+    VaeLosses,
+};
 use rand::Rng;
+
+/// Principal components [`PlacementModel::PcaKMeans`] keeps (fewer when
+/// the input or the sample is narrower): PNW's 12.
+pub const PCA_COMPONENTS: usize = 12;
+/// Orthogonal-iteration sweeps of [`PlacementModel::PcaKMeans`]'s fit.
+pub const PCA_SWEEPS: usize = 10;
+/// K-means starts of [`PlacementModel::PcaKMeans`]: each is a k-means++
+/// seeding and its Lloyd iterations, and the lowest-SSE fit is kept, so
+/// one unlucky seeding does not fix the partition for the model's life.
+pub const PCA_KMEANS_STARTS: usize = 4;
+/// Lloyd iterations of each of [`PlacementModel::PcaKMeans`]'s K-means
+/// starts.
+pub const PCA_KMEANS_ITERS: usize = 30;
 
 /// Caller-owned buffers of the serving path ([`E2Model::order_into`],
 /// [`E2Model::classify`]): the padded model input as packed bits
@@ -28,10 +44,10 @@ pub struct E2Model {
 }
 
 impl E2Model {
-    /// Train on a snapshot of memory-segment contents, handed to the
-    /// trainer as packed rows of bits. Honors the config's
-    /// `train_sample_cap` and holds out 10 % for validation loss
-    /// curves.
+    /// Train the config's [`PlacementModel`] on a snapshot of
+    /// memory-segment contents, handed to the trainer as packed rows of
+    /// bits. Honors the config's `train_sample_cap` and holds out 10 %
+    /// for validation loss curves.
     ///
     /// # Panics
     /// Panics if `contents` is empty or segment sizes disagree with the
@@ -45,11 +61,15 @@ impl E2Model {
         let capped = subsample_segments(contents, cfg.train_sample_cap, rng);
         let (train, val) = train_val_split(&capped, 0.1, rng);
         let val_opt: Option<&BitMatrix> = (val.rows() > 0).then_some(&val);
-        let (cluster, history) = ClusterModel::train(&cfg.dec_config(), &train, val_opt, rng);
-        Self {
-            placer: cluster.placer(),
-            history,
-        }
+        let (placer, history) = match cfg.model {
+            PlacementModel::Vae => {
+                let (cluster, history) =
+                    ClusterModel::train(&cfg.dec_config(), &train, val_opt, rng);
+                (cluster.placer(), history)
+            }
+            PlacementModel::PcaKMeans => train_pca_kmeans(&train, val_opt, cfg.k, rng),
+        };
+        Self { placer, history }
     }
 
     /// A model serving `placer`, with no training history.
@@ -171,18 +191,34 @@ impl E2Model {
         layers + (self.k() * widths[widths.len() - 1]) as u64
     }
 
-    /// Multiply-accumulates for one retraining epoch on `n` samples,
-    /// priced as a VAE whatever placer the model holds: forward +
-    /// backward ≈ 3× forward through the encoder — its layers to μ and
-    /// the log σ² columns training adds to the last — and the decoder,
-    /// which mirrors the layers to μ (the same products).
+    /// The kind of model that trained this one, read from the placer's
+    /// shape (a loaded model has no other record of it): PCA serves one
+    /// linear layer, the VAE a hidden layer or more before μ.
+    pub fn kind(&self) -> PlacementModel {
+        match self.placer.widths().len() {
+            2 => PlacementModel::PcaKMeans,
+            _ => PlacementModel::Vae,
+        }
+    }
+
+    /// Multiply-accumulates for one training epoch on `n` samples, priced
+    /// as the [`E2Model::kind`] that trained it.
+    /// - A VAE epoch: forward + backward ≈ 3× forward through the
+    ///   encoder — its layers to μ and the log σ² columns training adds
+    ///   to the last — and the decoder, which mirrors the layers to μ
+    ///   (the same products).
+    /// - A PCA "epoch" is one orthogonal-iteration sweep over the `n × d`
+    ///   sample: `X·B` and `Xᵀ·(X·B)`, `2·n·d·p`.
     pub fn train_macs_per_epoch(&self, n: usize) -> u64 {
         let widths = self.placer.widths();
         let &[.., before, latent] = widths.as_slice() else {
             unreachable!("a placer has an input and a layer")
         };
         let to_mu: u64 = widths.windows(2).map(|w| (w[0] * w[1]) as u64).sum();
-        3 * n as u64 * (2 * to_mu + (before * latent) as u64)
+        match self.kind() {
+            PlacementModel::PcaKMeans => 2 * n as u64 * to_mu,
+            PlacementModel::Vae => 3 * n as u64 * (2 * to_mu + (before * latent) as u64),
+        }
     }
 
     /// Serialize the served model (version 2 of the model codec): the
@@ -197,6 +233,41 @@ impl E2Model {
     pub fn from_bytes(buf: &[u8]) -> Result<Self, PersistError> {
         Placer::from_bytes(buf).map(Self::from_placer)
     }
+}
+
+/// [`PlacementModel::PcaKMeans`]: PCA of the training rows' bits, then
+/// the best of [`PCA_KMEANS_STARTS`] K-means fits on their scores,
+/// compiled into one [`Placer`]. Its history is one "epoch": the
+/// reconstruction error of the training rows (and of the validation
+/// rows, when there are any) with no KL term, and the kept fit's SSE.
+fn train_pca_kmeans<R: Rng>(
+    train: &BitMatrix,
+    validation: Option<&BitMatrix>,
+    k: usize,
+    rng: &mut R,
+) -> (Placer, TrainingHistory) {
+    let floats = |bits: &BitMatrix| {
+        let rows: Vec<&[u8]> = (0..bits.rows()).map(|r| bits.row(r)).collect();
+        segments_to_matrix(&rows)
+    };
+    let x = floats(train);
+    let pca = Pca::fit(&x, PCA_COMPONENTS, PCA_SWEEPS, rng);
+    let scores = pca.transform(&x);
+    // The first of the lowest-SSE fits.
+    let fit = (0..PCA_KMEANS_STARTS)
+        .map(|_| KMeans::fit(&scores, k, PCA_KMEANS_ITERS, rng))
+        .min_by(|a, b| a.sse.total_cmp(&b.sse))
+        .expect("at least one start");
+    let loss = |x: &Matrix| VaeLosses {
+        recon: pca.reconstruction_error(x),
+        kl: 0.0,
+    };
+    let history = TrainingHistory {
+        train: vec![loss(&x)],
+        validation: validation.map(|v| loss(&floats(v))).into_iter().collect(),
+        sse: vec![fit.sse],
+    };
+    (pca.placer(fit.model), history)
 }
 
 #[cfg(test)]
@@ -225,6 +296,7 @@ mod tests {
     fn quick_cfg() -> E2Config {
         E2Config::builder()
             .fast(16, 2)
+            .model(PlacementModel::Vae)
             .pretrain_epochs(8)
             .joint_epochs(2)
             .build()
@@ -316,6 +388,7 @@ mod tests {
         let bits = BitMatrix::from_segments(&contents);
         let (cluster, _) = ClusterModel::train(&cfg.dec_config(), &bits, None, &mut rng);
         let model = E2Model::from_placer(cluster.placer());
+        assert_eq!(model.kind(), PlacementModel::Vae);
         assert_eq!(
             model.train_macs_per_epoch(100),
             cluster.vae().train_macs_per_epoch(100)
@@ -341,19 +414,61 @@ mod tests {
         assert_eq!(model.predict_macs(), (128 * 6 + 3 * 6) as u64);
     }
 
+    /// A PCA model, trained or loaded, is priced as one orthogonal-
+    /// iteration sweep an epoch: `X·B` and `Xᵀ·(X·B)`.
     #[test]
-    fn training_twice_gives_the_same_bytes() {
-        // More segments than the cap, so the subsample runs too.
+    fn a_pca_model_prices_one_sweep_an_epoch() {
+        let mut rng = seeded(5);
+        let contents = clustered_segments(40, 16, &mut rng);
         let cfg = E2Config::builder()
-            .fast(16, 2)
-            .pretrain_epochs(3)
-            .joint_epochs(2)
-            .train_sample_cap(48)
+            .fast(16, 3)
+            .model(PlacementModel::PcaKMeans)
             .build()
             .unwrap();
+        let model = E2Model::train(&cfg, &contents, &mut rng);
+        let loaded = E2Model::from_bytes(&model.to_bytes()).unwrap();
+        for m in [&model, &loaded] {
+            assert_eq!(m.kind(), PlacementModel::PcaKMeans);
+            let macs = 2 * 100 * 128 * PCA_COMPONENTS as u64;
+            assert_eq!(m.train_macs_per_epoch(100), macs);
+        }
+    }
+
+    /// The PCA arm records one epoch — the reconstruction error, no KL
+    /// term — and the K-means SSE, so a reader of the last epoch's loss
+    /// finds one.
+    #[test]
+    fn the_pca_history_has_an_epoch() {
+        let mut rng = seeded(4);
+        let contents = clustered_segments(30, 16, &mut rng);
+        let cfg = E2Config::builder().fast(16, 2).build().unwrap();
+        assert_eq!(cfg.model, PlacementModel::PcaKMeans);
+        let model = E2Model::train(&cfg, &contents, &mut rng);
+        let h = model.history();
+        assert_eq!(h.train.len(), 1);
+        assert_eq!(h.validation.len(), 1);
+        assert_eq!(h.sse.len(), 1);
+        assert_eq!(h.train[0].kl, 0.0);
+        assert!(h.train[0].recon.is_finite() && h.train[0].recon > 0.0);
+        assert!(h.sse[0].is_finite());
+    }
+
+    #[test]
+    fn training_twice_gives_the_same_bytes() {
         let contents = clustered_segments(40, 16, &mut seeded(5));
-        let train = || E2Model::train(&cfg, &contents, &mut seeded(6)).to_bytes();
-        assert_eq!(train(), train());
+        for model in [PlacementModel::Vae, PlacementModel::default()] {
+            // More segments than the cap, so the subsample runs too.
+            let cfg = E2Config::builder()
+                .fast(16, 2)
+                .model(model)
+                .pretrain_epochs(3)
+                .joint_epochs(2)
+                .train_sample_cap(48)
+                .build()
+                .unwrap();
+            let train = || E2Model::train(&cfg, &contents, &mut seeded(6)).to_bytes();
+            assert_eq!(train(), train(), "{model:?}");
+        }
     }
 
     #[test]

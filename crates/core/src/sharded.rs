@@ -8,7 +8,7 @@
 //! many clients call in. A [`ShardedEngine`] removes that cap
 //! structurally: the segment space is partitioned with
 //! [`e2nvm_sim::partition_controllers`], each shard gets a *private*
-//! [`E2Engine`] — its own VAE+K-means model, dynamic address pool,
+//! [`E2Engine`] — its own placement model, dynamic address pool,
 //! padder, RNG, and background retrainer — and keys are routed to
 //! shards by hash. Operations on different shards share no locks, so
 //! they proceed in parallel; operations on the same key always hit the
@@ -445,6 +445,7 @@ impl std::fmt::Debug for ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PlacementModel;
     use crate::padding::PaddingType;
     use e2nvm_sim::{partition_controllers, DeviceConfig, LogicalSegment};
     use rand::rngs::StdRng;
@@ -606,6 +607,11 @@ mod tests {
         s.finish_retraining();
         s.pump_retraining();
         assert!(s.model_swaps() >= 1, "no background swap happened");
+        // The retrainer trains the config's model, the PCA default.
+        for shard in 0..s.num_shards() {
+            let kind = s.with_shard_engine(shard, |e| e.model().unwrap().kind());
+            assert_eq!(kind, PlacementModel::default(), "shard {shard}");
+        }
 
         // Every surviving key reads back after the swap, through a
         // clone as through the original.

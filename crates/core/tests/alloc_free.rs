@@ -6,8 +6,8 @@
 //! to own the global allocator.
 
 use e2nvm_core::{
-    E2Config, E2Engine, E2Model, Padder, PaddingLocation, PaddingType, PlacementScratch,
-    ShardedEngine, Stage,
+    E2Config, E2Engine, E2Model, Padder, PaddingLocation, PaddingType, PlacementModel,
+    PlacementScratch, ShardedEngine, Stage,
 };
 use e2nvm_kvstore::{NvmKvStore, ShardedE2KvStore};
 use e2nvm_sim::{partition_controllers, DeviceConfig, LogicalSegment, MemoryController, NvmDevice};
@@ -58,8 +58,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Both kinds of model: the VAE's two hidden layers and PCA's one.
+const MODELS: [PlacementModel; 2] = [PlacementModel::Vae, PlacementModel::PcaKMeans];
+
 #[test]
 fn warm_scratch_predicts_without_allocating() {
+    for kind in MODELS {
+        warm_scratch_predicts_without_allocating_for(kind);
+    }
+}
+
+fn warm_scratch_predicts_without_allocating_for(kind: PlacementModel) {
     const SEGMENT: usize = 32;
     let mut rng = StdRng::seed_from_u64(11);
     let segments: Vec<Vec<u8>> = (0..64)
@@ -67,6 +76,7 @@ fn warm_scratch_predicts_without_allocating() {
         .collect();
     let cfg = E2Config::builder()
         .fast(SEGMENT, 6)
+        .model(kind)
         .hidden(vec![16, 8])
         .pretrain_epochs(1)
         .joint_epochs(1)
@@ -103,7 +113,7 @@ fn warm_scratch_predicts_without_allocating() {
     assert_eq!(
         BYTES.load(Ordering::Relaxed),
         0,
-        "the warm serving path allocated"
+        "the warm serving path of {kind:?} allocated"
     );
     assert!(checksum < 2 * 1000 * model.k());
 }
@@ -114,6 +124,12 @@ fn warm_scratch_predicts_without_allocating() {
 /// no heap, also on the PUTs the stage clock arms.
 #[test]
 fn warm_tagged_put_is_one_full_prediction_and_no_allocation() {
+    for kind in MODELS {
+        warm_tagged_put_for(kind);
+    }
+}
+
+fn warm_tagged_put_for(kind: PlacementModel) {
     const SEGMENT: usize = 32;
     const VALUE: usize = 24;
     const KEYS: u64 = 8;
@@ -127,6 +143,7 @@ fn warm_tagged_put_is_one_full_prediction_and_no_allocation() {
     );
     let cfg = E2Config::builder()
         .fast(SEGMENT, 4)
+        .model(kind)
         .hidden(vec![16, 8])
         .pretrain_epochs(1)
         .joint_epochs(1)
@@ -177,7 +194,11 @@ fn warm_tagged_put_is_one_full_prediction_and_no_allocation() {
     let after = engine.prediction_stats();
     let samples_after = samples(&engine);
 
-    assert_eq!(BYTES.load(Ordering::Relaxed), 0, "a warm PUT allocated");
+    assert_eq!(
+        BYTES.load(Ordering::Relaxed),
+        0,
+        "a warm PUT of {kind:?} allocated"
+    );
     for ((stage, before), after) in stages.iter().zip(samples_before).zip(samples_after) {
         assert!(
             after - before >= 1000 / 64,

@@ -9,7 +9,7 @@
 use e2nvm_core::padding::LearnedPadder;
 use e2nvm_core::{
     DynamicAddressPool, E2Config, E2Engine, E2Model, Padder, PaddingLocation, PaddingType,
-    PlacementScratch,
+    PlacementModel, PlacementScratch,
 };
 use e2nvm_ml::data::{bytes_to_features, segments_to_matrix};
 use e2nvm_ml::{BitMatrix, ClusterModel, Matrix};
@@ -130,6 +130,7 @@ fn twin_fixture() -> &'static (E2Config, Vec<Vec<u8>>, [E2Model; 2]) {
     FIXTURE.get_or_init(|| {
         let cfg = E2Config::builder()
             .fast(TWIN_SEGMENT, 4)
+            .model(PlacementModel::Vae)
             .hidden(vec![12])
             .pretrain_epochs(2)
             .joint_epochs(1)
@@ -551,6 +552,7 @@ fn hostile_fixture() -> &'static (E2Model, Vec<u8>) {
         let segments: Vec<Vec<u8>> = (0..48).map(|_| random_bytes(16, &mut rng)).collect();
         let cfg = E2Config::builder()
             .fast(16, 3)
+            .model(PlacementModel::Vae)
             .hidden(vec![8])
             .latent_dim(4)
             .pretrain_epochs(2)

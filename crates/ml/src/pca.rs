@@ -81,6 +81,27 @@ impl Pca {
         centered.matmul(&self.components)
     }
 
+    /// Mean squared reconstruction error of `data` (rows = samples):
+    /// the squared distance of each centered row from its projection
+    /// onto the components, summed over features and averaged over
+    /// rows — the PCA's counterpart of a VAE's reconstruction loss.
+    ///
+    /// # Panics
+    /// Panics if `data` is empty or of another width than the fit.
+    pub fn reconstruction_error(&self, data: &Matrix) -> f32 {
+        assert!(data.rows() > 0, "Pca::reconstruction_error: empty data");
+        let projected = self.transform(data).matmul_t(&self.components);
+        let total: f64 = (0..data.rows())
+            .map(|r| {
+                let row = data.row(r).iter().zip(&self.mean);
+                row.zip(projected.row(r))
+                    .map(|((x, m), y)| f64::from(x - m - y).powi(2))
+                    .sum::<f64>()
+            })
+            .sum();
+        (total / data.rows() as f64) as f32
+    }
+
     /// The component matrix (`d × p`).
     pub fn components(&self) -> &Matrix {
         &self.components
@@ -193,6 +214,32 @@ mod tests {
         let scores = pca.transform(&data);
         let mean: f32 = scores.as_slice().iter().sum::<f32>() / scores.rows() as f32;
         assert!(mean.abs() < 0.1, "scores not centered: {mean}");
+    }
+
+    /// Data on a line is reconstructed from its one component; with
+    /// no component's worth of the spread kept, the error is the
+    /// variance the line carries.
+    #[test]
+    fn reconstruction_error_is_the_variance_left_out() {
+        let mut rng = seeded(4);
+        let dir = [0.6f32, 0.8, 0.0];
+        let data = line_data(200, &dir, &mut rng);
+        let pca = Pca::fit(&data, 1, 12, &mut rng);
+        assert!(pca.reconstruction_error(&data) < 0.01);
+        let off = Pca {
+            mean: pca.mean.clone(),
+            components: Matrix::from_vec(3, 1, vec![0.0, 0.0, 1.0]),
+        };
+        let spread: f32 = (0..200)
+            .map(|r| {
+                (0..3)
+                    .map(|c| (data.get(r, c) - pca.mean[c]).powi(2))
+                    .sum::<f32>()
+            })
+            .sum::<f32>()
+            / 200.0;
+        let err = off.reconstruction_error(&data);
+        assert!((err - spread).abs() < 0.02 * spread, "{err} vs {spread}");
     }
 
     #[test]

@@ -18,8 +18,8 @@ use rand::{Rng, SeedableRng};
 /// `total_segments` segments of `seg_bytes` bytes.
 ///
 /// Each shard's pool is seeded with two content families (mostly-0x00
-/// and mostly-0xFF images) so the per-shard VAE+K-means models have
-/// structure to learn, then trained with a small, fast configuration.
+/// and mostly-0xFF images) so the per-shard models — PCA + K-means, the
+/// engine's default — have structure to learn.
 /// Deterministic in `seed`.
 ///
 /// # Panics
@@ -75,13 +75,11 @@ pub fn demo_store_with_fault(
 /// restarting server can hand the *same* configuration to
 /// [`ShardedE2KvStore::recover`] — recovery rebuilds engines from
 /// snapshotted weights instead of retraining, but the structural
-/// fields (layer sizes, clusters, padding) must match the ones the
+/// fields (segment width, clusters, padding) must match the ones the
 /// snapshot was taken under.
 pub fn demo_config(seg_bytes: usize, seed: u64) -> E2Config {
     E2Config::builder()
         .fast(seg_bytes, 2)
-        .pretrain_epochs(4)
-        .joint_epochs(1)
         .retrain_min_free(0)
         .padding_type(PaddingType::Zero)
         .seed(seed)

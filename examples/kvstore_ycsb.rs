@@ -1,5 +1,5 @@
 //! Run the YCSB core workloads against the E2-NVM key-value store
-//! (ordered DRAM index + VAE/K-means placement) and print per-workload
+//! (ordered DRAM index + model-driven placement) and print per-workload
 //! device statistics — a miniature of the paper's Figure 11 setup.
 //!
 //! ```text

@@ -32,14 +32,10 @@ fn main() {
         controller.seed(LogicalSegment(i), &content).expect("seed");
     }
 
-    // 3. Train the placement model (VAE encoder + K-means on its latent
-    //    space) on the free-segment contents.
-    let cfg = E2Config::builder()
-        .fast(256, 4)
-        .pretrain_epochs(12)
-        .joint_epochs(3)
-        .build()
-        .expect("config");
+    // 3. Train the placement model on the free-segment contents: PCA +
+    //    K-means by default (`.model(PlacementModel::Vae)` trains the
+    //    paper's VAE encoder + K-means on its latent space instead).
+    let cfg = E2Config::builder().fast(256, 4).build().expect("config");
     let mut engine = E2Engine::new(controller, cfg).expect("engine");
     println!("training the placement model...");
     engine.train().expect("train");

@@ -42,10 +42,10 @@ fn main() {
     // Plain request/response calls.
     let mut client = Client::connect(addr).expect("connect");
     client.ping().expect("ping");
-    client.put(7, b"a value placed by the VAE").expect("put");
+    client.put(7, b"a value placed by the model").expect("put");
     assert_eq!(
         client.get(7).expect("get").as_deref(),
-        Some(&b"a value placed by the VAE"[..])
+        Some(&b"a value placed by the model"[..])
     );
     assert_eq!(client.get(999).expect("get miss"), None);
 

@@ -46,7 +46,7 @@ fn main() {
         })
         .collect();
 
-    // Train one engine per shard (each with its own VAE+K-means model,
+    // Train one engine per shard (each with its own placement model,
     // address pool, and background retrainer).
     let cfg = E2Config::builder()
         .fast(SEG_BYTES, 2)

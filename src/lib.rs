@@ -32,8 +32,6 @@
 //! );
 //! let cfg = E2Config::builder()
 //!     .fast(64, 2)
-//!     .pretrain_epochs(2)
-//!     .joint_epochs(1)
 //!     .padding_type(PaddingType::Zero)
 //!     .build()
 //!     .unwrap();
@@ -65,7 +63,8 @@ pub use e2nvm_workloads as workloads;
 /// surface.
 pub mod prelude {
     pub use e2nvm_core::{
-        E2Config, E2ConfigBuilder, E2Engine, E2Error, PaddingLocation, PaddingType, ShardedEngine,
+        E2Config, E2ConfigBuilder, E2Engine, E2Error, PaddingLocation, PaddingType, PlacementModel,
+        ShardedEngine,
     };
     pub use e2nvm_kvstore::{
         CacheConfig, CacheConfigBuilder, CacheStats, CachedKvStore, HotCache, NvmKvStore,

@@ -2,13 +2,19 @@
 //! controller → engine) against workload generators, verifying the
 //! paper's core behavioural claims end to end.
 
-use e2nvm::core::{E2Config, E2Engine, E2Error, PaddingType};
+use e2nvm::core::{E2Config, E2Engine, E2Error, PaddingType, PlacementModel};
 use e2nvm::sim::{DeviceConfig, LogicalSegment, MemoryController, NvmDevice};
 use e2nvm::workloads::DatasetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn engine_over(kind: DatasetKind, segment_bytes: usize, segments: usize, k: usize) -> E2Engine {
+fn engine_over(
+    kind: DatasetKind,
+    segment_bytes: usize,
+    segments: usize,
+    k: usize,
+    model: PlacementModel,
+) -> E2Engine {
     let mut rng = StdRng::seed_from_u64(0x1E57);
     let contents = kind.generate_sized(segments, segment_bytes, &mut rng);
     let device = NvmDevice::new(
@@ -24,6 +30,7 @@ fn engine_over(kind: DatasetKind, segment_bytes: usize, segments: usize, k: usiz
     }
     let cfg = E2Config::builder()
         .fast(segment_bytes, k)
+        .model(model)
         .latent_dim(8)
         .hidden(vec![64])
         .pretrain_epochs(20)
@@ -48,7 +55,13 @@ fn placement_beats_round_robin_on_clusterable_data() {
     let incoming = DatasetKind::MnistLike.generate_sized(192, segment_bytes, &mut rng);
 
     // E2 placement.
-    let mut engine = engine_over(DatasetKind::MnistLike, segment_bytes, segments, 8);
+    let mut engine = engine_over(
+        DatasetKind::MnistLike,
+        segment_bytes,
+        segments,
+        8,
+        PlacementModel::Vae,
+    );
     engine.reset_device_stats();
     let mut placed = std::collections::VecDeque::new();
     for v in &incoming {
@@ -93,7 +106,7 @@ fn placement_beats_round_robin_on_clusterable_data() {
 /// while placement churns segments underneath.
 #[test]
 fn kv_semantics_survive_churn() {
-    let mut engine = engine_over(DatasetKind::AmazonAccess, 64, 96, 4);
+    let mut engine = engine_over(DatasetKind::AmazonAccess, 64, 96, 4, PlacementModel::Vae);
     let mut shadow = std::collections::HashMap::new();
     let mut rng = StdRng::seed_from_u64(33);
     for round in 0u64..300 {
@@ -125,43 +138,77 @@ fn kv_semantics_survive_churn() {
     }
 }
 
+/// Places `items` with at most half the segments live, recycling the
+/// oldest, and returns the flips per write; every segment is free again
+/// afterwards, so the next phase starts clean.
+fn stream_through(engine: &mut E2Engine, items: &[Vec<u8>], segments: usize) -> f64 {
+    engine.reset_device_stats();
+    let mut placed = std::collections::VecDeque::new();
+    for v in items {
+        if placed.len() >= segments / 2 {
+            engine.recycle_segment(placed.pop_front().unwrap()).unwrap();
+        }
+        let (seg, _) = engine.place_value(v).unwrap();
+        placed.push_back(seg);
+    }
+    let flips = engine.device_stats().flips_per_write();
+    for seg in placed {
+        engine.recycle_segment(seg).unwrap();
+    }
+    flips
+}
+
 /// Retraining under a shifted distribution restores placement quality
 /// (the paper's Figure 17 scenario V).
 #[test]
 fn retraining_adapts_to_new_distribution() {
     let segment_bytes = 64;
     let segments = 128;
-    let mut engine = engine_over(DatasetKind::MnistLike, segment_bytes, segments, 6);
+    let mut engine = engine_over(
+        DatasetKind::MnistLike,
+        segment_bytes,
+        segments,
+        6,
+        PlacementModel::Vae,
+    );
     let mut rng = StdRng::seed_from_u64(0xAD);
-
-    let run_stream = |engine: &mut E2Engine, items: &[Vec<u8>]| -> f64 {
-        engine.reset_device_stats();
-        let mut placed = std::collections::VecDeque::new();
-        for v in items {
-            if placed.len() >= segments / 2 {
-                engine.recycle_segment(placed.pop_front().unwrap()).unwrap();
-            }
-            let (seg, _) = engine.place_value(v).unwrap();
-            placed.push_back(seg);
-        }
-        let flips = engine.device_stats().flips_per_write();
-        // Return everything so the next phase starts clean.
-        for seg in placed {
-            engine.recycle_segment(seg).unwrap();
-        }
-        flips
-    };
 
     // Shift to an unseen family with different geometry.
     let fashion = DatasetKind::FashionLike.generate_sized(256, segment_bytes, &mut rng);
-    let stale = run_stream(&mut engine, &fashion[..128]);
+    let stale = stream_through(&mut engine, &fashion[..128], segments);
     // Retrain on current (now fashion-heavy) content and re-measure.
     engine.train().unwrap();
-    let fresh = run_stream(&mut engine, &fashion[128..]);
+    let fresh = stream_through(&mut engine, &fashion[128..], segments);
     assert!(
         fresh <= stale * 1.05,
         "retraining should not hurt: stale={stale:.1} fresh={fresh:.1}"
     );
+}
+
+/// After the same shift, the same stream flips fewer bits under the
+/// retrained model than under the model trained before the shift, with
+/// the paper's VAE and with the served default: two identical engines
+/// take the same first half, one retrains, and both take the second.
+#[test]
+fn retraining_beats_the_stale_model_on_the_same_stream() {
+    let segment_bytes = 64;
+    let segments = 128;
+    for model in [PlacementModel::Vae, PlacementModel::default()] {
+        let mut twins =
+            [0, 1].map(|_| engine_over(DatasetKind::MnistLike, segment_bytes, segments, 6, model));
+        let mut rng = StdRng::seed_from_u64(0xAD);
+        let fashion = DatasetKind::FashionLike.generate_sized(256, segment_bytes, &mut rng);
+        let [retrained, kept] = &mut twins;
+        let first = stream_through(retrained, &fashion[..128], segments);
+        assert_eq!(stream_through(kept, &fashion[..128], segments), first);
+        retrained.train().unwrap();
+        let fresh = stream_through(retrained, &fashion[128..], segments);
+        let stale = stream_through(kept, &fashion[128..], segments);
+        assert!(
+            fresh < stale,
+            "{model:?}: retraining should help: stale={stale:.1} fresh={fresh:.1}"
+        );
+    }
 }
 
 /// The background retrainer produces a model the engine can install
@@ -169,7 +216,7 @@ fn retraining_adapts_to_new_distribution() {
 #[test]
 fn background_retrain_roundtrip() {
     use e2nvm::core::BackgroundRetrainer;
-    let mut engine = engine_over(DatasetKind::PubMed, 64, 96, 4);
+    let mut engine = engine_over(DatasetKind::PubMed, 64, 96, 4, PlacementModel::Vae);
     engine.put(7, b"persistent value").unwrap();
 
     let mut bg = BackgroundRetrainer::spawn();
