@@ -428,13 +428,23 @@ impl E2Engine {
         }
         let model = self.model.as_ref().ok_or(E2Error::NotTrained)?;
         let started = self.armed.then(Instant::now);
-        let order = model.order_into(value, &self.padder, &mut self.rng, &mut self.scratch);
+        let predicted = model.nearest_into(value, &self.padder, &mut self.rng, &mut self.scratch);
         self.telemetry.stage_ns(Stage::Order).observe_since(started);
         self.prediction.predictions += 1;
-        let predicted = order.first().copied().unwrap_or(0);
         loop {
             let started = self.armed.then(Instant::now);
-            let Some((seg, used)) = self.dap.pop_with_fallback(order) else {
+            // Algorithm 1 walks the distance order only past an empty
+            // nearest cluster (DESIGN.md §5, nearest-first clause): that
+            // order's first cluster is `predicted`, so only then are the
+            // others ranked, from the μ the prediction left in the
+            // scratch.
+            let popped = match self.dap.pop(predicted) {
+                Some(seg) => Some((seg, predicted)),
+                None => self
+                    .dap
+                    .pop_with_fallback(model.order_last(&mut self.scratch)),
+            };
+            let Some((seg, used)) = popped else {
                 let retired = self.dap.retired_count();
                 return Err(if retired > 0 {
                     E2Error::PoolDepleted { retired }
@@ -1416,6 +1426,110 @@ mod tests {
         for seg in retired {
             assert!(!e.dap.is_free(seg));
         }
+    }
+
+    /// The placement loop before nearest-first, kept as its reference:
+    /// rank every cluster, then pop along the ranking for every address
+    /// tried, retiring one that wears out. The segment and the cluster
+    /// that supplied it.
+    fn placed_by_ranking(e: &mut E2Engine, value: &[u8]) -> (LogicalSegment, usize) {
+        let model = e.model.as_ref().expect("trained");
+        let order = model
+            .order_into(value, &e.padder, &mut e.rng, &mut e.scratch)
+            .to_vec();
+        loop {
+            let (seg, used) = e.dap.pop_with_fallback(&order).expect("a free segment");
+            match e.controller.write_at(seg, 0, value) {
+                Ok(_) => {
+                    e.padder.observe(value);
+                    return (seg, used);
+                }
+                Err(SimError::SegmentWornOut { .. }) => {
+                    assert!(e.dap.retire(seg));
+                    e.controller.retire(seg).unwrap();
+                }
+                Err(other) => panic!("{other}"),
+            }
+        }
+    }
+
+    /// The cluster whose free list holds `seg` in `dap`.
+    fn cluster_of(dap: &DynamicAddressPool, seg: LogicalSegment) -> usize {
+        (0..dap.k())
+            .find(|&c| {
+                let mut dap = dap.clone();
+                std::iter::from_fn(|| dap.pop(c)).any(|s| s == seg)
+            })
+            .expect("a free segment")
+    }
+
+    /// A PUT whose nearest cluster is drained ranks the rest and takes
+    /// the segment, from the cluster, that the full ranking gives a
+    /// twin engine — and counts the fallback.
+    #[test]
+    fn a_put_past_a_drained_nearest_cluster_places_as_the_full_ranking() {
+        let trained = || {
+            let mut e = engine(32, 32, 4);
+            seed_two_families(&mut e, &mut StdRng::seed_from_u64(40));
+            e.train().unwrap();
+            e
+        };
+        let (mut e, mut twin) = (trained(), trained());
+        for value in [[0u8; 20], [0xFF; 20]] {
+            let nearest = e.model.as_ref().unwrap().nearest_into(
+                &value,
+                &e.padder,
+                &mut e.rng.clone(),
+                &mut PlacementScratch::default(),
+            );
+            for engine in [&mut e, &mut twin] {
+                while engine.dap.pop(nearest).is_some() {}
+            }
+            let before = e.dap.clone();
+            let fallbacks = e.telemetry.fallbacks.get();
+            let (seg, _) = e.place_value(&value).unwrap();
+            let used = cluster_of(&before, seg);
+            assert_ne!(used, nearest);
+            assert_eq!((seg, used), placed_by_ranking(&mut twin, &value));
+            assert_eq!(e.dap, twin.dap);
+            assert_eq!(e.telemetry.fallbacks.get(), fallbacks + 1);
+        }
+    }
+
+    /// A PUT whose popped segment wears out mid-loop retires it and
+    /// pops again: every placement of a burn-in stream, those that
+    /// retire included, takes the segment and the cluster the full
+    /// ranking gives a twin engine, which retires the same segments.
+    #[test]
+    fn a_put_whose_segment_wears_out_places_as_the_full_ranking() {
+        let trained = || {
+            let mut e = faulty_engine(16, 4_000, 0.0);
+            seed_two_families(&mut e, &mut StdRng::seed_from_u64(41));
+            e.train().unwrap();
+            e
+        };
+        let (mut e, mut twin) = (trained(), trained());
+        let mut after_wear = 0;
+        for round in 0..2_000 {
+            let value = burn_pattern(round);
+            let before = e.dap.clone();
+            let retired = e.retired_count();
+            let (seg, _) = e.place_value(&value).unwrap();
+            let used = cluster_of(&before, seg);
+            assert_eq!((seg, used), placed_by_ranking(&mut twin, &value), "{round}");
+            assert_eq!(e.dap, twin.dap, "{round}");
+            assert_eq!(e.retired_segments(), twin.retired_segments());
+            for engine in [&mut e, &mut twin] {
+                engine.recycle_segment(seg).unwrap();
+            }
+            if e.retired_count() > retired {
+                after_wear += 1;
+            }
+            if after_wear == 3 {
+                return;
+            }
+        }
+        panic!("only {after_wear} placements wore a segment out");
     }
 
     /// A trained engine holding keys 1 and 2, its exported state, and

@@ -25,10 +25,10 @@ pub const PCA_KMEANS_STARTS: usize = 4;
 /// starts.
 pub const PCA_KMEANS_ITERS: usize = 30;
 
-/// Caller-owned buffers of the serving path ([`E2Model::order_into`],
-/// [`E2Model::classify`]): the padded model input as packed bits
-/// and the prediction kernel's working memory. One per engine, reused
-/// for every placement and recycle.
+/// Caller-owned buffers of the serving path ([`E2Model::nearest_into`],
+/// [`E2Model::order_into`], [`E2Model::classify`]): the padded model
+/// input as packed bits and the prediction kernel's working memory. One
+/// per engine, reused for every placement and recycle.
 #[derive(Debug, Default)]
 pub struct PlacementScratch {
     padded: Vec<u8>,
@@ -81,8 +81,10 @@ impl E2Model {
     }
 
     /// Pad a value and return the clusters in nearest-first order — the
-    /// order the DAP uses for fallback (Algorithm 1, step 1). The slice
-    /// lives in `scratch`; after the first call nothing is allocated.
+    /// order the DAP falls back along (Algorithm 1, step 1), in one
+    /// call: [`E2Model::nearest_into`] then [`E2Model::order_last`]. The
+    /// slice lives in `scratch`; after the first call nothing is
+    /// allocated.
     pub fn order_into<'s, R: Rng>(
         &self,
         value: &[u8],
@@ -92,6 +94,34 @@ impl E2Model {
     ) -> &'s [usize] {
         let padded = self.pad_into(value, padder, rng, &mut scratch.padded);
         self.placer.order_packed(padded, &mut scratch.predict)
+    }
+
+    /// Pad a value and return its nearest cluster — Algorithm 1's first
+    /// choice, the first of [`E2Model::order_into`]'s order, which it
+    /// does not rank. [`E2Model::order_last`] ranks the rest if the DAP
+    /// must fall back. Allocation-free once `scratch` is warm.
+    pub fn nearest_into<R: Rng>(
+        &self,
+        value: &[u8],
+        padder: &Padder,
+        rng: &mut R,
+        scratch: &mut PlacementScratch,
+    ) -> usize {
+        let padded = self.pad_into(value, padder, rng, &mut scratch.padded);
+        self.placer.predict_packed(padded, &mut scratch.predict)
+    }
+
+    /// Every cluster nearest-first for the value the last
+    /// [`E2Model::nearest_into`] on `scratch` asked about: the order
+    /// [`E2Model::order_into`] would have given it, ranked from the μ
+    /// still in the scratch ([`Placer::order_last`]) without padding or
+    /// predicting again. Nothing may run the model on `scratch` in
+    /// between. The slice lives in `scratch`.
+    ///
+    /// # Panics
+    /// Panics if `scratch` has served no call of this model.
+    pub fn order_last<'s>(&self, scratch: &'s mut PlacementScratch) -> &'s [usize] {
+        self.placer.order_last(&mut scratch.predict)
     }
 
     /// Cluster of one whole segment's content (Algorithm 2's

@@ -31,10 +31,12 @@ const STAGE_BOUNDS: [u64; 8] = [500, 1_000, 2_500, 5_000, 10_000, 25_000, 100_00
 pub enum Stage {
     /// The whole public call.
     Op,
-    /// Padding and the full prediction of a placement's cluster order.
+    /// Padding and the full prediction of a placement's nearest
+    /// cluster — Algorithm 1's first choice, not the whole order.
     Order,
-    /// Popping a free address (with fallback) and prefetching the
-    /// cluster's next head; once per address tried.
+    /// Popping a free address and prefetching the cluster's next head;
+    /// once per address tried. Past an empty nearest cluster it also
+    /// ranks every cluster for the fallback.
     Pop,
     /// The controller write of a placement, retries included; once per
     /// address tried.

@@ -1,5 +1,6 @@
 //! Pins "allocation-free": once its scratch is warm, the serving path —
-//! pad + order on place, classify on recycle — never touches the heap,
+//! pad + predict on place (and rank on a fallback), classify on
+//! recycle — never touches the heap,
 //! neither does a whole updating `E2Engine::put`, which runs the
 //! model in full exactly once, and neither does a range scan visited
 //! through the store's reusable buffer. Its own test binary, because it has
@@ -121,7 +122,8 @@ fn warm_scratch_predicts_without_allocating_for(kind: PlacementModel) {
 /// An updating PUT end to end: one full prediction places the value,
 /// one resumed pass tags the segment it landed on, and the displaced
 /// segment goes back to the pool by its tag — no second model call,
-/// no heap, also on the PUTs the stage clock arms.
+/// no heap, also on the PUTs the stage clock arms and on a PUT whose
+/// nearest cluster is empty, which ranks every cluster to fall back.
 #[test]
 fn warm_tagged_put_is_one_full_prediction_and_no_allocation() {
     for kind in MODELS {
@@ -172,6 +174,21 @@ fn warm_tagged_put_for(kind: PlacementModel) {
         engine.put(i as u64 % KEYS, value).unwrap();
     }
 
+    // Drain the cluster nearest to one value, so that its PUT in the
+    // window below falls back: the first ranking of every cluster on
+    // this engine runs there, on buffers sized by the first prediction.
+    let drained = &values[0];
+    let nearest = engine.model().unwrap().nearest_into(
+        drained,
+        &Padder::new(PaddingLocation::End, PaddingType::Zero),
+        &mut rng,
+        &mut PlacementScratch::default(),
+    );
+    while engine.dap().cluster_len(nearest) > 0 {
+        engine.place_value(drained).unwrap();
+    }
+    let fallbacks = engine.telemetry().fallbacks.get();
+
     let before = engine.prediction_stats();
     // Every stage an updating PUT runs.
     let stages = [
@@ -185,7 +202,8 @@ fn warm_tagged_put_for(kind: PlacementModel) {
     let samples = |engine: &E2Engine| stages.map(|s| engine.telemetry().stage_ns(s).count());
     let samples_before = samples(&engine);
     ARMED.with(|armed| armed.set(true));
-    for i in 0..1000 {
+    engine.put(0, drained).unwrap();
+    for i in 1..1000 {
         engine
             .put(i as u64 % KEYS, &values[(i * 7) % values.len()])
             .unwrap();
@@ -205,6 +223,7 @@ fn warm_tagged_put_for(kind: PlacementModel) {
             "{stage:?}: {before} -> {after}"
         );
     }
+    assert!(engine.telemetry().fallbacks.get() > fallbacks);
     assert_eq!(after.predictions - before.predictions, 1000);
     assert_eq!(after.resumed - before.resumed, 1000);
     assert_eq!(after.tag_hits - before.tag_hits, 1000);

@@ -7,6 +7,7 @@
 //! is feature `8b + j`. Training reads its batches straight out of a
 //! [`BitMatrix`] by row index, so no 0/1 float matrix is ever built.
 
+use crate::kernel::{set_bits_by_word, Kernel};
 #[cfg(test)]
 use crate::matrix::Matrix;
 
@@ -161,14 +162,23 @@ pub(crate) const BYTE_FEATURES: [[f32; 8]; 256] = {
 /// counted from the start of `bits`, written into the front of `out`
 /// (grown to `8 * bits.len()` slots if it is shorter, never shrunk)
 /// and returned as a slice — the list a layer's walk adds the weight
-/// rows of. No branch on the data: each byte stores all eight of its
-/// slots from a table of left-aligned positions, and the end of the
-/// list moves by the byte's count, read from a second table.
+/// rows of. No branch on the data. Where `kernel` decodes with VBMI2,
+/// each whole 8-byte word is one byte compress
+/// ([`crate::kernel::set_bits_by_word`]); the bytes left over — all of
+/// them on every other kernel — each store all eight of their slots
+/// from a table of left-aligned positions, and the end of the list
+/// moves by the byte's count, read from a second table. Both decoders
+/// list the same indices.
 ///
 /// # Panics
 /// Panics if `bits` is wider than [`MAX_INPUT_BITS`] or `from` is past
 /// its end.
-pub(crate) fn set_bit_indices<'o>(bits: &[u8], from: usize, out: &'o mut Vec<u16>) -> &'o [u16] {
+pub(crate) fn set_bit_indices<'o>(
+    kernel: Kernel,
+    bits: &[u8],
+    from: usize,
+    out: &'o mut Vec<u16>,
+) -> &'o [u16] {
     assert!(
         8 * bits.len() <= MAX_INPUT_BITS,
         "{} input bits: indices are u16",
@@ -178,7 +188,8 @@ pub(crate) fn set_bit_indices<'o>(bits: &[u8], from: usize, out: &'o mut Vec<u16
     if out.len() < 8 * bits.len() {
         out.resize(8 * bits.len(), 0);
     }
-    let mut n = 0;
+    let (decoded, mut n) = set_bits_by_word(kernel, &bits[from..], 8 * from, out);
+    let from = from + decoded;
     // The byte's first feature index, in every lane; it wraps to 0 only
     // after the widest input's last byte.
     let mut base = [(8 * from) as u16; 8];
@@ -250,53 +261,120 @@ mod tests {
         assert_eq!((none.rows(), none.cols()), (0, 24));
     }
 
-    /// The decoder lists exactly the set features, ascending, from any
+    /// A row of `len` bytes whose bits are set with probability
+    /// `density`.
+    fn random_row(rng: &mut impl Rng, len: usize, density: f64) -> Vec<u8> {
+        (0..len)
+            .map(|_| (0..8).fold(0, |b, _| b << 1 | u8::from(rng.gen_bool(density))))
+            .collect()
+    }
+
+    /// Each decoder lists exactly the set features, ascending, from any
     /// starting byte — at every length 1..=40 bytes (whole words and
     /// not), at densities from none to all, and from one buffer reused
     /// from longer inputs to shorter ones, so stale slots past a
     /// shorter list never show.
     #[test]
     fn set_bit_indices_are_the_set_features_in_order() {
-        let mut rng = crate::rng::seeded(0xB175);
-        let mut out = Vec::new();
-        for len in (1..=40).rev() {
-            for density in [0.0, 0.05, 0.3, 0.5, 0.9, 1.0] {
-                let row: Vec<u8> = (0..len)
-                    .map(|_| (0..8).fold(0, |b, _| b << 1 | u8::from(rng.gen_bool(density))))
-                    .collect();
-                let features = bytes_to_features(&row);
-                for from in 0..=len {
-                    let want: Vec<u16> = (8 * from..8 * len)
-                        .filter(|&i| features[i] == 1.0)
-                        .map(|i| i as u16)
-                        .collect();
-                    assert_eq!(
-                        set_bit_indices(&row, from, &mut out),
-                        want,
-                        "{len} bytes from byte {from}, density {density}"
-                    );
+        for kernel in Kernel::instantiations() {
+            let mut rng = crate::rng::seeded(0xB175);
+            let mut out = Vec::new();
+            for len in (1..=40).rev() {
+                for density in [0.0, 0.05, 0.3, 0.5, 0.9, 1.0] {
+                    let row = random_row(&mut rng, len, density);
+                    let features = bytes_to_features(&row);
+                    for from in 0..=len {
+                        let want: Vec<u16> = (8 * from..8 * len)
+                            .filter(|&i| features[i] == 1.0)
+                            .map(|i| i as u16)
+                            .collect();
+                        assert_eq!(
+                            set_bit_indices(kernel, &row, from, &mut out),
+                            want,
+                            "{}: {len} bytes from byte {from}, density {density}",
+                            kernel.name()
+                        );
+                    }
                 }
             }
         }
     }
 
-    /// The widest input decodes to its last index, and the empty one
-    /// to nothing.
+    /// The widest input decodes to its last index on every decoder —
+    /// through a whole word on the VBMI2 one — and the empty one to
+    /// nothing.
     #[test]
     fn the_widest_input_decodes_to_its_last_index() {
-        let mut out = Vec::new();
-        let mut row = vec![0u8; MAX_INPUT_BITS / 8];
-        row[MAX_INPUT_BITS / 8 - 1] = 0x01;
-        row[0] = 0x80;
-        assert_eq!(set_bit_indices(&row, 0, &mut out), [0, u16::MAX]);
-        assert_eq!(set_bit_indices(&row, row.len(), &mut out), []);
-        assert!(set_bit_indices(&[], 0, &mut out).is_empty());
+        for kernel in Kernel::instantiations() {
+            let mut out = Vec::new();
+            let mut row = vec![0u8; MAX_INPUT_BITS / 8];
+            row[MAX_INPUT_BITS / 8 - 1] = 0x01;
+            row[0] = 0x80;
+            assert_eq!(
+                set_bit_indices(kernel, &row, 0, &mut out),
+                [0, u16::MAX],
+                "{}",
+                kernel.name()
+            );
+            let last_word = row.len() - 8;
+            assert_eq!(
+                set_bit_indices(kernel, &row, last_word, &mut out),
+                [u16::MAX]
+            );
+            row.fill(0xFF);
+            let all = set_bit_indices(kernel, &row, last_word, &mut out);
+            assert!(all.iter().copied().eq(u16::MAX - 63..=u16::MAX));
+            assert_eq!(set_bit_indices(kernel, &row, row.len(), &mut out), []);
+            assert!(set_bit_indices(kernel, &[], 0, &mut out).is_empty());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Every decoder this CPU runs lists what the byte table does —
+        /// at every length up to `longest` bytes, whole words and words
+        /// with a ragged tail, from every byte, at any density — out of
+        /// one buffer reused from longer inputs to shorter ones.
+        #[test]
+        fn the_decoders_list_the_same_indices(
+            longest in 0usize..=40,
+            density in 0.0f64..=1.0,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = crate::rng::seeded(seed);
+            let rows: Vec<Vec<u8>> = (0..=longest)
+                .rev()
+                .map(|len| random_row(&mut rng, len, density))
+                .collect();
+            let (mut table, mut reused) = (Vec::new(), Vec::new());
+            for kernel in Kernel::instantiations() {
+                for row in &rows {
+                    for from in 0..=row.len() {
+                        let want = set_bit_indices(Kernel::portable(), row, from, &mut table);
+                        proptest::prop_assert_eq!(
+                            set_bit_indices(kernel, row, from, &mut reused),
+                            want,
+                            "{}: {} bytes from byte {}",
+                            kernel.name(),
+                            row.len(),
+                            from
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "65544 input bits")]
     fn a_wider_input_is_refused() {
-        set_bit_indices(&vec![0; MAX_INPUT_BITS / 8 + 1], 0, &mut Vec::new());
+        set_bit_indices(
+            Kernel::detect(),
+            &vec![0; MAX_INPUT_BITS / 8 + 1],
+            0,
+            &mut Vec::new(),
+        );
     }
 
     #[test]

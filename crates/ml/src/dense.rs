@@ -117,7 +117,7 @@ impl Dense {
                 let mut z = Matrix::zeros(x.len(), self.out_dim());
                 let mut set = Vec::new();
                 for r in 0..x.len() {
-                    let set = set_bit_indices(x.row(r), 0, &mut set);
+                    let set = set_bit_indices(kernel, x.row(r), 0, &mut set);
                     kernel.add_set_rows(&self.w, set, z.row_mut(r));
                 }
                 z
@@ -191,7 +191,9 @@ impl Dense {
                     (dz.rows(), self.in_dim(), self.out_dim()),
                     "accumulate_preact: bits and gradient disagree"
                 );
-                Kernel::detect().run(ScatterRows {
+                let kernel = Kernel::detect();
+                kernel.run(ScatterRows {
+                    kernel,
                     x,
                     dz,
                     grad: &mut self.w_grad,
@@ -234,6 +236,7 @@ impl Dense {
 /// for every set bit `i` of batch row `r`, `r` ascending. One index
 /// buffer serves every row.
 struct ScatterRows<'a> {
+    kernel: Kernel,
     x: BitBatch<'a>,
     dz: &'a Matrix,
     grad: &'a mut Matrix,
@@ -244,11 +247,16 @@ impl Op for ScatterRows<'_> {
 
     #[inline(always)]
     fn run<const BLOCK: usize, const WIDE: usize, const LANES: usize>(self) {
-        let ScatterRows { x, dz, grad } = self;
+        let ScatterRows {
+            kernel,
+            x,
+            dz,
+            grad,
+        } = self;
         let mut set = Vec::new();
         for r in 0..x.len() {
             let d = dz.row(r);
-            for &i in set_bit_indices(x.row(r), 0, &mut set) {
+            for &i in set_bit_indices(kernel, x.row(r), 0, &mut set) {
                 for (g, &d) in grad.row_mut(usize::from(i)).iter_mut().zip(d) {
                     *g += d;
                 }

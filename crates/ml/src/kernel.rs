@@ -22,7 +22,11 @@
 //! the filter made: a zero input still adds no row, and the sums still
 //! start at `+0.0`. A row of bits is compacted to the ascending list of
 //! its set bits' indices ([`crate::bits::set_bit_indices`]) and walked
-//! add-only: `1.0 · w` is `w`.
+//! add-only: `1.0 · w` is `w`. Where the CPU has AVX-512 VBMI2 the
+//! decoder lists a whole 8-byte word per `vpcompressb`
+//! ([`set_bits_by_word`]); everywhere else, and past the last whole
+//! word, a byte table does. Both list the same indices in the same
+//! order.
 //!
 //! Row-block clause: a block of four rows of a product whose inputs
 //! are at least [`DENSE_TENTHS`] tenths non-zero is walked whole, every
@@ -60,6 +64,10 @@ pub(crate) struct Kernel {
     /// [`Kernel::detect`] and the tests' `instantiations`: the
     /// soundness of the vector calls rests on nothing else setting it.
     isa: Isa,
+    /// Whether set bits are decoded a word at a time by AVX-512 VBMI2
+    /// ([`set_bits_by_word`]). Set, like `isa`, only where the CPU was
+    /// asked for AVX-512F, BW, VBMI2 and POPCNT.
+    vbmi2: bool,
 }
 
 /// A loop [`Kernel::run`] compiles once per instantiation. `BLOCK` is
@@ -93,17 +101,21 @@ impl Kernel {
         } else {
             Isa::Portable
         };
+        #[cfg(target_arch = "x86_64")]
+        let vbmi2 = isa == Isa::Avx512 && has_vbmi2();
         #[cfg(not(target_arch = "x86_64"))]
-        let isa = Isa::Portable;
-        Kernel { isa }
+        let (isa, vbmi2) = (Isa::Portable, false);
+        Kernel { isa, vbmi2 }
     }
 
-    /// The instantiation's name: `"avx512"`, `"avx2"` or `"portable"`.
+    /// The instantiation's name: `"avx512+vbmi2"`, `"avx512"`, `"avx2"`
+    /// or `"portable"`.
     pub(crate) fn name(self) -> &'static str {
-        match self.isa {
-            Isa::Avx512 => "avx512",
-            Isa::Avx2 => "avx2",
-            Isa::Portable => "portable",
+        match (self.isa, self.vbmi2) {
+            (Isa::Avx512, true) => "avx512+vbmi2",
+            (Isa::Avx512, false) => "avx512",
+            (Isa::Avx2, _) => "avx2",
+            (Isa::Portable, _) => "portable",
         }
     }
 
@@ -197,6 +209,16 @@ impl Default for Kernel {
     fn default() -> Self {
         Kernel::detect()
     }
+}
+
+/// Whether the CPU runs [`set_bits_vbmi2`]: its byte compress, its
+/// widening and its count.
+#[cfg(target_arch = "x86_64")]
+fn has_vbmi2() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512bw")
+        && std::arch::is_x86_feature_detected!("avx512vbmi2")
+        && std::arch::is_x86_feature_detected!("popcnt")
 }
 
 /// [`Kernel::add_rows`]' loop.
@@ -497,15 +519,99 @@ unsafe fn compact_avx512(x: &[f32], idx: &mut [u32], val: &mut [f32]) -> usize {
     n
 }
 
+/// The set bits of `bits`' whole 8-byte words, as
+/// [`crate::bits::set_bit_indices`] lists them with `bits[0]`'s first
+/// feature at index `first`, written into the front of `out`: the
+/// number of bytes decoded and of indices listed. `(0, 0)` unless the
+/// kernel decodes with VBMI2 — the byte table then takes every byte, as
+/// it takes the ragged tail here.
+///
+/// # Panics
+/// Panics if `out` has fewer than `8 * bits.len()` slots.
+#[allow(unsafe_code)]
+pub(crate) fn set_bits_by_word(
+    kernel: Kernel,
+    bits: &[u8],
+    first: usize,
+    out: &mut [u16],
+) -> (usize, usize) {
+    #[cfg(target_arch = "x86_64")]
+    if kernel.vbmi2 {
+        assert!(out.len() >= 8 * bits.len(), "{} slots", out.len());
+        // SAFETY: `vbmi2` is only ever set after `has_vbmi2()`.
+        return unsafe { set_bits_vbmi2(bits, first, out) };
+    }
+    let _ = (kernel, bits, first, out);
+    (0, 0)
+}
+
+/// [`set_bits_by_word`]'s VBMI2 instantiation. Each word's bits are
+/// put in index order — bit `7 - j` of byte `b` is feature `8b + j`, so
+/// the big-endian word's bits reversed are the mask's bits `8b + j` —
+/// and one `vpcompressb` of the bytes `0..64` lists the set ones'
+/// offsets, ascending; they are widened to `u16`, the word's first
+/// index added, and all 64 slots stored whole. A word's stores start at
+/// `n ≤ 8 × the bytes before it` and so end by `8 × the bytes up to its
+/// end`: `8 * bits.len()` slots hold them all.
+///
+/// # Safety
+/// The CPU must support AVX-512F, AVX-512BW, AVX-512 VBMI2 and POPCNT.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi2,popcnt")]
+#[allow(unsafe_code)]
+unsafe fn set_bits_vbmi2(bits: &[u8], first: usize, out: &mut [u16]) -> (usize, usize) {
+    use std::arch::x86_64::{
+        _mm512_add_epi16, _mm512_castsi512_si256, _mm512_cvtepu8_epi16, _mm512_extracti64x4_epi64,
+        _mm512_maskz_compress_epi8, _mm512_set1_epi16, _mm512_set_epi8, _mm512_storeu_epi16,
+    };
+    #[rustfmt::skip]
+    let offsets = _mm512_set_epi8(
+        63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50, 49, 48,
+        47, 46, 45, 44, 43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 33, 32,
+        31, 30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16,
+        15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0,
+    );
+    let words = bits.chunks_exact(8);
+    let decoded = bits.len() - words.remainder().len();
+    // The word's first index in every `u16` lane; it wraps to 0 only
+    // after the widest input's last word.
+    let mut base = _mm512_set1_epi16(first as u16 as i16);
+    let mut n = 0;
+    for word in words {
+        let word: [u8; 8] = word.try_into().expect("a word");
+        let mask = u64::from_be_bytes(word).reverse_bits();
+        let listed = _mm512_maskz_compress_epi8(mask, offsets);
+        let low = _mm512_cvtepu8_epi16(_mm512_castsi512_si256(listed));
+        let high = _mm512_cvtepu8_epi16(_mm512_extracti64x4_epi64::<1>(listed));
+        let slots = &mut out[n..n + 64];
+        // SAFETY: each store is 32 `u16` lanes into the 64 writable
+        // slots of `slots` (the slicing above asserts the room): the
+        // first into its front half, the second 32 slots on, and
+        // neither asks for alignment.
+        unsafe {
+            let at = slots.as_mut_ptr().cast::<i16>();
+            _mm512_storeu_epi16(at, _mm512_add_epi16(low, base));
+            _mm512_storeu_epi16(at.add(32), _mm512_add_epi16(high, base));
+        }
+        n += mask.count_ones() as usize;
+        base = _mm512_add_epi16(base, _mm512_set1_epi16(64));
+    }
+    (decoded, n)
+}
+
 #[cfg(test)]
 impl Kernel {
     /// The portable instantiation, whatever the CPU offers.
     pub(crate) fn portable() -> Self {
-        Kernel { isa: Isa::Portable }
+        Kernel {
+            isa: Isa::Portable,
+            vbmi2: false,
+        }
     }
 
     /// Every instantiation this CPU runs: portable, then AVX2 and
-    /// AVX-512 where the CPU has them.
+    /// AVX-512 where the CPU has them — AVX-512 with the byte-table
+    /// decoder, and with the VBMI2 one where the CPU has that too.
     pub(crate) fn instantiations() -> Vec<Kernel> {
         let mut all = vec![Kernel::portable()];
         #[cfg(target_arch = "x86_64")]
@@ -513,14 +619,26 @@ impl Kernel {
             if std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
             {
-                all.push(Kernel { isa: Isa::Avx2 });
+                all.push(Kernel {
+                    isa: Isa::Avx2,
+                    vbmi2: false,
+                });
             }
             if std::arch::is_x86_feature_detected!("avx512f") {
-                all.push(Kernel { isa: Isa::Avx512 });
+                all.push(Kernel {
+                    isa: Isa::Avx512,
+                    vbmi2: false,
+                });
+            }
+            if has_vbmi2() {
+                all.push(Kernel {
+                    isa: Isa::Avx512,
+                    vbmi2: true,
+                });
             }
         }
         let names: Vec<_> = all.iter().map(|k| k.name()).collect();
-        if all.len() < 3 {
+        if all.len() < 4 {
             // Once per test binary, and written to stderr itself: the
             // harness captures `eprintln!`, and a CI log should show it.
             static SAID: std::sync::Once = std::sync::Once::new();

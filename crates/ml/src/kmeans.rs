@@ -224,6 +224,14 @@ impl Lanes {
         });
     }
 
+    /// Grow `keys` and `order` to what [`Lanes::order`] fills for this
+    /// model, so that a first ranking on them allocates nothing either.
+    pub(crate) fn reserve(&self, keys: &mut Vec<u64>, order: &mut Vec<usize>) {
+        let lanes = self.blocks() * LANE_BLOCK;
+        keys.reserve(lanes.saturating_sub(keys.len()));
+        order.reserve(self.k.saturating_sub(order.len()));
+    }
+
     /// Block `b`'s sums: each lane's `(c_d − x_d)²` folded over
     /// ascending `d` from `-0.0`, [`dist2`]'s additions in its order.
     #[inline(always)]

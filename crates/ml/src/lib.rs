@@ -16,8 +16,10 @@
 // The exceptions, each scoped to its function: the CPU-feature dispatch
 // of `kernel::Kernel::run`, which training, serving, the optimizer and
 // the `exp`/`ln` lanes share; the compaction `kernel::compact_non_zero`
-// and its AVX-512 instantiation `kernel::compact_avx512`. Every `unsafe`
-// block says why it is sound.
+// and its AVX-512 instantiation `kernel::compact_avx512`; the set-bit
+// decoder's word dispatch `kernel::set_bits_by_word` and its VBMI2
+// instantiation `kernel::set_bits_vbmi2`. Every `unsafe` block says why
+// it is sound.
 #![deny(unsafe_code)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]

@@ -82,9 +82,10 @@ pub struct PredictScratch {
     set: Vec<u16>,
     /// Non-zero entries of `cur`, compacted for the next layer's walk.
     inputs: NonZero,
-    /// The cluster scorer's keys, one per lane.
+    /// The cluster scorer's keys, one per lane; sized at the first full
+    /// call, so a ranking never allocates.
     keys: Vec<u64>,
-    /// Cluster ids, nearest first.
+    /// Cluster ids, nearest first; sized like `keys`.
     order: Vec<usize>,
 }
 
@@ -220,6 +221,18 @@ impl Placer {
     /// Panics if `bits` is not exactly the model's input width.
     pub fn order_packed<'s>(&self, bits: &[u8], scratch: &'s mut PredictScratch) -> &'s [usize] {
         self.latent_packed(bits, scratch);
+        self.order_last(scratch)
+    }
+
+    /// All clusters ordered nearest-first for the sample of the last
+    /// full or resumed call on `scratch`, ranked from the μ that call
+    /// left there: [`Placer::order_packed`]'s order without walking the
+    /// input again. Its first cluster is the one that call returned. The
+    /// slice lives in `scratch`.
+    ///
+    /// # Panics
+    /// Panics if `scratch` holds no μ of this model's width.
+    pub fn order_last<'s>(&self, scratch: &'s mut PredictScratch) -> &'s [usize] {
         let PredictScratch {
             kernel,
             cur,
@@ -261,7 +274,7 @@ impl Placer {
         );
         next.clear();
         next.extend_from_slice(sums0);
-        kernel.add_set_rows(first, set_bit_indices(bits, from, set), next);
+        kernel.add_set_rows(first, set_bit_indices(*kernel, bits, from, set), next);
         self.finish_layers(scratch);
         self.nearest(scratch)
     }
@@ -291,11 +304,14 @@ impl Placer {
             sums0,
             next,
             set,
+            keys,
+            order,
             ..
         } = &mut *scratch;
+        self.kmeans.lanes().reserve(keys, order);
         sums0.clear();
         sums0.resize(first.cols(), 0.0);
-        kernel.add_set_rows(first, set_bit_indices(bits, 0, set), sums0);
+        kernel.add_set_rows(first, set_bit_indices(*kernel, bits, 0, set), sums0);
         next.clear();
         next.extend_from_slice(sums0);
         self.finish_layers(scratch);
@@ -329,7 +345,8 @@ impl Placer {
 }
 
 /// Name of the kernel instantiation predictions and training run on
-/// this CPU: `"avx512"`, `"avx2"` or `"portable"`.
+/// this CPU: `"avx512+vbmi2"` (AVX-512 with the VBMI2 set-bit decoder),
+/// `"avx512"`, `"avx2"` or `"portable"`.
 pub fn kernel_name() -> &'static str {
     Kernel::detect().name()
 }
@@ -437,6 +454,8 @@ mod tests {
                         );
                         assert_eq!(order, model.kmeans().clusters_by_distance(z.row(0)));
                         assert_eq!(placer.predict_packed(sample, &mut scratch), cluster);
+                        // Ranked from the μ the nearest-only call left.
+                        assert_eq!(placer.order_last(&mut scratch), order, "{kernel}");
                     }
                 }
             }
@@ -590,6 +609,7 @@ mod tests {
             for (kernel, mut scratch) in scratches() {
                 let first = odd.order_packed(segment, &mut scratch)[0];
                 prop_assert_eq!(odd.predict_packed(segment, &mut scratch), first, "{}", kernel);
+                prop_assert_eq!(odd.order_last(&mut scratch)[0], first, "{}", kernel);
                 odd.order_packed(&padded, &mut scratch);
                 prop_assert_eq!(odd.resume_packed(segment, split, &mut scratch), first, "{}", kernel);
             }
