@@ -14,14 +14,15 @@ use std::time::Instant;
 
 /// Expected flips when an incoming item overwrites a same-cluster
 /// resident: the mean hamming distance between each test item and a
-/// rotating member of its predicted cluster.
-fn expected_flips(
+/// rotating member of its predicted cluster, one of `k`. An item whose
+/// cluster holds no member is skipped.
+pub(crate) fn expected_flips(
     items: &[Vec<u8>],
     assignments: &[usize],
     test: &[Vec<u8>],
+    k: usize,
     mut predict: impl FnMut(&[u8]) -> usize,
 ) -> f64 {
-    let k = assignments.iter().copied().max().unwrap_or(0) + 1;
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
     for (i, &c) in assignments.iter().enumerate() {
         groups[c].push(i);
@@ -29,8 +30,7 @@ fn expected_flips(
     let mut total = 0.0;
     let mut count = 0u64;
     for (t_idx, item) in test.iter().enumerate() {
-        let c = predict(item);
-        let group = &groups[c.min(k - 1)];
+        let group = &groups[predict(item)];
         if group.is_empty() {
             continue;
         }
@@ -82,7 +82,7 @@ pub fn fig04(scale: Scale) -> Table {
         let t0 = Instant::now();
         let raw_fit = KMeans::fit(&features, k, 25, &mut rng);
         let kmeans_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let kmeans_flips = expected_flips(&items, &raw_fit.assignments, &test, |item| {
+        let kmeans_flips = expected_flips(&items, &raw_fit.assignments, &test, k, |item| {
             raw_fit
                 .model
                 .predict(&e2nvm_ml::data::bytes_to_features(item))
@@ -95,7 +95,7 @@ pub fn fig04(scale: Scale) -> Table {
         let pca_fit = KMeans::fit(&reduced, k, 25, &mut rng);
         let pca_ms = t0.elapsed().as_secs_f64() * 1e3;
         let (placer, mut scratch) = (pca.placer(pca_fit.model), PredictScratch::default());
-        let pca_flips = expected_flips(&items, &pca_fit.assignments, &test, |item| {
+        let pca_flips = expected_flips(&items, &pca_fit.assignments, &test, k, |item| {
             placer.predict_packed(item, &mut scratch)
         });
 
@@ -121,7 +121,7 @@ pub fn fig04(scale: Scale) -> Table {
         let vae_ms = t0.elapsed().as_secs_f64() * 1e3;
         let assignments = model.predict_batch(&features);
         let (placer, mut scratch) = (model.placer(), PredictScratch::default());
-        let vae_flips = expected_flips(&items, &assignments, &test, |item| {
+        let vae_flips = expected_flips(&items, &assignments, &test, k, |item| {
             placer.predict_packed(item, &mut scratch)
         });
 

@@ -117,6 +117,18 @@ impl DynamicAddressPool {
         self.pools.get(cluster)?.front().copied()
     }
 
+    /// The cluster whose free list holds `seg`, or `None` if it is not
+    /// free.
+    pub fn cluster_of(&self, seg: LogicalSegment) -> Option<usize> {
+        self.membership.get(seg.index())?.map(|c| c as usize)
+    }
+
+    /// `cluster`'s free segments in the order its pops hand them out,
+    /// head first. Empty for a cluster out of range.
+    pub fn free_list(&self, cluster: usize) -> impl Iterator<Item = LogicalSegment> + '_ {
+        self.pools.get(cluster).into_iter().flatten().copied()
+    }
+
     /// Take the first free address of `cluster`, if any.
     pub fn pop(&mut self, cluster: usize) -> Option<LogicalSegment> {
         let seg = self.pools.get_mut(cluster)?.pop_front()?;
@@ -369,11 +381,24 @@ mod tests {
     #[test]
     fn peek_head_names_the_next_pop() {
         // After every step, `peek_head` must equal what the next pop of
-        // each cluster returns, checked on a clone.
+        // each cluster returns and `free_list` what all its pops return,
+        // checked on a clone; `cluster_of` names the list holding each
+        // free segment and no cluster for any other.
         fn check(dap: &DynamicAddressPool) {
+            let mut listed = 0;
             for c in 0..dap.k() + 1 {
                 let mut probe = dap.clone();
-                assert_eq!(dap.peek_head(c), probe.pop(c), "cluster {c}");
+                assert_eq!(dap.peek_head(c), probe.clone().pop(c), "cluster {c}");
+                let pops: Vec<_> = std::iter::from_fn(|| probe.pop(c)).collect();
+                assert_eq!(dap.free_list(c).collect::<Vec<_>>(), pops, "cluster {c}");
+                for &s in &pops {
+                    assert_eq!(dap.cluster_of(s), Some(c), "{s}");
+                }
+                listed += pops.len();
+            }
+            assert_eq!(listed, dap.free_count());
+            for i in 0..40 {
+                assert_eq!(dap.cluster_of(seg(i)).is_some(), dap.is_free(seg(i)), "{i}");
             }
         }
         let mut dap = DynamicAddressPool::new(2, 32, 0);

@@ -105,6 +105,29 @@ const NO_TAG: u8 = u8::MAX;
 /// another address.
 const MAX_WRITE_RETRIES: usize = 2;
 
+/// The cluster Algorithm 1 takes an address from for the value whose
+/// prediction on `scratch` was `predicted`: `predicted` while its free
+/// list holds a segment, else the first non-empty cluster in distance
+/// order. Only then are the other clusters ranked, from the μ the
+/// prediction left in the scratch (DESIGN.md §5, nearest-first clause).
+/// `None` when the pool is empty. A placement pops this cluster's head
+/// and a preview peeks it, so the two cannot disagree.
+fn source_cluster(
+    dap: &DynamicAddressPool,
+    model: &E2Model,
+    predicted: usize,
+    scratch: &mut PlacementScratch,
+) -> Option<usize> {
+    if dap.cluster_len(predicted) > 0 {
+        return Some(predicted);
+    }
+    model
+        .order_last(scratch)
+        .iter()
+        .copied()
+        .find(|&c| dap.cluster_len(c) > 0)
+}
+
 /// The E2-NVM engine.
 pub struct E2Engine {
     cfg: E2Config,
@@ -433,18 +456,7 @@ impl E2Engine {
         self.prediction.predictions += 1;
         loop {
             let started = self.armed.then(Instant::now);
-            // Algorithm 1 walks the distance order only past an empty
-            // nearest cluster (DESIGN.md §5, nearest-first clause): that
-            // order's first cluster is `predicted`, so only then are the
-            // others ranked, from the μ the prediction left in the
-            // scratch.
-            let popped = match self.dap.pop(predicted) {
-                Some(seg) => Some((seg, predicted)),
-                None => self
-                    .dap
-                    .pop_with_fallback(model.order_last(&mut self.scratch)),
-            };
-            let Some((seg, used)) = popped else {
+            let Some(used) = source_cluster(&self.dap, model, predicted, &mut self.scratch) else {
                 let retired = self.dap.retired_count();
                 return Err(if retired > 0 {
                     E2Error::PoolDepleted { retired }
@@ -452,6 +464,10 @@ impl E2Engine {
                     E2Error::OutOfSpace
                 });
             };
+            let seg = self
+                .dap
+                .pop(used)
+                .expect("the source cluster holds a segment");
             // Warm the cluster's next placement while this one is
             // written: the free lists are FIFO, so the new head is the
             // next PUT into `used` (DESIGN.md §5, prefetch clause). A
@@ -517,15 +533,17 @@ impl E2Engine {
             });
         }
         let model = self.model.as_ref().ok_or(E2Error::NotTrained)?;
-        let order = model.order_into(value, &self.padder, &mut self.rng, &mut self.scratch);
-        for &c in order {
-            if let Some(seg) = self.dap.peek_head(c) {
-                let content = self.controller.peek(seg)?;
-                let flips = e2nvm_sim::bitops::hamming(&content[..value.len()], value);
-                return Ok(Some((seg, flips)));
-            }
-        }
-        Ok(None)
+        let predicted = model.nearest_into(value, &self.padder, &mut self.rng, &mut self.scratch);
+        let Some(cluster) = source_cluster(&self.dap, model, predicted, &mut self.scratch) else {
+            return Ok(None);
+        };
+        let seg = self
+            .dap
+            .peek_head(cluster)
+            .expect("the source cluster holds a segment");
+        let content = self.controller.peek(seg)?;
+        let flips = e2nvm_sim::bitops::hamming(&content[..value.len()], value);
+        Ok(Some((seg, flips)))
     }
 
     /// Low-level recycle: classify the segment's current content and
@@ -1453,19 +1471,9 @@ mod tests {
         }
     }
 
-    /// The cluster whose free list holds `seg` in `dap`.
-    fn cluster_of(dap: &DynamicAddressPool, seg: LogicalSegment) -> usize {
-        (0..dap.k())
-            .find(|&c| {
-                let mut dap = dap.clone();
-                std::iter::from_fn(|| dap.pop(c)).any(|s| s == seg)
-            })
-            .expect("a free segment")
-    }
-
     /// A PUT whose nearest cluster is drained ranks the rest and takes
     /// the segment, from the cluster, that the full ranking gives a
-    /// twin engine — and counts the fallback.
+    /// twin engine — the one a preview named — and counts the fallback.
     #[test]
     fn a_put_past_a_drained_nearest_cluster_places_as_the_full_ranking() {
         let trained = || {
@@ -1487,8 +1495,10 @@ mod tests {
             }
             let before = e.dap.clone();
             let fallbacks = e.telemetry.fallbacks.get();
+            let (previewed, _) = e.preview_placement(&value).unwrap().unwrap();
             let (seg, _) = e.place_value(&value).unwrap();
-            let used = cluster_of(&before, seg);
+            assert_eq!(seg, previewed, "the preview names the segment the PUT pops");
+            let used = before.cluster_of(seg).expect("a free segment");
             assert_ne!(used, nearest);
             assert_eq!((seg, used), placed_by_ranking(&mut twin, &value));
             assert_eq!(e.dap, twin.dap);
@@ -1515,7 +1525,7 @@ mod tests {
             let before = e.dap.clone();
             let retired = e.retired_count();
             let (seg, _) = e.place_value(&value).unwrap();
-            let used = cluster_of(&before, seg);
+            let used = before.cluster_of(seg).expect("a free segment");
             assert_eq!((seg, used), placed_by_ranking(&mut twin, &value), "{round}");
             assert_eq!(e.dap, twin.dap, "{round}");
             assert_eq!(e.retired_segments(), twin.retired_segments());

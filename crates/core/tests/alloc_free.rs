@@ -16,28 +16,38 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The system allocator, counting the bytes requested by threads that
-/// have armed it (the test harness's own threads allocate at will).
+/// The system allocator, counting the bytes requested by each thread
+/// while it is armed, on that thread alone: the tests run in parallel,
+/// and one test's allocation must fail that test only (the test
+/// harness's own threads allocate at will).
 struct Counting;
-
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(bytes: usize) {
     if ARMED.with(Cell::get) {
-        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+        BYTES.with(|b| b.set(b.get() + bytes as u64));
     }
 }
 
+/// Run `f` with the allocator armed on this thread; the bytes it
+/// requested.
+fn bytes_allocated_by(f: impl FnOnce()) -> u64 {
+    BYTES.with(|b| b.set(0));
+    ARMED.with(|armed| armed.set(true));
+    f();
+    ARMED.with(|armed| armed.set(false));
+    BYTES.with(Cell::get)
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; counting touches only an
-// atomic and a const-initialized, destructor-free thread-local, neither
-// of which allocates.
+// which upholds the `GlobalAlloc` contract; counting touches only
+// const-initialized, destructor-free thread-locals, which do not
+// allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -101,21 +111,17 @@ fn warm_scratch_predicts_without_allocating_for(kind: PlacementModel) {
     model.classify(&segments[0], &mut scratch);
 
     let mut checksum = 0usize;
-    ARMED.with(|armed| armed.set(true));
-    for i in 0..1000 {
-        let segment = &segments[i % segments.len()];
-        let padder = &padders[i % padders.len()];
-        let value = &segment[..i % (SEGMENT + 1)];
-        checksum += model.order_into(value, padder, &mut rng, &mut scratch)[0];
-        checksum += model.classify(segment, &mut scratch);
-    }
-    ARMED.with(|armed| armed.set(false));
+    let bytes = bytes_allocated_by(|| {
+        for i in 0..1000 {
+            let segment = &segments[i % segments.len()];
+            let padder = &padders[i % padders.len()];
+            let value = &segment[..i % (SEGMENT + 1)];
+            checksum += model.order_into(value, padder, &mut rng, &mut scratch)[0];
+            checksum += model.classify(segment, &mut scratch);
+        }
+    });
 
-    assert_eq!(
-        BYTES.load(Ordering::Relaxed),
-        0,
-        "the warm serving path of {kind:?} allocated"
-    );
+    assert_eq!(bytes, 0, "the warm serving path of {kind:?} allocated");
     assert!(checksum < 2 * 1000 * model.k());
 }
 
@@ -201,22 +207,18 @@ fn warm_tagged_put_for(kind: PlacementModel) {
     ];
     let samples = |engine: &E2Engine| stages.map(|s| engine.telemetry().stage_ns(s).count());
     let samples_before = samples(&engine);
-    ARMED.with(|armed| armed.set(true));
-    engine.put(0, drained).unwrap();
-    for i in 1..1000 {
-        engine
-            .put(i as u64 % KEYS, &values[(i * 7) % values.len()])
-            .unwrap();
-    }
-    ARMED.with(|armed| armed.set(false));
+    let bytes = bytes_allocated_by(|| {
+        engine.put(0, drained).unwrap();
+        for i in 1..1000 {
+            engine
+                .put(i as u64 % KEYS, &values[(i * 7) % values.len()])
+                .unwrap();
+        }
+    });
     let after = engine.prediction_stats();
     let samples_after = samples(&engine);
 
-    assert_eq!(
-        BYTES.load(Ordering::Relaxed),
-        0,
-        "a warm PUT of {kind:?} allocated"
-    );
+    assert_eq!(bytes, 0, "a warm PUT of {kind:?} allocated");
     for ((stage, before), after) in stages.iter().zip(samples_before).zip(samples_after) {
         assert!(
             after - before >= 1000 / 64,
@@ -284,24 +286,20 @@ fn warm_visited_scan_does_not_allocate_at(shards: usize) {
     let mut bytes_seen = 0usize;
     let mut visited = 0usize;
     let reads_before = store.stats().reads;
-    ARMED.with(|armed| armed.set(true));
-    for i in 0..1000u64 {
-        let lo = i % KEYS;
-        let limit = 1 + (i as usize * 7) % 64;
-        visited += store
-            .scan_visit(lo, KEYS, limit, &mut |_, value| {
-                bytes_seen += value.len();
-                true
-            })
-            .unwrap();
-    }
-    ARMED.with(|armed| armed.set(false));
+    let bytes = bytes_allocated_by(|| {
+        for i in 0..1000u64 {
+            let lo = i % KEYS;
+            let limit = 1 + (i as usize * 7) % 64;
+            visited += store
+                .scan_visit(lo, KEYS, limit, &mut |_, value| {
+                    bytes_seen += value.len();
+                    true
+                })
+                .unwrap();
+        }
+    });
 
-    assert_eq!(
-        BYTES.load(Ordering::Relaxed),
-        0,
-        "a warm scan allocated ({shards} shards)"
-    );
+    assert_eq!(bytes, 0, "a warm scan allocated ({shards} shards)");
     assert!(visited > 1000);
     assert_eq!(bytes_seen, visited * 24);
     let reads = store.stats().reads - reads_before;
