@@ -77,6 +77,7 @@ pub fn fig04(scale: Scale) -> Table {
         let items = DatasetKind::MnistLike.generate_sized(n_train, bytes, &mut rng);
         let test = DatasetKind::MnistLike.generate_sized(n_test, bytes, &mut rng);
         let features = segments_to_matrix(&items);
+        let bits = BitMatrix::from_segments(&items);
 
         // --- K-means on raw bits (PNW mode 1) ---
         let t0 = Instant::now();
@@ -90,8 +91,8 @@ pub fn fig04(scale: Scale) -> Table {
 
         // --- PCA + K-means (PNW mode 2) ---
         let t0 = Instant::now();
-        let pca = Pca::fit(&features, 16, 8, &mut rng);
-        let reduced = pca.transform(&features);
+        let pca = Pca::fit(&bits, 16, 8, &mut rng);
+        let reduced = pca.transform(&bits);
         let pca_fit = KMeans::fit(&reduced, k, 25, &mut rng);
         let pca_ms = t0.elapsed().as_secs_f64() * 1e3;
         let (placer, mut scratch) = (pca.placer(pca_fit.model), PredictScratch::default());
@@ -116,8 +117,7 @@ pub fn fig04(scale: Scale) -> Table {
             kmeans_iters: 25,
         };
         let t0 = Instant::now();
-        let (model, _) =
-            ClusterModel::train(&dec_cfg, &BitMatrix::from_segments(&items), None, &mut rng);
+        let (model, _) = ClusterModel::train(&dec_cfg, &bits, None, &mut rng);
         let vae_ms = t0.elapsed().as_secs_f64() * 1e3;
         let assignments = model.predict_batch(&features);
         let (placer, mut scratch) = (model.placer(), PredictScratch::default());

@@ -12,6 +12,7 @@
 
 use e2nvm_sim::LogicalSegment;
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 
 /// Error type for pool misuse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,17 +50,32 @@ impl std::error::Error for DapError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DynamicAddressPool {
     pools: VecVecDeque,
-    /// `membership[seg] == Some(cluster)` iff the segment is free and
-    /// parked in that cluster's pool.
-    membership: Vec<Option<u32>>,
-    /// The quarantine list: `retired[seg]` is permanently true once the
-    /// segment wears out. Retired segments are barred from `push` and
-    /// filtered out of `rebuild`, so the pool can never hand one out.
-    retired: Vec<bool>,
+    /// `membership[seg] == Some(cluster + 1)` iff the segment is free
+    /// and parked in that cluster's pool: 4 B a segment, the niche of
+    /// `NonZeroU32` standing for "not free".
+    membership: Vec<Option<NonZeroU32>>,
+    /// The quarantine list, a bit per segment (bit `seg % 64` of word
+    /// `seg / 64`): permanently set once the segment wears out. Retired
+    /// segments are barred from `push` and filtered out of `rebuild`,
+    /// so the pool can never hand one out.
+    retired: Vec<u64>,
     min_threshold: usize,
 }
 
 type VecVecDeque = Vec<VecDeque<LogicalSegment>>;
+
+/// `cluster`'s membership tag: its id plus one, so no id is the niche.
+fn cluster_tag(cluster: usize) -> NonZeroU32 {
+    u32::try_from(cluster + 1)
+        .ok()
+        .and_then(NonZeroU32::new)
+        .expect("cluster id fits a u32")
+}
+
+/// The cluster a membership tag names.
+fn untag(tag: NonZeroU32) -> usize {
+    tag.get() as usize - 1
+}
 
 impl DynamicAddressPool {
     /// An empty pool with `k` clusters covering `num_segments` segment
@@ -70,7 +86,7 @@ impl DynamicAddressPool {
         Self {
             pools: (0..k).map(|_| VecDeque::new()).collect(),
             membership: vec![None; num_segments],
-            retired: vec![false; num_segments],
+            retired: vec![0; num_segments.div_ceil(64)],
             min_threshold,
         }
     }
@@ -105,7 +121,7 @@ impl DynamicAddressPool {
         if slot.is_some() {
             return Err(DapError::AlreadyFree(seg));
         }
-        *slot = Some(cluster as u32);
+        *slot = Some(cluster_tag(cluster));
         self.pools[cluster].push_back(seg);
         Ok(())
     }
@@ -120,7 +136,7 @@ impl DynamicAddressPool {
     /// The cluster whose free list holds `seg`, or `None` if it is not
     /// free.
     pub fn cluster_of(&self, seg: LogicalSegment) -> Option<usize> {
-        self.membership.get(seg.index())?.map(|c| c as usize)
+        self.membership.get(seg.index())?.map(untag)
     }
 
     /// `cluster`'s free segments in the order its pops hand them out,
@@ -155,35 +171,33 @@ impl DynamicAddressPool {
     /// rejects it and `rebuild` silently drops it. Returns `true` if
     /// the segment was newly retired.
     pub fn retire(&mut self, seg: LogicalSegment) -> bool {
-        let Some(flag) = self.retired.get_mut(seg.index()) else {
-            return false;
-        };
-        if *flag {
+        let i = seg.index();
+        if i >= self.membership.len() || self.is_retired(seg) {
             return false;
         }
-        *flag = true;
-        if let Some(cluster) = self.membership[seg.index()].take() {
-            self.pools[cluster as usize].retain(|&s| s != seg);
+        self.retired[i / 64] |= 1 << (i % 64);
+        if let Some(tag) = self.membership[i].take() {
+            self.pools[untag(tag)].retain(|&s| s != seg);
         }
         true
     }
 
     /// Whether `seg` has been permanently retired.
     pub fn is_retired(&self, seg: LogicalSegment) -> bool {
-        self.retired.get(seg.index()).copied().unwrap_or(false)
+        let i = seg.index();
+        i < self.membership.len() && self.retired[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Number of retired segments.
     pub fn retired_count(&self) -> usize {
-        self.retired.iter().filter(|&&r| r).count()
+        self.retired.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// All retired segments, ascending.
     pub fn retired_segments(&self) -> Vec<LogicalSegment> {
-        self.retired
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &r)| r.then_some(LogicalSegment(i)))
+        (0..self.membership.len())
+            .map(LogicalSegment)
+            .filter(|&seg| self.is_retired(seg))
             .collect()
     }
 
@@ -205,8 +219,9 @@ impl DynamicAddressPool {
     }
 
     /// Estimated DRAM footprint of the pool in bytes: one address slot
-    /// per free segment plus the membership table — the quantity the
-    /// paper's Figure 7 plots against segment count.
+    /// per free segment plus the membership table (4 B a segment) and
+    /// the retired bitset (a bit a segment) — the quantity the paper's
+    /// Figure 7 plots against segment count.
     pub fn memory_bytes(&self) -> usize {
         let slots: usize = self
             .pools
@@ -214,8 +229,8 @@ impl DynamicAddressPool {
             .map(|p| p.capacity() * std::mem::size_of::<LogicalSegment>())
             .sum();
         slots
-            + self.membership.len() * std::mem::size_of::<Option<u32>>()
-            + self.retired.len() * std::mem::size_of::<bool>()
+            + self.membership.len() * std::mem::size_of::<Option<NonZeroU32>>()
+            + self.retired.len() * std::mem::size_of::<u64>()
     }
 
     /// Whether `seg` is currently free.
@@ -353,6 +368,31 @@ mod tests {
         assert_eq!(dap.push(1, seg(3)), Err(DapError::Retired(seg(3))));
         assert_eq!(dap.retired_count(), 1);
         assert_eq!(dap.retired_segments(), vec![seg(3)]);
+    }
+
+    /// An empty pool costs 4 B a segment for membership and a bit a
+    /// segment for retirement, whole words of it.
+    #[test]
+    fn an_empty_pool_costs_its_two_tables() {
+        let dap = DynamicAddressPool::new(2, 130, 0);
+        assert_eq!(dap.memory_bytes(), 130 * 4 + 3 * 8);
+    }
+
+    #[test]
+    fn retirement_spans_the_bitset_words() {
+        let mut dap = DynamicAddressPool::new(2, 130, 0);
+        let retired = [0, 63, 64, 129].map(seg);
+        for s in retired {
+            dap.push(1, s).unwrap();
+            assert!(dap.retire(s), "{s}");
+            assert_eq!(dap.cluster_of(s), None, "{s}");
+        }
+        assert!(!dap.retire(seg(130)), "past the device");
+        assert!(!dap.is_retired(seg(130)));
+        assert!(!dap.is_retired(seg(65)));
+        assert_eq!(dap.retired_count(), 4);
+        assert_eq!(dap.retired_segments(), retired);
+        assert_eq!(dap.free_count(), 0);
     }
 
     #[test]

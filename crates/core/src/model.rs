@@ -4,11 +4,10 @@
 
 use crate::config::{E2Config, PlacementModel};
 use crate::padding::Padder;
-use e2nvm_ml::data::{features_to_bytes, segments_to_matrix, subsample_segments, train_val_split};
+use e2nvm_ml::data::{features_to_bytes, subsample_segments, train_val_split};
 use e2nvm_ml::persist::{Persist, PersistError};
 use e2nvm_ml::{
-    BitMatrix, ClusterModel, KMeans, Matrix, Pca, Placer, PredictScratch, TrainingHistory,
-    VaeLosses,
+    BitMatrix, ClusterModel, KMeans, Pca, Placer, PredictScratch, TrainingHistory, VaeLosses,
 };
 use rand::Rng;
 
@@ -238,7 +237,9 @@ impl E2Model {
     ///   to the last — and the decoder, which mirrors the layers to μ
     ///   (the same products).
     /// - A PCA "epoch" is one orthogonal-iteration sweep over the `n × d`
-    ///   sample: `X·B` and `Xᵀ·(X·B)`, `2·n·d·p`.
+    ///   sample: `X·B` and `Xᵀ·(X·B)`, `2·n·d·p` — the dense products'
+    ///   count, an upper bound. The fit walks the set bits instead:
+    ///   `2·nnz·p` additions, plus the mean's rank-one corrections.
     pub fn train_macs_per_epoch(&self, n: usize) -> u64 {
         let widths = self.placer.widths();
         let &[.., before, latent] = widths.as_slice() else {
@@ -276,25 +277,20 @@ fn train_pca_kmeans<R: Rng>(
     k: usize,
     rng: &mut R,
 ) -> (Placer, TrainingHistory) {
-    let floats = |bits: &BitMatrix| {
-        let rows: Vec<&[u8]> = (0..bits.rows()).map(|r| bits.row(r)).collect();
-        segments_to_matrix(&rows)
-    };
-    let x = floats(train);
-    let pca = Pca::fit(&x, PCA_COMPONENTS, PCA_SWEEPS, rng);
-    let scores = pca.transform(&x);
+    let pca = Pca::fit(train, PCA_COMPONENTS, PCA_SWEEPS, rng);
+    let scores = pca.transform(train);
     // The first of the lowest-SSE fits.
     let fit = (0..PCA_KMEANS_STARTS)
         .map(|_| KMeans::fit(&scores, k, PCA_KMEANS_ITERS, rng))
         .min_by(|a, b| a.sse.total_cmp(&b.sse))
         .expect("at least one start");
-    let loss = |x: &Matrix| VaeLosses {
-        recon: pca.reconstruction_error(x),
+    let loss = |bits: &BitMatrix| VaeLosses {
+        recon: pca.reconstruction_error(bits),
         kl: 0.0,
     };
     let history = TrainingHistory {
-        train: vec![loss(&x)],
-        validation: validation.map(|v| loss(&floats(v))).into_iter().collect(),
+        train: vec![loss(train)],
+        validation: validation.map(loss).into_iter().collect(),
         sse: vec![fit.sse],
     };
     (pca.placer(fit.model), history)
@@ -304,7 +300,6 @@ fn train_pca_kmeans<R: Rng>(
 mod tests {
     use super::*;
     use crate::padding::{PaddingLocation, PaddingType};
-    use e2nvm_ml::data::segments_to_matrix;
     use e2nvm_ml::rng::seeded;
     use e2nvm_ml::{KMeans, Pca};
 
@@ -437,7 +432,7 @@ mod tests {
     fn a_pca_model_prices_its_one_layer() {
         let mut rng = seeded(5);
         let contents = clustered_segments(40, 16, &mut rng);
-        let raw = segments_to_matrix(&contents);
+        let raw = BitMatrix::from_segments(&contents);
         let pca = Pca::fit(&raw, 6, 10, &mut rng);
         let kmeans = KMeans::fit(&pca.transform(&raw), 3, 20, &mut rng).model;
         let model = E2Model::from_placer(pca.placer(kmeans));

@@ -3,7 +3,8 @@
 //! recycle — never touches the heap,
 //! neither does a whole updating `E2Engine::put`, which runs the
 //! model in full exactly once, and neither does a range scan visited
-//! through the store's reusable buffer. Its own test binary, because it has
+//! through the store's reusable buffer — and PCA training builds no
+//! float copy of its sample. Its own test binary, because it has
 //! to own the global allocator.
 
 use e2nvm_core::{
@@ -230,6 +231,35 @@ fn warm_tagged_put_for(kind: PlacementModel) {
     assert_eq!(after.resumed - before.resumed, 1000);
     assert_eq!(after.tag_hits - before.tag_hits, 1000);
     assert_eq!(after.tag_fallbacks, before.tag_fallbacks);
+}
+
+/// PCA training reads its sample as packed bits and walks set-bit
+/// lists: all of `E2Model::train` — sample, split, fit, scores, K-means
+/// starts, losses and the placer — asks for fewer bytes than one
+/// `n × d` float matrix of the sample would hold. The rows are random,
+/// half their bits set: more than any content the engine stores.
+#[test]
+fn pca_training_builds_no_float_copy_of_its_sample() {
+    const SEGMENT: usize = 128;
+    const ROWS: usize = 1024;
+    let mut rng = StdRng::seed_from_u64(12);
+    let segments: Vec<Vec<u8>> = (0..ROWS)
+        .map(|_| (0..SEGMENT).map(|_| rng.gen()).collect())
+        .collect();
+    let cfg = E2Config::builder()
+        .fast(SEGMENT, 10)
+        .model(PlacementModel::PcaKMeans)
+        .train_sample_cap(ROWS)
+        .build()
+        .unwrap();
+    let bytes = bytes_allocated_by(|| {
+        std::hint::black_box(E2Model::train(&cfg, &segments, &mut rng));
+    });
+    let float_copy = (ROWS * SEGMENT * 8 * std::mem::size_of::<f32>()) as u64;
+    assert!(
+        bytes < float_copy,
+        "training allocated {bytes} B, an n × d float copy is {float_copy} B"
+    );
 }
 
 /// A scan through `NvmKvStore::scan_visit` — the call the server makes

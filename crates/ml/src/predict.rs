@@ -21,9 +21,9 @@
 //! # Summation-order contract
 //!
 //! The batched `Matrix` path (`Vae::latent` + `KMeans`; for a PCA
-//! placer, `x.matmul(W)` plus the bias `−mean·W` + `KMeans`, not
-//! `Pca::transform`'s `(x − mean)·W`, which rounds elsewhere) stays for
-//! training and is the reference the tests compare this kernel against;
+//! placer, `x.matmul(W)` plus the bias `−mean·W` + `KMeans`, which
+//! `Pca::transform` computes over the set bits) stays for training and
+//! is the reference the tests compare this kernel against;
 //! the two must agree *bit for bit*, because a single differing cluster
 //! decision changes a placement. `f32` addition is not associative, so
 //! the kernel reproduces the reference's order of operations exactly:
@@ -100,6 +100,13 @@ impl PredictScratch {
             kernel,
             ..Self::default()
         }
+    }
+
+    /// μ of the last full call: the served latent, which the tests hold
+    /// to a reference.
+    #[cfg(test)]
+    pub(crate) fn latent(&self) -> &[f32] {
+        &self.cur
     }
 }
 

@@ -187,15 +187,15 @@ proptest! {
     /// PCA transform output has the requested width and finite values.
     #[test]
     fn pca_output_finite(
-        rows in proptest::collection::vec(
-            proptest::collection::vec(-3.0f32..3.0, 6), 8..32),
+        rows in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 2), 8..32),
         p in 1usize..4,
     ) {
-        let data = Matrix::from_rows(&rows);
+        let data = BitMatrix::from_segments(&rows);
         let mut rng = seeded(11);
         let pca = Pca::fit(&data, p, 8, &mut rng);
         let scores = pca.transform(&data);
-        prop_assert_eq!(scores.cols(), p.min(6));
+        prop_assert_eq!(scores.cols(), p);
         prop_assert!(scores.as_slice().iter().all(|v| v.is_finite()));
+        prop_assert!(pca.reconstruction_error(&data).is_finite());
     }
 }
