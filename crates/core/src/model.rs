@@ -40,6 +40,10 @@ pub struct PlacementScratch {
 pub struct E2Model {
     placer: Placer,
     history: TrainingHistory,
+    /// Mean set bits per row of the sample a PCA fit walked
+    /// ([`E2Model::train_macs_per_epoch`]); `None` for a VAE and for a
+    /// model that was loaded or built from a placer.
+    set_bits_per_row: Option<f64>,
 }
 
 impl E2Model {
@@ -60,15 +64,28 @@ impl E2Model {
         let capped = subsample_segments(contents, cfg.train_sample_cap, rng);
         let (train, val) = train_val_split(&capped, 0.1, rng);
         let val_opt: Option<&BitMatrix> = (val.rows() > 0).then_some(&val);
-        let (placer, history) = match cfg.model {
+        match cfg.model {
             PlacementModel::Vae => {
                 let (cluster, history) =
                     ClusterModel::train(&cfg.dec_config(), &train, val_opt, rng);
-                (cluster.placer(), history)
+                Self {
+                    history,
+                    ..Self::from_placer(cluster.placer())
+                }
             }
-            PlacementModel::PcaKMeans => train_pca_kmeans(&train, val_opt, cfg.k, rng),
-        };
-        Self { placer, history }
+            PlacementModel::PcaKMeans => {
+                let (placer, history) = train_pca_kmeans(&train, val_opt, cfg.k, rng);
+                let set_bits: u64 = (0..train.rows())
+                    .flat_map(|r| train.row(r))
+                    .map(|b| u64::from(b.count_ones()))
+                    .sum();
+                Self {
+                    history,
+                    set_bits_per_row: Some(set_bits as f64 / train.rows() as f64),
+                    ..Self::from_placer(placer)
+                }
+            }
+        }
     }
 
     /// A model serving `placer`, with no training history.
@@ -76,6 +93,7 @@ impl E2Model {
         Self {
             placer,
             history: TrainingHistory::default(),
+            set_bits_per_row: None,
         }
     }
 
@@ -237,18 +255,24 @@ impl E2Model {
     ///   to the last — and the decoder, which mirrors the layers to μ
     ///   (the same products).
     /// - A PCA "epoch" is one orthogonal-iteration sweep over the `n × d`
-    ///   sample: `X·B` and `Xᵀ·(X·B)`, `2·n·d·p` — the dense products'
-    ///   count, an upper bound. The fit walks the set bits instead:
-    ///   `2·nnz·p` additions, plus the mean's rank-one corrections.
+    ///   sample: `X·B` and `Xᵀ·(X·B)`, which the fit computes by walking
+    ///   the set bits, `2·n·nnz·p` additions for `nnz` set bits a row
+    ///   (the mean's rank-one corrections are not counted). A trained
+    ///   model prices `nnz` as its own sample's mean; a loaded one has
+    ///   no record of it and prices the dense products, `2·n·d·p`, an
+    ///   upper bound.
     pub fn train_macs_per_epoch(&self, n: usize) -> u64 {
         let widths = self.placer.widths();
         let &[.., before, latent] = widths.as_slice() else {
             unreachable!("a placer has an input and a layer")
         };
         let to_mu: u64 = widths.windows(2).map(|w| (w[0] * w[1]) as u64).sum();
-        match self.kind() {
-            PlacementModel::PcaKMeans => 2 * n as u64 * to_mu,
-            PlacementModel::Vae => 3 * n as u64 * (2 * to_mu + (before * latent) as u64),
+        match (self.kind(), self.set_bits_per_row) {
+            (PlacementModel::PcaKMeans, Some(nnz)) => {
+                (2.0 * n as f64 * nnz * latent as f64).round() as u64
+            }
+            (PlacementModel::PcaKMeans, None) => 2 * n as u64 * to_mu,
+            (PlacementModel::Vae, _) => 3 * n as u64 * (2 * to_mu + (before * latent) as u64),
         }
     }
 
@@ -439,24 +463,34 @@ mod tests {
         assert_eq!(model.predict_macs(), (128 * 6 + 3 * 6) as u64);
     }
 
-    /// A PCA model, trained or loaded, is priced as one orthogonal-
-    /// iteration sweep an epoch: `X·B` and `Xᵀ·(X·B)`.
+    /// A PCA model is priced as one orthogonal-iteration sweep an
+    /// epoch, `X·B` and `Xᵀ·(X·B)`: over its sample's set bits when it
+    /// was trained, over every bit (the dense bound) when it was loaded.
     #[test]
     fn a_pca_model_prices_one_sweep_an_epoch() {
-        let mut rng = seeded(5);
-        let contents = clustered_segments(40, 16, &mut rng);
+        // 40 set bits in every row, so the sample's mean is 40 however
+        // the rows are subsampled and split.
+        let contents: Vec<Vec<u8>> = (0..40)
+            .map(|i| {
+                let mut seg = vec![0u8; 16];
+                for j in 0..5 {
+                    seg[(i + 3 * j) % 16] = 0xFF;
+                }
+                seg
+            })
+            .collect();
         let cfg = E2Config::builder()
             .fast(16, 3)
             .model(PlacementModel::PcaKMeans)
             .build()
             .unwrap();
-        let model = E2Model::train(&cfg, &contents, &mut rng);
+        let model = E2Model::train(&cfg, &contents, &mut seeded(5));
         let loaded = E2Model::from_bytes(&model.to_bytes()).unwrap();
-        for m in [&model, &loaded] {
-            assert_eq!(m.kind(), PlacementModel::PcaKMeans);
-            let macs = 2 * 100 * 128 * PCA_COMPONENTS as u64;
-            assert_eq!(m.train_macs_per_epoch(100), macs);
-        }
+        let p = PCA_COMPONENTS as u64;
+        assert_eq!(model.kind(), PlacementModel::PcaKMeans);
+        assert_eq!(model.train_macs_per_epoch(100), 2 * 100 * 40 * p);
+        assert_eq!(loaded.kind(), PlacementModel::PcaKMeans);
+        assert_eq!(loaded.train_macs_per_epoch(100), 2 * 100 * 128 * p);
     }
 
     /// The PCA arm records one epoch — the reconstruction error, no KL

@@ -4,16 +4,17 @@
 //! Two paths, one value — the standard CRC-32/ISO-HDLC (the tests pin
 //! the check vectors and hold the paths against each other):
 //!
-//! * **Carry-less folding**, on x86-64 CPUs with PCLMULQDQ, for inputs
-//!   of at least 64 bytes: the Intel method (Gopal et al., "Fast CRC
-//!   Computation for Generic Polynomials Using PCLMULQDQ Instruction",
-//!   2009) with the constants zlib's Chromium port uses. Four 128-bit
-//!   lanes fold 64 bytes per step, fold into one, which takes the
-//!   remaining 16-byte blocks; a Barrett reduction leaves the 32-bit
-//!   state, and the last `len % 16` bytes take `TABLES[0]` one at a
-//!   time. It reads no table on the way: the WAL checksums each record
-//!   right after a PUT's prediction has streamed tens of KB of weights
-//!   through L1, which evicts the 8 KB of slice-by-8 tables.
+//! * **Carry-less folding**, on x86-64 CPUs with PCLMULQDQ and SSSE3,
+//!   for inputs of at least 64 bytes: the Intel method (Gopal et al.,
+//!   "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+//!   Instruction", 2009) with the constants zlib's Chromium port uses.
+//!   Four 128-bit lanes fold 64 bytes per step, fold into one, which
+//!   takes the remaining 16-byte blocks and then the last `len % 16`
+//!   bytes (an overlapping load of the last 16, shifted into place by
+//!   `pshufb`); a Barrett reduction leaves the 32-bit state. It reads
+//!   no table on the way: the WAL checksums each record right after a
+//!   PUT's prediction has streamed tens of KB of weights through L1,
+//!   which evicts the 8 KB of slice-by-8 tables.
 //! * **Slice-by-8**, everywhere else and as the tests' oracle: eight
 //!   compile-time tables let the hot loop fold 8 bytes per iteration
 //!   with independent lookups instead of a byte-long dependency chain.
@@ -67,9 +68,9 @@ const CLMUL_MIN: usize = 64;
 /// Which path a checksum takes.
 #[derive(Debug, Clone, Copy)]
 struct Crc {
-    /// Set only where the CPU was asked for PCLMULQDQ ([`Crc::detect`]):
-    /// the soundness of the carry-less path rests on nothing else
-    /// setting it.
+    /// Set only where the CPU was asked for PCLMULQDQ and SSSE3
+    /// ([`Crc::detect`]): the soundness of the carry-less path rests on
+    /// nothing else setting it.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     clmul: bool,
 }
@@ -77,7 +78,8 @@ struct Crc {
 impl Crc {
     fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
-        let clmul = std::arch::is_x86_feature_detected!("pclmulqdq");
+        let clmul = std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("ssse3");
         #[cfg(not(target_arch = "x86_64"))]
         let clmul = false;
         Crc { clmul }
@@ -86,12 +88,10 @@ impl Crc {
     fn checksum(self, data: &[u8]) -> u32 {
         #[cfg(target_arch = "x86_64")]
         if self.clmul && data.len() >= CLMUL_MIN {
-            let (head, tail) = data.split_at(data.len() & !15);
             // SAFETY: `clmul` is only ever set after
-            // `is_x86_feature_detected!("pclmulqdq")`, and `head` is a
-            // multiple of 16 bytes, at least `CLMUL_MIN` long.
-            let crc = unsafe { clmul::fold(u32::MAX, head) };
-            return bytewise(crc, tail) ^ u32::MAX;
+            // `is_x86_feature_detected!` found PCLMULQDQ and SSSE3, and
+            // `data` is at least `CLMUL_MIN` long.
+            return unsafe { clmul::fold(u32::MAX, data) } ^ u32::MAX;
         }
         sliced(u32::MAX, data) ^ u32::MAX
     }
@@ -128,8 +128,10 @@ fn bytewise(mut crc: u32, data: &[u8]) -> u32 {
 #[cfg(target_arch = "x86_64")]
 mod clmul {
     use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
-        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+        __m128i, _mm_add_epi8, _mm_and_si128, _mm_andnot_si128, _mm_clmulepi64_si128,
+        _mm_cmplt_epi8, _mm_cvtsi128_si32, _mm_cvtsi32_si128, _mm_loadu_si128, _mm_or_si128,
+        _mm_set1_epi8, _mm_set_epi32, _mm_set_epi64x, _mm_setr_epi8, _mm_setzero_si128,
+        _mm_shuffle_epi8, _mm_srli_si128, _mm_xor_si128,
     };
 
     /// `k1`, `k2`: carry a lane 64 bytes on.
@@ -145,11 +147,11 @@ mod clmul {
     /// The CRC state after `data` from state `crc`.
     ///
     /// # Safety
-    /// The CPU must support PCLMULQDQ; `data` must be a multiple of 16
-    /// bytes and at least 64 long.
-    #[target_feature(enable = "pclmulqdq")]
+    /// The CPU must support PCLMULQDQ and SSSE3; `data` must be at least
+    /// 64 bytes long.
+    #[target_feature(enable = "pclmulqdq,ssse3")]
     pub(super) unsafe fn fold(crc: u32, data: &[u8]) -> u32 {
-        assert!(data.len() >= super::CLMUL_MIN && data.len().is_multiple_of(16));
+        assert!(data.len() >= super::CLMUL_MIN);
         let mut blocks = data.chunks_exact(16).map(|block| {
             // SAFETY: `block` is 16 readable bytes, and the load asks
             // for no alignment.
@@ -175,6 +177,13 @@ mod clmul {
         for _ in 0..left {
             acc = fold_into(acc, k, next());
         }
+        let tail = data.len() % 16;
+        if tail > 0 {
+            // SAFETY: the slice is 16 readable bytes (`data` is at
+            // least 64 long), and the load asks for no alignment.
+            let last = _mm_loadu_si128(data[data.len() - 16..].as_ptr().cast());
+            acc = fold_tail(acc, k, last, tail);
+        }
         // 128 bits to 64.
         let low32 = _mm_set_epi32(0, !0, 0, !0);
         let x = _mm_xor_si128(_mm_srli_si128(acc, 8), _mm_clmulepi64_si128(acc, k, 0x10));
@@ -191,6 +200,31 @@ mod clmul {
         );
         let x = _mm_xor_si128(x, _mm_clmulepi64_si128(t, poly, 0x00));
         _mm_cvtsi128_si32(_mm_srli_si128(x, 4)) as u32
+    }
+
+    /// `acc` carried on over the `tail` (1..16) bytes after the last
+    /// whole block, which are the end of `last`, the input's last 16
+    /// bytes. Read as a message, `acc` and then those bytes are
+    /// `zeros(16 - tail) ++ acc[..tail]` one block ahead of
+    /// `acc[tail..] ++ tail bytes`, so one fold by `k` (`k3`, `k4`)
+    /// takes them in. The byte shifts are `pshufb`s by a mask made from
+    /// `tail`: no table is read.
+    ///
+    /// # Safety
+    /// The CPU must support PCLMULQDQ and SSSE3.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,ssse3")]
+    unsafe fn fold_tail(acc: __m128i, k: __m128i, last: __m128i, tail: usize) -> __m128i {
+        // Byte i of `up` is i + tail - 16: negative, so that `pshufb`
+        // writes a zero, below byte 16 - tail.
+        let iota = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let up = _mm_add_epi8(iota, _mm_set1_epi8(tail as i8 - 16));
+        let head = _mm_shuffle_epi8(acc, up);
+        // `up` with its sign bits flipped: i + tail below 16 - tail,
+        // negative from there.
+        let rest = _mm_shuffle_epi8(acc, _mm_xor_si128(up, _mm_set1_epi8(i8::MIN)));
+        let new = _mm_andnot_si128(_mm_cmplt_epi8(up, _mm_setzero_si128()), last);
+        fold_into(head, k, _mm_or_si128(rest, new))
     }
 
     /// `x` carried one fold on by `k` (`k`'s low half times `x`'s low,
@@ -215,11 +249,11 @@ impl Crc {
     }
 
     /// Every path this CPU runs: slice-by-8, then the carry-less one
-    /// where the CPU has PCLMULQDQ.
+    /// where the CPU has PCLMULQDQ and SSSE3.
     fn paths() -> Vec<Crc> {
         let detected = Crc::detect();
         if !detected.clmul {
-            eprintln!("this CPU has no PCLMULQDQ: only slice-by-8 is tested");
+            eprintln!("this CPU lacks PCLMULQDQ or SSSE3: only slice-by-8 is tested");
         }
         vec![Crc::portable(), detected]
     }

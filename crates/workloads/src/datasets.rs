@@ -10,7 +10,7 @@
 //! are not redistributable/downloadable in this environment; the
 //! substitution is documented in DESIGN.md §2.
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 /// Which dataset family to generate — mirrors the paper's list.
@@ -98,7 +98,12 @@ impl DatasetKind {
 /// ImageNet images "to fit the size of the elements in the pool").
 pub fn resize_item(item: &[u8], bytes: usize) -> Vec<u8> {
     assert!(!item.is_empty(), "resize_item: empty item");
-    item.iter().copied().cycle().take(bytes).collect()
+    let mut out = Vec::with_capacity(bytes);
+    while out.len() < bytes {
+        let take = item.len().min(bytes - out.len());
+        out.extend_from_slice(&item[..take]);
+    }
+    out
 }
 
 /// A deterministic per-class sub-RNG so templates are stable across
@@ -142,10 +147,13 @@ fn binary_images<R: Rng>(
             pack_bits(&bits, bytes)
         })
         .collect();
+    let threshold = gen_bool_threshold(noise);
     (0..n)
         .map(|_| {
-            let cls = rng.gen_range(0..classes);
-            flip_noise(&templates[cls], noise, rng)
+            let template = &templates[rng.gen_range(0..classes)];
+            let mut image = vec![0u8; template.len()];
+            flip_noise(template, threshold, rng, &mut image);
+            image
         })
         .collect()
 }
@@ -160,19 +168,27 @@ fn pack_bits(bits: &[u8], bytes: usize) -> Vec<u8> {
     out
 }
 
-fn flip_noise<R: Rng>(template: &[u8], p: f64, rng: &mut R) -> Vec<u8> {
-    template
-        .iter()
-        .map(|&byte| {
-            let mut b = byte;
-            for bit in 0..8 {
-                if rng.gen_bool(p) {
-                    b ^= 1 << bit;
-                }
-            }
-            b
-        })
-        .collect()
+/// `gen_bool(p)` as an integer compare: it draws one word `x` and holds
+/// when `(x >> 11) as f64 · 2⁻⁵³ < p`. That product is exact, so for an
+/// integer `m < 2⁵³` the test is `m < p · 2⁵³`, which is `m < ceil(p ·
+/// 2⁵³)` — the value returned here. Panics where `gen_bool` does.
+fn gen_bool_threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "gen_bool: p={p} out of [0,1]");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// `out` = `template` with each bit flipped where a draw falls under
+/// `threshold` ([`gen_bool_threshold`]): one word per bit, from each
+/// byte's bit 0 up — the words and the bytes of a `gen_bool` per bit,
+/// without its branch.
+fn flip_noise<R: RngCore>(template: &[u8], threshold: u64, rng: &mut R, out: &mut [u8]) {
+    for (o, &byte) in out.iter_mut().zip(template) {
+        let mut flips = 0u8;
+        for bit in 0..8 {
+            flips |= u8::from(rng.next_u64() >> 11 < threshold) << bit;
+        }
+        *o = byte ^ flips;
+    }
 }
 
 /// Grayscale/packed-color class images: smooth class template bytes
@@ -502,6 +518,216 @@ mod tests {
             let zeros = row.iter().filter(|&&b| b == 0).count();
             assert!(zeros * 2 > row.len(), "row not sparse");
         }
+    }
+
+    /// FNV-1a over every item's length and bytes.
+    fn digest(items: &[Vec<u8>]) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for item in items {
+            for &b in (item.len() as u64).to_le_bytes().iter().chain(item) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    /// A kind's stream from one seed: the digests of `generate(n)` and
+    /// then of `generate_sized(n, 200)` (tiled or cut), and the RNG's
+    /// next word after both.
+    fn stream(kind: DatasetKind) -> [u64; 3] {
+        let mut r = rng();
+        let natural = digest(&kind.generate(120, &mut r));
+        let sized = digest(&kind.generate_sized(40, 200, &mut r));
+        [natural, sized, r.next_u64()]
+    }
+
+    #[test]
+    fn mnist_stream_is_pinned() {
+        assert_eq!(
+            stream(DatasetKind::MnistLike),
+            [
+                0xCB2C_F98A_16A2_CEF9,
+                0xCFFB_5D2B_0E91_E7C4,
+                0xED20_02BC_0DF3_D744
+            ]
+        );
+    }
+
+    #[test]
+    fn fashion_stream_is_pinned() {
+        assert_eq!(
+            stream(DatasetKind::FashionLike),
+            [
+                0x3C3C_0BA4_8CBD_43F9,
+                0xB2EB_F1BE_BCF4_B1BF,
+                0xED20_02BC_0DF3_D744
+            ]
+        );
+    }
+
+    #[test]
+    fn cifar_stream_is_pinned() {
+        assert_eq!(
+            stream(DatasetKind::CifarLike),
+            [
+                0x9DF3_E976_06F2_7370,
+                0x6916_E9D8_E7FF_B7CF,
+                0xBB33_246A_5C3C_0813
+            ]
+        );
+    }
+
+    #[test]
+    fn imagenet_stream_is_pinned() {
+        assert_eq!(
+            stream(DatasetKind::ImagenetLike),
+            [
+                0x0D8A_24C0_52EB_3CF0,
+                0xC1E7_7D37_580B_27A8,
+                0x3B10_D5F3_04E2_3D8E
+            ]
+        );
+    }
+
+    #[test]
+    fn amazon_stream_is_pinned() {
+        assert_eq!(
+            stream(DatasetKind::AmazonAccess),
+            [
+                0x96A4_5F0B_12EE_7C7D,
+                0x59D8_3408_A948_48A9,
+                0x7E3E_6450_2408_C3AF
+            ]
+        );
+    }
+
+    #[test]
+    fn road_network_stream_is_pinned() {
+        assert_eq!(
+            stream(DatasetKind::RoadNetwork),
+            [
+                0x5208_0EA4_B54A_E2A9,
+                0xF3A0_A522_655E_6F5A,
+                0xB1E8_54F0_E794_FE6E
+            ]
+        );
+    }
+
+    #[test]
+    fn pubmed_stream_is_pinned() {
+        assert_eq!(
+            stream(DatasetKind::PubMed),
+            [
+                0xA4B1_6845_5B81_76F4,
+                0x4E1B_68B4_4849_B39F,
+                0xC504_2FB0_2FCD_3120
+            ]
+        );
+    }
+
+    /// The loop [`flip_noise`] replaced: one `gen_bool` per bit.
+    fn flip_noise_by_gen_bool<R: Rng>(template: &[u8], p: f64, rng: &mut R) -> Vec<u8> {
+        template
+            .iter()
+            .map(|&byte| {
+                let mut b = byte;
+                for bit in 0..8 {
+                    if rng.gen_bool(p) {
+                        b ^= 1 << bit;
+                    }
+                }
+                b
+            })
+            .collect()
+    }
+
+    /// A stream that cycles through `words`.
+    struct Words<'a>(std::iter::Cycle<std::slice::Iter<'a, u64>>);
+
+    impl RngCore for Words<'_> {
+        fn next_u64(&mut self) -> u64 {
+            *self.0.next().expect("a cycle never ends")
+        }
+    }
+
+    /// Same bytes and same RNG state after every call, at the noise
+    /// levels the generators use, the ends of [0, 1] and 0.5 (where
+    /// p · 2⁵³ is an integer), for one byte, a short tail and a whole
+    /// 28 × 28 image — from a random stream, and from one of the words
+    /// at the split, which a random stream all but never draws.
+    #[test]
+    fn flip_noise_is_the_gen_bool_loop() {
+        for p in [0.0, 0.06, 0.10, 0.5, 1.0] {
+            let t = gen_bool_threshold(p);
+            let edges = [
+                t << 11,
+                (t << 11).wrapping_sub(1),
+                (t << 11) | 0x7FF,
+                0,
+                u64::MAX,
+            ];
+            let template = [0x00, 0xFF, 0x5A, 0xA5, 0x0F];
+            let expected = flip_noise_by_gen_bool(&template, p, &mut Words(edges.iter().cycle()));
+            let mut out = [0u8; 5];
+            flip_noise(&template, t, &mut Words(edges.iter().cycle()), &mut out);
+            assert_eq!(out, expected[..], "p {p} at the split");
+            for len in [1, 7, 98] {
+                let template: Vec<u8> = (0..len)
+                    .map(|i| (i as u8).wrapping_mul(73) ^ 0x5A)
+                    .collect();
+                let mut reference = rng();
+                let mut r = reference.clone();
+                let mut out = vec![0u8; len];
+                for draw in 0..64 {
+                    let expected = flip_noise_by_gen_bool(&template, p, &mut reference);
+                    flip_noise(&template, gen_bool_threshold(p), &mut r, &mut out);
+                    assert_eq!(out, expected, "p {p}, len {len}, draw {draw}");
+                    assert_eq!(r, reference, "p {p}, len {len}, draw {draw}");
+                }
+            }
+        }
+    }
+
+    /// The threshold splits the 53-bit draws exactly where `gen_bool`'s
+    /// float compare does, checked on both sides of the split.
+    #[test]
+    fn the_threshold_is_gen_bools_split() {
+        let unit = |m: u64| m as f64 * (1.0 / (1u64 << 53) as f64);
+        let ps = [
+            0.0,
+            f64::MIN_POSITIVE,
+            1e-300,
+            0.06,
+            0.1,
+            1.0 / 3.0,
+            0.5,
+            0.5f64.next_up(),
+            0.5f64.next_down(),
+            1.0f64.next_down(),
+            1.0,
+        ];
+        for p in ps {
+            let t = gen_bool_threshold(p);
+            for m in [t.saturating_sub(2), t.saturating_sub(1), t, t + 1] {
+                let m = m.min((1u64 << 53) - 1);
+                assert_eq!(m < t, unit(m) < p, "p {p}, m {m}");
+            }
+        }
+        assert_eq!(gen_bool_threshold(0.0), 0);
+        assert_eq!(gen_bool_threshold(1.0), 1 << 53);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of [0,1]")]
+    fn the_threshold_refuses_what_gen_bool_refuses() {
+        gen_bool_threshold(1.5);
+    }
+
+    #[test]
+    fn resize_tiles_and_cuts() {
+        assert_eq!(resize_item(&[1, 2, 3], 7), [1, 2, 3, 1, 2, 3, 1]);
+        assert_eq!(resize_item(&[1, 2, 3], 2), [1, 2]);
+        assert!(resize_item(&[1], 0).is_empty());
     }
 
     #[test]

@@ -51,8 +51,6 @@ fn main() {
     }
     let cfg = E2Config::builder()
         .fast(SEGMENT, 10)
-        .pretrain_epochs(15)
-        .joint_epochs(3)
         .build()
         .expect("config");
     let mut engine = E2Engine::new(controller, cfg).expect("engine");

@@ -69,8 +69,6 @@ fn main() {
         controller,
         E2Config::builder()
             .fast(SEGMENT, 8)
-            .pretrain_epochs(12)
-            .joint_epochs(3)
             .build()
             .expect("config"),
     )

@@ -37,8 +37,6 @@ fn main() {
     }
     let cfg = E2Config::builder()
         .fast(SEGMENT, 6)
-        .pretrain_epochs(12)
-        .joint_epochs(3)
         .retrain_min_free(2)
         .build()
         .expect("config");

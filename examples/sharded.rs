@@ -50,8 +50,6 @@ fn main() {
     // address pool, and background retrainer).
     let cfg = E2Config::builder()
         .fast(SEG_BYTES, 2)
-        .pretrain_epochs(4)
-        .joint_epochs(1)
         .padding_type(PaddingType::Zero)
         .build()
         .expect("config");

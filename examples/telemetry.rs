@@ -42,8 +42,6 @@ fn main() {
         .collect();
     let cfg = E2Config::builder()
         .fast(SEG_BYTES, 2)
-        .pretrain_epochs(6)
-        .joint_epochs(2)
         .padding_type(PaddingType::Zero)
         .build()
         .expect("config");

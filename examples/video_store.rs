@@ -54,16 +54,7 @@ fn main() {
     };
 
     // --- E2-NVM: route each frame to a same-camera segment ----------
-    let cfg = E2Config::builder()
-        .fast(FRAME, 4)
-        .latent_dim(8)
-        .hidden(vec![64])
-        .pretrain_epochs(15)
-        .joint_epochs(3)
-        .lr(3e-3)
-        .beta(0.1)
-        .build()
-        .expect("config");
+    let cfg = E2Config::builder().fast(FRAME, 4).build().expect("config");
     let mut engine = E2Engine::new(seeded_controller(), cfg).expect("engine");
     println!("training on resident frames...");
     engine.train().expect("train");
